@@ -2,7 +2,8 @@
 
 Flags mirror the scenario fields; a JSON config file passed with --config
 overrides any flag value.  Exit codes: 0 on success, 2 when a control run
-loses rigidity, 3 for an invalid configuration.
+loses rigidity, 3 for an invalid configuration, 4 when the message exchange
+breaks its protocol (a send across a non-edge, or more than 2 * eta rounds).
 """
 
 import argparse
@@ -20,10 +21,12 @@ from .experiments import (
     run_ensemble_experiment,
 )
 from .rigidity import rigidity_report
+from .simnet import ProtocolViolation
 
 EXIT_OK = 0
 EXIT_RIGIDITY_LOST = 2
 EXIT_BAD_CONFIG = 3
+EXIT_PROTOCOL_VIOLATION = 4
 
 _SCENARIO_FLAGS = {
     "seed": int,
@@ -191,6 +194,9 @@ def main(argv=None):
     except RigidityLostError as exc:
         sys.stderr.write(f"rigidity lost: {exc}\n")
         return EXIT_RIGIDITY_LOST
+    except ProtocolViolation as exc:
+        sys.stderr.write(f"protocol violation: {exc}\n")
+        return EXIT_PROTOCOL_VIOLATION
 
 
 if __name__ == "__main__":

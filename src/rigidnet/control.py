@@ -17,8 +17,14 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import GeodesicTable, Graph
-from .rigidity import REL_TOL, Framework, edge_unit_vectors, rigid_body_dim
-from .subframeworks import ExtentAssignment, extent_assignment, inclusion_group
+from .rigidity import (
+    REL_TOL,
+    CoincidentNodesError,
+    Framework,
+    edge_unit_vectors,
+    rigid_body_dim,
+)
+from .subframeworks import ExtentAssignment, extent_assignment
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +99,6 @@ class ControlState:
     lengths: np.ndarray
     c: np.ndarray
     coeff: np.ndarray
-    inclusion: list
     subs: list
     _grads: dict = field(default_factory=dict, repr=False)
 
@@ -185,7 +190,6 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     table = GeodesicTable.compute(graph)
     c = np.maximum(0.0, extents[:, None] - table.dist)
     coeff = c.sum(axis=0)
-    incl = [inclusion_group(table, extents, i) for i in range(graph.n)]
 
     eig_weights = weights if params.weighted_matrix else np.ones_like(weights)
     subs = _sub_structures(graph, extents, table)
@@ -204,7 +208,7 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
         )
     state = ControlState(
         fw, params, extents, time, table, weights, units, lengths, c, coeff,
-        incl, subs,
+        subs,
     )
     if require_rigid:
         state.require_rigid()
@@ -267,74 +271,129 @@ def collision_potential(fw, positions=None, exponent=2.0):
     return float((lengths ** -exponent).sum())
 
 
-def center_rigidity_gradient(state, j):
-    """Per-node d/dx of rho_j^(-q), for the members of ball j.
+def _edge_sums(n, a, b, g):
+    """Per-row sums of +g[t] at row a[t] and -g[t] at row b[t].
 
-    Returns a dict node -> vector.  Both the unit-vector rows and the logistic
-    weights of S_j move with the positions; the derivative follows the
-    eigenvalue of a symmetric matrix through its (sub)eigenvector.
+    The endpoints are interleaved, so every row takes its terms in edge
+    order, as a loop over the edges would, and the sums match that loop
+    bit for bit.
     """
-    sub = state.subs[j]
-    if sub.rho is None or sub.rho <= state.params.eig_tol * sub.lam_max:
-        raise RigidityLostError(f"subframework of node {j} is not rigid")
-    p = state.params
-    e = state.framework.graph.edge_array()
-    k = sub.edge_idx
-    out = {}
-    if len(k) == 0:
-        return out
-    a, b = e[k, 0], e[k, 1]
-    r = state.units[k]
-    ell = state.lengths[k]
-    w = state.weights[k]
-    s = sub.nu[sub.local[a]] - sub.nu[sub.local[b]]
+    out = np.zeros((n, g.shape[1]))
+    np.add.at(out, np.column_stack([a, b]).ravel(),
+              np.stack([g, -g], axis=1).reshape(-1, g.shape[1]))
+    return out
+
+
+@dataclass
+class BallStack:
+    """Several balls laid end to end, so their slopes are computed in one pass.
+
+    Row r stands for member nodes[r] of one ball; each ball's rows are its
+    sub.nodes, and the balls follow the order they were given in.  For
+    every induced edge of every ball, edge is its index in the framework,
+    a and b are the rows of its endpoints and ball is its ball's position.
+    """
+
+    nodes: np.ndarray
+    edge: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    ball: np.ndarray
+
+    @classmethod
+    def of(cls, subs, edge_endpoints):
+        offsets = np.cumsum([0] + [len(s.nodes) for s in subs])
+        ends = [(o + s.local[edge_endpoints[s.edge_idx, 0]],
+                 o + s.local[edge_endpoints[s.edge_idx, 1]])
+                for o, s in zip(offsets, subs)]
+        return cls(
+            nodes=np.concatenate([s.nodes for s in subs]),
+            edge=np.concatenate([s.edge_idx for s in subs]),
+            a=np.concatenate([a for a, _ in ends]),
+            b=np.concatenate([b for _, b in ends]),
+            ball=np.repeat(np.arange(len(subs)),
+                           [len(s.edge_idx) for s in subs]),
+        )
+
+
+def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
+    """Per-member d/dx of rho^(-q) for every ball of a stack, one row each.
+
+    rhos holds each ball's rigidity eigenvalue and nus its eigenvector, one
+    d-vector per stack row; units, lengths and weights describe every edge
+    of the framework.  Both the unit-vector rows and the logistic weights
+    of S_j move with the positions; the derivative follows the eigenvalue
+    of a symmetric matrix through its (sub)eigenvector.
+    """
+    p = params
+    k = stack.edge
+    r = units[k]
+    ell = lengths[k]
+    w = weights[k]
+    s = nus[stack.a] - nus[stack.b]
     sigma = (r * s).sum(axis=1)
-    coef = -p.rigidity_exponent * sub.rho ** -(p.rigidity_exponent + 1.0)
+    q = p.rigidity_exponent
+    coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
     if p.weighted_matrix:
         dw = -p.steepness * w * (1.0 - w)
         ga = dw[:, None] * sigma[:, None] ** 2 * r
         ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
     else:
         ga = 2.0 * (sigma / ell)[:, None] * (s - sigma[:, None] * r)
-    ga *= coef
-    for t in range(len(k)):
-        ia, ib = int(a[t]), int(b[t])
-        out[ia] = out.get(ia, 0.0) + ga[t]
-        out[ib] = out.get(ib, 0.0) - ga[t]
-    return out
+    ga *= coef[:, None]
+    return _edge_sums(len(stack.nodes), stack.a, stack.b, ga)
+
+
+def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
+    """Per-member d/dx of every stacked ball's frozen-coefficient load.
+
+    cs[t] holds the load coefficient of every node for the center of ball
+    t.  The sum runs over each ball's induced edges: every load term rides
+    on an edge with an endpoint strictly inside the ball, and such an edge
+    has both endpoints in it.  Just outside the ball both coefficients on
+    any edge are zero.
+    """
+    k = stack.edge
+    w = weights[k]
+    dw = -params.steepness * w * (1.0 - w)
+    pair = (cs[stack.ball, edge_endpoints[k, 0]]
+            + cs[stack.ball, edge_endpoints[k, 1]])
+    gl = (pair * dw)[:, None] * units[k]
+    return _edge_sums(len(stack.nodes), stack.a, stack.b, gl)
+
+
+def center_rigidity_gradient(state, j):
+    """Per-node d/dx of rho_j^(-q), for the members of ball j, as a dict."""
+    sub = state.subs[j]
+    if sub.rho is None or sub.rho <= state.params.eig_tol * sub.lam_max:
+        raise RigidityLostError(f"subframework of node {j} is not rigid")
+    e = state.framework.graph.edge_array()
+    slopes = ball_rigidity_slopes(BallStack.of([sub], e), [sub.rho], sub.nu,
+                                  state.units, state.lengths, state.weights,
+                                  state.params)
+    return dict(zip(sub.nodes.tolist(), slopes))
 
 
 def center_load_gradient(state, j):
-    """Per-node d/dx of the frozen-coefficient load of ball j.
-
-    Every term rides on an edge with an endpoint strictly inside the ball, so
-    the result only touches members of the ball: just outside it, both load
-    coefficients on any incident edge are zero.
-    """
-    p = state.params
+    """Per-node d/dx of the frozen-coefficient load of ball j, as a dict."""
+    sub = state.subs[j]
     e = state.framework.graph.edge_array()
-    cj = state.c[j]
-    out = {}
-    if len(e) == 0:
-        return out
-    pair = cj[e[:, 0]] + cj[e[:, 1]]
-    k = np.flatnonzero(pair > 0)
-    dw = -p.steepness * state.weights[k] * (1.0 - state.weights[k])
-    ga = (pair[k] * dw)[:, None] * state.units[k]
-    for t, kk in enumerate(k):
-        ia, ib = int(e[kk, 0]), int(e[kk, 1])
-        out[ia] = out.get(ia, 0.0) + ga[t]
-        out[ib] = out.get(ib, 0.0) - ga[t]
-    return out
+    slopes = ball_load_slopes(BallStack.of([sub], e), state.c[j:j + 1], e,
+                              state.units, state.weights, state.params)
+    return dict(zip(sub.nodes.tolist(), slopes))
 
 
 def _accumulate_rigidity_gradient(state):
     n, d = state.framework.n, state.framework.dim
-    grad = np.zeros((n, d))
     state.require_rigid()
-    for j in range(n):
-        for i, v in center_rigidity_gradient(state, j).items():
-            grad[i] += v
+    stack = BallStack.of(state.subs, state.framework.graph.edge_array())
+    slopes = ball_rigidity_slopes(
+        stack, [s.rho for s in state.subs],
+        np.concatenate([s.nu for s in state.subs]), state.units,
+        state.lengths, state.weights, state.params)
+    grad = np.zeros((n, d))
+    # center by center, as each center's payloads arrive at its members
+    np.add.at(grad, stack.nodes, slopes)
     return grad
 
 
@@ -447,7 +506,7 @@ def _state_if_rigid(graph, positions, params, extents, time):
         state = build_control_state(Framework(graph, positions), params,
                                     extents=extents, time=time,
                                     require_rigid=False)
-    except ValueError:
+    except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
     for s in state.subs:

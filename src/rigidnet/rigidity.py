@@ -30,6 +30,10 @@ class FrameworkTooSmallError(ValueError):
     """Rigidity tests need n >= d + 1 nodes."""
 
 
+class CoincidentNodesError(ValueError):
+    """Two adjacent nodes sit at one point, so their edge has no direction."""
+
+
 def rigid_body_dim(d):
     """Dimension f of the trivial-motion space in d dimensions."""
     return d * (d + 1) // 2
@@ -56,7 +60,8 @@ class Framework:
             lengths = np.linalg.norm(positions[e[:, 0]] - positions[e[:, 1]], axis=1)
             if (lengths < _COINCIDENT).any():
                 k = int(np.argmin(lengths))
-                raise ValueError(f"coincident adjacent nodes on edge {graph.edges[k]}")
+                raise CoincidentNodesError(
+                    f"coincident adjacent nodes on edge {graph.edges[k]}")
         self.graph = graph
         self.positions = positions
         self.dim = dim
@@ -81,7 +86,7 @@ def edge_unit_vectors(positions, edge_array):
     diff = positions[edge_array[:, 0]] - positions[edge_array[:, 1]]
     lengths = np.linalg.norm(diff, axis=1)
     if (lengths < _COINCIDENT).any():
-        raise ValueError("coincident adjacent nodes")
+        raise CoincidentNodesError("coincident adjacent nodes")
     return diff / lengths[:, None], lengths
 
 

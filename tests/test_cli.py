@@ -3,7 +3,14 @@
 import filecmp
 import json
 
-from rigidnet.cli import EXIT_BAD_CONFIG, EXIT_OK, EXIT_RIGIDITY_LOST, main
+from rigidnet import simnet
+from rigidnet.cli import (
+    EXIT_BAD_CONFIG,
+    EXIT_OK,
+    EXIT_PROTOCOL_VIOLATION,
+    EXIT_RIGIDITY_LOST,
+    main,
+)
 
 SMALL = ["--seed", "3", "--n", "16", "--width", "90", "--height", "90",
          "--range", "40"]
@@ -77,6 +84,16 @@ class TestControl:
         assert json.loads(captured.out)["rigidity_lost"] is True
         assert "rigidity lost" in captured.err
         assert json.loads(snap.read_text())["framework"]["n"] == 16
+
+    def test_protocol_violation_exits_four(self, monkeypatch, capsys):
+        def broken_engine(*args, **kwargs):
+            raise simnet.ProtocolViolation("exchange took 9 rounds, bound is 4")
+
+        monkeypatch.setattr(simnet, "run_exchange_phase", broken_engine)
+        code = main(["control", *SMALL, "--duration", "0.5"])
+        assert code == EXIT_PROTOCOL_VIOLATION
+        err = capsys.readouterr().err
+        assert err == "protocol violation: exchange took 9 rounds, bound is 4\n"
 
 
 class TestAudit:

@@ -14,6 +14,7 @@ from rigidnet.control import (
     collision_potential,
     control_step,
     edge_weight,
+    guarded_refresh,
     load_gradient,
     load_gradient_all,
     load_potential,
@@ -320,3 +321,29 @@ class TestRefresh:
         x = np.array([[0.0, 0.0], [1.0, 0.0]])
         params = ControlParams(comm_range=1.0, steepness=5.0)
         assert refresh_topology(g, x, params).edges == []
+
+
+class TestGuard:
+    # two triangles sharing the bar 1-2, node 4 braced to 1 and 3; in the
+    # candidate node 4 sits on node 0, which it is not linked to
+    GRAPH = Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)])
+    CANDIDATE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                          [0.0, 0.0]])
+    PARAMS = ControlParams(comm_range=5.0)
+
+    def test_coincident_link_is_deferred(self):
+        graph, state = guarded_refresh(self.GRAPH, self.CANDIDATE,
+                                       self.PARAMS, [2] * 5)
+        assert state is not None
+        assert (0, 4) not in graph.edges
+        assert {(0, 3), (2, 4)} <= set(graph.edges)
+
+    def test_coincident_edge_rejects_the_candidate(self):
+        x = self.CANDIDATE.copy()
+        x[3] = x[1]
+        assert guarded_refresh(self.GRAPH, x, self.PARAMS, [2] * 5) == (
+            None, None)
+
+    def test_unrelated_value_error_propagates(self):
+        with pytest.raises(ValueError, match="extents"):
+            guarded_refresh(self.GRAPH, self.CANDIDATE, self.PARAMS, [2] * 4)

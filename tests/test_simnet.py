@@ -12,9 +12,12 @@ from rigidnet.control import (
     build_control_state,
     velocity_field,
 )
+from rigidnet import simnet
+from rigidnet.experiments import ScenarioConfig, sample_framework
 from rigidnet.graphs import Graph
 from rigidnet.rigidity import Framework, is_infinitesimally_rigid
 from rigidnet.simnet import (
+    ExchangeSchedule,
     Message,
     ProtocolViolation,
     RoundLog,
@@ -257,3 +260,102 @@ def test_same_seed_gives_identical_runs():
         runs.append((world.framework.positions.copy(), world.metrics))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
+
+
+def engine_checked_run(monkeypatch, world, ticks):
+    """Step a world, holding every tick's commands to the engine oracle.
+
+    Returns how many ticks replayed a recorded schedule and how many
+    compiled a new one.
+    """
+    replay_or_compile = simnet.tick_velocity
+    counts = {"hits": 0, "misses": 0}
+
+    def checked(w, positions):
+        before = w.schedule
+        u, log = replay_or_compile(w, positions)
+        u_engine, log_engine = decentralized_velocity(
+            w.framework, w.extents, w.params, positions=positions)
+        assert u.tobytes() == u_engine.tobytes()
+        assert log.completion_round == log_engine.completion_round
+        # every log handed out came from an engine run on this topology
+        assert w.schedule.key == (tuple(w.framework.graph.edges),
+                                  w.extents.tobytes())
+        assert log is w.schedule.log
+        counts["hits" if w.schedule is before else "misses"] += 1
+        return u, log
+
+    monkeypatch.setattr(simnet, "tick_velocity", checked)
+    for _ in range(ticks):
+        step_simulation(world)
+    return counts["hits"], counts["misses"]
+
+
+@pytest.mark.parametrize("use_estimates", [False, True])
+def test_replayed_commands_equal_the_engine(monkeypatch, use_estimates):
+    rng = np.random.default_rng(6)
+    fw = rigid_disk(rng, 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
+                           k_rigidity=10.0, k_load=1.0, k_collision=1.0)
+    cfg = WorldConfig(use_estimates=use_estimates, anchors=(0, 1),
+                      noise_std=0.05, initial_estimate_error=0.3, seed=3)
+    world = make_world(fw, params, cfg)
+    hits, misses = engine_checked_run(monkeypatch, world, 30)
+    assert hits >= 1
+    assert misses >= 2  # the first tick, then at least one new topology
+
+
+def test_replay_in_three_dimensions(monkeypatch):
+    config = ScenarioConfig(seed=1, n=12, dim=3, width=50.0, height=50.0,
+                            comm_range=40.0)
+    fw, _ = sample_framework(np.random.default_rng(1), config)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
+                           k_rigidity=10.0, k_load=1.0, k_collision=1.0)
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    hits, misses = engine_checked_run(monkeypatch, world, 12)
+    assert hits >= 1
+    assert misses >= 2
+    assert all(row["min_rho"] > 0 for row in world.metrics)
+
+
+def test_new_topology_replaces_the_schedule():
+    rng = np.random.default_rng(0)
+    fw = rigid_disk(rng, 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
+                           k_rigidity=10.0, k_load=1.0, k_collision=1.0)
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    step_simulation(world)
+    first = world.schedule
+    edges = world.framework.graph.edges
+    while world.framework.graph.edges == edges:
+        step_simulation(world)
+    step_simulation(world)
+    assert world.schedule is not first
+    held = [v for v in vars(world).values() if isinstance(v, ExchangeSchedule)]
+    assert held == [world.schedule]
+    assert world.schedule.key[0] == tuple(world.framework.graph.edges)
+
+
+def test_replay_fails_like_the_engine_on_a_flexible_ball():
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
+    h = build_control_state(fw, params).extents
+    assert h.max() > h.min()
+    # relabel so node 0 has the widest ball: centers fire in order of
+    # extent, so the first ball the engine finds flexible is not node 0's
+    old = np.argsort(-h, kind="stable")
+    new = np.argsort(old)
+    fw = Framework(Graph(fw.graph.n, [(new[a], new[b])
+                                      for a, b in fw.graph.edges]),
+                   fw.positions[old])
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    simnet.tick_velocity(world, fw.positions)
+    # distinct points on one line: no ball of the plane can be rigid there
+    line = np.column_stack([np.arange(fw.graph.n, dtype=float),
+                            np.zeros(fw.graph.n)])
+    with pytest.raises(RigidityLostError) as engine:
+        decentralized_velocity(fw, world.extents, params, positions=line)
+    with pytest.raises(RigidityLostError) as replay:
+        simnet.tick_velocity(world, line)
+    assert str(replay.value) == str(engine.value)
+    assert str(engine.value) != "subframework of node 0 is not rigid"
