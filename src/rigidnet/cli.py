@@ -2,11 +2,14 @@
 
 Flags mirror the scenario fields; a JSON config file passed with --config
 overrides any flag value.  Exit codes: 0 on success, 2 when a control run
-loses rigidity, 3 for an invalid configuration, 4 when the message exchange
-breaks its protocol (a send across a non-edge, or more than 2 * eta rounds).
+loses rigidity, 3 for an invalid configuration (an unknown field or a value
+of the wrong type), 4 when the message exchange breaks its protocol (a send
+across a non-edge, or more than 2 * eta rounds), 5 when the rank test and
+the eigenvalue test of a rigidity report disagree.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,27 +23,41 @@ from .experiments import (
     run_control_experiment,
     run_ensemble_experiment,
 )
-from .rigidity import rigidity_report
+from .rigidity import RankMismatchError, rigidity_report
 from .simnet import ProtocolViolation
 
 EXIT_OK = 0
 EXIT_RIGIDITY_LOST = 2
 EXIT_BAD_CONFIG = 3
 EXIT_PROTOCOL_VIOLATION = 4
+EXIT_RANK_MISMATCH = 5
 
-_SCENARIO_FLAGS = {
-    "seed": int,
-    "n": int,
-    "width": float,
-    "height": float,
-    "comm_range": float,
-    "dim": int,
-    "ensemble_count": int,
-    "duration": float,
-    "noise_std": float,
-    "initial_estimate_error": float,
-    "rejection_budget": int,
-}
+# scenario fields set by a flag of the same name; argparse types them
+_SCENARIO_FLAGS = ("seed", "n", "width", "height", "comm_range", "dim",
+                   "ensemble_count", "duration", "noise_std",
+                   "initial_estimate_error", "rejection_budget")
+
+
+def _check_types(cls, values):
+    """Reject config values of the wrong JSON type for the fields of cls.
+
+    An int passes as a float and anchors come as a list of ints; unknown
+    names fail when cls is built.
+    """
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        expected = types.get(name)
+        if expected is tuple:
+            ok = type(value) is list and all(type(a) is int for a in value)
+        elif expected in (int, float, bool):
+            ok = type(value) is expected or (
+                expected is float and type(value) is int)
+        else:
+            continue
+        if not ok:
+            label = "list of int" if expected is tuple else expected.__name__
+            raise ConfigError(f"configuration field {name!r} must be of type "
+                              f"{label}, got {json.dumps(value)}")
 
 
 def _add_scenario_flags(parser):
@@ -87,11 +104,13 @@ def _build_config(args):
         if not isinstance(overrides, dict):
             raise ConfigError("config file must hold a JSON object")
         control = overrides.pop("control", None)
+        _check_types(ScenarioConfig, overrides)
         for key, value in overrides.items():
-            if key == "anchors":
-                value = tuple(int(a) for a in value)
-            fields[key] = value
+            fields[key] = tuple(value) if key == "anchors" else value
         if control is not None:
+            if not isinstance(control, dict):
+                raise ConfigError("the control block must be a JSON object")
+            _check_types(ControlParams, control)
             try:
                 fields["control"] = ControlParams(**control)
             except (TypeError, ValueError) as exc:
@@ -197,6 +216,9 @@ def main(argv=None):
     except ProtocolViolation as exc:
         sys.stderr.write(f"protocol violation: {exc}\n")
         return EXIT_PROTOCOL_VIOLATION
+    except RankMismatchError as exc:
+        sys.stderr.write(f"rank mismatch: {exc}\n")
+        return EXIT_RANK_MISMATCH
 
 
 if __name__ == "__main__":

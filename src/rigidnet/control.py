@@ -8,6 +8,9 @@ ball memberships and load coefficients are integer-valued and therefore frozen
 within a step and refreshed between steps.  Only the weights are treated as
 position-dependent by the gradients, and every analytic gradient is held to a
 finite-difference oracle in the tests.
+
+ball_rigidity_slopes and ball_load_slopes are the one per-ball slope formula,
+shared by the centralized field, the replayed exchange and every center.
 """
 
 import logging
@@ -17,14 +20,13 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import GeodesicTable, Graph
-from .rigidity import (
-    REL_TOL,
-    CoincidentNodesError,
-    Framework,
-    edge_unit_vectors,
-    rigid_body_dim,
+from .rigidity import REL_TOL, CoincidentNodesError, Framework, edge_unit_vectors
+from .subframeworks import (
+    ExtentAssignment,
+    ball_spectrum,
+    ball_structures,
+    extent_assignment,
 )
-from .subframeworks import ExtentAssignment, extent_assignment
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +50,6 @@ class ControlParams:
     weight_prune: float = 0.01
     eig_tol: float = REL_TOL
     max_step_retries: int = 8
-    weighted_matrix: bool = True
 
     def __post_init__(self):
         if min(self.comm_range, self.steepness, self.rigidity_exponent,
@@ -68,21 +69,6 @@ def edge_weight(xi, xj, comm_range, steepness):
 
 def _logistic(lengths, comm_range, steepness):
     return expit(steepness * (comm_range - lengths))
-
-
-@dataclass
-class SubframeworkState:
-    """Frozen ball of one center plus its eigendata at the current positions."""
-
-    center: int
-    nodes: np.ndarray
-    local: np.ndarray
-    edge_idx: np.ndarray
-    rho: float = None
-    nu: np.ndarray = None
-    lam_max: float = 0.0
-    gap: float = np.inf
-    degenerate: bool = False
 
 
 @dataclass
@@ -108,58 +94,11 @@ class ControlState:
 
     def require_rigid(self):
         for s in self.subs:
-            if s.rho is None or s.rho <= self.params.eig_tol * s.lam_max:
+            if not s.rigid:
                 raise RigidityLostError(
                     f"subframework of node {s.center} lost rigidity "
                     f"(rho={s.rho}) at t={self.time:.3f}"
                 )
-
-
-def _sub_structures(graph, extents, table):
-    e = graph.edge_array()
-    subs = []
-    for j in range(graph.n):
-        nodes = np.array(table.ball(j, int(extents[j])), dtype=np.intp)
-        local = np.full(graph.n, -1, dtype=np.intp)
-        local[nodes] = np.arange(len(nodes))
-        in_ball = local >= 0
-        if len(e):
-            edge_idx = np.flatnonzero(in_ball[e[:, 0]] & in_ball[e[:, 1]])
-        else:
-            edge_idx = np.zeros(0, dtype=np.intp)
-        subs.append(SubframeworkState(j, nodes, local, edge_idx))
-    return subs
-
-
-def _sub_matrix(sub, d, units, weights, edge_endpoints):
-    nj = len(sub.nodes)
-    k = sub.edge_idx
-    R = np.zeros((len(k), d * nj))
-    if len(k):
-        a = sub.local[edge_endpoints[k, 0]]
-        b = sub.local[edge_endpoints[k, 1]]
-        rows = np.arange(len(k))[:, None]
-        R[rows, a[:, None] * d + np.arange(d)] = units[k]
-        R[rows, b[:, None] * d + np.arange(d)] = -units[k]
-    S = R.T @ (weights[k, None] * R)
-    return 0.5 * (S + S.T)
-
-
-def _sub_eigen(sub, d, units, weights, edge_endpoints, with_vectors):
-    """Rigidity eigendata of one ball; None when the ball is too small to test."""
-    nj = len(sub.nodes)
-    if nj <= d:
-        return None
-    f = rigid_body_dim(d)
-    S = _sub_matrix(sub, d, units, weights, edge_endpoints)
-    if with_vectors:
-        vals, vecs = np.linalg.eigh(S)
-        nu = vecs[:, f].reshape(nj, d)
-    else:
-        vals = np.linalg.eigvalsh(S)
-        nu = None
-    gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
-    return float(vals[f]), nu, float(vals[-1]), gap
 
 
 def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
@@ -191,15 +130,15 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     c = np.maximum(0.0, extents[:, None] - table.dist)
     coeff = c.sum(axis=0)
 
-    eig_weights = weights if params.weighted_matrix else np.ones_like(weights)
-    subs = _sub_structures(graph, extents, table)
+    subs = ball_structures(graph, extents, table)
     degenerate = 0
     for sub in subs:
-        out = _sub_eigen(sub, fw.dim, units, eig_weights, e, with_vectors=True)
-        if out is None:
+        spectrum = ball_spectrum(fw, sub, units, weights, params.eig_tol)
+        if spectrum is None:
             continue
-        sub.rho, sub.nu, sub.lam_max, sub.gap = out
-        sub.degenerate = sub.gap <= 1e-6 * max(sub.lam_max, 1e-300)
+        sub.rho, sub.lam_max, sub.gap = spectrum.rho, spectrum.lam_max, spectrum.gap
+        sub.nu = spectrum.nu.reshape(-1, fw.dim)
+        sub.rigid, sub.degenerate = spectrum.rigid, spectrum.degenerate
         degenerate += sub.degenerate
     if degenerate:
         logger.debug(
@@ -225,30 +164,22 @@ def _eval_geometry(state, positions):
     return units, lengths, weights
 
 
-def subframework_rhos(state, positions=None):
-    """Rigidity eigenvalue of every frozen ball, re-solved at the given positions."""
-    units, _, weights = _eval_geometry(state, positions)
-    if not state.params.weighted_matrix:
-        weights = np.ones_like(weights)
-    e = state.framework.graph.edge_array()
-    d = state.framework.dim
-    rhos = np.full(len(state.subs), np.nan)
-    lam = np.zeros(len(state.subs))
-    for k, sub in enumerate(state.subs):
-        out = _sub_eigen(sub, d, units, weights, e, with_vectors=False)
-        if out is not None:
-            rhos[k], _, lam[k], _ = out
-    return rhos, lam
-
-
 def rigidity_potential(state, positions=None):
-    """Sum of rho_j^(-q) over all subframeworks; blows up as any ball softens."""
-    q = state.params.rigidity_exponent
-    tol = state.params.eig_tol
-    rhos, lam = subframework_rhos(state, positions)
-    if np.isnan(rhos).any() or (rhos <= tol * lam).any():
-        raise RigidityLostError("a subframework is at or below the zero threshold")
-    return float((rhos ** -q).sum())
+    """Sum of rho_j^(-q) over all frozen balls, re-solved at the given positions.
+
+    Blows up as any ball softens, and raises once one fails the eigenvalue
+    test or is too small to take it.
+    """
+    units, _, weights = _eval_geometry(state, positions)
+    rhos = np.empty(len(state.subs))
+    for k, sub in enumerate(state.subs):
+        spectrum = ball_spectrum(state.framework, sub, units, weights,
+                                 state.params.eig_tol, vectors=False)
+        if spectrum is None or not spectrum.rigid:
+            raise RigidityLostError(
+                "a subframework is at or below the zero threshold")
+        rhos[k] = spectrum.rho
+    return float((rhos ** -state.params.rigidity_exponent).sum())
 
 
 def load_potential(state, positions=None):
@@ -334,12 +265,9 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     sigma = (r * s).sum(axis=1)
     q = p.rigidity_exponent
     coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
-    if p.weighted_matrix:
-        dw = -p.steepness * w * (1.0 - w)
-        ga = dw[:, None] * sigma[:, None] ** 2 * r
-        ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
-    else:
-        ga = 2.0 * (sigma / ell)[:, None] * (s - sigma[:, None] * r)
+    dw = -p.steepness * w * (1.0 - w)
+    ga = dw[:, None] * sigma[:, None] ** 2 * r
+    ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
     ga *= coef[:, None]
     return _edge_sums(len(stack.nodes), stack.a, stack.b, ga)
 
@@ -365,7 +293,7 @@ def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
 def center_rigidity_gradient(state, j):
     """Per-node d/dx of rho_j^(-q), for the members of ball j, as a dict."""
     sub = state.subs[j]
-    if sub.rho is None or sub.rho <= state.params.eig_tol * sub.lam_max:
+    if not sub.rigid:
         raise RigidityLostError(f"subframework of node {j} is not rigid")
     e = state.framework.graph.edge_array()
     slopes = ball_rigidity_slopes(BallStack.of([sub], e), [sub.rho], sub.nu,
@@ -509,12 +437,7 @@ def _state_if_rigid(graph, positions, params, extents, time):
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
-    for s in state.subs:
-        if s.rho is None or not np.isfinite(s.rho):
-            return None
-        if s.rho <= params.eig_tol * s.lam_max:
-            return None
-    return state
+    return state if all(s.rigid for s in state.subs) else None
 
 
 def guarded_refresh(graph, positions, params, extents, time=0.0):

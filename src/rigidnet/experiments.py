@@ -17,7 +17,7 @@ import numpy as np
 from .control import ControlParams, RigidityLostError
 from .graphs import Graph, GeodesicTable, disk_proximity_graph, is_connected
 from .rigidity import Framework, is_infinitesimally_rigid
-from .simnet import WorldConfig, make_world, step_simulation
+from .simnet import WorldConfig, make_world, run_simulation
 from .subframeworks import communication_load, extent_assignment
 
 FLOAT_FORMAT = "%.10g"
@@ -213,7 +213,7 @@ def _control_row(metric):
 
 
 def run_control_experiment(config, csv_path=None, snapshot_path=None):
-    """Closed-loop run to the configured duration; returns (world, rows, error).
+    """Closed-loop run of duration / dt ticks; returns (world, rows, error).
 
     A rigidity loss stops the run, leaves the rows gathered so far, and is
     returned (not raised) together with a final snapshot so callers can
@@ -231,8 +231,7 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
     world = make_world(fw, config.control, wconfig)
     error = None
     try:
-        while world.time < config.duration:
-            step_simulation(world)
+        run_simulation(world, config.duration)
     except RigidityLostError as exc:
         error = exc
     rows = [_control_row(m) for m in world.metrics]

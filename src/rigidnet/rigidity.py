@@ -5,9 +5,12 @@ Infinitesimal rigidity is tested two ways: the rank of the rigidity matrix R
 must equal d*n - f, and the (f+1)-th smallest eigenvalue of S = R^T W R must
 be positive, where f = d(d+1)/2 counts the rigid-body degrees of freedom.
 The two verdicts always agree; a mismatch raises, it is never papered over.
+rigidity_spectrum is the one eigensolve behind every eigenvalue verdict, for
+whole frameworks and hop-balls alike; rigidity_matrix builds R for either.
 """
 
 import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +35,10 @@ class FrameworkTooSmallError(ValueError):
 
 class CoincidentNodesError(ValueError):
     """Two adjacent nodes sit at one point, so their edge has no direction."""
+
+
+class RankMismatchError(RuntimeError):
+    """The rank test and the eigenvalue test disagree on one framework."""
 
 
 def rigid_body_dim(d):
@@ -90,19 +97,22 @@ def edge_unit_vectors(positions, edge_array):
     return diff / lengths[:, None], lengths
 
 
-def rigidity_matrix(fw):
-    """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j."""
-    d, n = fw.dim, fw.n
-    e = fw.graph.edge_array()
+def rigidity_matrix(fw, units=None, ball=None):
+    """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j.
+
+    units replaces the unit vectors of all of fw's edges; a ball with index
+    masks local and edge_idx keeps only its induced edges and its members.
+    """
+    d, n, e = fw.dim, fw.n, fw.graph.edge_array()
+    if units is None:
+        units, _ = edge_unit_vectors(fw.positions, e)
+    if ball is not None:
+        e, units = ball.local[e[ball.edge_idx]], units[ball.edge_idx]
+        n = len(ball.nodes)
     R = np.zeros((len(e), d * n))
-    if len(e) == 0:
-        return R
-    r, _ = edge_unit_vectors(fw.positions, e)
     rows = np.arange(len(e))[:, None]
-    cols_i = e[:, 0, None] * d + np.arange(d)
-    cols_j = e[:, 1, None] * d + np.arange(d)
-    R[rows, cols_i] = r
-    R[rows, cols_j] = -r
+    R[rows, e[:, 0, None] * d + np.arange(d)] = units
+    R[rows, e[:, 1, None] * d + np.arange(d)] = -units
     return R
 
 
@@ -130,7 +140,16 @@ def symmetric_rigidity_matrix(R, weights):
         raise ValueError(f"expected {R.shape[0]} weights, got shape {w.shape}")
     if (w <= 0).any():
         raise ValueError("weights must be positive")
-    S = R.T @ (w[:, None] * R)
+    return weighted_gram(R, w)
+
+
+def weighted_gram(R, w=None):
+    """R^T diag(w) R, symmetrized, for any w >= 0; R^T R when w is None.
+
+    numpy forms R^T R by a symmetric rank-k update, whose last bits differ
+    from the general product with all-ones weights.
+    """
+    S = R.T @ R if w is None else R.T @ (w[:, None] * R)
     return 0.5 * (S + S.T)
 
 
@@ -159,96 +178,105 @@ def trivial_motion_basis(fw):
     return Q
 
 
-def rigidity_eigenpair(S, d):
-    """Rigidity eigenvalue (the (f+1)-th smallest of S) and its unit eigenvector."""
+@dataclass(frozen=True)
+class Spectrum:
+    """Rigidity eigendata of one S; rigid is rho > tol_abs = tol * max(lam_max, 0).
+
+    nu is the rigidity eigenvector, largest entry positive, or None.
+    """
+
+    eigenvalues: np.ndarray
+    rho: float
+    nu: np.ndarray
+    lam_max: float
+    gap: float
+    tol_abs: float
+    rigid: bool
+    degenerate: bool
+
+
+def rigidity_spectrum(S, d, tol=REL_TOL, vectors=True):
+    """The rigidity eigenvalue test on S, by eigh or, without vectors, eigvalsh.
+
+    The two LAPACK drivers differ in the last bits, so each caller keeps
+    the one it has always used.
+    """
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
-    if S.shape[0] != n * d or S.shape[0] != S.shape[1]:
+    if S.shape != (n * d, n * d):
         raise ValueError("S must be dn x dn")
     if n <= d:
         raise FrameworkTooSmallError(
             f"framework too small for the rigidity eigenvalue test (n={n} <= d={d})"
         )
     f = rigid_body_dim(d)
-    vals, vecs = np.linalg.eigh(S)
-    nu = vecs[:, f]
-    k = int(np.argmax(np.abs(nu)))
-    if nu[k] < 0:
-        nu = -nu
-    return float(vals[f]), nu
+    nu = None
+    if vectors:
+        vals, vecs = np.linalg.eigh(S)
+        nu = vecs[:, f]
+        if nu[np.argmax(np.abs(nu))] < 0:
+            nu = -nu
+    else:
+        vals = np.linalg.eigvalsh(S)
+    rho, lam_max = float(vals[f]), float(vals[-1])
+    tol_abs = tol * max(lam_max, 0.0)
+    gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
+    return Spectrum(
+        vals, rho, nu, lam_max, gap, tol_abs, rho > tol_abs,
+        bool(gap <= DEGENERATE_GAP_REL * max(lam_max, 1e-300)),
+    )
 
 
+def framework_spectrum(fw, tol=REL_TOL, vectors=True):
+    """Spectrum of a whole framework's unweighted S = R^T R."""
+    return rigidity_spectrum(weighted_gram(rigidity_matrix(fw)), fw.dim, tol,
+                             vectors)
+
+
+def rigidity_eigenpair(S, d):
+    """Rigidity eigenvalue (the (f+1)-th smallest of S) and its unit eigenvector."""
+    spectrum = rigidity_spectrum(S, d)
+    return spectrum.rho, spectrum.nu
+
+
+@dataclass(eq=False)
 class RigidityReport:
     """Spectral rigidity summary of a framework under a given edge weighting."""
 
-    def __init__(self, rank_R, eigenvalues, rho, nu, rigid, f, degenerate, tol_abs):
-        self.rank_R = rank_R
-        self.eigenvalues = eigenvalues
-        self.rho = rho
-        self.nu = nu
-        self.rigid = rigid
-        self.f = f
-        self.degenerate = degenerate
-        self.tol_abs = tol_abs
+    rank_R: int
+    eigenvalues: np.ndarray
+    rho: float
+    nu: np.ndarray
+    rigid: bool
+    f: int
+    degenerate: bool
+    tol_abs: float
 
     def to_json(self):
-        return json.dumps(
-            {
-                "rank_R": self.rank_R,
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "rho": self.rho,
-                "nu": [float(v) for v in self.nu],
-                "rigid": self.rigid,
-                "f": self.f,
-                "degenerate": self.degenerate,
-                "tol_abs": self.tol_abs,
-            }
-        )
+        return json.dumps({**asdict(self),
+                           "eigenvalues": [float(v) for v in self.eigenvalues],
+                           "nu": [float(v) for v in self.nu]})
 
 
 def rigidity_report(fw, weights=None, tol=REL_TOL):
     """Full spectrum, rank and rigidity verdict; rank and eigenvalue tests must agree."""
     d, n = fw.dim, fw.n
-    if n <= d:
-        raise FrameworkTooSmallError(
-            f"framework too small for the rigidity eigenvalue test (n={n} <= d={d})"
-        )
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
     if weights is None:
         weights = np.ones(R.shape[0])
-    S = symmetric_rigidity_matrix(R, weights)
-    vals, vecs = np.linalg.eigh(S)
-    lam_max = float(vals[-1]) if len(vals) else 0.0
-    tol_abs = tol * max(lam_max, 0.0)
-    rho = float(vals[f])
-    nu = vecs[:, f]
-    k = int(np.argmax(np.abs(nu)))
-    if nu[k] < 0:
-        nu = -nu
-    rigid_eig = rho > tol_abs
+    spectrum = rigidity_spectrum(symmetric_rigidity_matrix(R, weights), d, tol)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(tol) * sv_max).sum()) if sv_max > 0 else 0
-    rigid_rank = rank_R == d * n - f
-    if rigid_eig != rigid_rank:
-        raise RuntimeError(
+    if spectrum.rigid != (rank_R == d * n - f):
+        raise RankMismatchError(
             f"rank test ({rank_R} vs {d * n - f}) and eigenvalue test "
-            f"(rho={rho:.3e}, tol={tol_abs:.3e}) disagree"
+            f"(rho={spectrum.rho:.3e}, tol={spectrum.tol_abs:.3e}) disagree"
         )
-    gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
-    degenerate = bool(gap <= DEGENERATE_GAP_REL * max(lam_max, 1e-300))
-    return RigidityReport(rank_R, vals, rho, nu, rigid_eig, f, degenerate, tol_abs)
-
-
-def _rho_only(fw, tol):
-    """Eigenvalue-test verdict without the SVD cross-check (hot-path variant)."""
-    f = rigid_body_dim(fw.dim)
-    R = rigidity_matrix(fw)
-    S = R.T @ R
-    vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-    lam_max = float(vals[-1]) if len(vals) else 0.0
-    return float(vals[f]) > tol * max(lam_max, 0.0)
+    return RigidityReport(rank_R, spectrum.eigenvalues, spectrum.rho,
+                          spectrum.nu, spectrum.rigid, f, spectrum.degenerate,
+                          spectrum.tol_abs)
 
 
 def is_infinitesimally_rigid(fw, tol=REL_TOL, cross_check=True):
@@ -267,7 +295,7 @@ def is_infinitesimally_rigid(fw, tol=REL_TOL, cross_check=True):
         return False
     if cross_check:
         return rigidity_report(fw, tol=tol).rigid
-    return _rho_only(fw, tol)
+    return framework_spectrum(fw, tol, vectors=False).rigid
 
 
 def diameter_eigenvalue_bound(m, D):

@@ -3,9 +3,10 @@
 The engine owns the true world state; agents only see their mailboxes.  One
 round delivers every queued message across one edge and then lets each node
 process its inbox.  An exchange floods every node's position out to the
-centers whose balls contain it; each center computes the per-member slopes
-of its own rigidity and load terms from the payloads it collected, and ships
-them back along the recorded flood paths.  The round counter certifies that
+centers whose balls contain it; each center rebuilds its ball from the
+payloads it collected, computes the per-member slopes of its own rigidity
+and load terms with the controller's one slope formula, and ships them back
+along the recorded flood paths.  The round counter certifies that
 every (center, member) pair is served within twice the worst extent, which
 the exchange asserts as a hard bound.
 
@@ -31,10 +32,10 @@ decentralized_velocity always run the engine and are the replay's oracle.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .control import (
     ControlParams,
@@ -42,7 +43,6 @@ from .control import (
     BallStack,
     RigidityLostError,
     _logistic,
-    _sub_eigen,
     ball_load_slopes,
     ball_rigidity_slopes,
     build_control_state,
@@ -56,14 +56,13 @@ from .localization import (
     inflate_covariance,
     make_filters,
 )
-from .rigidity import (
-    Framework,
-    edge_unit_vectors,
-    rigid_body_dim,
-    rigidity_matrix,
-    symmetric_rigidity_matrix,
+from .rigidity import Framework, edge_unit_vectors, framework_spectrum
+from .subframeworks import (
+    ExtentAssignment,
+    SubframeworkState,
+    ball_spectrum,
+    communication_load,
 )
-from .subframeworks import ExtentAssignment, communication_load
 
 POSITION_FLOOD = "position_flood"
 GRADIENT_RETURN = "gradient_return"
@@ -139,68 +138,43 @@ def _trace_line(trace, round_index, msg):
     }) + "\n")
 
 
-def _center_payloads(center, h, member_data, params, d):
+def _ball_eigen(fw, ball, units, weights, params):
+    """rho and per-member nu of one ball; a ball that fails the test stops the exchange."""
+    spectrum = ball_spectrum(fw, ball, units, weights, params.eig_tol)
+    if spectrum is None or not spectrum.rigid:
+        raise RigidityLostError(
+            f"subframework of node {ball.center} is not rigid")
+    return spectrum.rho, spectrum.nu.reshape(-1, fw.dim)
+
+
+def _center_payloads(center, h, member_data, params):
     """Both gradient payloads of one center from its collected flood data.
 
     member_data maps node id -> (position, neighbor id tuple).  The center
     rebuilds its ball's induced framework from that alone: any edge with a
     nonzero load coefficient has an endpoint strictly inside the ball, so
     the induced edge set carries every term that matters, and hop counts
-    inside the ball equal the global ones.
+    inside the ball equal the global ones.  The slopes come from the same
+    ball_rigidity_slopes and ball_load_slopes as the centralized field.
     """
     nodes = sorted(member_data)
     local = {v: t for t, v in enumerate(nodes)}
-    pos = np.array([member_data[v][0] for v in nodes], dtype=float)
-    edges = set()
-    for v in nodes:
-        for u in member_data[v][1]:
-            if u in local and u != v:
-                edges.add((min(local[u], local[v]), max(local[u], local[v])))
-    g = Graph(len(nodes), sorted(edges))
-    fw = Framework(g, pos)
-    hops = bfs_distances(g, local[center])
-    c = np.maximum(0.0, h - hops)
+    edges = {(min(local[u], local[v]), max(local[u], local[v]))
+             for v in nodes for u in member_data[v][1] if u in local and u != v}
+    fw = Framework(Graph(len(nodes), edges),
+                   np.array([member_data[v][0] for v in nodes], dtype=float))
+    e = fw.graph.edge_array()
+    ball = SubframeworkState.of(e, fw.n, center, range(fw.n))
+    c = np.maximum(0.0, h - bfs_distances(fw.graph, local[center]))
 
-    e = g.edge_array()
-    diff = pos[e[:, 0]] - pos[e[:, 1]]
-    lengths = np.linalg.norm(diff, axis=1)
-    units = diff / lengths[:, None]
-    weights = expit(params.steepness * (params.comm_range - lengths))
-
-    f = rigid_body_dim(d)
-    R = rigidity_matrix(fw)
-    w_used = weights if params.weighted_matrix else np.ones(len(e))
-    S = symmetric_rigidity_matrix(R, w_used)
-    vals, vecs = np.linalg.eigh(S)
-    rho = float(vals[f])
-    lam_max = float(vals[-1])
-    if rho <= params.eig_tol * lam_max:
-        raise RigidityLostError(
-            f"subframework of node {center} is not rigid")
-    nu = vecs[:, f].reshape(len(nodes), d)
-
-    s = nu[e[:, 0]] - nu[e[:, 1]]
-    sigma = (units * s).sum(axis=1)
-    coef = -params.rigidity_exponent * rho ** -(params.rigidity_exponent + 1.0)
-    if params.weighted_matrix:
-        dw = -params.steepness * weights * (1.0 - weights)
-        ga = dw[:, None] * sigma[:, None] ** 2 * units
-        ga += 2.0 * (weights * sigma / lengths)[:, None] \
-            * (s - sigma[:, None] * units)
-    else:
-        ga = 2.0 * (sigma / lengths)[:, None] * (s - sigma[:, None] * units)
-    ga *= coef
-
-    pair = c[e[:, 0]] + c[e[:, 1]]
-    dw = -params.steepness * weights * (1.0 - weights)
-    gl = (pair * dw)[:, None] * units
-
-    out = {v: (np.zeros(d), np.zeros(d)) for v in nodes}
-    for t in range(len(e)):
-        va, vb = nodes[e[t, 0]], nodes[e[t, 1]]
-        out[va] = (out[va][0] + ga[t], out[va][1] + gl[t])
-        out[vb] = (out[vb][0] - ga[t], out[vb][1] - gl[t])
-    return out
+    units, lengths = edge_unit_vectors(fw.positions, e)
+    weights = _logistic(lengths, params.comm_range, params.steepness)
+    rho, nu = _ball_eigen(fw, ball, units, weights, params)
+    stack = BallStack.of([ball], e)
+    rigidity = ball_rigidity_slopes(stack, [rho], nu, units, lengths, weights,
+                                    params)
+    load = ball_load_slopes(stack, c[None, :], e, units, weights, params)
+    return {v: (rigidity[t], load[t]) for t, v in enumerate(nodes)}
 
 
 def run_exchange_phase(fw, extents, params, positions=None, trace=None,
@@ -219,7 +193,6 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
     else:
         h = np.asarray(extents, dtype=int)
     n = fw.graph.n
-    d = fw.positions.shape[1]
     x = fw.positions if positions is None else np.asarray(positions, float)
     adj = [set(int(j) for j in fw.graph.neighbors(i)) for i in range(n)]
     nbr_tuple = [tuple(sorted(adj[i])) for i in range(n)]
@@ -254,7 +227,7 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
             member_data = {
                 v: position_table[j][v][:2] for v in balls[j]
             }
-            payloads = _center_payloads(j, int(h[j]), member_data, params, d)
+            payloads = _center_payloads(j, int(h[j]), member_data, params)
             for i in sorted(balls[j]):
                 if i == j:
                     contributions[(j, j)] = payloads[j]
@@ -451,16 +424,7 @@ def _replay(schedule, state, x, params):
     else:
         units, lengths = edge_unit_vectors(x, e)
         weights = _logistic(lengths, params.comm_range, params.steepness)
-        eig_weights = weights if params.weighted_matrix \
-            else np.ones_like(weights)
-        eigen = []
-        for sub in subs:
-            out = _sub_eigen(sub, fw.dim, units, eig_weights, e,
-                             with_vectors=True)
-            if out is None or out[0] <= params.eig_tol * out[2]:
-                raise RigidityLostError(
-                    f"subframework of node {sub.center} is not rigid")
-            eigen.append(out[:2])
+        eigen = [_ball_eigen(fw, sub, units, weights, params) for sub in subs]
     rigidity = ball_rigidity_slopes(
         schedule.stack, [rho for rho, _ in eigen],
         np.concatenate([nu for _, nu in eigen]), units, lengths, weights,
@@ -495,14 +459,6 @@ def tick_velocity(world, positions):
     world.schedule = ExchangeSchedule.record(key, contributions, log)
     return _command_from_exchange(positions, fw.graph.edge_array(),
                                   world.params, contributions), log
-
-
-def _framework_rho(fw):
-    f = rigid_body_dim(fw.dim)
-    R = rigidity_matrix(fw)
-    S = R.T @ R
-    vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(vals[f])
 
 
 @dataclass
@@ -554,8 +510,18 @@ def make_world(fw, params, config=None):
         filters[a] = anchor_update(filters[a], fw.positions[a])
     world = World(framework=fw, params=params, config=config,
                   extents=extents, filters=filters, rng=rng, accepted=state)
-    _append_metrics(world, state, None, _framework_rho(fw))
+    _append_metrics(world, state, None, _framework_rho_if_rigid(world))
     return world
+
+
+def _framework_rho_if_rigid(world):
+    """Rigidity eigenvalue of the whole framework, which rigid balls must
+    leave rigid under their own relative zero test; asserted every tick."""
+    spectrum = framework_spectrum(world.framework, world.params.eig_tol,
+                                  vectors=False)
+    if not spectrum.rigid:
+        raise RigidityLostError("rigid subframeworks left a flexible framework")
+    return spectrum.rho
 
 
 def _append_metrics(world, state, log, framework_rho):
@@ -649,17 +615,15 @@ def step_simulation(world):
     world.framework = new_state.framework
     world.accepted = new_state
     world.time += dt
-    # rigid balls must leave the whole framework rigid; asserted every tick
-    framework_rho = _framework_rho(world.framework)
-    if framework_rho <= params.eig_tol:
-        raise RigidityLostError(
-            "rigid subframeworks left a flexible framework")
-    _append_metrics(world, new_state, log, framework_rho)
+    _append_metrics(world, new_state, log, _framework_rho_if_rigid(world))
     return world
 
 
 def run_simulation(world, duration):
-    """Step until the clock passes duration; the world carries the metrics."""
-    while world.time < duration:
+    """Run duration / dt ticks; the world carries the metrics.
+
+    A halved step counts as one tick, and the clock adds the dt it used.
+    """
+    for _ in range(math.ceil(round(duration / world.params.dt, 9))):
         step_simulation(world)
     return world

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import GeodesicTable, induced_subgraph
-from .rigidity import REL_TOL, Framework, _rho_only
+from .rigidity import (
+    REL_TOL,
+    Framework,
+    edge_unit_vectors,
+    rigidity_matrix,
+    rigidity_spectrum,
+    weighted_gram,
+)
 
 
 @dataclass
@@ -40,13 +47,59 @@ def extract_subframework(fw, center, extent, table=None):
     return Subframework(center, extent, nodes, local)
 
 
-def _ball_is_rigid(fw, nodes, tol):
-    # balls with too few nodes cannot pass the eigenvalue test; callers treat
-    # them as not rigid rather than erroring
-    if len(nodes) <= fw.dim:
-        return False
-    sub, nodes = induced_subgraph(fw.graph, nodes)
-    return _rho_only(Framework(sub, fw.positions[nodes], fw.dim), tol)
+@dataclass
+class SubframeworkState:
+    """Ball of one center as index masks into its framework, plus its eigendata.
+
+    local maps a node to its row among the sorted nodes (-1 outside) and
+    edge_idx lists the edges with both endpoints inside.
+    """
+
+    center: int
+    nodes: np.ndarray
+    local: np.ndarray
+    edge_idx: np.ndarray
+    rho: float = None
+    nu: np.ndarray = None
+    lam_max: float = 0.0
+    gap: float = np.inf
+    rigid: bool = False
+    degenerate: bool = False
+
+    @classmethod
+    def of(cls, edge_endpoints, n, center, nodes):
+        nodes = np.asarray(nodes, dtype=np.intp)
+        local = np.full(n, -1, dtype=np.intp)
+        local[nodes] = np.arange(len(nodes))
+        in_ball = local >= 0
+        edge_idx = np.flatnonzero(in_ball[edge_endpoints[:, 0]]
+                                  & in_ball[edge_endpoints[:, 1]])
+        return cls(center, nodes, local, edge_idx)
+
+
+def ball_structures(graph, extents, table):
+    """Index-mask ball of every node at its extent."""
+    e = graph.edge_array()
+    return [SubframeworkState.of(e, graph.n, j, table.ball(j, int(extents[j])))
+            for j in range(graph.n)]
+
+
+def ball_spectrum(fw, ball, units, weights=None, tol=REL_TOL, vectors=True):
+    """Spectrum of a ball's S from every edge's units and weights (None:
+    unweighted), or None when the ball is too small to test."""
+    if len(ball.nodes) <= fw.dim:
+        return None
+    R = rigidity_matrix(fw, units, ball)
+    S = weighted_gram(R, None if weights is None else weights[ball.edge_idx])
+    return rigidity_spectrum(S, fw.dim, tol, vectors)
+
+
+def _ball_is_rigid(fw, units, center, nodes, tol):
+    # balls with too few nodes cannot pass the eigenvalue test; they count
+    # as not rigid rather than erroring
+    ball = SubframeworkState.of(fw.graph.edge_array(), fw.n, center, nodes)
+    spectrum = ball_spectrum(fw, ball, units, tol=tol, vectors=False)
+    return spectrum is not None and spectrum.rigid
 
 
 def rigidity_extent(fw, center, table=None, tol=REL_TOL):
@@ -59,13 +112,14 @@ def rigidity_extent(fw, center, table=None, tol=REL_TOL):
     """
     if table is None:
         table = GeodesicTable.compute(fw.graph)
+    units, _ = edge_unit_vectors(fw.positions, fw.graph.edge_array())
     prev = None
     for h in range(1, fw.n + 1):
         nodes = table.ball(center, h)
         if nodes == prev:
             return None
         prev = nodes
-        if _ball_is_rigid(fw, nodes, tol):
+        if _ball_is_rigid(fw, units, center, nodes, tol):
             return h
     return None
 
@@ -107,8 +161,9 @@ def verify_extents(fw, extents, table=None, tol=REL_TOL):
         raise ValueError(f"expected {fw.n} extents, got {len(extents)}")
     if table is None:
         table = GeodesicTable.compute(fw.graph)
+    units, _ = edge_unit_vectors(fw.positions, fw.graph.edge_array())
     return all(
-        _ball_is_rigid(fw, table.ball(i, int(h)), tol)
+        _ball_is_rigid(fw, units, i, table.ball(i, int(h)), tol)
         for i, h in enumerate(extents)
     )
 

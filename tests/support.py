@@ -40,10 +40,10 @@ def random_rigid_framework(rng, n, d, max_tries=300):
     raise RuntimeError(f"no rigid framework with n={n}, d={d} in {max_tries} tries")
 
 
-def random_disk_framework(rng, n, side, range_, max_tries=300):
-    """Connected disk-proximity framework with nodes uniform in a square region."""
+def random_disk_framework(rng, n, side, range_, max_tries=300, dim=2):
+    """Connected disk-proximity framework with nodes uniform in a square or cube."""
     for _ in range(max_tries):
-        x = rng.uniform(0.0, side, size=(n, 2))
+        x = rng.uniform(0.0, side, size=(n, dim))
         g = disk_proximity_graph(x, range_)
         if is_connected(g):
             return Framework(g, x)

@@ -3,11 +3,15 @@
 import filecmp
 import json
 
-from rigidnet import simnet
+import numpy as np
+import pytest
+
+from rigidnet import rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
     EXIT_PROTOCOL_VIOLATION,
+    EXIT_RANK_MISMATCH,
     EXIT_RIGIDITY_LOST,
     main,
 )
@@ -61,9 +65,17 @@ class TestControl:
         assert code == EXIT_OK
         status = json.loads(capsys.readouterr().out)
         assert status["rigidity_lost"] is False
-        assert status["time"] >= 1.0
+        assert status["rows"] == 21
         assert status["min_rho"] > 0
         assert csv.exists()
+
+    def test_three_dimensional_run(self, capsys):
+        code = main(["control", "--seed", "1", "--n", "12", "--dim", "3",
+                     "--width", "50", "--height", "50", "--range", "40",
+                     "--duration", "0.3"])
+        assert code == EXIT_OK
+        status = json.loads(capsys.readouterr().out)
+        assert status["rows"] == 7 and status["min_rho"] > 0
 
     def test_anchored_estimate_run(self, capsys):
         code = main(["control", *SMALL, "--duration", "0.5",
@@ -111,6 +123,15 @@ class TestAudit:
         assert main(["audit", *SMALL]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rigid"] is True
 
+    def test_rank_mismatch_exits_five(self, monkeypatch, capsys):
+        # an SVD that finds no rank contradicts the positive eigenvalue
+        monkeypatch.setattr(rigidity.sla, "svdvals",
+                            lambda R: np.zeros(min(R.shape)))
+        assert main(["audit", *SMALL]) == EXIT_RANK_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rank mismatch: rank test (0 vs ")
+
     def test_unreadable_framework_file_is_bad_config(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["audit", "--framework", str(missing)]) == EXIT_BAD_CONFIG
@@ -134,6 +155,30 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"robots": 20}))
         assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, field, expected", [
+        ({"n": "60"}, "n", "int"),
+        ({"n": 60.0}, "n", "int"),
+        ({"width": True}, "width", "float"),
+        ({"use_estimates": 1}, "use_estimates", "bool"),
+        ({"anchors": ["0"]}, "anchors", "list of int"),
+        ({"control": {"comm_range": 40.0, "max_step_retries": 2.5}},
+         "max_step_retries", "int"),
+    ])
+    def test_wrongly_typed_config_value_exits_three(self, tmp_path, capsys,
+                                                    config, field, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"field {field!r} must be of type {expected}," in err
+
+    def test_removed_weighted_matrix_knob_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"control": {"comm_range": 40.0, "weighted_matrix": False}}))
+        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "weighted_matrix" in capsys.readouterr().err
 
     def test_malformed_config_file_exits_three(self, tmp_path):
         cfg = tmp_path / "cfg.json"

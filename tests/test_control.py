@@ -40,10 +40,15 @@ def default_params(**kw):
     return ControlParams(**kw)
 
 
-def fd_state(rng, n=8):
-    """Random rigid disk framework plus its control state, skipping tight gaps."""
-    fw = random_disk_framework(rng, n, side=1.0, range_=0.55)
-    params = ControlParams(comm_range=0.55, steepness=4.0)
+def fd_state(rng, n=8, dim=2):
+    """Random rigid disk framework plus its control state, skipping tight gaps.
+
+    In space the balls need more nodes and links to be rigid, so the
+    network is larger and the range longer there.
+    """
+    n, range_ = (n, 0.55) if dim == 2 else (n + 2, 0.8)
+    fw = random_disk_framework(rng, n, side=1.0, range_=range_, dim=dim)
+    params = ControlParams(comm_range=range_, steepness=4.0)
     try:
         state = build_control_state(fw, params)
     except RigidityLostError:
@@ -150,29 +155,36 @@ class TestPotentials:
         )
 
 
+def assert_gradients_match_finite_differences(dim, seed):
+    rng = np.random.default_rng(seed)
+    checked = 0
+    while checked < 8:
+        state = fd_state(rng, dim=dim)
+        if state is None:
+            continue
+        checked += 1
+        fw = state.framework
+        shape = fw.positions.shape
+
+        for grad, func, tol in [
+            (rigidity_gradient_all(state),
+             lambda xf: rigidity_potential(state, xf.reshape(shape)), 1e-4),
+            (load_gradient_all(state),
+             lambda xf: load_potential(state, xf.reshape(shape)), 1e-4),
+            (collision_gradient_all(state),
+             lambda xf: collision_potential(fw, xf.reshape(shape)), 1e-6),
+        ]:
+            fd = central_difference(func, fw.positions.ravel(), eps=1e-6)
+            scale = max(np.linalg.norm(fd), 1e-12)
+            assert np.linalg.norm(grad.ravel() - fd) <= tol * scale
+
+
 class TestGradients:
     def test_match_finite_differences(self):
-        rng = np.random.default_rng(32)
-        checked = 0
-        while checked < 8:
-            state = fd_state(rng)
-            if state is None:
-                continue
-            checked += 1
-            fw = state.framework
-            shape = fw.positions.shape
+        assert_gradients_match_finite_differences(dim=2, seed=32)
 
-            for grad, func, tol in [
-                (rigidity_gradient_all(state),
-                 lambda xf: rigidity_potential(state, xf.reshape(shape)), 1e-4),
-                (load_gradient_all(state),
-                 lambda xf: load_potential(state, xf.reshape(shape)), 1e-4),
-                (collision_gradient_all(state),
-                 lambda xf: collision_potential(fw, xf.reshape(shape)), 1e-6),
-            ]:
-                fd = central_difference(func, fw.positions.ravel(), eps=1e-6)
-                scale = max(np.linalg.norm(fd), 1e-12)
-                assert np.linalg.norm(grad.ravel() - fd) <= tol * scale
+    def test_match_finite_differences_in_3d(self):
+        assert_gradients_match_finite_differences(dim=3, seed=32)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(33)

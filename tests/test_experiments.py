@@ -169,12 +169,21 @@ class TestControlExperiment:
     def test_short_run_logs_rows(self):
         world, rows, error = run_control_experiment(small_config())
         assert error is None
-        assert world.time >= 1.0
-        assert len(rows) >= 2
+        assert len(rows) == 21  # the start, then 1.0 / 0.05 ticks
         times = [r["t"] for r in rows]
         assert times == sorted(times)
         assert all(r["rho_min"] > 0 for r in rows)
         assert set(rows[0]) == set(CONTROL_COLUMNS)
+
+    @pytest.mark.parametrize("duration, rows", [(0.5, 11), (3.0, 61)])
+    def test_ticks_are_counted_not_timed(self, duration, rows):
+        # a float clock would pass 0.5 only after 11 steps of 0.05 and 3.0
+        # after 61, one row too many each
+        world, got, error = run_control_experiment(
+            small_config(duration=duration))
+        assert error is None
+        assert len(got) == rows
+        assert world.time == pytest.approx(duration)
 
     def test_zero_duration_gives_no_rows(self):
         _, rows, error = run_control_experiment(small_config(duration=0.0))

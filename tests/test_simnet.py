@@ -2,6 +2,7 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,11 @@ from rigidnet.control import (
 from rigidnet import simnet
 from rigidnet.experiments import ScenarioConfig, sample_framework
 from rigidnet.graphs import Graph
-from rigidnet.rigidity import Framework, is_infinitesimally_rigid
+from rigidnet.rigidity import (
+    Framework,
+    framework_spectrum,
+    is_infinitesimally_rigid,
+)
 from rigidnet.simnet import (
     ExchangeSchedule,
     Message,
@@ -49,9 +54,9 @@ def wheel_framework(k=5):
     return Framework(Graph(k + 1, edges), x)
 
 
-def rigid_disk(rng, n, side, range_):
+def rigid_disk(rng, n, side, range_, dim=2):
     while True:
-        fw = random_disk_framework(rng, n, side=side, range_=range_)
+        fw = random_disk_framework(rng, n, side=side, range_=range_, dim=dim)
         if is_infinitesimally_rigid(fw):
             return fw
 
@@ -151,10 +156,10 @@ def test_decentralized_field_matches_centralized():
     assert np.allclose(u_dec, u_cen, atol=1e-12)
 
 
-def test_decentralized_field_matches_on_random_networks():
+def assert_decentralized_field_matches(side, dim):
     rng = np.random.default_rng(9)
     for _ in range(5):
-        fw = rigid_disk(rng, int(rng.integers(12, 20)), 90.0, 40.0)
+        fw = rigid_disk(rng, int(rng.integers(12, 20)), side, 40.0, dim)
         params = ControlParams(comm_range=40.0, steepness=0.5,
                                k_rigidity=3.0, k_load=0.5, k_collision=2.0)
         state = build_control_state(fw, params)
@@ -162,6 +167,15 @@ def test_decentralized_field_matches_on_random_networks():
         u_cen = velocity_field(state)
         scale = max(float(np.abs(u_cen).max()), 1e-30)
         assert np.abs(u_dec - u_cen).max() / scale < 1e-9
+
+
+def test_decentralized_field_matches_on_random_networks():
+    assert_decentralized_field_matches(side=90.0, dim=2)
+
+
+def test_decentralized_field_matches_on_random_networks_in_3d():
+    # balls in space need more links to be rigid, hence the smaller region
+    assert_decentralized_field_matches(side=60.0, dim=3)
 
 
 def test_estimate_broadcast_is_one_hop():
@@ -232,6 +246,35 @@ def test_sufficiency_holds_along_a_run():
     for row in world.metrics:
         assert row["min_rho"] > 0
         assert row["framework_rho"] > 0
+
+
+def test_halved_step_counts_as_one_tick(monkeypatch):
+    fw = rigid_disk(np.random.default_rng(11), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    refresh = simnet.guarded_refresh
+    calls = []
+
+    def every_full_step_rejected(*args):
+        calls.append(args)
+        return (None, None) if len(calls) % 2 else refresh(*args)
+
+    monkeypatch.setattr(simnet, "guarded_refresh", every_full_step_rejected)
+    run_simulation(world, 0.5)
+    assert len(world.metrics) == 6
+    assert world.time == pytest.approx(0.25)
+
+
+def test_framework_check_is_relative_to_lam_max():
+    # a thin triangle whose rho clears eig_tol but not eig_tol * lam_max
+    params = ControlParams(comm_range=40.0)
+    fw = Framework(Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                   [[0.0, 0.0], [1.0, 0.0], [0.5, 5e-5]])
+    spectrum = framework_spectrum(fw, vectors=False)
+    assert params.eig_tol < spectrum.rho < params.eig_tol * spectrum.lam_max
+    world = SimpleNamespace(framework=fw, params=params)
+    with pytest.raises(RigidityLostError, match="flexible framework"):
+        simnet._framework_rho_if_rigid(world)
 
 
 def test_untenable_step_raises_rigidity_lost():
