@@ -5,7 +5,8 @@ overrides any flag value.  Exit codes: 0 on success, 2 when a control run
 loses rigidity, 3 for an invalid configuration (an unknown field or a value
 of the wrong type), 4 when the message exchange breaks its protocol (a send
 across a non-edge, or more than 2 * eta rounds), 5 when the rank test and
-the eigenvalue test of a rigidity report disagree.
+the eigenvalue test of a rigidity report disagree, 6 when two neighbors'
+position estimates coincide and the range filter cannot update.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from .experiments import (
     run_control_experiment,
     run_ensemble_experiment,
 )
+from .localization import CoincidentEstimatesError
 from .rigidity import RankMismatchError, rigidity_report
 from .simnet import ProtocolViolation
 
@@ -31,6 +33,7 @@ EXIT_RIGIDITY_LOST = 2
 EXIT_BAD_CONFIG = 3
 EXIT_PROTOCOL_VIOLATION = 4
 EXIT_RANK_MISMATCH = 5
+EXIT_COINCIDENT_ESTIMATES = 6
 
 # scenario fields set by a flag of the same name; argparse types them
 _SCENARIO_FLAGS = ("seed", "n", "width", "height", "comm_range", "dim",
@@ -219,6 +222,9 @@ def main(argv=None):
     except RankMismatchError as exc:
         sys.stderr.write(f"rank mismatch: {exc}\n")
         return EXIT_RANK_MISMATCH
+    except CoincidentEstimatesError as exc:
+        sys.stderr.write(f"localization failed: {exc}\n")
+        return EXIT_COINCIDENT_ESTIMATES
 
 
 if __name__ == "__main__":

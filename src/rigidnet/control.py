@@ -11,6 +11,13 @@ finite-difference oracle in the tests.
 
 ball_rigidity_slopes and ball_load_slopes are the one per-ball slope formula,
 shared by the centralized field, the replayed exchange and every center.
+
+A state build takes everything the topology fixes (hop counts, balls, load
+coefficients, the layout of the balls' S) from the BallSet kept on its
+Graph, and refresh_topology hands back the very Graph it was given while
+the edge set holds.  So on an unchanged topology a build only evaluates
+the edge geometry, assembles the balls' S by d x d blocks, a bincount per
+group of balls, and solves each ball once.
 """
 
 import logging
@@ -19,12 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .graphs import GeodesicTable, Graph
+from .graphs import Graph
 from .rigidity import REL_TOL, CoincidentNodesError, Framework, edge_unit_vectors
 from .subframeworks import (
+    BallSet,
     ExtentAssignment,
+    SubframeworkState,
+    ball_set,
     ball_spectrum,
-    ball_structures,
     extent_assignment,
 )
 
@@ -73,18 +82,21 @@ def _logistic(lengths, comm_range, steepness):
 
 @dataclass
 class ControlState:
-    """One controller step's frozen structure and the smooth quantities on it."""
+    """One controller step's frozen structure and the smooth quantities on it.
+
+    ball_set (with the geodesic table and the load coefficients c and
+    coeff) is the graph's own and shared, read-only, by every state on that
+    graph; subs and the edge geometry belong to this state.
+    """
 
     framework: Framework
     params: ControlParams
     extents: np.ndarray
     time: float
-    table: GeodesicTable
+    ball_set: BallSet
     weights: np.ndarray
     units: np.ndarray
     lengths: np.ndarray
-    c: np.ndarray
-    coeff: np.ndarray
     subs: list
     _grads: dict = field(default_factory=dict, repr=False)
 
@@ -119,21 +131,21 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     if extents.shape != (fw.n,) or (extents < 1).any():
         raise ValueError("extents must be one positive radius per node")
 
-    graph = fw.graph
-    e = graph.edge_array()
+    e = fw.graph.edge_array()
     if len(e):
         units, lengths = edge_unit_vectors(fw.positions, e)
     else:
         units, lengths = np.zeros((0, fw.dim)), np.zeros(0)
     weights = _logistic(lengths, params.comm_range, params.steepness)
-    table = GeodesicTable.compute(graph)
-    c = np.maximum(0.0, extents[:, None] - table.dist)
-    coeff = c.sum(axis=0)
+    balls = ball_set(fw.graph, extents, fw.dim)
 
-    subs = ball_structures(graph, extents, table)
+    subs = []
     degenerate = 0
-    for sub in subs:
-        spectrum = ball_spectrum(fw, sub, units, weights, params.eig_tol)
+    for ball, S in zip(balls.balls, balls.grams(units, weights)):
+        sub = SubframeworkState(ball.center, ball.nodes, ball.local,
+                                ball.edge_idx)
+        subs.append(sub)
+        spectrum = ball_spectrum(S, fw.dim, params.eig_tol)
         if spectrum is None:
             continue
         sub.rho, sub.lam_max, sub.gap = spectrum.rho, spectrum.lam_max, spectrum.gap
@@ -145,10 +157,8 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
             "%d subframeworks have near-multiple rigidity eigenvalues at t=%.3f; "
             "their eigenvectors only give descent subgradients", degenerate, time
         )
-    state = ControlState(
-        fw, params, extents, time, table, weights, units, lengths, c, coeff,
-        subs,
-    )
+    state = ControlState(fw, params, extents, time, balls, weights, units,
+                         lengths, subs)
     if require_rigid:
         state.require_rigid()
     return state
@@ -172,9 +182,9 @@ def rigidity_potential(state, positions=None):
     """
     units, _, weights = _eval_geometry(state, positions)
     rhos = np.empty(len(state.subs))
-    for k, sub in enumerate(state.subs):
-        spectrum = ball_spectrum(state.framework, sub, units, weights,
-                                 state.params.eig_tol, vectors=False)
+    for k, S in enumerate(state.ball_set.grams(units, weights)):
+        spectrum = ball_spectrum(S, state.framework.dim, state.params.eig_tol,
+                                 vectors=False)
         if spectrum is None or not spectrum.rigid:
             raise RigidityLostError(
                 "a subframework is at or below the zero threshold")
@@ -189,7 +199,7 @@ def load_potential(state, positions=None):
     delta = np.zeros(state.framework.n)
     np.add.at(delta, e[:, 0], weights)
     np.add.at(delta, e[:, 1], weights)
-    return float(state.coeff @ delta)
+    return float(state.ball_set.coeff @ delta)
 
 
 def collision_potential(fw, positions=None, exponent=2.0):
@@ -306,7 +316,7 @@ def center_load_gradient(state, j):
     """Per-node d/dx of the frozen-coefficient load of ball j, as a dict."""
     sub = state.subs[j]
     e = state.framework.graph.edge_array()
-    slopes = ball_load_slopes(BallStack.of([sub], e), state.c[j:j + 1], e,
+    slopes = ball_load_slopes(BallStack.of([sub], e), state.ball_set.c[j:j + 1], e,
                               state.units, state.weights, state.params)
     return dict(zip(sub.nodes.tolist(), slopes))
 
@@ -331,7 +341,7 @@ def _accumulate_load_gradient(state):
     e = state.framework.graph.edge_array()
     grad = np.zeros((n, d))
     if len(e):
-        pair = state.coeff[e[:, 0]] + state.coeff[e[:, 1]]
+        pair = state.ball_set.coeff[e[:, 0]] + state.ball_set.coeff[e[:, 1]]
         dw = -p.steepness * state.weights * (1.0 - state.weights)
         ga = (pair * dw)[:, None] * state.units
         np.add.at(grad, e[:, 0], ga)
@@ -412,7 +422,8 @@ def refresh_topology(graph, positions, params):
 
     New edges need distance strictly inside the communication range, while old
     ones survive until the logistic weight reaches weight_prune; the slack
-    between the two keeps the edge set from flapping.
+    between the two keeps the edge set from flapping.  An unchanged edge set
+    returns graph itself, with everything already kept on it.
     """
     x = np.asarray(positions, float)
     n = graph.n
@@ -426,6 +437,8 @@ def refresh_topology(graph, positions, params):
     keep = adj & (w >= params.weight_prune)
     keep |= np.triu(dist < params.comm_range, k=1)
     ii, jj = np.nonzero(keep)
+    if len(ii) == len(e) and (ii == e[:, 0]).all() and (jj == e[:, 1]).all():
+        return graph
     return Graph(n, list(zip(ii.tolist(), jj.tolist())))
 
 
@@ -456,6 +469,8 @@ def guarded_refresh(graph, positions, params, extents, time=0.0):
     state = _state_if_rigid(full, positions, params, extents, time)
     if state is not None:
         return full, state
+    if full is graph:
+        return None, None
     state = _state_if_rigid(graph, positions, params, extents, time)
     if state is None:
         return None, None

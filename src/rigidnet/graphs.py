@@ -1,10 +1,12 @@
 """Undirected graphs, hop-count geodesics and the disk-proximity generator.
 
 Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
-topology changes produce a new Graph.  Unreachable node pairs are marked
-with the UNREACHABLE sentinel (float inf) rather than a large finite hop
-count, so accidental arithmetic on them propagates loudly instead of
-producing plausible-looking numbers.
+topology changes produce a new Graph.  So whatever depends on the edge set
+alone (the edge array, the geodesic table, the controller's balls) is
+computed once per Graph and kept on it (Graph.cached).  Unreachable node
+pairs are marked with the UNREACHABLE sentinel (float inf) rather than a
+large finite hop count, so accidental arithmetic on them propagates loudly
+instead of producing plausible-looking numbers.
 """
 
 import json
@@ -80,6 +82,19 @@ class Graph:
             )
         return self._earr
 
+    def cached(self, name, key, build):
+        """build(self), kept on this graph under name for as long as key holds.
+
+        A graph never changes, so what depends only on it and on key is
+        computed once.  Each name keeps one value: a call with another key
+        computes and keeps that key's value instead.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        hit = memo.get(name)
+        if hit is None or hit[0] != key:
+            hit = memo[name] = (key, build(self))
+        return hit[1]
+
     def adjacency_sparse(self):
         e = self.edge_array()
         data = np.ones(2 * self.m)
@@ -130,8 +145,7 @@ def eccentricity(g, i):
 
 def diameter(g):
     """Maximum eccentricity over all nodes.  Errors out on disconnected graphs."""
-    table = GeodesicTable.compute(g)
-    return table.diameter()
+    return geodesics(g).diameter()
 
 
 def is_connected(g):
@@ -216,3 +230,14 @@ class GeodesicTable:
     def ball(self, center, h):
         """Sorted node ids within h hops of center."""
         return [int(j) for j in np.flatnonzero(self.dist[center] <= h)]
+
+
+def _frozen_table(g):
+    table = GeodesicTable.compute(g)
+    table.dist.setflags(write=False)
+    return table
+
+
+def geodesics(g):
+    """The graph's geodesic table, computed on first use and kept read-only."""
+    return g.cached("geodesics", None, _frozen_table)

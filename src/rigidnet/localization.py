@@ -17,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class CoincidentEstimatesError(ValueError):
+    """Two neighbors' estimates sit at one point, so the range model is singular."""
+
+
 @dataclass
 class FilterState:
     """One robot's estimate, its covariance and the assumed range variance."""
@@ -42,7 +46,8 @@ def predict_ranges(estimate, neighbor_estimates):
     nb = np.asarray(neighbor_estimates, dtype=float).reshape(-1, len(x))
     r = np.linalg.norm(x[None, :] - nb, axis=1)
     if (r < 1e-12).any():
-        raise ValueError("coincident estimates make the range model singular")
+        raise CoincidentEstimatesError(
+            "coincident estimates make the range model singular")
     return r
 
 
@@ -53,7 +58,8 @@ def range_jacobian(estimate, neighbor_estimates):
     diff = x[None, :] - nb
     r = np.linalg.norm(diff, axis=1)
     if (r < 1e-12).any():
-        raise ValueError("coincident estimates make the range model singular")
+        raise CoincidentEstimatesError(
+            "coincident estimates make the range model singular")
     return diff / r[:, None]
 
 

@@ -6,7 +6,11 @@ must equal d*n - f, and the (f+1)-th smallest eigenvalue of S = R^T W R must
 be positive, where f = d(d+1)/2 counts the rigid-body degrees of freedom.
 The two verdicts always agree; a mismatch raises, it is never papered over.
 rigidity_spectrum is the one eigensolve behind every eigenvalue verdict, for
-whole frameworks and hop-balls alike; rigidity_matrix builds R for either.
+whole frameworks and hop-balls alike.  Every S it is given is assembled by
+d x d blocks, S = sum over edges of w r r^T, by a GramLayout: one bincount
+builds the S of one framework or of many stacked balls, with no dense R.
+The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
+as the reference the blocks are tested against and for the SVD rank test.
 """
 
 import json
@@ -15,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .graphs import GeodesicTable, is_connected
+from .graphs import geodesics, is_connected
 
 # Zero-eigenvalue tolerance, relative to the largest eigenvalue of S.  Double
 # precision eigensolvers on unit-vector rigidity matrices resolve the spectral
@@ -97,18 +101,10 @@ def edge_unit_vectors(positions, edge_array):
     return diff / lengths[:, None], lengths
 
 
-def rigidity_matrix(fw, units=None, ball=None):
-    """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j.
-
-    units replaces the unit vectors of all of fw's edges; a ball with index
-    masks local and edge_idx keeps only its induced edges and its members.
-    """
+def rigidity_matrix(fw):
+    """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j."""
     d, n, e = fw.dim, fw.n, fw.graph.edge_array()
-    if units is None:
-        units, _ = edge_unit_vectors(fw.positions, e)
-    if ball is not None:
-        e, units = ball.local[e[ball.edge_idx]], units[ball.edge_idx]
-        n = len(ball.nodes)
+    units, _ = edge_unit_vectors(fw.positions, e)
     R = np.zeros((len(e), d * n))
     rows = np.arange(len(e))[:, None]
     R[rows, e[:, 0, None] * d + np.arange(d)] = units
@@ -133,24 +129,95 @@ def energy(fw, u):
     return float(s @ s)
 
 
-def symmetric_rigidity_matrix(R, weights):
-    """S = R^T W R for a diagonal positive weight vector (all-ones: normalized case)."""
+def _checked_weights(weights, m):
     w = np.asarray(weights, dtype=float)
-    if w.shape != (R.shape[0],):
-        raise ValueError(f"expected {R.shape[0]} weights, got shape {w.shape}")
+    if w.shape != (m,):
+        raise ValueError(f"expected {m} weights, got shape {w.shape}")
     if (w <= 0).any():
         raise ValueError("weights must be positive")
-    return weighted_gram(R, w)
+    return w
 
 
-def weighted_gram(R, w=None):
-    """R^T diag(w) R, symmetrized, for any w >= 0; R^T R when w is None.
+def symmetric_rigidity_matrix(R, weights):
+    """Dense S = R^T W R, symmetrized, for positive weights (all-ones: normalized case).
 
-    numpy forms R^T R by a symmetric rank-k update, whose last bits differ
-    from the general product with all-ones weights.
+    The reference that the block assembly of GramLayout is checked against.
     """
-    S = R.T @ R if w is None else R.T @ (w[:, None] * R)
+    w = _checked_weights(weights, R.shape[0])
+    S = R.T @ (w[:, None] * R)
     return 0.5 * (S + S.T)
+
+
+# the four blocks of an edge {a, b}: (a, a), (b, b), (a, b), (b, a) with signs
+_BLOCK_ROWS, _BLOCK_COLS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
+_BLOCK_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@dataclass(frozen=True, eq=False)
+class GramLayout:
+    """Where the d x d blocks of every edge land in one or more stacked S.
+
+    Ball t (the whole framework is the one-ball case) has S of side
+    sides[t] = d * n_t, and the balls' S lie end to end in one flat array.
+    Entry k stands for framework edge edge[k]; index holds the flat
+    positions of its four blocks aa, bb, ab, ba, each row-major, entry after
+    entry.  Every S entry therefore sums its terms in edge order, and a
+    ball's S comes out the same bits whatever it is stacked with.
+    """
+
+    sides: np.ndarray
+    edge: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, d, counts, edge, ends, ball):
+        """Layout of edges edge[k] joining rows ends[k] of ball ball[k];
+        counts[t] is ball t's size."""
+        sides = d * np.asarray(counts, dtype=np.intp)
+        sizes = sides * sides
+        # flat offset of block (p, q) of an edge is start + d * corner + within
+        side = sides[ball][:, None]
+        start = (np.cumsum(sizes) - sizes)[ball][:, None, None, None]
+        corner = ends[:, _BLOCK_ROWS] * side + ends[:, _BLOCK_COLS]
+        within = (np.arange(d)[:, None] * side[:, :, None]
+                  + np.arange(d))[:, None]
+        index = start + d * corner[:, :, None, None] + within
+        dtype = np.int32 if sizes.sum() <= np.iinfo(np.int32).max else np.intp
+        return cls(sides, np.asarray(edge, dtype=dtype),
+                   index.astype(dtype).ravel())
+
+    def grams(self, units, weights=None):
+        """Each ball's S = sum of w r r^T over its edges, from every
+        framework edge's unit vector and weight (None: unweighted).
+
+        A block is w * (r_p * r_q), symmetric bit for bit, with its sign;
+        an off-diagonal block holds one edge's block, so every S is exactly
+        symmetric.
+        """
+        r = units[self.edge]
+        blocks = r[:, None, :, None] * r[:, None, None, :]
+        if weights is not None:
+            blocks = weights[self.edge][:, None, None, None] * blocks
+        signed = blocks * _BLOCK_SIGNS[:, None, None]
+        sizes = self.sides * self.sides
+        flat = np.bincount(self.index, signed.ravel(), minlength=sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        return [flat[o:o + k * k].reshape(k, k)
+                for o, k in zip(starts.tolist(), self.sides.tolist())]
+
+
+def framework_gram(fw, weights=None, units=None):
+    """Block-assembled S of a whole framework, unweighted when weights is None.
+
+    units, when given, are the framework's edge unit vectors.
+    """
+    e = fw.graph.edge_array()
+    if units is None:
+        units, _ = edge_unit_vectors(fw.positions, e)
+    m = len(e)
+    layout = GramLayout.of(fw.dim, [fw.n], np.arange(m), e,
+                           np.zeros(m, dtype=np.intp))
+    return layout.grams(units, weights)[0]
 
 
 def trivial_motion_basis(fw):
@@ -228,9 +295,8 @@ def rigidity_spectrum(S, d, tol=REL_TOL, vectors=True):
 
 
 def framework_spectrum(fw, tol=REL_TOL, vectors=True):
-    """Spectrum of a whole framework's unweighted S = R^T R."""
-    return rigidity_spectrum(weighted_gram(rigidity_matrix(fw)), fw.dim, tol,
-                             vectors)
+    """Spectrum of a whole framework's unweighted S."""
+    return rigidity_spectrum(framework_gram(fw), fw.dim, tol, vectors)
 
 
 def rigidity_eigenpair(S, d):
@@ -263,9 +329,9 @@ def rigidity_report(fw, weights=None, tol=REL_TOL):
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    if weights is None:
-        weights = np.ones(R.shape[0])
-    spectrum = rigidity_spectrum(symmetric_rigidity_matrix(R, weights), d, tol)
+    if weights is not None:
+        weights = _checked_weights(weights, R.shape[0])
+    spectrum = rigidity_spectrum(framework_gram(fw, weights), d, tol)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(tol) * sv_max).sum()) if sv_max > 0 else 0
@@ -313,7 +379,7 @@ def diameter_bound_certificate(g, table=None):
     2m/D^2, certifying the diameter bound without any eigensolve.
     """
     if table is None:
-        table = GeodesicTable.compute(g)
+        table = geodesics(g)
     D = table.diameter()
     p = int(np.argmax(table.eccentricities()))
     u = table.dist[p] / D

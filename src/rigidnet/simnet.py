@@ -48,7 +48,7 @@ from .control import (
     build_control_state,
     guarded_refresh,
 )
-from .graphs import Graph, GeodesicTable, bfs_distances
+from .graphs import Graph, bfs_distances, geodesics
 from .localization import (
     FilterState,
     anchor_update,
@@ -56,10 +56,15 @@ from .localization import (
     inflate_covariance,
     make_filters,
 )
-from .rigidity import Framework, edge_unit_vectors, framework_spectrum
+from .rigidity import (
+    Framework,
+    edge_unit_vectors,
+    framework_gram,
+    framework_spectrum,
+)
 from .subframeworks import (
+    Ball,
     ExtentAssignment,
-    SubframeworkState,
     ball_spectrum,
     communication_load,
 )
@@ -138,13 +143,13 @@ def _trace_line(trace, round_index, msg):
     }) + "\n")
 
 
-def _ball_eigen(fw, ball, units, weights, params):
-    """rho and per-member nu of one ball; a ball that fails the test stops the exchange."""
-    spectrum = ball_spectrum(fw, ball, units, weights, params.eig_tol)
+def _ball_eigen(S, d, center, params):
+    """rho and per-member nu of one ball's S; a ball that fails the test stops the exchange."""
+    spectrum = ball_spectrum(S, d, params.eig_tol)
     if spectrum is None or not spectrum.rigid:
         raise RigidityLostError(
-            f"subframework of node {ball.center} is not rigid")
-    return spectrum.rho, spectrum.nu.reshape(-1, fw.dim)
+            f"subframework of node {center} is not rigid")
+    return spectrum.rho, spectrum.nu.reshape(-1, d)
 
 
 def _center_payloads(center, h, member_data, params):
@@ -164,12 +169,13 @@ def _center_payloads(center, h, member_data, params):
     fw = Framework(Graph(len(nodes), edges),
                    np.array([member_data[v][0] for v in nodes], dtype=float))
     e = fw.graph.edge_array()
-    ball = SubframeworkState.of(e, fw.n, center, range(fw.n))
+    ball = Ball.of(e, fw.n, center, range(fw.n))
     c = np.maximum(0.0, h - bfs_distances(fw.graph, local[center]))
 
     units, lengths = edge_unit_vectors(fw.positions, e)
     weights = _logistic(lengths, params.comm_range, params.steepness)
-    rho, nu = _ball_eigen(fw, ball, units, weights, params)
+    rho, nu = _ball_eigen(framework_gram(fw, weights, units), fw.dim, center,
+                          params)
     stack = BallStack.of([ball], e)
     rigidity = ball_rigidity_slopes(stack, [rho], nu, units, lengths, weights,
                                     params)
@@ -198,7 +204,7 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
     nbr_tuple = [tuple(sorted(adj[i])) for i in range(n)]
 
     # static protocol tables, precomputed from the frozen extents
-    table = GeodesicTable.compute(fw.graph)
+    table = geodesics(fw.graph)
     balls = [frozenset(table.ball(j, int(h[j]))) for j in range(n)]
     inclusion = [
         [j for j in range(n) if i in balls[j]] for i in range(n)
@@ -424,12 +430,14 @@ def _replay(schedule, state, x, params):
     else:
         units, lengths = edge_unit_vectors(x, e)
         weights = _logistic(lengths, params.comm_range, params.steepness)
-        eigen = [_ball_eigen(fw, sub, units, weights, params) for sub in subs]
+        grams = state.ball_set.grams(units, weights)
+        eigen = [_ball_eigen(grams[j], fw.dim, j, params)
+                 for j in schedule.fire_order]
     rigidity = ball_rigidity_slopes(
         schedule.stack, [rho for rho, _ in eigen],
         np.concatenate([nu for _, nu in eigen]), units, lengths, weights,
         params)
-    load = ball_load_slopes(schedule.stack, state.c[schedule.fire_order], e,
+    load = ball_load_slopes(schedule.stack, state.ball_set.c[schedule.fire_order], e,
                             units, weights, params)
     rows = schedule.rows
     return _command(x, e, params, schedule.members, rigidity[rows],
@@ -528,7 +536,7 @@ def _append_metrics(world, state, log, framework_rho):
     fw = world.framework
     x = fw.positions
     rhos = state.rhos
-    load = communication_load(fw.graph, world.extents, table=state.table)
+    load = communication_load(fw.graph, world.extents, table=state.ball_set.table)
     m = len(fw.graph.edges)
     e = fw.graph.edge_array()
     min_dist = float(np.linalg.norm(

@@ -4,20 +4,26 @@ Each node i looks only at its hop-ball V_i = {j : g_ij <= h_i} and the edges
 induced there.  The smallest h_i whose ball is rigid is the rigidity extent of
 i; when every node has one, local rigidity everywhere certifies rigidity of
 the whole framework, so maintenance can run on subframeworks alone.
+
+A Ball is a hop-ball as index masks into its framework.  What a graph and
+the frozen extents fix for every ball (hop counts, load coefficients, the
+balls and the GramLayouts that assemble their S by d x d blocks, a group
+of balls per bincount) is a BallSet, computed once per Graph and kept on
+it (ball_set).  The extent search assembles the balls of all centers still
+searching at one radius the same way, a group of balls per bincount.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GeodesicTable, induced_subgraph
+from .graphs import GeodesicTable, geodesics, induced_subgraph
 from .rigidity import (
     REL_TOL,
     Framework,
+    GramLayout,
     edge_unit_vectors,
-    rigidity_matrix,
     rigidity_spectrum,
-    weighted_gram,
 )
 
 
@@ -40,7 +46,7 @@ def extract_subframework(fw, center, extent, table=None):
     if extent < 0:
         raise ValueError("extent must be nonnegative")
     if table is None:
-        table = GeodesicTable.compute(fw.graph)
+        table = geodesics(fw.graph)
     nodes = table.ball(center, extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
     local = Framework(sub, fw.positions[nodes], fw.dim)
@@ -48,8 +54,8 @@ def extract_subframework(fw, center, extent, table=None):
 
 
 @dataclass
-class SubframeworkState:
-    """Ball of one center as index masks into its framework, plus its eigendata.
+class Ball:
+    """Hop-ball of one center as index masks into its framework.
 
     local maps a node to its row among the sorted nodes (-1 outside) and
     edge_idx lists the edges with both endpoints inside.
@@ -59,12 +65,6 @@ class SubframeworkState:
     nodes: np.ndarray
     local: np.ndarray
     edge_idx: np.ndarray
-    rho: float = None
-    nu: np.ndarray = None
-    lam_max: float = 0.0
-    gap: float = np.inf
-    rigid: bool = False
-    degenerate: bool = False
 
     @classmethod
     def of(cls, edge_endpoints, n, center, nodes):
@@ -77,29 +77,117 @@ class SubframeworkState:
         return cls(center, nodes, local, edge_idx)
 
 
-def ball_structures(graph, extents, table):
-    """Index-mask ball of every node at its extent."""
-    e = graph.edge_array()
-    return [SubframeworkState.of(e, graph.n, j, table.ball(j, int(extents[j])))
-            for j in range(graph.n)]
+@dataclass
+class SubframeworkState(Ball):
+    """A ball with its eigendata at one control state's positions."""
+
+    rho: float = None
+    nu: np.ndarray = None
+    lam_max: float = 0.0
+    gap: float = np.inf
+    rigid: bool = False
+    degenerate: bool = False
 
 
-def ball_spectrum(fw, ball, units, weights=None, tol=REL_TOL, vectors=True):
-    """Spectrum of a ball's S from every edge's units and weights (None:
-    unweighted), or None when the ball is too small to test."""
-    if len(ball.nodes) <= fw.dim:
+def ball_layout(balls, edge_endpoints, d):
+    """GramLayout of the balls' S, stacked in the order given."""
+    counts = [len(b.nodes) for b in balls]
+    edge = np.concatenate([b.edge_idx for b in balls])
+    ends = np.concatenate([b.local[edge_endpoints[b.edge_idx]] for b in balls])
+    ball = np.repeat(np.arange(len(balls)), [len(b.edge_idx) for b in balls])
+    return GramLayout.of(d, counts, edge, ends, ball)
+
+
+# Block entries assembled per bincount.  One pass over all the balls of a
+# 120-robot network would hold a few MB of temporaries; passes of this size
+# keep each temporary near 128 kB at the same speed.
+GROUP_ENTRIES = 1 << 14
+
+
+def ball_layouts(balls, edge_endpoints, d):
+    """GramLayouts of runs of consecutive balls, each run holding at most
+    GROUP_ENTRIES block entries (or one ball alone when it has more)."""
+    groups, entries = [], 0
+    for ball in balls:
+        k = 4 * d * d * len(ball.edge_idx)
+        if not groups or entries + k > GROUP_ENTRIES:
+            groups.append([])
+            entries = 0
+        groups[-1].append(ball)
+        entries += k
+    return tuple(ball_layout(group, edge_endpoints, d) for group in groups)
+
+
+def ball_grams(layouts, units, weights=None):
+    """Every ball's S, in layout order, from every edge's units and weights."""
+    return [S for layout in layouts for S in layout.grams(units, weights)]
+
+
+@dataclass(frozen=True, eq=False)
+class BallSet:
+    """What a graph and the frozen extents fix for every node's ball.
+
+    c[j, i] = max(0, h_j - g_ji) is node i's load coefficient for center j
+    and coeff its column sums; balls are the index-mask balls in center
+    order, and layouts assemble their S group by group of consecutive
+    balls.  Nothing here depends on positions, and every array is
+    read-only.
+    """
+
+    table: GeodesicTable
+    c: np.ndarray
+    coeff: np.ndarray
+    balls: tuple
+    layouts: tuple
+
+    def grams(self, units, weights=None):
+        """Every ball's S, in center order, from every edge's units and weights."""
+        return ball_grams(self.layouts, units, weights)
+
+
+def _build_ball_set(extents, d):
+    def build(graph):
+        e = graph.edge_array()
+        table = geodesics(graph)
+        balls = tuple(Ball.of(e, graph.n, j, table.ball(j, int(h)))
+                      for j, h in enumerate(extents))
+        layouts = ball_layouts(balls, e, d)
+        c = np.maximum(0.0, extents[:, None] - table.dist)
+        coeff = c.sum(axis=0)
+        arrays = [c, coeff]
+        for layout in layouts:
+            arrays += [layout.sides, layout.edge, layout.index]
+        for b in balls:
+            arrays += [b.nodes, b.local, b.edge_idx]
+        for a in arrays:
+            a.setflags(write=False)
+        return BallSet(table, c, coeff, balls, layouts)
+    return build
+
+
+def ball_set(graph, extents, d):
+    """The BallSet of a graph at these extents in d dimensions, computed
+    once and kept on the graph for the latest extents."""
+    extents = np.asarray(extents, dtype=np.intp)
+    return graph.cached("ball_set", (d, extents.tobytes()),
+                        _build_ball_set(extents, d))
+
+
+def ball_spectrum(S, d, tol=REL_TOL, vectors=True):
+    """Spectrum of a ball's S, or None when the ball is too small to test."""
+    if S.shape[0] <= d * d:
         return None
-    R = rigidity_matrix(fw, units, ball)
-    S = weighted_gram(R, None if weights is None else weights[ball.edge_idx])
-    return rigidity_spectrum(S, fw.dim, tol, vectors)
+    return rigidity_spectrum(S, d, tol, vectors)
 
 
-def _ball_is_rigid(fw, units, center, nodes, tol):
+def _rigid_balls(fw, units, balls, tol):
+    """Whether each ball's unweighted S passes the eigenvalue test."""
     # balls with too few nodes cannot pass the eigenvalue test; they count
     # as not rigid rather than erroring
-    ball = SubframeworkState.of(fw.graph.edge_array(), fw.n, center, nodes)
-    spectrum = ball_spectrum(fw, ball, units, tol=tol, vectors=False)
-    return spectrum is not None and spectrum.rigid
+    layouts = ball_layouts(balls, fw.graph.edge_array(), fw.dim)
+    spectra = [ball_spectrum(S, fw.dim, tol, vectors=False)
+               for S in ball_grams(layouts, units)]
+    return [s is not None and s.rigid for s in spectra]
 
 
 def rigidity_extent(fw, center, table=None, tol=REL_TOL):
@@ -111,17 +199,34 @@ def rigidity_extent(fw, center, table=None, tol=REL_TOL):
     subframework never changes again.
     """
     if table is None:
-        table = GeodesicTable.compute(fw.graph)
-    units, _ = edge_unit_vectors(fw.positions, fw.graph.edge_array())
-    prev = None
+        table = geodesics(fw.graph)
+    return _extents(fw, [center], table, tol)[0]
+
+
+def _extents(fw, centers, table, tol):
+    """rigidity_extent of every center, radius by radius: the balls of all
+    centers still searching at one radius are assembled together."""
+    e = fw.graph.edge_array()
+    units, _ = edge_unit_vectors(fw.positions, e)
+    found = dict.fromkeys(centers)
+    prev = dict.fromkeys(centers)
+    pending = list(centers)
     for h in range(1, fw.n + 1):
-        nodes = table.ball(center, h)
-        if nodes == prev:
-            return None
-        prev = nodes
-        if _ball_is_rigid(fw, units, center, nodes, tol):
-            return h
-    return None
+        balls = []
+        for j in pending:
+            nodes = table.ball(j, h)
+            if nodes != prev[j]:
+                prev[j] = nodes
+                balls.append(Ball.of(e, fw.n, j, nodes))
+        if not balls:
+            break
+        pending = []
+        for ball, rigid in zip(balls, _rigid_balls(fw, units, balls, tol)):
+            if rigid:
+                found[ball.center] = h
+            else:
+                pending.append(ball.center)
+    return [found[j] for j in centers]
 
 
 @dataclass
@@ -149,10 +254,8 @@ class ExtentAssignment:
 def extent_assignment(fw, table=None, tol=REL_TOL):
     """Rigidity extent of every node, sharing one geodesic table."""
     if table is None:
-        table = GeodesicTable.compute(fw.graph)
-    return ExtentAssignment(
-        [rigidity_extent(fw, i, table, tol) for i in range(fw.n)]
-    )
+        table = geodesics(fw.graph)
+    return ExtentAssignment(_extents(fw, range(fw.n), table, tol))
 
 
 def verify_extents(fw, extents, table=None, tol=REL_TOL):
@@ -160,12 +263,12 @@ def verify_extents(fw, extents, table=None, tol=REL_TOL):
     if len(extents) != fw.n:
         raise ValueError(f"expected {fw.n} extents, got {len(extents)}")
     if table is None:
-        table = GeodesicTable.compute(fw.graph)
-    units, _ = edge_unit_vectors(fw.positions, fw.graph.edge_array())
-    return all(
-        _ball_is_rigid(fw, units, i, table.ball(i, int(h)), tol)
-        for i, h in enumerate(extents)
-    )
+        table = geodesics(fw.graph)
+    e = fw.graph.edge_array()
+    units, _ = edge_unit_vectors(fw.positions, e)
+    balls = [Ball.of(e, fw.n, i, table.ball(i, int(h)))
+             for i, h in enumerate(extents)]
+    return all(_rigid_balls(fw, units, balls, tol))
 
 
 def inclusion_group(table, extents, i):
@@ -196,7 +299,7 @@ def communication_load(g, extents, table=None, degrees=None):
     if (h < 1).any():
         raise ValueError("extents must be at least 1")
     if table is None:
-        table = GeodesicTable.compute(g)
+        table = geodesics(g)
     if degrees is None:
         degrees = g.degrees().astype(float)
     degrees = np.asarray(degrees, dtype=float)

@@ -9,6 +9,7 @@ import pytest
 from rigidnet import rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_COINCIDENT_ESTIMATES,
     EXIT_OK,
     EXIT_PROTOCOL_VIOLATION,
     EXIT_RANK_MISMATCH,
@@ -106,6 +107,20 @@ class TestControl:
         assert code == EXIT_PROTOCOL_VIOLATION
         err = capsys.readouterr().err
         assert err == "protocol violation: exchange took 9 rounds, bound is 4\n"
+
+    def test_coincident_estimates_exit_six(self, monkeypatch, capsys):
+        make_filters = simnet.make_filters
+
+        def collapsed(estimates, *args, **kwargs):
+            # every robot starts out believing it stands at the origin
+            return make_filters(np.zeros_like(estimates), *args, **kwargs)
+
+        monkeypatch.setattr(simnet, "make_filters", collapsed)
+        code = main(["control", *SMALL, "--duration", "0.5"])
+        assert code == EXIT_COINCIDENT_ESTIMATES
+        err = capsys.readouterr().err
+        assert err == ("localization failed: coincident estimates "
+                       "make the range model singular\n")
 
 
 class TestAudit:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from support import central_difference, random_disk_framework
 
+from rigidnet import control
 from rigidnet.control import (
     ControlParams,
     RigidityLostError,
@@ -26,7 +27,7 @@ from rigidnet.control import (
 )
 from rigidnet.graphs import Graph
 from rigidnet.rigidity import Framework
-from rigidnet.subframeworks import communication_load
+from rigidnet.subframeworks import Ball, ball_set, communication_load
 
 
 def apex_framework():
@@ -92,7 +93,7 @@ class TestStateBuild:
         assert ((0 < state.weights) & (state.weights < 1)).all()
         assert np.isfinite(state.rhos).all() and (state.rhos > 0).all()
         for j, sub in enumerate(state.subs):
-            assert sub.nodes.tolist() == state.table.ball(j, int(state.extents[j]))
+            assert sub.nodes.tolist() == state.ball_set.table.ball(j, int(state.extents[j]))
 
     def test_flexible_balls_rejected(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -128,7 +129,7 @@ class TestPotentials:
         e = g.edge_array()
         np.add.at(delta, e[:, 0], state.weights)
         np.add.at(delta, e[:, 1], state.weights)
-        rep = communication_load(g, state.extents, state.table, degrees=delta)
+        rep = communication_load(g, state.extents, state.ball_set.table, degrees=delta)
         assert load_potential(state) == pytest.approx(rep.total)
 
     def test_collision_frozen_pair(self):
@@ -359,3 +360,83 @@ class TestGuard:
     def test_unrelated_value_error_propagates(self):
         with pytest.raises(ValueError, match="extents"):
             guarded_refresh(self.GRAPH, self.CANDIDATE, self.PARAMS, [2] * 4)
+
+
+class TestTopologyCache:
+    """What a Graph keeps for its control states never leaks between them."""
+
+    PARAMS = ControlParams(comm_range=0.55, steepness=4.0)
+
+    def setup_method(self):
+        rng = np.random.default_rng(42)
+        self.fw = random_disk_framework(rng, 12, side=1.0, range_=0.55)
+        self.extents = build_control_state(self.fw, self.PARAMS).extents
+
+    def build(self, graph, x):
+        return build_control_state(Framework(graph, x), self.PARAMS,
+                                   extents=self.extents, require_rigid=False)
+
+    @staticmethod
+    def eigendata(state):
+        """Every ball's eigendata, copied, with nu as a tuple of floats."""
+        return [(s.rho, None if s.nu is None else tuple(s.nu.ravel()),
+                 s.lam_max, s.gap, s.rigid, s.degenerate) for s in state.subs]
+
+    def test_refresh_keeps_the_graph_while_edges_hold(self):
+        fw = self.fw
+        assert refresh_topology(fw.graph, fw.positions, self.PARAMS) is fw.graph
+        twin = Graph(fw.n, fw.graph.edges)
+        assert refresh_topology(twin, fw.positions, self.PARAMS) is twin
+        x = fw.positions.copy()
+        x[0] += 5.0
+        moved = refresh_topology(fw.graph, x, self.PARAMS)
+        assert moved is not fw.graph and moved.m < fw.graph.m
+
+    def test_failed_unchanged_edge_set_is_built_once(self, monkeypatch):
+        # with the edges held the wholesale candidate is the graph itself,
+        # so its failure is final without a second, identical build
+        built = []
+
+        def failing(graph, *args):
+            built.append(graph)
+            return None
+
+        monkeypatch.setattr(control, "_state_if_rigid", failing)
+        fw = self.fw
+        assert guarded_refresh(fw.graph, fw.positions, self.PARAMS,
+                               self.extents) == (None, None)
+        assert len(built) == 1 and built[0] is fw.graph
+
+    def test_a_second_state_leaves_the_first_alone(self):
+        fw = self.fw
+        first = self.build(fw.graph, fw.positions)
+        before = self.eigendata(first)
+        second = self.build(fw.graph, 1.1 * fw.positions)
+        assert second.ball_set is first.ball_set
+        assert self.eigendata(second) != before
+        assert self.eigendata(first) == before
+        cached = ball_set(fw.graph, first.extents, fw.dim)
+        for ball, a, b in zip(cached.balls, first.subs, second.subs):
+            # the cache holds bare masks, each state its own eigendata
+            assert type(ball) is Ball and a is not b
+            assert not ball.nodes.flags.writeable
+        assert not first.ball_set.table.dist.flags.writeable
+
+    def test_cached_state_equals_a_fresh_build(self):
+        fw = self.fw
+        self.build(fw.graph, fw.positions)
+        x = fw.positions + np.random.default_rng(45).normal(0, 0.01, (fw.n, 2))
+        cached = self.build(fw.graph, x)
+        fresh = self.build(Graph(fw.n, fw.graph.edges), x)
+        assert fresh.ball_set is not cached.ball_set
+        for name in ("weights", "units", "lengths"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+        for name in ("c", "coeff"):
+            assert np.array_equal(getattr(cached.ball_set, name),
+                                  getattr(fresh.ball_set, name))
+        assert np.array_equal(cached.ball_set.table.dist, fresh.ball_set.table.dist)
+        assert self.eigendata(cached) == self.eigendata(fresh)
+        for a, b in zip(cached.subs, fresh.subs):
+            assert np.array_equal(a.nodes, b.nodes)
+            assert np.array_equal(a.edge_idx, b.edge_idx)
+        assert np.array_equal(velocity_field(cached), velocity_field(fresh))

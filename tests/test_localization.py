@@ -5,6 +5,7 @@ import pytest
 
 from rigidnet.graphs import Graph
 from rigidnet.localization import (
+    CoincidentEstimatesError,
     FilterState,
     anchor_update,
     congruence_error,
@@ -33,6 +34,12 @@ def test_predict_ranges_multiple_neighbors():
 def test_predict_ranges_coincident_raises():
     with pytest.raises(ValueError):
         predict_ranges([1.0, 2.0], [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("model", [predict_ranges, range_jacobian])
+def test_coincident_estimates_raise_a_named_error(model):
+    with pytest.raises(CoincidentEstimatesError, match="coincident estimates"):
+        model([1.0, 2.0], [[4.0, 6.0], [1.0, 2.0]])
 
 
 def test_jacobian_rows_are_unit_directions():

@@ -4,15 +4,26 @@ import json
 
 import numpy as np
 import pytest
-from support import random_connected_graph, random_framework, random_graph
+from scipy.special import expit
+from support import (
+    random_connected_graph,
+    random_disk_framework,
+    random_framework,
+    random_graph,
+    random_rigid_framework,
+)
 
+from rigidnet.experiments import ScenarioConfig, generate_scenario
 from rigidnet.graphs import Graph, GeodesicTable, laplacian_matrix
 from rigidnet.rigidity import (
     Framework,
     FrameworkTooSmallError,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
+    edge_unit_vectors,
     energy,
+    framework_gram,
+    framework_spectrum,
     is_infinitesimally_rigid,
     rigid_body_dim,
     rigidity_eigenpair,
@@ -22,6 +33,7 @@ from rigidnet.rigidity import (
     symmetric_rigidity_matrix,
     trivial_motion_basis,
 )
+from rigidnet.subframeworks import Ball, ball_layout, extract_subframework
 
 
 def triangle():
@@ -122,6 +134,84 @@ class TestSymmetricMatrix:
         R = rigidity_matrix(fw)
         with pytest.raises(ValueError):
             symmetric_rigidity_matrix(R, np.array([1.0, 0.0, 1.0]))
+
+
+def assert_matches_dense(S, reference):
+    scale = np.abs(reference).max(initial=0.0)
+    assert np.abs(S - reference).max(initial=0.0) <= 1e-13 * scale
+    assert np.array_equal(S, S.T)
+
+
+def dense_gram(R, w):
+    """R^T W R over the edges whose weight did not underflow to zero."""
+    keep = w > 0
+    return symmetric_rigidity_matrix(R[keep], w[keep])
+
+
+def underflowing_weights(lengths, rng):
+    """Logistic weights steep enough that the longest edges weigh exactly 0."""
+    cut = np.quantile(lengths, 0.7)
+    w = expit(1e5 * (cut - lengths)) * rng.uniform(0.5, 1.0, len(lengths))
+    assert (w == 0).any() and (w > 0).any()
+    return w
+
+
+class TestBlockAssembly:
+    """The block-assembled S against the dense R^T W R it replaces."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_whole_frameworks(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(12):
+            fw = random_framework(rng, int(rng.integers(d + 1, 12)), d, p=0.5)
+            R = rigidity_matrix(fw)
+            assert_matches_dense(framework_gram(fw), dense_gram(R, np.ones(len(R))))
+            if len(R) > 1:
+                w = underflowing_weights(fw.edge_lengths(), rng)
+                assert_matches_dense(framework_gram(fw, w), dense_gram(R, w))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stacked_index_mask_balls(self, d):
+        rng = np.random.default_rng(80 + d)
+        fw = random_disk_framework(rng, 16, side=1.0, range_=0.45 + 0.2 * (d - 2),
+                                   dim=d)
+        e = fw.graph.edge_array()
+        table = GeodesicTable.compute(fw.graph)
+        units, lengths = edge_unit_vectors(fw.positions, e)
+        w = underflowing_weights(lengths, rng)
+        centers = [(j, h) for j in range(fw.n) for h in (1, 2)]
+        balls = [Ball.of(e, fw.n, j, table.ball(j, h)) for j, h in centers]
+        for weights in (None, w):
+            stacked = ball_layout(balls, e, d).grams(units, weights)
+            for (j, h), ball, S in zip(centers, balls, stacked):
+                # a ball's S has the same bits alone as in the stack
+                alone = ball_layout([ball], e, d).grams(units, weights)[0]
+                assert np.array_equal(S, alone)
+                sub = extract_subframework(fw, j, h, table).framework
+                R = rigidity_matrix(sub)
+                assert len(R) == len(ball.edge_idx)
+                bw = np.ones(len(R)) if weights is None else w[ball.edge_idx]
+                assert_matches_dense(S, dense_gram(R, bw))
+
+
+class TestOneUnweightedProduct:
+    """rigidity_report and framework_spectrum assemble the same S."""
+
+    def test_estimated_loop_framework(self):
+        # the 120-robot framework that the estimated loop starts from
+        side = 150.0 * np.sqrt(2.0)
+        fw = generate_scenario(ScenarioConfig(seed=8, n=120, width=side,
+                                              height=side, comm_range=40.0))
+        assert rigidity_report(fw).rho == framework_spectrum(fw).rho
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_frameworks(self, d):
+        rng = np.random.default_rng(90 + d)
+        for _ in range(8):
+            fw = random_rigid_framework(rng, int(rng.integers(d + 3, 12)), d)
+            report, spectrum = rigidity_report(fw), framework_spectrum(fw)
+            assert report.rho == spectrum.rho
+            assert np.array_equal(report.eigenvalues, spectrum.eigenvalues)
 
 
 class TestRigidityVerdicts:

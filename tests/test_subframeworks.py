@@ -102,6 +102,32 @@ class TestExtent:
             hits += rigid
         assert 0 < hits < 20
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_a_ball_by_ball_scan(self, d):
+        # the search assembles the balls of one radius together; each
+        # extent must still be the first radius whose extracted ball passes
+        # the dense rank-and-eigenvalue test, stopping once it stops growing
+        rng = np.random.default_rng(23 + d)
+        for _ in range(4):
+            fw = random_disk_framework(rng, 14, side=1.0,
+                                       range_=(0.4, 0.65)[d - 2], dim=d)
+            table = GeodesicTable.compute(fw.graph)
+            expected = []
+            for j in range(fw.n):
+                prev, found = None, None
+                for h in range(1, fw.n + 1):
+                    sub = extract_subframework(fw, j, h, table)
+                    if sub.nodes == prev:
+                        break
+                    prev = sub.nodes
+                    if sub.n > d and is_infinitesimally_rigid(sub.framework):
+                        found = h
+                        break
+                expected.append(found)
+            assert extent_assignment(fw).extents == expected
+            if all(h is not None for h in expected):
+                assert verify_extents(fw, expected)
+
 
 class TestVerify:
     def test_assigned_extents_certify(self):
