@@ -153,11 +153,11 @@ def _cmd_control(args):
         "time": world.time,
         "rows": len(rows),
         "min_rho": None if last is None else last["rho_min"],
-        "rigidity_lost": error is not None,
+        "rigidity_lost": isinstance(error, RigidityLostError),
     }, indent=1) + "\n")
     if error is not None:
-        sys.stderr.write(f"rigidity lost: {error}\n")
-        return EXIT_RIGIDITY_LOST
+        # main maps the error to its exit code and stderr line
+        raise error
     return EXIT_OK
 
 
@@ -195,7 +195,8 @@ def build_parser():
     p = sub.add_parser("control", help="run the closed control loop")
     _add_scenario_flags(p)
     p.add_argument("--csv", help="time series CSV path")
-    p.add_argument("--snapshot", help="diagnostic JSON path on rigidity loss")
+    p.add_argument("--snapshot",
+                   help="diagnostic JSON path when the run stops on an error")
     p.set_defaults(func=_cmd_control)
 
     p = sub.add_parser("audit", help="rigidity report of one framework")

@@ -10,18 +10,20 @@ position-dependent by the gradients, and every analytic gradient is held to a
 finite-difference oracle in the tests.
 
 ball_rigidity_slopes and ball_load_slopes are the one per-ball slope formula,
-shared by the centralized field, the replayed exchange and every center.
+shared by the centralized field, the replayed exchange and every center;
+each term has one gradient entry, rigidity_gradient_all, load_gradient_all
+and collision_gradient_all, and velocity_field adds them up.
 
-A state build takes everything the topology fixes (hop counts, balls, load
-coefficients, the layout of the balls' S) from the BallSet kept on its
-Graph, and refresh_topology hands back the very Graph it was given while
-the edge set holds.  So on an unchanged topology a build only evaluates
-the edge geometry, assembles the balls' S by d x d blocks, a bincount per
-group of balls, and solves each ball once.
+A state build takes everything the topology fixes (hop counts, balls and
+their stack, load coefficients, the layout of the balls' S) from the
+BallSet kept on its Graph, and refresh_topology hands back the very Graph
+it was given while the edge set holds.  So on an unchanged topology a
+build only evaluates the edge geometry, assembles the balls' S by d x d
+blocks, a bincount per group of balls, and solves each ball once.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -98,7 +100,6 @@ class ControlState:
     units: np.ndarray
     lengths: np.ndarray
     subs: list
-    _grads: dict = field(default_factory=dict, repr=False)
 
     @property
     def rhos(self):
@@ -212,66 +213,35 @@ def collision_potential(fw, positions=None, exponent=2.0):
     return float((lengths ** -exponent).sum())
 
 
-def _edge_sums(n, a, b, g):
-    """Per-row sums of +g[t] at row a[t] and -g[t] at row b[t].
+def _edge_sums(n, ends, g):
+    """Per-row sums of +g[t] at row ends[t, 0] and -g[t] at row ends[t, 1].
 
     The endpoints are interleaved, so every row takes its terms in edge
     order, as a loop over the edges would, and the sums match that loop
     bit for bit.
     """
     out = np.zeros((n, g.shape[1]))
-    np.add.at(out, np.column_stack([a, b]).ravel(),
+    np.add.at(out, ends.ravel(),
               np.stack([g, -g], axis=1).reshape(-1, g.shape[1]))
     return out
-
-
-@dataclass
-class BallStack:
-    """Several balls laid end to end, so their slopes are computed in one pass.
-
-    Row r stands for member nodes[r] of one ball; each ball's rows are its
-    sub.nodes, and the balls follow the order they were given in.  For
-    every induced edge of every ball, edge is its index in the framework,
-    a and b are the rows of its endpoints and ball is its ball's position.
-    """
-
-    nodes: np.ndarray
-    edge: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    ball: np.ndarray
-
-    @classmethod
-    def of(cls, subs, edge_endpoints):
-        offsets = np.cumsum([0] + [len(s.nodes) for s in subs])
-        ends = [(o + s.local[edge_endpoints[s.edge_idx, 0]],
-                 o + s.local[edge_endpoints[s.edge_idx, 1]])
-                for o, s in zip(offsets, subs)]
-        return cls(
-            nodes=np.concatenate([s.nodes for s in subs]),
-            edge=np.concatenate([s.edge_idx for s in subs]),
-            a=np.concatenate([a for a, _ in ends]),
-            b=np.concatenate([b for _, b in ends]),
-            ball=np.repeat(np.arange(len(subs)),
-                           [len(s.edge_idx) for s in subs]),
-        )
 
 
 def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     """Per-member d/dx of rho^(-q) for every ball of a stack, one row each.
 
-    rhos holds each ball's rigidity eigenvalue and nus its eigenvector, one
-    d-vector per stack row; units, lengths and weights describe every edge
-    of the framework.  Both the unit-vector rows and the logistic weights
-    of S_j move with the positions; the derivative follows the eigenvalue
-    of a symmetric matrix through its (sub)eigenvector.
+    stack is a subframeworks.BallStack; rhos holds each ball's rigidity
+    eigenvalue and nus its eigenvector, one d-vector per stack row; units,
+    lengths and weights describe every edge of the framework.  Both the
+    unit-vector rows and the logistic weights of S_j move with the
+    positions; the derivative follows the eigenvalue of a symmetric matrix
+    through its (sub)eigenvector.
     """
     p = params
     k = stack.edge
     r = units[k]
     ell = lengths[k]
     w = weights[k]
-    s = nus[stack.a] - nus[stack.b]
+    s = nus[stack.ends[:, 0]] - nus[stack.ends[:, 1]]
     sigma = (r * s).sum(axis=1)
     q = p.rigidity_exponent
     coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
@@ -279,7 +249,7 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     ga = dw[:, None] * sigma[:, None] ** 2 * r
     ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
     ga *= coef[:, None]
-    return _edge_sums(len(stack.nodes), stack.a, stack.b, ga)
+    return _edge_sums(len(stack.nodes), stack.ends, ga)
 
 
 def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
@@ -297,45 +267,26 @@ def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
     pair = (cs[stack.ball, edge_endpoints[k, 0]]
             + cs[stack.ball, edge_endpoints[k, 1]])
     gl = (pair * dw)[:, None] * units[k]
-    return _edge_sums(len(stack.nodes), stack.a, stack.b, gl)
+    return _edge_sums(len(stack.nodes), stack.ends, gl)
 
 
-def center_rigidity_gradient(state, j):
-    """Per-node d/dx of rho_j^(-q), for the members of ball j, as a dict."""
-    sub = state.subs[j]
-    if not sub.rigid:
-        raise RigidityLostError(f"subframework of node {j} is not rigid")
-    e = state.framework.graph.edge_array()
-    slopes = ball_rigidity_slopes(BallStack.of([sub], e), [sub.rho], sub.nu,
-                                  state.units, state.lengths, state.weights,
-                                  state.params)
-    return dict(zip(sub.nodes.tolist(), slopes))
-
-
-def center_load_gradient(state, j):
-    """Per-node d/dx of the frozen-coefficient load of ball j, as a dict."""
-    sub = state.subs[j]
-    e = state.framework.graph.edge_array()
-    slopes = ball_load_slopes(BallStack.of([sub], e), state.ball_set.c[j:j + 1], e,
-                              state.units, state.weights, state.params)
-    return dict(zip(sub.nodes.tolist(), slopes))
-
-
-def _accumulate_rigidity_gradient(state):
+def rigidity_gradient_all(state):
+    """d/dx of the rigidity potential: every ball's slopes, summed center
+    by center as each center's payloads arrive at its members."""
     n, d = state.framework.n, state.framework.dim
     state.require_rigid()
-    stack = BallStack.of(state.subs, state.framework.graph.edge_array())
+    stack = state.ball_set.stack
     slopes = ball_rigidity_slopes(
         stack, [s.rho for s in state.subs],
         np.concatenate([s.nu for s in state.subs]), state.units,
         state.lengths, state.weights, state.params)
     grad = np.zeros((n, d))
-    # center by center, as each center's payloads arrive at its members
     np.add.at(grad, stack.nodes, slopes)
     return grad
 
 
-def _accumulate_load_gradient(state):
+def load_gradient_all(state):
+    """d/dx of the load potential with the ball coefficients held frozen."""
     n, d = state.framework.n, state.framework.dim
     p = state.params
     e = state.framework.graph.edge_array()
@@ -349,7 +300,8 @@ def _accumulate_load_gradient(state):
     return grad
 
 
-def _accumulate_collision_gradient(state):
+def collision_gradient_all(state):
+    """d/dx of the collision barrier."""
     n, d = state.framework.n, state.framework.dim
     p = state.params.collision_exponent
     e = state.framework.graph.edge_array()
@@ -361,47 +313,12 @@ def _accumulate_collision_gradient(state):
     return grad
 
 
-def _gradient(state, kind):
-    if kind not in state._grads:
-        builder = {
-            "rigidity": _accumulate_rigidity_gradient,
-            "load": _accumulate_load_gradient,
-            "collision": _accumulate_collision_gradient,
-        }[kind]
-        state._grads[kind] = builder(state)
-    return state._grads[kind]
-
-
-def rigidity_gradient(state, i):
-    return _gradient(state, "rigidity")[i].copy()
-
-
-def load_gradient(state, i):
-    return _gradient(state, "load")[i].copy()
-
-
-def collision_gradient(state, i):
-    return _gradient(state, "collision")[i].copy()
-
-
-def rigidity_gradient_all(state):
-    return _gradient(state, "rigidity").copy()
-
-
-def load_gradient_all(state):
-    return _gradient(state, "load").copy()
-
-
-def collision_gradient_all(state):
-    return _gradient(state, "collision").copy()
-
-
 def velocity_field(state):
     """Steepest-descent velocities for all robots under the configured gains."""
     p = state.params
-    u = -p.k_rigidity * _gradient(state, "rigidity")
-    u = u - p.k_load * _gradient(state, "load")
-    u = u - p.k_collision * _gradient(state, "collision")
+    u = -p.k_rigidity * rigidity_gradient_all(state)
+    u = u - p.k_load * load_gradient_all(state)
+    u = u - p.k_collision * collision_gradient_all(state)
     return u
 
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from .control import ControlParams, RigidityLostError
 from .graphs import Graph, GeodesicTable, disk_proximity_graph, is_connected
+from .localization import CoincidentEstimatesError
 from .rigidity import Framework, is_infinitesimally_rigid
-from .simnet import WorldConfig, make_world, run_simulation
+from .simnet import ProtocolViolation, WorldConfig, make_world, run_simulation
 from .subframeworks import communication_load, extent_assignment
 
 FLOAT_FORMAT = "%.10g"
@@ -215,8 +216,9 @@ def _control_row(metric):
 def run_control_experiment(config, csv_path=None, snapshot_path=None):
     """Closed-loop run of duration / dt ticks; returns (world, rows, error).
 
-    A rigidity loss stops the run, leaves the rows gathered so far, and is
-    returned (not raised) together with a final snapshot so callers can
+    A rigidity loss, a protocol violation of the exchange or coincident
+    position estimates stops the run, leaves the rows gathered so far, and
+    is returned (not raised) together with a final snapshot so callers can
     exit with a diagnostic; error is None on a clean run.
     """
     rng = np.random.default_rng(config.seed)
@@ -232,7 +234,8 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
     error = None
     try:
         run_simulation(world, config.duration)
-    except RigidityLostError as exc:
+    except (RigidityLostError, ProtocolViolation,
+            CoincidentEstimatesError) as exc:
         error = exc
     rows = [_control_row(m) for m in world.metrics]
     if config.duration == 0:

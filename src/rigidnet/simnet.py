@@ -19,16 +19,18 @@ through messages, and the engine checks every hop against the edge set.
 Routing depends on the topology alone: the edge set and the frozen extents
 fix every flood path, every return route and the round log, but not the
 payloads.  The closed loop therefore compiles the exchange once per
-topology.  On the first tick with a new key (edge tuple, extents bytes) it
-runs the full engine, so the non-edge and 2 * eta checks run on every new
-topology, and keeps an ExchangeSchedule: the key, the delivery order of the
-(center, member) pairs and the engine's round log.  While the key holds,
-each tick replays the schedule: every center's payloads are computed from
-its ball members' positions only and summed in the recorded order, which
-gives the engine's commands bit for bit.  On ground truth the guard's
-accepted control state already holds every ball's eigendata at these
-positions, so the replay solves nothing.  run_exchange_phase and
-decentralized_velocity always run the engine and are the replay's oracle.
+topology and keeps it on the Graph (Graph.cached, keyed on the extents),
+beside the topology's BallSet.  On the first tick on a Graph it runs the
+full engine, so the non-edge and 2 * eta checks run on every new topology,
+and keeps an ExchangeSchedule: where each delivered (center, member) pair
+sits in the BallSet's stack, the centers' firing order and the engine's
+round log.  Later ticks on that Graph replay the schedule: every center's
+payloads are computed from its ball members' positions only and summed in
+the recorded delivery order, which gives the engine's commands bit for bit.
+On ground truth the guard's accepted control state already holds every
+ball's eigendata at these positions, so the replay solves nothing.
+run_exchange_phase and decentralized_velocity always run the engine and
+are the replay's oracle.
 """
 
 import json
@@ -40,7 +42,6 @@ import numpy as np
 from .control import (
     ControlParams,
     ControlState,
-    BallStack,
     RigidityLostError,
     _logistic,
     ball_load_slopes,
@@ -56,17 +57,16 @@ from .localization import (
     inflate_covariance,
     make_filters,
 )
-from .rigidity import (
-    Framework,
-    edge_unit_vectors,
-    framework_gram,
-    framework_spectrum,
-)
+from .rigidity import Framework, edge_unit_vectors, framework_spectrum
 from .subframeworks import (
     Ball,
     ExtentAssignment,
+    ball_grams,
+    ball_set,
     ball_spectrum,
     communication_load,
+    stack_balls,
+    stack_layouts,
 )
 
 POSITION_FLOOD = "position_flood"
@@ -169,14 +169,13 @@ def _center_payloads(center, h, member_data, params):
     fw = Framework(Graph(len(nodes), edges),
                    np.array([member_data[v][0] for v in nodes], dtype=float))
     e = fw.graph.edge_array()
-    ball = Ball.of(e, fw.n, center, range(fw.n))
+    stack = stack_balls([Ball.of(e, fw.n, center, range(fw.n))], e)
     c = np.maximum(0.0, h - bfs_distances(fw.graph, local[center]))
 
     units, lengths = edge_unit_vectors(fw.positions, e)
     weights = _logistic(lengths, params.comm_range, params.steepness)
-    rho, nu = _ball_eigen(framework_gram(fw, weights, units), fw.dim, center,
-                          params)
-    stack = BallStack.of([ball], e)
+    [S] = ball_grams(stack_layouts(stack, fw.dim), units, weights)
+    rho, nu = _ball_eigen(S, fw.dim, center, params)
     rigidity = ball_rigidity_slopes(stack, [rho], nu, units, lengths, weights,
                                     params)
     load = ball_load_slopes(stack, c[None, :], e, units, weights, params)
@@ -384,61 +383,55 @@ def decentralized_velocity(fw, extents, params, positions=None):
 class ExchangeSchedule:
     """What one engine run on a topology fixes for every later tick on it.
 
-    key is (edge tuple, extents bytes).  members lists who received each
-    (center, member) payload, in the order the engine delivered them, and
-    rows says where that payload sits when the balls are stacked in the
-    order their centers fired.  fire_order lists the centers in that order;
-    log is the engine's own round log.  stack is the balls' BallStack,
-    laid out by the first replay.
+    members lists who received each (center, member) payload, in the order
+    the engine delivered them, and rows says where that payload sits in
+    the topology's BallSet stack, whose balls follow center order.
+    fire_order lists the centers in the order they fired, so a replay
+    meets a flexible ball where the engine would; log is the engine's own
+    round log.
     """
 
-    key: tuple
     members: np.ndarray
     rows: np.ndarray
     fire_order: np.ndarray
     log: RoundLog
-    stack: BallStack = None
 
     @classmethod
-    def record(cls, key, contributions, log):
+    def record(cls, contributions, log):
         pairs = np.array(list(contributions), dtype=np.intp)
         # a center's own pair is stored the moment it fires
         fire_order = pairs[pairs[:, 0] == pairs[:, 1], 0]
-        fire_pos = np.argsort(fire_order)
         rows = np.empty(len(pairs), dtype=np.intp)
-        rows[np.lexsort((pairs[:, 1], fire_pos[pairs[:, 0]]))] = \
-            np.arange(len(pairs))
-        return cls(key, pairs[:, 1], rows, fire_order, log)
+        rows[np.lexsort((pairs[:, 1], pairs[:, 0]))] = np.arange(len(pairs))
+        return cls(pairs[:, 1], rows, fire_order, log)
 
 
-def _replay(schedule, state, x, params):
+def _replay(schedule, world, x):
     """The exchange's velocity commands, from each ball's own eigendata.
 
-    state is the accepted control state on this topology.  Its eigendata
-    is used as is when x are its own positions; otherwise every ball is
-    solved again at x, and a ball at the zero threshold fails as it would
-    in the engine.
+    The world's accepted control state holds every ball's eigendata at its
+    own positions, and is used as is when x are those positions; otherwise
+    every ball is solved again at x, in firing order, and a ball at the
+    zero threshold fails as it would in the engine.
     """
-    fw = state.framework
+    fw, params, state = world.framework, world.params, world.accepted
     e = fw.graph.edge_array()
-    subs = [state.subs[j] for j in schedule.fire_order]
-    if schedule.stack is None:
-        schedule.stack = BallStack.of(subs, e)
-    if x is fw.positions:
+    balls = ball_set(fw.graph, world.extents, fw.dim)
+    if state is not None and x is state.framework.positions:
         units, lengths, weights = state.units, state.lengths, state.weights
-        eigen = [(sub.rho, sub.nu) for sub in subs]
+        eigen = [(sub.rho, sub.nu) for sub in state.subs]
     else:
         units, lengths = edge_unit_vectors(x, e)
         weights = _logistic(lengths, params.comm_range, params.steepness)
-        grams = state.ball_set.grams(units, weights)
-        eigen = [_ball_eigen(grams[j], fw.dim, j, params)
-                 for j in schedule.fire_order]
+        grams = balls.grams(units, weights)
+        eigen = [None] * len(grams)
+        for j in schedule.fire_order:
+            eigen[j] = _ball_eigen(grams[j], fw.dim, j, params)
     rigidity = ball_rigidity_slopes(
-        schedule.stack, [rho for rho, _ in eigen],
+        balls.stack, [rho for rho, _ in eigen],
         np.concatenate([nu for _, nu in eigen]), units, lengths, weights,
         params)
-    load = ball_load_slopes(schedule.stack, state.ball_set.c[schedule.fire_order], e,
-                            units, weights, params)
+    load = ball_load_slopes(balls.stack, balls.c, e, units, weights, params)
     rows = schedule.rows
     return _command(x, e, params, schedule.members, rigidity[rows],
                     load[rows])
@@ -447,26 +440,29 @@ def _replay(schedule, state, x, params):
 def tick_velocity(world, positions):
     """One tick's velocity commands from believed positions, and its round log.
 
-    The first tick on a topology (edge set plus frozen extents) runs the
-    message engine, with its non-edge and 2 * eta checks, and records its
-    schedule in the world, replacing the one before.  Later ticks on the
-    same topology replay that schedule: each ball's payloads come from its
-    members' positions alone and are summed in the recorded delivery
+    The first tick on a topology (a Graph with the frozen extents) runs the
+    message engine, with its non-edge and 2 * eta checks, and keeps its
+    schedule on the Graph beside the topology's BallSet.  Later ticks on
+    the same topology replay that schedule: each ball's payloads come from
+    its members' positions alone and are summed in the recorded delivery
     order, so the commands equal the engine's bit for bit, and the
     recorded round log is returned.
     """
     fw = world.framework
-    key = (tuple(fw.graph.edges), world.extents.tobytes())
-    state = world.accepted
-    schedule = world.schedule
-    if (schedule is not None and schedule.key == key
-            and state is not None and state.framework is fw):
-        return _replay(schedule, state, positions, world.params), schedule.log
-    contributions, log = run_exchange_phase(fw, world.extents, world.params,
-                                            positions=positions)
-    world.schedule = ExchangeSchedule.record(key, contributions, log)
-    return _command_from_exchange(positions, fw.graph.edge_array(),
-                                  world.params, contributions), log
+    engine = []
+
+    def compile_exchange(graph):
+        engine.append(run_exchange_phase(fw, world.extents, world.params,
+                                         positions=positions))
+        return ExchangeSchedule.record(*engine[0])
+
+    schedule = fw.graph.cached("exchange_schedule", world.extents.tobytes(),
+                               compile_exchange)
+    if engine:
+        contributions, log = engine[0]
+        return _command_from_exchange(positions, fw.graph.edge_array(),
+                                      world.params, contributions), log
+    return _replay(schedule, world, positions), schedule.log
 
 
 @dataclass
@@ -495,7 +491,6 @@ class World:
     rng: np.random.Generator
     time: float = 0.0
     metrics: list = field(default_factory=list)
-    schedule: ExchangeSchedule = None
     accepted: ControlState = None
 
 

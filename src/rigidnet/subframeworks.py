@@ -5,12 +5,15 @@ induced there.  The smallest h_i whose ball is rigid is the rigidity extent of
 i; when every node has one, local rigidity everywhere certifies rigidity of
 the whole framework, so maintenance can run on subframeworks alone.
 
-A Ball is a hop-ball as index masks into its framework.  What a graph and
-the frozen extents fix for every ball (hop counts, load coefficients, the
-balls and the GramLayouts that assemble their S by d x d blocks, a group
-of balls per bincount) is a BallSet, computed once per Graph and kept on
-it (ball_set).  The extent search assembles the balls of all centers still
-searching at one radius the same way, a group of balls per bincount.
+A Ball is a hop-ball as index masks into its framework, and stack_balls
+is the one place that lays balls end to end (a BallStack): the per-ball
+slopes, the GramLayouts that assemble every ball's S by d x d blocks, a
+group of balls per bincount, the extent search and the message engine's
+centers all read their balls from one.  What a graph and the frozen
+extents fix for every ball (hop counts, load coefficients, the balls in
+center order with their stack and layouts) is a BallSet, computed once
+per Graph and kept on it (ball_set).  The extent search stacks the balls
+of all centers still searching at one radius the same way.
 """
 
 from dataclasses import dataclass, field
@@ -89,13 +92,35 @@ class SubframeworkState(Ball):
     degenerate: bool = False
 
 
-def ball_layout(balls, edge_endpoints, d):
-    """GramLayout of the balls' S, stacked in the order given."""
-    counts = [len(b.nodes) for b in balls]
-    edge = np.concatenate([b.edge_idx for b in balls])
-    ends = np.concatenate([b.local[edge_endpoints[b.edge_idx]] for b in balls])
+@dataclass(frozen=True, eq=False)
+class BallStack:
+    """Balls laid end to end, one row per member of each ball.
+
+    Rows offsets[t]:offsets[t + 1] are ball t's members nodes[...], in the
+    ball's own order.  For every induced edge of every ball, balls in
+    order and each ball's edges in edge order, edge is its index in the
+    framework, ends the rows of its two endpoints and ball its ball.
+    """
+
+    nodes: np.ndarray
+    offsets: np.ndarray
+    edge: np.ndarray
+    ends: np.ndarray
+    ball: np.ndarray
+
+
+def stack_balls(balls, edge_endpoints):
+    """The BallStack of the balls, in the order given."""
+    offsets = np.cumsum([0] + [len(b.nodes) for b in balls])
     ball = np.repeat(np.arange(len(balls)), [len(b.edge_idx) for b in balls])
-    return GramLayout.of(d, counts, edge, ends, ball)
+    ends = np.concatenate([b.local[edge_endpoints[b.edge_idx]] for b in balls])
+    return BallStack(
+        nodes=np.concatenate([b.nodes for b in balls]),
+        offsets=offsets,
+        edge=np.concatenate([b.edge_idx for b in balls]),
+        ends=ends + offsets[ball][:, None],
+        ball=ball,
+    )
 
 
 # Block entries assembled per bincount.  One pass over all the balls of a
@@ -104,18 +129,27 @@ def ball_layout(balls, edge_endpoints, d):
 GROUP_ENTRIES = 1 << 14
 
 
-def ball_layouts(balls, edge_endpoints, d):
-    """GramLayouts of runs of consecutive balls, each run holding at most
-    GROUP_ENTRIES block entries (or one ball alone when it has more)."""
-    groups, entries = [], 0
-    for ball in balls:
-        k = 4 * d * d * len(ball.edge_idx)
-        if not groups or entries + k > GROUP_ENTRIES:
-            groups.append([])
+def stack_layouts(stack, d):
+    """GramLayouts of runs of consecutive balls of a stack, each run holding
+    at most GROUP_ENTRIES block entries (or one ball alone when it has more)."""
+    counts = np.diff(stack.offsets)
+    edges = np.bincount(stack.ball, minlength=len(counts))
+    first = np.concatenate([[0], np.cumsum(edges)])
+    cuts, entries = [0], 0
+    for t, k in enumerate((4 * d * d * edges).tolist()):
+        if t and entries + k > GROUP_ENTRIES:
+            cuts.append(t)
             entries = 0
-        groups[-1].append(ball)
         entries += k
-    return tuple(ball_layout(group, edge_endpoints, d) for group in groups)
+    cuts.append(len(counts))
+    layouts = []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        rows = slice(first[t0], first[t1])
+        ball = stack.ball[rows]
+        layouts.append(GramLayout.of(
+            d, counts[t0:t1], stack.edge[rows],
+            stack.ends[rows] - stack.offsets[ball][:, None], ball - t0))
+    return tuple(layouts)
 
 
 def ball_grams(layouts, units, weights=None):
@@ -129,15 +163,16 @@ class BallSet:
 
     c[j, i] = max(0, h_j - g_ji) is node i's load coefficient for center j
     and coeff its column sums; balls are the index-mask balls in center
-    order, and layouts assemble their S group by group of consecutive
-    balls.  Nothing here depends on positions, and every array is
-    read-only.
+    order, stack lays them end to end in that order, and layouts assemble
+    their S group by group of consecutive balls.  Nothing here depends on
+    positions, and every array is read-only.
     """
 
     table: GeodesicTable
     c: np.ndarray
     coeff: np.ndarray
     balls: tuple
+    stack: BallStack
     layouts: tuple
 
     def grams(self, units, weights=None):
@@ -151,17 +186,18 @@ def _build_ball_set(extents, d):
         table = geodesics(graph)
         balls = tuple(Ball.of(e, graph.n, j, table.ball(j, int(h)))
                       for j, h in enumerate(extents))
-        layouts = ball_layouts(balls, e, d)
+        stack = stack_balls(balls, e)
+        layouts = stack_layouts(stack, d)
         c = np.maximum(0.0, extents[:, None] - table.dist)
         coeff = c.sum(axis=0)
-        arrays = [c, coeff]
+        arrays = [c, coeff, *vars(stack).values()]
         for layout in layouts:
             arrays += [layout.sides, layout.edge, layout.index]
         for b in balls:
             arrays += [b.nodes, b.local, b.edge_idx]
         for a in arrays:
             a.setflags(write=False)
-        return BallSet(table, c, coeff, balls, layouts)
+        return BallSet(table, c, coeff, balls, stack, layouts)
     return build
 
 
@@ -184,7 +220,7 @@ def _rigid_balls(fw, units, balls, tol):
     """Whether each ball's unweighted S passes the eigenvalue test."""
     # balls with too few nodes cannot pass the eigenvalue test; they count
     # as not rigid rather than erroring
-    layouts = ball_layouts(balls, fw.graph.edge_array(), fw.dim)
+    layouts = stack_layouts(stack_balls(balls, fw.graph.edge_array()), fw.dim)
     spectra = [ball_spectrum(S, fw.dim, tol, vectors=False)
                for S in ball_grams(layouts, units)]
     return [s is not None and s.rigid for s in spectra]

@@ -98,17 +98,24 @@ class TestControl:
         assert "rigidity lost" in captured.err
         assert json.loads(snap.read_text())["framework"]["n"] == 16
 
-    def test_protocol_violation_exits_four(self, monkeypatch, capsys):
+    def test_protocol_violation_exits_four(self, monkeypatch, tmp_path,
+                                           capsys):
         def broken_engine(*args, **kwargs):
             raise simnet.ProtocolViolation("exchange took 9 rounds, bound is 4")
 
         monkeypatch.setattr(simnet, "run_exchange_phase", broken_engine)
-        code = main(["control", *SMALL, "--duration", "0.5"])
+        csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
+        code = main(["control", *SMALL, "--duration", "0.5", "--csv", str(csv),
+                     "--snapshot", str(snap)])
         assert code == EXIT_PROTOCOL_VIOLATION
-        err = capsys.readouterr().err
-        assert err == "protocol violation: exchange took 9 rounds, bound is 4\n"
+        captured = capsys.readouterr()
+        assert captured.err == ("protocol violation: exchange took 9 rounds, "
+                                "bound is 4\n")
+        # the run stopped in its first exchange, after the t=0 row
+        assert_stopped_run(captured.out, csv, snap, "exchange took 9 rounds")
 
-    def test_coincident_estimates_exit_six(self, monkeypatch, capsys):
+    def test_coincident_estimates_exit_six(self, monkeypatch, tmp_path,
+                                           capsys):
         make_filters = simnet.make_filters
 
         def collapsed(estimates, *args, **kwargs):
@@ -116,11 +123,27 @@ class TestControl:
             return make_filters(np.zeros_like(estimates), *args, **kwargs)
 
         monkeypatch.setattr(simnet, "make_filters", collapsed)
-        code = main(["control", *SMALL, "--duration", "0.5"])
+        csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
+        code = main(["control", *SMALL, "--duration", "0.5", "--csv", str(csv),
+                     "--snapshot", str(snap)])
         assert code == EXIT_COINCIDENT_ESTIMATES
-        err = capsys.readouterr().err
-        assert err == ("localization failed: coincident estimates "
-                       "make the range model singular\n")
+        captured = capsys.readouterr()
+        assert captured.err == ("localization failed: coincident estimates "
+                                "make the range model singular\n")
+        assert_stopped_run(captured.out, csv, snap, "coincident estimates")
+
+
+def assert_stopped_run(out, csv, snap, error):
+    """A run stopped in its first tick still reports its t=0 row."""
+    status = json.loads(out)
+    assert status["rows"] == 1 and status["time"] == 0.0
+    assert status["min_rho"] > 0
+    assert status["rigidity_lost"] is False
+    lines = csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    snapshot = json.loads(snap.read_text())
+    assert error in snapshot["error"]
+    assert snapshot["framework"]["n"] == 16
 
 
 class TestAudit:

@@ -8,15 +8,14 @@ from rigidnet import control
 from rigidnet.control import (
     ControlParams,
     RigidityLostError,
+    ball_load_slopes,
+    ball_rigidity_slopes,
     build_control_state,
-    center_load_gradient,
-    center_rigidity_gradient,
     collision_gradient_all,
     collision_potential,
     control_step,
     edge_weight,
     guarded_refresh,
-    load_gradient,
     load_gradient_all,
     load_potential,
     refresh_topology,
@@ -205,15 +204,20 @@ class TestGradients:
         while state is None:
             state = fd_state(rng)
         n, d = state.framework.positions.shape
+        e = state.framework.graph.edge_array()
+        stack = state.ball_set.stack
+        rigidity = ball_rigidity_slopes(
+            stack, state.rhos, np.concatenate([s.nu for s in state.subs]),
+            state.units, state.lengths, state.weights, state.params)
         acc = np.zeros((n, d))
-        for j in range(n):
-            for i, v in center_rigidity_gradient(state, j).items():
-                acc[i] += v
+        np.add.at(acc, stack.nodes, rigidity)
         assert np.allclose(acc, rigidity_gradient_all(state), atol=1e-12)
+        # the load total sums whole-node coefficients over all edges, not
+        # ball by ball, so the two sums meet only to rounding
+        load = ball_load_slopes(stack, state.ball_set.c, e, state.units,
+                                state.weights, state.params)
         acc = np.zeros((n, d))
-        for j in range(n):
-            for i, v in center_load_gradient(state, j).items():
-                acc[i] += v
+        np.add.at(acc, stack.nodes, load)
         assert np.allclose(acc, load_gradient_all(state), atol=1e-12)
 
     def test_load_term_pushes_pair_apart(self):
@@ -222,7 +226,7 @@ class TestGradients:
             fw, default_params(comm_range=2.0), extents=[1, 1], require_rigid=False
         )
         r01 = (fw.positions[0] - fw.positions[1]) / 1.0
-        descent = -load_gradient(state, 0)
+        descent = -load_gradient_all(state)[0]
         assert descent @ r01 > 0
 
     def test_edgeless_load_gradient_is_zero(self):

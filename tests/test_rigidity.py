@@ -33,7 +33,13 @@ from rigidnet.rigidity import (
     symmetric_rigidity_matrix,
     trivial_motion_basis,
 )
-from rigidnet.subframeworks import Ball, ball_layout, extract_subframework
+from rigidnet.subframeworks import (
+    Ball,
+    ball_grams,
+    extract_subframework,
+    stack_balls,
+    stack_layouts,
+)
 
 
 def triangle():
@@ -156,6 +162,10 @@ def underflowing_weights(lengths, rng):
     return w
 
 
+def stacked_grams(balls, e, d, units, weights):
+    return ball_grams(stack_layouts(stack_balls(balls, e), d), units, weights)
+
+
 class TestBlockAssembly:
     """The block-assembled S against the dense R^T W R it replaces."""
 
@@ -182,10 +192,10 @@ class TestBlockAssembly:
         centers = [(j, h) for j in range(fw.n) for h in (1, 2)]
         balls = [Ball.of(e, fw.n, j, table.ball(j, h)) for j, h in centers]
         for weights in (None, w):
-            stacked = ball_layout(balls, e, d).grams(units, weights)
+            stacked = stacked_grams(balls, e, d, units, weights)
             for (j, h), ball, S in zip(centers, balls, stacked):
                 # a ball's S has the same bits alone as in the stack
-                alone = ball_layout([ball], e, d).grams(units, weights)[0]
+                [alone] = stacked_grams([ball], e, d, units, weights)
                 assert np.array_equal(S, alone)
                 sub = extract_subframework(fw, j, h, table).framework
                 R = rigidity_matrix(sub)

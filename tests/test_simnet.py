@@ -22,7 +22,6 @@ from rigidnet.rigidity import (
     is_infinitesimally_rigid,
 )
 from rigidnet.simnet import (
-    ExchangeSchedule,
     Message,
     ProtocolViolation,
     RoundLog,
@@ -308,30 +307,44 @@ def test_same_seed_gives_identical_runs():
 def engine_checked_run(monkeypatch, world, ticks):
     """Step a world, holding every tick's commands to the engine oracle.
 
-    Returns how many ticks replayed a recorded schedule and how many
-    compiled a new one.
+    Returns the Graph of every tick and how many times that tick ran the
+    message engine.
     """
     replay_or_compile = simnet.tick_velocity
-    counts = {"hits": 0, "misses": 0}
+    engine = simnet.run_exchange_phase
+    calls = []
+    ticks_seen = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
 
     def checked(w, positions):
-        before = w.schedule
+        before = len(calls)
         u, log = replay_or_compile(w, positions)
+        ticks_seen.append((w.framework.graph, len(calls) - before))
         u_engine, log_engine = decentralized_velocity(
             w.framework, w.extents, w.params, positions=positions)
         assert u.tobytes() == u_engine.tobytes()
-        assert log.completion_round == log_engine.completion_round
         # every log handed out came from an engine run on this topology
-        assert w.schedule.key == (tuple(w.framework.graph.edges),
-                                  w.extents.tobytes())
-        assert log is w.schedule.log
-        counts["hits" if w.schedule is before else "misses"] += 1
+        assert log.pair_round == log_engine.pair_round
+        assert log.inbox_sizes == log_engine.inbox_sizes
+        assert log.outbox_sizes == log_engine.outbox_sizes
+        assert log.completion_round == log_engine.completion_round
         return u, log
 
-    monkeypatch.setattr(simnet, "tick_velocity", checked)
-    for _ in range(ticks):
-        step_simulation(world)
-    return counts["hits"], counts["misses"]
+    with monkeypatch.context() as patch:
+        patch.setattr(simnet, "run_exchange_phase", counted)
+        patch.setattr(simnet, "tick_velocity", checked)
+        for _ in range(ticks):
+            step_simulation(world)
+    return ticks_seen
+
+
+def hits_and_misses(ticks_seen):
+    runs = [n for _, n in ticks_seen]
+    assert set(runs) <= {0, 1}
+    return runs.count(0), runs.count(1)
 
 
 @pytest.mark.parametrize("use_estimates", [False, True])
@@ -343,7 +356,7 @@ def test_replayed_commands_equal_the_engine(monkeypatch, use_estimates):
     cfg = WorldConfig(use_estimates=use_estimates, anchors=(0, 1),
                       noise_std=0.05, initial_estimate_error=0.3, seed=3)
     world = make_world(fw, params, cfg)
-    hits, misses = engine_checked_run(monkeypatch, world, 30)
+    hits, misses = hits_and_misses(engine_checked_run(monkeypatch, world, 30))
     assert hits >= 1
     assert misses >= 2  # the first tick, then at least one new topology
 
@@ -355,28 +368,42 @@ def test_replay_in_three_dimensions(monkeypatch):
     params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
                            k_rigidity=10.0, k_load=1.0, k_collision=1.0)
     world = make_world(fw, params, WorldConfig(use_estimates=False))
-    hits, misses = engine_checked_run(monkeypatch, world, 12)
+    hits, misses = hits_and_misses(engine_checked_run(monkeypatch, world, 12))
     assert hits >= 1
     assert misses >= 2
     assert all(row["min_rho"] > 0 for row in world.metrics)
 
 
-def test_new_topology_replaces_the_schedule():
+def test_each_new_graph_runs_the_engine_once(monkeypatch):
     rng = np.random.default_rng(0)
     fw = rigid_disk(rng, 14, 85.0, 40.0)
     params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
                            k_rigidity=10.0, k_load=1.0, k_collision=1.0)
     world = make_world(fw, params, WorldConfig(use_estimates=False))
-    step_simulation(world)
-    first = world.schedule
-    edges = world.framework.graph.edges
-    while world.framework.graph.edges == edges:
-        step_simulation(world)
-    step_simulation(world)
-    assert world.schedule is not first
-    held = [v for v in vars(world).values() if isinstance(v, ExchangeSchedule)]
-    assert held == [world.schedule]
-    assert world.schedule.key[0] == tuple(world.framework.graph.edges)
+    ticks_seen = engine_checked_run(monkeypatch, world, 30)
+    graphs = []
+    for graph, runs in ticks_seen:
+        new = not any(graph is g for g in graphs)
+        assert runs == (1 if new else 0)
+        if new:
+            graphs.append(graph)
+    assert 2 <= len(graphs) < len(ticks_seen)
+
+
+def test_worlds_sharing_a_graph_share_its_schedule(monkeypatch):
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
+                           k_rigidity=10.0, k_load=1.0, k_collision=1.0)
+    cfg = WorldConfig(use_estimates=False)
+    first = make_world(fw, params, cfg)
+    assert engine_checked_run(monkeypatch, first, 1) == [(fw.graph, 1)]
+    # the same graph and extents at other positions: a translated copy
+    moved = Framework(fw.graph, fw.positions + np.array([3.0, -2.0]))
+    second = make_world(moved, params, cfg)
+    assert second.framework.graph is fw.graph
+    assert second.extents.tobytes() == first.extents.tobytes()
+    ticks_seen = engine_checked_run(monkeypatch, second, 1)
+    assert ticks_seen == [(fw.graph, 0)]
 
 
 def test_replay_fails_like_the_engine_on_a_flexible_ball():
