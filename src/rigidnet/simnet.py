@@ -11,31 +11,37 @@ every (center, member) pair is served within twice the worst extent, which
 the exchange asserts as a hard bound.
 
 Static protocol tables (ball membership, flood ttl) derive from the frozen
-extents and are precomputed by the engine at setup; a running system would
-need a bootstrap protocol to distribute them, which is out of scope here.
-Dynamic data (positions, gradient contributions, estimates) moves only
-through messages, and the engine checks every hop against the edge set.
+extents; the engine reads them from the topology's BallSet.  A running
+system would need a bootstrap protocol to distribute them, which is out of
+scope here.  Dynamic data (positions, gradient contributions, estimates)
+moves only through messages, and the engine checks every hop against the
+edge set.  Messages are validated tuples, and each round processes a node's
+inbox in (origin, sender) order.
 
 Routing depends on the topology alone: the edge set and the frozen extents
-fix every flood path, every return route and the round log, but not the
-payloads.  The closed loop therefore compiles the exchange once per
-topology and keeps it on the Graph (Graph.cached, keyed on the extents),
-beside the topology's BallSet.  On the first tick on a Graph it runs the
-full engine, so the non-edge and 2 * eta checks run on every new topology,
-and keeps an ExchangeSchedule: where each delivered (center, member) pair
-sits in the BallSet's stack, the centers' firing order and the engine's
-round log.  Later ticks on that Graph replay the schedule: every center's
-payloads are computed from its ball members' positions only and summed in
-the recorded delivery order, which gives the engine's commands bit for bit.
-On ground truth the guard's accepted control state already holds every
-ball's eigendata at these positions, so the replay solves nothing.
-run_exchange_phase and decentralized_velocity always run the engine and
-are the replay's oracle.
+fix every flood path, every return route, the centers' firing order and
+the round log, but not the payloads.  The closed loop therefore compiles
+the exchange once per topology as routing only: the first tick on a Graph
+runs the engine with placeholder payloads, so the non-edge and 2 * eta
+checks run on every new topology and no ball is solved.  It keeps an
+ExchangeSchedule on the Graph (Graph.cached, keyed on the extents), beside
+the topology's BallSet: where each delivered (center, member) pair sits in
+the BallSet's stack, the centers' firing order and the engine's round log.
+Every tick on that Graph, the first included, replays the schedule: every
+center's payloads are computed from its ball members' positions only and
+summed in the recorded delivery order, which gives the engine's commands
+bit for bit.  On ground truth the guard's accepted control state already
+holds every ball's eigendata at these positions, so the replay solves
+nothing.  run_exchange_phase with its default payloads, and
+decentralized_velocity, run the engine with real payloads and are the
+replay's oracle.
 """
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .control import (
     build_control_state,
     guarded_refresh,
 )
-from .graphs import Graph, bfs_distances, geodesics
+from .graphs import Graph, bfs_distances
 from .localization import (
     FilterState,
     anchor_update,
@@ -78,28 +84,29 @@ class ProtocolViolation(RuntimeError):
     """A message crossed a non-edge or the exchange missed its round bound."""
 
 
-@dataclass
-class Message:
+KINDS = (POSITION_FLOOD, GRADIENT_RETURN, ESTIMATE_BROADCAST)
+
+
+class Message(namedtuple("Message", "origin kind ttl path payload target route",
+                         defaults=(None, None, None))):
     """One hop-by-hop payload; path records every node it has visited.
 
     Returns carry the full reverse route so intermediate nodes can forward
     without any routing state of their own; floods have no fixed route.
+    A message is a tuple whose first field is its origin, so an inbox sorts
+    by origin with a plain item getter.
     """
 
-    kind: str
-    origin: int
-    payload: object
-    ttl: int
-    path: tuple
-    target: int = None
-    route: tuple = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (POSITION_FLOOD, GRADIENT_RETURN,
-                             ESTIMATE_BROADCAST):
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.ttl < 0:
+    def __new__(cls, origin, kind, ttl, path, payload=None, target=None,
+                route=None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
+        if ttl < 0:
             raise ValueError("ttl must be non-negative")
+        return tuple.__new__(cls, (origin, kind, ttl, path, payload, target,
+                                   route))
 
 
 @dataclass
@@ -132,8 +139,6 @@ def _check_edge(adj, sender, receiver):
 
 
 def _trace_line(trace, round_index, msg):
-    if trace is None:
-        return
     trace.write(json.dumps({
         "round": round_index,
         "kind": msg.kind,
@@ -182,14 +187,23 @@ def _center_payloads(center, h, member_data, params):
     return {v: (rigidity[t], load[t]) for t, v in enumerate(nodes)}
 
 
+def _placeholders(center, h, member_data, params):
+    """No payload at all: an exchange run with these records routing only."""
+    return dict.fromkeys(member_data)
+
+
 def run_exchange_phase(fw, extents, params, positions=None, trace=None,
-                       max_rounds=None):
+                       max_rounds=None, payloads=_center_payloads):
     """Flood positions out, return per-center gradient payloads back.
 
     Returns (contributions, log) where contributions maps (center, member)
-    to a (rigidity_slope, load_slope) vector pair and the log records the
-    traffic and the delivery round of every pair.  Every contribution must
-    land within 2 * max extent rounds, else ProtocolViolation.
+    to the payload that center computed for that member, in delivery
+    order, and the log records the traffic and the delivery round of every
+    pair.  payloads(center, extent, member_data, params) computes a
+    center's payloads from its collected flood data once its whole ball
+    has reported; the default gives each member its (rigidity_slope,
+    load_slope) vector pair.  Every contribution must land within
+    2 * max extent rounds, else ProtocolViolation.
     """
     if isinstance(extents, ExtentAssignment):
         if not extents.complete:
@@ -199,60 +213,50 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
         h = np.asarray(extents, dtype=int)
     n = fw.graph.n
     x = fw.positions if positions is None else np.asarray(positions, float)
-    adj = [set(int(j) for j in fw.graph.neighbors(i)) for i in range(n)]
-    nbr_tuple = [tuple(sorted(adj[i])) for i in range(n)]
+    nbrs = [tuple(fw.graph.neighbors(i).tolist()) for i in range(n)]
+    adj = [frozenset(nb) for nb in nbrs]
 
-    # static protocol tables, precomputed from the frozen extents
-    table = geodesics(fw.graph)
-    balls = [frozenset(table.ball(j, int(h[j]))) for j in range(n)]
-    inclusion = [
-        [j for j in range(n) if i in balls[j]] for i in range(n)
-    ]
-    ttl = [max(int(h[j]) for j in inclusion[i]) for i in range(n)]
+    # static protocol tables, fixed by the graph and the frozen extents
+    balls = ball_set(fw.graph, h, fw.dim)
+    members = [b.nodes.tolist() for b in balls.balls]
+    member_sets = [frozenset(m) for m in members]
+    ttl = balls.ttl.tolist()
     eta = int(h.max())
     limit = 2 * eta if max_rounds is None else int(max_rounds)
 
     log = RoundLog(expected_pairs=frozenset(
-        (j, i) for j in range(n) for i in balls[j]))
+        (j, i) for j in range(n) for i in members[j]))
 
-    # per node: origin -> (position, neighbor list, hop path from the origin)
-    position_table = [
-        {i: (x[i].copy(), nbr_tuple[i], ())} for i in range(n)
-    ]
-    seen_flood = [set([i]) for i in range(n)]
-    fired = [False] * n
+    # per node: origin -> the first flood heard from it, whose payload is
+    # (position, neighbor ids) and whose path is the way it came; each node
+    # starts with its own flood, and a center fires once it has heard from
+    # every member of its ball
+    heard = [{i: Message(i, POSITION_FLOOD, ttl[i], (i,),
+                         (x[i].copy(), nbrs[i]))} for i in range(n)]
+    missing = [len(m) - 1 for m in members]
+    ready = [j for j in range(n) if not missing[j]]
     contributions = {}
     outbox = [[] for _ in range(n)]
 
-    def fire_ready_centers(round_index):
-        for j in range(n):
-            if fired[j] or not balls[j] <= set(position_table[j]):
-                continue
-            fired[j] = True
-            member_data = {
-                v: position_table[j][v][:2] for v in balls[j]
-            }
-            payloads = _center_payloads(j, int(h[j]), member_data, params)
-            for i in sorted(balls[j]):
+    def fire(centers, round_index):
+        for j in sorted(centers):
+            member_data = {v: heard[j][v].payload for v in members[j]}
+            computed = payloads(j, int(h[j]), member_data, params)
+            for i in members[j]:
                 if i == j:
-                    contributions[(j, j)] = payloads[j]
+                    contributions[(j, j)] = computed[j]
                     log.record_delivery(j, j, round_index)
                     continue
-                route = tuple(reversed((i,) + position_table[j][i][2]))
+                route = (j,) + heard[j][i].path[::-1]
                 outbox[j].append(Message(
-                    kind=GRADIENT_RETURN, origin=j, target=i,
-                    payload=payloads[i], ttl=len(route) - 1,
-                    path=route[:1], route=route,
-                ))
+                    j, GRADIENT_RETURN, len(route) - 1, (j,), computed[i], i,
+                    route))
 
-    fire_ready_centers(0)
+    fire(ready, 0)
     for i in range(n):
-        outbox[i].append(Message(
-            kind=POSITION_FLOOD, origin=i,
-            payload=(x[i].copy(), nbr_tuple[i]),
-            ttl=ttl[i], path=(i,),
-        ))
+        outbox[i].append(heard[i][i])
 
+    by_origin = itemgetter(0)
     round_index = 0
     while round_index < limit:
         round_index += 1
@@ -263,50 +267,53 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
                 if msg.kind == GRADIENT_RETURN:
                     nxt = msg.route[len(msg.path)]
                     _check_edge(adj, sender, nxt)
-                    inbox[nxt].append((sender, msg))
+                    inbox[nxt].append(msg)
                     sent += 1
                 else:
-                    for nxt in sorted(adj[sender]):
-                        if nxt in msg.path:
+                    # a flood is delivered to every neighbor off its path,
+                    # but only the first copy a node hears is kept; senders
+                    # go in ascending order, so that is the copy from the
+                    # lowest sender, and the others are dropped on arrival
+                    origin, path = msg.origin, msg.path
+                    for nxt in nbrs[sender]:
+                        if nxt in path:
                             continue
-                        inbox[nxt].append((sender, msg))
                         sent += 1
-                _trace_line(trace, round_index, msg)
+                        if origin not in heard[nxt]:
+                            heard[nxt][origin] = msg
+                            inbox[nxt].append(msg)
+                if trace is not None:
+                    _trace_line(trace, round_index, msg)
         log.outbox_sizes.append(sent)
+        # every message sent in a round arrives in that round
+        log.inbox_sizes.append(sent)
         outbox = [[] for _ in range(n)]
 
-        received = 0
+        ready = []
         for i in range(n):
-            for sender, msg in sorted(
-                    inbox[i], key=lambda sm: (sm[1].origin, sm[0])):
-                received += 1
-                if msg.kind == POSITION_FLOOD:
-                    if msg.origin in seen_flood[i]:
-                        continue
-                    seen_flood[i].add(msg.origin)
-                    pos, nbrs = msg.payload
-                    hop_path = msg.path[1:] + (i,)
-                    position_table[i][msg.origin] = (pos, nbrs, hop_path)
-                    if msg.ttl > 1:
-                        outbox[i].append(Message(
-                            kind=POSITION_FLOOD, origin=msg.origin,
-                            payload=msg.payload, ttl=msg.ttl - 1,
-                            path=msg.path + (i,),
-                        ))
+            # senders were appended in ascending order, so a stable sort by
+            # origin alone processes the inbox in (origin, sender) order
+            box = inbox[i]
+            box.sort(key=by_origin)
+            out = outbox[i]
+            for msg in box:
+                origin, kind, ttl_left, path, payload, target, route = msg
+                if kind == POSITION_FLOOD:
+                    if origin in member_sets[i]:
+                        missing[i] -= 1
+                        if not missing[i]:
+                            ready.append(i)
+                    if ttl_left > 1:
+                        out.append(Message(origin, POSITION_FLOOD,
+                                           ttl_left - 1, path + (i,), payload))
+                elif i == target:
+                    contributions[(origin, i)] = payload
+                    log.record_delivery(origin, i, round_index)
                 else:
-                    if i == msg.target:
-                        contributions[(msg.origin, i)] = msg.payload
-                        log.record_delivery(msg.origin, i, round_index)
-                    else:
-                        outbox[i].append(Message(
-                            kind=GRADIENT_RETURN, origin=msg.origin,
-                            target=msg.target, payload=msg.payload,
-                            ttl=msg.ttl - 1, path=msg.path + (i,),
-                            route=msg.route,
-                        ))
-        log.inbox_sizes.append(received)
-        fire_ready_centers(round_index)
-        if log.complete and not any(outbox):
+                    out.append(Message(origin, GRADIENT_RETURN, ttl_left - 1,
+                                       path + (i,), payload, target, route))
+        fire(ready, round_index)
+        if len(log.pair_round) == len(log.expected_pairs) and not any(outbox):
             break
 
     if not log.complete:
@@ -381,7 +388,7 @@ def decentralized_velocity(fw, extents, params, positions=None):
 
 @dataclass
 class ExchangeSchedule:
-    """What one engine run on a topology fixes for every later tick on it.
+    """What one engine run on a topology fixes for every tick on it.
 
     members lists who received each (center, member) payload, in the order
     the engine delivered them, and rows says where that payload sits in
@@ -409,10 +416,11 @@ class ExchangeSchedule:
 def _replay(schedule, world, x):
     """The exchange's velocity commands, from each ball's own eigendata.
 
-    The world's accepted control state holds every ball's eigendata at its
-    own positions, and is used as is when x are those positions; otherwise
-    every ball is solved again at x, in firing order, and a ball at the
-    zero threshold fails as it would in the engine.
+    Used on every tick, the first on a topology included.  The world's
+    accepted control state holds every ball's eigendata at its own
+    positions, and is used as is when x are those positions; otherwise
+    every ball is solved again at x, in firing order, so the first
+    flexible ball raises the error the engine would raise for it.
     """
     fw, params, state = world.framework, world.params, world.accepted
     e = fw.graph.edge_array()
@@ -441,27 +449,21 @@ def tick_velocity(world, positions):
     """One tick's velocity commands from believed positions, and its round log.
 
     The first tick on a topology (a Graph with the frozen extents) runs the
-    message engine, with its non-edge and 2 * eta checks, and keeps its
-    schedule on the Graph beside the topology's BallSet.  Later ticks on
-    the same topology replay that schedule: each ball's payloads come from
-    its members' positions alone and are summed in the recorded delivery
-    order, so the commands equal the engine's bit for bit, and the
-    recorded round log is returned.
+    message engine with placeholder payloads: routing only, with its
+    non-edge and 2 * eta checks.  Its schedule is kept on the Graph beside
+    the topology's BallSet.  Every tick, the first included, replays that
+    schedule: each ball's payloads come from its members' positions alone
+    and are summed in the recorded delivery order, so the commands equal
+    the engine's bit for bit, and the recorded round log is returned.
     """
     fw = world.framework
-    engine = []
 
     def compile_exchange(graph):
-        engine.append(run_exchange_phase(fw, world.extents, world.params,
-                                         positions=positions))
-        return ExchangeSchedule.record(*engine[0])
+        return ExchangeSchedule.record(*run_exchange_phase(
+            fw, world.extents, world.params, payloads=_placeholders))
 
     schedule = fw.graph.cached("exchange_schedule", world.extents.tobytes(),
                                compile_exchange)
-    if engine:
-        contributions, log = engine[0]
-        return _command_from_exchange(positions, fw.graph.edge_array(),
-                                      world.params, contributions), log
     return _replay(schedule, world, positions), schedule.log
 
 

@@ -162,15 +162,18 @@ class BallSet:
     """What a graph and the frozen extents fix for every node's ball.
 
     c[j, i] = max(0, h_j - g_ji) is node i's load coefficient for center j
-    and coeff its column sums; balls are the index-mask balls in center
-    order, stack lays them end to end in that order, and layouts assemble
-    their S group by group of consecutive balls.  Nothing here depends on
+    and coeff its column sums; ttl[i] is the widest extent among the
+    centers whose balls hold node i, so a flood from i that many hops deep
+    reaches all of them.  balls are the index-mask balls in center order,
+    stack lays them end to end in that order, and layouts assemble their S
+    group by group of consecutive balls.  Nothing here depends on
     positions, and every array is read-only.
     """
 
     table: GeodesicTable
     c: np.ndarray
     coeff: np.ndarray
+    ttl: np.ndarray
     balls: tuple
     stack: BallStack
     layouts: tuple
@@ -190,14 +193,16 @@ def _build_ball_set(extents, d):
         layouts = stack_layouts(stack, d)
         c = np.maximum(0.0, extents[:, None] - table.dist)
         coeff = c.sum(axis=0)
-        arrays = [c, coeff, *vars(stack).values()]
+        ttl = np.where(table.dist <= extents[:, None], extents[:, None],
+                       0).max(axis=0)
+        arrays = [c, coeff, ttl, *vars(stack).values()]
         for layout in layouts:
             arrays += [layout.sides, layout.edge, layout.index]
         for b in balls:
             arrays += [b.nodes, b.local, b.edge_idx]
         for a in arrays:
             a.setflags(write=False)
-        return BallSet(table, c, coeff, balls, stack, layouts)
+        return BallSet(table, c, coeff, ttl, balls, stack, layouts)
     return build
 
 

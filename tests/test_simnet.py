@@ -406,7 +406,33 @@ def test_worlds_sharing_a_graph_share_its_schedule(monkeypatch):
     assert ticks_seen == [(fw.graph, 0)]
 
 
-def test_replay_fails_like_the_engine_on_a_flexible_ball():
+def test_first_tick_on_ground_truth_solves_no_ball(monkeypatch):
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    calls = []
+
+    def counted(name):
+        original = getattr(simnet, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("ball_spectrum", "run_exchange_phase"):
+            patch.setattr(simnet, name, counted(name))
+        u, _ = simnet.tick_velocity(world, world.framework.positions)
+    # the engine compiled the routing without payloads, and the replay
+    # reused the eigendata of the accepted control state
+    assert calls == ["run_exchange_phase"]
+    u_engine, _ = decentralized_velocity(fw, world.extents, params)
+    assert u.tobytes() == u_engine.tobytes()
+
+
+def flexible_ball_world():
+    """A world, and a placement of its robots where no ball is rigid."""
     fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
     params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
     h = build_control_state(fw, params).extents
@@ -419,13 +445,31 @@ def test_replay_fails_like_the_engine_on_a_flexible_ball():
                                       for a, b in fw.graph.edges]),
                    fw.positions[old])
     world = make_world(fw, params, WorldConfig(use_estimates=False))
-    simnet.tick_velocity(world, fw.positions)
     # distinct points on one line: no ball of the plane can be rigid there
     line = np.column_stack([np.arange(fw.graph.n, dtype=float),
                             np.zeros(fw.graph.n)])
+    return world, line
+
+
+def assert_fails_like_the_engine(world, positions):
     with pytest.raises(RigidityLostError) as engine:
-        decentralized_velocity(fw, world.extents, params, positions=line)
+        decentralized_velocity(world.framework, world.extents, world.params,
+                               positions=positions)
     with pytest.raises(RigidityLostError) as replay:
-        simnet.tick_velocity(world, line)
+        simnet.tick_velocity(world, positions)
     assert str(replay.value) == str(engine.value)
     assert str(engine.value) != "subframework of node 0 is not rigid"
+
+
+def test_replay_fails_like_the_engine_on_a_flexible_ball():
+    world, line = flexible_ball_world()
+    simnet.tick_velocity(world, world.framework.positions)
+    assert_fails_like_the_engine(world, line)
+
+
+def test_first_tick_fails_like_the_engine_on_a_flexible_ball():
+    world, line = flexible_ball_world()
+    assert_fails_like_the_engine(world, line)
+    # the failed tick still compiled the routing, which the next tick reuses
+    u, log = simnet.tick_velocity(world, world.framework.positions)
+    assert log.completion_round <= 2 * int(world.extents.max())
