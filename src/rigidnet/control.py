@@ -72,13 +72,8 @@ class ControlParams:
             raise ValueError("gains must be non-negative")
 
 
-def edge_weight(xi, xj, comm_range, steepness):
-    """Logistic link weight: 1/2 at the communication range, ~1 well inside it."""
-    dist = float(np.linalg.norm(np.asarray(xi, float) - np.asarray(xj, float)))
-    return float(_logistic(np.array([dist]), comm_range, steepness)[0])
-
-
 def _logistic(lengths, comm_range, steepness):
+    """Logistic link weights: 1/2 at the communication range, ~1 well inside it."""
     return expit(steepness * (comm_range - lengths))
 
 

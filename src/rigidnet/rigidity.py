@@ -81,12 +81,6 @@ class Framework:
     def n(self):
         return self.graph.n
 
-    def with_positions(self, positions):
-        return Framework(self.graph, positions, self.dim)
-
-    def with_graph(self, graph):
-        return Framework(graph, self.positions, self.dim)
-
     def edge_lengths(self):
         e = self.graph.edge_array()
         return np.linalg.norm(self.positions[e[:, 0]] - self.positions[e[:, 1]], axis=1)
@@ -297,12 +291,6 @@ def rigidity_spectrum(S, d, tol=REL_TOL, vectors=True):
 def framework_spectrum(fw, tol=REL_TOL, vectors=True):
     """Spectrum of a whole framework's unweighted S."""
     return rigidity_spectrum(framework_gram(fw), fw.dim, tol, vectors)
-
-
-def rigidity_eigenpair(S, d):
-    """Rigidity eigenvalue (the (f+1)-th smallest of S) and its unit eigenvector."""
-    spectrum = rigidity_spectrum(S, d)
-    return spectrum.rho, spectrum.nu
 
 
 @dataclass(eq=False)

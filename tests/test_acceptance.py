@@ -40,10 +40,10 @@ from rigidnet import (
     network_record,
     reference_control_config,
     rigid_body_dim,
-    rigidity_eigenpair,
     rigidity_gradient_all,
     rigidity_matrix,
     rigidity_potential,
+    rigidity_spectrum,
     run_control_experiment,
     run_ensemble_experiment,
     run_exchange_phase,
@@ -92,7 +92,7 @@ def test_eigenvalue_never_exceeds_diameter_bound():
         g = random_connected_graph(rng, n, p=rng.uniform(0.15, 0.6))
         fw = Framework(g, rng.uniform(0.0, 10.0, size=(n, 2)))
         R = rigidity_matrix(fw)
-        rho, _ = rigidity_eigenpair(R.T @ R, 2)
+        rho = rigidity_spectrum(R.T @ R, 2).rho
         bound = diameter_eigenvalue_bound(len(g.edges), diameter(g))
         if rho > bound:
             violations += 1

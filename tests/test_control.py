@@ -14,7 +14,6 @@ from rigidnet.control import (
     collision_gradient_all,
     collision_potential,
     control_step,
-    edge_weight,
     guarded_refresh,
     load_gradient_all,
     load_potential,
@@ -60,16 +59,15 @@ def fd_state(rng, n=8, dim=2):
 
 class TestEdgeWeight:
     def test_half_at_range(self):
-        assert edge_weight([0.0, 0.0], [2.0, 0.0], 2.0, 0.5) == pytest.approx(0.5)
+        assert control._logistic(2.0, 2.0, 0.5) == pytest.approx(0.5)
 
     def test_frozen_value(self):
-        w = edge_weight([0.0, 0.0], [30.0, 0.0], 40.0, 0.5)
+        w = control._logistic(30.0, 40.0, 0.5)
         assert w == pytest.approx(1.0 / (1.0 + np.exp(-5.0)), rel=1e-12)
 
     def test_decreasing_in_distance(self):
-        dists = np.linspace(0.1, 6.0, 40)
-        ws = [edge_weight([0.0, 0.0], [t, 0.0], 3.0, 0.8) for t in dists]
-        assert all(a > b for a, b in zip(ws, ws[1:]))
+        ws = control._logistic(np.linspace(0.1, 6.0, 40), 3.0, 0.8)
+        assert (np.diff(ws) < 0).all()
         assert 0.0 < ws[-1] < ws[0] < 1.0
 
 
