@@ -470,6 +470,3 @@ def test_replay_fails_like_the_engine_on_a_flexible_ball():
 def test_first_tick_fails_like_the_engine_on_a_flexible_ball():
     world, line = flexible_ball_world()
     assert_fails_like_the_engine(world, line)
-    # the failed tick still compiled the routing, which the next tick reuses
-    u, log = simnet.tick_velocity(world, world.framework.positions)
-    assert log.completion_round <= 2 * int(world.extents.max())
