@@ -33,7 +33,6 @@ from .rigidity import REL_TOL, CoincidentNodesError, Framework, edge_unit_vector
 from .subframeworks import (
     BallSet,
     ExtentAssignment,
-    SubframeworkState,
     ball_set,
     ball_spectrum,
     extent_assignment,
@@ -83,7 +82,9 @@ class ControlState:
 
     ball_set (with the geodesic table and the load coefficients c and
     coeff) is the graph's own and shared, read-only, by every state on that
-    graph; subs and the edge geometry belong to this state.
+    graph; the edge geometry and spectra belong to this state.  spectra
+    holds each ball's Spectrum, in center order, or None for a ball too
+    small to test.
     """
 
     framework: Framework
@@ -94,19 +95,28 @@ class ControlState:
     weights: np.ndarray
     units: np.ndarray
     lengths: np.ndarray
-    subs: list
+    spectra: list
 
     @property
     def rhos(self):
-        return np.array([s.rho if s.rho is not None else np.nan for s in self.subs])
+        return np.array([np.nan if s is None else s.rho for s in self.spectra])
 
     def require_rigid(self):
-        for s in self.subs:
-            if not s.rigid:
+        for j, s in enumerate(self.spectra):
+            if s is None or not s.rigid:
                 raise RigidityLostError(
-                    f"subframework of node {s.center} lost rigidity "
-                    f"(rho={s.rho}) at t={self.time:.3f}"
+                    f"subframework of node {j} lost rigidity "
+                    f"(rho={None if s is None else s.rho}) at t={self.time:.3f}"
                 )
+
+    def rigidity_slopes(self):
+        """ball_rigidity_slopes of every ball, one row per stack row; every
+        ball must have a spectrum."""
+        return ball_rigidity_slopes(
+            self.ball_set.stack, [s.rho for s in self.spectra],
+            np.concatenate([s.nu for s in self.spectra]).reshape(
+                -1, self.framework.dim),
+            self.units, self.lengths, self.weights, self.params)
 
 
 def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
@@ -135,26 +145,16 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     weights = _logistic(lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
-    subs = []
-    degenerate = 0
-    for ball, S in zip(balls.balls, balls.grams(units, weights)):
-        sub = SubframeworkState(ball.center, ball.nodes, ball.local,
-                                ball.edge_idx)
-        subs.append(sub)
-        spectrum = ball_spectrum(S, fw.dim, params.eig_tol)
-        if spectrum is None:
-            continue
-        sub.rho, sub.lam_max, sub.gap = spectrum.rho, spectrum.lam_max, spectrum.gap
-        sub.nu = spectrum.nu.reshape(-1, fw.dim)
-        sub.rigid, sub.degenerate = spectrum.rigid, spectrum.degenerate
-        degenerate += sub.degenerate
+    spectra = [ball_spectrum(S, fw.dim, params.eig_tol)
+               for S in balls.grams(units, weights)]
+    degenerate = sum(s is not None and s.degenerate for s in spectra)
     if degenerate:
         logger.debug(
             "%d subframeworks have near-multiple rigidity eigenvalues at t=%.3f; "
             "their eigenvectors only give descent subgradients", degenerate, time
         )
     state = ControlState(fw, params, extents, time, balls, weights, units,
-                         lengths, subs)
+                         lengths, spectra)
     if require_rigid:
         state.require_rigid()
     return state
@@ -177,7 +177,7 @@ def rigidity_potential(state, positions=None):
     test or is too small to take it.
     """
     units, _, weights = _eval_geometry(state, positions)
-    rhos = np.empty(len(state.subs))
+    rhos = np.empty(len(state.spectra))
     for k, S in enumerate(state.ball_set.grams(units, weights)):
         spectrum = ball_spectrum(S, state.framework.dim, state.params.eig_tol,
                                  vectors=False)
@@ -270,13 +270,8 @@ def rigidity_gradient_all(state):
     by center as each center's payloads arrive at its members."""
     n, d = state.framework.n, state.framework.dim
     state.require_rigid()
-    stack = state.ball_set.stack
-    slopes = ball_rigidity_slopes(
-        stack, [s.rho for s in state.subs],
-        np.concatenate([s.nu for s in state.subs]), state.units,
-        state.lengths, state.weights, state.params)
     grad = np.zeros((n, d))
-    np.add.at(grad, stack.nodes, slopes)
+    np.add.at(grad, state.ball_set.stack.nodes, state.rigidity_slopes())
     return grad
 
 
@@ -362,7 +357,8 @@ def _state_if_rigid(graph, positions, params, extents, time):
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
-    return state if all(s.rigid for s in state.subs) else None
+    return state if all(s is not None and s.rigid
+                        for s in state.spectra) else None
 
 
 def guarded_refresh(graph, positions, params, extents, time=0.0):
@@ -396,28 +392,3 @@ def guarded_refresh(graph, positions, params, extents, time=0.0):
             admitted, state = trial, t_state
     return admitted, state
 
-
-def control_step(state, params=None):
-    """Advance one step: move along the descent field, then refresh the structure.
-
-    A tentative step is judged on the topology it would commit.  It is
-    rejected and retried with half the step size while any ball's eigenvalue
-    would cross the zero threshold; running out of retries raises.  The
-    returned state has refreshed geometry, topology and eigendata but carries
-    the extents through unchanged.
-    """
-    p = state.params if params is None else params
-    x = state.framework.positions
-    u = velocity_field(state)
-    dt = p.dt
-    for _ in range(p.max_step_retries + 1):
-        x_new = x + dt * u
-        _, new_state = guarded_refresh(state.framework.graph, x_new, p,
-                                       state.extents, state.time + dt)
-        if new_state is not None:
-            return new_state
-        dt *= 0.5
-    raise RigidityLostError(
-        f"no acceptable step size after {p.max_step_retries} halvings "
-        f"at t={state.time:.3f}"
-    )

@@ -57,20 +57,8 @@ class Graph:
     def neighbors(self, i):
         return self._adj[i]
 
-    def degree(self, i):
-        return len(self._adj[i])
-
     def degrees(self):
         return np.array([len(a) for a in self._adj], dtype=np.intp)
-
-    def has_edge(self, i, j):
-        e = (i, j) if i < j else (j, i)
-        return e in self._edge_set()
-
-    def _edge_set(self):
-        if not hasattr(self, "_eset"):
-            self._eset = frozenset(self.edges)
-        return self._eset
 
     def edge_array(self):
         """m x 2 integer array of edges in lexicographic order."""

@@ -333,12 +333,13 @@ def rigidity_report(fw, weights=None, tol=REL_TOL):
                           spectrum.tol_abs)
 
 
-def is_infinitesimally_rigid(fw, tol=REL_TOL, cross_check=True):
+def is_infinitesimally_rigid(fw, tol=REL_TOL):
     """True iff every zero-strain velocity field is a rigid-body motion.
 
     Disconnected frameworks are reported as not rigid rather than erroring;
     frameworks with n <= d are rejected because the trivial-motion dimension
-    assumption behind the lambda_{f+1} test breaks down there.
+    assumption behind the lambda_{f+1} test breaks down there.  The verdict
+    is rigidity_report's, so the rank of R cross-checks the eigenvalue test.
     """
     if fw.n <= fw.dim:
         raise FrameworkTooSmallError(
@@ -347,9 +348,7 @@ def is_infinitesimally_rigid(fw, tol=REL_TOL, cross_check=True):
         )
     if not is_connected(fw.graph):
         return False
-    if cross_check:
-        return rigidity_report(fw, tol=tol).rigid
-    return framework_spectrum(fw, tol, vectors=False).rigid
+    return rigidity_report(fw, tol=tol).rigid
 
 
 def diameter_eigenvalue_bound(m, D):

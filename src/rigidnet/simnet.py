@@ -13,10 +13,11 @@ the exchange asserts as a hard bound.
 Static protocol tables (ball membership, flood ttl) derive from the frozen
 extents; the engine reads them from the topology's BallSet.  A running
 system would need a bootstrap protocol to distribute them, which is out of
-scope here.  Dynamic data (positions, gradient contributions, estimates)
-moves only through messages, and the engine checks every hop against the
-edge set.  Messages are validated tuples, and each round processes a node's
-inbox in (origin, sender) order.
+scope here.  Dynamic data (positions, gradient contributions) moves only
+through messages, and the engine checks every hop against the edge set;
+the filters' one-hop estimate broadcast runs outside the engine.  Messages
+are validated tuples, and each round processes a node's inbox in
+(origin, sender) order.
 
 Routing depends on the topology alone: the edge set and the frozen extents
 fix every flood path, every return route, the centers' firing order and
@@ -32,7 +33,8 @@ center's payloads are computed from its ball members' positions only and
 summed in the recorded delivery order, which gives the engine's commands
 bit for bit.  On ground truth the guard's accepted control state already
 holds every ball's eigendata at these positions, so the replay solves
-nothing.  run_exchange_phase with its default payloads, and
+nothing; on believed positions it builds one control state there.
+run_exchange_phase with its default payloads, and
 decentralized_velocity, run the engine with real payloads and are the
 replay's oracle.
 """
@@ -77,14 +79,13 @@ from .subframeworks import (
 
 POSITION_FLOOD = "position_flood"
 GRADIENT_RETURN = "gradient_return"
-ESTIMATE_BROADCAST = "estimate_broadcast"
 
 
 class ProtocolViolation(RuntimeError):
     """A message crossed a non-edge or the exchange missed its round bound."""
 
 
-KINDS = (POSITION_FLOOD, GRADIENT_RETURN, ESTIMATE_BROADCAST)
+KINDS = (POSITION_FLOOD, GRADIENT_RETURN)
 
 
 class Message(namedtuple("Message", "origin kind ttl path payload target route",
@@ -111,9 +112,12 @@ class Message(namedtuple("Message", "origin kind ttl path payload target route",
 
 @dataclass
 class RoundLog:
-    """Audit trail of one exchange: traffic per round and delivery rounds."""
+    """Audit trail of one exchange: traffic per round and delivery rounds.
 
-    inbox_sizes: list = field(default_factory=list)
+    Every message sent in a round arrives in that round, so outbox_sizes
+    counts each round's deliveries as well as its sends.
+    """
+
     outbox_sizes: list = field(default_factory=list)
     pair_round: dict = field(default_factory=dict)
     expected_pairs: frozenset = frozenset()
@@ -121,7 +125,7 @@ class RoundLog:
 
     @property
     def rounds(self):
-        return len(self.inbox_sizes)
+        return len(self.outbox_sizes)
 
     @property
     def complete(self):
@@ -285,8 +289,6 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
                 if trace is not None:
                     _trace_line(trace, round_index, msg)
         log.outbox_sizes.append(sent)
-        # every message sent in a round arrives in that round
-        log.inbox_sizes.append(sent)
         outbox = [[] for _ in range(n)]
 
         ready = []
@@ -328,16 +330,15 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
 
 
 def broadcast_estimates(fw, estimates):
-    """One-hop estimate exchange; returns per-node dict neighbor -> estimate."""
-    n = fw.graph.n
-    adj = [set(int(j) for j in fw.graph.neighbors(i)) for i in range(n)]
+    """One-hop estimate exchange: per node, its neighbors' estimate rows in
+    graph.neighbors order.
+
+    Each robot hears every neighbor's estimate once a tick.  This exchange
+    runs outside the message engine, so it adds to no round or message
+    count.
+    """
     est = np.asarray(estimates, dtype=float)
-    inbox = [{} for _ in range(n)]
-    for i in range(n):
-        for j in sorted(adj[i]):
-            _check_edge(adj, i, j)
-            inbox[j][i] = est[i].copy()
-    return inbox
+    return [est[fw.graph.neighbors(i)] for i in range(fw.graph.n)]
 
 
 def _command(x, edge_endpoints, params, members, rigidity_slopes,
@@ -414,32 +415,29 @@ class ExchangeSchedule:
 
 
 def _replay(schedule, world, x):
-    """The exchange's velocity commands, from each ball's own eigendata.
+    """The exchange's velocity commands, from a control state's eigendata.
 
     Used on every tick, the first on a topology included.  The world's
     accepted control state holds every ball's eigendata at its own
     positions, and is used as is when x are those positions; otherwise
-    every ball is solved again at x, in firing order, so the first
-    flexible ball raises the error the engine would raise for it.
+    one control state is built at x and its balls are checked in firing
+    order, so the first flexible ball raises the error the engine would
+    raise for it.
     """
     fw, params, state = world.framework, world.params, world.accepted
-    e = fw.graph.edge_array()
-    balls = ball_set(fw.graph, world.extents, fw.dim)
-    if state is not None and x is state.framework.positions:
-        units, lengths, weights = state.units, state.lengths, state.weights
-        eigen = [(sub.rho, sub.nu) for sub in state.subs]
-    else:
-        units, lengths = edge_unit_vectors(x, e)
-        weights = _logistic(lengths, params.comm_range, params.steepness)
-        grams = balls.grams(units, weights)
-        eigen = [None] * len(grams)
+    if state is None or x is not state.framework.positions:
+        state = build_control_state(Framework(fw.graph, x), params,
+                                    world.extents, require_rigid=False)
         for j in schedule.fire_order:
-            eigen[j] = _ball_eigen(grams[j], fw.dim, j, params)
-    rigidity = ball_rigidity_slopes(
-        balls.stack, [rho for rho, _ in eigen],
-        np.concatenate([nu for _, nu in eigen]), units, lengths, weights,
-        params)
-    load = ball_load_slopes(balls.stack, balls.c, e, units, weights, params)
+            s = state.spectra[j]
+            if s is None or not s.rigid:
+                raise RigidityLostError(
+                    f"subframework of node {j} is not rigid")
+    e = fw.graph.edge_array()
+    balls = state.ball_set
+    rigidity = state.rigidity_slopes()
+    load = ball_load_slopes(balls.stack, balls.c, e, state.units,
+                            state.weights, params)
     rows = schedule.rows
     return _command(x, e, params, schedule.members, rigidity[rows],
                     load[rows])
@@ -560,11 +558,12 @@ def step_simulation(world):
     updates, gradient exchange on the positions the robots believe, true
     motion under the summed commands with step halving against rigidity
     loss, covariance inflation for the motion, then the topology refresh.
+    This is the library's one step loop: the controller steps only here.
     """
     fw = world.framework
     params = world.params
     cfg = world.config
-    n, d = fw.positions.shape
+    n = fw.graph.n
 
     if cfg.use_estimates:
         est = np.array([f.estimate for f in world.filters])
@@ -577,10 +576,9 @@ def step_simulation(world):
             measured[(a, b)] = dist
         new_filters = []
         for i in range(n):
-            nbrs = sorted(neighbor_est[i])
-            z = np.array([measured[(min(i, j), max(i, j))] for j in nbrs])
-            nb = np.array([neighbor_est[i][j] for j in nbrs]).reshape(-1, d)
-            f = filter_update(world.filters[i], z, nb)
+            z = np.array([measured[(min(i, j), max(i, j))]
+                          for j in fw.graph.neighbors(i).tolist()])
+            f = filter_update(world.filters[i], z, neighbor_est[i])
             if f.is_anchor:
                 f = anchor_update(f, fw.positions[i])
             new_filters.append(f)

@@ -80,18 +80,6 @@ class Ball:
         return cls(center, nodes, local, edge_idx)
 
 
-@dataclass
-class SubframeworkState(Ball):
-    """A ball with its eigendata at one control state's positions."""
-
-    rho: float = None
-    nu: np.ndarray = None
-    lam_max: float = 0.0
-    gap: float = np.inf
-    rigid: bool = False
-    degenerate: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class BallStack:
     """Balls laid end to end, one row per member of each ball.

@@ -177,7 +177,7 @@ def _gap_filtered_state(rng, n=8):
         state = build_control_state(fw, params)
     except RigidityLostError:
         return None
-    if any(s.gap < 1e-4 * max(s.lam_max, 1e-12) for s in state.subs):
+    if any(s.gap < 1e-4 * max(s.lam_max, 1e-12) for s in state.spectra):
         return None
     return state
 

