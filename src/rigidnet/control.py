@@ -17,9 +17,11 @@ and collision_gradient_all, and velocity_field adds them up.
 A state build takes everything the topology fixes (hop counts, balls and
 their stack, load coefficients, the layout of the balls' S) from the
 BallSet kept on its Graph, and refresh_topology hands back the very Graph
-it was given while the edge set holds.  So on an unchanged topology a
-build only evaluates the edge geometry, assembles the balls' S by d x d
-blocks, a bincount per group of balls, and solves each ball once.
+it was given while the edge set holds.  The edge unit vectors and
+lengths are the Framework's, measured once when it was built.  So on an
+unchanged topology a build reads the edge geometry from its framework,
+evaluates the link weights, assembles the balls' S by d x d blocks, a
+bincount per group of balls, and solves each ball once.
 """
 
 import logging
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import Graph
-from .rigidity import REL_TOL, CoincidentNodesError, Framework, edge_unit_vectors
+from .rigidity import REL_TOL, CoincidentNodesError, Framework
 from .subframeworks import (
     BallSet,
     ExtentAssignment,
@@ -82,9 +84,9 @@ class ControlState:
 
     ball_set (with the geodesic table and the load coefficients c and
     coeff) is the graph's own and shared, read-only, by every state on that
-    graph; the edge geometry and spectra belong to this state.  spectra
-    holds each ball's Spectrum, in center order, or None for a ball too
-    small to test.
+    graph; the edge unit vectors and lengths are the framework's, and the
+    link weights and spectra belong to this state.  spectra holds each
+    ball's Spectrum, in center order, or None for a ball too small to test.
     """
 
     framework: Framework
@@ -93,8 +95,6 @@ class ControlState:
     time: float
     ball_set: BallSet
     weights: np.ndarray
-    units: np.ndarray
-    lengths: np.ndarray
     spectra: list
 
     @property
@@ -112,11 +112,11 @@ class ControlState:
     def rigidity_slopes(self):
         """ball_rigidity_slopes of every ball, one row per stack row; every
         ball must have a spectrum."""
+        fw = self.framework
         return ball_rigidity_slopes(
             self.ball_set.stack, [s.rho for s in self.spectra],
-            np.concatenate([s.nu for s in self.spectra]).reshape(
-                -1, self.framework.dim),
-            self.units, self.lengths, self.weights, self.params)
+            np.concatenate([s.nu for s in self.spectra]).reshape(-1, fw.dim),
+            fw.units, fw.lengths, self.weights, self.params)
 
 
 def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
@@ -137,37 +137,31 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     if extents.shape != (fw.n,) or (extents < 1).any():
         raise ValueError("extents must be one positive radius per node")
 
-    e = fw.graph.edge_array()
-    if len(e):
-        units, lengths = edge_unit_vectors(fw.positions, e)
-    else:
-        units, lengths = np.zeros((0, fw.dim)), np.zeros(0)
-    weights = _logistic(lengths, params.comm_range, params.steepness)
+    weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
     spectra = [ball_spectrum(S, fw.dim, params.eig_tol)
-               for S in balls.grams(units, weights)]
+               for S in balls.grams(fw.units, weights)]
     degenerate = sum(s is not None and s.degenerate for s in spectra)
     if degenerate:
         logger.debug(
             "%d subframeworks have near-multiple rigidity eigenvalues at t=%.3f; "
             "their eigenvectors only give descent subgradients", degenerate, time
         )
-    state = ControlState(fw, params, extents, time, balls, weights, units,
-                         lengths, spectra)
+    state = ControlState(fw, params, extents, time, balls, weights, spectra)
     if require_rigid:
         state.require_rigid()
     return state
 
 
 def _eval_geometry(state, positions):
-    """Lengths, units and weights of the frozen edge set at shifted positions."""
-    e = state.framework.graph.edge_array()
+    """The frozen edge set's framework and link weights at shifted positions."""
     if positions is None:
-        return state.units, state.lengths, state.weights
-    units, lengths = edge_unit_vectors(np.asarray(positions, float), e)
-    weights = _logistic(lengths, state.params.comm_range, state.params.steepness)
-    return units, lengths, weights
+        return state.framework, state.weights
+    fw = Framework(state.framework.graph, positions)
+    weights = _logistic(fw.lengths, state.params.comm_range,
+                        state.params.steepness)
+    return fw, weights
 
 
 def rigidity_potential(state, positions=None):
@@ -176,9 +170,9 @@ def rigidity_potential(state, positions=None):
     Blows up as any ball softens, and raises once one fails the eigenvalue
     test or is too small to take it.
     """
-    units, _, weights = _eval_geometry(state, positions)
+    fw, weights = _eval_geometry(state, positions)
     rhos = np.empty(len(state.spectra))
-    for k, S in enumerate(state.ball_set.grams(units, weights)):
+    for k, S in enumerate(state.ball_set.grams(fw.units, weights)):
         spectrum = ball_spectrum(S, state.framework.dim, state.params.eig_tol,
                                  vectors=False)
         if spectrum is None or not spectrum.rigid:
@@ -190,7 +184,7 @@ def rigidity_potential(state, positions=None):
 
 def load_potential(state, positions=None):
     """Weighted communication load with the ball coefficients held frozen."""
-    _, _, weights = _eval_geometry(state, positions)
+    _, weights = _eval_geometry(state, positions)
     e = state.framework.graph.edge_array()
     delta = np.zeros(state.framework.n)
     np.add.at(delta, e[:, 0], weights)
@@ -200,12 +194,9 @@ def load_potential(state, positions=None):
 
 def collision_potential(fw, positions=None, exponent=2.0):
     """Inverse-power barrier over adjacent pairs only."""
-    e = fw.graph.edge_array()
-    x = fw.positions if positions is None else np.asarray(positions, float)
-    if len(e) == 0:
-        return 0.0
-    _, lengths = edge_unit_vectors(x, e)
-    return float((lengths ** -exponent).sum())
+    if positions is not None:
+        fw = Framework(fw.graph, positions)
+    return float((fw.lengths ** -exponent).sum())
 
 
 def _edge_sums(n, ends, g):
@@ -277,29 +268,26 @@ def rigidity_gradient_all(state):
 
 def load_gradient_all(state):
     """d/dx of the load potential with the ball coefficients held frozen."""
-    n, d = state.framework.n, state.framework.dim
-    p = state.params
-    e = state.framework.graph.edge_array()
-    grad = np.zeros((n, d))
-    if len(e):
-        pair = state.ball_set.coeff[e[:, 0]] + state.ball_set.coeff[e[:, 1]]
-        dw = -p.steepness * state.weights * (1.0 - state.weights)
-        ga = (pair * dw)[:, None] * state.units
-        np.add.at(grad, e[:, 0], ga)
-        np.add.at(grad, e[:, 1], -ga)
+    fw, p = state.framework, state.params
+    e = fw.graph.edge_array()
+    grad = np.zeros((fw.n, fw.dim))
+    pair = state.ball_set.coeff[e[:, 0]] + state.ball_set.coeff[e[:, 1]]
+    dw = -p.steepness * state.weights * (1.0 - state.weights)
+    ga = (pair * dw)[:, None] * fw.units
+    np.add.at(grad, e[:, 0], ga)
+    np.add.at(grad, e[:, 1], -ga)
     return grad
 
 
 def collision_gradient_all(state):
     """d/dx of the collision barrier."""
-    n, d = state.framework.n, state.framework.dim
+    fw = state.framework
     p = state.params.collision_exponent
-    e = state.framework.graph.edge_array()
-    grad = np.zeros((n, d))
-    if len(e):
-        ga = (-p * state.lengths ** -(p + 1.0))[:, None] * state.units
-        np.add.at(grad, e[:, 0], ga)
-        np.add.at(grad, e[:, 1], -ga)
+    e = fw.graph.edge_array()
+    grad = np.zeros((fw.n, fw.dim))
+    ga = (-p * fw.lengths ** -(p + 1.0))[:, None] * fw.units
+    np.add.at(grad, e[:, 0], ga)
+    np.add.at(grad, e[:, 1], -ga)
     return grad
 
 

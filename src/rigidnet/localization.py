@@ -40,19 +40,8 @@ class FilterState:
             raise ValueError("range variance must be positive")
 
 
-def predict_ranges(estimate, neighbor_estimates):
-    """Expected range to each neighbor estimate, in the given neighbor order."""
-    x = np.asarray(estimate, dtype=float)
-    nb = np.asarray(neighbor_estimates, dtype=float).reshape(-1, len(x))
-    r = np.linalg.norm(x[None, :] - nb, axis=1)
-    if (r < 1e-12).any():
-        raise CoincidentEstimatesError(
-            "coincident estimates make the range model singular")
-    return r
-
-
-def range_jacobian(estimate, neighbor_estimates):
-    """Unit-row jacobian of the predicted ranges with respect to own position."""
+def _range_model(estimate, neighbor_estimates):
+    """Predicted ranges to the neighbor estimates and their unit-row jacobian."""
     x = np.asarray(estimate, dtype=float)
     nb = np.asarray(neighbor_estimates, dtype=float).reshape(-1, len(x))
     diff = x[None, :] - nb
@@ -60,7 +49,17 @@ def range_jacobian(estimate, neighbor_estimates):
     if (r < 1e-12).any():
         raise CoincidentEstimatesError(
             "coincident estimates make the range model singular")
-    return diff / r[:, None]
+    return r, diff / r[:, None]
+
+
+def predict_ranges(estimate, neighbor_estimates):
+    """Expected range to each neighbor estimate, in the given neighbor order."""
+    return _range_model(estimate, neighbor_estimates)[0]
+
+
+def range_jacobian(estimate, neighbor_estimates):
+    """Unit-row jacobian of the predicted ranges with respect to own position."""
+    return _range_model(estimate, neighbor_estimates)[1]
 
 
 def filter_update(state, measurements, neighbor_estimates,
@@ -84,10 +83,9 @@ def filter_update(state, measurements, neighbor_estimates,
             state.estimate.copy(), state.covariance.copy(),
             state.range_variance, state.is_anchor,
         )
-    zh = predict_ranges(state.estimate, neighbor_estimates)
+    zh, F = _range_model(state.estimate, neighbor_estimates)
     if z.shape != zh.shape:
         raise ValueError(f"got {z.shape} measurements for {zh.shape} neighbors")
-    F = range_jacobian(state.estimate, neighbor_estimates)
     P = state.covariance
     A = F @ P
     S = A @ F.T + state.range_variance * np.eye(len(z))

@@ -1,6 +1,8 @@
 """Rigidity matrices, eigenvalue tests and the diameter-based eigenvalue bound.
 
 A framework is a graph together with a d-dimensional realization (d = 2 or 3).
+It measures its edges once, when it is built, and every rigidity matrix, S,
+gradient and metric in the library reads its unit vectors r_ij and lengths.
 Infinitesimal rigidity is tested two ways: the rank of the rigidity matrix R
 must equal d*n - f, and the (f+1)-th smallest eigenvalue of S = R^T W R must
 be positive, where f = d(d+1)/2 counts the rigid-body degrees of freedom.
@@ -51,10 +53,17 @@ def rigid_body_dim(d):
 
 
 class Framework:
-    """A graph realized by positions in the plane or in space."""
+    """A graph realized by positions in the plane or in space.
+
+    The construction measures every edge once and keeps what it measured:
+    units holds r_ij = (x_i - x_j)/|x_i - x_j| and lengths |x_i - x_j|, one
+    row per edge in edge_array order.  positions is the framework's own
+    copy, and positions, units and lengths are read-only, so the edge
+    geometry always matches the positions.
+    """
 
     def __init__(self, graph, positions, dim=None):
-        positions = np.asarray(positions, dtype=float)
+        positions = np.array(positions, dtype=float)
         if positions.ndim != 2:
             raise ValueError("positions must be an n x d array")
         if dim is None:
@@ -67,42 +76,35 @@ class Framework:
                 f"(n={graph.n}, d={dim})"
             )
         e = graph.edge_array()
-        if len(e):
-            lengths = np.linalg.norm(positions[e[:, 0]] - positions[e[:, 1]], axis=1)
-            if (lengths < _COINCIDENT).any():
-                k = int(np.argmin(lengths))
-                raise CoincidentNodesError(
-                    f"coincident adjacent nodes on edge {graph.edges[k]}")
+        diff = positions[e[:, 0]] - positions[e[:, 1]]
+        lengths = np.linalg.norm(diff, axis=1)
+        if (lengths < _COINCIDENT).any():
+            k = int(np.argmin(lengths))
+            raise CoincidentNodesError(
+                f"coincident adjacent nodes on edge {graph.edges[k]}")
         self.graph = graph
-        self.positions = positions
+        self.positions = _read_only(positions)
+        self.units = _read_only(diff / lengths[:, None])
+        self.lengths = _read_only(lengths)
         self.dim = dim
 
     @property
     def n(self):
         return self.graph.n
 
-    def edge_lengths(self):
-        e = self.graph.edge_array()
-        return np.linalg.norm(self.positions[e[:, 0]] - self.positions[e[:, 1]], axis=1)
 
-
-def edge_unit_vectors(positions, edge_array):
-    """Unit vectors r_ij = (x_i - x_j)/|x_i - x_j| and lengths, one row per edge."""
-    diff = positions[edge_array[:, 0]] - positions[edge_array[:, 1]]
-    lengths = np.linalg.norm(diff, axis=1)
-    if (lengths < _COINCIDENT).any():
-        raise CoincidentNodesError("coincident adjacent nodes")
-    return diff / lengths[:, None], lengths
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def rigidity_matrix(fw):
     """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j."""
     d, n, e = fw.dim, fw.n, fw.graph.edge_array()
-    units, _ = edge_unit_vectors(fw.positions, e)
     R = np.zeros((len(e), d * n))
     rows = np.arange(len(e))[:, None]
-    R[rows, e[:, 0, None] * d + np.arange(d)] = units
-    R[rows, e[:, 1, None] * d + np.arange(d)] = -units
+    R[rows, e[:, 0, None] * d + np.arange(d)] = fw.units
+    R[rows, e[:, 1, None] * d + np.arange(d)] = -fw.units
     return R
 
 
@@ -110,11 +112,8 @@ def strains(fw, u):
     """Per-edge strain r_ij . (u_i - u_j) of a stacked velocity vector."""
     u = np.asarray(u, dtype=float).reshape(fw.n, fw.dim)
     e = fw.graph.edge_array()
-    if len(e) == 0:
-        return np.zeros(0)
-    r, _ = edge_unit_vectors(fw.positions, e)
     du = u[e[:, 0]] - u[e[:, 1]]
-    return (r * du).sum(axis=1)
+    return (fw.units * du).sum(axis=1)
 
 
 def energy(fw, u):
@@ -200,18 +199,13 @@ class GramLayout:
                 for o, k in zip(starts.tolist(), self.sides.tolist())]
 
 
-def framework_gram(fw, weights=None, units=None):
-    """Block-assembled S of a whole framework, unweighted when weights is None.
-
-    units, when given, are the framework's edge unit vectors.
-    """
+def framework_gram(fw, weights=None):
+    """Block-assembled S of a whole framework, unweighted when weights is None."""
     e = fw.graph.edge_array()
-    if units is None:
-        units, _ = edge_unit_vectors(fw.positions, e)
     m = len(e)
     layout = GramLayout.of(fw.dim, [fw.n], np.arange(m), e,
                            np.zeros(m, dtype=np.intp))
-    return layout.grams(units, weights)[0]
+    return layout.grams(fw.units, weights)[0]
 
 
 def trivial_motion_basis(fw):
@@ -295,7 +289,7 @@ def framework_spectrum(fw, tol=REL_TOL, vectors=True):
 
 @dataclass(eq=False)
 class RigidityReport:
-    """Spectral rigidity summary of a framework under a given edge weighting."""
+    """Spectral rigidity summary of a framework's unweighted S, with the rank of R."""
 
     rank_R: int
     eigenvalues: np.ndarray
@@ -312,14 +306,13 @@ class RigidityReport:
                            "nu": [float(v) for v in self.nu]})
 
 
-def rigidity_report(fw, weights=None, tol=REL_TOL):
-    """Full spectrum, rank and rigidity verdict; rank and eigenvalue tests must agree."""
+def rigidity_report(fw, tol=REL_TOL):
+    """Full spectrum, rank and rigidity verdict of the unweighted S; rank and
+    eigenvalue tests must agree."""
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    if weights is not None:
-        weights = _checked_weights(weights, R.shape[0])
-    spectrum = rigidity_spectrum(framework_gram(fw, weights), d, tol)
+    spectrum = rigidity_spectrum(framework_gram(fw), d, tol)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(tol) * sv_max).sum()) if sv_max > 0 else 0

@@ -33,7 +33,10 @@ center's payloads are computed from its ball members' positions only and
 summed in the recorded delivery order, which gives the engine's commands
 bit for bit.  On ground truth the guard's accepted control state already
 holds every ball's eigendata at these positions, so the replay solves
-nothing; on believed positions it builds one control state there.
+nothing; on believed positions it builds one control state there.  The
+replay, its collision terms and the per-tick metrics read the edge unit
+vectors and lengths from the Framework at the positions they use, which
+measured them once when it was built.
 run_exchange_phase with its default payloads, and
 decentralized_velocity, run the engine with real payloads and are the
 replay's oracle.
@@ -65,10 +68,9 @@ from .localization import (
     inflate_covariance,
     make_filters,
 )
-from .rigidity import Framework, edge_unit_vectors, framework_spectrum
+from .rigidity import Framework, framework_spectrum
 from .subframeworks import (
     Ball,
-    ExtentAssignment,
     ball_grams,
     ball_set,
     ball_spectrum,
@@ -181,13 +183,12 @@ def _center_payloads(center, h, member_data, params):
     stack = stack_balls([Ball.of(e, fw.n, center, range(fw.n))], e)
     c = np.maximum(0.0, h - bfs_distances(fw.graph, local[center]))
 
-    units, lengths = edge_unit_vectors(fw.positions, e)
-    weights = _logistic(lengths, params.comm_range, params.steepness)
-    [S] = ball_grams(stack_layouts(stack, fw.dim), units, weights)
+    weights = _logistic(fw.lengths, params.comm_range, params.steepness)
+    [S] = ball_grams(stack_layouts(stack, fw.dim), fw.units, weights)
     rho, nu = _ball_eigen(S, fw.dim, center, params)
-    rigidity = ball_rigidity_slopes(stack, [rho], nu, units, lengths, weights,
-                                    params)
-    load = ball_load_slopes(stack, c[None, :], e, units, weights, params)
+    rigidity = ball_rigidity_slopes(stack, [rho], nu, fw.units, fw.lengths,
+                                    weights, params)
+    load = ball_load_slopes(stack, c[None, :], e, fw.units, weights, params)
     return {v: (rigidity[t], load[t]) for t, v in enumerate(nodes)}
 
 
@@ -196,8 +197,8 @@ def _placeholders(center, h, member_data, params):
     return dict.fromkeys(member_data)
 
 
-def run_exchange_phase(fw, extents, params, positions=None, trace=None,
-                       max_rounds=None, payloads=_center_payloads):
+def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
+                       payloads=_center_payloads):
     """Flood positions out, return per-center gradient payloads back.
 
     Returns (contributions, log) where contributions maps (center, member)
@@ -209,14 +210,9 @@ def run_exchange_phase(fw, extents, params, positions=None, trace=None,
     load_slope) vector pair.  Every contribution must land within
     2 * max extent rounds, else ProtocolViolation.
     """
-    if isinstance(extents, ExtentAssignment):
-        if not extents.complete:
-            raise ValueError("exchange needs an extent for every node")
-        h = extents.as_array()
-    else:
-        h = np.asarray(extents, dtype=int)
+    h = np.asarray(extents, dtype=int)
     n = fw.graph.n
-    x = fw.positions if positions is None else np.asarray(positions, float)
+    x = fw.positions
     nbrs = [tuple(fw.graph.neighbors(i).tolist()) for i in range(n)]
     adj = [frozenset(nb) for nb in nbrs]
 
@@ -341,37 +337,33 @@ def broadcast_estimates(fw, estimates):
     return [est[fw.graph.neighbors(i)] for i in range(fw.graph.n)]
 
 
-def _command(x, edge_endpoints, params, members, rigidity_slopes,
-             load_slopes):
+def _command(fw, params, members, rigidity_slopes, load_slopes):
     """Velocity commands from delivered slope payloads plus local collision terms.
 
+    fw is the framework at the positions the payloads were computed on.
     members[p] received the payload pair (rigidity_slopes[p], load_slopes[p]);
     each robot subtracts its payloads in delivery order, rigidity before
     load.  The collision part is assembled locally from one-hop neighbor
     positions, which the flood already delivered.
     """
-    n, d = x.shape
+    n, d = fw.n, fw.dim
     u = np.zeros((n, d))
     gains = np.empty((2 * len(members), d))
     gains[0::2] = params.k_rigidity * rigidity_slopes
     gains[1::2] = params.k_load * load_slopes
     np.subtract.at(u, np.repeat(members, 2), gains)
-    e = edge_endpoints
-    if len(e):
-        diff = x[e[:, 0]] - x[e[:, 1]]
-        lengths = np.linalg.norm(diff, axis=1)
-        p = params.collision_exponent
-        ga = (-p * lengths ** -(p + 1.0))[:, None] * (diff / lengths[:, None])
-        push = params.k_collision * ga
-        np.add.at(u, e.ravel(), np.stack([-push, push], axis=1).reshape(-1, d))
+    p = params.collision_exponent
+    ga = (-p * fw.lengths ** -(p + 1.0))[:, None] * fw.units
+    push = params.k_collision * ga
+    np.add.at(u, fw.graph.edge_array().ravel(),
+              np.stack([-push, push], axis=1).reshape(-1, d))
     return u
 
 
-def _command_from_exchange(x, edge_endpoints, params, contributions):
+def _command_from_exchange(fw, params, contributions):
     members = np.array([i for _, i in contributions], dtype=np.intp)
     payloads = np.array(list(contributions.values()))
-    return _command(x, edge_endpoints, params, members, payloads[:, 0],
-                    payloads[:, 1])
+    return _command(fw, params, members, payloads[:, 0], payloads[:, 1])
 
 
 def decentralized_velocity(fw, extents, params, positions=None):
@@ -381,10 +373,10 @@ def decentralized_velocity(fw, extents, params, positions=None):
     (see tick_velocity), and this is the oracle the replay is checked
     against.  Matches the centralized field on the same positions.
     """
-    x = fw.positions if positions is None else np.asarray(positions, float)
-    contributions, log = run_exchange_phase(fw, extents, params, positions=x)
-    return _command_from_exchange(x, fw.graph.edge_array(), params,
-                                  contributions), log
+    if positions is not None:
+        fw = Framework(fw.graph, positions)
+    contributions, log = run_exchange_phase(fw, extents, params)
+    return _command_from_exchange(fw, params, contributions), log
 
 
 @dataclass
@@ -424,23 +416,21 @@ def _replay(schedule, world, x):
     order, so the first flexible ball raises the error the engine would
     raise for it.
     """
-    fw, params, state = world.framework, world.params, world.accepted
+    params, state = world.params, world.accepted
     if state is None or x is not state.framework.positions:
-        state = build_control_state(Framework(fw.graph, x), params,
-                                    world.extents, require_rigid=False)
+        state = build_control_state(Framework(world.framework.graph, x),
+                                    params, world.extents, require_rigid=False)
         for j in schedule.fire_order:
             s = state.spectra[j]
             if s is None or not s.rigid:
                 raise RigidityLostError(
                     f"subframework of node {j} is not rigid")
-    e = fw.graph.edge_array()
-    balls = state.ball_set
+    fw, balls = state.framework, state.ball_set
     rigidity = state.rigidity_slopes()
-    load = ball_load_slopes(balls.stack, balls.c, e, state.units,
-                            state.weights, params)
+    load = ball_load_slopes(balls.stack, balls.c, fw.graph.edge_array(),
+                            fw.units, state.weights, params)
     rows = schedule.rows
-    return _command(x, e, params, schedule.members, rigidity[rows],
-                    load[rows])
+    return _command(fw, params, schedule.members, rigidity[rows], load[rows])
 
 
 def tick_velocity(world, positions):
@@ -533,9 +523,7 @@ def _append_metrics(world, state, log, framework_rho):
     rhos = state.rhos
     load = communication_load(fw.graph, world.extents, table=state.ball_set.table)
     m = len(fw.graph.edges)
-    e = fw.graph.edge_array()
-    min_dist = float(np.linalg.norm(
-        x[e[:, 0]] - x[e[:, 1]], axis=1).min()) if m else np.inf
+    min_dist = float(fw.lengths.min()) if m else np.inf
     est = np.array([f.estimate for f in world.filters])
     world.metrics.append({
         "t": world.time,

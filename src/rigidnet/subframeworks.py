@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import GeodesicTable, geodesics, induced_subgraph
-from .rigidity import (
-    REL_TOL,
-    Framework,
-    GramLayout,
-    edge_unit_vectors,
-    rigidity_spectrum,
-)
+from .rigidity import REL_TOL, Framework, GramLayout, rigidity_spectrum
 
 
 @dataclass
@@ -209,13 +203,13 @@ def ball_spectrum(S, d, tol=REL_TOL, vectors=True):
     return rigidity_spectrum(S, d, tol, vectors)
 
 
-def _rigid_balls(fw, units, balls, tol):
+def _rigid_balls(fw, balls, tol):
     """Whether each ball's unweighted S passes the eigenvalue test."""
     # balls with too few nodes cannot pass the eigenvalue test; they count
     # as not rigid rather than erroring
     layouts = stack_layouts(stack_balls(balls, fw.graph.edge_array()), fw.dim)
     spectra = [ball_spectrum(S, fw.dim, tol, vectors=False)
-               for S in ball_grams(layouts, units)]
+               for S in ball_grams(layouts, fw.units)]
     return [s is not None and s.rigid for s in spectra]
 
 
@@ -236,7 +230,6 @@ def _extents(fw, centers, table, tol):
     """rigidity_extent of every center, radius by radius: the balls of all
     centers still searching at one radius are assembled together."""
     e = fw.graph.edge_array()
-    units, _ = edge_unit_vectors(fw.positions, e)
     found = dict.fromkeys(centers)
     prev = dict.fromkeys(centers)
     pending = list(centers)
@@ -250,7 +243,7 @@ def _extents(fw, centers, table, tol):
         if not balls:
             break
         pending = []
-        for ball, rigid in zip(balls, _rigid_balls(fw, units, balls, tol)):
+        for ball, rigid in zip(balls, _rigid_balls(fw, balls, tol)):
             if rigid:
                 found[ball.center] = h
             else:
@@ -294,10 +287,9 @@ def verify_extents(fw, extents, table=None, tol=REL_TOL):
     if table is None:
         table = geodesics(fw.graph)
     e = fw.graph.edge_array()
-    units, _ = edge_unit_vectors(fw.positions, e)
     balls = [Ball.of(e, fw.n, i, table.ball(i, int(h)))
              for i, h in enumerate(extents)]
-    return all(_rigid_balls(fw, units, balls, tol))
+    return all(_rigid_balls(fw, balls, tol))
 
 
 def inclusion_group(table, extents, i):

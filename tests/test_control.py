@@ -221,15 +221,16 @@ class TestGradients:
         stack = state.ball_set.stack
         nus = np.concatenate([s.nu for s in state.spectra]).reshape(-1, d)
         rigidity = ball_rigidity_slopes(
-            stack, state.rhos, nus, state.units, state.lengths, state.weights,
-            state.params)
+            stack, state.rhos, nus, state.framework.units,
+            state.framework.lengths, state.weights, state.params)
         acc = np.zeros((n, d))
         np.add.at(acc, stack.nodes, rigidity)
         assert np.allclose(acc, rigidity_gradient_all(state), atol=1e-12)
         # the load total sums whole-node coefficients over all edges, not
         # ball by ball, so the two sums meet only to rounding
-        load = ball_load_slopes(stack, state.ball_set.c, e, state.units,
-                                state.weights, state.params)
+        load = ball_load_slopes(stack, state.ball_set.c, e,
+                                state.framework.units, state.weights,
+                                state.params)
         acc = np.zeros((n, d))
         np.add.at(acc, stack.nodes, load)
         assert np.allclose(acc, load_gradient_all(state), atol=1e-12)
@@ -249,6 +250,12 @@ class TestGradients:
             fw, default_params(), extents=[1, 1, 1], require_rigid=False
         )
         assert np.allclose(load_gradient_all(state), 0.0)
+        # the other edge terms also sum over an empty edge set
+        assert state.weights.shape == (0,)
+        assert collision_potential(fw) == 0.0
+        assert collision_potential(fw, 2.0 * fw.positions) == 0.0
+        assert load_potential(state) == 0.0
+        assert np.array_equal(collision_gradient_all(state), np.zeros((3, 2)))
 
     def test_collision_pair_antisymmetry(self):
         fw = Framework(Graph(2, [(0, 1)]), [[0.0, 0.0], [0.4, 0.3]])
@@ -456,8 +463,10 @@ class TestTopologyCache:
         cached = self.build(fw.graph, x)
         fresh = self.build(Graph(fw.n, fw.graph.edges), x)
         assert fresh.ball_set is not cached.ball_set
-        for name in ("weights", "units", "lengths"):
-            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+        assert np.array_equal(cached.weights, fresh.weights)
+        for name in ("units", "lengths"):
+            assert np.array_equal(getattr(cached.framework, name),
+                                  getattr(fresh.framework, name))
         for name in ("c", "coeff"):
             assert np.array_equal(getattr(cached.ball_set, name),
                                   getattr(fresh.ball_set, name))

@@ -16,11 +16,11 @@ from support import (
 from rigidnet.experiments import ScenarioConfig, generate_scenario
 from rigidnet.graphs import Graph, GeodesicTable, is_connected, laplacian_matrix
 from rigidnet.rigidity import (
+    CoincidentNodesError,
     Framework,
     FrameworkTooSmallError,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
-    edge_unit_vectors,
     energy,
     framework_gram,
     framework_spectrum,
@@ -94,6 +94,54 @@ class TestRigidityMatrix:
         fw = Framework(Graph(3, [(0, 1), (1, 2)]), x)
         with pytest.raises(ValueError):
             trivial_motion_basis(fw)
+
+
+class TestFrameworkGeometry:
+    """A framework measures its edges once, when it is built."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_units_and_lengths_match_a_per_edge_loop(self, d):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(10):
+            fw = random_framework(rng, int(rng.integers(2, 12)), d, p=0.6)
+            m = len(fw.graph.edges)
+            assert fw.units.shape == (m, d) and fw.lengths.shape == (m,)
+            for k, (i, j) in enumerate(fw.graph.edges):
+                diff = fw.positions[i] - fw.positions[j]
+                length = np.linalg.norm(diff)
+                # a scalar norm may differ from a row norm in the last bit
+                np.testing.assert_allclose(fw.lengths[k], length, rtol=1e-15)
+                np.testing.assert_allclose(fw.units[k], diff / length,
+                                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_edgeless_shapes(self, d):
+        fw = Framework(Graph(d + 2, []), np.eye(d + 2, d))
+        assert fw.units.shape == (0, d)
+        assert fw.lengths.shape == (0,)
+        assert rigidity_matrix(fw).shape == (0, d * (d + 2))
+        assert strains(fw, np.ones(d * (d + 2))).shape == (0,)
+        assert energy(fw, np.ones(d * (d + 2))) == 0.0
+
+    def test_geometry_is_read_only(self):
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        fw = Framework(Graph(3, [(0, 1), (1, 2)]), x)
+        for name in ("positions", "units", "lengths"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fw, name)[0] = 1.0
+        # the framework keeps its own copy: writing to the caller's array
+        # leaves its positions and edge geometry alone
+        x[1] = [6.0, 8.0]
+        assert fw.positions[1].tolist() == [3.0, 4.0]
+        assert fw.lengths[0] == 5.0
+
+    def test_coincident_edge_raises(self):
+        x = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(CoincidentNodesError, match=r"edge \(1, 2\)"):
+            Framework(Graph(4, [(0, 1), (1, 2), (2, 3)]), x)
+        # coincident nodes that share no edge are allowed
+        fw = Framework(Graph(4, [(0, 1), (1, 3), (2, 3)]), x)
+        assert fw.lengths.min() == 1.0
 
 
 class TestStrains:
@@ -177,7 +225,7 @@ class TestBlockAssembly:
             R = rigidity_matrix(fw)
             assert_matches_dense(framework_gram(fw), dense_gram(R, np.ones(len(R))))
             if len(R) > 1:
-                w = underflowing_weights(fw.edge_lengths(), rng)
+                w = underflowing_weights(fw.lengths, rng)
                 assert_matches_dense(framework_gram(fw, w), dense_gram(R, w))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -187,8 +235,8 @@ class TestBlockAssembly:
                                    dim=d)
         e = fw.graph.edge_array()
         table = GeodesicTable.compute(fw.graph)
-        units, lengths = edge_unit_vectors(fw.positions, e)
-        w = underflowing_weights(lengths, rng)
+        units = fw.units
+        w = underflowing_weights(fw.lengths, rng)
         centers = [(j, h) for j in range(fw.n) for h in (1, 2)]
         balls = [Ball.of(e, fw.n, j, table.ball(j, h)) for j, h in centers]
         for weights in (None, w):
