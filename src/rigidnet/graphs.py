@@ -1,9 +1,10 @@
 """Undirected graphs, hop-count geodesics and the disk-proximity generator.
 
 Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
-topology changes produce a new Graph.  So whatever depends on the edge set
-alone (the edge array, the geodesic table, the controller's balls) is
-computed once per Graph and kept on it (Graph.cached).  Unreachable node
+topology changes produce a new Graph.  So the edge array is built with
+the graph, and whatever else depends on the edge set alone (the geodesic
+table, the controller's balls) is computed once per Graph and kept on it
+(Graph.cached).  Unreachable node
 pairs are marked with the UNREACHABLE sentinel (float inf) rather than a
 large finite hop count, so accidental arithmetic on them propagates loudly
 instead of producing plausible-looking numbers.
@@ -53,6 +54,8 @@ class Graph:
             adj[i].append(j)
             adj[j].append(i)
         self._adj = tuple(np.array(sorted(a), dtype=np.intp) for a in adj)
+        self._edges = np.array(norm, dtype=np.intp).reshape(-1, 2)
+        self._edges.setflags(write=False)
 
     def neighbors(self, i):
         return self._adj[i]
@@ -61,14 +64,8 @@ class Graph:
         return np.array([len(a) for a in self._adj], dtype=np.intp)
 
     def edge_array(self):
-        """m x 2 integer array of edges in lexicographic order."""
-        if not hasattr(self, "_earr"):
-            self._earr = (
-                np.array(self.edges, dtype=np.intp)
-                if self.edges
-                else np.empty((0, 2), dtype=np.intp)
-            )
-        return self._earr
+        """Read-only m x 2 integer array of edges in lexicographic order."""
+        return self._edges
 
     def cached(self, name, key, build):
         """build(self), kept on this graph under name for as long as key holds.

@@ -61,6 +61,14 @@ class TestGraph:
         assert list(g.neighbors(0)) == [1, 2, 4]
         assert list(g.neighbors(3)) == []
 
+    def test_edge_array_is_read_only_and_shaped(self):
+        g = Graph(4, [(3, 2), (1, 0), (0, 2)])
+        e = g.edge_array()
+        assert e.tolist() == [[0, 1], [0, 2], [2, 3]] and e.dtype == np.intp
+        assert e is g.edge_array() and not e.flags.writeable
+        empty = Graph(3, []).edge_array()
+        assert empty.shape == (0, 2) and empty.dtype == np.intp
+
     def test_json_round_trip(self):
         g = Graph(5, [(0, 1), (2, 4), (1, 3)])
         payload = json.loads(g.to_json())
