@@ -157,6 +157,25 @@ def make_filters(estimates, initial_variance, range_variance, anchors=()):
     ]
 
 
+def measure_ranges(fw, rng=None, noise_std=0.0):
+    """Every robot's measured ranges to its neighbors, in graph.neighbors order.
+
+    Each edge is ranged once, as the norm of its endpoints' difference, and
+    both endpoints read that one value; with noise_std > 0 every edge's
+    range gets one normal draw from rng, in edge order.
+    """
+    x = fw.positions
+    measured = {}
+    for a, b in fw.graph.edges:
+        dist = float(np.linalg.norm(x[a] - x[b]))
+        if noise_std > 0:
+            dist += float(rng.normal(0.0, noise_std))
+        measured[(a, b)] = dist
+    return [np.array([measured[(min(i, j), max(i, j))]
+                      for j in fw.graph.neighbors(i).tolist()])
+            for i in range(fw.graph.n)]
+
+
 def run_static_filter(fw, filters, rounds, anchor_positions=None,
                       anchor_variance=0.0, measurement_rng=None,
                       measurement_std=0.0, neighbor_aware=True,
@@ -173,11 +192,7 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
     final estimate array, or the whole per-round history when record is set.
     """
     n, d = fw.positions.shape
-    e = fw.graph.edge_array()
-    true_dist = {
-        (int(i), int(j)): float(np.linalg.norm(fw.positions[i] - fw.positions[j]))
-        for i, j in e
-    }
+    true_ranges = measure_ranges(fw)
     history = [np.array([f.estimate for f in filters])]
     for _ in range(rounds):
         snapshot = [f.estimate.copy() for f in filters]
@@ -185,9 +200,7 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
         new_filters = []
         for i in range(n):
             nbrs = [int(j) for j in fw.graph.neighbors(i)]
-            z = np.array([
-                true_dist[(min(i, j), max(i, j))] for j in nbrs
-            ])
+            z = true_ranges[i]
             if measurement_rng is not None and measurement_std > 0:
                 z = z + measurement_rng.normal(0.0, measurement_std, size=len(z))
             nb_est = np.array([snapshot[j] for j in nbrs]).reshape(len(nbrs), d)

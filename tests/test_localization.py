@@ -12,6 +12,7 @@ from rigidnet.localization import (
     filter_update,
     inflate_covariance,
     make_filters,
+    measure_ranges,
     predict_ranges,
     range_jacobian,
     run_static_filter,
@@ -190,6 +191,25 @@ def test_make_filters_flags_anchors():
     assert [f.is_anchor for f in filters] == [True, False, True, False]
     assert np.allclose(filters[1].covariance, 2.0 * np.eye(2))
     assert filters[3].range_variance == 0.5
+
+
+def test_measure_ranges_one_value_per_edge():
+    fw = random_disk_framework(np.random.default_rng(70), 10, side=1.0,
+                               range_=0.6)
+    x = fw.positions
+    ranges = measure_ranges(fw)
+    for i in range(fw.n):
+        nbrs = fw.graph.neighbors(i).tolist()
+        assert ranges[i].tolist() == [float(np.linalg.norm(x[i] - x[j]))
+                                      for j in nbrs]
+    # noise is one draw per edge in edge order, shared by both endpoints
+    noisy = measure_ranges(fw, np.random.default_rng(5), 0.1)
+    draws = np.random.default_rng(5).normal(0.0, 0.1, size=fw.graph.m)
+    for k, (a, b) in enumerate(fw.graph.edges):
+        true = float(np.linalg.norm(x[a] - x[b]))
+        at_a = noisy[a][fw.graph.neighbors(a).tolist().index(b)]
+        at_b = noisy[b][fw.graph.neighbors(b).tolist().index(a)]
+        assert at_a == at_b == true + float(draws[k])
 
 
 def _triangle_framework():
