@@ -12,11 +12,11 @@ from collections import Counter
 import numpy as np
 
 from rigidnet import (
-    GeodesicTable,
     ScenarioConfig,
     communication_load,
     extent_assignment,
     generate_scenario,
+    geodesics,
     inclusion_group,
 )
 
@@ -24,8 +24,8 @@ from rigidnet import (
 def main():
     fw = generate_scenario(ScenarioConfig(seed=17, n=100, comm_range=17.5))
     g = fw.graph
-    table = GeodesicTable.compute(g)
-    assignment = extent_assignment(fw, table=table)
+    table = geodesics(g)
+    assignment = extent_assignment(fw)
     h = assignment.as_array()
     m = len(g.edges)
 

@@ -14,8 +14,8 @@ shared by the centralized field, the replayed exchange and every center;
 each term has one gradient entry, rigidity_gradient_all, load_gradient_all
 and collision_gradient_all, and velocity_field adds them up.
 
-A state build takes everything the topology fixes (hop counts, balls and
-their stack, load coefficients, the layout of the balls' S) from the
+A state build takes everything the topology fixes (the balls' membership
+mask and stack, load coefficients, the layout of the balls' S) from the
 BallSet kept on its Graph, and refresh_topology hands back the very Graph
 it was given while the edge set holds.  The edge unit vectors and
 lengths are the Framework's, measured once when it was built.  So on an
@@ -82,8 +82,8 @@ def _logistic(lengths, comm_range, steepness):
 class ControlState:
     """One controller step's frozen structure and the smooth quantities on it.
 
-    ball_set (with the geodesic table and the load coefficients c and
-    coeff) is the graph's own and shared, read-only, by every state on that
+    ball_set (with the ball membership mask and the load coefficients c
+    and coeff) is the graph's own and shared, read-only, by every state on that
     graph; the edge unit vectors and lengths are the framework's, and the
     link weights and spectra belong to this state.  spectra holds each
     ball's Spectrum, in center order, or None for a ball too small to test.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlParams, RigidityLostError
-from .graphs import Graph, GeodesicTable, disk_proximity_graph, is_connected
+from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import CoincidentEstimatesError
 from .rigidity import Framework, is_infinitesimally_rigid
 from .simnet import ProtocolViolation, WorldConfig, make_world, run_simulation
@@ -118,13 +118,13 @@ def framework_from_json(data):
 
 def network_record(fw, index=0, rejects=0):
     """Structure measurements of one network, as one flat record."""
-    table = GeodesicTable.compute(fw.graph)
-    extents = extent_assignment(fw, table=table)
+    table = geodesics(fw.graph)
+    extents = extent_assignment(fw)
     h = extents.as_array()
     eccent = table.dist.max(axis=1).astype(int)
     m = len(fw.graph.edges)
-    load = communication_load(fw.graph, h, table=table)
-    upper = communication_load(fw.graph, eccent, table=table)
+    load = communication_load(fw.graph, h)
+    upper = communication_load(fw.graph, eccent)
     return {
         "index": index,
         "n": fw.graph.n,

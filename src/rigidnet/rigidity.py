@@ -150,8 +150,9 @@ _BLOCK_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 class GramLayout:
     """Where the d x d blocks of every edge land in one or more stacked S.
 
-    Ball t (the whole framework is the one-ball case) has S of side
-    sides[t] = d * n_t, and the balls' S lie end to end in one flat array.
+    Ball t of a BallStack (a whole framework is a stack of one ball)
+    has S of side sides[t] = d * n_t, its rows in the order of the ball's
+    members, and the balls' S lie end to end in one flat array.
     Entry k stands for framework edge edge[k]; index holds the flat
     positions of its four blocks aa, bb, ab, ba, each row-major, entry after
     entry.  Every S entry therefore sums its terms in edge order, and a
@@ -351,15 +352,14 @@ def diameter_eigenvalue_bound(m, D):
     return 2.0 * m / D**2
 
 
-def diameter_bound_certificate(g, table=None):
+def diameter_bound_certificate(g):
     """Rayleigh quotient of the Laplacian at the hop-count test vector.
 
     Picks a pair (p, q) realizing the diameter D, sets u_i = g_pi / D and
     mean-centers it.  The returned quotient sits between lambda_2(L) and
     2m/D^2, certifying the diameter bound without any eigensolve.
     """
-    if table is None:
-        table = geodesics(g)
+    table = geodesics(g)
     D = table.diameter()
     p = int(np.argmax(table.eccentricities()))
     u = table.dist[p] / D

@@ -67,10 +67,10 @@ from .localization import (
     filter_update,
     inflate_covariance,
     make_filters,
+    measure_ranges,
 )
 from .rigidity import Framework, framework_spectrum
 from .subframeworks import (
-    Ball,
     ball_grams,
     ball_set,
     ball_spectrum,
@@ -180,7 +180,7 @@ def _center_payloads(center, h, member_data, params):
     fw = Framework(Graph(len(nodes), edges),
                    np.array([member_data[v][0] for v in nodes], dtype=float))
     e = fw.graph.edge_array()
-    stack = stack_balls([Ball.of(e, fw.n, center, range(fw.n))], e)
+    stack = stack_balls(np.ones((1, fw.n), dtype=bool), e)
     c = np.maximum(0.0, h - bfs_distances(fw.graph, local[center]))
 
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
@@ -218,7 +218,7 @@ def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
 
     # static protocol tables, fixed by the graph and the frozen extents
     balls = ball_set(fw.graph, h, fw.dim)
-    members = [b.nodes.tolist() for b in balls.balls]
+    members = [np.flatnonzero(row).tolist() for row in balls.inside]
     member_sets = [frozenset(m) for m in members]
     ttl = balls.ttl.tolist()
     eta = int(h.max())
@@ -521,7 +521,7 @@ def _append_metrics(world, state, log, framework_rho):
     fw = world.framework
     x = fw.positions
     rhos = state.rhos
-    load = communication_load(fw.graph, world.extents, table=state.ball_set.table)
+    load = communication_load(fw.graph, world.extents)
     m = len(fw.graph.edges)
     min_dist = float(fw.lengths.min()) if m else np.inf
     est = np.array([f.estimate for f in world.filters])
@@ -556,17 +556,10 @@ def step_simulation(world):
     if cfg.use_estimates:
         est = np.array([f.estimate for f in world.filters])
         neighbor_est = broadcast_estimates(fw, est)
-        measured = {}
-        for a, b in fw.graph.edges:
-            dist = float(np.linalg.norm(fw.positions[a] - fw.positions[b]))
-            if cfg.noise_std > 0:
-                dist += float(world.rng.normal(0.0, cfg.noise_std))
-            measured[(a, b)] = dist
+        measured = measure_ranges(fw, world.rng, cfg.noise_std)
         new_filters = []
         for i in range(n):
-            z = np.array([measured[(min(i, j), max(i, j))]
-                          for j in fw.graph.neighbors(i).tolist()])
-            f = filter_update(world.filters[i], z, neighbor_est[i])
+            f = filter_update(world.filters[i], measured[i], neighbor_est[i])
             if f.is_anchor:
                 f = anchor_update(f, fw.positions[i])
             new_filters.append(f)

@@ -5,22 +5,23 @@ induced there.  The smallest h_i whose ball is rigid is the rigidity extent of
 i; when every node has one, local rigidity everywhere certifies rigidity of
 the whole framework, so maintenance can run on subframeworks alone.
 
-A Ball is a hop-ball as index masks into its framework, and stack_balls
-is the one place that lays balls end to end (a BallStack): the per-ball
-slopes, the GramLayouts that assemble every ball's S by d x d blocks, a
-group of balls per bincount, the extent search and the message engine's
-centers all read their balls from one.  What a graph and the frozen
-extents fix for every ball (hop counts, load coefficients, the balls in
-center order with their stack and layouts) is a BallSet, computed once
-per Graph and kept on it (ball_set).  The extent search stacks the balls
-of all centers still searching at one radius the same way.
+Hop-balls are rows of one boolean membership mask, inside[t, j] = g_tj <=
+h_t, read off the graph's geodesic table, and stack_balls is the one place
+that turns such a mask into balls laid end to end (a BallStack): the
+per-ball slopes, the GramLayouts that assemble every ball's S by d x d
+blocks, a group of balls per bincount, the extent search and the message
+engine's centers all read their balls from one.  What a graph and the
+frozen extents fix for every ball (the membership mask, load coefficients,
+flood ttls, the stack and its layouts) is a BallSet, computed once per
+Graph and kept on it (ball_set).  The extent search stacks the balls of
+all centers still searching at one radius the same way.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GeodesicTable, geodesics, induced_subgraph
+from .graphs import geodesics, induced_subgraph
 from .rigidity import REL_TOL, Framework, GramLayout, rigidity_spectrum
 
 
@@ -38,48 +39,22 @@ class Subframework:
         return len(self.nodes)
 
 
-def extract_subframework(fw, center, extent, table=None):
+def extract_subframework(fw, center, extent):
     """Framework induced by the ball of the given hop radius around center."""
     if extent < 0:
         raise ValueError("extent must be nonnegative")
-    if table is None:
-        table = geodesics(fw.graph)
-    nodes = table.ball(center, extent)
+    nodes = geodesics(fw.graph).ball(center, extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
     local = Framework(sub, fw.positions[nodes], fw.dim)
     return Subframework(center, extent, nodes, local)
-
-
-@dataclass
-class Ball:
-    """Hop-ball of one center as index masks into its framework.
-
-    local maps a node to its row among the sorted nodes (-1 outside) and
-    edge_idx lists the edges with both endpoints inside.
-    """
-
-    center: int
-    nodes: np.ndarray
-    local: np.ndarray
-    edge_idx: np.ndarray
-
-    @classmethod
-    def of(cls, edge_endpoints, n, center, nodes):
-        nodes = np.asarray(nodes, dtype=np.intp)
-        local = np.full(n, -1, dtype=np.intp)
-        local[nodes] = np.arange(len(nodes))
-        in_ball = local >= 0
-        edge_idx = np.flatnonzero(in_ball[edge_endpoints[:, 0]]
-                                  & in_ball[edge_endpoints[:, 1]])
-        return cls(center, nodes, local, edge_idx)
 
 
 @dataclass(frozen=True, eq=False)
 class BallStack:
     """Balls laid end to end, one row per member of each ball.
 
-    Rows offsets[t]:offsets[t + 1] are ball t's members nodes[...], in the
-    ball's own order.  For every induced edge of every ball, balls in
+    Rows offsets[t]:offsets[t + 1] are ball t's members nodes[...], in
+    ascending order.  For every induced edge of every ball, balls in
     order and each ball's edges in edge order, edge is its index in the
     framework, ends the rows of its two endpoints and ball its ball.
     """
@@ -91,18 +66,18 @@ class BallStack:
     ball: np.ndarray
 
 
-def stack_balls(balls, edge_endpoints):
-    """The BallStack of the balls, in the order given."""
-    offsets = np.cumsum([0] + [len(b.nodes) for b in balls])
-    ball = np.repeat(np.arange(len(balls)), [len(b.edge_idx) for b in balls])
-    ends = np.concatenate([b.local[edge_endpoints[b.edge_idx]] for b in balls])
-    return BallStack(
-        nodes=np.concatenate([b.nodes for b in balls]),
-        offsets=offsets,
-        edge=np.concatenate([b.edge_idx for b in balls]),
-        ends=ends + offsets[ball][:, None],
-        ball=ball,
-    )
+def stack_balls(inside, edge_endpoints):
+    """The BallStack of the balls whose members are the true entries of the
+    rows of the (balls x n) boolean mask inside, in row order."""
+    nodes = np.nonzero(inside)[1]
+    offsets = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    # a member's row within its ball: how many members precede it
+    local = np.cumsum(inside, axis=1) - 1
+    ball, edge = np.nonzero(inside[:, edge_endpoints[:, 0]]
+                            & inside[:, edge_endpoints[:, 1]])
+    ends = local[ball[:, None], edge_endpoints[edge]]
+    return BallStack(nodes=nodes, offsets=offsets, edge=edge,
+                     ends=ends + offsets[ball][:, None], ball=ball)
 
 
 # Block entries assembled per bincount.  One pass over all the balls of a
@@ -143,20 +118,19 @@ def ball_grams(layouts, units, weights=None):
 class BallSet:
     """What a graph and the frozen extents fix for every node's ball.
 
+    inside[j, i] = g_ji <= h_j says whether node i is in center j's ball.
     c[j, i] = max(0, h_j - g_ji) is node i's load coefficient for center j
     and coeff its column sums; ttl[i] is the widest extent among the
     centers whose balls hold node i, so a flood from i that many hops deep
-    reaches all of them.  balls are the index-mask balls in center order,
-    stack lays them end to end in that order, and layouts assemble their S
-    group by group of consecutive balls.  Nothing here depends on
-    positions, and every array is read-only.
+    reaches all of them.  stack lays the balls end to end in center order,
+    and layouts assemble their S group by group of consecutive balls.
+    Nothing here depends on positions, and every array is read-only.
     """
 
-    table: GeodesicTable
+    inside: np.ndarray
     c: np.ndarray
     coeff: np.ndarray
     ttl: np.ndarray
-    balls: tuple
     stack: BallStack
     layouts: tuple
 
@@ -167,24 +141,19 @@ class BallSet:
 
 def _build_ball_set(extents, d):
     def build(graph):
-        e = graph.edge_array()
-        table = geodesics(graph)
-        balls = tuple(Ball.of(e, graph.n, j, table.ball(j, int(h)))
-                      for j, h in enumerate(extents))
-        stack = stack_balls(balls, e)
+        dist = geodesics(graph).dist
+        inside = dist <= extents[:, None]
+        stack = stack_balls(inside, graph.edge_array())
         layouts = stack_layouts(stack, d)
-        c = np.maximum(0.0, extents[:, None] - table.dist)
+        c = np.maximum(0.0, extents[:, None] - dist)
         coeff = c.sum(axis=0)
-        ttl = np.where(table.dist <= extents[:, None], extents[:, None],
-                       0).max(axis=0)
-        arrays = [c, coeff, ttl, *vars(stack).values()]
+        ttl = np.where(inside, extents[:, None], 0).max(axis=0)
+        arrays = [inside, c, coeff, ttl, *vars(stack).values()]
         for layout in layouts:
             arrays += [layout.sides, layout.edge, layout.index]
-        for b in balls:
-            arrays += [b.nodes, b.local, b.edge_idx]
         for a in arrays:
             a.setflags(write=False)
-        return BallSet(table, c, coeff, ttl, balls, stack, layouts)
+        return BallSet(inside, c, coeff, ttl, stack, layouts)
     return build
 
 
@@ -203,17 +172,18 @@ def ball_spectrum(S, d, tol=REL_TOL, vectors=True):
     return rigidity_spectrum(S, d, tol, vectors)
 
 
-def _rigid_balls(fw, balls, tol):
-    """Whether each ball's unweighted S passes the eigenvalue test."""
+def _rigid_balls(fw, inside):
+    """Whether the unweighted S of each ball, a row of the membership mask
+    inside, passes the eigenvalue test."""
     # balls with too few nodes cannot pass the eigenvalue test; they count
     # as not rigid rather than erroring
-    layouts = stack_layouts(stack_balls(balls, fw.graph.edge_array()), fw.dim)
-    spectra = [ball_spectrum(S, fw.dim, tol, vectors=False)
+    layouts = stack_layouts(stack_balls(inside, fw.graph.edge_array()), fw.dim)
+    spectra = [ball_spectrum(S, fw.dim, vectors=False)
                for S in ball_grams(layouts, fw.units)]
-    return [s is not None and s.rigid for s in spectra]
+    return np.array([s is not None and s.rigid for s in spectra], dtype=bool)
 
 
-def rigidity_extent(fw, center, table=None, tol=REL_TOL):
+def rigidity_extent(fw, center):
     """Smallest hop radius whose ball around center is rigid, or None.
 
     Rigidity of growing balls is not monotone (a pendant node entering the
@@ -221,34 +191,26 @@ def rigidity_extent(fw, center, table=None, tol=REL_TOL):
     turn.  The scan stops once the ball stops growing: from there on the
     subframework never changes again.
     """
-    if table is None:
-        table = geodesics(fw.graph)
-    return _extents(fw, [center], table, tol)[0]
+    return _extents(fw, [center])[0]
 
 
-def _extents(fw, centers, table, tol):
+def _extents(fw, centers):
     """rigidity_extent of every center, radius by radius: the balls of all
-    centers still searching at one radius are assembled together."""
-    e = fw.graph.edge_array()
-    found = dict.fromkeys(centers)
-    prev = dict.fromkeys(centers)
-    pending = list(centers)
+    centers still searching at one radius are assembled together.  A
+    center searches at radius h only while some node lies exactly h hops
+    away, that is while its ball still grows."""
+    dist = geodesics(fw.graph).dist[centers]
+    found = [None] * len(dist)
+    pending = np.arange(len(dist))
     for h in range(1, fw.n + 1):
-        balls = []
-        for j in pending:
-            nodes = table.ball(j, h)
-            if nodes != prev[j]:
-                prev[j] = nodes
-                balls.append(Ball.of(e, fw.n, j, nodes))
-        if not balls:
+        pending = pending[(dist[pending] == h).any(axis=1)]
+        if not len(pending):
             break
-        pending = []
-        for ball, rigid in zip(balls, _rigid_balls(fw, balls, tol)):
-            if rigid:
-                found[ball.center] = h
-            else:
-                pending.append(ball.center)
-    return [found[j] for j in centers]
+        rigid = _rigid_balls(fw, dist[pending] <= h)
+        for k in pending[rigid].tolist():
+            found[k] = h
+        pending = pending[~rigid]
+    return found
 
 
 @dataclass
@@ -273,23 +235,18 @@ class ExtentAssignment:
         return np.array(self.extents, dtype=np.intp)
 
 
-def extent_assignment(fw, table=None, tol=REL_TOL):
-    """Rigidity extent of every node, sharing one geodesic table."""
-    if table is None:
-        table = geodesics(fw.graph)
-    return ExtentAssignment(_extents(fw, range(fw.n), table, tol))
+def extent_assignment(fw):
+    """Rigidity extent of every node."""
+    return ExtentAssignment(_extents(fw, np.arange(fw.n)))
 
 
-def verify_extents(fw, extents, table=None, tol=REL_TOL):
+def verify_extents(fw, extents):
     """True iff the ball of every node at its assigned radius is rigid."""
     if len(extents) != fw.n:
         raise ValueError(f"expected {fw.n} extents, got {len(extents)}")
-    if table is None:
-        table = geodesics(fw.graph)
-    e = fw.graph.edge_array()
-    balls = [Ball.of(e, fw.n, i, table.ball(i, int(h)))
-             for i, h in enumerate(extents)]
-    return all(_rigid_balls(fw, balls, tol))
+    # int() rejects a None or NaN extent instead of masking its ball empty
+    h = np.array([int(v) for v in extents], dtype=np.intp)
+    return bool(_rigid_balls(fw, geodesics(fw.graph).dist <= h[:, None]).all())
 
 
 def inclusion_group(table, extents, i):
@@ -306,7 +263,7 @@ class LoadReport:
     total: float
 
 
-def communication_load(g, extents, table=None, degrees=None):
+def communication_load(g, extents, degrees=None):
     """Load sum_i sum_{j in V_i} max(0, h_i - g_ij) * delta_j.
 
     A member j of the ball of center i relays measurements for h_i - g_ij
@@ -319,11 +276,9 @@ def communication_load(g, extents, table=None, degrees=None):
         raise ValueError(f"expected {g.n} extents, got shape {h.shape}")
     if (h < 1).any():
         raise ValueError("extents must be at least 1")
-    if table is None:
-        table = geodesics(g)
     if degrees is None:
         degrees = g.degrees().astype(float)
     degrees = np.asarray(degrees, dtype=float)
-    c = np.maximum(0.0, h[:, None] - table.dist)
+    c = np.maximum(0.0, h[:, None] - geodesics(g).dist)
     per_center = c @ degrees
     return LoadReport(per_center, float(per_center.sum()))

@@ -22,10 +22,10 @@ from rigidnet.control import (
     total_potential,
     velocity_field,
 )
-from rigidnet.graphs import Graph
+from rigidnet.graphs import Graph, geodesics
 from rigidnet.rigidity import Framework
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
-from rigidnet.subframeworks import Ball, ball_set, communication_load
+from rigidnet.subframeworks import ball_set, communication_load
 
 
 def apex_framework():
@@ -90,9 +90,12 @@ class TestStateBuild:
         assert ((0 < state.weights) & (state.weights < 1)).all()
         assert np.isfinite(state.rhos).all() and (state.rhos > 0).all()
         assert len(state.spectra) == 5
-        for j, ball in enumerate(state.ball_set.balls):
-            assert ball.center == j
-            assert ball.nodes.tolist() == state.ball_set.table.ball(j, int(state.extents[j]))
+        balls, table = state.ball_set, geodesics(state.framework.graph)
+        assert len(balls.inside) == 5
+        for j, row in enumerate(balls.inside):
+            nodes = balls.stack.nodes[balls.stack.offsets[j]:balls.stack.offsets[j + 1]]
+            assert np.flatnonzero(row).tolist() == table.ball(j, int(state.extents[j]))
+            assert nodes.tolist() == table.ball(j, int(state.extents[j]))
 
     def test_flexible_balls_rejected(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -141,7 +144,7 @@ class TestPotentials:
         e = g.edge_array()
         np.add.at(delta, e[:, 0], state.weights)
         np.add.at(delta, e[:, 1], state.weights)
-        rep = communication_load(g, state.extents, state.ball_set.table, degrees=delta)
+        rep = communication_load(g, state.extents, degrees=delta)
         assert load_potential(state) == pytest.approx(rep.total)
 
     def test_collision_frozen_pair(self):
@@ -450,11 +453,14 @@ class TestTopologyCache:
         assert self.eigendata(second) != before
         assert self.eigendata(first) == before
         cached = ball_set(fw.graph, first.extents, fw.dim)
-        for ball, a, b in zip(cached.balls, first.spectra, second.spectra):
-            # the cache holds bare masks, each state its own eigendata
-            assert type(ball) is Ball and a is not b
-            assert not ball.nodes.flags.writeable
-        assert not first.ball_set.table.dist.flags.writeable
+        # the cache holds a bare membership mask, each state its own eigendata
+        assert not hasattr(cached, "balls")
+        assert cached.inside.dtype == bool and cached.inside.shape == (fw.n, fw.n)
+        assert not cached.inside.flags.writeable
+        assert not cached.stack.nodes.flags.writeable
+        for a, b in zip(first.spectra, second.spectra):
+            assert a is not b
+        assert not geodesics(fw.graph).dist.flags.writeable
 
     def test_cached_state_equals_a_fresh_build(self):
         fw = self.fw
@@ -470,9 +476,11 @@ class TestTopologyCache:
         for name in ("c", "coeff"):
             assert np.array_equal(getattr(cached.ball_set, name),
                                   getattr(fresh.ball_set, name))
-        assert np.array_equal(cached.ball_set.table.dist, fresh.ball_set.table.dist)
+        assert np.array_equal(geodesics(fw.graph).dist,
+                              geodesics(fresh.framework.graph).dist)
         assert self.eigendata(cached) == self.eigendata(fresh)
-        for a, b in zip(cached.ball_set.balls, fresh.ball_set.balls):
-            assert np.array_equal(a.nodes, b.nodes)
-            assert np.array_equal(a.edge_idx, b.edge_idx)
+        assert np.array_equal(cached.ball_set.inside, fresh.ball_set.inside)
+        for name in ("nodes", "offsets", "edge", "ends", "ball"):
+            assert np.array_equal(getattr(cached.ball_set.stack, name),
+                                  getattr(fresh.ball_set.stack, name))
         assert np.array_equal(velocity_field(cached), velocity_field(fresh))

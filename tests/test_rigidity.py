@@ -34,7 +34,6 @@ from rigidnet.rigidity import (
     trivial_motion_basis,
 )
 from rigidnet.subframeworks import (
-    Ball,
     ball_grams,
     extract_subframework,
     stack_balls,
@@ -210,8 +209,8 @@ def underflowing_weights(lengths, rng):
     return w
 
 
-def stacked_grams(balls, e, d, units, weights):
-    return ball_grams(stack_layouts(stack_balls(balls, e), d), units, weights)
+def stacked_grams(inside, e, d, units, weights):
+    return ball_grams(stack_layouts(stack_balls(inside, e), d), units, weights)
 
 
 class TestBlockAssembly:
@@ -234,21 +233,22 @@ class TestBlockAssembly:
         fw = random_disk_framework(rng, 16, side=1.0, range_=0.45 + 0.2 * (d - 2),
                                    dim=d)
         e = fw.graph.edge_array()
-        table = GeodesicTable.compute(fw.graph)
+        dist = GeodesicTable.compute(fw.graph).dist
         units = fw.units
         w = underflowing_weights(fw.lengths, rng)
         centers = [(j, h) for j in range(fw.n) for h in (1, 2)]
-        balls = [Ball.of(e, fw.n, j, table.ball(j, h)) for j, h in centers]
+        inside = np.array([dist[j] <= h for j, h in centers])
         for weights in (None, w):
-            stacked = stacked_grams(balls, e, d, units, weights)
-            for (j, h), ball, S in zip(centers, balls, stacked):
+            stacked = stacked_grams(inside, e, d, units, weights)
+            for t, ((j, h), S) in enumerate(zip(centers, stacked)):
                 # a ball's S has the same bits alone as in the stack
-                [alone] = stacked_grams([ball], e, d, units, weights)
+                [alone] = stacked_grams(inside[t:t + 1], e, d, units, weights)
                 assert np.array_equal(S, alone)
-                sub = extract_subframework(fw, j, h, table).framework
+                sub = extract_subframework(fw, j, h).framework
                 R = rigidity_matrix(sub)
-                assert len(R) == len(ball.edge_idx)
-                bw = np.ones(len(R)) if weights is None else w[ball.edge_idx]
+                edge_idx = np.flatnonzero(inside[t, e[:, 0]] & inside[t, e[:, 1]])
+                assert len(R) == len(edge_idx)
+                bw = np.ones(len(R)) if weights is None else w[edge_idx]
                 assert_matches_dense(S, dense_gram(R, bw))
 
 
@@ -390,7 +390,7 @@ class TestDiameterBound:
         for _ in range(25):
             g = random_connected_graph(rng, int(rng.integers(3, 14)), 0.35)
             table = GeodesicTable.compute(g)
-            quotient = diameter_bound_certificate(g, table)
+            quotient = diameter_bound_certificate(g)
             lam2 = np.linalg.eigvalsh(laplacian_matrix(g))[1]
             bound = diameter_eigenvalue_bound(g.m, table.diameter())
             assert lam2 <= quotient + 1e-9

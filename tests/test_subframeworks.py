@@ -1,4 +1,6 @@
-"""Extent search, inclusion groups and the communication-load accounting."""
+"""Ball stacks, extent search, inclusion groups and the communication-load accounting."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,8 +14,102 @@ from rigidnet.subframeworks import (
     extract_subframework,
     inclusion_group,
     rigidity_extent,
+    stack_balls,
     verify_extents,
 )
+
+
+@dataclass
+class Ball:
+    """Reference: one center's hop-ball as index masks, built on its own.
+
+    local maps a node to its row among the sorted nodes (-1 outside) and
+    edge_idx lists the edges with both endpoints inside.
+    """
+
+    nodes: np.ndarray
+    local: np.ndarray
+    edge_idx: np.ndarray
+
+    @classmethod
+    def of(cls, edge_endpoints, n, nodes):
+        nodes = np.asarray(nodes, dtype=np.intp)
+        local = np.full(n, -1, dtype=np.intp)
+        local[nodes] = np.arange(len(nodes))
+        in_ball = local >= 0
+        edge_idx = np.flatnonzero(in_ball[edge_endpoints[:, 0]]
+                                  & in_ball[edge_endpoints[:, 1]])
+        return cls(nodes, local, edge_idx)
+
+
+def reference_stack(balls, edge_endpoints):
+    """The balls laid end to end by a loop over them, field by field."""
+    offsets = np.cumsum([0] + [len(b.nodes) for b in balls])
+    ball = np.repeat(np.arange(len(balls)), [len(b.edge_idx) for b in balls])
+    ends = np.concatenate([b.local[edge_endpoints[b.edge_idx]] for b in balls])
+    return {
+        "nodes": np.concatenate([b.nodes for b in balls]),
+        "offsets": offsets,
+        "edge": np.concatenate([b.edge_idx for b in balls]),
+        "ends": ends + offsets[ball][:, None],
+        "ball": ball,
+    }
+
+
+def assert_stacks_equal(g, inside):
+    e = g.edge_array()
+    balls = [Ball.of(e, g.n, np.flatnonzero(row)) for row in inside]
+    expected = reference_stack(balls, e)
+    stack = stack_balls(inside, e)
+    for name, want in expected.items():
+        got = getattr(stack, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+class TestStackBalls:
+    """stack_balls on a membership mask against the ball-by-ball loop."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_disk_frameworks_at_several_radii(self, d):
+        rng = np.random.default_rng(90 + d)
+        for _ in range(5):
+            fw = random_disk_framework(rng, int(rng.integers(6, 20)), side=1.0,
+                                       range_=(0.4, 0.6)[d - 2], dim=d)
+            dist = GeodesicTable.compute(fw.graph).dist
+            for h in range(4):
+                assert_stacks_equal(fw.graph, dist <= h)
+            mixed = rng.integers(0, 4, size=fw.n)
+            assert_stacks_equal(fw.graph, dist <= mixed[:, None])
+            # a subset of the centers, out of order, one of them twice
+            rows = rng.permutation(fw.n)[:4].tolist() + [0]
+            assert_stacks_equal(fw.graph, dist[rows] <= 2)
+
+    def test_disconnected_graph(self):
+        g = random_graph(np.random.default_rng(94), 12, 0.15)
+        dist = GeodesicTable.compute(g).dist
+        assert np.isinf(dist).any()
+        for h in (1, 2, 12):
+            assert_stacks_equal(g, dist <= h)
+
+    def test_edgeless_graph(self):
+        g = Graph(5, [])
+        dist = GeodesicTable.compute(g).dist
+        assert_stacks_equal(g, dist <= 3)
+        stack = stack_balls(dist <= 3, g.edge_array())
+        assert stack.nodes.tolist() == list(range(5))
+        assert stack.ends.shape == (0, 2)
+
+    def test_single_node_ball(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        inside = np.zeros((1, 4), dtype=bool)
+        inside[0, 2] = True
+        assert_stacks_equal(g, inside)
+        stack = stack_balls(inside, g.edge_array())
+        assert stack.nodes.tolist() == [2] and stack.offsets.tolist() == [0, 1]
+        assert len(stack.edge) == 0
+        assert_stacks_equal(Graph(1, []), np.ones((1, 1), dtype=bool))
 
 
 def braced_square_with_apex():
@@ -111,12 +207,11 @@ class TestExtent:
         for _ in range(4):
             fw = random_disk_framework(rng, 14, side=1.0,
                                        range_=(0.4, 0.65)[d - 2], dim=d)
-            table = GeodesicTable.compute(fw.graph)
             expected = []
             for j in range(fw.n):
                 prev, found = None, None
                 for h in range(1, fw.n + 1):
-                    sub = extract_subframework(fw, j, h, table)
+                    sub = extract_subframework(fw, j, h)
                     if sub.nodes == prev:
                         break
                     prev = sub.nodes
@@ -139,6 +234,15 @@ class TestVerify:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             verify_extents(braced_square_with_apex(), [1, 1])
+
+    def test_missing_extent_rejected(self):
+        # a None (or NaN) extent must not mask its ball empty and read as
+        # a plain "not rigid"
+        fw = braced_square_with_apex()
+        with pytest.raises(TypeError):
+            verify_extents(fw, [1, 2, None, 2, 2])
+        with pytest.raises(ValueError):
+            verify_extents(fw, [1, 2, float("nan"), 2, 2])
 
 
 class TestInclusionGroup:
@@ -192,8 +296,8 @@ class TestLoad:
         table = GeodesicTable.compute(g)
         ecc = table.eccentricities().astype(int)
         h = np.array([int(rng.integers(1, e + 1)) for e in ecc])
-        small = communication_load(g, h, table)
-        big = communication_load(g, ecc, table)
+        small = communication_load(g, h)
+        big = communication_load(g, ecc)
         assert (small.per_center <= big.per_center + 1e-12).all()
         assert small.total <= big.total + 1e-12
 
