@@ -12,12 +12,23 @@ earlier one and not against itself:
   replay;
 - ensemble_seed11.csv and .json: five sampled networks at 20 m, through the
   sampler, the rank cross-check, the extent search and the load.
+
+The CSVs print ten significant digits, so a change in the last bit of the
+loop need not reach them.  final_state_digests.json therefore holds a
+SHA-256 of the final positions of both control runs, and of the stacked
+filter estimates of the estimated one.  Those bits depend on the numpy
+build and its BLAS, so the digests are checked only on the numpy version
+and BLAS build they were recorded with.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rigidnet import cli
 from rigidnet.cli import EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -33,11 +44,59 @@ CONTROL = {
 }
 
 
+DIGESTS = json.loads((DATA / "final_state_digests.json").read_text())
+
+
+def _blas_build():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def control_runs(tmp_path_factory):
+    """Each control run once through the CLI: its exit code, its CSV bytes
+    and the world it left."""
+    runs = {}
+    run = cli.run_control_experiment
+    for name, args in CONTROL.items():
+        out = tmp_path_factory.mktemp("control") / name
+        worlds = []
+
+        def keep_world(*a, **kw):
+            result = run(*a, **kw)
+            worlds.append(result[0])
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run_control_experiment", keep_world)
+            code = main(["control", *args, "--csv", str(out)])
+        runs[name] = code, out.read_bytes(), worlds[0]
+    return runs
+
+
 @pytest.mark.parametrize("name", CONTROL)
-def test_control_csv_as_recorded(name, tmp_path, capsys):
-    out = tmp_path / name
-    assert main(["control", *CONTROL[name], "--csv", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (DATA / name).read_bytes()
+def test_control_csv_as_recorded(name, control_runs, capsys):
+    code, csv, _ = control_runs[name]
+    assert code == EXIT_OK
+    assert csv == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", CONTROL)
+def test_control_final_state_as_recorded(name, control_runs):
+    recorded = (DIGESTS["numpy"], DIGESTS["blas"])
+    here = (np.__version__, _blas_build())
+    if here != recorded:
+        pytest.skip(f"digests were recorded on numpy {recorded[0]} with "
+                    f"{recorded[1]}; this is numpy {here[0]} with {here[1]}")
+    world = control_runs[name][2]
+    digests = {"positions": _sha256(world.framework.positions)}
+    if world.config.use_estimates:
+        digests["estimates"] = _sha256([f.estimate for f in world.filters])
+    assert digests == DIGESTS["runs"][name]
 
 
 def test_ensemble_csv_and_json_as_recorded(tmp_path, capsys):
