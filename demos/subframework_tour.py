@@ -37,8 +37,8 @@ def main():
     print(f"  worst-case extent eta = {h.max()}")
 
     center = int(h.argmax())
-    ball = table.ball(center, int(h[center]))
-    group = inclusion_group(table, h, center)
+    ball = np.flatnonzero(table.dist[center] <= h[center])
+    group = inclusion_group(g, h, center)
     print(f"\nrobot {center} needs {h[center]} hops ({len(ball)} members); "
           f"{len(group)} centers count it as a member")
 

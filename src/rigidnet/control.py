@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import Graph
-from .rigidity import REL_TOL, CoincidentNodesError, Framework
+from .rigidity import CoincidentNodesError, Framework
 from .subframeworks import (
     BallSet,
     ExtentAssignment,
@@ -60,7 +60,6 @@ class ControlParams:
     k_collision: float = 1.0
     dt: float = 0.05
     weight_prune: float = 0.01
-    eig_tol: float = REL_TOL
     max_step_retries: int = 8
 
     def __post_init__(self):
@@ -140,7 +139,7 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
-    spectra = [ball_spectrum(S, fw.dim, params.eig_tol)
+    spectra = [ball_spectrum(S, fw.dim)
                for S in balls.grams(fw.units, weights)]
     degenerate = sum(s is not None and s.degenerate for s in spectra)
     if degenerate:
@@ -173,8 +172,7 @@ def rigidity_potential(state, positions=None):
     fw, weights = _eval_geometry(state, positions)
     rhos = np.empty(len(state.spectra))
     for k, S in enumerate(state.ball_set.grams(fw.units, weights)):
-        spectrum = ball_spectrum(S, state.framework.dim, state.params.eig_tol,
-                                 vectors=False)
+        spectrum = ball_spectrum(S, state.framework.dim, vectors=False)
         if spectrum is None or not spectrum.rigid:
             raise RigidityLostError(
                 "a subframework is at or below the zero threshold")

@@ -4,14 +4,13 @@ Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
 topology changes produce a new Graph.  So the edge array is built with
 the graph, and whatever else depends on the edge set alone (the geodesic
 table, the controller's balls) is computed once per Graph and kept on it
-(Graph.cached).  Unreachable node
+(Graph.cached).  The geodesic table, all-pairs shortest paths from
+scipy's csgraph, is the one source of hop counts, and the connectivity
+test counts csgraph's connected components.  Unreachable node
 pairs are marked with the UNREACHABLE sentinel (float inf) rather than a
 large finite hop count, so accidental arithmetic on them propagates loudly
 instead of producing plausible-looking numbers.
 """
-
-import json
-from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,14 +86,6 @@ class Graph:
         cols = np.concatenate([e[:, 1], e[:, 0]])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
-    def to_json(self):
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(d["n"], [tuple(e) for e in d["edges"]])
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -106,28 +97,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def bfs_distances(g, source):
-    """Hop counts from source to every node; UNREACHABLE where no path exists."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range")
-    dist = np.full(g.n, UNREACHABLE)
-    dist[source] = 0.0
-    queue = deque([source])
-    while queue:
-        i = queue.popleft()
-        di = dist[i]
-        for j in g.neighbors(i):
-            if dist[j] == UNREACHABLE:
-                dist[j] = di + 1.0
-                queue.append(j)
-    return dist
-
-
-def eccentricity(g, i):
-    """Largest hop count from node i; UNREACHABLE if the graph is disconnected."""
-    return bfs_distances(g, i).max() if g.n else UNREACHABLE
-
-
 def diameter(g):
     """Maximum eccentricity over all nodes.  Errors out on disconnected graphs."""
     return geodesics(g).diameter()
@@ -136,7 +105,8 @@ def diameter(g):
 def is_connected(g):
     if g.n == 0:
         return True
-    return not np.isinf(bfs_distances(g, 0)).any()
+    return csgraph.connected_components(
+        g.adjacency_sparse(), directed=False, return_labels=False) == 1
 
 
 def disk_proximity_graph(positions, range_):
@@ -211,10 +181,6 @@ class GeodesicTable:
         if np.isinf(ecc).any():
             raise GraphDisconnectedError("diameter undefined for disconnected graph")
         return int(ecc.max())
-
-    def ball(self, center, h):
-        """Sorted node ids within h hops of center."""
-        return [int(j) for j in np.flatnonzero(self.dist[center] <= h)]
 
 
 def _frozen_table(g):

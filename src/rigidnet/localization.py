@@ -10,6 +10,9 @@ robots with absolute fixes remove that freedom in d dimensions.
 The measurement update never propagates the state in time.  Robot motion is
 accounted for by inflating the covariance with lam_p * dt^2 * |u|^2 * I per
 step; that term is an extension of the update-only filter, not part of it.
+The closed loop inflates at lam_p = 1.  run_static_filter, the filter on a
+motionless network, has one configuration: exact anchor fixes, innovation
+variances that take in the neighbors' covariances, and a process floor.
 """
 
 from dataclasses import dataclass
@@ -177,19 +180,17 @@ def measure_ranges(fw, rng=None, noise_std=0.0):
 
 
 def run_static_filter(fw, filters, rounds, anchor_positions=None,
-                      anchor_variance=0.0, measurement_rng=None,
-                      measurement_std=0.0, neighbor_aware=True,
-                      process_floor=0.25, record=False):
+                      measurement_rng=None, measurement_std=0.0, record=False):
     """Iterate synchronous filter rounds on a motionless framework.
 
     Every robot ranges its true neighbors and corrects against the previous
-    round's estimates; anchors then fuse their absolute fix.  Estimates and
-    covariances are snapshotted once per round, so within a round every
-    update sees the same stale neighbor data.  neighbor_aware folds the
-    snapshotted neighbor covariances into each innovation variance and
-    process_floor keeps the gain alive while residuals persist; both default
-    on because a static network converges poorly without them.  Returns the
-    final estimate array, or the whole per-round history when record is set.
+    round's estimates; anchors then fuse their exact absolute fix.
+    Estimates and covariances are snapshotted once per round, so within a
+    round every update sees the same stale neighbor data.  Each innovation
+    variance takes in the snapshotted neighbor covariances, and a process
+    floor of 0.25 keeps the gain alive while residuals persist, because a
+    static network converges poorly without either.  Returns the final
+    estimate array, or the whole per-round history when record is set.
     """
     n, d = fw.positions.shape
     true_ranges = measure_ranges(fw)
@@ -204,12 +205,11 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
             if measurement_rng is not None and measurement_std > 0:
                 z = z + measurement_rng.normal(0.0, measurement_std, size=len(z))
             nb_est = np.array([snapshot[j] for j in nbrs]).reshape(len(nbrs), d)
-            nb_cov = [cov_snapshot[j] for j in nbrs] if neighbor_aware else None
+            nb_cov = [cov_snapshot[j] for j in nbrs]
             f = filter_update(filters[i], z, nb_est,
-                              neighbor_covariances=nb_cov,
-                              process_floor=process_floor)
+                              neighbor_covariances=nb_cov, process_floor=0.25)
             if f.is_anchor and anchor_positions is not None:
-                f = anchor_update(f, anchor_positions[i], anchor_variance)
+                f = anchor_update(f, anchor_positions[i])
             new_filters.append(f)
         filters[:] = new_filters
         history.append(np.array([f.estimate for f in filters]))

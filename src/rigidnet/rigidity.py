@@ -8,9 +8,11 @@ must equal d*n - f, and the (f+1)-th smallest eigenvalue of S = R^T W R must
 be positive, where f = d(d+1)/2 counts the rigid-body degrees of freedom.
 The two verdicts always agree; a mismatch raises, it is never papered over.
 rigidity_spectrum is the one eigensolve behind every eigenvalue verdict, for
-whole frameworks and hop-balls alike.  Every S it is given is assembled by
-d x d blocks, S = sum over edges of w r r^T, by a GramLayout: one bincount
-builds the S of one framework or of many stacked balls, with no dense R.
+whole frameworks and hop-balls alike, and every verdict holds rho against
+one threshold, REL_TOL relative to the largest eigenvalue; the rank test
+reads it too.  Every S it is given is assembled by d x d blocks, S = sum
+over edges of w r r^T, by a GramLayout: one bincount builds the S of one
+framework or of many stacked balls, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
 """
@@ -236,7 +238,7 @@ def trivial_motion_basis(fw):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Rigidity eigendata of one S; rigid is rho > tol_abs = tol * max(lam_max, 0).
+    """Rigidity eigendata of one S; rigid is rho > tol_abs = REL_TOL * max(lam_max, 0).
 
     nu is the rigidity eigenvector, largest entry positive, or None.
     """
@@ -251,7 +253,7 @@ class Spectrum:
     degenerate: bool
 
 
-def rigidity_spectrum(S, d, tol=REL_TOL, vectors=True):
+def rigidity_spectrum(S, d, vectors=True):
     """The rigidity eigenvalue test on S, by eigh or, without vectors, eigvalsh.
 
     The two LAPACK drivers differ in the last bits, so each caller keeps
@@ -275,7 +277,7 @@ def rigidity_spectrum(S, d, tol=REL_TOL, vectors=True):
     else:
         vals = np.linalg.eigvalsh(S)
     rho, lam_max = float(vals[f]), float(vals[-1])
-    tol_abs = tol * max(lam_max, 0.0)
+    tol_abs = REL_TOL * max(lam_max, 0.0)
     gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
     return Spectrum(
         vals, rho, nu, lam_max, gap, tol_abs, rho > tol_abs,
@@ -283,9 +285,9 @@ def rigidity_spectrum(S, d, tol=REL_TOL, vectors=True):
     )
 
 
-def framework_spectrum(fw, tol=REL_TOL, vectors=True):
+def framework_spectrum(fw, vectors=True):
     """Spectrum of a whole framework's unweighted S."""
-    return rigidity_spectrum(framework_gram(fw), fw.dim, tol, vectors)
+    return rigidity_spectrum(framework_gram(fw), fw.dim, vectors)
 
 
 @dataclass(eq=False)
@@ -307,16 +309,16 @@ class RigidityReport:
                            "nu": [float(v) for v in self.nu]})
 
 
-def rigidity_report(fw, tol=REL_TOL):
+def rigidity_report(fw):
     """Full spectrum, rank and rigidity verdict of the unweighted S; rank and
     eigenvalue tests must agree."""
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    spectrum = rigidity_spectrum(framework_gram(fw), d, tol)
+    spectrum = rigidity_spectrum(framework_gram(fw), d)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
-    rank_R = int((sv > np.sqrt(tol) * sv_max).sum()) if sv_max > 0 else 0
+    rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0
     if spectrum.rigid != (rank_R == d * n - f):
         raise RankMismatchError(
             f"rank test ({rank_R} vs {d * n - f}) and eigenvalue test "
@@ -327,7 +329,7 @@ def rigidity_report(fw, tol=REL_TOL):
                           spectrum.tol_abs)
 
 
-def is_infinitesimally_rigid(fw, tol=REL_TOL):
+def is_infinitesimally_rigid(fw):
     """True iff every zero-strain velocity field is a rigid-body motion.
 
     Disconnected frameworks are reported as not rigid rather than erroring;
@@ -342,7 +344,7 @@ def is_infinitesimally_rigid(fw, tol=REL_TOL):
         )
     if not is_connected(fw.graph):
         return False
-    return rigidity_report(fw, tol=tol).rigid
+    return rigidity_report(fw).rigid
 
 
 def diameter_eigenvalue_bound(m, D):

@@ -60,7 +60,7 @@ from .control import (
     build_control_state,
     guarded_refresh,
 )
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, geodesics
 from .localization import (
     FilterState,
     anchor_update,
@@ -154,9 +154,9 @@ def _trace_line(trace, round_index, msg):
     }) + "\n")
 
 
-def _ball_eigen(S, d, center, params):
+def _ball_eigen(S, d, center):
     """rho and per-member nu of one ball's S; a ball that fails the test stops the exchange."""
-    spectrum = ball_spectrum(S, d, params.eig_tol)
+    spectrum = ball_spectrum(S, d)
     if spectrum is None or not spectrum.rigid:
         raise RigidityLostError(
             f"subframework of node {center} is not rigid")
@@ -181,11 +181,11 @@ def _center_payloads(center, h, member_data, params):
                    np.array([member_data[v][0] for v in nodes], dtype=float))
     e = fw.graph.edge_array()
     stack = stack_balls(np.ones((1, fw.n), dtype=bool), e)
-    c = np.maximum(0.0, h - bfs_distances(fw.graph, local[center]))
+    c = np.maximum(0.0, h - geodesics(fw.graph).dist[local[center]])
 
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     [S] = ball_grams(stack_layouts(stack, fw.dim), fw.units, weights)
-    rho, nu = _ball_eigen(S, fw.dim, center, params)
+    rho, nu = _ball_eigen(S, fw.dim, center)
     rigidity = ball_rigidity_slopes(stack, [rho], nu, fw.units, fw.lengths,
                                     weights, params)
     load = ball_load_slopes(stack, c[None, :], e, fw.units, weights, params)
@@ -465,7 +465,6 @@ class WorldConfig:
     initial_estimate_error: float = 0.0
     initial_variance: float = 1.0
     range_variance: float = 0.01
-    inflation_rate: float = 1.0
     seed: int = 0
 
 
@@ -510,8 +509,7 @@ def make_world(fw, params, config=None):
 def _framework_rho_if_rigid(world):
     """Rigidity eigenvalue of the whole framework, which rigid balls must
     leave rigid under their own relative zero test; asserted every tick."""
-    spectrum = framework_spectrum(world.framework, world.params.eig_tol,
-                                  vectors=False)
+    spectrum = framework_spectrum(world.framework, vectors=False)
     if not spectrum.rigid:
         raise RigidityLostError("rigid subframeworks left a flexible framework")
     return spectrum.rho
@@ -593,8 +591,7 @@ def step_simulation(world):
         f = world.filters[i]
         moved = FilterState(f.estimate + dt * u[i], f.covariance,
                             f.range_variance, f.is_anchor)
-        world.filters[i] = inflate_covariance(
-            moved, u[i], dt, lam_p=cfg.inflation_rate)
+        world.filters[i] = inflate_covariance(moved, u[i], dt)
 
     world.framework = new_state.framework
     world.accepted = new_state

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import geodesics, induced_subgraph
-from .rigidity import REL_TOL, Framework, GramLayout, rigidity_spectrum
+from .rigidity import Framework, GramLayout, rigidity_spectrum
 
 
 @dataclass
@@ -43,7 +43,7 @@ def extract_subframework(fw, center, extent):
     """Framework induced by the ball of the given hop radius around center."""
     if extent < 0:
         raise ValueError("extent must be nonnegative")
-    nodes = geodesics(fw.graph).ball(center, extent)
+    nodes = np.flatnonzero(geodesics(fw.graph).dist[center] <= extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
     local = Framework(sub, fw.positions[nodes], fw.dim)
     return Subframework(center, extent, nodes, local)
@@ -165,11 +165,11 @@ def ball_set(graph, extents, d):
                         _build_ball_set(extents, d))
 
 
-def ball_spectrum(S, d, tol=REL_TOL, vectors=True):
+def ball_spectrum(S, d, vectors=True):
     """Spectrum of a ball's S, or None when the ball is too small to test."""
     if S.shape[0] <= d * d:
         return None
-    return rigidity_spectrum(S, d, tol, vectors)
+    return rigidity_spectrum(S, d, vectors)
 
 
 def _rigid_balls(fw, inside):
@@ -249,10 +249,10 @@ def verify_extents(fw, extents):
     return bool(_rigid_balls(fw, geodesics(fw.graph).dist <= h[:, None]).all())
 
 
-def inclusion_group(table, extents, i):
+def inclusion_group(graph, extents, i):
     """Sorted centers whose subframework contains node i: {j : g_ij <= h_j}."""
     h = np.asarray(extents, dtype=float)
-    return [int(j) for j in np.flatnonzero(table.dist[i] <= h)]
+    return [int(j) for j in np.flatnonzero(geodesics(graph).dist[i] <= h)]
 
 
 @dataclass

@@ -65,6 +65,11 @@ def floyd_warshall(g):
     return dist
 
 
+def hop_ball(g, center, h):
+    """Sorted node ids within h hops of center, by the Floyd-Warshall hop counts."""
+    return [j for j, hops in enumerate(floyd_warshall(g)[center]) if hops <= h]
+
+
 def central_difference(f, x, eps=1e-6):
     """Central finite-difference gradient of a scalar function of a flat array."""
     x = np.asarray(x, dtype=float)

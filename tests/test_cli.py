@@ -218,6 +218,19 @@ class TestConfigHandling:
         assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert "weighted_matrix" in capsys.readouterr().err
 
+    def test_removed_eigenvalue_tolerance_exits_three(self, tmp_path, capsys):
+        # every verdict reads rigidity.REL_TOL; the control block has no
+        # tolerance of its own
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"control": {"comm_range": 40.0, "eig_tol": 1e-6}}))
+        assert main(["control", *SMALL, "--duration", "1",
+                     "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:") and "eig_tol" in line
+        assert captured.out == ""
+
     def test_malformed_config_file_exits_three(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json {")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from support import central_difference, random_disk_framework
+from support import central_difference, hop_ball, random_disk_framework
 
 from rigidnet import control
 from rigidnet.control import (
@@ -39,15 +39,16 @@ def default_params(**kw):
     return ControlParams(**kw)
 
 
-def fd_state(rng, n=8, dim=2):
+def fd_state(rng, n=8, dim=2, **exponents):
     """Random rigid disk framework plus its control state, skipping tight gaps.
 
     In space the balls need more nodes and links to be rigid, so the
-    network is larger and the range longer there.
+    network is larger and the range longer there.  exponents are passed
+    on to ControlParams.
     """
     n, range_ = (n, 0.55) if dim == 2 else (n + 2, 0.8)
     fw = random_disk_framework(rng, n, side=1.0, range_=range_, dim=dim)
-    params = ControlParams(comm_range=range_, steepness=4.0)
+    params = ControlParams(comm_range=range_, steepness=4.0, **exponents)
     try:
         state = build_control_state(fw, params)
     except RigidityLostError:
@@ -90,12 +91,12 @@ class TestStateBuild:
         assert ((0 < state.weights) & (state.weights < 1)).all()
         assert np.isfinite(state.rhos).all() and (state.rhos > 0).all()
         assert len(state.spectra) == 5
-        balls, table = state.ball_set, geodesics(state.framework.graph)
+        balls, g = state.ball_set, state.framework.graph
         assert len(balls.inside) == 5
         for j, row in enumerate(balls.inside):
             nodes = balls.stack.nodes[balls.stack.offsets[j]:balls.stack.offsets[j + 1]]
-            assert np.flatnonzero(row).tolist() == table.ball(j, int(state.extents[j]))
-            assert nodes.tolist() == table.ball(j, int(state.extents[j]))
+            assert np.flatnonzero(row).tolist() == hop_ball(g, j, state.extents[j])
+            assert nodes.tolist() == hop_ball(g, j, state.extents[j])
 
     def test_flexible_balls_rejected(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -171,11 +172,11 @@ class TestPotentials:
         )
 
 
-def assert_gradients_match_finite_differences(dim, seed):
+def assert_gradients_match_finite_differences(dim, seed, **exponents):
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < 8:
-        state = fd_state(rng, dim=dim)
+        state = fd_state(rng, dim=dim, **exponents)
         if state is None:
             continue
         checked += 1
@@ -188,7 +189,9 @@ def assert_gradients_match_finite_differences(dim, seed):
             (load_gradient_all(state),
              lambda xf: load_potential(state, xf.reshape(shape)), 1e-4),
             (collision_gradient_all(state),
-             lambda xf: collision_potential(fw, xf.reshape(shape)), 1e-6),
+             lambda xf: collision_potential(fw, xf.reshape(shape),
+                                            state.params.collision_exponent),
+             1e-6),
         ]:
             fd = central_difference(func, fw.positions.ravel(), eps=1e-6)
             scale = max(np.linalg.norm(fd), 1e-12)
@@ -201,6 +204,11 @@ class TestGradients:
 
     def test_match_finite_differences_in_3d(self):
         assert_gradients_match_finite_differences(dim=3, seed=32)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_match_finite_differences_at_other_exponents(self, dim):
+        assert_gradients_match_finite_differences(
+            dim=dim, seed=32, rigidity_exponent=2.0, collision_exponent=3.0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(33)

@@ -1,20 +1,15 @@
-"""Graph container, BFS distances, diameter and disk-proximity construction."""
-
-import json
+"""Graph container, geodesic table, diameter and disk-proximity construction."""
 
 import numpy as np
 import pytest
 from support import floyd_warshall, random_graph
 
 from rigidnet.graphs import (
-    UNREACHABLE,
     GeodesicTable,
     Graph,
     GraphDisconnectedError,
-    bfs_distances,
     diameter,
     disk_proximity_graph,
-    eccentricity,
     is_connected,
     laplacian_matrix,
 )
@@ -26,10 +21,6 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestGraph:
@@ -69,34 +60,6 @@ class TestGraph:
         empty = Graph(3, []).edge_array()
         assert empty.shape == (0, 2) and empty.dtype == np.intp
 
-    def test_json_round_trip(self):
-        g = Graph(5, [(0, 1), (2, 4), (1, 3)])
-        payload = json.loads(g.to_json())
-        assert payload["n"] == 5
-        assert Graph.from_json(g.to_json()) == g
-
-
-class TestBfs:
-    def test_path_from_end(self):
-        assert bfs_distances(path(3), 0).tolist() == [0, 1, 2]
-
-    def test_complete_graph(self):
-        assert bfs_distances(complete(4), 2).tolist() == [1, 1, 0, 1]
-
-    def test_disconnected_marks_unreachable(self):
-        g = Graph(4, [(0, 1)])
-        h = bfs_distances(g, 0)
-        assert h[1] == 1
-        assert h[2] == UNREACHABLE and h[3] == UNREACHABLE
-
-    def test_matches_floyd_warshall(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            g = random_graph(rng, int(rng.integers(2, 16)), 0.3)
-            ref = floyd_warshall(g)
-            for s in range(g.n):
-                assert np.array_equal(bfs_distances(g, s), ref[s])
-
 
 class TestGeodesicTable:
     def test_matches_floyd_warshall(self):
@@ -115,23 +78,11 @@ class TestGeodesicTable:
         g = path(5)
         table = GeodesicTable.compute(g)
         assert table.eccentricities().tolist() == [4, 3, 2, 3, 4]
-        assert eccentricity(g, 1) == 3
 
     def test_diameter_raises_when_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(GraphDisconnectedError):
             GeodesicTable.compute(g).diameter()
-
-    def test_ball_on_cycle(self):
-        table = GeodesicTable.compute(cycle(6))
-        assert table.ball(0, 0) == [0]
-        assert table.ball(0, 1) == [0, 1, 5]
-        assert table.ball(0, 2) == [0, 1, 2, 4, 5]
-        assert table.ball(0, 3) == [0, 1, 2, 3, 4, 5]
-
-    def test_ball_excludes_unreachable(self):
-        g = Graph(4, [(0, 1)])
-        assert GeodesicTable.compute(g).ball(0, 5) == [0, 1]
 
 
 class TestConnectivity:
@@ -139,6 +90,8 @@ class TestConnectivity:
         assert is_connected(path(4))
         assert not is_connected(Graph(3, [(0, 1)]))
         assert is_connected(Graph(1, []))
+        assert is_connected(Graph(0, []))
+        assert not is_connected(Graph(2, []))
 
     def test_laplacian_row_sums_vanish(self):
         rng = np.random.default_rng(4)

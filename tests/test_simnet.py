@@ -17,6 +17,7 @@ from rigidnet import simnet
 from rigidnet.experiments import ScenarioConfig, sample_framework
 from rigidnet.graphs import Graph
 from rigidnet.rigidity import (
+    REL_TOL,
     Framework,
     framework_spectrum,
     is_infinitesimally_rigid,
@@ -267,12 +268,12 @@ def test_halved_step_counts_as_one_tick(monkeypatch):
 
 
 def test_framework_check_is_relative_to_lam_max():
-    # a thin triangle whose rho clears eig_tol but not eig_tol * lam_max
+    # a thin triangle whose rho clears REL_TOL but not REL_TOL * lam_max
     params = ControlParams(comm_range=40.0)
     fw = Framework(Graph(3, [(0, 1), (1, 2), (0, 2)]),
                    [[0.0, 0.0], [1.0, 0.0], [0.5, 5e-5]])
     spectrum = framework_spectrum(fw, vectors=False)
-    assert params.eig_tol < spectrum.rho < params.eig_tol * spectrum.lam_max
+    assert REL_TOL < spectrum.rho < REL_TOL * spectrum.lam_max
     world = SimpleNamespace(framework=fw, params=params)
     with pytest.raises(RigidityLostError, match="flexible framework"):
         simnet._framework_rho_if_rigid(world)
