@@ -238,9 +238,10 @@ def trivial_motion_basis(fw):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Rigidity eigendata of one S; rigid is rho > tol_abs = REL_TOL * max(lam_max, 0).
+    """Rigidity eigendata of one S; rigid is rho > tol_abs.
 
-    nu is the rigidity eigenvector, largest entry positive, or None.
+    tol_abs = REL_TOL * max(lam_max, 0), and nu is the rigidity
+    eigenvector, largest entry positive, or None.
     """
 
     eigenvalues: np.ndarray
