@@ -16,9 +16,12 @@ earlier one and not against itself:
 The CSVs print ten significant digits, so a change in the last bit of the
 loop need not reach them.  final_state_digests.json therefore holds a
 SHA-256 of the final positions of both control runs, and of the stacked
-filter estimates of the estimated one.  Those bits depend on the numpy
-build and its BLAS, so the digests are checked only on the numpy version
-and BLAS build they were recorded with.
+filter estimates and covariances of the estimated one.  It also holds the
+final estimates and covariances of a noisy, anchored static filter run,
+which the control runs do not reach: neighbor covariances in the
+innovation, the process floor and per-robot measurement draws.  Those bits
+depend on the numpy build and its BLAS, so the digests are checked only on
+the numpy version and BLAS build they were recorded with.
 """
 
 import hashlib
@@ -30,6 +33,8 @@ import pytest
 
 from rigidnet import cli
 from rigidnet.cli import EXIT_OK, main
+from rigidnet.experiments import ScenarioConfig, generate_scenario
+from rigidnet.localization import anchor_update, make_filters, run_static_filter
 
 DATA = Path(__file__).parent / "data"
 
@@ -85,18 +90,51 @@ def test_control_csv_as_recorded(name, control_runs, capsys):
     assert csv == (DATA / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", CONTROL)
-def test_control_final_state_as_recorded(name, control_runs):
+def _skip_unless_recorded_build():
     recorded = (DIGESTS["numpy"], DIGESTS["blas"])
     here = (np.__version__, _blas_build())
     if here != recorded:
         pytest.skip(f"digests were recorded on numpy {recorded[0]} with "
                     f"{recorded[1]}; this is numpy {here[0]} with {here[1]}")
+
+
+@pytest.mark.parametrize("name", CONTROL)
+def test_control_final_state_as_recorded(name, control_runs):
+    _skip_unless_recorded_build()
     world = control_runs[name][2]
     digests = {"positions": _sha256(world.framework.positions)}
     if world.config.use_estimates:
         digests["estimates"] = _sha256([f.estimate for f in world.filters])
     assert digests == DIGESTS["runs"][name]
+
+
+def test_control_final_covariances_as_recorded(control_runs):
+    _skip_unless_recorded_build()
+    world = control_runs["control_seed3_est.csv"][2]
+    covariances = np.array([f.covariance for f in world.filters])
+    assert _sha256(covariances) == DIGESTS["covariances"]["control_seed3_est.csv"]
+
+
+def static_filter_run():
+    """Sixty noisy rounds on a 20-robot network with two exact anchors."""
+    fw = generate_scenario(ScenarioConfig(seed=21, n=20, comm_range=50.0))
+    x = fw.positions
+    rng = np.random.default_rng(21)
+    filters = make_filters(x + rng.uniform(-3.5, 3.5, size=x.shape),
+                           25.0, 1e-4, anchors=(0, 1))
+    for a in (0, 1):
+        filters[a] = anchor_update(filters[a], x[a])
+    run_static_filter(fw, filters, 60, anchor_positions=x,
+                      measurement_rng=rng, measurement_std=0.01)
+    return (np.array([f.estimate for f in filters]),
+            np.array([f.covariance for f in filters]))
+
+
+def test_static_filter_final_state_as_recorded():
+    _skip_unless_recorded_build()
+    estimates, covariances = static_filter_run()
+    assert {"estimates": _sha256(estimates),
+            "covariances": _sha256(covariances)} == DIGESTS["static_filter"]
 
 
 def test_ensemble_csv_and_json_as_recorded(tmp_path, capsys):
