@@ -10,7 +10,6 @@ import numpy as np
 
 from rigidnet import (
     ScenarioConfig,
-    anchor_update,
     congruence_error,
     generate_scenario,
     make_filters,
@@ -26,8 +25,6 @@ def main():
     spread = (0.1 * 50.0) ** 2
 
     filters = make_filters(init, spread, 1e-6, anchors=(0, 1))
-    for a in (0, 1):
-        filters[a] = anchor_update(filters[a], x[a])
     hist = run_static_filter(fw, filters, 400, anchor_positions=x, record=True)
     print("anchored (robots 0 and 1 know where they are):")
     for r in (0, 25, 50, 100, 200, 400):

@@ -1,18 +1,22 @@
-"""Per-robot range-only position filter with optional absolute-position anchors.
+"""Range-only position filter with optional absolute-position anchors.
 
-Each robot keeps its own estimate and covariance and corrects them from the
-ranges to its neighbors, linearizing through the unit direction vectors of the
-estimated geometry.  Neighbor estimates come from the previous round's
-broadcasts, so updates across robots are independent within a round.  Range
-data alone fixes the formation only up to a rigid displacement; d anchored
-robots with absolute fixes remove that freedom in d dimensions.
+The whole network's filter state is one Filters: every robot's estimate and
+covariance as rows of two arrays, an anchor mask and the one assumed range
+variance.  Each robot corrects its own row from the ranges to its
+neighbors, linearizing through the unit direction vectors of the estimated
+geometry.  Neighbor estimates come from the previous round's broadcasts, so
+updates across robots are independent within a round.  Range data alone
+fixes the formation only up to a rigid displacement; d anchored robots with
+exact absolute fixes remove that freedom in d dimensions.  A fix sets an
+anchor's estimate to its true position and its covariance to zero.
 
-The measurement update never propagates the state in time.  Robot motion is
-accounted for by inflating the covariance with lam_p * dt^2 * |u|^2 * I per
-step; that term is an extension of the update-only filter, not part of it.
-The closed loop inflates at lam_p = 1.  run_static_filter, the filter on a
-motionless network, has one configuration: exact anchor fixes, innovation
-variances that take in the neighbors' covariances, and a process floor.
+The measurement update never propagates the state in time.  The closed
+loop (simnet.step_simulation) dead-reckons every estimate along its
+command and inflates its covariance by dt^2 * |u|^2 * I per step; that
+term is an extension of the update-only filter, not part of it.
+run_static_filter, the filter on a motionless network, has one
+configuration: exact anchor fixes, innovation variances that take in the
+neighbors' covariances, and a process floor.
 """
 
 from dataclasses import dataclass
@@ -25,22 +29,23 @@ class CoincidentEstimatesError(ValueError):
 
 
 @dataclass
-class FilterState:
-    """One robot's estimate, its covariance and the assumed range variance."""
+class Filters:
+    """The whole network's filter state, one row per robot.
 
-    estimate: np.ndarray
-    covariance: np.ndarray
-    range_variance: float = 0.01
-    is_anchor: bool = False
+    estimates is n x d and covariances n x d x d; anchors is a boolean mask
+    of the robots that fuse exact absolute fixes; every robot assumes the
+    one range_variance.
+    """
 
-    def __post_init__(self):
-        self.estimate = np.asarray(self.estimate, dtype=float)
-        d = len(self.estimate)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.covariance.shape != (d, d):
-            raise ValueError("covariance must be d x d")
-        if self.range_variance <= 0:
-            raise ValueError("range variance must be positive")
+    estimates: np.ndarray
+    covariances: np.ndarray
+    anchors: np.ndarray
+    range_variance: float
+
+    def fix_anchors(self, positions):
+        """Pin every anchor at its exact fix: estimate = fix, covariance = 0."""
+        self.estimates[self.anchors] = positions[self.anchors]
+        self.covariances[self.anchors] = 0.0
 
 
 def _range_model(estimate, neighbor_estimates):
@@ -65,9 +70,11 @@ def range_jacobian(estimate, neighbor_estimates):
     return _range_model(estimate, neighbor_estimates)[1]
 
 
-def filter_update(state, measurements, neighbor_estimates,
-                  neighbor_covariances=None, process_floor=0.0):
-    """Range correction: gain from the innovation covariance, then shrink P.
+def filter_update(estimate, covariance, range_variance, measurements,
+                  neighbor_estimates, neighbor_covariances=None,
+                  process_floor=0.0):
+    """One robot's range correction: gain from the innovation covariance,
+    then shrink P.  Returns the new (estimate, covariance) row pair.
 
     neighbor_covariances, when given, must hold one d x d covariance per
     neighbor; each range's innovation variance then grows by F_k P_k F_k^T so
@@ -82,16 +89,13 @@ def filter_update(state, measurements, neighbor_estimates,
     """
     z = np.asarray(measurements, dtype=float)
     if len(z) == 0:
-        return FilterState(
-            state.estimate.copy(), state.covariance.copy(),
-            state.range_variance, state.is_anchor,
-        )
-    zh, F = _range_model(state.estimate, neighbor_estimates)
+        return estimate.copy(), covariance.copy()
+    zh, F = _range_model(estimate, neighbor_estimates)
     if z.shape != zh.shape:
         raise ValueError(f"got {z.shape} measurements for {zh.shape} neighbors")
-    P = state.covariance
+    P = covariance
     A = F @ P
-    S = A @ F.T + state.range_variance * np.eye(len(z))
+    S = A @ F.T + range_variance * np.eye(len(z))
     if neighbor_covariances is not None:
         if len(neighbor_covariances) != len(z):
             raise ValueError("need one neighbor covariance per measurement")
@@ -99,42 +103,13 @@ def filter_update(state, measurements, neighbor_estimates,
             S[k, k] += float(F[k] @ P_k @ F[k])
     K = np.linalg.solve(S, A).T
     innovation = z - zh
-    est = state.estimate + K @ innovation
+    est = estimate + K @ innovation
     P_new = P - K @ A
     P_new = 0.5 * (P_new + P_new.T)
     if process_floor > 0:
         d = len(est)
         P_new = P_new + process_floor * float(np.mean(innovation**2)) * np.eye(d)
-    return FilterState(est, P_new, state.range_variance, state.is_anchor)
-
-
-def anchor_update(state, fix, anchor_variance=0.0):
-    """Absolute-position correction, allowed only on anchor robots.
-
-    A zero-variance fix pins the estimate exactly and zeroes the covariance.
-    """
-    if not state.is_anchor:
-        raise ValueError("absolute fixes are only fused on anchor robots")
-    fix = np.asarray(fix, dtype=float)
-    d = len(state.estimate)
-    if anchor_variance == 0.0:
-        return FilterState(fix.copy(), np.zeros((d, d)),
-                           state.range_variance, True)
-    P = state.covariance
-    K = np.linalg.solve((P + anchor_variance * np.eye(d)).T, P.T).T
-    est = state.estimate + K @ (fix - state.estimate)
-    P_new = P - K @ P
-    P_new = 0.5 * (P_new + P_new.T)
-    return FilterState(est, P_new, state.range_variance, True)
-
-
-def inflate_covariance(state, velocity, dt, lam_p=1.0):
-    """Add motion uncertainty lam_p * dt^2 * |u|^2 * I before the next update."""
-    u = np.asarray(velocity, dtype=float)
-    d = len(state.estimate)
-    bump = lam_p * dt**2 * float(u @ u) * np.eye(d)
-    return FilterState(state.estimate.copy(), state.covariance + bump,
-                       state.range_variance, state.is_anchor)
+    return est, P_new
 
 
 def congruence_error(estimates, truth):
@@ -149,15 +124,19 @@ def congruence_error(estimates, truth):
 
 
 def make_filters(estimates, initial_variance, range_variance, anchors=()):
-    """One FilterState per robot, anchors flagged by node id."""
-    estimates = np.asarray(estimates, dtype=float)
+    """Filters starting at the given estimates, each with covariance
+    initial_variance * I, anchors flagged by node id."""
+    estimates = np.array(estimates, dtype=float)
     n, d = estimates.shape
-    anchors = set(int(a) for a in anchors)
-    return [
-        FilterState(estimates[i].copy(), initial_variance * np.eye(d),
-                    range_variance, i in anchors)
-        for i in range(n)
-    ]
+    if range_variance <= 0:
+        raise ValueError("range variance must be positive")
+    mask = np.zeros(n, dtype=bool)
+    for a in anchors:
+        if not 0 <= a < n:
+            raise ValueError(f"anchor id {a} is not a node id in 0..{n - 1}")
+        mask[a] = True
+    covariances = np.repeat(initial_variance * np.eye(d)[None], n, axis=0)
+    return Filters(estimates, covariances, mask, range_variance)
 
 
 def measure_ranges(fw, rng=None, noise_std=0.0):
@@ -183,36 +162,35 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
                       measurement_rng=None, measurement_std=0.0, record=False):
     """Iterate synchronous filter rounds on a motionless framework.
 
-    Every robot ranges its true neighbors and corrects against the previous
-    round's estimates; anchors then fuse their exact absolute fix.
-    Estimates and covariances are snapshotted once per round, so within a
+    With anchor_positions, anchors hold their exact absolute fix from the
+    start and fuse it again after every round.  Every robot ranges its true
+    neighbors and corrects against the previous round's estimates: the
+    estimates and covariances are snapshotted once per round, so within a
     round every update sees the same stale neighbor data.  Each innovation
     variance takes in the snapshotted neighbor covariances, and a process
     floor of 0.25 keeps the gain alive while residuals persist, because a
-    static network converges poorly without either.  Returns the final
-    estimate array, or the whole per-round history when record is set.
+    static network converges poorly without either.  filters is updated in
+    place.  Returns the final estimate array, or the whole per-round
+    history when record is set.
     """
-    n, d = fw.positions.shape
     true_ranges = measure_ranges(fw)
-    history = [np.array([f.estimate for f in filters])]
+    est, cov = filters.estimates, filters.covariances
+    if anchor_positions is not None:
+        filters.fix_anchors(anchor_positions)
+    history = [est.copy()]
     for _ in range(rounds):
-        snapshot = [f.estimate.copy() for f in filters]
-        cov_snapshot = [f.covariance.copy() for f in filters]
-        new_filters = []
-        for i in range(n):
-            nbrs = [int(j) for j in fw.graph.neighbors(i)]
+        snapshot, cov_snapshot = est.copy(), cov.copy()
+        for i in range(fw.n):
+            nbrs = fw.graph.neighbors(i)
             z = true_ranges[i]
             if measurement_rng is not None and measurement_std > 0:
                 z = z + measurement_rng.normal(0.0, measurement_std, size=len(z))
-            nb_est = np.array([snapshot[j] for j in nbrs]).reshape(len(nbrs), d)
-            nb_cov = [cov_snapshot[j] for j in nbrs]
-            f = filter_update(filters[i], z, nb_est,
-                              neighbor_covariances=nb_cov, process_floor=0.25)
-            if f.is_anchor and anchor_positions is not None:
-                f = anchor_update(f, anchor_positions[i])
-            new_filters.append(f)
-        filters[:] = new_filters
-        history.append(np.array([f.estimate for f in filters]))
+            est[i], cov[i] = filter_update(
+                est[i], cov[i], filters.range_variance, z, snapshot[nbrs],
+                neighbor_covariances=cov_snapshot[nbrs], process_floor=0.25)
+        if anchor_positions is not None:
+            filters.fix_anchors(anchor_positions)
+        history.append(est.copy())
     if record:
         return np.array(history)
     return history[-1]

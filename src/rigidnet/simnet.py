@@ -40,6 +40,11 @@ measured them once when it was built.
 run_exchange_phase with its default payloads, and
 decentralized_velocity, run the engine with real payloads and are the
 replay's oracle.
+
+A World holds the network's filter state as one localization.Filters.
+Each tick corrects every robot's row with filter_update and pins the
+anchors through the mask; after the step, all estimates dead-reckon and
+all covariances inflate in one array statement each.
 """
 
 import json
@@ -61,14 +66,7 @@ from .control import (
     guarded_refresh,
 )
 from .graphs import Graph, geodesics
-from .localization import (
-    FilterState,
-    anchor_update,
-    filter_update,
-    inflate_covariance,
-    make_filters,
-    measure_ranges,
-)
+from .localization import Filters, filter_update, make_filters, measure_ranges
 from .rigidity import Framework, framework_spectrum
 from .subframeworks import (
     ball_grams,
@@ -470,13 +468,13 @@ class WorldConfig:
 
 @dataclass
 class World:
-    """True state plus every robot's filter, advanced tick by tick."""
+    """True state plus the network's filters, advanced tick by tick."""
 
     framework: Framework
     params: ControlParams
     config: WorldConfig
     extents: np.ndarray
-    filters: list
+    filters: Filters
     rng: np.random.Generator
     time: float = 0.0
     metrics: list = field(default_factory=list)
@@ -484,12 +482,13 @@ class World:
 
 
 def make_world(fw, params, config=None):
-    """Freeze the extents at setup time and seed the per-robot filters."""
+    """Freeze the extents at setup time and seed the filters; anchors start
+    at their exact fix."""
     config = config or WorldConfig()
     state = build_control_state(fw, params)
     extents = state.extents.copy()
     rng = np.random.default_rng(config.seed)
-    est = fw.positions.copy()
+    est = fw.positions
     if config.initial_estimate_error > 0:
         d = fw.positions.shape[1]
         est = est + rng.uniform(
@@ -498,8 +497,7 @@ def make_world(fw, params, config=None):
             size=est.shape)
     filters = make_filters(est, config.initial_variance,
                            config.range_variance, anchors=config.anchors)
-    for a in config.anchors:
-        filters[a] = anchor_update(filters[a], fw.positions[a])
+    filters.fix_anchors(fw.positions)
     world = World(framework=fw, params=params, config=config,
                   extents=extents, filters=filters, rng=rng, accepted=state)
     _append_metrics(world, state, None, _framework_rho_if_rigid(world))
@@ -522,7 +520,7 @@ def _append_metrics(world, state, log, framework_rho):
     load = communication_load(fw.graph, world.extents)
     m = len(fw.graph.edges)
     min_dist = float(fw.lengths.min()) if m else np.inf
-    est = np.array([f.estimate for f in world.filters])
+    est = world.filters.estimates
     world.metrics.append({
         "t": world.time,
         "min_rho": float(rhos.min()),
@@ -549,20 +547,18 @@ def step_simulation(world):
     fw = world.framework
     params = world.params
     cfg = world.config
-    n = fw.graph.n
+    filters = world.filters
+    est, cov = filters.estimates, filters.covariances
 
     if cfg.use_estimates:
-        est = np.array([f.estimate for f in world.filters])
         neighbor_est = broadcast_estimates(fw, est)
         measured = measure_ranges(fw, world.rng, cfg.noise_std)
-        new_filters = []
-        for i in range(n):
-            f = filter_update(world.filters[i], measured[i], neighbor_est[i])
-            if f.is_anchor:
-                f = anchor_update(f, fw.positions[i])
-            new_filters.append(f)
-        world.filters[:] = new_filters
-        believed = np.array([f.estimate for f in world.filters])
+        for i in range(fw.n):
+            est[i], cov[i] = filter_update(est[i], cov[i],
+                                           filters.range_variance,
+                                           measured[i], neighbor_est[i])
+        filters.fix_anchors(fw.positions)
+        believed = est
     else:
         believed = fw.positions
 
@@ -586,12 +582,10 @@ def step_simulation(world):
             f"halvings at t={world.time:.3f}")
 
     # each robot dead-reckons its own commanded motion, then widens its
-    # covariance for the actuation uncertainty of that same motion
-    for i in range(n):
-        f = world.filters[i]
-        moved = FilterState(f.estimate + dt * u[i], f.covariance,
-                            f.range_variance, f.is_anchor)
-        world.filters[i] = inflate_covariance(moved, u[i], dt)
+    # covariance by dt^2 * |u|^2 * I for the actuation uncertainty of that
+    # same motion
+    est += dt * u
+    cov += (dt**2 * np.vecdot(u, u))[:, None, None] * np.eye(fw.dim)
 
     world.framework = new_state.framework
     world.accepted = new_state

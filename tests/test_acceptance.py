@@ -24,7 +24,6 @@ from rigidnet import (
     Framework,
     Graph,
     RigidityLostError,
-    anchor_update,
     build_control_state,
     collision_gradient_all,
     collision_potential,
@@ -303,8 +302,6 @@ def test_localization_converges():
     pert = 0.1 * 50.0 / np.sqrt(2)
     init = x + rng.uniform(-pert, pert, size=x.shape)
     filters = make_filters(init, (0.1 * 50.0) ** 2, 1e-6, anchors=(0, 1))
-    for a in (0, 1):
-        filters[a] = anchor_update(filters[a], x[a])
     est = run_static_filter(fw, filters, 400, anchor_positions=x)
     anchored_err = float(np.linalg.norm(est - x, axis=1).max())
 

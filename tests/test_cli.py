@@ -1,12 +1,14 @@
 """The four command verbs, their exit codes, and the config override order."""
 
+import dataclasses
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rigidnet import rigidity, simnet
+from rigidnet import cli, rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
     EXIT_COINCIDENT_ESTIMATES,
@@ -16,6 +18,7 @@ from rigidnet.cli import (
     EXIT_RIGIDITY_LOST,
     main,
 )
+from rigidnet.experiments import reference_control_config, run_control_experiment
 
 SMALL = ["--seed", "3", "--n", "16", "--width", "90", "--height", "90",
          "--range", "40"]
@@ -174,6 +177,31 @@ class TestAudit:
         missing = tmp_path / "nope.json"
         assert main(["audit", "--framework", str(missing)]) == EXIT_BAD_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+REFERENCE_CONFIG = (Path(__file__).parents[1] / "configs"
+                    / "reference_control.json")
+
+
+class TestReferenceConfig:
+    """The committed config file is the calibrated reference scenario."""
+
+    def test_file_reads_as_the_reference_scenario(self):
+        args = cli.build_parser().parse_args(
+            ["control", "--config", str(REFERENCE_CONFIG)])
+        assert cli._build_config(args) == reference_control_config()
+
+    def test_short_run_writes_the_reference_csv(self, tmp_path, capsys):
+        # the file leaves duration out, so the flag still sets it
+        through_cli, direct = tmp_path / "cli.csv", tmp_path / "direct.csv"
+        code = main(["control", "--config", str(REFERENCE_CONFIG),
+                     "--duration", "2", "--csv", str(through_cli)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rows"] == 21
+        run_control_experiment(
+            dataclasses.replace(reference_control_config(), duration=2.0),
+            csv_path=direct)
+        assert through_cli.read_bytes() == direct.read_bytes()
 
 
 class TestConfigHandling:

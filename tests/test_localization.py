@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from rigidnet.control import ControlParams
 from rigidnet.graphs import Graph
 from rigidnet.localization import (
     CoincidentEstimatesError,
-    FilterState,
-    anchor_update,
     congruence_error,
     filter_update,
-    inflate_covariance,
     make_filters,
     measure_ranges,
     predict_ranges,
@@ -18,6 +16,7 @@ from rigidnet.localization import (
     run_static_filter,
 )
 from rigidnet.rigidity import Framework, is_infinitesimally_rigid
+from rigidnet.simnet import WorldConfig, make_world, step_simulation
 
 from support import random_disk_framework
 
@@ -70,108 +69,105 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_filter_update_zero_innovation_keeps_estimate():
-    st = FilterState([1.0, 2.0], 4.0 * np.eye(2), range_variance=0.01)
+    x, P = np.array([1.0, 2.0]), 4.0 * np.eye(2)
     nb = np.array([[4.0, 6.0]])
-    z = predict_ranges(st.estimate, nb)
-    out = filter_update(st, z, nb)
-    assert np.allclose(out.estimate, st.estimate)
-    assert np.trace(out.covariance) < np.trace(st.covariance)
+    z = predict_ranges(x, nb)
+    est, cov = filter_update(x, P, 0.01, z, nb)
+    assert np.allclose(est, x)
+    assert np.trace(cov) < np.trace(P)
 
 
 def test_filter_update_scalar_gain_oracle():
     # one range along +x: gain reduces to p/(p+rv) on that axis
     p, rv = 4.0, 1.0
-    st = FilterState([2.0, 0.0], p * np.eye(2), range_variance=rv)
     nb = np.array([[0.0, 0.0]])
     z = np.array([3.0])  # innovation +1
-    out = filter_update(st, z, nb)
-    assert np.allclose(out.estimate, [2.0 + p / (p + rv), 0.0])
-    assert np.allclose(out.covariance[0, 0], p - p**2 / (p + rv))
-    assert np.allclose(out.covariance[1, 1], p)
+    est, cov = filter_update(np.array([2.0, 0.0]), p * np.eye(2), rv, z, nb)
+    assert np.allclose(est, [2.0 + p / (p + rv), 0.0])
+    assert np.allclose(cov[0, 0], p - p**2 / (p + rv))
+    assert np.allclose(cov[1, 1], p)
 
 
 def test_filter_update_posterior_psd():
     rng = np.random.default_rng(3)
     for _ in range(20):
         a = rng.normal(size=(2, 2))
-        st = FilterState(rng.normal(size=2), a @ a.T + 0.1 * np.eye(2))
+        x, P = rng.normal(size=2), a @ a.T + 0.1 * np.eye(2)
         nb = rng.normal(size=(3, 2)) * 4.0
-        z = predict_ranges(st.estimate, nb) + rng.normal(size=3) * 0.1
-        out = filter_update(st, z, nb)
-        assert np.linalg.eigvalsh(out.covariance).min() > -1e-12
+        z = predict_ranges(x, nb) + rng.normal(size=3) * 0.1
+        _, cov = filter_update(x, P, 0.01, z, nb)
+        assert np.linalg.eigvalsh(cov).min() > -1e-12
 
 
 def test_filter_update_no_neighbors_is_noop():
-    st = FilterState([1.0, 2.0], np.eye(2))
-    out = filter_update(st, np.array([]), np.empty((0, 2)))
-    assert np.allclose(out.estimate, st.estimate)
-    assert np.allclose(out.covariance, st.covariance)
+    x, P = np.array([1.0, 2.0]), np.eye(2)
+    est, cov = filter_update(x, P, 0.01, np.array([]), np.empty((0, 2)))
+    assert np.allclose(est, x)
+    assert np.allclose(cov, P)
 
 
 def test_filter_update_shape_mismatch_raises():
-    st = FilterState([0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
-        filter_update(st, np.array([1.0, 2.0]), np.array([[1.0, 0.0]]))
+        filter_update(np.zeros(2), np.eye(2), 0.01, np.array([1.0, 2.0]),
+                      np.array([[1.0, 0.0]]))
 
 
 def test_neighbor_covariance_count_mismatch_raises():
-    st = FilterState([0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
-        filter_update(st, np.array([1.0]), np.array([[1.0, 0.0]]),
+        filter_update(np.zeros(2), np.eye(2), 0.01, np.array([1.0]),
+                      np.array([[1.0, 0.0]]),
                       neighbor_covariances=[np.eye(2), np.eye(2)])
 
 
 def test_uncertain_neighbor_damps_correction():
-    st = FilterState([2.0, 0.0], np.eye(2))
+    x = np.array([2.0, 0.0])
     nb = np.array([[0.0, 0.0]])
     z = np.array([3.0])
-    sharp = filter_update(st, z, nb, neighbor_covariances=[np.zeros((2, 2))])
-    vague = filter_update(st, z, nb, neighbor_covariances=[100.0 * np.eye(2)])
-    move_sharp = np.linalg.norm(sharp.estimate - st.estimate)
-    move_vague = np.linalg.norm(vague.estimate - st.estimate)
+    sharp, _ = filter_update(x, np.eye(2), 0.01, z, nb,
+                             neighbor_covariances=[np.zeros((2, 2))])
+    vague, _ = filter_update(x, np.eye(2), 0.01, z, nb,
+                             neighbor_covariances=[100.0 * np.eye(2)])
+    move_sharp = np.linalg.norm(sharp - x)
+    move_vague = np.linalg.norm(vague - x)
     assert move_vague < 0.2 * move_sharp
 
 
 def test_process_floor_scales_with_innovation():
-    st = FilterState([2.0, 0.0], np.eye(2))
+    x, P = np.array([2.0, 0.0]), np.eye(2)
     nb = np.array([[0.0, 0.0]])
     z = np.array([3.0])  # innovation +1
-    bare = filter_update(st, z, nb)
-    floored = filter_update(st, z, nb, process_floor=0.5)
-    assert np.allclose(floored.covariance, bare.covariance + 0.5 * np.eye(2))
-    settled = filter_update(st, predict_ranges(st.estimate, nb), nb,
-                            process_floor=0.5)
-    bare_settled = filter_update(st, predict_ranges(st.estimate, nb), nb)
-    assert np.allclose(settled.covariance, bare_settled.covariance)
+    _, bare = filter_update(x, P, 0.01, z, nb)
+    _, floored = filter_update(x, P, 0.01, z, nb, process_floor=0.5)
+    assert np.allclose(floored, bare + 0.5 * np.eye(2))
+    _, settled = filter_update(x, P, 0.01, predict_ranges(x, nb), nb,
+                               process_floor=0.5)
+    _, bare_settled = filter_update(x, P, 0.01, predict_ranges(x, nb), nb)
+    assert np.allclose(settled, bare_settled)
 
 
-def test_anchor_update_requires_anchor_flag():
-    st = FilterState([0.0, 0.0], np.eye(2), is_anchor=False)
-    with pytest.raises(ValueError):
-        anchor_update(st, [1.0, 1.0])
-
-
-def test_anchor_update_exact_fix_pins():
-    st = FilterState([5.0, -1.0], 9.0 * np.eye(2), is_anchor=True)
-    out = anchor_update(st, [1.0, 2.0], anchor_variance=0.0)
-    assert np.allclose(out.estimate, [1.0, 2.0])
-    assert np.allclose(out.covariance, 0.0)
-
-
-def test_anchor_update_noisy_fix_blends():
-    # scalar oracle per axis: K = p/(p+v)
-    p, v = 9.0, 3.0
-    st = FilterState([4.0, 0.0], p * np.eye(2), is_anchor=True)
-    out = anchor_update(st, [0.0, 0.0], anchor_variance=v)
-    assert np.allclose(out.estimate, [4.0 * (1 - p / (p + v)), 0.0])
-    assert np.allclose(out.covariance, (p - p**2 / (p + v)) * np.eye(2))
+def test_fix_anchors_pins_only_anchors():
+    filters = make_filters([[5.0, -1.0], [3.0, 3.0]], 9.0, 0.01, anchors=(0,))
+    filters.fix_anchors(np.array([[1.0, 2.0], [0.0, 0.0]]))
+    assert filters.estimates.tolist() == [[1.0, 2.0], [3.0, 3.0]]
+    assert filters.covariances.tolist() == [np.zeros((2, 2)).tolist(),
+                                            (9.0 * np.eye(2)).tolist()]
 
 
 def test_covariance_inflation_term():
-    st = FilterState([0.0, 0.0], np.eye(2))
-    out = inflate_covariance(st, [3.0, 4.0], dt=0.1, lam_p=2.0)
-    assert np.allclose(out.covariance, np.eye(2) + 2.0 * 0.01 * 25.0 * np.eye(2))
-    assert np.allclose(out.estimate, st.estimate)
+    # one ground-truth tick: every estimate dead-reckons with its robot, and
+    # its covariance grows by dt^2 * |u|^2 * I, the squared step
+    fw = random_disk_framework(np.random.default_rng(4), 12, side=60.0,
+                               range_=40.0)
+    world = make_world(fw, ControlParams(comm_range=40.0),
+                       WorldConfig(use_estimates=False, initial_variance=2.0))
+    x0 = fw.positions
+    step_simulation(world)
+    x1 = world.framework.positions
+    assert np.array_equal(world.filters.estimates, x1)
+    step = ((x1 - x0) ** 2).sum(axis=1)
+    assert step.max() > 0
+    assert np.allclose(world.filters.covariances,
+                       (2.0 + step)[:, None, None] * np.eye(2))
 
 
 def test_congruence_error_invariant_under_rigid_motion():
@@ -188,9 +184,23 @@ def test_make_filters_flags_anchors():
     filters = make_filters(np.zeros((4, 2)) + np.arange(4)[:, None],
                            initial_variance=2.0, range_variance=0.5,
                            anchors=(0, 2))
-    assert [f.is_anchor for f in filters] == [True, False, True, False]
-    assert np.allclose(filters[1].covariance, 2.0 * np.eye(2))
-    assert filters[3].range_variance == 0.5
+    assert filters.anchors.tolist() == [True, False, True, False]
+    assert filters.covariances.shape == (4, 2, 2)
+    assert np.allclose(filters.covariances[1], 2.0 * np.eye(2))
+    assert filters.range_variance == 0.5
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_make_filters_rejects_anchor_ids_outside_the_network(bad):
+    with pytest.raises(ValueError, match=f"anchor id {bad} is not a node id"):
+        make_filters(np.zeros((4, 2)), 1.0, 0.01, anchors=(0, bad))
+
+
+def test_make_filters_copies_the_estimates():
+    x = np.zeros((3, 2))
+    filters = make_filters(x, 1.0, 0.01)
+    filters.estimates += 1.0
+    assert not x.any()
 
 
 def test_measure_ranges_one_value_per_edge():
@@ -223,8 +233,6 @@ def test_two_anchors_one_free_converges_tightly():
     x = fw.positions
     init = x + np.array([[0.0, 0.0], [0.0, 0.0], [0.3, -0.4]])
     filters = make_filters(init, 1.0, 1e-6, anchors=(0, 1))
-    for a in (0, 1):
-        filters[a] = anchor_update(filters[a], x[a])
     est = run_static_filter(fw, filters, 80, anchor_positions=x)
     assert np.linalg.norm(est - x, axis=1).max() < 1e-6
 
@@ -257,8 +265,6 @@ def test_anchored_network_reaches_truth():
     init = x + rng.uniform(-pert, pert, size=x.shape)
     assert np.linalg.norm(init - x, axis=1).max() <= 0.1 * 50.0
     filters = make_filters(init, (0.1 * 50.0) ** 2, 1e-6, anchors=(0, 1))
-    for a in (0, 1):
-        filters[a] = anchor_update(filters[a], x[a])
     est = run_static_filter(fw, filters, 400, anchor_positions=x)
     assert np.linalg.norm(est - x, axis=1).max() < 1e-3
 

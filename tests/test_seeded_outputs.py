@@ -34,7 +34,7 @@ import pytest
 from rigidnet import cli
 from rigidnet.cli import EXIT_OK, main
 from rigidnet.experiments import ScenarioConfig, generate_scenario
-from rigidnet.localization import anchor_update, make_filters, run_static_filter
+from rigidnet.localization import make_filters, run_static_filter
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,15 +104,14 @@ def test_control_final_state_as_recorded(name, control_runs):
     world = control_runs[name][2]
     digests = {"positions": _sha256(world.framework.positions)}
     if world.config.use_estimates:
-        digests["estimates"] = _sha256([f.estimate for f in world.filters])
+        digests["estimates"] = _sha256(world.filters.estimates)
     assert digests == DIGESTS["runs"][name]
 
 
 def test_control_final_covariances_as_recorded(control_runs):
     _skip_unless_recorded_build()
     world = control_runs["control_seed3_est.csv"][2]
-    covariances = np.array([f.covariance for f in world.filters])
-    assert _sha256(covariances) == DIGESTS["covariances"]["control_seed3_est.csv"]
+    assert _sha256(world.filters.covariances) == DIGESTS["covariances"]["control_seed3_est.csv"]
 
 
 def static_filter_run():
@@ -122,12 +121,9 @@ def static_filter_run():
     rng = np.random.default_rng(21)
     filters = make_filters(x + rng.uniform(-3.5, 3.5, size=x.shape),
                            25.0, 1e-4, anchors=(0, 1))
-    for a in (0, 1):
-        filters[a] = anchor_update(filters[a], x[a])
     run_static_filter(fw, filters, 60, anchor_positions=x,
                       measurement_rng=rng, measurement_std=0.01)
-    return (np.array([f.estimate for f in filters]),
-            np.array([f.covariance for f in filters]))
+    return filters.estimates, filters.covariances
 
 
 def test_static_filter_final_state_as_recorded():
