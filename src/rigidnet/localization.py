@@ -44,7 +44,7 @@ class Filters:
 
     def fix_anchors(self, positions):
         """Pin every anchor at its exact fix: estimate = fix, covariance = 0."""
-        self.estimates[self.anchors] = positions[self.anchors]
+        self.estimates[self.anchors] = np.asarray(positions)[self.anchors]
         self.covariances[self.anchors] = 0.0
 
 
