@@ -20,25 +20,20 @@ from .rigidity import (
     RigidityReport,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
-    energy,
     is_infinitesimally_rigid,
     rigid_body_dim,
     rigidity_matrix,
     rigidity_report,
     rigidity_spectrum,
-    strains,
     symmetric_rigidity_matrix,
-    trivial_motion_basis,
 )
 from .subframeworks import (
     ExtentAssignment,
     LoadReport,
-    Subframework,
     communication_load,
     extent_assignment,
     extract_subframework,
     inclusion_group,
-    rigidity_extent,
     verify_extents,
 )
 from .control import (
@@ -63,8 +58,6 @@ from .localization import (
     congruence_error,
     filter_update,
     make_filters,
-    predict_ranges,
-    range_jacobian,
     run_static_filter,
 )
 from .simnet import (

@@ -2,8 +2,8 @@
 
 Flags mirror the scenario fields; a JSON config file passed with --config
 overrides any flag value.  Exit codes: 0 on success, 2 when a control run
-loses rigidity, 3 for an invalid configuration (an unknown field or a value
-of the wrong type), 4 when the message exchange breaks its protocol (a send
+loses rigidity, 3 for an invalid configuration (an unknown field, a value
+of the wrong type or a value out of range), 4 when the message exchange breaks its protocol (a send
 across a non-edge, or more than 2 * eta rounds), 5 when the rank test and
 the eigenvalue test of a rigidity report disagree, 6 when two neighbors'
 position estimates coincide and the range filter cannot update.

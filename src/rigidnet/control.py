@@ -70,6 +70,8 @@ class ControlParams:
             raise ValueError("weight_prune must lie in (0, 1)")
         if min(self.k_rigidity, self.k_load, self.k_collision) < 0:
             raise ValueError("gains must be non-negative")
+        if self.max_step_retries < 0:
+            raise ValueError("max_step_retries must be non-negative")
 
 
 def _logistic(lengths, comm_range, steepness):

@@ -65,6 +65,8 @@ class ScenarioConfig:
             raise ConfigError("duration cannot be negative")
         if self.noise_std < 0:
             raise ConfigError("noise level cannot be negative")
+        if self.initial_estimate_error < 0:
+            raise ConfigError("initial estimate error cannot be negative")
         if self.rejection_budget < 1:
             raise ConfigError("rejection budget must be positive")
         if any(a < 0 or a >= self.n for a in self.anchors):

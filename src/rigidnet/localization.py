@@ -60,16 +60,6 @@ def _range_model(estimate, neighbor_estimates):
     return r, diff / r[:, None]
 
 
-def predict_ranges(estimate, neighbor_estimates):
-    """Expected range to each neighbor estimate, in the given neighbor order."""
-    return _range_model(estimate, neighbor_estimates)[0]
-
-
-def range_jacobian(estimate, neighbor_estimates):
-    """Unit-row jacobian of the predicted ranges with respect to own position."""
-    return _range_model(estimate, neighbor_estimates)[1]
-
-
 def filter_update(estimate, covariance, range_variance, measurements,
                   neighbor_estimates, neighbor_covariances=None,
                   process_floor=0.0):

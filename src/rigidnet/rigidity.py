@@ -110,20 +110,6 @@ def rigidity_matrix(fw):
     return R
 
 
-def strains(fw, u):
-    """Per-edge strain r_ij . (u_i - u_j) of a stacked velocity vector."""
-    u = np.asarray(u, dtype=float).reshape(fw.n, fw.dim)
-    e = fw.graph.edge_array()
-    du = u[e[:, 0]] - u[e[:, 1]]
-    return (fw.units * du).sum(axis=1)
-
-
-def energy(fw, u):
-    """Total squared strain induced by a velocity vector."""
-    s = strains(fw, u)
-    return float(s @ s)
-
-
 def _checked_weights(weights, m):
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
@@ -209,31 +195,6 @@ def framework_gram(fw, weights=None):
     layout = GramLayout.of(fw.dim, [fw.n], np.arange(m), e,
                            np.zeros(m, dtype=np.intp))
     return layout.grams(fw.units, weights)[0]
-
-
-def trivial_motion_basis(fw):
-    """Orthonormal dn x f basis of rigid-body velocity fields (translations + rotations)."""
-    d, n = fw.dim, fw.n
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    x = fw.positions - fw.positions.mean(axis=0)
-    cols = []
-    for a in range(d):
-        t = np.zeros((n, d))
-        t[:, a] = 1.0
-        cols.append(t.ravel())
-    if d == 2:
-        cols.append(np.column_stack([-x[:, 1], x[:, 0]]).ravel())
-    else:
-        for axis in range(3):
-            w = np.zeros(3)
-            w[axis] = 1.0
-            cols.append(np.cross(w, x).ravel())
-    B = np.column_stack(cols)
-    Q, Rq = np.linalg.qr(B)
-    if (np.abs(np.diag(Rq)) < 1e-10 * max(1.0, np.abs(Rq).max())).any():
-        raise ValueError("degenerate realization: rigid motions do not span f dimensions")
-    return Q
 
 
 @dataclass(frozen=True)

@@ -131,10 +131,6 @@ class RoundLog:
     def complete(self):
         return self.expected_pairs == set(self.pair_round)
 
-    def record_delivery(self, center, member, round_index):
-        if (center, member) not in self.pair_round:
-            self.pair_round[(center, member)] = round_index
-
 
 def _check_edge(adj, sender, receiver):
     if receiver not in adj[sender]:
@@ -243,7 +239,7 @@ def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
             for i in members[j]:
                 if i == j:
                     contributions[(j, j)] = computed[j]
-                    log.record_delivery(j, j, round_index)
+                    log.pair_round[(j, j)] = round_index
                     continue
                 route = (j,) + heard[j][i].path[::-1]
                 outbox[j].append(Message(
@@ -304,7 +300,7 @@ def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
                                            ttl_left - 1, path + (i,), payload))
                 elif i == target:
                     contributions[(origin, i)] = payload
-                    log.record_delivery(origin, i, round_index)
+                    log.pair_round[(origin, i)] = round_index
                 else:
                     out.append(Message(origin, GRADIENT_RETURN, ttl_left - 1,
                                        path + (i,), payload, target, route))
@@ -364,15 +360,13 @@ def _command_from_exchange(fw, params, contributions):
     return _command(fw, params, members, payloads[:, 0], payloads[:, 1])
 
 
-def decentralized_velocity(fw, extents, params, positions=None):
+def decentralized_velocity(fw, extents, params):
     """Sum every robot's received slope payloads into its velocity command.
 
     Always runs the message engine; the closed loop replays it instead
     (see tick_velocity), and this is the oracle the replay is checked
     against.  Matches the centralized field on the same positions.
     """
-    if positions is not None:
-        fw = Framework(fw.graph, positions)
     contributions, log = run_exchange_phase(fw, extents, params)
     return _command_from_exchange(fw, params, contributions), log
 

@@ -14,7 +14,9 @@ engine's centers all read their balls from one.  What a graph and the
 frozen extents fix for every ball (the membership mask, load coefficients,
 flood ttls, the stack and its layouts) is a BallSet, computed once per
 Graph and kept on it (ball_set).  The extent search stacks the balls of
-all centers still searching at one radius the same way.
+all centers still searching at one radius the same way.  The load
+coefficients max(0, h_j - g_ji) are one table, kept on the Graph under the
+extents, that the BallSet and communication_load both read.
 """
 
 from dataclasses import dataclass, field
@@ -25,28 +27,14 @@ from .graphs import geodesics, induced_subgraph
 from .rigidity import Framework, GramLayout, rigidity_spectrum
 
 
-@dataclass
-class Subframework:
-    """Hop-ball of a center node realized as a framework with local node ids."""
-
-    center: int
-    extent: int
-    nodes: list
-    framework: Framework
-
-    @property
-    def n(self):
-        return len(self.nodes)
-
-
 def extract_subframework(fw, center, extent):
-    """Framework induced by the ball of the given hop radius around center."""
+    """Framework induced by the ball of the given hop radius around center,
+    with local node ids, and the sorted global ids of its nodes."""
     if extent < 0:
         raise ValueError("extent must be nonnegative")
     nodes = np.flatnonzero(geodesics(fw.graph).dist[center] <= extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
-    local = Framework(sub, fw.positions[nodes], fw.dim)
-    return Subframework(center, extent, nodes, local)
+    return Framework(sub, fw.positions[nodes], fw.dim), nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +127,24 @@ class BallSet:
         return ball_grams(self.layouts, units, weights)
 
 
+def _load_table(graph, extents):
+    """c[j, i] = max(0, h_j - g_ji), node i's load coefficient for center j,
+    read-only, computed once and kept on the graph for the latest extents."""
+    h = np.asarray(extents, dtype=float)
+
+    def build(graph):
+        c = np.maximum(0.0, h[:, None] - geodesics(graph).dist)
+        c.setflags(write=False)
+        return c
+    return graph.cached("load_table", h.tobytes(), build)
+
+
 def _build_ball_set(extents, d):
     def build(graph):
-        dist = geodesics(graph).dist
-        inside = dist <= extents[:, None]
+        inside = geodesics(graph).dist <= extents[:, None]
         stack = stack_balls(inside, graph.edge_array())
         layouts = stack_layouts(stack, d)
-        c = np.maximum(0.0, extents[:, None] - dist)
+        c = _load_table(graph, extents)
         coeff = c.sum(axis=0)
         ttl = np.where(inside, extents[:, None], 0).max(axis=0)
         arrays = [inside, c, coeff, ttl, *vars(stack).values()]
@@ -183,36 +182,6 @@ def _rigid_balls(fw, inside):
     return np.array([s is not None and s.rigid for s in spectra], dtype=bool)
 
 
-def rigidity_extent(fw, center):
-    """Smallest hop radius whose ball around center is rigid, or None.
-
-    Rigidity of growing balls is not monotone (a pendant node entering the
-    ball with a single induced edge breaks it), so every radius is tested in
-    turn.  The scan stops once the ball stops growing: from there on the
-    subframework never changes again.
-    """
-    return _extents(fw, [center])[0]
-
-
-def _extents(fw, centers):
-    """rigidity_extent of every center, radius by radius: the balls of all
-    centers still searching at one radius are assembled together.  A
-    center searches at radius h only while some node lies exactly h hops
-    away, that is while its ball still grows."""
-    dist = geodesics(fw.graph).dist[centers]
-    found = [None] * len(dist)
-    pending = np.arange(len(dist))
-    for h in range(1, fw.n + 1):
-        pending = pending[(dist[pending] == h).any(axis=1)]
-        if not len(pending):
-            break
-        rigid = _rigid_balls(fw, dist[pending] <= h)
-        for k in pending[rigid].tolist():
-            found[k] = h
-        pending = pending[~rigid]
-    return found
-
-
 @dataclass
 class ExtentAssignment:
     """Per-node rigidity extents; None marks nodes with no rigid ball at all."""
@@ -223,12 +192,6 @@ class ExtentAssignment:
     def complete(self):
         return all(h is not None for h in self.extents)
 
-    def worst_case(self):
-        """Largest extent, or None when some node has no rigid ball."""
-        if not self.complete:
-            return None
-        return max(self.extents)
-
     def as_array(self):
         if not self.complete:
             raise ValueError("assignment is incomplete")
@@ -236,8 +199,28 @@ class ExtentAssignment:
 
 
 def extent_assignment(fw):
-    """Rigidity extent of every node."""
-    return ExtentAssignment(_extents(fw, np.arange(fw.n)))
+    """Rigidity extent of every node: the smallest hop radius whose ball
+    around it is rigid.
+
+    Rigidity of growing balls is not monotone (a pendant node entering the
+    ball with a single induced edge breaks it), so every radius is tested
+    in turn, and the balls of all nodes still searching at one radius are
+    assembled together.  A node searches at radius h only while some node
+    lies exactly h hops away, that is while its ball still grows: from
+    there on its subframework never changes again.
+    """
+    dist = geodesics(fw.graph).dist
+    found = [None] * fw.n
+    pending = np.arange(fw.n)
+    for h in range(1, fw.n + 1):
+        pending = pending[(dist[pending] == h).any(axis=1)]
+        if not len(pending):
+            break
+        rigid = _rigid_balls(fw, dist[pending] <= h)
+        for k in pending[rigid].tolist():
+            found[k] = h
+        pending = pending[~rigid]
+    return ExtentAssignment(found)
 
 
 def verify_extents(fw, extents):
@@ -263,22 +246,17 @@ class LoadReport:
     total: float
 
 
-def communication_load(g, extents, degrees=None):
+def communication_load(g, extents):
     """Load sum_i sum_{j in V_i} max(0, h_i - g_ij) * delta_j.
 
     A member j of the ball of center i relays measurements for h_i - g_ij
     hops, once per incident edge, so nodes deep inside large balls dominate.
-    Passing weighted degrees gives the smooth variant used by the controller;
-    the default integer degrees give 2m when every extent is 1.
+    With every extent 1 the load is 2m.
     """
     h = np.asarray(extents, dtype=float)
     if h.shape != (g.n,):
         raise ValueError(f"expected {g.n} extents, got shape {h.shape}")
     if (h < 1).any():
         raise ValueError("extents must be at least 1")
-    if degrees is None:
-        degrees = g.degrees().astype(float)
-    degrees = np.asarray(degrees, dtype=float)
-    c = np.maximum(0.0, h[:, None] - geodesics(g).dist)
-    per_center = c @ degrees
+    per_center = _load_table(g, h) @ g.degrees().astype(float)
     return LoadReport(per_center, float(per_center.sum()))

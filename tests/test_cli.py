@@ -259,6 +259,26 @@ class TestConfigHandling:
         assert line.startswith("configuration error:") and "eig_tol" in line
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--estimate-error", "-1"], None),
+        ([], {"control": {"comm_range": 40.0, "max_step_retries": -1}}),
+    ])
+    def test_out_of_range_value_exits_three(self, tmp_path, capsys, flags,
+                                            config):
+        # caught when the configuration is built, not reported as a failed
+        # run: a negative estimate error would otherwise run as 0, and
+        # negative retries as a rigidity loss at t=0
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg)]
+        assert main(["control", *SMALL, "--duration", "1",
+                     *flags]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:")
+        assert captured.out == ""
+
     def test_malformed_config_file_exits_three(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json {")

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from support import central_difference, hop_ball, random_disk_framework
+from support import (
+    central_difference,
+    floyd_warshall,
+    hop_ball,
+    random_disk_framework,
+)
 
 from rigidnet import control
 from rigidnet.control import (
@@ -25,7 +30,7 @@ from rigidnet.control import (
 from rigidnet.graphs import Graph, geodesics
 from rigidnet.rigidity import Framework
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
-from rigidnet.subframeworks import ball_set, communication_load
+from rigidnet.subframeworks import ball_set
 
 
 def apex_framework():
@@ -82,6 +87,8 @@ class TestParams:
             ControlParams(comm_range=1.0, weight_prune=1.5)
         with pytest.raises(ValueError):
             ControlParams(comm_range=1.0, k_load=-1.0)
+        with pytest.raises(ValueError):
+            ControlParams(comm_range=1.0, max_step_retries=-1)
 
 
 class TestStateBuild:
@@ -145,8 +152,10 @@ class TestPotentials:
         e = g.edge_array()
         np.add.at(delta, e[:, 0], state.weights)
         np.add.at(delta, e[:, 1], state.weights)
-        rep = communication_load(g, state.extents, degrees=delta)
-        assert load_potential(state) == pytest.approx(rep.total)
+        # the weighted load: max(0, h_j - g_ji) from the textbook hop
+        # counts, weighing each node's summed link weights
+        c = np.maximum(0.0, state.extents[:, None] - floyd_warshall(g))
+        assert load_potential(state) == pytest.approx((c @ delta).sum())
 
     def test_collision_frozen_pair(self):
         fw = Framework(Graph(2, [(0, 1)]), [[0.0, 0.0], [1.0, 0.0]])

@@ -55,6 +55,7 @@ class TestScenarioConfig:
         dict(rejection_budget=0),
         dict(anchors=(16,)),
         dict(anchors=(-1,)),
+        dict(initial_estimate_error=-0.5),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ConfigError):

@@ -25,7 +25,6 @@ from rigidnet.rigidity import (
 from rigidnet.simnet import (
     Message,
     ProtocolViolation,
-    RoundLog,
     WorldConfig,
     _check_edge,
     broadcast_estimates,
@@ -67,14 +66,6 @@ def test_message_validation():
     with pytest.raises(ValueError):
         Message(kind="position_flood", origin=0, payload=None, ttl=-1,
                 path=(0,))
-
-
-def test_round_log_keeps_first_delivery():
-    log = RoundLog(expected_pairs=frozenset({(0, 1)}))
-    log.record_delivery(0, 1, 3)
-    log.record_delivery(0, 1, 9)
-    assert log.pair_round[(0, 1)] == 3
-    assert log.complete
 
 
 def test_non_edge_send_rejected():
@@ -327,7 +318,7 @@ def engine_checked_run(monkeypatch, world, ticks):
         u, log = replay_or_compile(w, positions)
         ticks_seen.append((w.framework.graph, len(calls) - before))
         u_engine, log_engine = decentralized_velocity(
-            w.framework, w.extents, w.params, positions=positions)
+            Framework(w.framework.graph, positions), w.extents, w.params)
         assert u.tobytes() == u_engine.tobytes()
         # every log handed out came from an engine run on this topology
         assert log.pair_round == log_engine.pair_round
@@ -454,9 +445,9 @@ def flexible_ball_world():
 
 
 def assert_fails_like_the_engine(world, positions):
+    fw = Framework(world.framework.graph, positions)
     with pytest.raises(RigidityLostError) as engine:
-        decentralized_velocity(world.framework, world.extents, world.params,
-                               positions=positions)
+        decentralized_velocity(fw, world.extents, world.params)
     with pytest.raises(RigidityLostError) as replay:
         simnet.tick_velocity(world, positions)
     assert str(replay.value) == str(engine.value)

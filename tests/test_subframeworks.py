@@ -4,16 +4,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from support import hop_ball, random_disk_framework, random_graph
+from support import floyd_warshall, hop_ball, random_disk_framework, random_graph
 
 from rigidnet.graphs import GeodesicTable, Graph
 from rigidnet.rigidity import Framework, is_infinitesimally_rigid
 from rigidnet.subframeworks import (
+    ball_set,
     communication_load,
     extent_assignment,
     extract_subframework,
     inclusion_group,
-    rigidity_extent,
     stack_balls,
     verify_extents,
 )
@@ -137,23 +137,22 @@ def complete_positions(n, rng):
 class TestExtract:
     def test_ball_and_induced_edges(self):
         fw = braced_square_with_apex()
-        sub = extract_subframework(fw, 4, 1)
-        assert sub.nodes == [1, 3, 4]
-        assert sub.framework.graph.edges == [(0, 2), (1, 2)]
-        assert np.array_equal(sub.framework.positions, fw.positions[[1, 3, 4]])
-        assert sub.center == 4 and sub.extent == 1 and sub.n == 3
+        sub, nodes = extract_subframework(fw, 4, 1)
+        assert nodes == [1, 3, 4]
+        assert sub.graph.edges == [(0, 2), (1, 2)]
+        assert np.array_equal(sub.positions, fw.positions[[1, 3, 4]])
 
     def test_zero_extent_is_single_node(self):
         fw = braced_square_with_apex()
-        sub = extract_subframework(fw, 2, 0)
-        assert sub.nodes == [2]
-        assert sub.framework.graph.m == 0
+        sub, nodes = extract_subframework(fw, 2, 0)
+        assert nodes == [2]
+        assert sub.graph.m == 0
 
     def test_full_extent_recovers_framework(self):
         fw = braced_square_with_apex()
-        sub = extract_subframework(fw, 0, 2)
-        assert sub.nodes == list(range(5))
-        assert sub.framework.graph == fw.graph
+        sub, nodes = extract_subframework(fw, 0, 2)
+        assert nodes == list(range(5))
+        assert sub.graph == fw.graph
 
 
 class TestExtent:
@@ -163,7 +162,6 @@ class TestExtent:
         asg = extent_assignment(fw)
         assert asg.extents == [1, 2, 1, 2, 2]
         assert asg.complete
-        assert asg.worst_case() == 2
 
     def test_complete_graph_extents_all_one(self):
         fw = complete_positions(6, np.random.default_rng(20))
@@ -178,13 +176,12 @@ class TestExtent:
         asg = extent_assignment(fw)
         assert asg.extents == [None, 1, 1, None]
         assert not asg.complete
-        assert asg.worst_case() is None
 
     def test_path_has_no_extents(self):
         g = Graph(5, [(i, i + 1) for i in range(4)])
         rng = np.random.default_rng(21)
         fw = Framework(g, rng.uniform(-1, 1, size=(5, 2)))
-        assert rigidity_extent(fw, 2) is None
+        assert extent_assignment(fw).extents[2] is None
 
     def test_complete_assignment_iff_rigid(self):
         rng = np.random.default_rng(22)
@@ -211,11 +208,11 @@ class TestExtent:
             for j in range(fw.n):
                 prev, found = None, None
                 for h in range(1, fw.n + 1):
-                    sub = extract_subframework(fw, j, h)
-                    if sub.nodes == prev:
+                    sub, nodes = extract_subframework(fw, j, h)
+                    if nodes == prev:
                         break
-                    prev = sub.nodes
-                    if sub.n > d and is_infinitesimally_rigid(sub.framework):
+                    prev = nodes
+                    if sub.n > d and is_infinitesimally_rigid(sub):
                         found = h
                         break
                 expected.append(found)
@@ -298,11 +295,32 @@ class TestLoad:
         assert (small.per_center <= big.per_center + 1e-12).all()
         assert small.total <= big.total + 1e-12
 
-    def test_weighted_degrees_scale(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        base = communication_load(g, [2, 1, 2])
-        doubled = communication_load(g, [2, 1, 2], degrees=2.0 * g.degrees())
-        assert doubled.total == pytest.approx(2.0 * base.total)
+    def test_shared_table_follows_the_extents(self):
+        # communication_load and the BallSet read one coefficient table
+        # kept on the graph; whatever was asked for last, each call must
+        # see the coefficients of its own extents
+        rng = np.random.default_rng(26)
+        fw = random_disk_framework(rng, 15, side=1.0, range_=0.5)
+        g = fw.graph
+        dist = floyd_warshall(g)
+        ecc = dist.max(axis=1).astype(int)
+        h = np.array([int(rng.integers(1, e + 1)) for e in ecc])
+
+        def oracle(extents):
+            c = np.maximum(0.0, np.asarray(extents)[:, None] - dist)
+            return c @ g.degrees()
+
+        before = communication_load(g, h).per_center
+        balls = ball_set(g, h, fw.dim)
+        after = communication_load(g, h).per_center
+        other = communication_load(g, ecc).per_center
+        again = communication_load(g, h).per_center
+        assert np.array_equal(before, oracle(h))
+        assert np.array_equal(after, oracle(h))
+        assert np.array_equal(other, oracle(ecc))
+        assert np.array_equal(again, oracle(h))
+        assert np.array_equal(balls.c, np.maximum(0.0, h[:, None] - dist))
+        assert np.array_equal(ball_set(g, h, fw.dim).c, balls.c)
 
     def test_rejects_zero_extent(self):
         g = Graph(3, [(0, 1), (1, 2)])
