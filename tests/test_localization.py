@@ -35,7 +35,18 @@ def test_predict_ranges_coincident_raises():
         _range_model([1.0, 2.0], [[1.0, 2.0]])
 
 
-def test_coincident_estimates_raise_a_named_error():
+@pytest.mark.parametrize("output", [
+    pytest.param(0, id="predict_ranges"),
+    pytest.param(1, id="range_jacobian"),
+])
+def test_coincident_estimates_raise_a_named_error(output):
+    # neither the predicted ranges nor their jacobian come back for a
+    # coincident neighbor
+    with pytest.raises(CoincidentEstimatesError, match="coincident estimates"):
+        _range_model([1.0, 2.0], [[4.0, 6.0], [1.0, 2.0]])[output]
+
+
+def test_filter_update_coincident_estimates_raise_a_named_error():
     with pytest.raises(CoincidentEstimatesError, match="coincident estimates"):
         filter_update(np.array([1.0, 2.0]), np.eye(2), 0.01,
                       np.array([5.0, 1.0]), np.array([[4.0, 6.0], [1.0, 2.0]]))
