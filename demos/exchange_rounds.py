@@ -18,7 +18,7 @@ from rigidnet import (
 def main():
     fw = generate_scenario(ScenarioConfig(seed=4, n=40, width=140.0,
                                           height=140.0, comm_range=32.0))
-    h = extent_assignment(fw).as_array()
+    h = extent_assignment(fw)
     eta = int(h.max())
     params = ControlParams(comm_range=32.0)
 

@@ -25,8 +25,7 @@ def main():
     fw = generate_scenario(ScenarioConfig(seed=17, n=100, comm_range=17.5))
     g = fw.graph
     table = geodesics(g)
-    assignment = extent_assignment(fw)
-    h = assignment.as_array()
+    h = extent_assignment(fw)
     m = len(g.edges)
 
     print(f"100-robot disk network, m = {m}, diameter = {int(table.dist.max())}")
@@ -42,9 +41,9 @@ def main():
     print(f"\nrobot {center} needs {h[center]} hops ({len(ball)} members); "
           f"{len(group)} centers count it as a member")
 
-    floor = communication_load(g, np.ones(g.n, dtype=int)).total
-    load = communication_load(g, h).total
-    ceiling = communication_load(g, table.dist.max(axis=1).astype(int)).total
+    floor = communication_load(g, np.ones(g.n, dtype=int)).sum()
+    load = communication_load(g, h).sum()
+    ceiling = communication_load(g, table.dist.max(axis=1).astype(int)).sum()
     print("\nstandardized communication load (vs the 2m floor):")
     print(f"  all extents 1:   {floor / (2 * m):.2f}")
     print(f"  rigidity extents: {load / (2 * m):.2f}")

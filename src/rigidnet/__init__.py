@@ -28,8 +28,6 @@ from .rigidity import (
     symmetric_rigidity_matrix,
 )
 from .subframeworks import (
-    ExtentAssignment,
-    LoadReport,
     communication_load,
     extent_assignment,
     extract_subframework,

@@ -3,7 +3,8 @@
 Flags mirror the scenario fields; a JSON config file passed with --config
 overrides any flag value.  Exit codes: 0 on success, 2 when a control run
 loses rigidity, 3 for an invalid configuration (an unknown field, a value
-of the wrong type or a value out of range), 4 when the message exchange breaks its protocol (a send
+of the wrong type, a value out of range, or a framework too small for the
+rigidity test), 4 when the message exchange breaks its protocol (a send
 across a non-edge, or more than 2 * eta rounds), 5 when the rank test and
 the eigenvalue test of a rigidity report disagree, 6 when two neighbors'
 position estimates coincide and the range filter cannot update.
@@ -25,7 +26,11 @@ from .experiments import (
     run_ensemble_experiment,
 )
 from .localization import CoincidentEstimatesError
-from .rigidity import RankMismatchError, rigidity_report
+from .rigidity import (
+    FrameworkTooSmallError,
+    RankMismatchError,
+    rigidity_report,
+)
 from .simnet import ProtocolViolation
 
 EXIT_OK = 0
@@ -92,8 +97,12 @@ def _build_config(args):
         if value is not None:
             fields[name] = value
     if getattr(args, "anchors", None):
-        fields["anchors"] = tuple(
-            int(a) for a in args.anchors.split(",") if a != "")
+        try:
+            fields["anchors"] = tuple(
+                int(a) for a in args.anchors.split(",") if a != "")
+        except ValueError:
+            raise ConfigError("anchors must be comma separated node ids, "
+                              f"got {args.anchors!r}")
     if getattr(args, "ground_truth", False):
         fields["use_estimates"] = False
     if getattr(args, "flexible_ok", False):
@@ -211,7 +220,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FrameworkTooSmallError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_BAD_CONFIG
     except RigidityLostError as exc:

@@ -32,13 +32,7 @@ from scipy.special import expit
 
 from .graphs import Graph
 from .rigidity import CoincidentNodesError, Framework
-from .subframeworks import (
-    BallSet,
-    ExtentAssignment,
-    ball_set,
-    ball_spectrum,
-    extent_assignment,
-)
+from .subframeworks import BallSet, ball_set, ball_spectrum, extent_assignment
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +81,8 @@ class ControlState:
     and coeff) is the graph's own and shared, read-only, by every state on that
     graph; the edge unit vectors and lengths are the framework's, and the
     link weights and spectra belong to this state.  spectra holds each
-    ball's Spectrum, in center order, or None for a ball too small to test.
+    ball's Spectrum, in center order (subframeworks.TOO_SMALL for a ball too
+    small to test, whose rho is None and reads NaN in rhos).
     """
 
     framework: Framework
@@ -100,19 +95,19 @@ class ControlState:
 
     @property
     def rhos(self):
-        return np.array([np.nan if s is None else s.rho for s in self.spectra])
+        return np.array([s.rho for s in self.spectra], dtype=float)
 
     def require_rigid(self):
         for j, s in enumerate(self.spectra):
-            if s is None or not s.rigid:
+            if not s.rigid:
                 raise RigidityLostError(
                     f"subframework of node {j} lost rigidity "
-                    f"(rho={None if s is None else s.rho}) at t={self.time:.3f}"
+                    f"(rho={s.rho}) at t={self.time:.3f}"
                 )
 
     def rigidity_slopes(self):
         """ball_rigidity_slopes of every ball, one row per stack row; every
-        ball must have a spectrum."""
+        ball must be rigid."""
         fw = self.framework
         return ball_rigidity_slopes(
             self.ball_set.stack, [s.rho for s in self.spectra],
@@ -124,16 +119,14 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     """Snapshot the discrete structure of a framework and solve its eigenproblems.
 
     Extents are decided once, at startup, and carried verbatim across steps
-    even as edges come and go; pass None to measure them here.  With
-    require_rigid the build fails as soon as any ball is too small or has a
-    rigidity eigenvalue at the zero threshold.
+    even as edges come and go: pass an array of one radius per node, or None
+    to measure them here.  With require_rigid the build fails as soon as any
+    ball is too small or has a rigidity eigenvalue at the zero threshold.
     """
     if extents is None:
         extents = extent_assignment(fw)
-    if isinstance(extents, ExtentAssignment):
-        if not extents.complete:
+        if not extents.all():
             raise RigidityLostError("some node has no rigid ball at any radius")
-        extents = extents.as_array()
     extents = np.asarray(extents, dtype=np.intp)
     if extents.shape != (fw.n,) or (extents < 1).any():
         raise ValueError("extents must be one positive radius per node")
@@ -143,7 +136,7 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
 
     spectra = [ball_spectrum(S, fw.dim)
                for S in balls.grams(fw.units, weights)]
-    degenerate = sum(s is not None and s.degenerate for s in spectra)
+    degenerate = sum(s.degenerate for s in spectra)
     if degenerate:
         logger.debug(
             "%d subframeworks have near-multiple rigidity eigenvalues at t=%.3f; "
@@ -175,7 +168,7 @@ def rigidity_potential(state, positions=None):
     rhos = np.empty(len(state.spectra))
     for k, S in enumerate(state.ball_set.grams(fw.units, weights)):
         spectrum = ball_spectrum(S, state.framework.dim, vectors=False)
-        if spectrum is None or not spectrum.rigid:
+        if not spectrum.rigid:
             raise RigidityLostError(
                 "a subframework is at or below the zero threshold")
         rhos[k] = spectrum.rho
@@ -345,8 +338,7 @@ def _state_if_rigid(graph, positions, params, extents, time):
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
-    return state if all(s is not None and s.rigid
-                        for s in state.spectra) else None
+    return state if all(s.rigid for s in state.spectra) else None
 
 
 def guarded_refresh(graph, positions, params, extents, time=0.0):

@@ -121,22 +121,21 @@ def framework_from_json(data):
 def network_record(fw, index=0, rejects=0):
     """Structure measurements of one network, as one flat record."""
     table = geodesics(fw.graph)
-    extents = extent_assignment(fw)
-    h = extents.as_array()
+    h = extent_assignment(fw)
     eccent = table.dist.max(axis=1).astype(int)
     m = len(fw.graph.edges)
-    load = communication_load(fw.graph, h)
-    upper = communication_load(fw.graph, eccent)
+    load = float(communication_load(fw.graph, h).sum())
+    upper = float(communication_load(fw.graph, eccent).sum())
     return {
         "index": index,
         "n": fw.graph.n,
         "m": m,
         "diameter": int(table.dist.max()),
         "eta": int(h.max()),
-        "load": load.total,
-        "load_ratio": load.total / (2.0 * m),
-        "upper_load": upper.total,
-        "upper_load_ratio": upper.total / (2.0 * m),
+        "load": load,
+        "load_ratio": load / (2.0 * m),
+        "upper_load": upper,
+        "upper_load_ratio": upper / (2.0 * m),
         "rejects": rejects,
     }
 
@@ -150,7 +149,11 @@ def run_ensemble_experiment(config, csv_path=None, json_path=None):
 
     Each network draws from its own spawned child seed, so the ensemble is
     reproducible under any evaluation order.  Returns (records, summary).
+    A flexible network has no extents and no load, so the ensemble needs
+    require_rigid.
     """
+    if not config.require_rigid:
+        raise ConfigError("the ensemble measures rigid networks only")
     root = np.random.SeedSequence(config.seed)
     records = []
     for index, child in enumerate(root.spawn(config.ensemble_count)):

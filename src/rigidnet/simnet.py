@@ -151,7 +151,7 @@ def _trace_line(trace, round_index, msg):
 def _ball_eigen(S, d, center):
     """rho and per-member nu of one ball's S; a ball that fails the test stops the exchange."""
     spectrum = ball_spectrum(S, d)
-    if spectrum is None or not spectrum.rigid:
+    if not spectrum.rigid:
         raise RigidityLostError(
             f"subframework of node {center} is not rigid")
     return spectrum.rho, spectrum.nu.reshape(-1, d)
@@ -413,8 +413,7 @@ def _replay(schedule, world, x):
         state = build_control_state(Framework(world.framework.graph, x),
                                     params, world.extents, require_rigid=False)
         for j in schedule.fire_order:
-            s = state.spectra[j]
-            if s is None or not s.rigid:
+            if not state.spectra[j].rigid:
                 raise RigidityLostError(
                     f"subframework of node {j} is not rigid")
     fw, balls = state.framework, state.ball_set
@@ -458,6 +457,14 @@ class WorldConfig:
     initial_variance: float = 1.0
     range_variance: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("noise_std", "initial_estimate_error",
+                     "initial_variance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
+        if self.range_variance <= 0:
+            raise ValueError("range_variance must be positive")
 
 
 @dataclass
@@ -511,7 +518,7 @@ def _append_metrics(world, state, log, framework_rho):
     fw = world.framework
     x = fw.positions
     rhos = state.rhos
-    load = communication_load(fw.graph, world.extents)
+    load = float(communication_load(fw.graph, world.extents).sum())
     m = len(fw.graph.edges)
     min_dist = float(fw.lengths.min()) if m else np.inf
     est = world.filters.estimates
@@ -521,7 +528,7 @@ def _append_metrics(world, state, log, framework_rho):
         "mean_rho": float(rhos.mean()),
         "max_rho": float(rhos.max()),
         "framework_rho": framework_rho,
-        "load_ratio": load.total / (2.0 * m) if m else np.nan,
+        "load_ratio": load / (2.0 * m) if m else np.nan,
         "edge_count": m,
         "min_distance": min_dist,
         "max_estimate_error": float(np.linalg.norm(est - x, axis=1).max()),

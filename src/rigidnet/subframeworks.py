@@ -19,12 +19,12 @@ coefficients max(0, h_j - g_ji) are one table, kept on the Graph under the
 extents, that the BallSet and communication_load both read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import geodesics, induced_subgraph
-from .rigidity import Framework, GramLayout, rigidity_spectrum
+from .rigidity import Framework, GramLayout, Spectrum, rigidity_spectrum
 
 
 def extract_subframework(fw, center, extent):
@@ -164,43 +164,32 @@ def ball_set(graph, extents, d):
                         _build_ball_set(extents, d))
 
 
+# the verdict on every ball with at most d nodes, too small to take the
+# eigenvalue test: no eigenvalues, no rho, not rigid
+TOO_SMALL = Spectrum(np.empty(0), None, None, np.nan, np.nan, np.nan,
+                     False, False)
+TOO_SMALL.eigenvalues.setflags(write=False)
+
+
 def ball_spectrum(S, d, vectors=True):
-    """Spectrum of a ball's S, or None when the ball is too small to test."""
+    """Spectrum of a ball's S; TOO_SMALL when the ball is too small to test."""
     if S.shape[0] <= d * d:
-        return None
+        return TOO_SMALL
     return rigidity_spectrum(S, d, vectors)
 
 
 def _rigid_balls(fw, inside):
     """Whether the unweighted S of each ball, a row of the membership mask
     inside, passes the eigenvalue test."""
-    # balls with too few nodes cannot pass the eigenvalue test; they count
-    # as not rigid rather than erroring
     layouts = stack_layouts(stack_balls(inside, fw.graph.edge_array()), fw.dim)
-    spectra = [ball_spectrum(S, fw.dim, vectors=False)
-               for S in ball_grams(layouts, fw.units)]
-    return np.array([s is not None and s.rigid for s in spectra], dtype=bool)
-
-
-@dataclass
-class ExtentAssignment:
-    """Per-node rigidity extents; None marks nodes with no rigid ball at all."""
-
-    extents: list = field(default_factory=list)
-
-    @property
-    def complete(self):
-        return all(h is not None for h in self.extents)
-
-    def as_array(self):
-        if not self.complete:
-            raise ValueError("assignment is incomplete")
-        return np.array(self.extents, dtype=np.intp)
+    return np.array([ball_spectrum(S, fw.dim, vectors=False).rigid
+                     for S in ball_grams(layouts, fw.units)], dtype=bool)
 
 
 def extent_assignment(fw):
-    """Rigidity extent of every node: the smallest hop radius whose ball
-    around it is rigid.
+    """Rigidity extent of every node, as an intp array: the smallest hop
+    radius whose ball around it is rigid, or 0 when no ball around it is
+    (a radius-0 ball is one node and never passes).
 
     Rigidity of growing balls is not monotone (a pendant node entering the
     ball with a single induced edge breaks it), so every radius is tested
@@ -210,17 +199,16 @@ def extent_assignment(fw):
     there on its subframework never changes again.
     """
     dist = geodesics(fw.graph).dist
-    found = [None] * fw.n
+    found = np.zeros(fw.n, dtype=np.intp)
     pending = np.arange(fw.n)
     for h in range(1, fw.n + 1):
         pending = pending[(dist[pending] == h).any(axis=1)]
         if not len(pending):
             break
         rigid = _rigid_balls(fw, dist[pending] <= h)
-        for k in pending[rigid].tolist():
-            found[k] = h
+        found[pending[rigid]] = h
         pending = pending[~rigid]
-    return ExtentAssignment(found)
+    return found
 
 
 def verify_extents(fw, extents):
@@ -238,25 +226,17 @@ def inclusion_group(graph, extents, i):
     return [int(j) for j in np.flatnonzero(geodesics(graph).dist[i] <= h)]
 
 
-@dataclass
-class LoadReport:
-    """Measurement-forwarding cost of maintaining every subframework."""
-
-    per_center: np.ndarray
-    total: float
-
-
 def communication_load(g, extents):
-    """Load sum_i sum_{j in V_i} max(0, h_i - g_ij) * delta_j.
+    """Each center i's load sum_{j in V_i} max(0, h_i - g_ij) * delta_j;
+    the network's load is their sum.
 
     A member j of the ball of center i relays measurements for h_i - g_ij
     hops, once per incident edge, so nodes deep inside large balls dominate.
-    With every extent 1 the load is 2m.
+    With every extent 1 the network's load is 2m.
     """
     h = np.asarray(extents, dtype=float)
     if h.shape != (g.n,):
         raise ValueError(f"expected {g.n} extents, got shape {h.shape}")
     if (h < 1).any():
         raise ValueError("extents must be at least 1")
-    per_center = _load_table(g, h) @ g.degrees().astype(float)
-    return LoadReport(per_center, float(per_center.sum()))
+    return _load_table(g, h) @ g.degrees().astype(float)

@@ -279,6 +279,26 @@ class TestConfigHandling:
         assert line.startswith("configuration error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        # a flexible network has no extents and no load to measure
+        ["ensemble", "--seed", "11", "--n", "30", "--range", "22",
+         "--count", "10", "--flexible-ok"],
+        # n <= d: too small for the rigidity test, read or generated
+        ["audit", "--framework", "{two_nodes}"],
+        ["audit", "--n", "3", "--dim", "3", "--flexible-ok"],
+        ["control", *SMALL, "--duration", "1", "--anchors", "0,x"],
+    ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor"])
+    def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
+        two_nodes = tmp_path / "two.json"
+        two_nodes.write_text(json.dumps({"n": 2, "edges": [[0, 1]],
+                                         "positions": [[0, 0], [1, 0]]}))
+        argv = [a.format(two_nodes=two_nodes) for a in argv]
+        assert main(argv) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:")
+        assert captured.out == ""
+
     def test_malformed_config_file_exits_three(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json {")

@@ -119,7 +119,9 @@ class TestStateBuild:
         x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 1.0]])
         state = build_control_state(Framework(g, x), default_params(),
                                     extents=[1, 1, 1, 1], require_rigid=False)
-        assert state.spectra[0] is None and not state.spectra[1].rigid
+        too_small = state.spectra[0]
+        assert not too_small.rigid and len(too_small.eigenvalues) == 0
+        assert not state.spectra[1].rigid
         assert np.isnan(state.rhos[0])
         with pytest.raises(RigidityLostError,
                            match=r"node 0 lost rigidity \(rho=None\)"):

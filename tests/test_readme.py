@@ -16,4 +16,4 @@ def test_quick_tour_runs_as_written():
     scope = {}
     exec(compile(quick_tour(), str(README), "exec"), scope)
     assert scope["rigidity_report"](scope["fw"]).rigid
-    assert scope["h"].complete
+    assert scope["h"].all()

@@ -181,6 +181,18 @@ def test_estimate_broadcast_is_one_hop():
         assert np.array_equal(inbox[i], est[senders])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_std", -1.0),
+    ("initial_estimate_error", -3.0),
+    ("initial_variance", -1.0),
+    ("range_variance", 0.0),
+    ("range_variance", -0.01),
+])
+def test_world_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        WorldConfig(**{field: value})
+
+
 def test_world_freezes_extents_and_logs_metrics():
     rng = np.random.default_rng(5)
     fw = rigid_disk(rng, 15, 90.0, 40.0)
