@@ -3,9 +3,10 @@
 Flags mirror the scenario fields; a JSON config file passed with --config
 overrides any flag value.  Exit codes: 0 on success, 2 when a control run
 loses rigidity, 3 for an invalid configuration (an unknown field, a value
-of the wrong type, a value out of range, or a framework too small for the
-rigidity test), 4 when the message exchange breaks its protocol (a send
-across a non-edge, or more than 2 * eta rounds), 5 when the rank test and
+of the wrong type, a value out of range or not finite, a framework file of
+the wrong shape, or a framework too small for the rigidity test), 4 when
+the message exchange breaks its protocol (a send across a non-edge, or a
+pair still undelivered after 2 * eta rounds), 5 when the rank test and
 the eigenvalue test of a rigidity report disagree, 6 when two neighbors'
 position estimates coincide and the range filter cannot update.
 """
@@ -175,7 +176,8 @@ def _cmd_audit(args):
         try:
             with open(args.framework) as fp:
                 fw = framework_from_json(json.load(fp))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError,
+                ValueError) as exc:
             raise ConfigError(f"cannot read framework file: {exc}")
     else:
         fw = generate_scenario(_build_config(args))

@@ -25,12 +25,13 @@ bincount per group of balls, and solves each ball once.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .graphs import Graph
+from .graphs import Graph, proximity
 from .rigidity import CoincidentNodesError, Framework
 from .subframeworks import BallSet, ball_set, ball_spectrum, extent_assignment
 
@@ -57,6 +58,9 @@ class ControlParams:
     max_step_retries: int = 8
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if min(self.comm_range, self.steepness, self.rigidity_exponent,
                self.collision_exponent, self.dt) <= 0:
             raise ValueError("range, steepness, exponents and dt must be positive")
@@ -308,26 +312,19 @@ def total_potential(state, positions=None):
 def refresh_topology(graph, positions, params):
     """Drop edges whose weight decayed below the prune threshold, link close pairs.
 
-    New edges need distance strictly inside the communication range, while old
+    New edges follow the generator's rule, graphs.proximity, while old
     ones survive until the logistic weight reaches weight_prune; the slack
     between the two keeps the edge set from flapping.  An unchanged edge set
     returns graph itself, with everything already kept on it.
     """
-    x = np.asarray(positions, float)
-    n = graph.n
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    adj = np.zeros((n, n), dtype=bool)
+    dist, keep = proximity(positions, params.comm_range)
     e = graph.edge_array()
-    if len(e):
-        adj[e[:, 0], e[:, 1]] = True
-    w = _logistic(dist, params.comm_range, params.steepness)
-    keep = adj & (w >= params.weight_prune)
-    keep |= np.triu(dist < params.comm_range, k=1)
+    w = _logistic(dist[e[:, 0], e[:, 1]], params.comm_range, params.steepness)
+    keep[e[:, 0], e[:, 1]] |= w >= params.weight_prune
     ii, jj = np.nonzero(keep)
     if len(ii) == len(e) and (ii == e[:, 0]).all() and (jj == e[:, 1]).all():
         return graph
-    return Graph(n, list(zip(ii.tolist(), jj.tolist())))
+    return Graph(graph.n, list(zip(ii.tolist(), jj.tolist())))
 
 
 def _state_if_rigid(graph, positions, params, extents, time):

@@ -10,7 +10,8 @@ so records are reproducible regardless of evaluation order.
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +50,9 @@ class ScenarioConfig:
     rejection_budget: int = 2000
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.n < 2:
             raise ConfigError("need at least two robots")
         if self.require_rigid and self.n <= self.dim:
@@ -115,7 +119,10 @@ def framework_to_json(fw):
 
 def framework_from_json(data):
     g = Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
-    return Framework(g, np.asarray(data["positions"], dtype=float))
+    positions = np.asarray(data["positions"], dtype=float)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    return Framework(g, positions)
 
 
 def network_record(fw, index=0, rejects=0):

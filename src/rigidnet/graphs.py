@@ -1,8 +1,9 @@
 """Undirected graphs, hop-count geodesics and the disk-proximity generator.
 
 Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
-topology changes produce a new Graph.  So the edge array is built with
-the graph, and whatever else depends on the edge set alone (the geodesic
+topology changes produce a new Graph.  So the edge array and the slot
+layout (one slot per node and neighbor, see Graph) are built with the
+graph, and whatever else depends on the edge set alone (the geodesic
 table, the controller's balls) is computed once per Graph and kept on it
 (Graph.cached).  The geodesic table, all-pairs shortest paths from
 scipy's csgraph, is the one source of hop counts, and the connectivity
@@ -28,12 +29,15 @@ class Graph:
 
     Edges are stored lexicographically sorted as (i, j) with i < j; the
     ordering fixes row order in rigidity matrices and serialized output.
+
+    Every per-neighbor array reads one read-only slot layout: node i owns
+    slots slots[i]:slots[i + 1], one per neighbor in ascending order, and
+    slot_node and slot_edge hold each slot's neighbor and edge index.
     """
 
     def __init__(self, n, edges):
         self.n = int(n)
         seen = set()
-        norm = []
         for i, j in edges:
             i, j = int(i), int(j)
             if i == j:
@@ -44,23 +48,27 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-            norm.append(e)
-        norm.sort()
+        norm = sorted(seen)
         self.edges = norm
         self.m = len(norm)
-        adj = [[] for _ in range(self.n)]
-        for i, j in norm:
-            adj[i].append(j)
-            adj[j].append(i)
-        self._adj = tuple(np.array(sorted(a), dtype=np.intp) for a in adj)
-        self._edges = np.array(norm, dtype=np.intp).reshape(-1, 2)
-        self._edges.setflags(write=False)
+        e = np.array(norm, dtype=np.intp).reshape(-1, 2)
+        # a stable sort by owner puts node i's lower neighbors j (edges
+        # (j, i), ascending j) before its higher ones (edges (i, j))
+        owner = np.concatenate([e[:, 1], e[:, 0]])
+        order = np.argsort(owner, kind="stable")
+        self._edges = e
+        self.slots = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=self.n), out=self.slots[1:])
+        self.slot_node = np.concatenate([e[:, 0], e[:, 1]])[order]
+        self.slot_edge = np.tile(np.arange(self.m), 2)[order]
+        for a in (self._edges, self.slots, self.slot_node, self.slot_edge):
+            a.setflags(write=False)
 
     def neighbors(self, i):
-        return self._adj[i]
+        return self.slot_node[self.slots[i]:self.slots[i + 1]]
 
     def degrees(self):
-        return np.array([len(a) for a in self._adj], dtype=np.intp)
+        return np.diff(self.slots)
 
     def edge_array(self):
         """Read-only m x 2 integer array of edges in lexicographic order."""
@@ -80,11 +88,8 @@ class Graph:
         return hit[1]
 
     def adjacency_sparse(self):
-        e = self.edge_array()
-        data = np.ones(2 * self.m)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        return sp.csr_matrix((np.ones(2 * self.m), self.slot_node, self.slots),
+                             shape=(self.n, self.n))
 
     def __eq__(self, other):
         return (
@@ -103,26 +108,30 @@ def diameter(g):
 
 
 def is_connected(g):
-    if g.n == 0:
-        return True
     return csgraph.connected_components(
-        g.adjacency_sparse(), directed=False, return_labels=False) == 1
+        g.adjacency_sparse(), directed=False, return_labels=False) <= 1
 
 
-def disk_proximity_graph(positions, range_):
-    """Graph with an edge wherever the inter-point distance is strictly below range_.
+def proximity(positions, range_):
+    """Dense pairwise distances, and the upper-triangle mask of the pairs
+    strictly closer than range_: the one rule by which two nodes gain a link.
 
     Strictness keeps the discrete edge set consistent with logistic link
     weights above one half; ties at exactly range_ are measure zero.
     """
+    x = np.asarray(positions, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    return dist, np.triu(dist < range_, k=1)
+
+
+def disk_proximity_graph(positions, range_):
+    """Graph with an edge wherever two points are in range (see proximity)."""
     if range_ <= 0:
         raise ValueError("range must be positive")
-    x = np.asarray(positions, dtype=float)
-    n = len(x)
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=2))
-    ii, jj = np.where(np.triu(d < range_, k=1))
-    return Graph(n, list(zip(ii.tolist(), jj.tolist())))
+    dist, linked = proximity(positions, range_)
+    ii, jj = np.nonzero(linked)
+    return Graph(len(dist), list(zip(ii.tolist(), jj.tolist())))
 
 
 def induced_subgraph(g, nodes):
@@ -134,26 +143,15 @@ def induced_subgraph(g, nodes):
     nodes = sorted(set(int(v) for v in nodes))
     if nodes and not (0 <= nodes[0] and nodes[-1] < g.n):
         raise ValueError("node ids out of range")
-    local = {v: k for k, v in enumerate(nodes)}
-    in_set = np.zeros(g.n, dtype=bool)
-    in_set[nodes] = True
-    edges = []
-    for v in nodes:
-        for w in g.neighbors(v):
-            if v < w and in_set[w]:
-                edges.append((local[v], local[int(w)]))
-    return Graph(len(nodes), edges), nodes
+    local = np.full(g.n, -1, dtype=np.intp)
+    local[nodes] = np.arange(len(nodes))
+    e = local[g.edge_array()]
+    return Graph(len(nodes), e[(e >= 0).all(axis=1)].tolist()), nodes
 
 
 def laplacian_matrix(g):
     """Dense combinatorial Laplacian L = D - A."""
-    L = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
-    return L
+    return np.diag(g.degrees().astype(float)) - g.adjacency_sparse().toarray()
 
 
 class GeodesicTable:
@@ -164,14 +162,9 @@ class GeodesicTable:
 
     @classmethod
     def compute(cls, g):
-        if g.n == 0:
-            return cls(np.zeros((0, 0)))
-        if g.m == 0:
-            d = np.full((g.n, g.n), UNREACHABLE)
-            np.fill_diagonal(d, 0.0)
-            return cls(d)
-        d = csgraph.shortest_path(g.adjacency_sparse(), method="D", unweighted=True)
-        return cls(d)
+        # csgraph marks unreachable pairs inf (UNREACHABLE), edgeless or not
+        return cls(csgraph.shortest_path(g.adjacency_sparse(), method="D",
+                                         unweighted=True))
 
     def eccentricities(self):
         return self.dist.max(axis=1)

@@ -4,8 +4,9 @@ The whole network's filter state is one Filters: every robot's estimate and
 covariance as rows of two arrays, an anchor mask and the one assumed range
 variance.  Each robot corrects its own row from the ranges to its
 neighbors, linearizing through the unit direction vectors of the estimated
-geometry.  Neighbor estimates come from the previous round's broadcasts, so
-updates across robots are independent within a round.  Range data alone
+geometry; its ranges are its slice of the Graph's slots.  Neighbor
+estimates come from the previous round's broadcasts, so updates across
+robots are independent within a round.  Range data alone
 fixes the formation only up to a rigid displacement; d anchored robots with
 exact absolute fixes remove that freedom in d dimensions.  A fix sets an
 anchor's estimate to its true position and its covariance to zero.
@@ -130,22 +131,21 @@ def make_filters(estimates, initial_variance, range_variance, anchors=()):
 
 
 def measure_ranges(fw, rng=None, noise_std=0.0):
-    """Every robot's measured ranges to its neighbors, in graph.neighbors order.
+    """Every robot's measured ranges to its neighbors, one per graph slot:
+    node i's are slots[i]:slots[i + 1], in graph.neighbors order.
 
     Each edge is ranged once, as the norm of its endpoints' difference, and
-    both endpoints read that one value; with noise_std > 0 every edge's
-    range gets one normal draw from rng, in edge order.
+    both of its slots read that one value; with noise_std > 0 every edge's
+    range gets one normal draw from rng, in edge order, in one call.
     """
-    x = fw.positions
-    measured = {}
-    for a, b in fw.graph.edges:
-        dist = float(np.linalg.norm(x[a] - x[b]))
-        if noise_std > 0:
-            dist += float(rng.normal(0.0, noise_std))
-        measured[(a, b)] = dist
-    return [np.array([measured[(min(i, j), max(i, j))]
-                      for j in fw.graph.neighbors(i).tolist()])
-            for i in range(fw.graph.n)]
+    e = fw.graph.edge_array()
+    diff = fw.positions[e[:, 0]] - fw.positions[e[:, 1]]
+    # a scalar norm per edge: the framework's row-wise lengths may differ
+    # in the last bit
+    ranges = np.array([np.linalg.norm(r) for r in diff], dtype=float)
+    if noise_std > 0:
+        ranges += rng.normal(0.0, noise_std, size=len(ranges))
+    return ranges[fw.graph.slot_edge]
 
 
 def run_static_filter(fw, filters, rounds, anchor_positions=None,
@@ -164,6 +164,7 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
     history when record is set.
     """
     true_ranges = measure_ranges(fw)
+    slots, slot_node = fw.graph.slots, fw.graph.slot_node
     est, cov = filters.estimates, filters.covariances
     if anchor_positions is not None:
         filters.fix_anchors(anchor_positions)
@@ -171,8 +172,9 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
     for _ in range(rounds):
         snapshot, cov_snapshot = est.copy(), cov.copy()
         for i in range(fw.n):
-            nbrs = fw.graph.neighbors(i)
-            z = true_ranges[i]
+            own = slice(slots[i], slots[i + 1])
+            nbrs = slot_node[own]
+            z = true_ranges[own]
             if measurement_rng is not None and measurement_std > 0:
                 z = z + measurement_rng.normal(0.0, measurement_std, size=len(z))
             est[i], cov[i] = filter_update(

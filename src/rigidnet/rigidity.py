@@ -64,19 +64,16 @@ class Framework:
     geometry always matches the positions.
     """
 
-    def __init__(self, graph, positions, dim=None):
+    def __init__(self, graph, positions):
         positions = np.array(positions, dtype=float)
         if positions.ndim != 2:
             raise ValueError("positions must be an n x d array")
-        if dim is None:
-            dim = positions.shape[1]
+        dim = positions.shape[1]
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        if positions.shape != (graph.n, dim):
+        if len(positions) != graph.n:
             raise ValueError(
-                f"positions shape {positions.shape} does not match "
-                f"(n={graph.n}, d={dim})"
-            )
+                f"{len(positions)} positions for a graph of {graph.n} nodes")
         e = graph.edge_array()
         diff = positions[e[:, 0]] - positions[e[:, 1]]
         lengths = np.linalg.norm(diff, axis=1)

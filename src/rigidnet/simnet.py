@@ -7,8 +7,8 @@ centers whose balls contain it; each center rebuilds its ball from the
 payloads it collected, computes the per-member slopes of its own rigidity
 and load terms with the controller's one slope formula, and ships them back
 along the recorded flood paths.  The round counter certifies that
-every (center, member) pair is served within twice the worst extent, which
-the exchange asserts as a hard bound.
+every (center, member) pair is served within twice the worst extent: the
+engine stops after that many rounds and raises if a pair is still missing.
 
 Static protocol tables (ball membership, flood ttl) derive from the frozen
 extents; the engine reads them from the topology's BallSet.  A running
@@ -42,9 +42,10 @@ decentralized_velocity, run the engine with real payloads and are the
 replay's oracle.
 
 A World holds the network's filter state as one localization.Filters.
-Each tick corrects every robot's row with filter_update and pins the
-anchors through the mask; after the step, all estimates dead-reckon and
-all covariances inflate in one array statement each.
+Each tick corrects every robot's row with filter_update on its slice of
+the Graph's slots (its ranges and broadcast neighbor estimates) and pins
+the anchors through the mask; after the step, all estimates dead-reckon
+and all covariances inflate in one array statement each.
 """
 
 import json
@@ -191,7 +192,7 @@ def _placeholders(center, h, member_data, params):
     return dict.fromkeys(member_data)
 
 
-def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
+def run_exchange_phase(fw, extents, params, trace=None,
                        payloads=_center_payloads):
     """Flood positions out, return per-center gradient payloads back.
 
@@ -201,8 +202,8 @@ def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
     pair.  payloads(center, extent, member_data, params) computes a
     center's payloads from its collected flood data once its whole ball
     has reported; the default gives each member its (rigidity_slope,
-    load_slope) vector pair.  Every contribution must land within
-    2 * max extent rounds, else ProtocolViolation.
+    load_slope) vector pair.  The engine stops after 2 * max extent
+    rounds; a contribution still undelivered then is a ProtocolViolation.
     """
     h = np.asarray(extents, dtype=int)
     n = fw.graph.n
@@ -215,8 +216,7 @@ def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
     members = [np.flatnonzero(row).tolist() for row in balls.inside]
     member_sets = [frozenset(m) for m in members]
     ttl = balls.ttl.tolist()
-    eta = int(h.max())
-    limit = 2 * eta if max_rounds is None else int(max_rounds)
+    limit = 2 * int(h.max())
 
     log = RoundLog(expected_pairs=frozenset(
         (j, i) for j in range(n) for i in members[j]))
@@ -313,22 +313,18 @@ def run_exchange_phase(fw, extents, params, trace=None, max_rounds=None,
         raise ProtocolViolation(
             f"exchange incomplete after {limit} rounds, e.g. pairs {missing}")
     log.completion_round = max(log.pair_round.values())
-    if log.completion_round > 2 * eta:
-        raise ProtocolViolation(
-            f"exchange took {log.completion_round} rounds, bound is {2 * eta}")
     return contributions, log
 
 
 def broadcast_estimates(fw, estimates):
-    """One-hop estimate exchange: per node, its neighbors' estimate rows in
-    graph.neighbors order.
+    """One-hop estimate exchange: the estimate heard in every graph slot, so
+    node i's neighbors' rows are slots[i]:slots[i + 1], in neighbors order.
 
     Each robot hears every neighbor's estimate once a tick.  This exchange
     runs outside the message engine, so it adds to no round or message
     count.
     """
-    est = np.asarray(estimates, dtype=float)
-    return [est[fw.graph.neighbors(i)] for i in range(fw.graph.n)]
+    return np.asarray(estimates, dtype=float)[fw.graph.slot_node]
 
 
 def _command(fw, params, members, rigidity_slopes, load_slopes):
@@ -459,12 +455,13 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the comparisons are false for NaN
         for name in ("noise_std", "initial_estimate_error",
                      "initial_variance"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
-        if self.range_variance <= 0:
-            raise ValueError("range_variance must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 0 < self.range_variance < math.inf:
+            raise ValueError("range_variance must be finite and positive")
 
 
 @dataclass
@@ -554,10 +551,12 @@ def step_simulation(world):
     if cfg.use_estimates:
         neighbor_est = broadcast_estimates(fw, est)
         measured = measure_ranges(fw, world.rng, cfg.noise_std)
+        slots = fw.graph.slots
         for i in range(fw.n):
+            own = slice(slots[i], slots[i + 1])
             est[i], cov[i] = filter_update(est[i], cov[i],
                                            filters.range_variance,
-                                           measured[i], neighbor_est[i])
+                                           measured[own], neighbor_est[own])
         filters.fix_anchors(fw.positions)
         believed = est
     else:

@@ -34,7 +34,7 @@ def extract_subframework(fw, center, extent):
         raise ValueError("extent must be nonnegative")
     nodes = np.flatnonzero(geodesics(fw.graph).dist[center] <= extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
-    return Framework(sub, fw.positions[nodes], fw.dim), nodes
+    return Framework(sub, fw.positions[nodes]), nodes
 
 
 @dataclass(frozen=True, eq=False)

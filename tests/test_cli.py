@@ -262,6 +262,14 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flags, config", [
         (["--estimate-error", "-1"], None),
         ([], {"control": {"comm_range": 40.0, "max_step_retries": -1}}),
+        # non-finite values: NaN passes every range comparison, and Python's
+        # json reads NaN and Infinity
+        (["--duration", "inf"], None),
+        (["--duration", "nan"], None),
+        (["--noise", "nan"], None),
+        ([], {"duration": float("nan")}),
+        ([], {"width": float("inf")}),
+        ([], {"control": {"comm_range": 40.0, "dt": float("nan")}}),
     ])
     def test_out_of_range_value_exits_three(self, tmp_path, capsys, flags,
                                             config):
@@ -287,12 +295,32 @@ class TestConfigHandling:
         ["audit", "--framework", "{two_nodes}"],
         ["audit", "--n", "3", "--dim", "3", "--flexible-ok"],
         ["control", *SMALL, "--duration", "1", "--anchors", "0,x"],
-    ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor"])
+        # framework files of the wrong shape
+        ["audit", "--framework", "{null_edges}"],
+        ["audit", "--framework", "{flat_edges}"],
+        ["audit", "--framework", "{top_level_list}"],
+        ["audit", "--framework", "{null_n}"],
+        ["audit", "--framework", "{nan_position}"],
+    ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
+            "null-edges", "flat-edges", "top-level-list", "null-n",
+            "nan-position"])
     def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
-        two_nodes = tmp_path / "two.json"
-        two_nodes.write_text(json.dumps({"n": 2, "edges": [[0, 1]],
-                                         "positions": [[0, 0], [1, 0]]}))
-        argv = [a.format(two_nodes=two_nodes) for a in argv]
+        triangle = [[0, 0], [1, 0], [0, 1]]
+        files = {
+            "two_nodes": {"n": 2, "edges": [[0, 1]],
+                          "positions": [[0, 0], [1, 0]]},
+            "null_edges": {"n": 3, "edges": None, "positions": triangle},
+            "flat_edges": {"n": 3, "edges": [1, 2], "positions": triangle},
+            "top_level_list": [[0, 1], [1, 2]],
+            "null_n": {"n": None, "edges": [[0, 1]], "positions": triangle},
+            "nan_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                             "positions": [[0, 0], [1, 0], [0, float("nan")]]},
+        }
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        argv = [a.format(**paths) for a in argv]
         assert main(argv) == EXIT_BAD_CONFIG
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()

@@ -27,7 +27,7 @@ from rigidnet.control import (
     total_potential,
     velocity_field,
 )
-from rigidnet.graphs import Graph, geodesics
+from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
 from rigidnet.rigidity import Framework
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
 from rigidnet.subframeworks import ball_set
@@ -89,6 +89,19 @@ class TestParams:
             ControlParams(comm_range=1.0, k_load=-1.0)
         with pytest.raises(ValueError):
             ControlParams(comm_range=1.0, max_step_retries=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("comm_range", float("nan")),
+        ("comm_range", float("inf")),
+        ("dt", float("nan")),
+        ("k_load", float("nan")),
+        ("k_collision", float("inf")),
+        ("weight_prune", float("nan")),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        # NaN passes every comparison the range checks make
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ControlParams(**{"comm_range": 1.0, field: value})
 
 
 class TestStateBuild:
@@ -383,6 +396,14 @@ class TestRefresh:
         assert (2, 3) in out.edges              # kept by hysteresis
         assert (4, 5) not in out.edges          # not close enough to create
         assert (6, 7) in out.edges              # newly linked
+
+    def test_links_an_edgeless_graph_as_the_generator_does(self):
+        rng = np.random.default_rng(13)
+        params = ControlParams(comm_range=0.4, steepness=5.0)
+        for dim in (2, 3):
+            x = rng.uniform(0.0, 1.0, size=(25, dim))
+            out = refresh_topology(Graph(25, []), x, params)
+            assert out == disk_proximity_graph(x, params.comm_range)
 
     def test_new_edge_needs_strictly_closer_than_range(self):
         g = Graph(2, [])

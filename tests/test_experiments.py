@@ -56,6 +56,12 @@ class TestScenarioConfig:
         dict(anchors=(16,)),
         dict(anchors=(-1,)),
         dict(initial_estimate_error=-0.5),
+        dict(duration=float("inf")),
+        dict(duration=float("nan")),
+        dict(noise_std=float("nan")),
+        dict(width=float("inf")),
+        dict(comm_range=float("nan")),
+        dict(initial_estimate_error=float("inf")),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ConfigError):

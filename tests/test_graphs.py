@@ -5,11 +5,13 @@ import pytest
 from support import floyd_warshall, random_graph
 
 from rigidnet.graphs import (
+    UNREACHABLE,
     GeodesicTable,
     Graph,
     GraphDisconnectedError,
     diameter,
     disk_proximity_graph,
+    induced_subgraph,
     is_connected,
     laplacian_matrix,
 )
@@ -52,6 +54,38 @@ class TestGraph:
         assert list(g.neighbors(0)) == [1, 2, 4]
         assert list(g.neighbors(3)) == []
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: disk_proximity_graph(rng.uniform(0, 10, (14, 2)), 4.0),
+        lambda rng: disk_proximity_graph(rng.uniform(0, 10, (14, 3)), 5.0),
+        lambda rng: Graph(5, []),
+        lambda rng: Graph(6, [(0, 3), (3, 5), (0, 5)]),  # 1, 2 and 4 isolated
+        lambda rng: Graph(0, []),
+        lambda rng: Graph(1, []),
+    ], ids=["disk-2d", "disk-3d", "edgeless", "isolated", "n0", "n1"])
+    def test_slot_layout_matches_a_per_edge_loop(self, make):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            g = make(rng)
+            owned = [[] for _ in range(g.n)]
+            for k, (i, j) in enumerate(g.edges):
+                owned[i].append((j, k))
+                owned[j].append((i, k))
+            owned = [sorted(slots) for slots in owned]
+            assert g.slots.tolist() == np.cumsum(
+                [0] + [len(o) for o in owned]).tolist()
+            assert g.degrees().tolist() == [len(o) for o in owned]
+            for i in range(g.n):
+                own = slice(g.slots[i], g.slots[i + 1])
+                assert g.neighbors(i).tolist() == [j for j, _ in owned[i]]
+                assert g.slot_node[own].tolist() == [j for j, _ in owned[i]]
+                assert g.slot_edge[own].tolist() == [k for _, k in owned[i]]
+            dense = np.zeros((g.n, g.n))
+            for i, j in g.edges:
+                dense[i, j] = dense[j, i] = 1.0
+            assert np.array_equal(g.adjacency_sparse().toarray(), dense)
+            for a in (g.slots, g.slot_node, g.slot_edge):
+                assert a.dtype == np.intp and not a.flags.writeable
+
     def test_edge_array_is_read_only_and_shaped(self):
         g = Graph(4, [(3, 2), (1, 0), (0, 2)])
         e = g.edge_array()
@@ -68,6 +102,13 @@ class TestGeodesicTable:
             g = random_graph(rng, int(rng.integers(1, 16)), 0.3)
             table = GeodesicTable.compute(g)
             assert np.array_equal(table.dist, floyd_warshall(g))
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless_graph_reaches_only_itself(self, n):
+        dist = GeodesicTable.compute(Graph(n, [])).dist
+        assert dist.shape == (n, n) and dist.dtype == float
+        assert np.array_equal(dist, np.where(np.eye(n, dtype=bool), 0.0,
+                                             UNREACHABLE))
 
     def test_cycle6_diameter(self):
         table = GeodesicTable.compute(cycle(6))
@@ -130,3 +171,16 @@ class TestDiskProximity:
                 if np.linalg.norm(x[i] - x[j]) < r
             ]
             assert g.edges == expected
+
+
+def test_induced_subgraph_keeps_the_edges_inside():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        g = random_graph(rng, 12, 0.4)
+        nodes = sorted(rng.choice(12, size=int(rng.integers(0, 13)),
+                                  replace=False).tolist())
+        sub, kept = induced_subgraph(g, nodes[::-1])
+        assert kept == nodes and sub.n == len(nodes)
+        assert sub.edges == [(nodes.index(i), nodes.index(j))
+                             for i, j in g.edges
+                             if i in nodes and j in nodes]

@@ -216,20 +216,31 @@ def test_make_filters_copies_the_estimates():
 def test_measure_ranges_one_value_per_edge():
     fw = random_disk_framework(np.random.default_rng(70), 10, side=1.0,
                                range_=0.6)
-    x = fw.positions
+    x, g = fw.positions, fw.graph
     ranges = measure_ranges(fw)
     for i in range(fw.n):
-        nbrs = fw.graph.neighbors(i).tolist()
-        assert ranges[i].tolist() == [float(np.linalg.norm(x[i] - x[j]))
-                                      for j in nbrs]
+        nbrs = g.neighbors(i).tolist()
+        assert ranges[g.slots[i]:g.slots[i + 1]].tolist() == [
+            float(np.linalg.norm(x[i] - x[j])) for j in nbrs]
     # noise is one draw per edge in edge order, shared by both endpoints
     noisy = measure_ranges(fw, np.random.default_rng(5), 0.1)
-    draws = np.random.default_rng(5).normal(0.0, 0.1, size=fw.graph.m)
-    for k, (a, b) in enumerate(fw.graph.edges):
+    draws = np.random.default_rng(5).normal(0.0, 0.1, size=g.m)
+    for k, (a, b) in enumerate(g.edges):
         true = float(np.linalg.norm(x[a] - x[b]))
-        at_a = noisy[a][fw.graph.neighbors(a).tolist().index(b)]
-        at_b = noisy[b][fw.graph.neighbors(b).tolist().index(a)]
+        at_a = noisy[g.slots[a]:g.slots[a + 1]][g.neighbors(a).tolist().index(b)]
+        at_b = noisy[g.slots[b]:g.slots[b + 1]][g.neighbors(b).tolist().index(a)]
         assert at_a == at_b == true + float(draws[k])
+
+
+def test_noisy_measure_ranges_advances_rng_like_one_draw_per_edge():
+    fw = random_disk_framework(np.random.default_rng(71), 12, side=1.0,
+                               range_=0.6)
+    rng, scalar = np.random.default_rng(6), np.random.default_rng(6)
+    measure_ranges(fw, rng, 0.1)
+    for _ in range(fw.graph.m):
+        scalar.normal(0.0, 0.1)
+    assert rng.bit_generator.state == scalar.bit_generator.state
+    assert rng.random() == scalar.random()
 
 
 def _triangle_framework():

@@ -1,5 +1,6 @@
 """Message engine: round counts, routing discipline, closed-loop stepping."""
 
+import dataclasses
 import io
 import json
 from types import SimpleNamespace
@@ -115,12 +116,19 @@ def test_every_expected_pair_is_delivered():
     assert log.completion_round == 2 * int(state.extents.max())
 
 
-def test_insufficient_round_budget_raises():
+def test_floods_one_hop_short_leave_the_exchange_incomplete(monkeypatch):
     fw = apex_framework()
     params = ControlParams(comm_range=2.0, steepness=2.0)
     state = build_control_state(fw, params)
-    with pytest.raises(ProtocolViolation):
-        run_exchange_phase(fw, state.extents, params, max_rounds=2)
+    real_ball_set = simnet.ball_set
+
+    def short_floods(*args):
+        balls = real_ball_set(*args)
+        return dataclasses.replace(balls, ttl=balls.ttl - 1)
+
+    monkeypatch.setattr(simnet, "ball_set", short_floods)
+    with pytest.raises(ProtocolViolation, match="exchange incomplete after 4"):
+        run_exchange_phase(fw, state.extents, params)
 
 
 def test_trace_lines_are_wellformed():
@@ -175,10 +183,12 @@ def test_estimate_broadcast_is_one_hop():
     inbox = broadcast_estimates(fw, est)
     heard = {0: [1, 2, 3], 1: [0, 2, 4], 2: [0, 1, 3], 3: [0, 2, 4],
              4: [1, 3]}
-    assert len(inbox) == fw.graph.n
+    slots = fw.graph.slots
+    assert len(inbox) == slots[-1] == 2 * fw.graph.m
     for i, senders in heard.items():
-        assert inbox[i].shape == (len(senders), 2)
-        assert np.array_equal(inbox[i], est[senders])
+        own = inbox[slots[i]:slots[i + 1]]
+        assert own.shape == (len(senders), 2)
+        assert np.array_equal(own, est[senders])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -187,6 +197,11 @@ def test_estimate_broadcast_is_one_hop():
     ("initial_variance", -1.0),
     ("range_variance", 0.0),
     ("range_variance", -0.01),
+    ("noise_std", float("nan")),
+    ("initial_estimate_error", float("inf")),
+    ("initial_variance", float("inf")),
+    ("range_variance", float("nan")),
+    ("range_variance", float("inf")),
 ])
 def test_world_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
