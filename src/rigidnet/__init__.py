@@ -8,6 +8,7 @@ from .graphs import (
     diameter,
     disk_proximity_graph,
     geodesics,
+    is_biconnected,
     is_connected,
     laplacian_matrix,
 )

@@ -4,11 +4,13 @@ Flags mirror the scenario fields; a JSON config file passed with --config
 overrides any flag value.  Exit codes: 0 on success, 2 when a control run
 loses rigidity, 3 for an invalid configuration (an unknown field, a value
 of the wrong type, a value out of range or not finite, a framework file of
-the wrong shape, or a framework too small for the rigidity test), 4 when
-the message exchange breaks its protocol (a send across a non-edge, or a
-pair still undelivered after 2 * eta rounds), 5 when the rank test and
-the eigenvalue test of a rigidity report disagree, 6 when two neighbors'
-position estimates coincide and the range filter cannot update.
+the wrong shape, a seed that is not a non-negative integer, a node count
+that is not an integer, or a framework too small for the rigidity test),
+4 when the message exchange breaks its protocol (a send across a
+non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
+rank test and the eigenvalue test of a rigidity report disagree, 6 when
+two neighbors' position estimates coincide and the range filter cannot
+update.
 """
 
 import argparse

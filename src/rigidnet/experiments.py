@@ -11,6 +11,7 @@ so records are reproducible regardless of evaluation order.
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +28,11 @@ FLOAT_FORMAT = "%.10g"
 
 class ConfigError(ValueError):
     """A scenario configuration field is out of its valid range."""
+
+
+def _is_integer(value):
+    """An integer of any integral type, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -53,6 +59,9 @@ class ScenarioConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, "
+                              f"got {self.seed!r}")
         if self.n < 2:
             raise ConfigError("need at least two robots")
         if self.require_rigid and self.n <= self.dim:
@@ -94,8 +103,9 @@ def sample_framework(rng, config):
         x = rng.uniform(0.0, 1.0, size=(config.n, config.dim)) * sides
         g = disk_proximity_graph(x, config.comm_range)
         fw = Framework(g, x)
-        if is_connected(g) and (
-                not config.require_rigid or is_infinitesimally_rigid(fw)):
+        # a rigid framework is connected; is_infinitesimally_rigid tests it
+        if (is_infinitesimally_rigid(fw) if config.require_rigid
+                else is_connected(g)):
             return fw, rejects
         rejects += 1
     raise ConfigError(
@@ -118,6 +128,8 @@ def framework_to_json(fw):
 
 
 def framework_from_json(data):
+    if not _is_integer(data["n"]):
+        raise ValueError(f"n must be an integer, got {data['n']!r}")
     g = Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
     positions = np.asarray(data["positions"], dtype=float)
     if not np.isfinite(positions).all():

@@ -7,10 +7,11 @@ graph, and whatever else depends on the edge set alone (the geodesic
 table, the controller's balls) is computed once per Graph and kept on it
 (Graph.cached).  The geodesic table, all-pairs shortest paths from
 scipy's csgraph, is the one source of hop counts, and the connectivity
-test counts csgraph's connected components.  Unreachable node
-pairs are marked with the UNREACHABLE sentinel (float inf) rather than a
-large finite hop count, so accidental arithmetic on them propagates loudly
-instead of producing plausible-looking numbers.
+test counts csgraph's connected components.  The biconnectivity test (no
+cut vertex) is one depth-first search over the slot layout.  Unreachable
+node pairs are marked with the UNREACHABLE sentinel (float inf) rather
+than a large finite hop count, so accidental arithmetic on them propagates
+loudly instead of producing plausible-looking numbers.
 """
 
 import numpy as np
@@ -110,6 +111,50 @@ def diameter(g):
 def is_connected(g):
     return csgraph.connected_components(
         g.adjacency_sparse(), directed=False, return_labels=False) <= 1
+
+
+def is_biconnected(g):
+    """True iff g is connected and no single node's removal disconnects it.
+
+    One iterative depth-first search from node 0 over the slot layout
+    (Tarjan's low-link): low[v] is the earliest discovery time reachable
+    from v's subtree by one back edge.  A non-root node p is a cut vertex
+    when a child c has low[c] >= disc[p], the root when it has two children.
+    """
+    n = g.n
+    if n == 0:
+        return True
+    slots, nbr = g.slots.tolist(), g.slot_node.tolist()
+    disc, low, parent = [-1] * n, [0] * n, [-1] * n
+    nxt = slots[:n]
+    disc[0] = 0
+    found, root_children = 1, 0
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        if nxt[v] < slots[v + 1]:
+            w = nbr[nxt[v]]
+            nxt[v] += 1
+            if disc[w] < 0:
+                disc[w] = low[w] = found
+                found += 1
+                parent[w] = v
+                stack.append(w)
+            elif w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        stack.pop()
+        p = parent[v]
+        if p == 0:
+            root_children += 1
+            if root_children > 1:
+                return False
+        elif p > 0:
+            if low[v] >= disc[p]:
+                return False
+            if low[v] < low[p]:
+                low[p] = low[v]
+    return found == n
 
 
 def proximity(positions, range_):

@@ -7,6 +7,10 @@ Infinitesimal rigidity is tested two ways: the rank of the rigidity matrix R
 must equal d*n - f, and the (f+1)-th smallest eigenvalue of S = R^T W R must
 be positive, where f = d(d+1)/2 counts the rigid-body degrees of freedom.
 The two verdicts always agree; a mismatch raises, it is never papered over.
+is_infinitesimally_rigid first rejects a graph that is not biconnected:
+a cut vertex forces a non-trivial motion at every realization in 2-D and
+3-D, so this structural rejection is exact, never a heuristic, and spares
+the numeric test on most flexible random draws.
 rigidity_spectrum is the one eigensolve behind every eigenvalue verdict, for
 whole frameworks and hop-balls alike, and every verdict holds rho against
 one threshold, REL_TOL relative to the largest eigenvalue; the rank test
@@ -23,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .graphs import geodesics, is_connected
+from .graphs import geodesics, is_biconnected
 
 # Zero-eigenvalue tolerance, relative to the largest eigenvalue of S.  Double
 # precision eigensolvers on unit-vector rigidity matrices resolve the spectral
@@ -291,17 +295,25 @@ def rigidity_report(fw):
 def is_infinitesimally_rigid(fw):
     """True iff every zero-strain velocity field is a rigid-body motion.
 
-    Disconnected frameworks are reported as not rigid rather than erroring;
-    frameworks with n <= d are rejected because the trivial-motion dimension
-    assumption behind the lambda_{f+1} test breaks down there.  The verdict
-    is rigidity_report's, so the rank of R cross-checks the eigenvalue test.
+    Frameworks with n <= d are rejected because the trivial-motion
+    dimension assumption behind the lambda_{f+1} test breaks down there.
+    A graph that is not biconnected (disconnected, or with a cut vertex)
+    is reported as not rigid without a numeric test, and exactly so.  If
+    a cut vertex v splits the graph into two sides of n_A and n_B nodes,
+    each counting v (n_A + n_B = n + 1), R's rank is at most the sum of
+    the sides' ranks, and a side of k >= 2 nodes has rank at most
+    d*k - f (one more for k = 2 in 3-D).  The sum stays below d*n - f in
+    2-D and 3-D at every realization: one side can turn about v.  So the
+    numeric test could never accept such a framework.  Every other
+    framework gets rigidity_report's verdict, so the rank of R
+    cross-checks the eigenvalue test.
     """
     if fw.n <= fw.dim:
         raise FrameworkTooSmallError(
             f"framework too small for the rigidity eigenvalue test "
             f"(n={fw.n} <= d={fw.dim})"
         )
-    if not is_connected(fw.graph):
+    if not is_biconnected(fw.graph):
         return False
     return rigidity_report(fw).rigid
 

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from rigidnet.graphs import UNREACHABLE, Graph, disk_proximity_graph, is_connected
+from rigidnet.graphs import (
+    UNREACHABLE,
+    Graph,
+    disk_proximity_graph,
+    induced_subgraph,
+    is_connected,
+)
 from rigidnet.rigidity import Framework
 
 
@@ -63,6 +69,13 @@ def floyd_warshall(g):
                 if dist[i, k] + dist[k, j] < dist[i, j]:
                     dist[i, j] = dist[i, k] + dist[k, j]
     return dist
+
+
+def biconnected_by_deletion(g):
+    """Connected, and still connected after deleting each node in turn."""
+    return is_connected(g) and all(
+        is_connected(induced_subgraph(g, [u for u in range(g.n) if u != v])[0])
+        for v in range(g.n))
 
 
 def hop_ball(g, center, h):

@@ -21,8 +21,13 @@ from rigidnet.experiments import (
     run_ensemble_experiment,
     sample_framework,
 )
-from rigidnet.graphs import Graph, is_connected
-from rigidnet.rigidity import Framework
+from rigidnet.graphs import (
+    Graph,
+    disk_proximity_graph,
+    is_biconnected,
+    is_connected,
+)
+from rigidnet.rigidity import Framework, rigidity_report
 
 
 def small_config(**kw):
@@ -62,6 +67,9 @@ class TestScenarioConfig:
         dict(width=float("inf")),
         dict(comm_range=float("nan")),
         dict(initial_estimate_error=float("inf")),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed=True),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ConfigError):
@@ -101,6 +109,27 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_framework(np.random.default_rng(1), cfg)
 
+    @pytest.mark.parametrize("dim, n, range_", [(2, 100, 17.5), (3, 40, 45.0)])
+    def test_matches_a_connectivity_and_report_loop(self, dim, n, range_):
+        # the sampler skips the report on cut-vertex draws; it must still
+        # accept the same draw after the same rejects
+        cut = 0
+        for seed in range(3):
+            cfg = ScenarioConfig(seed=seed, n=n, width=100.0, height=100.0,
+                                 comm_range=range_, dim=dim)
+            fw, rejects = sample_framework(np.random.default_rng(seed), cfg)
+            rng = np.random.default_rng(seed)
+            for expected_rejects in range(cfg.rejection_budget):
+                x = rng.uniform(0.0, 100.0, size=(n, dim))
+                g = disk_proximity_graph(x, range_)
+                if is_connected(g):
+                    cut += not is_biconnected(g)
+                    if rigidity_report(Framework(g, x)).rigid:
+                        break
+            assert rejects == expected_rejects
+            assert np.array_equal(fw.positions, x)
+        assert cut > 0
+
     def test_flexible_pair_accepted_without_rigidity(self):
         cfg = ScenarioConfig(seed=1, n=2, width=10.0, height=10.0,
                              comm_range=40.0, require_rigid=False)
@@ -110,6 +139,12 @@ class TestSampling:
 
 
 class TestFrameworkJson:
+    @pytest.mark.parametrize("n", [3.7, 3.0, True, "3"])
+    def test_n_must_be_an_integer(self, n):
+        data = framework_to_json(generate_scenario(small_config()))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            framework_from_json({**data, "n": n})
+
     def test_round_trip(self):
         fw = generate_scenario(small_config())
         back = framework_from_json(framework_to_json(fw))

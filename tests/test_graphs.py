@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from support import floyd_warshall, random_graph
+from support import biconnected_by_deletion, floyd_warshall, random_graph
 
 from rigidnet.graphs import (
     UNREACHABLE,
@@ -12,6 +12,7 @@ from rigidnet.graphs import (
     diameter,
     disk_proximity_graph,
     induced_subgraph,
+    is_biconnected,
     is_connected,
     laplacian_matrix,
 )
@@ -147,6 +148,46 @@ class TestConnectivity:
             g = random_graph(rng, int(rng.integers(2, 12)), 0.3)
             lam2 = np.linalg.eigvalsh(laplacian_matrix(g))[1]
             assert (lam2 > 1e-9) == is_connected(g)
+
+
+class TestBiconnectivity:
+    @pytest.mark.parametrize("g, expected", [
+        (cycle(3), True),
+        (path(4), False),
+        (cycle(6), True),
+        (Graph(5, [(0, k) for k in range(1, 5)]), False),
+        # two triangles sharing node 2
+        (Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]), False),
+        (Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), False),
+        (Graph(1, []), True),
+        (Graph(2, [(0, 1)]), True),
+        (Graph(2, []), False),
+    ], ids=["triangle", "path", "cycle", "star", "two-triangles-one-node",
+            "disconnected", "n1", "n2-edge", "n2-no-edge"])
+    def test_named_cases(self, g, expected):
+        assert is_biconnected(g) == expected
+        assert biconnected_by_deletion(g) == expected
+
+    def test_matches_deletion_on_random_graphs(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(300):
+            g = random_graph(rng, int(rng.integers(0, 14)), rng.uniform(0.1, 0.8))
+            verdict = is_biconnected(g)
+            assert verdict == biconnected_by_deletion(g)
+            seen.add((verdict, is_connected(g)))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_deletion_on_disk_graphs(self, dim):
+        rng = np.random.default_rng(32 + dim)
+        verdicts = []
+        for _ in range(40):
+            x = rng.uniform(0.0, 100.0, size=(int(rng.integers(3, 40)), dim))
+            g = disk_proximity_graph(x, rng.uniform(25.0, 60.0))
+            verdicts.append(is_biconnected(g))
+            assert verdicts[-1] == biconnected_by_deletion(g)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestDiskProximity:

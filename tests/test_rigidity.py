@@ -15,7 +15,14 @@ from support import (
 )
 
 from rigidnet.experiments import ScenarioConfig, generate_scenario
-from rigidnet.graphs import Graph, GeodesicTable, is_connected, laplacian_matrix
+from rigidnet.graphs import (
+    Graph,
+    GeodesicTable,
+    disk_proximity_graph,
+    is_biconnected,
+    is_connected,
+    laplacian_matrix,
+)
 from rigidnet.rigidity import (
     CoincidentNodesError,
     Framework,
@@ -299,6 +306,23 @@ class TestRigidityVerdicts:
             fast = (is_connected(fw.graph)
                     and framework_spectrum(fw, vectors=False).rigid)
             assert is_infinitesimally_rigid(fw) == fast
+
+    @pytest.mark.parametrize("dim, n, range_", [
+        (2, 100, 17.5), (2, 100, 20.0), (3, 40, 40.0)])
+    def test_cut_vertex_draws_are_flexible(self, dim, n, range_):
+        # the structural rejection must never reject a framework that the
+        # cross-checked report would accept
+        rng = np.random.default_rng(int(10 * range_) + dim)
+        cut = 0
+        for _ in range(100):
+            x = rng.uniform(0.0, 100.0, size=(n, dim))
+            g = disk_proximity_graph(x, range_)
+            if is_connected(g) and not is_biconnected(g):
+                cut += 1
+                fw = Framework(g, x)
+                assert not rigidity_report(fw).rigid
+                assert not is_infinitesimally_rigid(fw)
+        assert cut >= 5
 
 
 class TestReport:
