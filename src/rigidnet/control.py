@@ -21,7 +21,11 @@ it was given while the edge set holds.  The edge unit vectors and
 lengths are the Framework's, measured once when it was built.  So on an
 unchanged topology a build reads the edge geometry from its framework,
 evaluates the link weights, assembles the balls' S by d x d blocks, a
-bincount per group of balls, and solves each ball once.
+bincount per group of balls, and solves each ball once.  The guard solves
+with eigenvectors on ground truth, where the replay reuses its accepted
+state, and for eigenvalues only while the robots steer on estimates,
+where nothing reads the eigenvectors; a state without them refuses its
+slopes by name (EigenvectorsNotSolvedError).
 """
 
 import logging
@@ -40,6 +44,10 @@ logger = logging.getLogger(__name__)
 
 class RigidityLostError(RuntimeError):
     """Some subframework's rigidity eigenvalue fell to the zero threshold."""
+
+
+class EigenvectorsNotSolvedError(RuntimeError):
+    """Slopes were asked of a control state solved for eigenvalues only."""
 
 
 @dataclass
@@ -86,7 +94,9 @@ class ControlState:
     graph; the edge unit vectors and lengths are the framework's, and the
     link weights and spectra belong to this state.  spectra holds each
     ball's Spectrum, in center order (subframeworks.TOO_SMALL for a ball too
-    small to test, whose rho is None and reads NaN in rhos).
+    small to test, whose rho is None and reads NaN in rhos).  A state built
+    without vectors holds eigenvalues only: its verdicts and rhos, but no
+    slopes.
     """
 
     framework: Framework
@@ -96,6 +106,7 @@ class ControlState:
     ball_set: BallSet
     weights: np.ndarray
     spectra: list
+    vectors: bool = True
 
     @property
     def rhos(self):
@@ -111,7 +122,11 @@ class ControlState:
 
     def rigidity_slopes(self):
         """ball_rigidity_slopes of every ball, one row per stack row; every
-        ball must be rigid."""
+        ball must be rigid and the state solved with vectors."""
+        if not self.vectors:
+            raise EigenvectorsNotSolvedError(
+                f"control state at t={self.time:.3f} was solved for "
+                "eigenvalues only; its rigidity slopes need eigenvectors")
         fw = self.framework
         return ball_rigidity_slopes(
             self.ball_set.stack, [s.rho for s in self.spectra],
@@ -119,13 +134,16 @@ class ControlState:
             fw.units, fw.lengths, self.weights, self.params)
 
 
-def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
+def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
+                        vectors=True):
     """Snapshot the discrete structure of a framework and solve its eigenproblems.
 
     Extents are decided once, at startup, and carried verbatim across steps
     even as edges come and go: pass an array of one radius per node, or None
     to measure them here.  With require_rigid the build fails as soon as any
     ball is too small or has a rigidity eigenvalue at the zero threshold.
+    Without vectors every ball is solved for its eigenvalues only (eigvalsh
+    instead of eigh), and the state gives verdicts and rhos but no slopes.
     """
     if extents is None:
         extents = extent_assignment(fw)
@@ -138,7 +156,7 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
-    spectra = [ball_spectrum(S, fw.dim)
+    spectra = [ball_spectrum(S, fw.dim, vectors)
                for S in balls.grams(fw.units, weights)]
     degenerate = sum(s.degenerate for s in spectra)
     if degenerate:
@@ -146,7 +164,8 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True):
             "%d subframeworks have near-multiple rigidity eigenvalues at t=%.3f; "
             "their eigenvectors only give descent subgradients", degenerate, time
         )
-    state = ControlState(fw, params, extents, time, balls, weights, spectra)
+    state = ControlState(fw, params, extents, time, balls, weights, spectra,
+                         vectors)
     if require_rigid:
         state.require_rigid()
     return state
@@ -327,18 +346,18 @@ def refresh_topology(graph, positions, params):
     return Graph(graph.n, list(zip(ii.tolist(), jj.tolist())))
 
 
-def _state_if_rigid(graph, positions, params, extents, time):
+def _state_if_rigid(graph, positions, params, extents, time, vectors):
     try:
         state = build_control_state(Framework(graph, positions), params,
                                     extents=extents, time=time,
-                                    require_rigid=False)
+                                    require_rigid=False, vectors=vectors)
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
     return state if all(s.rigid for s in state.spectra) else None
 
 
-def guarded_refresh(graph, positions, params, extents, time=0.0):
+def guarded_refresh(graph, positions, params, extents, time=0.0, vectors=True):
     """Refresh the topology without letting any frozen ball go flexible.
 
     Link changes move ball memberships by whole nodes, so a single prune or
@@ -348,15 +367,18 @@ def guarded_refresh(graph, positions, params, extents, time=0.0):
     wait: an overstretched edge some ball still needs stays in the graph, a
     new link that would pull an unbraced node into a ball stays pending.
     Returns the admitted graph with its control state, or (None, None) when
-    even the unchanged edge set fails at these positions.
+    even the unchanged edge set fails at these positions.  Without vectors
+    every state is solved for eigenvalues only, which decides every
+    verdict; pass vectors=False when no slopes are taken from the accepted
+    state.
     """
     full = refresh_topology(graph, positions, params)
-    state = _state_if_rigid(full, positions, params, extents, time)
+    state = _state_if_rigid(full, positions, params, extents, time, vectors)
     if state is not None:
         return full, state
     if full is graph:
         return None, None
-    state = _state_if_rigid(graph, positions, params, extents, time)
+    state = _state_if_rigid(graph, positions, params, extents, time, vectors)
     if state is None:
         return None, None
     admitted = graph
@@ -364,7 +386,8 @@ def guarded_refresh(graph, positions, params, extents, time=0.0):
     for e in sorted(old - new) + sorted(new - old):
         edges = set(admitted.edges)
         trial = Graph(graph.n, sorted(edges ^ {e}))
-        t_state = _state_if_rigid(trial, positions, params, extents, time)
+        t_state = _state_if_rigid(trial, positions, params, extents, time,
+                                  vectors)
         if t_state is not None:
             admitted, state = trial, t_state
     return admitted, state

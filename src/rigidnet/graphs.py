@@ -38,6 +38,8 @@ class Graph:
 
     def __init__(self, n, edges):
         self.n = int(n)
+        if self.n < 0:
+            raise ValueError(f"n must be non-negative, got {self.n}")
         seen = set()
         for i, j in edges:
             i, j = int(i), int(j)

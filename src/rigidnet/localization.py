@@ -6,7 +6,8 @@ variance.  Each robot corrects its own row from the ranges to its
 neighbors, linearizing through the unit direction vectors of the estimated
 geometry; its ranges are its slice of the Graph's slots.  Neighbor
 estimates come from the previous round's broadcasts, so updates across
-robots are independent within a round.  Range data alone
+robots are independent within a round, and filter_update takes the
+robots of one degree as one stack.  Range data alone
 fixes the formation only up to a rigid displacement; d anchored robots with
 exact absolute fixes remove that freedom in d dimensions.  A fix sets an
 anchor's estimate to its true position and its covariance to zero.
@@ -50,22 +51,32 @@ class Filters:
 
 
 def _range_model(estimate, neighbor_estimates):
-    """Predicted ranges to the neighbor estimates and their unit-row jacobian."""
+    """Predicted ranges to the neighbor estimates and their unit-row jacobian,
+    for one robot (estimate d, neighbors deg x d) or a stack of robots
+    (k x d and k x deg x d)."""
     x = np.asarray(estimate, dtype=float)
-    nb = np.asarray(neighbor_estimates, dtype=float).reshape(-1, len(x))
-    diff = x[None, :] - nb
-    r = np.linalg.norm(diff, axis=1)
+    diff = x[..., None, :] - np.asarray(neighbor_estimates, dtype=float)
+    r = np.linalg.norm(diff, axis=-1)
     if (r < 1e-12).any():
         raise CoincidentEstimatesError(
             "coincident estimates make the range model singular")
-    return r, diff / r[:, None]
+    return r, diff / r[..., None]
 
 
 def filter_update(estimate, covariance, range_variance, measurements,
                   neighbor_estimates, neighbor_covariances=None,
                   process_floor=0.0):
-    """One robot's range correction: gain from the innovation covariance,
-    then shrink P.  Returns the new (estimate, covariance) row pair.
+    """Range correction of one robot, or of a stack of robots of one degree:
+    gain from the innovation covariance, then shrink P.  Returns the new
+    (estimate, covariance) pair.
+
+    One robot passes its estimate (d), covariance (d x d), measurements
+    (deg) and neighbor estimates (deg x d); a stack of k robots passes k x
+    d, k x d x d, k x deg and k x deg x d, and gets k rows back.  Every
+    product and solve runs per robot on the same BLAS and LAPACK calls as
+    the one-robot form, so each row of a stack equals its one-robot update
+    bit for bit.  A coincident neighbor estimate in any row raises
+    CoincidentEstimatesError.
 
     neighbor_covariances, when given, must hold one d x d covariance per
     neighbor; each range's innovation variance then grows by F_k P_k F_k^T so
@@ -79,27 +90,30 @@ def filter_update(estimate, covariance, range_variance, measurements,
     exactly as long as its own residuals say the fit is not done.
     """
     z = np.asarray(measurements, dtype=float)
-    if len(z) == 0:
+    if z.shape[-1] == 0:
         return estimate.copy(), covariance.copy()
     zh, F = _range_model(estimate, neighbor_estimates)
     if z.shape != zh.shape:
         raise ValueError(f"got {z.shape} measurements for {zh.shape} neighbors")
     P = covariance
     A = F @ P
-    S = A @ F.T + range_variance * np.eye(len(z))
+    S = A @ np.swapaxes(F, -1, -2) + range_variance * np.eye(z.shape[-1])
     if neighbor_covariances is not None:
-        if len(neighbor_covariances) != len(z):
+        P_nb = np.asarray(neighbor_covariances, dtype=float)
+        if P_nb.shape[:-2] != z.shape:
             raise ValueError("need one neighbor covariance per measurement")
-        for k, P_k in enumerate(neighbor_covariances):
-            S[k, k] += float(F[k] @ P_k @ F[k])
-    K = np.linalg.solve(S, A).T
+        for k in range(z.shape[-1]):
+            F_k = F[..., k, None, :]
+            S[..., k, k] += (F_k @ P_nb[..., k, :, :]
+                             @ np.swapaxes(F_k, -1, -2))[..., 0, 0]
+    K = np.swapaxes(np.linalg.solve(S, A), -1, -2)
     innovation = z - zh
-    est = estimate + K @ innovation
+    est = estimate + (K @ innovation[..., None])[..., 0]
     P_new = P - K @ A
-    P_new = 0.5 * (P_new + P_new.T)
+    P_new = 0.5 * (P_new + np.swapaxes(P_new, -1, -2))
     if process_floor > 0:
-        d = len(est)
-        P_new = P_new + process_floor * float(np.mean(innovation**2)) * np.eye(d)
+        power = process_floor * np.mean(innovation**2, axis=-1)
+        P_new = P_new + power[..., None, None] * np.eye(est.shape[-1])
     return est, P_new
 
 

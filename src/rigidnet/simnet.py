@@ -33,7 +33,8 @@ center's payloads are computed from its ball members' positions only and
 summed in the recorded delivery order, which gives the engine's commands
 bit for bit.  On ground truth the guard's accepted control state already
 holds every ball's eigendata at these positions, so the replay solves
-nothing; on believed positions it builds one control state there.  The
+nothing; on believed positions it builds one control state there, and
+the guard, whose state the replay never reads, solves eigenvalues only.  The
 replay, its collision terms and the per-tick metrics read the edge unit
 vectors and lengths from the Framework at the positions they use, which
 measured them once when it was built.
@@ -42,10 +43,11 @@ decentralized_velocity, run the engine with real payloads and are the
 replay's oracle.
 
 A World holds the network's filter state as one localization.Filters.
-Each tick corrects every robot's row with filter_update on its slice of
-the Graph's slots (its ranges and broadcast neighbor estimates) and pins
-the anchors through the mask; after the step, all estimates dead-reckon
-and all covariances inflate in one array statement each.
+Each tick corrects every robot's row with one stacked filter_update per
+distinct degree, on the robots' slices of the Graph's slots (their
+ranges and broadcast neighbor estimates), and pins the anchors through
+the mask; after the step, all estimates dead-reckon and all covariances
+inflate in one array statement each.
 """
 
 import json
@@ -551,12 +553,16 @@ def step_simulation(world):
     if cfg.use_estimates:
         neighbor_est = broadcast_estimates(fw, est)
         measured = measure_ranges(fw, world.rng, cfg.noise_std)
+        # one stacked update per degree: robot i's ranges and neighbor
+        # estimates are slots[i]:slots[i] + degree
         slots = fw.graph.slots
-        for i in range(fw.n):
-            own = slice(slots[i], slots[i + 1])
-            est[i], cov[i] = filter_update(est[i], cov[i],
-                                           filters.range_variance,
-                                           measured[own], neighbor_est[own])
+        degrees = fw.graph.degrees()
+        for g in np.unique(degrees).tolist():
+            rows = np.flatnonzero(degrees == g)
+            own = slots[rows, None] + np.arange(g)
+            est[rows], cov[rows] = filter_update(
+                est[rows], cov[rows], filters.range_variance, measured[own],
+                neighbor_est[own])
         filters.fix_anchors(fw.positions)
         believed = est
     else:
@@ -572,7 +578,8 @@ def step_simulation(world):
     for _ in range(params.max_step_retries + 1):
         candidate = fw.positions + dt * u
         _, new_state = guarded_refresh(fw.graph, candidate, params,
-                                       world.extents, world.time + dt)
+                                       world.extents, world.time + dt,
+                                       vectors=not cfg.use_estimates)
         if new_state is not None:
             break
         dt *= 0.5

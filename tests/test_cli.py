@@ -304,13 +304,14 @@ class TestConfigHandling:
         # n must be an integer, not a number that rounds to one
         ["audit", "--framework", "{fractional_n}"],
         ["audit", "--framework", "{bool_n}"],
+        ["audit", "--framework", "{negative_n}"],
         # a seed numpy cannot take, by flag or by config file
         ["gen", "--seed", "-1", "--n", "10"],
         ["gen", "--n", "10", "--config", "{negative_seed}"],
     ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
             "null-edges", "flat-edges", "top-level-list", "null-n",
-            "nan-position", "fractional-n", "bool-n", "negative-seed",
-            "negative-seed-config"])
+            "nan-position", "fractional-n", "bool-n", "negative-n",
+            "negative-seed", "negative-seed-config"])
     def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
         triangle = [[0, 0], [1, 0], [0, 1]]
         files = {
@@ -325,6 +326,7 @@ class TestConfigHandling:
             "fractional_n": {"n": 3.7, "edges": [[0, 1], [1, 2], [0, 2]],
                              "positions": triangle},
             "bool_n": {"n": True, "edges": [], "positions": [[0, 0]]},
+            "negative_n": {"n": -1, "edges": [], "positions": []},
             "negative_seed": {"seed": -1},
         }
         paths = {}

@@ -12,6 +12,7 @@ from support import (
 from rigidnet import control
 from rigidnet.control import (
     ControlParams,
+    EigenvectorsNotSolvedError,
     RigidityLostError,
     ball_load_slopes,
     ball_rigidity_slopes,
@@ -30,7 +31,7 @@ from rigidnet.control import (
 from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
 from rigidnet.rigidity import Framework
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
-from rigidnet.subframeworks import ball_set
+from rigidnet.subframeworks import ball_set, ball_spectrum
 
 
 def apex_framework():
@@ -139,6 +140,26 @@ class TestStateBuild:
         with pytest.raises(RigidityLostError,
                            match=r"node 0 lost rigidity \(rho=None\)"):
             state.require_rigid()
+
+    def test_eigenvalue_only_state_gives_verdicts_but_no_slopes(self):
+        fw = apex_framework()
+        full = build_control_state(fw, default_params())
+        bare = build_control_state(fw, default_params(), vectors=False)
+        assert full.vectors and not bare.vectors
+        assert all(s.nu is None for s in bare.spectra)
+        grams = bare.ball_set.grams(fw.units, bare.weights)
+        solved = [ball_spectrum(S, fw.dim, vectors=False) for S in grams]
+
+        def verdicts(spectra):
+            return [(s.rho, s.rigid, s.eigenvalues.tobytes()) for s in spectra]
+        assert verdicts(bare.spectra) == verdicts(solved)
+        assert [s.rigid for s in bare.spectra] == [
+            s.rigid for s in full.spectra]
+        assert np.allclose(bare.rhos, full.rhos, rtol=1e-12)
+        with pytest.raises(EigenvectorsNotSolvedError, match="eigenvalues only"):
+            bare.rigidity_slopes()
+        with pytest.raises(EigenvectorsNotSolvedError, match="eigenvalues only"):
+            rigidity_gradient_all(bare)
 
     def test_degenerate_balls_flagged(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])

@@ -44,6 +44,10 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+            Graph(-1, [])
+
     def test_degree_sum_is_twice_edge_count(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -129,6 +129,47 @@ def test_neighbor_covariance_count_mismatch_raises():
                       neighbor_covariances=[np.eye(2), np.eye(2)])
 
 
+def robot_stack(rng, k, degree, dim):
+    """k robots of one degree: estimates, covariances (row 0 an anchor's
+    zero covariance), noisy ranges and neighbor estimates."""
+    x = rng.normal(size=(k, dim)) * 20.0
+    a = rng.normal(size=(k, dim, dim))
+    P = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(dim)
+    P[0] = 0.0
+    nb = rng.normal(size=(k, degree, dim)) * 20.0
+    z = (np.linalg.norm(x[:, None, :] - nb, axis=-1)
+         + rng.normal(size=(k, degree)) * 0.05)
+    return x, P, z, nb
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_stacked_update_equals_one_robot_updates(dim, degree):
+    x, P, z, nb = robot_stack(np.random.default_rng(10 * degree + dim), 6,
+                              degree, dim)
+    est, cov = filter_update(x, P, 0.01, z, nb)
+    assert est.shape == x.shape and cov.shape == P.shape
+    for i in range(len(x)):
+        one_est, one_cov = filter_update(x[i], P[i], 0.01, z[i], nb[i])
+        assert np.array_equal(est[i], one_est)
+        assert np.array_equal(cov[i], one_cov)
+        # a batch of one is the same update again
+        alone_est, alone_cov = filter_update(x[i:i + 1], P[i:i + 1], 0.01,
+                                             z[i:i + 1], nb[i:i + 1])
+        assert np.array_equal(alone_est[0], one_est)
+        assert np.array_equal(alone_cov[0], one_cov)
+    # the anchor row, with zero covariance, takes no correction
+    assert np.array_equal(est[0], x[0])
+    assert np.array_equal(cov[0], np.zeros((dim, dim)))
+
+
+def test_stack_with_one_coincident_row_raises_a_named_error():
+    x, P, z, nb = robot_stack(np.random.default_rng(2), 5, 4, 2)
+    nb[3, 2] = x[3]
+    with pytest.raises(CoincidentEstimatesError, match="range model singular"):
+        filter_update(x, P, 0.01, z, nb)
+
+
 def test_uncertain_neighbor_damps_correction():
     x = np.array([2.0, 0.0])
     nb = np.array([[0.0, 0.0]])

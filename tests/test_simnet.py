@@ -10,6 +10,7 @@ import pytest
 
 from rigidnet.control import (
     ControlParams,
+    EigenvectorsNotSolvedError,
     RigidityLostError,
     build_control_state,
     velocity_field,
@@ -35,6 +36,7 @@ from rigidnet.simnet import (
     run_simulation,
     step_simulation,
 )
+from rigidnet.subframeworks import ball_spectrum
 
 from support import random_disk_framework
 
@@ -275,9 +277,9 @@ def test_halved_step_counts_as_one_tick(monkeypatch):
     refresh = simnet.guarded_refresh
     calls = []
 
-    def every_full_step_rejected(*args):
+    def every_full_step_rejected(*args, **kwargs):
         calls.append(args)
-        return (None, None) if len(calls) % 2 else refresh(*args)
+        return (None, None) if len(calls) % 2 else refresh(*args, **kwargs)
 
     monkeypatch.setattr(simnet, "guarded_refresh", every_full_step_rejected)
     run_simulation(world, 0.5)
@@ -449,6 +451,55 @@ def test_first_tick_on_ground_truth_solves_no_ball(monkeypatch):
     assert calls == ["run_exchange_phase"]
     u_engine, _ = decentralized_velocity(fw, world.extents, params)
     assert u.tobytes() == u_engine.tobytes()
+
+
+def counted_builds(monkeypatch):
+    """Every control state simnet builds itself (the replay's), by time."""
+    built = []
+    original = simnet.build_control_state
+
+    def counted(fw, *args, **kwargs):
+        built.append(fw)
+        return original(fw, *args, **kwargs)
+
+    monkeypatch.setattr(simnet, "build_control_state", counted)
+    return built
+
+
+def test_guard_on_estimates_solves_eigenvalues_only(monkeypatch):
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
+    cfg = WorldConfig(use_estimates=True, anchors=(0, 1), noise_std=0.05,
+                      initial_estimate_error=0.3, seed=3)
+    world = make_world(fw, params, cfg)
+    built = counted_builds(monkeypatch)
+    for tick in range(1, 6):
+        step_simulation(world)
+        state = world.accepted
+        assert not state.vectors
+        assert all(s.nu is None for s in state.spectra)
+        grams = state.ball_set.grams(state.framework.units, state.weights)
+        solved = [ball_spectrum(S, fw.dim, vectors=False) for S in grams]
+        assert [(s.rho, s.rigid) for s in state.spectra] == [
+            (s.rho, s.rigid) for s in solved]
+        # the replay builds its own state, with vectors, at the estimates
+        assert len(built) == tick
+    with pytest.raises(EigenvectorsNotSolvedError, match="eigenvalues only"):
+        world.accepted.rigidity_slopes()
+
+
+def test_guard_on_ground_truth_keeps_eigenvectors_for_the_replay(monkeypatch):
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    built = counted_builds(monkeypatch)
+    for _ in range(5):
+        step_simulation(world)
+        state = world.accepted
+        assert state.vectors
+        assert all(s.nu is not None for s in state.spectra)
+    # every replay reused the accepted state's eigendata
+    assert built == []
 
 
 def flexible_ball_world():
