@@ -343,7 +343,7 @@ def refresh_topology(graph, positions, params):
     ii, jj = np.nonzero(keep)
     if len(ii) == len(e) and (ii == e[:, 0]).all() and (jj == e[:, 1]).all():
         return graph
-    return Graph(graph.n, list(zip(ii.tolist(), jj.tolist())))
+    return Graph(graph.n, np.stack([ii, jj], axis=1))
 
 
 def _state_if_rigid(graph, positions, params, extents, time, vectors):

@@ -122,7 +122,7 @@ def generate_scenario(config):
 def framework_to_json(fw):
     return {
         "n": fw.graph.n,
-        "edges": [[int(a), int(b)] for a, b in fw.graph.edges],
+        "edges": fw.graph.edge_array().tolist(),
         "positions": [[float(v) for v in row] for row in fw.positions],
     }
 
@@ -130,7 +130,15 @@ def framework_to_json(fw):
 def framework_from_json(data):
     if not _is_integer(data["n"]):
         raise ValueError(f"n must be an integer, got {data['n']!r}")
-    g = Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise ValueError(f"edges must be a list, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(map(_is_integer, e))):
+            raise ValueError(
+                f"an edge must be a pair of integer node ids, got {e!r}")
+    g = Graph(int(data["n"]), edges)
     positions = np.asarray(data["positions"], dtype=float)
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
@@ -142,7 +150,7 @@ def network_record(fw, index=0, rejects=0):
     table = geodesics(fw.graph)
     h = extent_assignment(fw)
     eccent = table.dist.max(axis=1).astype(int)
-    m = len(fw.graph.edges)
+    m = fw.graph.m
     load = float(communication_load(fw.graph, h).sum())
     upper = float(communication_load(fw.graph, eccent).sum())
     return {

@@ -1,17 +1,18 @@
 """Undirected graphs, hop-count geodesics and the disk-proximity generator.
 
 Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
-topology changes produce a new Graph.  So the edge array and the slot
-layout (one slot per node and neighbor, see Graph) are built with the
-graph, and whatever else depends on the edge set alone (the geodesic
-table, the controller's balls) is computed once per Graph and kept on it
-(Graph.cached).  The geodesic table, all-pairs shortest paths from
-scipy's csgraph, is the one source of hop counts, and the connectivity
-test counts csgraph's connected components.  The biconnectivity test (no
-cut vertex) is one depth-first search over the slot layout.  Unreachable
-node pairs are marked with the UNREACHABLE sentinel (float inf) rather
-than a large finite hop count, so accidental arithmetic on them propagates
-loudly instead of producing plausible-looking numbers.
+topology changes produce a new Graph.  A Graph is built from its edge
+array, validated and sorted in numpy, and the slot layout (one slot per
+node and neighbor, see Graph) is built with it.  Whatever else depends on
+the edge set alone (the edge list, the geodesic table, the controller's
+balls) is computed once per Graph and kept on it (Graph.cached).  The
+geodesic table, all-pairs shortest paths from scipy's csgraph, is the one
+source of hop counts, and the connectivity test counts csgraph's
+connected components.  The biconnectivity test (no cut vertex) is one
+depth-first search over the slot layout.  Unreachable node pairs are
+marked with the UNREACHABLE sentinel (float inf) rather than a large
+finite hop count, so accidental arithmetic on them propagates loudly
+instead of producing plausible-looking numbers.
 """
 
 import numpy as np
@@ -28,8 +29,11 @@ class GraphDisconnectedError(ValueError):
 class Graph:
     """Simple undirected graph with dense integer node ids.
 
-    Edges are stored lexicographically sorted as (i, j) with i < j; the
-    ordering fixes row order in rigidity matrices and serialized output.
+    A graph is built from its edge array: any (m, 2) array or sequence of
+    integer id pairs, checked and put in canonical form in numpy, one row
+    (i, j) with i < j per edge, rows sorted lexicographically.  That order
+    fixes row order in rigidity matrices and serialized output.  The list
+    of tuples in edges is derived from the array on first read.
 
     Every per-neighbor array reads one read-only slot layout: node i owns
     slots slots[i]:slots[i + 1], one per neighbor in ascending order, and
@@ -40,32 +44,62 @@ class Graph:
         self.n = int(n)
         if self.n < 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
-        seen = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            e = (i, j) if i < j else (j, i)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        norm = sorted(seen)
-        self.edges = norm
-        self.m = len(norm)
-        e = np.array(norm, dtype=np.intp).reshape(-1, 2)
+        given = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges))
+        if given.shape == (0,):
+            given = np.empty((0, 2), dtype=np.intp)
+        if given.ndim != 2 or given.shape[1] != 2:
+            raise ValueError(
+                f"edges must be pairs of node ids, got shape {given.shape}")
+        if not np.issubdtype(given.dtype, np.integer):
+            raise ValueError(
+                f"node ids must be integers, got dtype {given.dtype}")
+        given = given.astype(np.intp, copy=False)
+        lo, hi = given.min(axis=1), given.max(axis=1)
+        order = np.lexsort((hi, lo))
+        e = np.stack([lo[order], hi[order]], axis=1)
+        self._reject_invalid(given, e, order)
+        self.m = len(e)
         # a stable sort by owner puts node i's lower neighbors j (edges
         # (j, i), ascending j) before its higher ones (edges (i, j))
         owner = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.argsort(owner, kind="stable")
+        by_owner = np.argsort(owner, kind="stable")
         self._edges = e
         self.slots = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(owner, minlength=self.n), out=self.slots[1:])
-        self.slot_node = np.concatenate([e[:, 0], e[:, 1]])[order]
-        self.slot_edge = np.tile(np.arange(self.m), 2)[order]
+        self.slot_node = np.concatenate([e[:, 0], e[:, 1]])[by_owner]
+        self.slot_edge = np.tile(np.arange(self.m), 2)[by_owner]
         for a in (self._edges, self.slots, self.slot_node, self.slot_edge):
             a.setflags(write=False)
+
+    def _reject_invalid(self, given, e, order):
+        """Raise for the first given edge, in input order, that is a
+        self-loop, out of range or a repeat of an earlier edge.
+
+        e is given canonicalized and stably sorted by order, so a row equal
+        to the one before it is a repeat, and order names its input index.
+        """
+        invalid = (given[:, 0] == given[:, 1]) | (
+            (given < 0) | (given >= self.n)).any(axis=1)
+        bad = invalid.copy()
+        bad[order[1:][(e[1:] == e[:-1]).all(axis=1)]] = True
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        i, j = given[k].tolist()
+        if not invalid[k]:
+            raise ValueError(f"duplicate edge {(min(i, j), max(i, j))}")
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+
+    @property
+    def edges(self):
+        """The edges as a list of (i, j) tuples, in edge_array order.
+
+        Built from the edge array on first read and kept; do not modify it.
+        """
+        return self.cached("edges", None, _edge_list)
 
     def neighbors(self, i):
         return self.slot_node[self.slots[i]:self.slots[i + 1]]
@@ -98,11 +132,15 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self._edges, other._edges)
         )
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _edge_list(g):
+    return list(zip(*g.edge_array().T.tolist()))
 
 
 def diameter(g):
@@ -177,8 +215,7 @@ def disk_proximity_graph(positions, range_):
     if range_ <= 0:
         raise ValueError("range must be positive")
     dist, linked = proximity(positions, range_)
-    ii, jj = np.nonzero(linked)
-    return Graph(len(dist), list(zip(ii.tolist(), jj.tolist())))
+    return Graph(len(dist), np.argwhere(linked))
 
 
 def induced_subgraph(g, nodes):
@@ -193,7 +230,7 @@ def induced_subgraph(g, nodes):
     local = np.full(g.n, -1, dtype=np.intp)
     local[nodes] = np.arange(len(nodes))
     e = local[g.edge_array()]
-    return Graph(len(nodes), e[(e >= 0).all(axis=1)].tolist()), nodes
+    return Graph(len(nodes), e[(e >= 0).all(axis=1)]), nodes
 
 
 def laplacian_matrix(g):

@@ -10,7 +10,9 @@ The two verdicts always agree; a mismatch raises, it is never papered over.
 is_infinitesimally_rigid first rejects a graph that is not biconnected:
 a cut vertex forces a non-trivial motion at every realization in 2-D and
 3-D, so this structural rejection is exact, never a heuristic, and spares
-the numeric test on most flexible random draws.
+the numeric test on most flexible random draws.  Its verdict on the
+remaining draws solves S for eigenvalues only, since it reads no
+eigenvector; the SVD rank cross-check still runs on every one of them.
 rigidity_spectrum is the one eigensolve behind every eigenvalue verdict, for
 whole frameworks and hop-balls alike, and every verdict holds rho against
 one threshold, REL_TOL relative to the largest eigenvalue; the rank test
@@ -258,7 +260,10 @@ def framework_spectrum(fw, vectors=True):
 
 @dataclass(eq=False)
 class RigidityReport:
-    """Spectral rigidity summary of a framework's unweighted S, with the rank of R."""
+    """Spectral rigidity summary of a framework's unweighted S, with the rank of R.
+
+    nu is None in a report solved without eigenvectors.
+    """
 
     rank_R: int
     eigenvalues: np.ndarray
@@ -270,18 +275,23 @@ class RigidityReport:
     tol_abs: float
 
     def to_json(self):
+        nu = None if self.nu is None else [float(v) for v in self.nu]
         return json.dumps({**asdict(self),
                            "eigenvalues": [float(v) for v in self.eigenvalues],
-                           "nu": [float(v) for v in self.nu]})
+                           "nu": nu})
 
 
-def rigidity_report(fw):
+def rigidity_report(fw, vectors=True):
     """Full spectrum, rank and rigidity verdict of the unweighted S; rank and
-    eigenvalue tests must agree."""
+    eigenvalue tests must agree.
+
+    Without vectors, S is solved by eigvalsh and nu is None; the rank
+    cross-check runs either way.
+    """
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    spectrum = rigidity_spectrum(framework_gram(fw), d)
+    spectrum = rigidity_spectrum(framework_gram(fw), d, vectors)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0
@@ -308,7 +318,8 @@ def is_infinitesimally_rigid(fw):
     d*k - f (one more for k = 2 in 3-D).  The sum stays below d*n - f in
     2-D and 3-D at every realization: one side can turn about v.  So the
     numeric test could never accept such a framework.  Every other
-    framework gets rigidity_report's verdict, so the rank of R
+    framework gets rigidity_report's verdict, solved for eigenvalues only
+    (the verdict reads no eigenvector), and the rank of R still
     cross-checks the eigenvalue test.
     """
     if fw.n <= fw.dim:
@@ -318,7 +329,7 @@ def is_infinitesimally_rigid(fw):
         )
     if not is_biconnected(fw.graph):
         return False
-    return rigidity_report(fw).rigid
+    return rigidity_report(fw, vectors=False).rigid
 
 
 def diameter_eigenvalue_bound(m, D):

@@ -518,7 +518,7 @@ def _append_metrics(world, state, log, framework_rho):
     x = fw.positions
     rhos = state.rhos
     load = float(communication_load(fw.graph, world.extents).sum())
-    m = len(fw.graph.edges)
+    m = fw.graph.m
     min_dist = float(fw.lengths.min()) if m else np.inf
     est = world.filters.estimates
     world.metrics.append({
@@ -540,8 +540,9 @@ def step_simulation(world):
 
     Order per tick: range measurement and estimate exchange with filter
     updates, gradient exchange on the positions the robots believe, true
-    motion under the summed commands with step halving against rigidity
-    loss, covariance inflation for the motion, then the topology refresh.
+    motion under the summed commands (at most comm_range per tick) with
+    step halving against rigidity loss, covariance inflation for the
+    motion, then the topology refresh.
     This is the library's one step loop: the controller steps only here.
     """
     fw = world.framework
@@ -572,8 +573,13 @@ def step_simulation(world):
 
     # a candidate step is judged on the topology it would commit: a link
     # change that zeroes a frozen ball's eigenvalue must wait, not crash
-    # the next tick
+    # the next tick.  No robot is commanded farther than the communication
+    # range in one tick: past that, the guard's edge logic at the candidate
+    # no longer describes a motion.
     dt = params.dt
+    speed = float(np.linalg.norm(u, axis=1).max(initial=0.0))
+    if dt * speed > params.comm_range:
+        dt = params.comm_range / speed
     new_state = None
     for _ in range(params.max_step_retries + 1):
         candidate = fw.positions + dt * u
@@ -604,7 +610,8 @@ def step_simulation(world):
 def run_simulation(world, duration):
     """Run duration / dt ticks; the world carries the metrics.
 
-    A halved step counts as one tick, and the clock adds the dt it used.
+    A capped or halved step counts as one tick, and the clock adds the dt
+    it used.
     """
     for _ in range(math.ceil(round(duration / world.params.dt, 9))):
         step_simulation(world)

@@ -1,5 +1,7 @@
 """Shared generators and brute-force oracles used across the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from rigidnet.graphs import (
@@ -16,6 +18,38 @@ def random_graph(rng, n, p):
     """Erdos-Renyi G(n, p)."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def reference_graph_layout(n, edges):
+    """A graph's canonical edges and slot layout, by a loop over the edges.
+
+    The reference for the Graph constructor: it raises ValueError with the
+    constructor's message for the first edge, in input order, that is a
+    self-loop, out of range or a repeat of an earlier edge.
+    """
+    seen = set()
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        e = (i, j) if i < j else (j, i)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    canonical = sorted(seen)
+    owned = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(canonical):
+        owned[i].append((j, k))
+        owned[j].append((i, k))
+    slots, slot_node, slot_edge = [0], [], []
+    for own in map(sorted, owned):
+        slots.append(slots[-1] + len(own))
+        slot_node += [j for j, _ in own]
+        slot_edge += [k for _, k in own]
+    return SimpleNamespace(edges=canonical, slots=slots, slot_node=slot_node,
+                           slot_edge=slot_edge)
 
 
 def random_connected_graph(rng, n, p, max_tries=200):
@@ -81,6 +115,12 @@ def biconnected_by_deletion(g):
 def hop_ball(g, center, h):
     """Sorted node ids within h hops of center, by the Floyd-Warshall hop counts."""
     return [j for j, hops in enumerate(floyd_warshall(g)[center]) if hops <= h]
+
+
+def reject_every_step(*args, **kwargs):
+    """Stand-in for simnet.guarded_refresh that rejects every candidate
+    step, so the step loop runs out of halvings on any framework."""
+    return None, None
 
 
 def central_difference(f, x, eps=1e-6):

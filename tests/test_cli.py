@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import reject_every_step
 
 from rigidnet import cli, rigidity, simnet
 from rigidnet.cli import (
@@ -87,10 +88,11 @@ class TestControl:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["rigidity_lost"] is False
 
-    def test_rigidity_loss_exits_two(self, tmp_path, capsys):
+    def test_rigidity_loss_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(simnet, "guarded_refresh", reject_every_step)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({
-            "control": {"comm_range": 40.0, "dt": 1e9, "max_step_retries": 1},
+            "control": {"comm_range": 40.0, "max_step_retries": 1},
         }))
         snap = tmp_path / "snap.json"
         code = main(["control", *SMALL, "--duration", "1",
@@ -305,12 +307,19 @@ class TestConfigHandling:
         ["audit", "--framework", "{fractional_n}"],
         ["audit", "--framework", "{bool_n}"],
         ["audit", "--framework", "{negative_n}"],
+        # an edge is a pair of integer node ids, not numbers or strings
+        # that read as one, and not a longer row
+        ["audit", "--framework", "{fractional_edge}"],
+        ["audit", "--framework", "{bool_edge}"],
+        ["audit", "--framework", "{string_edge}"],
+        ["audit", "--framework", "{three_wide_edges}"],
         # a seed numpy cannot take, by flag or by config file
         ["gen", "--seed", "-1", "--n", "10"],
         ["gen", "--n", "10", "--config", "{negative_seed}"],
     ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
             "null-edges", "flat-edges", "top-level-list", "null-n",
             "nan-position", "fractional-n", "bool-n", "negative-n",
+            "fractional-edge", "bool-edge", "string-edge", "three-wide-edges",
             "negative-seed", "negative-seed-config"])
     def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
         triangle = [[0, 0], [1, 0], [0, 1]]
@@ -327,6 +336,14 @@ class TestConfigHandling:
                              "positions": triangle},
             "bool_n": {"n": True, "edges": [], "positions": [[0, 0]]},
             "negative_n": {"n": -1, "edges": [], "positions": []},
+            "fractional_edge": {"n": 3, "edges": [[0, 1.5], [1, 2], [0, 2]],
+                                "positions": triangle},
+            "bool_edge": {"n": 3, "edges": [[0, True], [1, 2], [0, 2]],
+                          "positions": triangle},
+            "string_edge": {"n": 3, "edges": [[0, "1"], [1, 2], [0, 2]],
+                            "positions": triangle},
+            "three_wide_edges": {"n": 3, "edges": [[0, 1, 2], [1, 2, 0]],
+                                 "positions": triangle},
             "negative_seed": {"seed": -1},
         }
         paths = {}

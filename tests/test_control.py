@@ -7,9 +7,10 @@ from support import (
     floyd_warshall,
     hop_ball,
     random_disk_framework,
+    reject_every_step,
 )
 
-from rigidnet import control
+from rigidnet import control, simnet
 from rigidnet.control import (
     ControlParams,
     EigenvectorsNotSolvedError,
@@ -383,11 +384,24 @@ class TestStepping:
         step_simulation(world)
         assert np.array_equal(world.accepted.extents, before.extents)
 
-    def test_runaway_step_raises(self):
-        params = default_params(k_rigidity=1e9, max_step_retries=2)
+    def test_runaway_step_raises(self, monkeypatch):
+        monkeypatch.setattr(simnet, "guarded_refresh", reject_every_step)
+        params = default_params(max_step_retries=2)
         world = make_world(apex_framework(), params, GROUND_TRUTH)
         with pytest.raises(RigidityLostError, match="no acceptable step size"):
             step_simulation(world)
+
+    def test_command_is_capped_at_the_communication_range(self):
+        # a barrier this steep commands a step of billions of metres; the tick
+        # shortens dt so that no robot moves farther than comm_range
+        params = default_params(k_rigidity=1e9, max_step_retries=0)
+        world = make_world(apex_framework(), params, GROUND_TRUTH)
+        before = world.framework.positions
+        step_simulation(world)
+        moved = np.linalg.norm(world.framework.positions - before, axis=1)
+        assert moved.max() == pytest.approx(params.comm_range, rel=1e-12)
+        assert 0.0 < world.time < params.dt
+        assert len(world.metrics) == 2
 
     def test_mini_run_stays_rigid(self):
         rng = np.random.default_rng(36)

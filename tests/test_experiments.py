@@ -5,7 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from support import reject_every_step
 
+from rigidnet import simnet
 from rigidnet.control import ControlParams, RigidityLostError
 from rigidnet.experiments import (
     CONTROL_COLUMNS,
@@ -231,8 +233,10 @@ class TestControlExperiment:
         _, rows, error = run_control_experiment(small_config(duration=0.0))
         assert rows == [] and error is None
 
-    def test_rigidity_loss_is_returned_with_snapshot(self, tmp_path):
-        bad = ControlParams(comm_range=40.0, dt=1e9, max_step_retries=1)
+    def test_rigidity_loss_is_returned_with_snapshot(self, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setattr(simnet, "guarded_refresh", reject_every_step)
+        bad = ControlParams(comm_range=40.0, max_step_retries=1)
         snap = tmp_path / "snapshot.json"
         _, rows, error = run_control_experiment(
             small_config(control=bad), snapshot_path=snap)

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from support import biconnected_by_deletion, floyd_warshall, random_graph
+from support import (
+    biconnected_by_deletion,
+    floyd_warshall,
+    random_graph,
+    reference_graph_layout,
+)
 
 from rigidnet.graphs import (
     UNREACHABLE,
@@ -98,6 +103,115 @@ class TestGraph:
         assert e is g.edge_array() and not e.flags.writeable
         empty = Graph(3, []).edge_array()
         assert empty.shape == (0, 2) and empty.dtype == np.intp
+
+
+def _assert_layout_as_reference(g, n, edges):
+    ref = reference_graph_layout(n, edges)
+    assert g.n == n and g.m == len(ref.edges)
+    assert g.edges == ref.edges
+    assert g.edge_array().tolist() == [list(e) for e in ref.edges]
+    assert g.slots.tolist() == ref.slots
+    assert g.slot_node.tolist() == ref.slot_node
+    assert g.slot_edge.tolist() == ref.slot_edge
+    for a in (g.edge_array(), g.slots, g.slot_node, g.slot_edge):
+        assert a.dtype == np.intp and not a.flags.writeable
+
+
+class TestEdgeArrayConstruction:
+    """The constructor validates and sorts its edge array in numpy; a loop
+    over the edges (support.reference_graph_layout) is the reference."""
+
+    @pytest.mark.parametrize("form", [
+        lambda e: [tuple(p) for p in e],
+        lambda e: [list(p) for p in e],
+        lambda e: np.array(e, dtype=np.int64).reshape(-1, 2),
+        lambda e: np.array(e, dtype=np.int32).reshape(-1, 2),
+    ], ids=["tuples", "lists", "int64-array", "int32-array"])
+    def test_shuffled_and_reversed_edges_match_a_loop(self, form):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(0, 25))
+            g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
+            edges = [(j, i) if rng.random() < 0.5 else (i, j)
+                     for i, j in g.edges]
+            edges = [edges[k] for k in rng.permutation(len(edges))]
+            _assert_layout_as_reference(Graph(n, form(edges)), n, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [], (), np.empty((0, 2), dtype=np.intp), np.empty((0, 2), dtype=int)])
+    def test_empty_edge_lists(self, edges):
+        g = Graph(4, edges)
+        _assert_layout_as_reference(g, 4, [])
+        assert g.edge_array().shape == (0, 2)
+
+    def test_set_and_generator_inputs(self):
+        edges = [(2, 0), (1, 2), (3, 1)]
+        for given in (set(edges), (e for e in edges)):
+            _assert_layout_as_reference(Graph(4, given), 4, edges)
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(1, 1)]),
+        (3, [(0, 3)]),
+        (3, [(-1, 2)]),
+        (3, [(0, 1), (1, 0)]),
+        (3, [(0, 1), (0, 1)]),
+        (4, [(0, 1), (1, 2), (2, 1), (3, 3)]),
+        (4, [(0, 1), (3, 3), (1, 0)]),
+        (4, [(0, 9), (1, 1)]),
+        (4, [(0, 1), (2, 3), (3, 2), (1, 0)]),
+        (3, np.array([[2, 2], [0, 1]])),
+    ], ids=["self-loop", "too-high", "negative", "reversed-duplicate",
+            "duplicate", "duplicate-first", "self-loop-first", "range-first",
+            "earliest-repeat", "array"])
+    def test_errors_name_the_first_bad_edge_as_the_loop_does(self, n, edges):
+        with pytest.raises(ValueError) as want:
+            reference_graph_layout(n, edges)
+        with pytest.raises(ValueError) as got:
+            Graph(n, edges)
+        assert str(got.value) == str(want.value)
+
+    def test_random_bad_edge_lists_fail_as_the_loop_does(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            edges = rng.integers(-1, n + 1, size=(int(rng.integers(1, 10)),
+                                                  2)).tolist()
+            try:
+                ref = reference_graph_layout(n, edges)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    Graph(n, edges)
+                assert str(got.value) == str(exc)
+            else:
+                assert Graph(n, edges).edges == ref.edges
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 2), (1, 2, 0)], "edges must be pairs of node ids, "
+                                 "got shape (2, 3)"),
+        ([0, 1, 1, 2], "edges must be pairs of node ids, got shape (4,)"),
+        ([[0, 1.5], [1, 2]], "node ids must be integers, got dtype float64"),
+        ([[0, 1.0], [1, 2]], "node ids must be integers, got dtype float64"),
+        ([[True, False]], "node ids must be integers, got dtype bool"),
+        ([[0, "1"]], "node ids must be integers, got dtype "
+                     f"{np.asarray([[0, '1']]).dtype}"),
+    ], ids=["three-wide", "flat", "fractional", "float", "bool", "string"])
+    def test_rejects_what_is_not_integer_pairs(self, edges, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, edges)
+        assert str(exc.value) == message
+
+    def test_edges_list_is_kept_and_not_settable(self):
+        g = Graph(4, [(3, 2), (1, 0)])
+        assert g.edges is g.edges
+        with pytest.raises(AttributeError):
+            g.edges = []
+
+    def test_equality_compares_node_count_and_edge_arrays(self):
+        g = Graph(4, [(3, 2), (1, 0)])
+        assert g == Graph(4, np.array([[0, 1], [2, 3]]))
+        assert g != Graph(5, [(0, 1), (2, 3)])
+        assert g != Graph(4, [(0, 1), (1, 3)])
+        assert Graph(2, []) == Graph(2, ())
 
 
 class TestGeodesicTable:

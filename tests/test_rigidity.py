@@ -14,6 +14,7 @@ from support import (
     random_rigid_framework,
 )
 
+from rigidnet import rigidity
 from rigidnet.experiments import ScenarioConfig, generate_scenario
 from rigidnet.graphs import (
     Graph,
@@ -27,6 +28,7 @@ from rigidnet.rigidity import (
     CoincidentNodesError,
     Framework,
     FrameworkTooSmallError,
+    RankMismatchError,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
     framework_gram,
@@ -373,6 +375,42 @@ class TestReport:
             "tol_abs",
         }
         assert payload["rigid"] is True
+
+    def test_json_writes_null_nu_without_vectors(self):
+        payload = json.loads(rigidity_report(triangle(),
+                                             vectors=False).to_json())
+        assert payload["nu"] is None and payload["rigid"] is True
+
+    @pytest.mark.parametrize("dim, n, range_", [
+        (2, 100, 17.5), (2, 100, 20.0), (3, 40, 40.0)])
+    def test_eigenvalue_only_report_matches_full(self, dim, n, range_):
+        # the sampler's report: same verdict and rank on biconnected draws,
+        # rigid and flexible alike, with no eigenvector
+        rng = np.random.default_rng(0)
+        seen = {True: 0, False: 0}
+        for _ in range(500):
+            x = rng.uniform(0.0, 100.0, size=(n, dim))
+            g = disk_proximity_graph(x, range_)
+            if not is_biconnected(g):
+                continue
+            fw = Framework(g, x)
+            full, light = rigidity_report(fw), rigidity_report(fw,
+                                                               vectors=False)
+            assert light.nu is None
+            assert (light.rigid, light.rank_R) == (full.rigid, full.rank_R)
+            assert np.allclose(light.eigenvalues, full.eigenvalues,
+                               rtol=0.0, atol=1e-9 * full.eigenvalues[-1])
+            seen[full.rigid] += 1
+            if min(seen.values()) >= 3:
+                break
+        assert min(seen.values()) >= 3
+
+    def test_sampler_verdict_is_still_rank_checked(self, monkeypatch):
+        # an SVD that finds no rank contradicts the positive eigenvalue
+        monkeypatch.setattr(rigidity.sla, "svdvals",
+                            lambda R: np.zeros(min(R.shape)))
+        with pytest.raises(RankMismatchError):
+            is_infinitesimally_rigid(triangle())
 
     def test_rank_drop_for_flexible_framework(self):
         rep = rigidity_report(square_cycle())

@@ -11,7 +11,12 @@ earlier one and not against itself:
   anchors, the only loop through the filters and the believed-position
   replay;
 - ensemble_seed11.csv and .json: five sampled networks at 20 m, through the
-  sampler, the rank cross-check, the extent search and the load.
+  sampler, the rank cross-check, the extent search and the load;
+- control_seed0_gt3d.csv: two seconds of a 40-robot 3-D run on ground
+  truth whose first ticks are shortened by the step cap (a nearly flexible
+  ball commands steps of about 1e5 m at t=0).  It was recorded later than
+  the others, when the cap let a 3-D loop start, so it holds the code
+  to itself from then on.
 
 The CSVs print ten significant digits, so a change in the last bit of the
 loop need not reach them.  final_state_digests.json therefore holds a
@@ -46,6 +51,9 @@ CONTROL = {
         "--seed", "3", "--n", "40", "--width", "120", "--height", "120",
         "--duration", "2", "--noise", "0.05", "--estimate-error", "0.5",
         "--anchors", "0,1,2"],
+    "control_seed0_gt3d.csv": [
+        "--seed", "0", "--n", "40", "--width", "100", "--height", "100",
+        "--dim", "3", "--range", "45", "--duration", "2", "--ground-truth"],
 }
 
 

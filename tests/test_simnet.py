@@ -16,7 +16,11 @@ from rigidnet.control import (
     velocity_field,
 )
 from rigidnet import simnet
-from rigidnet.experiments import ScenarioConfig, sample_framework
+from rigidnet.experiments import (
+    ScenarioConfig,
+    run_control_experiment,
+    sample_framework,
+)
 from rigidnet.graphs import Graph
 from rigidnet.rigidity import (
     REL_TOL,
@@ -38,7 +42,7 @@ from rigidnet.simnet import (
 )
 from rigidnet.subframeworks import ball_spectrum
 
-from support import random_disk_framework
+from support import random_disk_framework, reject_every_step
 
 
 def apex_framework():
@@ -299,15 +303,29 @@ def test_framework_check_is_relative_to_lam_max():
         simnet._framework_rho_if_rigid(world)
 
 
-def test_untenable_step_raises_rigidity_lost():
+def test_untenable_step_raises_rigidity_lost(monkeypatch):
+    monkeypatch.setattr(simnet, "guarded_refresh", reject_every_step)
     rng = np.random.default_rng(5)
     fw = rigid_disk(rng, 12, 80.0, 40.0)
-    params = ControlParams(comm_range=40.0, steepness=0.5, dt=1e9,
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
                            k_rigidity=50.0, k_load=5.0, k_collision=50.0,
                            max_step_retries=1)
     world = make_world(fw, params, WorldConfig(use_estimates=False))
     with pytest.raises(RigidityLostError):
         step_simulation(world)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_three_dimensional_runs_start(seed):
+    # each of these 3-D draws has a nearly flexible ball at t=0, whose
+    # barrier slope commands steps of many kilometres; without the step cap no
+    # halving of dt could bring them down to a step the guard accepts
+    config = ScenarioConfig(seed=seed, n=40, width=100.0, height=100.0,
+                            dim=3, comm_range=45.0, duration=1.0,
+                            use_estimates=False)
+    _, rows, error = run_control_experiment(config)
+    assert error is None and len(rows) == 21
+    assert min(row["rho_min"] for row in rows) > 0.0
 
 
 def test_same_seed_gives_identical_runs():
