@@ -5,7 +5,9 @@ overrides any flag value.  Exit codes: 0 on success, 2 when a control run
 loses rigidity, 3 for an invalid configuration (an unknown field, a value
 of the wrong type, a value out of range or not finite, a framework file of
 the wrong shape, a seed that is not a non-negative integer, a node count
-that is not an integer, or a framework too small for the rigidity test),
+that is not an integer, a framework too small for the rigidity test, a
+generated draw with two adjacent robots at one point, or an output path
+that cannot be written),
 4 when the message exchange breaks its protocol (a send across a
 non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
 rank test and the eigenvalue test of a rigidity report disagree, 6 when
@@ -25,6 +27,7 @@ from .experiments import (
     framework_from_json,
     framework_to_json,
     generate_scenario,
+    open_output,
     run_control_experiment,
     run_ensemble_experiment,
 )
@@ -141,7 +144,7 @@ def _cmd_gen(args):
     fw = generate_scenario(config)
     text = json.dumps(framework_to_json(fw), indent=1) + "\n"
     if args.out:
-        with open(args.out, "w") as fp:
+        with open_output(args.out) as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)

@@ -10,9 +10,12 @@ position-dependent by the gradients, and every analytic gradient is held to a
 finite-difference oracle in the tests.
 
 ball_rigidity_slopes and ball_load_slopes are the one per-ball slope formula,
-shared by the centralized field, the replayed exchange and every center;
-each term has one gradient entry, rigidity_gradient_all, load_gradient_all
-and collision_gradient_all, and velocity_field adds them up.
+shared by the centralized field, the replayed exchange and every center.
+Each cost term is a potential and a gradient of one ControlState
+(rigidity_potential and rigidity_gradient_all, and so on for load and
+collision); total_potential and velocity_field add them up.  A state is
+the one evaluation of a topology at positions, so a cost at other
+positions is read off the state built there.
 
 A state build takes everything the topology fixes (the balls' membership
 mask and stack, load coefficients, the layout of the balls' S) from the
@@ -37,7 +40,9 @@ from scipy.special import expit
 
 from .graphs import Graph, proximity
 from .rigidity import CoincidentNodesError, Framework
-from .subframeworks import BallSet, ball_set, ball_spectrum, extent_assignment
+from .subframeworks import (
+    BallSet, ball_grams, ball_set, ball_spectrum, extent_assignment
+)
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +162,7 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
     balls = ball_set(fw.graph, extents, fw.dim)
 
     spectra = [ball_spectrum(S, fw.dim, vectors)
-               for S in balls.grams(fw.units, weights)]
+               for S in ball_grams(balls.layouts, fw.units, weights)]
     degenerate = sum(s.degenerate for s in spectra)
     if degenerate:
         logger.debug(
@@ -171,48 +176,30 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
     return state
 
 
-def _eval_geometry(state, positions):
-    """The frozen edge set's framework and link weights at shifted positions."""
-    if positions is None:
-        return state.framework, state.weights
-    fw = Framework(state.framework.graph, positions)
-    weights = _logistic(fw.lengths, state.params.comm_range,
-                        state.params.steepness)
-    return fw, weights
-
-
-def rigidity_potential(state, positions=None):
-    """Sum of rho_j^(-q) over all frozen balls, re-solved at the given positions.
+def rigidity_potential(state):
+    """Sum of rho_j^(-q) over all frozen balls of the state.
 
     Blows up as any ball softens, and raises once one fails the eigenvalue
     test or is too small to take it.
     """
-    fw, weights = _eval_geometry(state, positions)
-    rhos = np.empty(len(state.spectra))
-    for k, S in enumerate(state.ball_set.grams(fw.units, weights)):
-        spectrum = ball_spectrum(S, state.framework.dim, vectors=False)
-        if not spectrum.rigid:
-            raise RigidityLostError(
-                "a subframework is at or below the zero threshold")
-        rhos[k] = spectrum.rho
-    return float((rhos ** -state.params.rigidity_exponent).sum())
+    state.require_rigid()
+    return float((state.rhos ** -state.params.rigidity_exponent).sum())
 
 
-def load_potential(state, positions=None):
+def load_potential(state):
     """Weighted communication load with the ball coefficients held frozen."""
-    _, weights = _eval_geometry(state, positions)
-    e = state.framework.graph.edge_array()
-    delta = np.zeros(state.framework.n)
-    np.add.at(delta, e[:, 0], weights)
-    np.add.at(delta, e[:, 1], weights)
+    fw = state.framework
+    e = fw.graph.edge_array()
+    delta = np.zeros(fw.n)
+    np.add.at(delta, e[:, 0], state.weights)
+    np.add.at(delta, e[:, 1], state.weights)
     return float(state.ball_set.coeff @ delta)
 
 
-def collision_potential(fw, positions=None, exponent=2.0):
+def collision_potential(state):
     """Inverse-power barrier over adjacent pairs only."""
-    if positions is not None:
-        fw = Framework(fw.graph, positions)
-    return float((fw.lengths ** -exponent).sum())
+    p = state.params.collision_exponent
+    return float((state.framework.lengths ** -p).sum())
 
 
 def _edge_sums(n, ends, g):
@@ -316,15 +303,13 @@ def velocity_field(state):
     return u
 
 
-def total_potential(state, positions=None):
+def total_potential(state):
     """Gain-weighted sum of the three cost terms on the frozen structure."""
     p = state.params
     return (
-        p.k_rigidity * rigidity_potential(state, positions)
-        + p.k_load * load_potential(state, positions)
-        + p.k_collision * collision_potential(
-            state.framework, positions, p.collision_exponent
-        )
+        p.k_rigidity * rigidity_potential(state)
+        + p.k_load * load_potential(state)
+        + p.k_collision * collision_potential(state)
     )
 
 

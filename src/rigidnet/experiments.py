@@ -19,7 +19,7 @@ import numpy as np
 from .control import ControlParams, RigidityLostError
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import CoincidentEstimatesError
-from .rigidity import Framework, is_infinitesimally_rigid
+from .rigidity import CoincidentNodesError, Framework, is_infinitesimally_rigid
 from .simnet import ProtocolViolation, WorldConfig, make_world, run_simulation
 from .subframeworks import communication_load, extent_assignment
 
@@ -96,13 +96,18 @@ def _region_sides(config):
 
 
 def sample_framework(rng, config):
-    """One accepted framework plus how many draws were rejected first."""
+    """One accepted framework plus how many draws were rejected first; a
+    draw with adjacent robots at one point is a ConfigError."""
     sides = _region_sides(config)
     rejects = 0
     for _ in range(config.rejection_budget):
         x = rng.uniform(0.0, 1.0, size=(config.n, config.dim)) * sides
         g = disk_proximity_graph(x, config.comm_range)
-        fw = Framework(g, x)
+        try:
+            fw = Framework(g, x)
+        except CoincidentNodesError as exc:
+            raise ConfigError(
+                f"the region is too small to place distinct robots: {exc}")
         # a rigid framework is connected; is_infinitesimally_rigid tests it
         if (is_infinitesimally_rigid(fw) if config.require_rigid
                 else is_connected(g)):
@@ -205,7 +210,7 @@ def run_ensemble_experiment(config, csv_path=None, json_path=None):
     if csv_path is not None:
         _write_csv(csv_path, ENSEMBLE_COLUMNS, records)
     if json_path is not None:
-        with open(json_path, "w") as fp:
+        with open_output(json_path) as fp:
             json.dump({"summary": summary, "networks": records}, fp, indent=1)
             fp.write("\n")
     return records, summary
@@ -275,7 +280,7 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
     if csv_path is not None:
         _write_csv(csv_path, CONTROL_COLUMNS, rows)
     if snapshot_path is not None and error is not None:
-        with open(snapshot_path, "w") as fp:
+        with open_output(snapshot_path) as fp:
             json.dump({
                 "time": world.time,
                 "error": str(error),
@@ -295,8 +300,18 @@ def _format_cell(value):
     return str(value)
 
 
+def open_output(path):
+    """Open a text file for writing, newlines untranslated as the csv module
+    needs; a path that cannot be written (a missing directory, no
+    permission, a directory) is a ConfigError."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}")
+
+
 def _write_csv(path, columns, rows):
-    with open(path, "w", newline="") as fp:
+    with open_output(path) as fp:
         writer = csv.writer(fp)
         writer.writerow(columns)
         for row in rows:

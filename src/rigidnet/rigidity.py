@@ -194,13 +194,13 @@ class GramLayout:
                 for o, k in zip(starts.tolist(), self.sides.tolist())]
 
 
-def framework_gram(fw, weights=None):
-    """Block-assembled S of a whole framework, unweighted when weights is None."""
+def framework_gram(fw):
+    """Block-assembled unweighted S of a whole framework."""
     e = fw.graph.edge_array()
     m = len(e)
     layout = GramLayout.of(fw.dim, [fw.n], np.arange(m), e,
                            np.zeros(m, dtype=np.intp))
-    return layout.grams(fw.units, weights)[0]
+    return layout.grams(fw.units)[0]
 
 
 @dataclass(frozen=True)
@@ -251,11 +251,6 @@ def rigidity_spectrum(S, d, vectors=True):
         vals, rho, nu, lam_max, gap, tol_abs, rho > tol_abs,
         bool(gap <= DEGENERATE_GAP_REL * max(lam_max, 1e-300)),
     )
-
-
-def framework_spectrum(fw, vectors=True):
-    """Spectrum of a whole framework's unweighted S."""
-    return rigidity_spectrum(framework_gram(fw), fw.dim, vectors)
 
 
 @dataclass(eq=False)

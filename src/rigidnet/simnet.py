@@ -70,7 +70,7 @@ from .control import (
 )
 from .graphs import Graph, geodesics
 from .localization import Filters, filter_update, make_filters, measure_ranges
-from .rigidity import Framework, framework_spectrum
+from .rigidity import Framework, framework_gram, rigidity_spectrum
 from .subframeworks import (
     ball_grams,
     ball_set,
@@ -507,7 +507,8 @@ def make_world(fw, params, config=None):
 def _framework_rho_if_rigid(world):
     """Rigidity eigenvalue of the whole framework, which rigid balls must
     leave rigid under their own relative zero test; asserted every tick."""
-    spectrum = framework_spectrum(world.framework, vectors=False)
+    fw = world.framework
+    spectrum = rigidity_spectrum(framework_gram(fw), fw.dim, vectors=False)
     if not spectrum.rigid:
         raise RigidityLostError("rigid subframeworks left a flexible framework")
     return spectrum.rho

@@ -122,10 +122,6 @@ class BallSet:
     stack: BallStack
     layouts: tuple
 
-    def grams(self, units, weights=None):
-        """Every ball's S, in center order, from every edge's units and weights."""
-        return ball_grams(self.layouts, units, weights)
-
 
 def _load_table(graph, extents):
     """c[j, i] = max(0, h_j - g_ji), node i's load coefficient for center j,

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from rigidnet.control import build_control_state
 from rigidnet.graphs import (
     UNREACHABLE,
     Graph,
@@ -124,11 +125,22 @@ def reject_every_step(*args, **kwargs):
 
 
 def central_difference(f, x, eps=1e-6):
-    """Central finite-difference gradient of a scalar function of a flat array."""
+    """Central finite-difference gradient of a function of a flat array;
+    a function of several values gets one gradient row per value."""
     x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
+    cols = []
     for k in range(x.size):
         step = np.zeros_like(x)
         step[k] = eps
-        grad[k] = (f(x + step) - f(x - step)) / (2 * eps)
-    return grad
+        cols.append((np.asarray(f(x + step)) - np.asarray(f(x - step)))
+                    / (2 * eps))
+    return np.stack(cols, axis=-1)
+
+
+def state_at(state, positions):
+    """The control state of state's frozen edge set and extents at other
+    positions, solved for eigenvalues only and not required to be rigid:
+    every cost term at those positions reads off this one build."""
+    return build_control_state(
+        Framework(state.framework.graph, positions), state.params,
+        state.extents, require_rigid=False, vectors=False)

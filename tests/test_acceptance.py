@@ -16,6 +16,7 @@ from support import (
     random_disk_framework,
     random_framework,
     random_rigid_framework,
+    state_at,
 )
 
 from rigidnet import (
@@ -193,15 +194,17 @@ def test_gradients_match_finite_differences():
         checked += 1
         fw = state.framework
         shape = fw.positions.shape
-        for name, grad, func in [
-            ("rigidity", rigidity_gradient_all(state),
-             lambda xf: rigidity_potential(state, xf.reshape(shape))),
-            ("load", load_gradient_all(state),
-             lambda xf: load_potential(state, xf.reshape(shape))),
-            ("collision", collision_gradient_all(state),
-             lambda xf: collision_potential(fw, xf.reshape(shape))),
-        ]:
-            fd = central_difference(func, fw.positions.ravel(), eps=1e-6)
+
+        def potentials(xf):
+            shifted = state_at(state, xf.reshape(shape))
+            return (rigidity_potential(shifted), load_potential(shifted),
+                    collision_potential(shifted))
+        fds = central_difference(potentials, fw.positions.ravel(), eps=1e-6)
+        for name, grad, fd in zip(
+                ("rigidity", "load", "collision"),
+                (rigidity_gradient_all(state), load_gradient_all(state),
+                 collision_gradient_all(state)),
+                fds):
             scale = max(np.linalg.norm(fd), 1e-12)
             err = np.linalg.norm(grad.ravel() - fd) / scale
             worst[name] = max(worst[name], err)

@@ -103,6 +103,19 @@ class TestControl:
         assert "rigidity lost" in captured.err
         assert json.loads(snap.read_text())["framework"]["n"] == 16
 
+    def test_unwritable_snapshot_exits_three(self, monkeypatch, tmp_path,
+                                             capsys):
+        # the snapshot is written only when a run stops on an error
+        monkeypatch.setattr(simnet, "guarded_refresh", reject_every_step)
+        snap = tmp_path / "missing" / "snap.json"
+        code = main(["control", *SMALL, "--duration", "1",
+                     "--snapshot", str(snap)])
+        assert code == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error: cannot write output")
+        assert captured.out == ""
+
     def test_protocol_violation_exits_four(self, monkeypatch, tmp_path,
                                            capsys):
         def broken_engine(*args, **kwargs):
@@ -316,11 +329,23 @@ class TestConfigHandling:
         # a seed numpy cannot take, by flag or by config file
         ["gen", "--seed", "-1", "--n", "10"],
         ["gen", "--n", "10", "--config", "{negative_seed}"],
+        # an output path in a directory that does not exist
+        ["gen", *SMALL, "--out", "{unwritable}"],
+        ["ensemble", *SMALL, "--count", "2", "--csv", "{unwritable}"],
+        ["ensemble", *SMALL, "--count", "2", "--json", "{unwritable}"],
+        ["control", *SMALL, "--duration", "0.2", "--csv", "{unwritable}"],
+        # a region so small that a draw puts adjacent robots at one point
+        ["gen", "--seed", "1", "--n", "10", "--width", "1e-20",
+         "--height", "1e-20", "--range", "40"],
+        ["control", "--seed", "1", "--n", "10", "--width", "1e-20",
+         "--height", "1e-20", "--range", "40"],
     ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
             "null-edges", "flat-edges", "top-level-list", "null-n",
             "nan-position", "fractional-n", "bool-n", "negative-n",
             "fractional-edge", "bool-edge", "string-edge", "three-wide-edges",
-            "negative-seed", "negative-seed-config"])
+            "negative-seed", "negative-seed-config", "unwritable-gen-out",
+            "unwritable-ensemble-csv", "unwritable-ensemble-json",
+            "unwritable-control-csv", "coincident-gen", "coincident-control"])
     def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
         triangle = [[0, 0], [1, 0], [0, 1]]
         files = {
@@ -346,7 +371,7 @@ class TestConfigHandling:
                                  "positions": triangle},
             "negative_seed": {"seed": -1},
         }
-        paths = {}
+        paths = {"unwritable": tmp_path / "missing" / "out"}
         for name, data in files.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(data))

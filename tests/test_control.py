@@ -8,6 +8,7 @@ from support import (
     hop_ball,
     random_disk_framework,
     reject_every_step,
+    state_at,
 )
 
 from rigidnet import control, simnet
@@ -32,7 +33,7 @@ from rigidnet.control import (
 from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
 from rigidnet.rigidity import Framework
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
-from rigidnet.subframeworks import ball_set, ball_spectrum
+from rigidnet.subframeworks import ball_grams, ball_set, ball_spectrum
 
 
 def apex_framework():
@@ -148,7 +149,7 @@ class TestStateBuild:
         bare = build_control_state(fw, default_params(), vectors=False)
         assert full.vectors and not bare.vectors
         assert all(s.nu is None for s in bare.spectra)
-        grams = bare.ball_set.grams(fw.units, bare.weights)
+        grams = ball_grams(bare.ball_set.layouts, fw.units, bare.weights)
         solved = [ball_spectrum(S, fw.dim, vectors=False) for S in grams]
 
         def verdicts(spectra):
@@ -180,7 +181,8 @@ class TestPotentials:
     def test_shrinking_strengthens_weighted_rigidity(self):
         fw = apex_framework()
         state = build_control_state(fw, default_params(comm_range=2.0))
-        assert rigidity_potential(state, 0.5 * fw.positions) < rigidity_potential(state)
+        shrunk = state_at(state, 0.5 * fw.positions)
+        assert rigidity_potential(shrunk) < rigidity_potential(state)
 
     def test_load_matches_weighted_communication_load(self):
         state = build_control_state(apex_framework(), default_params())
@@ -196,7 +198,10 @@ class TestPotentials:
 
     def test_collision_frozen_pair(self):
         fw = Framework(Graph(2, [(0, 1)]), [[0.0, 0.0], [1.0, 0.0]])
-        assert collision_potential(fw, exponent=2.0) == pytest.approx(1.0)
+        state = build_control_state(
+            fw, default_params(collision_exponent=2.0), extents=[1, 1],
+            require_rigid=False)
+        assert collision_potential(state) == pytest.approx(1.0)
 
     def test_rotation_leaves_values_alone(self):
         rng = np.random.default_rng(31)
@@ -206,16 +211,15 @@ class TestPotentials:
         x = state.framework.positions
         th = 1.234
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        xr = x @ rot.T
-        assert rigidity_potential(state, xr) == pytest.approx(
-            rigidity_potential(state), rel=1e-10
-        )
-        assert collision_potential(state.framework, xr) == pytest.approx(
-            collision_potential(state.framework), rel=1e-10
-        )
-        assert load_potential(state, xr) == pytest.approx(
-            load_potential(state), rel=1e-10
-        )
+        rotated = state_at(state, x @ rot.T)
+        assert potentials(rotated) == pytest.approx(potentials(state),
+                                                    rel=1e-10)
+
+
+def potentials(state):
+    """The rigidity, load and collision potentials of one state."""
+    return (rigidity_potential(state), load_potential(state),
+            collision_potential(state))
 
 
 def assert_gradients_match_finite_differences(dim, seed, **exponents):
@@ -228,18 +232,14 @@ def assert_gradients_match_finite_differences(dim, seed, **exponents):
         checked += 1
         fw = state.framework
         shape = fw.positions.shape
+        fds = central_difference(
+            lambda xf: potentials(state_at(state, xf.reshape(shape))),
+            fw.positions.ravel(), eps=1e-6)
 
-        for grad, func, tol in [
-            (rigidity_gradient_all(state),
-             lambda xf: rigidity_potential(state, xf.reshape(shape)), 1e-4),
-            (load_gradient_all(state),
-             lambda xf: load_potential(state, xf.reshape(shape)), 1e-4),
-            (collision_gradient_all(state),
-             lambda xf: collision_potential(fw, xf.reshape(shape),
-                                            state.params.collision_exponent),
-             1e-6),
-        ]:
-            fd = central_difference(func, fw.positions.ravel(), eps=1e-6)
+        for grad, fd, tol in zip(
+                (rigidity_gradient_all(state), load_gradient_all(state),
+                 collision_gradient_all(state)),
+                fds, (1e-4, 1e-4, 1e-6)):
             scale = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad.ravel() - fd) <= tol * scale
 
@@ -309,8 +309,8 @@ class TestGradients:
         assert np.allclose(load_gradient_all(state), 0.0)
         # the other edge terms also sum over an empty edge set
         assert state.weights.shape == (0,)
-        assert collision_potential(fw) == 0.0
-        assert collision_potential(fw, 2.0 * fw.positions) == 0.0
+        assert collision_potential(state) == 0.0
+        assert collision_potential(state_at(state, 2.0 * fw.positions)) == 0.0
         assert load_potential(state) == 0.0
         assert np.array_equal(collision_gradient_all(state), np.zeros((3, 2)))
 
@@ -340,7 +340,7 @@ class TestStepping:
             dt = 1e-4 / (1.0 + np.abs(u).max())
             x_new = state.framework.positions + dt * u
             j0 = total_potential(state)
-            j1 = total_potential(state, x_new)
+            j1 = total_potential(state_at(state, x_new))
             assert j1 <= j0 + 1e-10 * abs(j0)
 
     def test_rigidity_only_descent_raises_min_rho(self):

@@ -60,3 +60,41 @@ def test_every_root_export_has_a_user_outside_the_tests():
     assert unused == []
     # a kept reference is still exported
     assert set(REFERENCES) <= set(root_exports())
+
+
+# the configuration objects whose every field is a settable value
+CONFIGS = ("ControlParams", "WorldConfig", "ScenarioConfig")
+
+
+def _defaulted(fn):
+    args = fn.args
+    return (len(args.defaults)
+            + sum(d is not None for d in args.kw_defaults))
+
+
+def settable_values():
+    """Fields of the three configuration objects, plus the defaulted
+    parameters of every public function and non-dunder method outside the
+    command line front end."""
+    count = 0
+    for path in sorted((ROOT / "src" / "rigidnet").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if (isinstance(stmt, ast.FunctionDef)
+                    and not stmt.name.startswith("_")):
+                count += _defaulted(stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if stmt.name in CONFIGS and isinstance(item, ast.AnnAssign):
+                        count += 1
+                    elif (isinstance(item, ast.FunctionDef)
+                          and not (item.name.startswith("__")
+                                   and item.name.endswith("__"))):
+                        count += _defaulted(item)
+    return count
+
+
+def test_settable_value_count():
+    # a new knob changes this number in the open
+    assert settable_values() == 61

@@ -28,11 +28,11 @@ from rigidnet.rigidity import (
     CoincidentNodesError,
     Framework,
     FrameworkTooSmallError,
+    GramLayout,
     RankMismatchError,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
     framework_gram,
-    framework_spectrum,
     is_infinitesimally_rigid,
     rigid_body_dim,
     rigidity_matrix,
@@ -212,7 +212,11 @@ class TestBlockAssembly:
             assert_matches_dense(framework_gram(fw), dense_gram(R, np.ones(len(R))))
             if len(R) > 1:
                 w = underflowing_weights(fw.lengths, rng)
-                assert_matches_dense(framework_gram(fw, w), dense_gram(R, w))
+                e = fw.graph.edge_array()
+                layout = GramLayout.of(d, [fw.n], np.arange(len(e)), e,
+                                       np.zeros(len(e), dtype=np.intp))
+                [S] = layout.grams(fw.units, w)
+                assert_matches_dense(S, dense_gram(R, w))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_stacked_index_mask_balls(self, d):
@@ -240,21 +244,24 @@ class TestBlockAssembly:
 
 
 class TestOneUnweightedProduct:
-    """rigidity_report and framework_spectrum assemble the same S."""
+    """rigidity_report and the simulator's whole-framework check solve the
+    same block-assembled S."""
 
     def test_estimated_loop_framework(self):
         # the 120-robot framework that the estimated loop starts from
         side = 150.0 * np.sqrt(2.0)
         fw = generate_scenario(ScenarioConfig(seed=8, n=120, width=side,
                                               height=side, comm_range=40.0))
-        assert rigidity_report(fw).rho == framework_spectrum(fw).rho
+        S = framework_gram(fw)
+        assert rigidity_report(fw).rho == rigidity_spectrum(S, fw.dim).rho
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_frameworks(self, d):
         rng = np.random.default_rng(90 + d)
         for _ in range(8):
             fw = random_rigid_framework(rng, int(rng.integers(d + 3, 12)), d)
-            report, spectrum = rigidity_report(fw), framework_spectrum(fw)
+            report = rigidity_report(fw)
+            spectrum = rigidity_spectrum(framework_gram(fw), d)
             assert report.rho == spectrum.rho
             assert np.array_equal(report.eigenvalues, spectrum.eigenvalues)
 
@@ -306,7 +313,8 @@ class TestRigidityVerdicts:
             d = int(rng.choice([2, 3]))
             fw = random_framework(rng, int(rng.integers(d + 2, 12)), d, p=0.5)
             fast = (is_connected(fw.graph)
-                    and framework_spectrum(fw, vectors=False).rigid)
+                    and rigidity_spectrum(framework_gram(fw), d,
+                                          vectors=False).rigid)
             assert is_infinitesimally_rigid(fw) == fast
 
     @pytest.mark.parametrize("dim, n, range_", [

@@ -25,8 +25,9 @@ from rigidnet.graphs import Graph
 from rigidnet.rigidity import (
     REL_TOL,
     Framework,
-    framework_spectrum,
+    framework_gram,
     is_infinitesimally_rigid,
+    rigidity_spectrum,
 )
 from rigidnet.simnet import (
     Message,
@@ -40,7 +41,7 @@ from rigidnet.simnet import (
     run_simulation,
     step_simulation,
 )
-from rigidnet.subframeworks import ball_spectrum
+from rigidnet.subframeworks import ball_grams, ball_spectrum
 
 from support import random_disk_framework, reject_every_step
 
@@ -296,7 +297,7 @@ def test_framework_check_is_relative_to_lam_max():
     params = ControlParams(comm_range=40.0)
     fw = Framework(Graph(3, [(0, 1), (1, 2), (0, 2)]),
                    [[0.0, 0.0], [1.0, 0.0], [0.5, 5e-5]])
-    spectrum = framework_spectrum(fw, vectors=False)
+    spectrum = rigidity_spectrum(framework_gram(fw), fw.dim, vectors=False)
     assert REL_TOL < spectrum.rho < REL_TOL * spectrum.lam_max
     world = SimpleNamespace(framework=fw, params=params)
     with pytest.raises(RigidityLostError, match="flexible framework"):
@@ -496,7 +497,8 @@ def test_guard_on_estimates_solves_eigenvalues_only(monkeypatch):
         state = world.accepted
         assert not state.vectors
         assert all(s.nu is None for s in state.spectra)
-        grams = state.ball_set.grams(state.framework.units, state.weights)
+        grams = ball_grams(state.ball_set.layouts, state.framework.units,
+                           state.weights)
         solved = [ball_spectrum(S, fw.dim, vectors=False) for S in grams]
         assert [(s.rho, s.rigid) for s in state.spectra] == [
             (s.rho, s.rigid) for s in solved]
