@@ -8,6 +8,7 @@ byte-identical files; per-network randomness comes from spawned child seeds,
 so records are reproducible regardless of evaluation order.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -176,16 +177,8 @@ ENSEMBLE_COLUMNS = ("index", "n", "m", "diameter", "eta", "load",
                     "load_ratio", "upper_load", "upper_load_ratio", "rejects")
 
 
-def run_ensemble_experiment(config, csv_path=None, json_path=None):
-    """Measure ensemble_count networks at one range; return their records.
-
-    Each network draws from its own spawned child seed, so the ensemble is
-    reproducible under any evaluation order.  Returns (records, summary).
-    A flexible network has no extents and no load, so the ensemble needs
-    require_rigid.
-    """
-    if not config.require_rigid:
-        raise ConfigError("the ensemble measures rigid networks only")
+def _measure_ensemble(config):
+    """The records of ensemble_count networks and their summary."""
     root = np.random.SeedSequence(config.seed)
     records = []
     for index, child in enumerate(root.spawn(config.ensemble_count)):
@@ -207,12 +200,29 @@ def run_ensemble_experiment(config, csv_path=None, json_path=None):
         "eta_at_most_5": float(np.mean([e <= 5 for e in etas])),
         "total_rejects": int(sum(r["rejects"] for r in records)),
     }
-    if csv_path is not None:
-        _write_csv(csv_path, ENSEMBLE_COLUMNS, records)
-    if json_path is not None:
-        with open_output(json_path) as fp:
-            json.dump({"summary": summary, "networks": records}, fp, indent=1)
-            fp.write("\n")
+    return records, summary
+
+
+def run_ensemble_experiment(config, csv_path=None, json_path=None):
+    """Measure ensemble_count networks at one range; return their records.
+
+    Each network draws from its own spawned child seed, so the ensemble is
+    reproducible under any evaluation order.  Returns (records, summary).
+    A flexible network has no extents and no load, so the ensemble needs
+    require_rigid.  The output files are opened before the first network
+    is drawn, so an unwritable path fails at once.
+    """
+    if not config.require_rigid:
+        raise ConfigError("the ensemble measures rigid networks only")
+    with contextlib.ExitStack() as outputs:
+        csv_fp, json_fp = _open_outputs(outputs, csv_path, json_path)
+        records, summary = _measure_ensemble(config)
+        if csv_fp is not None:
+            _write_csv(csv_fp, ENSEMBLE_COLUMNS, records)
+        if json_fp is not None:
+            json.dump({"summary": summary, "networks": records}, json_fp,
+                      indent=1)
+            json_fp.write("\n")
     return records, summary
 
 
@@ -256,29 +266,35 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
     A rigidity loss, a protocol violation of the exchange or coincident
     position estimates stops the run, leaves the rows gathered so far, and
     is returned (not raised) together with a final snapshot so callers can
-    exit with a diagnostic; error is None on a clean run.
+    exit with a diagnostic; error is None on a clean run.  The CSV is
+    opened before the framework is drawn, so an unwritable path fails at
+    once.
     """
-    rng = np.random.default_rng(config.seed)
-    fw, _ = sample_framework(rng, config)
-    wconfig = WorldConfig(
-        noise_std=config.noise_std,
-        use_estimates=config.use_estimates,
-        anchors=tuple(config.anchors),
-        initial_estimate_error=config.initial_estimate_error,
-        seed=config.seed,
-    )
-    world = make_world(fw, config.control, wconfig)
-    error = None
-    try:
-        run_simulation(world, config.duration)
-    except (RigidityLostError, ProtocolViolation,
-            CoincidentEstimatesError) as exc:
-        error = exc
-    rows = [_control_row(m) for m in world.metrics]
-    if config.duration == 0:
-        rows = []
-    if csv_path is not None:
-        _write_csv(csv_path, CONTROL_COLUMNS, rows)
+    with contextlib.ExitStack() as outputs:
+        [csv_fp] = _open_outputs(outputs, csv_path)
+        rng = np.random.default_rng(config.seed)
+        fw, _ = sample_framework(rng, config)
+        wconfig = WorldConfig(
+            noise_std=config.noise_std,
+            use_estimates=config.use_estimates,
+            anchors=tuple(config.anchors),
+            initial_estimate_error=config.initial_estimate_error,
+            seed=config.seed,
+        )
+        world = make_world(fw, config.control, wconfig)
+        error = None
+        try:
+            run_simulation(world, config.duration)
+        except (RigidityLostError, ProtocolViolation,
+                CoincidentEstimatesError) as exc:
+            error = exc
+        rows = [_control_row(m) for m in world.metrics]
+        if config.duration == 0:
+            rows = []
+        if csv_fp is not None:
+            _write_csv(csv_fp, CONTROL_COLUMNS, rows)
+    # the snapshot exists only for a failed run: opening it before the run
+    # would create or empty the file on a clean one
     if snapshot_path is not None and error is not None:
         with open_output(snapshot_path) as fp:
             json.dump({
@@ -310,9 +326,15 @@ def open_output(path):
         raise ConfigError(f"cannot write output file: {exc}")
 
 
-def _write_csv(path, columns, rows):
-    with open_output(path) as fp:
-        writer = csv.writer(fp)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+def _open_outputs(outputs, *paths):
+    """Open each output path that is not None on the ExitStack outputs;
+    None stays None."""
+    return [None if path is None else outputs.enter_context(open_output(path))
+            for path in paths]
+
+
+def _write_csv(fp, columns, rows):
+    writer = csv.writer(fp)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row[c]) for c in columns])

@@ -21,13 +21,17 @@ are validated tuples, and each round processes a node's inbox in
 
 Routing depends on the topology alone: the edge set and the frozen extents
 fix every flood path, every return route, the centers' firing order and
-the round log, but not the payloads.  The closed loop therefore compiles
-the exchange once per topology as routing only: the first tick on a Graph
-runs the engine with placeholder payloads, so the non-edge and 2 * eta
-checks run on every new topology and no ball is solved.  It keeps an
-ExchangeSchedule on the Graph (Graph.cached, keyed on the extents), beside
-the topology's BallSet: where each delivered (center, member) pair sits in
-the BallSet's stack, the centers' firing order and the engine's round log.
+the round log, but not the payloads.  Synchronous flooding reaches every
+node at its hop count, first from its lowest-numbered neighbor one hop
+nearer, so all of that follows in closed form from the geodesic table and
+the BallSet: run_exchange_phase with payloads=None computes it without
+building a message, checks every pair's round against 2 * eta, and is
+held to the engine by the tests.  The closed loop compiles the exchange
+that way once per topology and keeps an ExchangeSchedule on the Graph
+(Graph.cached, keyed on the extents), beside the topology's BallSet:
+where each delivered (center, member) pair sits in the BallSet's stack,
+the centers' firing order and the round log.  The non-edge check needs
+messages, so it runs only in engine runs.
 Every tick on that Graph, the first included, replays the schedule: every
 center's payloads are computed from its ball members' positions only and
 summed in the recorded delivery order, which gives the engine's commands
@@ -189,9 +193,63 @@ def _center_payloads(center, h, member_data, params):
     return {v: (rigidity[t], load[t]) for t, v in enumerate(nodes)}
 
 
-def _placeholders(center, h, member_data, params):
-    """No payload at all: an exchange run with these records routing only."""
-    return dict.fromkeys(member_data)
+def _routing(fw, h):
+    """The engine's deliveries and round log on a topology, in closed form.
+
+    Synchronous flooding reaches every node at its hop count g, first from
+    the lowest-numbered sender one hop nearer.  So center j has heard its
+    whole ball in round f_j = max g_ji over the ball, fires then, and its
+    return to member i lands g_ji rounds later; within a round, returns
+    land in (receiver, origin) order before the centers that fire in it.
+    Round 1 carries every node's own flood across each of its edges, a
+    node v at 1 <= g_ov < ttl_o forwards origin o's flood to its deg(v) - 1
+    neighbors off the flood path in round g_ov + 1, and each return adds
+    one message to every round it is in flight.  As in the engine, a
+    center that some member's flood never reaches (its ttl too short)
+    never fires, and a pair undelivered after round 2 * max extent is a
+    ProtocolViolation.
+    """
+    n = fw.graph.n
+    g = geodesics(fw.graph).dist
+    balls = ball_set(fw.graph, h, fw.dim)
+    limit = 2 * int(h.max())
+    center, member = np.nonzero(balls.inside)
+    hops = g[center, member].astype(np.intp)
+    fire = np.zeros(n, dtype=np.intp)
+    np.maximum.at(fire, center, hops)
+    land = fire[center] + hops
+    deaf = np.zeros(n, dtype=bool)
+    deaf[center[hops > balls.ttl[member]]] = True
+    stuck = deaf[center] | (land > limit)
+    if stuck.any():
+        missing = sorted(zip(center[stuck].tolist(), member[stuck].tolist()))
+        raise ProtocolViolation(
+            f"exchange incomplete after {limit} rounds, e.g. pairs "
+            f"{missing[:5]}")
+    order = np.lexsort((center, member, center == member, land))
+    pairs = list(zip(center[order].tolist(), member[order].tolist()))
+    completion = int(land.max())
+
+    origin, node = np.nonzero((g >= 1) & (g < balls.ttl[:, None]))
+    forward_round = g[origin, node].astype(np.intp) + 1
+    # the engine stops once nothing is in flight, after one round at least
+    rounds = int(max(completion, forward_round.max(initial=1))) if limit else 0
+    floods = np.bincount(forward_round, weights=fw.graph.degrees()[node] - 1,
+                         minlength=rounds + 2)
+    floods[1] += 2 * fw.graph.m
+    ret = center != member
+    # a return is in flight from the round after its center fires to the
+    # round it lands
+    returns = np.cumsum(
+        np.bincount(fire[center[ret]] + 1, minlength=rounds + 2)
+        - np.bincount(land[ret] + 1, minlength=rounds + 2))
+    sizes = (floods + returns)[1:rounds + 1].astype(np.intp)
+
+    log = RoundLog(outbox_sizes=sizes.tolist(),
+                   pair_round=dict(zip(pairs, land[order].tolist())),
+                   expected_pairs=frozenset(pairs),
+                   completion_round=completion)
+    return dict.fromkeys(pairs), log
 
 
 def run_exchange_phase(fw, extents, params, trace=None,
@@ -206,8 +264,20 @@ def run_exchange_phase(fw, extents, params, trace=None,
     has reported; the default gives each member its (rigidity_slope,
     load_slope) vector pair.  The engine stops after 2 * max extent
     rounds; a contribution still undelivered then is a ProtocolViolation.
+
+    payloads=None asks for routing only: no message is built, and the
+    same contributions keys in the same order, each valued None, and an
+    equal log come from the geodesic table and the BallSet in closed form
+    (the pair rounds are checked against 2 * max extent; the non-edge
+    check needs messages and runs only in the engine).  There are no
+    messages to trace, so a trace with payloads=None is a ValueError.
     """
     h = np.asarray(extents, dtype=int)
+    if payloads is None:
+        if trace is not None:
+            raise ValueError("a routing-only exchange sends no messages "
+                             "to trace")
+        return _routing(fw, h)
     n = fw.graph.n
     x = fw.positions
     nbrs = [tuple(fw.graph.neighbors(i).tolist()) for i in range(n)]
@@ -371,14 +441,15 @@ def decentralized_velocity(fw, extents, params):
 
 @dataclass
 class ExchangeSchedule:
-    """What one engine run on a topology fixes for every tick on it.
+    """What a topology's exchange routing fixes for every tick on it.
 
     members lists who received each (center, member) payload, in the order
-    the engine delivered them, and rows says where that payload sits in
+    the engine delivers them, and rows says where that payload sits in
     the topology's BallSet stack, whose balls follow center order.
-    fire_order lists the centers in the order they fired, so a replay
-    meets a flexible ball where the engine would; log is the engine's own
-    round log.
+    fire_order lists the centers in the order they fire, so a replay
+    meets a flexible ball where the engine would; log is the exchange's
+    round log.  record takes the (contributions, log) pair of any exchange
+    run, the routing-only one included.
     """
 
     members: np.ndarray
@@ -425,19 +496,20 @@ def _replay(schedule, world, x):
 def tick_velocity(world, positions):
     """One tick's velocity commands from believed positions, and its round log.
 
-    The first tick on a topology (a Graph with the frozen extents) runs the
-    message engine with placeholder payloads: routing only, with its
-    non-edge and 2 * eta checks.  Its schedule is kept on the Graph beside
-    the topology's BallSet.  Every tick, the first included, replays that
-    schedule: each ball's payloads come from its members' positions alone
-    and are summed in the recorded delivery order, so the commands equal
-    the engine's bit for bit, and the recorded round log is returned.
+    The first tick on a topology (a Graph with the frozen extents) compiles
+    its routing with run_exchange_phase(payloads=None): the engine's
+    delivery order and round log in closed form, with the 2 * eta check.
+    Its schedule is kept on the Graph beside the topology's BallSet.  Every
+    tick, the first included, replays that schedule: each ball's payloads
+    come from its members' positions alone and are summed in the recorded
+    delivery order, so the commands equal the engine's bit for bit, and
+    the recorded round log is returned.
     """
     fw = world.framework
 
     def compile_exchange(graph):
         return ExchangeSchedule.record(*run_exchange_phase(
-            fw, world.extents, world.params, payloads=_placeholders))
+            fw, world.extents, world.params, payloads=None))
 
     schedule = fw.graph.cached("exchange_schedule", world.extents.tobytes(),
                                compile_exchange)

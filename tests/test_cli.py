@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from support import reject_every_step
 
-from rigidnet import cli, rigidity, simnet
+from rigidnet import cli, experiments, rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
     EXIT_COINCIDENT_ESTIMATES,
@@ -47,6 +47,10 @@ class TestGen:
         assert filecmp.cmp(pa, pb, shallow=False)
 
 
+def never_called(*args, **kwargs):
+    raise AssertionError("the run started before its outputs were opened")
+
+
 class TestEnsemble:
     def test_summary_on_stdout_and_csv(self, tmp_path, capsys):
         csv = tmp_path / "nets.csv"
@@ -61,6 +65,16 @@ class TestEnsemble:
         main(["ensemble", *SMALL, "--count", "4", "--csv", str(pa)])
         main(["ensemble", *SMALL, "--count", "4", "--csv", str(pb)])
         assert filecmp.cmp(pa, pb, shallow=False)
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_unwritable_output_exits_before_any_draw(self, monkeypatch,
+                                                     capsys, flag):
+        monkeypatch.setattr(experiments, "sample_framework", never_called)
+        code = main(["ensemble", *SMALL, "--count", "4",
+                     flag, "/nonexistent/x.out"])
+        assert code == EXIT_BAD_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: cannot write output")
 
 
 class TestControl:
@@ -102,6 +116,23 @@ class TestControl:
         assert json.loads(captured.out)["rigidity_lost"] is True
         assert "rigidity lost" in captured.err
         assert json.loads(snap.read_text())["framework"]["n"] == 16
+
+    def test_unwritable_csv_exits_before_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(simnet, "step_simulation", never_called)
+        code = main(["control", "--config", str(REFERENCE_CONFIG),
+                     "--csv", "/nonexistent/x.csv"])
+        assert code == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error: cannot write output")
+        assert captured.out == ""
+
+    def test_clean_run_leaves_no_snapshot(self, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        code = main(["control", *SMALL, "--duration", "0.2",
+                     "--snapshot", str(snap)])
+        assert code == EXIT_OK
+        assert not snap.exists()
 
     def test_unwritable_snapshot_exits_three(self, monkeypatch, tmp_path,
                                              capsys):

@@ -136,6 +136,12 @@ def test_floods_one_hop_short_leave_the_exchange_incomplete(monkeypatch):
     monkeypatch.setattr(simnet, "ball_set", short_floods)
     with pytest.raises(ProtocolViolation, match="exchange incomplete after 4"):
         run_exchange_phase(fw, state.extents, params)
+    # the routing-only path finds the same pairs missing
+    with pytest.raises(ProtocolViolation) as engine:
+        run_exchange_phase(fw, state.extents, params)
+    with pytest.raises(ProtocolViolation) as routing_only:
+        run_exchange_phase(fw, state.extents, params, payloads=None)
+    assert str(routing_only.value) == str(engine.value)
 
 
 def test_trace_lines_are_wellformed():
@@ -349,8 +355,8 @@ def test_same_seed_gives_identical_runs():
 def engine_checked_run(monkeypatch, world, ticks):
     """Step a world, holding every tick's commands to the engine oracle.
 
-    Returns the Graph of every tick and how many times that tick ran the
-    message engine.
+    Returns the Graph of every tick and how many times that tick called
+    run_exchange_phase to compile the topology's routing.
     """
     replay_or_compile = simnet.tick_velocity
     engine = simnet.run_exchange_phase
@@ -416,6 +422,8 @@ def test_replay_in_three_dimensions(monkeypatch):
 
 
 def test_each_new_graph_runs_the_engine_once(monkeypatch):
+    """run_exchange_phase, which compiles a topology's routing, is called
+    once on each new Graph and never on a known one."""
     rng = np.random.default_rng(0)
     fw = rigid_disk(rng, 14, 85.0, 40.0)
     params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
@@ -465,8 +473,8 @@ def test_first_tick_on_ground_truth_solves_no_ball(monkeypatch):
         for name in ("ball_spectrum", "run_exchange_phase"):
             patch.setattr(simnet, name, counted(name))
         u, _ = simnet.tick_velocity(world, world.framework.positions)
-    # the engine compiled the routing without payloads, and the replay
-    # reused the eigendata of the accepted control state
+    # the routing was compiled without payloads, and the replay reused
+    # the eigendata of the accepted control state
     assert calls == ["run_exchange_phase"]
     u_engine, _ = decentralized_velocity(fw, world.extents, params)
     assert u.tobytes() == u_engine.tobytes()
