@@ -11,7 +11,7 @@ from rigidnet import (
     ScenarioConfig,
     extent_assignment,
     generate_scenario,
-    run_exchange_phase,
+    run_message_engine,
 )
 
 
@@ -22,7 +22,7 @@ def main():
     eta = int(h.max())
     params = ControlParams(comm_range=32.0)
 
-    contributions, log = run_exchange_phase(fw, h, params)
+    contributions, log = run_message_engine(fw, h, params)
     print(f"40-robot network, worst-case extent eta = {eta}")
     print(f"exchange finished in {log.completion_round} rounds "
           f"(bound 2 * eta = {2 * eta})")

@@ -54,6 +54,7 @@ from .control import (
 from .localization import (
     CoincidentEstimatesError,
     Filters,
+    NonFiniteRangeError,
     congruence_error,
     filter_update,
     make_filters,
@@ -70,6 +71,7 @@ from .simnet import (
     decentralized_velocity,
     make_world,
     run_exchange_phase,
+    run_message_engine,
     run_simulation,
     step_simulation,
     tick_velocity,

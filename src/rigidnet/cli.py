@@ -6,13 +6,14 @@ loses rigidity, 3 for an invalid configuration (an unknown field, a value
 of the wrong type, a value out of range or not finite, a framework file of
 the wrong shape, a seed that is not a non-negative integer, a node count
 that is not an integer, a framework too small for the rigidity test, a
-generated draw with two adjacent robots at one point, or an output path
+generated draw with two adjacent robots at one point, a framework whose
+positions or edge lengths are not finite in float64, or an output path
 that cannot be written),
 4 when the message exchange breaks its protocol (a send across a
 non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
 rank test and the eigenvalue test of a rigidity report disagree, 6 when
-two neighbors' position estimates coincide and the range filter cannot
-update.
+the range filter cannot update: two neighbors' position estimates
+coincide, or a range between two estimates is not finite in float64.
 """
 
 import argparse
@@ -31,7 +32,7 @@ from .experiments import (
     run_control_experiment,
     run_ensemble_experiment,
 )
-from .localization import CoincidentEstimatesError
+from .localization import CoincidentEstimatesError, NonFiniteRangeError
 from .rigidity import (
     FrameworkTooSmallError,
     RankMismatchError,
@@ -239,7 +240,7 @@ def main(argv=None):
     except RankMismatchError as exc:
         sys.stderr.write(f"rank mismatch: {exc}\n")
         return EXIT_RANK_MISMATCH
-    except CoincidentEstimatesError as exc:
+    except (CoincidentEstimatesError, NonFiniteRangeError) as exc:
         sys.stderr.write(f"localization failed: {exc}\n")
         return EXIT_COINCIDENT_ESTIMATES
 

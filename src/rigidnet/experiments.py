@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import ControlParams, RigidityLostError
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
-from .localization import CoincidentEstimatesError
+from .localization import CoincidentEstimatesError, NonFiniteRangeError
 from .rigidity import CoincidentNodesError, Framework, is_infinitesimally_rigid
 from .simnet import ProtocolViolation, WorldConfig, make_world, run_simulation
 from .subframeworks import communication_load, extent_assignment
@@ -144,11 +144,7 @@ def framework_from_json(data):
                 and all(map(_is_integer, e))):
             raise ValueError(
                 f"an edge must be a pair of integer node ids, got {e!r}")
-    g = Graph(int(data["n"]), edges)
-    positions = np.asarray(data["positions"], dtype=float)
-    if not np.isfinite(positions).all():
-        raise ValueError("positions must be finite")
-    return Framework(g, positions)
+    return Framework(Graph(int(data["n"]), edges), data["positions"])
 
 
 def network_record(fw, index=0, rejects=0):
@@ -263,12 +259,12 @@ def _control_row(metric):
 def run_control_experiment(config, csv_path=None, snapshot_path=None):
     """Closed-loop run of duration / dt ticks; returns (world, rows, error).
 
-    A rigidity loss, a protocol violation of the exchange or coincident
-    position estimates stops the run, leaves the rows gathered so far, and
-    is returned (not raised) together with a final snapshot so callers can
-    exit with a diagnostic; error is None on a clean run.  The CSV is
-    opened before the framework is drawn, so an unwritable path fails at
-    once.
+    A rigidity loss, a protocol violation of the exchange, or estimates
+    the range filter cannot use stops the run, leaves the rows gathered so
+    far, and is returned (not raised) together with a final snapshot so
+    callers can exit with a diagnostic; error is None on a clean run.  The
+    CSV is opened before the framework is drawn, so an unwritable path
+    fails at once.
     """
     with contextlib.ExitStack() as outputs:
         [csv_fp] = _open_outputs(outputs, csv_path)
@@ -286,7 +282,7 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
         try:
             run_simulation(world, config.duration)
         except (RigidityLostError, ProtocolViolation,
-                CoincidentEstimatesError) as exc:
+                CoincidentEstimatesError, NonFiniteRangeError) as exc:
             error = exc
         rows = [_control_row(m) for m in world.metrics]
         if config.duration == 0:

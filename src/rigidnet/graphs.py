@@ -107,6 +107,11 @@ class Graph:
     def degrees(self):
         return np.diff(self.slots)
 
+    def degree_groups(self):
+        """(nodes, own) per distinct degree k, ascending, where own[t] are
+        node nodes[t]'s k slots; built on first call and kept."""
+        return self.cached("degree_groups", None, _degree_groups)
+
     def edge_array(self):
         """Read-only m x 2 integer array of edges in lexicographic order."""
         return self._edges
@@ -141,6 +146,12 @@ class Graph:
 
 def _edge_list(g):
     return list(zip(*g.edge_array().T.tolist()))
+
+
+def _degree_groups(g):
+    degrees = g.degrees()
+    groups = [np.flatnonzero(degrees == k) for k in np.unique(degrees)]
+    return [(v, g.slots[v, None] + np.arange(degrees[v[0]])) for v in groups]
 
 
 def diameter(g):

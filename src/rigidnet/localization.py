@@ -30,6 +30,10 @@ class CoincidentEstimatesError(ValueError):
     """Two neighbors' estimates sit at one point, so the range model is singular."""
 
 
+class NonFiniteRangeError(ValueError):
+    """A range between two estimates overflows float64 or is not a number."""
+
+
 @dataclass
 class Filters:
     """The whole network's filter state, one row per robot.
@@ -55,8 +59,13 @@ def _range_model(estimate, neighbor_estimates):
     for one robot (estimate d, neighbors deg x d) or a stack of robots
     (k x d and k x deg x d)."""
     x = np.asarray(estimate, dtype=float)
-    diff = x[..., None, :] - np.asarray(neighbor_estimates, dtype=float)
-    r = np.linalg.norm(diff, axis=-1)
+    # a range that overflows is rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x[..., None, :] - np.asarray(neighbor_estimates, dtype=float)
+        r = np.linalg.norm(diff, axis=-1)
+    if not np.isfinite(r).all():
+        raise NonFiniteRangeError(
+            "an estimated range is not finite: the estimates overflow float64")
     if (r < 1e-12).any():
         raise CoincidentEstimatesError(
             "coincident estimates make the range model singular")
@@ -76,7 +85,7 @@ def filter_update(estimate, covariance, range_variance, measurements,
     product and solve runs per robot on the same BLAS and LAPACK calls as
     the one-robot form, so each row of a stack equals its one-robot update
     bit for bit.  A coincident neighbor estimate in any row raises
-    CoincidentEstimatesError.
+    CoincidentEstimatesError, a non-finite range NonFiniteRangeError.
 
     neighbor_covariances, when given, must hold one d x d covariance per
     neighbor; each range's innovation variance then grows by F_k P_k F_k^T so
@@ -178,22 +187,24 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
     history when record is set.
     """
     true_ranges = measure_ranges(fw)
-    slots, slot_node = fw.graph.slots, fw.graph.slot_node
+    slot_node = fw.graph.slot_node
     est, cov = filters.estimates, filters.covariances
     if anchor_positions is not None:
         filters.fix_anchors(anchor_positions)
     history = [est.copy()]
     for _ in range(rounds):
         snapshot, cov_snapshot = est.copy(), cov.copy()
-        for i in range(fw.n):
-            own = slice(slots[i], slots[i + 1])
+        z = true_ranges
+        if measurement_rng is not None and measurement_std > 0:
+            # one draw per slot, in slot order
+            z = z + measurement_rng.normal(0.0, measurement_std, size=len(z))
+        # one stacked update per degree, on each robot's own slots
+        for rows, own in fw.graph.degree_groups():
             nbrs = slot_node[own]
-            z = true_ranges[own]
-            if measurement_rng is not None and measurement_std > 0:
-                z = z + measurement_rng.normal(0.0, measurement_std, size=len(z))
-            est[i], cov[i] = filter_update(
-                est[i], cov[i], filters.range_variance, z, snapshot[nbrs],
-                neighbor_covariances=cov_snapshot[nbrs], process_floor=0.25)
+            est[rows], cov[rows] = filter_update(
+                est[rows], cov[rows], filters.range_variance, z[own],
+                snapshot[nbrs], neighbor_covariances=cov_snapshot[nbrs],
+                process_floor=0.25)
         if anchor_positions is not None:
             filters.fix_anchors(anchor_positions)
         history.append(est.copy())

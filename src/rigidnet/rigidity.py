@@ -70,7 +70,8 @@ class Framework:
     units holds r_ij = (x_i - x_j)/|x_i - x_j| and lengths |x_i - x_j|, one
     row per edge in edge_array order.  positions is the framework's own
     copy, and positions, units and lengths are read-only, so the edge
-    geometry always matches the positions.
+    geometry always matches the positions.  Positions and edge lengths
+    must be finite float64 values, or the construction is a ValueError.
     """
 
     def __init__(self, graph, positions):
@@ -83,9 +84,17 @@ class Framework:
         if len(positions) != graph.n:
             raise ValueError(
                 f"{len(positions)} positions for a graph of {graph.n} nodes")
+        if not np.isfinite(positions).all():
+            raise ValueError("positions must be finite")
         e = graph.edge_array()
-        diff = positions[e[:, 0]] - positions[e[:, 1]]
-        lengths = np.linalg.norm(diff, axis=1)
+        # a length that overflows is rejected below, not warned about
+        with np.errstate(over="ignore"):
+            diff = positions[e[:, 0]] - positions[e[:, 1]]
+            lengths = np.linalg.norm(diff, axis=1)
+        if not np.isfinite(lengths).all():
+            k = int(np.argmax(~np.isfinite(lengths)))
+            raise ValueError(
+                f"the length of edge {graph.edges[k]} overflows float64")
         if (lengths < _COINCIDENT).any():
             k = int(np.argmin(lengths))
             raise CoincidentNodesError(

@@ -21,17 +21,17 @@ are validated tuples, and each round processes a node's inbox in
 
 Routing depends on the topology alone: the edge set and the frozen extents
 fix every flood path, every return route, the centers' firing order and
-the round log, but not the payloads.  Synchronous flooding reaches every
-node at its hop count, first from its lowest-numbered neighbor one hop
-nearer, so all of that follows in closed form from the geodesic table and
-the BallSet: run_exchange_phase with payloads=None computes it without
-building a message, checks every pair's round against 2 * eta, and is
-held to the engine by the tests.  The closed loop compiles the exchange
-that way once per topology and keeps an ExchangeSchedule on the Graph
-(Graph.cached, keyed on the extents), beside the topology's BallSet:
-where each delivered (center, member) pair sits in the BallSet's stack,
-the centers' firing order and the round log.  The non-edge check needs
-messages, so it runs only in engine runs.
+the round log, but not the payloads.  run_message_engine sends every
+message with real payloads; it is the proof that the exchange ends within
+2 * eta rounds, and the oracle of decentralized_velocity and of
+run_exchange_phase, the routing formula, which derives the engine's
+delivery order and round log from the geodesic table and the BallSet
+without building a message (the non-edge check needs messages, so it runs
+only in the engine).  The closed loop compiles each topology once with the
+formula and keeps its (ExchangeSchedule, RoundLog) pair on the Graph
+(Graph.cached, keyed on the extents), beside the topology's BallSet: where
+each delivered (center, member) pair sits in the BallSet's stack, and the
+centers' firing order.  No tick runs the engine.
 Every tick on that Graph, the first included, replays the schedule: every
 center's payloads are computed from its ball members' positions only and
 summed in the recorded delivery order, which gives the engine's commands
@@ -42,16 +42,13 @@ the guard, whose state the replay never reads, solves eigenvalues only.  The
 replay, its collision terms and the per-tick metrics read the edge unit
 vectors and lengths from the Framework at the positions they use, which
 measured them once when it was built.
-run_exchange_phase with its default payloads, and
-decentralized_velocity, run the engine with real payloads and are the
-replay's oracle.
 
 A World holds the network's filter state as one localization.Filters.
 Each tick corrects every robot's row with one stacked filter_update per
-distinct degree, on the robots' slices of the Graph's slots (their
-ranges and broadcast neighbor estimates), and pins the anchors through
-the mask; after the step, all estimates dead-reckon and all covariances
-inflate in one array statement each.
+distinct degree (Graph.degree_groups), on the robots' slices of the
+Graph's slots (their ranges and broadcast neighbor estimates), and pins
+the anchors through the mask; after the step, all estimates dead-reckon
+and all covariances inflate in one array statement each.
 """
 
 import json
@@ -155,15 +152,6 @@ def _trace_line(trace, round_index, msg):
     }) + "\n")
 
 
-def _ball_eigen(S, d, center):
-    """rho and per-member nu of one ball's S; a ball that fails the test stops the exchange."""
-    spectrum = ball_spectrum(S, d)
-    if not spectrum.rigid:
-        raise RigidityLostError(
-            f"subframework of node {center} is not rigid")
-    return spectrum.rho, spectrum.nu.reshape(-1, d)
-
-
 def _center_payloads(center, h, member_data, params):
     """Both gradient payloads of one center from its collected flood data.
 
@@ -186,15 +174,20 @@ def _center_payloads(center, h, member_data, params):
 
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     [S] = ball_grams(stack_layouts(stack, fw.dim), fw.units, weights)
-    rho, nu = _ball_eigen(S, fw.dim, center)
-    rigidity = ball_rigidity_slopes(stack, [rho], nu, fw.units, fw.lengths,
-                                    weights, params)
+    # a ball that fails the test stops the exchange
+    spectrum = ball_spectrum(S, fw.dim)
+    if not spectrum.rigid:
+        raise RigidityLostError(f"subframework of node {center} is not rigid")
+    rigidity = ball_rigidity_slopes(stack, [spectrum.rho],
+                                    spectrum.nu.reshape(-1, fw.dim), fw.units,
+                                    fw.lengths, weights, params)
     load = ball_load_slopes(stack, c[None, :], e, fw.units, weights, params)
     return {v: (rigidity[t], load[t]) for t, v in enumerate(nodes)}
 
 
-def _routing(fw, h):
-    """The engine's deliveries and round log on a topology, in closed form.
+def run_exchange_phase(fw, extents):
+    """The engine's delivery order and round log on a topology, in closed
+    form: (ExchangeSchedule, RoundLog), with no message built.
 
     Synchronous flooding reaches every node at its hop count g, first from
     the lowest-numbered sender one hop nearer.  So center j has heard its
@@ -209,10 +202,12 @@ def _routing(fw, h):
     never fires, and a pair undelivered after round 2 * max extent is a
     ProtocolViolation.
     """
+    h = np.asarray(extents, dtype=int)
     n = fw.graph.n
     g = geodesics(fw.graph).dist
     balls = ball_set(fw.graph, h, fw.dim)
     limit = 2 * int(h.max())
+    # the pairs in (center, member) order, which is the BallSet stack's
     center, member = np.nonzero(balls.inside)
     hops = g[center, member].astype(np.intp)
     fire = np.zeros(n, dtype=np.intp)
@@ -249,35 +244,27 @@ def _routing(fw, h):
                    pair_round=dict(zip(pairs, land[order].tolist())),
                    expected_pairs=frozenset(pairs),
                    completion_round=completion)
-    return dict.fromkeys(pairs), log
+    # a center keeps its own pair the round it fires, so centers fire in
+    # (round, id) order
+    schedule = ExchangeSchedule(members=member[order], rows=order,
+                                fire_order=np.argsort(fire, kind="stable"))
+    return schedule, log
 
 
-def run_exchange_phase(fw, extents, params, trace=None,
-                       payloads=_center_payloads):
+def run_message_engine(fw, extents, params, trace=None):
     """Flood positions out, return per-center gradient payloads back.
 
     Returns (contributions, log) where contributions maps (center, member)
-    to the payload that center computed for that member, in delivery
-    order, and the log records the traffic and the delivery round of every
-    pair.  payloads(center, extent, member_data, params) computes a
-    center's payloads from its collected flood data once its whole ball
-    has reported; the default gives each member its (rigidity_slope,
-    load_slope) vector pair.  The engine stops after 2 * max extent
-    rounds; a contribution still undelivered then is a ProtocolViolation.
-
-    payloads=None asks for routing only: no message is built, and the
-    same contributions keys in the same order, each valued None, and an
-    equal log come from the geodesic table and the BallSet in closed form
-    (the pair rounds are checked against 2 * max extent; the non-edge
-    check needs messages and runs only in the engine).  There are no
-    messages to trace, so a trace with payloads=None is a ValueError.
+    to the (rigidity_slope, load_slope) vector pair that center computed
+    for that member, in delivery order, and the log records the traffic
+    and the delivery round of every pair.  Once a center has heard its
+    whole ball it computes its payloads from the collected flood data with
+    _center_payloads, looked up when it fires.  The engine stops after
+    2 * max extent rounds; a contribution still undelivered then is a
+    ProtocolViolation, and so is a send across a non-edge.  With a text
+    stream as trace, every message sent adds one JSON line to it.
     """
     h = np.asarray(extents, dtype=int)
-    if payloads is None:
-        if trace is not None:
-            raise ValueError("a routing-only exchange sends no messages "
-                             "to trace")
-        return _routing(fw, h)
     n = fw.graph.n
     x = fw.positions
     nbrs = [tuple(fw.graph.neighbors(i).tolist()) for i in range(n)]
@@ -307,7 +294,7 @@ def run_exchange_phase(fw, extents, params, trace=None,
     def fire(centers, round_index):
         for j in sorted(centers):
             member_data = {v: heard[j][v].payload for v in members[j]}
-            computed = payloads(j, int(h[j]), member_data, params)
+            computed = _center_payloads(j, int(h[j]), member_data, params)
             for i in members[j]:
                 if i == j:
                     contributions[(j, j)] = computed[j]
@@ -422,21 +409,18 @@ def _command(fw, params, members, rigidity_slopes, load_slopes):
     return u
 
 
-def _command_from_exchange(fw, params, contributions):
-    members = np.array([i for _, i in contributions], dtype=np.intp)
-    payloads = np.array(list(contributions.values()))
-    return _command(fw, params, members, payloads[:, 0], payloads[:, 1])
-
-
 def decentralized_velocity(fw, extents, params):
     """Sum every robot's received slope payloads into its velocity command.
 
-    Always runs the message engine; the closed loop replays it instead
-    (see tick_velocity), and this is the oracle the replay is checked
-    against.  Matches the centralized field on the same positions.
+    Always runs the message engine; the closed loop replays the routing
+    formula's schedule instead (see tick_velocity), and this is the oracle
+    the replay is checked against.  Matches the centralized field on the
+    same positions.
     """
-    contributions, log = run_exchange_phase(fw, extents, params)
-    return _command_from_exchange(fw, params, contributions), log
+    contributions, log = run_message_engine(fw, extents, params)
+    members = np.array([i for _, i in contributions], dtype=np.intp)
+    payloads = np.array(list(contributions.values()))
+    return _command(fw, params, members, payloads[:, 0], payloads[:, 1]), log
 
 
 @dataclass
@@ -447,24 +431,13 @@ class ExchangeSchedule:
     the engine delivers them, and rows says where that payload sits in
     the topology's BallSet stack, whose balls follow center order.
     fire_order lists the centers in the order they fire, so a replay
-    meets a flexible ball where the engine would; log is the exchange's
-    round log.  record takes the (contributions, log) pair of any exchange
-    run, the routing-only one included.
+    meets a flexible ball where the engine would.  run_exchange_phase
+    builds it beside the topology's round log.
     """
 
     members: np.ndarray
     rows: np.ndarray
     fire_order: np.ndarray
-    log: RoundLog
-
-    @classmethod
-    def record(cls, contributions, log):
-        pairs = np.array(list(contributions), dtype=np.intp)
-        # a center's own pair is stored the moment it fires
-        fire_order = pairs[pairs[:, 0] == pairs[:, 1], 0]
-        rows = np.empty(len(pairs), dtype=np.intp)
-        rows[np.lexsort((pairs[:, 1], pairs[:, 0]))] = np.arange(len(pairs))
-        return cls(pairs[:, 1], rows, fire_order, log)
 
 
 def _replay(schedule, world, x):
@@ -497,23 +470,19 @@ def tick_velocity(world, positions):
     """One tick's velocity commands from believed positions, and its round log.
 
     The first tick on a topology (a Graph with the frozen extents) compiles
-    its routing with run_exchange_phase(payloads=None): the engine's
-    delivery order and round log in closed form, with the 2 * eta check.
-    Its schedule is kept on the Graph beside the topology's BallSet.  Every
-    tick, the first included, replays that schedule: each ball's payloads
-    come from its members' positions alone and are summed in the recorded
+    its exchange with run_exchange_phase: the engine's delivery order and
+    round log in closed form, with the 2 * eta check.  The (schedule, log)
+    pair is kept on the Graph beside the topology's BallSet.  Every tick,
+    the first included, replays that schedule: each ball's payloads come
+    from its members' positions alone and are summed in the recorded
     delivery order, so the commands equal the engine's bit for bit, and
     the recorded round log is returned.
     """
     fw = world.framework
-
-    def compile_exchange(graph):
-        return ExchangeSchedule.record(*run_exchange_phase(
-            fw, world.extents, world.params, payloads=None))
-
-    schedule = fw.graph.cached("exchange_schedule", world.extents.tobytes(),
-                               compile_exchange)
-    return _replay(schedule, world, positions), schedule.log
+    schedule, log = fw.graph.cached(
+        "exchange_schedule", world.extents.tobytes(),
+        lambda graph: run_exchange_phase(fw, world.extents))
+    return _replay(schedule, world, positions), log
 
 
 @dataclass
@@ -593,7 +562,10 @@ def _append_metrics(world, state, log, framework_rho):
     load = float(communication_load(fw.graph, world.extents).sum())
     m = fw.graph.m
     min_dist = float(fw.lengths.min()) if m else np.inf
-    est = world.filters.estimates
+    # an error too large for float64 is inf, which the range model rejects
+    with np.errstate(over="ignore"):
+        estimate_error = float(
+            np.linalg.norm(world.filters.estimates - x, axis=1).max())
     world.metrics.append({
         "t": world.time,
         "min_rho": float(rhos.min()),
@@ -603,7 +575,7 @@ def _append_metrics(world, state, log, framework_rho):
         "load_ratio": load / (2.0 * m) if m else np.nan,
         "edge_count": m,
         "min_distance": min_dist,
-        "max_estimate_error": float(np.linalg.norm(est - x, axis=1).max()),
+        "max_estimate_error": estimate_error,
         "exchange_rounds": None if log is None else log.completion_round,
     })
 
@@ -627,13 +599,8 @@ def step_simulation(world):
     if cfg.use_estimates:
         neighbor_est = broadcast_estimates(fw, est)
         measured = measure_ranges(fw, world.rng, cfg.noise_std)
-        # one stacked update per degree: robot i's ranges and neighbor
-        # estimates are slots[i]:slots[i] + degree
-        slots = fw.graph.slots
-        degrees = fw.graph.degrees()
-        for g in np.unique(degrees).tolist():
-            rows = np.flatnonzero(degrees == g)
-            own = slots[rows, None] + np.arange(g)
+        # one stacked update per degree, on each robot's own slots
+        for rows, own in fw.graph.degree_groups():
             est[rows], cov[rows] = filter_update(
                 est[rows], cov[rows], filters.range_variance, measured[own],
                 neighbor_est[own])

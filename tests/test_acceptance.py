@@ -46,7 +46,7 @@ from rigidnet import (
     rigidity_spectrum,
     run_control_experiment,
     run_ensemble_experiment,
-    run_exchange_phase,
+    run_message_engine,
     run_static_filter,
     verify_extents,
 )
@@ -225,7 +225,7 @@ def test_exchange_completes_within_round_bound():
         n = int(rng.integers(5, 13))
         fw = random_rigid_framework(rng, n, 2)
         h = extent_assignment(fw)
-        contributions, log = run_exchange_phase(fw, h, params)
+        contributions, log = run_message_engine(fw, h, params)
         eta = int(h.max())
         expected = {(j, i) for j in range(n) for i, d in
                     enumerate(floyd_warshall(fw.graph)[j]) if d <= h[j]}
@@ -237,7 +237,7 @@ def test_exchange_completes_within_round_bound():
         Graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),
         np.random.default_rng(107).uniform(-1.0, 1.0, size=(8, 2)),
     )
-    _, log1 = run_exchange_phase(complete_fw, np.ones(8, dtype=int), params)
+    _, log1 = run_message_engine(complete_fw, np.ones(8, dtype=int), params)
     _verdict(
         6,
         in_bound == total and log1.completion_round == 2,

@@ -3,6 +3,7 @@
 import dataclasses
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,22 @@ class TestControl:
         assert_stopped_run(captured.out, csv, snap, "coincident estimates")
 
 
+    def test_overflowing_estimates_exit_six(self, tmp_path, capsys):
+        # estimates 1e200 m off make every range overflow float64: a named
+        # error, with no numpy warning on the way
+        csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["control", *SMALL, "--duration", "0.5",
+                         "--estimate-error", "1e200", "--csv", str(csv),
+                         "--snapshot", str(snap)])
+        assert code == EXIT_COINCIDENT_ESTIMATES
+        captured = capsys.readouterr()
+        assert captured.err == ("localization failed: an estimated range is "
+                                "not finite: the estimates overflow float64\n")
+        assert_stopped_run(captured.out, csv, snap, "not finite")
+
+
 def assert_stopped_run(out, csv, snap, error):
     """A run stopped in its first tick still reports its t=0 row."""
     status = json.loads(out)
@@ -347,6 +364,9 @@ class TestConfigHandling:
         ["audit", "--framework", "{top_level_list}"],
         ["audit", "--framework", "{null_n}"],
         ["audit", "--framework", "{nan_position}"],
+        # finite positions whose edge lengths overflow float64: read as
+        # they are, the triangle has zero unit vectors and is flexible
+        ["audit", "--framework", "{far_positions}"],
         # n must be an integer, not a number that rounds to one
         ["audit", "--framework", "{fractional_n}"],
         ["audit", "--framework", "{bool_n}"],
@@ -372,11 +392,13 @@ class TestConfigHandling:
          "--height", "1e-20", "--range", "40"],
     ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
             "null-edges", "flat-edges", "top-level-list", "null-n",
-            "nan-position", "fractional-n", "bool-n", "negative-n",
+            "nan-position", "far-positions", "fractional-n", "bool-n", "negative-n",
             "fractional-edge", "bool-edge", "string-edge", "three-wide-edges",
             "negative-seed", "negative-seed-config", "unwritable-gen-out",
             "unwritable-ensemble-csv", "unwritable-ensemble-json",
             "unwritable-control-csv", "coincident-gen", "coincident-control"])
+    # a numpy warning would be a second stderr line
+    @pytest.mark.filterwarnings("error")
     def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
         triangle = [[0, 0], [1, 0], [0, 1]]
         files = {
@@ -388,6 +410,8 @@ class TestConfigHandling:
             "null_n": {"n": None, "edges": [[0, 1]], "positions": triangle},
             "nan_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
                              "positions": [[0, 0], [1, 0], [0, float("nan")]]},
+            "far_positions": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                              "positions": [[0, 0], [1e200, 0], [0, 1e200]]},
             "fractional_n": {"n": 3.7, "edges": [[0, 1], [1, 2], [0, 2]],
                              "positions": triangle},
             "bool_n": {"n": True, "edges": [], "positions": [[0, 0]]},

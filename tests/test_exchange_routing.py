@@ -1,4 +1,4 @@
-"""The message engine's routing, held to recorded data.
+"""The message engine's routing, and the routing formula, held to recorded data.
 
 data/exchange_routing.json was written by the engine as it stood before its
 message handling was rewritten for speed, so these tests check the engine
@@ -9,9 +9,10 @@ the per-round inbox and outbox sizes, the delivery round of every
 contributions were delivered and the order in which the centers fired.
 The apex case also holds the engine's per-message trace lines.  Six cases
 cover eta 1 to 4 in the plane and eta 1 and 2 in space.  Every case runs
-twice: through the engine with the slope payloads, and through the
-routing-only path the closed loop compiles with (payloads=None), which
-derives the same fields in closed form and holds None as each payload.
+twice: through the engine with the slope payloads ("slopes"), and through
+run_exchange_phase, the routing formula the closed loop compiles with,
+which computes no payload ("placeholders").  Both give an ExchangeSchedule
+and a round log, and both are held to the recorded fields.
 """
 
 import io
@@ -32,6 +33,8 @@ from rigidnet.graphs import Graph
 from rigidnet.rigidity import Framework
 from rigidnet.subframeworks import extent_assignment
 
+from support import engine_schedule, schedule_arrays
+
 DATA = json.loads(
     (Path(__file__).parent / "data" / "exchange_routing.json").read_text())
 
@@ -40,43 +43,47 @@ def case_params(case):
     return ControlParams(**case.get("params", DATA["params"]))
 
 
-PAYLOADS = {"slopes": simnet._center_payloads, "placeholders": None}
+def case_framework(case):
+    return Framework(Graph(case["n"], case["edges"]), case["positions"])
 
 
-def routing(case, payloads, trace=None):
-    """The recorded fields of one exchange on a case."""
-    fw = Framework(Graph(case["n"], case["edges"]), case["positions"])
+def engine_run(monkeypatch, case, trace=None):
+    """One engine run on a case: its contributions, log and firing order,
+    the last seen by a spy on the centers' payload function."""
+    payloads = simnet._center_payloads
     fired = []
 
     def spy(center, *args):
         fired.append(center)
         return payloads(center, *args)
 
-    contributions, log = simnet.run_exchange_phase(
-        fw, np.array(case["extents"]), case_params(case), trace=trace,
-        payloads=None if payloads is None else spy)
-    if payloads is None:
-        assert set(contributions.values()) == {None}
-        fired = simnet.ExchangeSchedule.record(
-            contributions, log).fire_order.tolist()
-    return {
-        # every message sent in a round arrives in it: both recorded sizes
-        # are the engine's one per-round count
-        "inbox_sizes": log.outbox_sizes,
-        "outbox_sizes": log.outbox_sizes,
-        "pair_round": sorted([c, m, r] for (c, m), r in log.pair_round.items()),
-        "completion_round": log.completion_round,
-        "contributions": [[c, m] for c, m in contributions],
-        "fire_order": fired,
-    }
+    monkeypatch.setattr(simnet, "_center_payloads", spy)
+    contributions, log = simnet.run_message_engine(
+        case_framework(case), np.array(case["extents"]), case_params(case),
+        trace=trace)
+    return contributions, log, fired
 
 
-@pytest.mark.parametrize("payloads", PAYLOADS)
+@pytest.mark.parametrize("path", ["slopes", "placeholders"])
 @pytest.mark.parametrize("case", DATA["cases"], ids=lambda c: c["name"])
-def test_engine_routes_as_recorded(case, payloads):
-    got = routing(case, PAYLOADS[payloads])
-    for key, value in got.items():
-        assert value == case[key], key
+def test_engine_routes_as_recorded(monkeypatch, case, path):
+    if path == "slopes":
+        contributions, log, fired = engine_run(monkeypatch, case)
+        assert [[c, m] for c, m in contributions] == case["contributions"]
+        assert fired == case["fire_order"]
+        schedule = engine_schedule(contributions)
+    else:
+        schedule, log = simnet.run_exchange_phase(
+            case_framework(case), np.array(case["extents"]))
+    assert (schedule_arrays(schedule)
+            == schedule_arrays(engine_schedule(case["contributions"])))
+    assert schedule.fire_order.tolist() == case["fire_order"]
+    # every message sent in a round arrives in it: both recorded sizes are
+    # the engine's one per-round count
+    assert log.outbox_sizes == case["inbox_sizes"] == case["outbox_sizes"]
+    assert (sorted([c, m, r] for (c, m), r in log.pair_round.items())
+            == case["pair_round"])
+    assert log.completion_round == case["completion_round"]
 
 
 def test_recorded_cases_span_eta_one_to_four():
@@ -85,20 +92,12 @@ def test_recorded_cases_span_eta_one_to_four():
 
 
 # only the engine sends messages, so only it has trace lines
-@pytest.mark.parametrize("payloads", ["slopes"])
-def test_trace_lines_as_recorded(payloads):
+@pytest.mark.parametrize("path", ["slopes"])
+def test_trace_lines_as_recorded(monkeypatch, path):
     [case] = [c for c in DATA["cases"] if "trace" in c]
     buf = io.StringIO()
-    routing(case, PAYLOADS[payloads], trace=buf)
+    engine_run(monkeypatch, case, trace=buf)
     assert buf.getvalue().splitlines() == case["trace"]
-
-
-def test_routing_only_exchange_refuses_a_trace():
-    [case] = [c for c in DATA["cases"] if "trace" in c]
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match="no messages"):
-        routing(case, None, trace=buf)
-    assert buf.getvalue() == ""
 
 
 def no_payloads(center, h, member_data, params):
@@ -111,18 +110,13 @@ def no_payloads(center, h, member_data, params):
 EXCHANGE = simnet.run_exchange_phase
 
 
-def assert_routes_as_engine(fw, extents, params, payloads):
-    """The routing-only path against one engine run on the same topology."""
-    got, log = EXCHANGE(fw, extents, params, payloads=None)
-    want, want_log = EXCHANGE(fw, extents, params, payloads=payloads)
-    assert list(got) == list(want)
-    assert log.outbox_sizes == want_log.outbox_sizes
-    assert log.pair_round == want_log.pair_round
-    assert log.expected_pairs == want_log.expected_pairs
-    assert log.completion_round == want_log.completion_round
-    assert np.array_equal(
-        simnet.ExchangeSchedule.record(got, log).fire_order,
-        simnet.ExchangeSchedule.record(want, want_log).fire_order)
+def assert_routes_as_engine(fw, extents, params):
+    """The routing formula against one engine run on the same topology."""
+    schedule, log = EXCHANGE(fw, extents)
+    contributions, want_log = simnet.run_message_engine(fw, extents, params)
+    assert (schedule_arrays(schedule)
+            == schedule_arrays(engine_schedule(contributions)))
+    assert log == want_log
 
 
 LIVE_RUNS = {
@@ -144,11 +138,10 @@ def test_routing_only_path_equals_the_engine_on_live_topologies(
     config, duration = LIVE_RUNS[run]
     compiled = []
 
-    def checked(fw, extents, params, trace=None, payloads=None):
-        assert payloads is None
-        assert_routes_as_engine(fw, extents, params, simnet._center_payloads)
+    def checked(fw, extents):
+        assert_routes_as_engine(fw, extents, config.control)
         compiled.append(fw.graph)
-        return EXCHANGE(fw, extents, params, payloads=None)
+        return EXCHANGE(fw, extents)
 
     fw, _ = sample_framework(np.random.default_rng(config.seed), config)
     world = simnet.make_world(fw, config.control, simnet.WorldConfig(
@@ -164,10 +157,12 @@ def test_routing_only_path_equals_the_engine_on_live_topologies(
 @pytest.mark.parametrize("n, dim, eta", [
     (40, 2, 3), (60, 2, 2), (90, 2, 3), (120, 2, 2),
     (40, 3, 2), (60, 3, 3), (90, 3, 2), (120, 3, 3)])
-def test_routing_only_path_equals_the_engine_on_widened_extents(n, dim, eta):
+def test_routing_only_path_equals_the_engine_on_widened_extents(
+        monkeypatch, n, dim, eta):
     """Sampled frameworks whose extents, mostly 1, are widened at random to
     at most eta, so that balls of many radii meet; a widened ball need not
     be rigid, so the engine runs without payload math."""
+    monkeypatch.setattr(simnet, "_center_payloads", no_payloads)
     rng = np.random.default_rng(n + dim)
     side, reach = (100.0, 40.0) if dim == 2 else (80.0, 45.0)
     fw, _ = sample_framework(rng, ScenarioConfig(
@@ -176,5 +171,4 @@ def test_routing_only_path_equals_the_engine_on_widened_extents(n, dim, eta):
     extents = np.maximum(assigned, rng.integers(1, eta + 1, size=n))
     assert extents.max() == eta
     assert (extents > assigned).any()
-    assert_routes_as_engine(fw, extents, ControlParams(comm_range=40.0),
-                            no_payloads)
+    assert_routes_as_engine(fw, extents, ControlParams(comm_range=40.0))

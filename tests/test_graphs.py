@@ -95,6 +95,16 @@ class TestGraph:
             assert np.array_equal(g.adjacency_sparse().toarray(), dense)
             for a in (g.slots, g.slot_node, g.slot_edge):
                 assert a.dtype == np.intp and not a.flags.writeable
+            # the degree groups hold every node once, by ascending degree,
+            # each beside its own slots
+            groups = g.degree_groups()
+            assert sorted(i for nodes, _ in groups
+                          for i in nodes.tolist()) == list(range(g.n))
+            assert ([len(owned[nodes[0]]) for nodes, _ in groups]
+                    == sorted({len(o) for o in owned}))
+            for nodes, own in groups:
+                for i, row in zip(nodes.tolist(), own.tolist()):
+                    assert row == list(range(g.slots[i], g.slots[i + 1]))
 
     def test_edge_array_is_read_only_and_shaped(self):
         g = Graph(4, [(3, 2), (1, 0), (0, 2)])

@@ -1,5 +1,7 @@
 """Range-only filter: update algebra, anchors, and static-network runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rigidnet.control import ControlParams
 from rigidnet.graphs import Graph
 from rigidnet.localization import (
     CoincidentEstimatesError,
+    NonFiniteRangeError,
     _range_model,
     congruence_error,
     filter_update,
@@ -44,6 +47,15 @@ def test_coincident_estimates_raise_a_named_error(output):
     # coincident neighbor
     with pytest.raises(CoincidentEstimatesError, match="coincident estimates"):
         _range_model([1.0, 2.0], [[4.0, 6.0], [1.0, 2.0]])[output]
+
+
+@pytest.mark.parametrize("far", [1e200, np.inf, np.nan])
+def test_non_finite_ranges_raise_a_named_error(far):
+    # a range that overflows float64 raises without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteRangeError, match="not finite"):
+            _range_model([[0.0, 0.0]], [[[1.0, 2.0], [far, -far]]])
 
 
 def test_filter_update_coincident_estimates_raise_a_named_error():

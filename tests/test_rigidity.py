@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,23 @@ class TestFrameworkGeometry:
         # coincident nodes that share no edge are allowed
         fw = Framework(Graph(4, [(0, 1), (1, 3), (2, 3)]), x)
         assert fw.lengths.min() == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_raises(self, bad):
+        # an isolated node too: no edge length would show it
+        x = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, bad]]
+        with pytest.raises(ValueError, match="positions must be finite"):
+            Framework(Graph(4, [(0, 1), (1, 2), (0, 2)]), x)
+
+    def test_overflowing_edge_length_raises(self):
+        # finite positions whose lengths overflow once read as a framework
+        # with zero unit vectors, flexible, and warned about on the way
+        x = [[0.0, 0.0], [1.0, 0.0], [0.0, 1e200]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"length of edge \(1, 2\) overflows"):
+                Framework(Graph(3, [(0, 1), (1, 2)]), x)
 
 
 class TestSymmetricMatrix:

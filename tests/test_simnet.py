@@ -38,6 +38,7 @@ from rigidnet.simnet import (
     decentralized_velocity,
     make_world,
     run_exchange_phase,
+    run_message_engine,
     run_simulation,
     step_simulation,
 )
@@ -87,7 +88,7 @@ def test_all_unit_extents_complete_in_two_rounds():
     params = ControlParams(comm_range=3.0)
     state = build_control_state(fw, params)
     assert state.extents.max() == 1
-    contributions, log = run_exchange_phase(fw, state.extents, params)
+    contributions, log = run_message_engine(fw, state.extents, params)
     assert log.completion_round == 2
     assert log.complete
 
@@ -96,7 +97,7 @@ def test_hub_contribution_reaches_rim_in_round_two():
     fw = wheel_framework()
     params = ControlParams(comm_range=3.0)
     state = build_control_state(fw, params)
-    _, log = run_exchange_phase(fw, state.extents, params)
+    _, log = run_message_engine(fw, state.extents, params)
     for rim in range(1, 6):
         assert log.pair_round[(0, rim)] == 2
     assert log.pair_round[(0, 0)] <= 1
@@ -108,7 +109,7 @@ def test_exchange_meets_round_bound_on_disk_frameworks():
         fw = rigid_disk(rng, int(rng.integers(10, 18)), 90.0, 40.0)
         params = ControlParams(comm_range=40.0, steepness=0.5)
         state = build_control_state(fw, params)
-        _, log = run_exchange_phase(fw, state.extents, params)
+        _, log = run_message_engine(fw, state.extents, params)
         assert log.completion_round <= 2 * int(state.extents.max())
 
 
@@ -116,7 +117,7 @@ def test_every_expected_pair_is_delivered():
     fw = apex_framework()
     params = ControlParams(comm_range=2.0, steepness=2.0)
     state = build_control_state(fw, params)
-    contributions, log = run_exchange_phase(fw, state.extents, params)
+    contributions, log = run_message_engine(fw, state.extents, params)
     assert set(contributions) == set(log.expected_pairs)
     # completion round equals the latest delivery and respects the bound
     assert log.completion_round == max(log.pair_round.values())
@@ -134,14 +135,13 @@ def test_floods_one_hop_short_leave_the_exchange_incomplete(monkeypatch):
         return dataclasses.replace(balls, ttl=balls.ttl - 1)
 
     monkeypatch.setattr(simnet, "ball_set", short_floods)
-    with pytest.raises(ProtocolViolation, match="exchange incomplete after 4"):
-        run_exchange_phase(fw, state.extents, params)
-    # the routing-only path finds the same pairs missing
-    with pytest.raises(ProtocolViolation) as engine:
-        run_exchange_phase(fw, state.extents, params)
-    with pytest.raises(ProtocolViolation) as routing_only:
-        run_exchange_phase(fw, state.extents, params, payloads=None)
-    assert str(routing_only.value) == str(engine.value)
+    with pytest.raises(ProtocolViolation,
+                       match="exchange incomplete after 4") as engine:
+        run_message_engine(fw, state.extents, params)
+    # the routing formula finds the same pairs missing
+    with pytest.raises(ProtocolViolation) as routing:
+        run_exchange_phase(fw, state.extents)
+    assert str(routing.value) == str(engine.value)
 
 
 def test_trace_lines_are_wellformed():
@@ -149,7 +149,7 @@ def test_trace_lines_are_wellformed():
     params = ControlParams(comm_range=2.0, steepness=2.0)
     state = build_control_state(fw, params)
     buf = io.StringIO()
-    run_exchange_phase(fw, state.extents, params, trace=buf)
+    run_message_engine(fw, state.extents, params, trace=buf)
     lines = [json.loads(s) for s in buf.getvalue().splitlines()]
     assert lines
     kinds = {ln["kind"] for ln in lines}
@@ -359,13 +359,13 @@ def engine_checked_run(monkeypatch, world, ticks):
     run_exchange_phase to compile the topology's routing.
     """
     replay_or_compile = simnet.tick_velocity
-    engine = simnet.run_exchange_phase
+    compile_exchange = simnet.run_exchange_phase
     calls = []
     ticks_seen = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return engine(*args, **kwargs)
+        return compile_exchange(*args, **kwargs)
 
     def checked(w, positions):
         before = len(calls)
@@ -419,6 +419,30 @@ def test_replay_in_three_dimensions(monkeypatch):
     assert hits >= 1
     assert misses >= 2
     assert all(row["min_rho"] > 0 for row in world.metrics)
+
+
+@pytest.mark.parametrize("use_estimates", [False, True])
+def test_closed_loop_sends_no_message(monkeypatch, use_estimates):
+    """The loop compiles and replays its exchanges without the engine:
+    with the engine and the message type patched to raise, a run across
+    several topologies still steps and logs every tick's rounds."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed loop ran the message engine")
+
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1,
+                           k_rigidity=10.0, k_load=1.0, k_collision=1.0)
+    world = make_world(fw, params, WorldConfig(
+        use_estimates=use_estimates, anchors=(0, 1), noise_std=0.05,
+        initial_estimate_error=0.3, seed=3))
+    graphs = {id(fw.graph)}
+    monkeypatch.setattr(simnet, "run_message_engine", forbidden)
+    monkeypatch.setattr(simnet, "Message", forbidden)
+    for _ in range(30):
+        step_simulation(world)
+        graphs.add(id(world.framework.graph))
+    assert len(graphs) >= 2
+    assert all(row["exchange_rounds"] >= 1 for row in world.metrics[1:])
 
 
 def test_each_new_graph_runs_the_engine_once(monkeypatch):
