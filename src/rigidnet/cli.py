@@ -1,19 +1,22 @@
 """Command line front end: gen, ensemble, control, and audit verbs.
 
 Flags mirror the scenario fields; a JSON config file passed with --config
-overrides any flag value.  Exit codes: 0 on success, 2 when a control run
-loses rigidity, 3 for an invalid configuration (an unknown field, a value
-of the wrong type, a value out of range or not finite, a framework file of
-the wrong shape, a seed that is not a non-negative integer, a node count
-that is not an integer, a framework too small for the rigidity test, a
-generated draw with two adjacent robots at one point, a framework whose
+overrides any flag value, and its control block takes comm_range from the
+scenario when it leaves it out.  Exit codes: 0 on success, 2 when a
+control run loses rigidity, 3 for an invalid configuration (an unknown
+field, a value of the wrong type, a value out of range or not finite, a
+control block whose comm_range differs from the scenario's, a framework
+file of the wrong shape, a seed that is not a non-negative integer, a node
+count that is not an integer, a framework too small for the rigidity test,
+a generated draw with two adjacent robots at one point, a framework whose
 positions or edge lengths are not finite in float64, or an output path
 that cannot be written),
 4 when the message exchange breaks its protocol (a send across a
 non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
 rank test and the eigenvalue test of a rigidity report disagree, 6 when
-the range filter cannot update: two neighbors' position estimates
-coincide, or a range between two estimates is not finite in float64.
+localization fails: two neighbors' position estimates coincide, a range
+between two estimates is not finite in float64, or the believed positions
+have edge lengths that overflow float64.
 """
 
 import argparse
@@ -130,6 +133,9 @@ def _build_config(args):
             if not isinstance(control, dict):
                 raise ConfigError("the control block must be a JSON object")
             _check_types(ControlParams, control)
+            # the scenario's range also sets the controller's link weights
+            control.setdefault("comm_range", fields.get(
+                "comm_range", ScenarioConfig.comm_range))
             try:
                 fields["control"] = ControlParams(**control)
             except (TypeError, ValueError) as exc:

@@ -37,10 +37,16 @@ def _is_integer(value):
 
 
 @dataclass
-class ScenarioConfig:
-    """Everything a run needs: region, network size, controller, outputs."""
+class ScenarioConfig(WorldConfig):
+    """Everything a run needs: region, network size, controller, outputs.
 
-    seed: int = 0
+    A scenario is the WorldConfig of its closed-loop run, so the world's
+    fields (seed, noise, anchors, estimates and the filter variances) are
+    its own.  comm_range both draws the network and sets the controller's
+    link weights: control defaults to ControlParams at comm_range, and a
+    control whose comm_range differs is a ConfigError.
+    """
+
     n: int = 60
     width: float = 100.0
     height: float = 100.0
@@ -48,11 +54,7 @@ class ScenarioConfig:
     dim: int = 2
     ensemble_count: int = 250
     duration: float = 200.0
-    noise_std: float = 0.0
-    anchors: tuple = ()
     control: ControlParams = None
-    use_estimates: bool = True
-    initial_estimate_error: float = 0.0
     require_rigid: bool = True
     rejection_budget: int = 2000
 
@@ -63,6 +65,10 @@ class ScenarioConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, "
                               f"got {self.seed!r}")
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.n < 2:
             raise ConfigError("need at least two robots")
         if self.require_rigid and self.n <= self.dim:
@@ -77,16 +83,16 @@ class ScenarioConfig:
             raise ConfigError("ensemble count must be positive")
         if self.duration < 0:
             raise ConfigError("duration cannot be negative")
-        if self.noise_std < 0:
-            raise ConfigError("noise level cannot be negative")
-        if self.initial_estimate_error < 0:
-            raise ConfigError("initial estimate error cannot be negative")
         if self.rejection_budget < 1:
             raise ConfigError("rejection budget must be positive")
         if any(a < 0 or a >= self.n for a in self.anchors):
             raise ConfigError("anchor ids must be node ids")
         if self.control is None:
             self.control = ControlParams(comm_range=self.comm_range)
+        elif self.control.comm_range != self.comm_range:
+            raise ConfigError(
+                f"control.comm_range {self.control.comm_range} differs "
+                f"from the scenario's comm_range {self.comm_range}")
 
 
 def _region_sides(config):
@@ -270,14 +276,7 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
         [csv_fp] = _open_outputs(outputs, csv_path)
         rng = np.random.default_rng(config.seed)
         fw, _ = sample_framework(rng, config)
-        wconfig = WorldConfig(
-            noise_std=config.noise_std,
-            use_estimates=config.use_estimates,
-            anchors=tuple(config.anchors),
-            initial_estimate_error=config.initial_estimate_error,
-            seed=config.seed,
-        )
-        world = make_world(fw, config.control, wconfig)
+        world = make_world(fw, config.control, config)
         error = None
         try:
             run_simulation(world, config.duration)

@@ -70,8 +70,20 @@ from .control import (
     guarded_refresh,
 )
 from .graphs import Graph, geodesics
-from .localization import Filters, filter_update, make_filters, measure_ranges
-from .rigidity import Framework, framework_gram, rigidity_spectrum
+from .localization import (
+    CoincidentEstimatesError,
+    Filters,
+    NonFiniteRangeError,
+    filter_update,
+    make_filters,
+    measure_ranges,
+)
+from .rigidity import (
+    CoincidentNodesError,
+    Framework,
+    framework_gram,
+    rigidity_spectrum,
+)
 from .subframeworks import (
     ball_grams,
     ball_set,
@@ -448,12 +460,22 @@ def _replay(schedule, world, x):
     positions, and is used as is when x are those positions; otherwise
     one control state is built at x and its balls are checked in firing
     order, so the first flexible ball raises the error the engine would
-    raise for it.
+    raise for it.  Believed positions that make no framework are a
+    localization failure: coincident neighbors raise
+    CoincidentEstimatesError, and positions or edge lengths that are not
+    finite in float64 raise NonFiniteRangeError.
     """
     params, state = world.params, world.accepted
     if state is None or x is not state.framework.positions:
-        state = build_control_state(Framework(world.framework.graph, x),
-                                    params, world.extents, require_rigid=False)
+        try:
+            believed = Framework(world.framework.graph, x)
+        except CoincidentNodesError as exc:
+            raise CoincidentEstimatesError(str(exc)) from exc
+        except ValueError as exc:
+            raise NonFiniteRangeError(
+                f"the believed positions make no framework: {exc}") from exc
+        state = build_control_state(believed, params, world.extents,
+                                    require_rigid=False)
         for j in schedule.fire_order:
             if not state.spectra[j].rigid:
                 raise RigidityLostError(
@@ -487,7 +509,16 @@ def tick_velocity(world, positions):
 
 @dataclass
 class WorldConfig:
-    """Knobs of the closed-loop run that are not controller parameters."""
+    """Knobs of the closed-loop run that are not controller parameters.
+
+    noise_std is the range measurement noise, anchors the robots with
+    exact fixes, and use_estimates whether the controller steers on the
+    filters' estimates or on the true positions.  Each estimate starts
+    at most initial_estimate_error from the truth, with covariance
+    initial_variance * I, and the filters assume range_variance; seed
+    seeds the world's generator.  experiments.ScenarioConfig extends it
+    with the scenario's own fields.
+    """
 
     noise_std: float = 0.0
     use_estimates: bool = True
@@ -522,10 +553,9 @@ class World:
     accepted: ControlState = None
 
 
-def make_world(fw, params, config=None):
+def make_world(fw, params, config):
     """Freeze the extents at setup time and seed the filters; anchors start
     at their exact fix."""
-    config = config or WorldConfig()
     state = build_control_state(fw, params)
     extents = state.extents.copy()
     rng = np.random.default_rng(config.seed)

@@ -198,6 +198,23 @@ class TestControl:
                                 "not finite: the estimates overflow float64\n")
         assert_stopped_run(captured.out, csv, snap, "not finite")
 
+    def test_overflowing_believed_positions_exit_six(self, tmp_path, capsys):
+        # ranges 1e200 m off leave every range finite, but the filter puts
+        # the estimates so far apart that their edge lengths overflow
+        csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["control", *SMALL, "--duration", "0.5",
+                         "--noise", "1e200", "--csv", str(csv),
+                         "--snapshot", str(snap)])
+        assert code == EXIT_COINCIDENT_ESTIMATES
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("localization failed: the believed positions "
+                               "make no framework: the length of edge")
+        assert line.endswith("overflows float64")
+        assert_stopped_run(captured.out, csv, snap, "overflows float64")
+
 
 def assert_stopped_run(out, csv, snap, error):
     """A run stopped in its first tick still reports its t=0 row."""
@@ -333,6 +350,9 @@ class TestConfigHandling:
         ([], {"duration": float("nan")}),
         ([], {"width": float("inf")}),
         ([], {"control": {"comm_range": 40.0, "dt": float("nan")}}),
+        # one range draws the network and weighs its links
+        ([], {"control": {"comm_range": 15.0}}),
+        ([], {"range_variance": 0}),
     ])
     def test_out_of_range_value_exits_three(self, tmp_path, capsys, flags,
                                             config):
@@ -436,6 +456,28 @@ class TestConfigHandling:
         [line] = captured.err.splitlines()
         assert line.startswith("configuration error:")
         assert captured.out == ""
+
+    def test_control_block_takes_the_scenario_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"control": {"dt": 0.2}}))
+        args = cli.build_parser().parse_args(
+            ["control", "--range", "25", "--config", str(cfg)])
+        config = cli._build_config(args)
+        assert config.comm_range == config.control.comm_range == 25.0
+        assert config.control.dt == 0.2
+
+    def test_scenario_is_the_world_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"range_variance": 0.05,
+                                   "initial_variance": 2.0}))
+        args = cli.build_parser().parse_args(
+            ["control", *SMALL, "--duration", "0", "--config", str(cfg)])
+        config = cli._build_config(args)
+        world, rows, error = run_control_experiment(config)
+        assert error is None and rows == []
+        assert world.config is config
+        assert world.filters.range_variance == 0.05
+        assert np.all(world.filters.covariances[0] == 2.0 * np.eye(2))
 
     def test_malformed_config_file_exits_three(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -144,11 +144,7 @@ def test_routing_only_path_equals_the_engine_on_live_topologies(
         return EXCHANGE(fw, extents)
 
     fw, _ = sample_framework(np.random.default_rng(config.seed), config)
-    world = simnet.make_world(fw, config.control, simnet.WorldConfig(
-        noise_std=config.noise_std, use_estimates=config.use_estimates,
-        anchors=config.anchors,
-        initial_estimate_error=config.initial_estimate_error,
-        seed=config.seed))
+    world = simnet.make_world(fw, config.control, config)
     monkeypatch.setattr(simnet, "run_exchange_phase", checked)
     simnet.run_simulation(world, duration)
     assert len(compiled) >= 2

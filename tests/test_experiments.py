@@ -72,6 +72,10 @@ class TestScenarioConfig:
         dict(seed=-1),
         dict(seed=1.5),
         dict(seed=True),
+        # the controller's range is the scenario's
+        dict(control=ControlParams(comm_range=25.0)),
+        dict(range_variance=0.0),
+        dict(initial_variance=-1.0),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ConfigError):
