@@ -9,8 +9,9 @@ control block whose comm_range differs from the scenario's, a framework
 file of the wrong shape, a seed that is not a non-negative integer, a node
 count that is not an integer, a framework too small for the rigidity test,
 a generated draw with two adjacent robots at one point, a framework whose
-positions or edge lengths are not finite in float64, or an output path
-that cannot be written),
+positions or edge lengths are not finite in float64, an output path
+that cannot be written, or an input that needs more memory than the
+machine has, such as an n whose dense pairwise arrays cannot be allocated),
 4 when the message exchange breaks its protocol (a send across a
 non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
 rank test and the eigenvalue test of a rigidity report disagree, 6 when
@@ -236,6 +237,11 @@ def main(argv=None):
         return args.func(args)
     except (ConfigError, FrameworkTooSmallError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
+        return EXIT_BAD_CONFIG
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        sys.stderr.write("configuration error: the input needs more memory "
+                         f"than the machine has{detail}\n")
         return EXIT_BAD_CONFIG
     except RigidityLostError as exc:
         sys.stderr.write(f"rigidity lost: {exc}\n")

@@ -28,18 +28,23 @@ bincount per group of balls, and solves each ball once.  The guard solves
 with eigenvectors on ground truth, where the replay reuses its accepted
 state, and for eigenvalues only while the robots steer on estimates,
 where nothing reads the eigenvectors; a state without them refuses its
-slopes by name (EigenvectorsNotSolvedError).
+slopes by name (EigenvectorsNotSolvedError).  The balls' eigh runs on two
+cores where the process may use two, the caller's and one worker thread's,
+with BLAS on one thread.
 """
 
+import functools
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .graphs import Graph, proximity
-from .rigidity import CoincidentNodesError, Framework
+from .rigidity import CoincidentNodesError, Framework, one_blas_thread
 from .subframeworks import (
     BallSet, ball_grams, ball_set, ball_spectrum, extent_assignment
 )
@@ -139,6 +144,54 @@ class ControlState:
             fw.units, fw.lengths, self.weights, self.params)
 
 
+@functools.cache
+def _eigh_worker():
+    """The one worker thread that shares the balls' eigh with the caller,
+    started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidnet-eigh")
+
+
+# a forked child has no worker thread, only its parent's record of one
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
+
+
+def _two_cores():
+    """Whether the process may run on at least two cores; where the
+    platform cannot say, it is taken to have one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) >= 2
+
+
+@one_blas_thread()
+def _ball_spectra(grams, d, vectors):
+    """Each ball's Spectrum, in center order, from its S.
+
+    With vectors and two cores, the balls, sorted by side from the largest,
+    are dealt alternately to the worker thread and to the caller, and each
+    spectrum is put back at its center.  numpy's eigh releases the GIL, and
+    on one BLAS thread a ball's eigh gives the same bits on either thread.
+    eigvalsh gained nothing from a second core, so a solve without vectors
+    stays on the caller, as does every solve on one core.
+    """
+    if not (vectors and _two_cores()):
+        return [ball_spectrum(S, d, vectors) for S in grams]
+    spectra = [None] * len(grams)
+
+    def solve(centers):
+        for j in centers:
+            spectra[j] = ball_spectrum(grams[j], d, vectors)
+
+    order = sorted(range(len(grams)), key=lambda j: -len(grams[j]))
+    worker = _eigh_worker().submit(solve, order[0::2])
+    try:
+        solve(order[1::2])
+    finally:
+        # the worker's solves end before the BLAS setting is restored
+        worker.result()
+    return spectra
+
+
 def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
                         vectors=True):
     """Snapshot the discrete structure of a framework and solve its eigenproblems.
@@ -149,6 +202,9 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
     ball is too small or has a rigidity eigenvalue at the zero threshold.
     Without vectors every ball is solved for its eigenvalues only (eigvalsh
     instead of eigh), and the state gives verdicts and rhos but no slopes.
+    The balls are solved with BLAS on one thread (rigidity.one_blas_thread);
+    with vectors, and where the process may run on two cores, the caller
+    and one worker thread share them (see _ball_spectra).
     """
     if extents is None:
         extents = extent_assignment(fw)
@@ -161,8 +217,8 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
-    spectra = [ball_spectrum(S, fw.dim, vectors)
-               for S in ball_grams(balls.layouts, fw.units, weights)]
+    spectra = _ball_spectra(ball_grams(balls.layouts, fw.units, weights),
+                            fw.dim, vectors)
     degenerate = sum(s.degenerate for s in spectra)
     if degenerate:
         logger.debug(

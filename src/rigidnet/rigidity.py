@@ -21,8 +21,17 @@ over edges of w r r^T, by a GramLayout: one bincount builds the S of one
 framework or of many stacked balls, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
+Every dense solve of the library runs under one_blas_thread, which sets
+every loaded OpenBLAS to one thread for its duration: its threads, woken
+for each solve between stretches of Python work, cost more than they give,
+and one thread gives the same bits whatever the process's setting.
+rigidity_spectrum solves under it; the ball solves of a state build or an
+extent search hold it across all their solves, and rigidity_report across
+the SVD too.
 """
 
+import ctypes
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -44,6 +53,70 @@ REL_TOL = 1e-8
 DEGENERATE_GAP_REL = 1e-6
 
 _COINCIDENT = 1e-12
+
+
+@functools.cache
+def _openblas_thread_counts():
+    """(get, set) of the thread count of every OpenBLAS the process has
+    loaded, found once in its memory map: numpy's libscipy_openblas64_,
+    scipy's libscipy_openblas, or a plain libopenblas.  Empty where the map
+    cannot be read or names none."""
+    try:
+        with open("/proc/self/maps") as fp:
+            paths = sorted({line.split()[-1] for line in fp
+                            if "openblas" in line.split()[-1].lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+class one_blas_thread:
+    """Run a with block, or each call of a function it decorates, with
+    every loaded OpenBLAS on one thread, and give each back its previous
+    thread count on exit, also when the block raises; nested blocks
+    restore in turn.  Where no OpenBLAS is found this does nothing.
+
+    The count is the process's.  A block entered where every count is
+    already one only reads them, so threads started inside an outer block
+    may enter their own; outside one, enter it from one thread at a time.
+    It is a class, not a generator, because rigidity_spectrum enters it
+    once per ball, where a generator's overhead showed in the loop ticks.
+    """
+
+    def __init__(self):
+        self._saved = []
+
+    def __enter__(self):
+        changed = [(set_, n) for get, set_ in _openblas_thread_counts()
+                   if (n := get()) != 1]
+        for set_, _ in changed:
+            set_(1)
+        self._saved.append(changed)
+        return self
+
+    def __exit__(self, *exc):
+        for set_, n in self._saved.pop():
+            set_(n)
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def on_one_thread(*args, **kwargs):
+            with one_blas_thread():
+                return fn(*args, **kwargs)
+        return on_one_thread
 
 
 class FrameworkTooSmallError(ValueError):
@@ -234,7 +307,8 @@ def rigidity_spectrum(S, d, vectors=True):
     """The rigidity eigenvalue test on S, by eigh or, without vectors, eigvalsh.
 
     The two LAPACK drivers differ in the last bits, so each caller keeps
-    the one it has always used.
+    the one it has always used.  Either solves with BLAS on one thread, so
+    its bits do not depend on the process's thread count.
     """
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
@@ -246,13 +320,15 @@ def rigidity_spectrum(S, d, vectors=True):
         )
     f = rigid_body_dim(d)
     nu = None
+    with one_blas_thread():
+        if vectors:
+            vals, vecs = np.linalg.eigh(S)
+        else:
+            vals = np.linalg.eigvalsh(S)
     if vectors:
-        vals, vecs = np.linalg.eigh(S)
         nu = vecs[:, f]
         if nu[np.argmax(np.abs(nu))] < 0:
             nu = -nu
-    else:
-        vals = np.linalg.eigvalsh(S)
     rho, lam_max = float(vals[f]), float(vals[-1])
     tol_abs = REL_TOL * max(lam_max, 0.0)
     gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
@@ -285,6 +361,7 @@ class RigidityReport:
                            "nu": nu})
 
 
+@one_blas_thread()
 def rigidity_report(fw, vectors=True):
     """Full spectrum, rank and rigidity verdict of the unweighted S; rank and
     eigenvalue tests must agree.

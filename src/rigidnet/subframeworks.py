@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import geodesics, induced_subgraph
-from .rigidity import Framework, GramLayout, Spectrum, rigidity_spectrum
+from .rigidity import (
+    Framework, GramLayout, Spectrum, one_blas_thread, rigidity_spectrum
+)
 
 
 def extract_subframework(fw, center, extent):
@@ -174,6 +176,7 @@ def ball_spectrum(S, d, vectors=True):
     return rigidity_spectrum(S, d, vectors)
 
 
+@one_blas_thread()
 def _rigid_balls(fw, inside):
     """Whether the unweighted S of each ball, a row of the membership mask
     inside, passes the eigenvalue test."""

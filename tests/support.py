@@ -166,3 +166,17 @@ def schedule_arrays(schedule):
     """An ExchangeSchedule's arrays as lists, to compare with ==."""
     return {name: getattr(schedule, name).tolist()
             for name in ("members", "rows", "fire_order")}
+
+
+class FakeBlas:
+    """A library's thread count behind the (get, set) pair that
+    rigidity._openblas_thread_counts gives for each OpenBLAS."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.threads = n

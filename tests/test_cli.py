@@ -77,6 +77,17 @@ class TestEnsemble:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("configuration error: cannot write output")
 
+    def test_unallocatable_network_exits_three(self, capsys):
+        # four million robots fit in 64 MB, but their (n, n, 2) pairwise
+        # differences (256 TiB) exceed the address space, so numpy refuses
+        # them before anything is allocated
+        code = main(["ensemble", "--seed", "1", "--n", "4000000", "--count",
+                     "1", "--range", "40", "--rejection-budget", "1"])
+        assert code == EXIT_BAD_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: the input needs more "
+                               "memory than the machine has (")
+
 
 class TestControl:
     def test_short_clean_run(self, tmp_path, capsys):

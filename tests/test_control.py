@@ -1,8 +1,17 @@
 """Controller math: weights, potentials, analytic gradients, stepping, refresh."""
 
+import dataclasses
+import json
+import multiprocessing
+import os
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from support import (
+    FakeBlas,
     central_difference,
     floyd_warshall,
     hop_ball,
@@ -11,7 +20,7 @@ from support import (
     state_at,
 )
 
-from rigidnet import control, simnet
+from rigidnet import control, rigidity, simnet
 from rigidnet.control import (
     ControlParams,
     EigenvectorsNotSolvedError,
@@ -30,6 +39,7 @@ from rigidnet.control import (
     total_potential,
     velocity_field,
 )
+from rigidnet.experiments import generate_scenario, reference_control_config
 from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
 from rigidnet.rigidity import Framework
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
@@ -169,6 +179,153 @@ class TestStateBuild:
         state = build_control_state(Framework(g, x), default_params())
         assert all(s.degenerate for s in state.spectra)
         assert np.isfinite(rigidity_gradient_all(state)).all()
+
+
+# the benchmark's steady_loop fixture: the reference run at tick 1200
+STEADY_FIXTURE = (Path(__file__).resolve().parents[1] / "bench" / "data"
+                  / "steady_fixture.json")
+
+
+def steady_state():
+    """The reference run's state at its saved tick, with its frozen extents."""
+    fixture = json.loads(STEADY_FIXTURE.read_text())
+    graph = Graph(len(fixture["positions"]),
+                  [tuple(e) for e in fixture["edges"]])
+    fw = Framework(graph, fixture["positions"])
+    return build_control_state(fw, reference_control_config().control,
+                               fixture["extents"], fixture["time"])
+
+
+def estimated_state():
+    """The state that a 120-robot run steering on estimates replays at
+    t=0: the believed positions, solved with vectors."""
+    side = 150.0 * np.sqrt(2.0)
+    config = dataclasses.replace(
+        reference_control_config(), n=120, width=side, height=side,
+        noise_std=0.05, anchors=(0, 1), use_estimates=True,
+        initial_estimate_error=0.5)
+    fw = generate_scenario(config)
+    world = make_world(fw, config.control, config)
+    believed = Framework(fw.graph, world.filters.estimates)
+    return build_control_state(believed, config.control, world.extents,
+                               require_rigid=False)
+
+
+def spectrum_bits(state):
+    """Every field a ball's Spectrum holds, as bytes where it is a number."""
+    def bits(v):
+        if v is None or isinstance(v, bool):
+            return v
+        return np.asarray(v, dtype=float).tobytes()
+    return [tuple(bits(getattr(s, f.name))
+                  for f in dataclasses.fields(s)) for s in state.spectra]
+
+
+def one_core(pid):
+    return {0}
+
+
+def two_cores(pid):
+    return {0, 1}
+
+
+class TestTwoCoreSolve:
+    """With vectors and two usable cores the balls' eigh runs on the caller
+    and one worker thread; the spectra are those of a one-core build."""
+
+    @pytest.mark.parametrize("build", [steady_state, estimated_state])
+    def test_threaded_build_equals_sequential_bit_for_bit(self, monkeypatch,
+                                                          build):
+        solvers = set()
+
+        def recorded(S, d, vectors=True):
+            solvers.add(threading.get_ident())
+            return ball_spectrum(S, d, vectors)
+
+        monkeypatch.setattr(control, "ball_spectrum", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        # hand the interpreter lock between the threads as often as it goes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = build()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(solvers) == 2
+
+        def no_worker():
+            raise AssertionError("a one-core build asked for a worker thread")
+
+        solvers.clear()
+        monkeypatch.setattr(control, "_eigh_worker", no_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", one_core)
+        sequential = build()
+        assert solvers == {threading.get_ident()}
+        assert spectrum_bits(threaded) == spectrum_bits(sequential)
+        assert threaded.rhos.tobytes() == sequential.rhos.tobytes()
+        assert any(s.nu is not None for s in threaded.spectra)
+
+    def test_eigenvalue_only_build_stays_on_the_caller(self, monkeypatch):
+        def no_worker():
+            raise AssertionError("eigvalsh was dealt to a worker thread")
+
+        monkeypatch.setattr(control, "_eigh_worker", no_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        state = build_control_state(apex_framework(), default_params(),
+                                    vectors=False)
+        assert all(s.nu is None for s in state.spectra)
+
+    def test_balls_are_solved_on_one_blas_thread(self, monkeypatch):
+        blas = FakeBlas(2)
+        seen = []
+
+        def recorded(S, d, vectors=True):
+            seen.append(blas.threads)
+            return ball_spectrum(S, d, vectors)
+
+        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+                            lambda: ((blas.get, blas.set),))
+        monkeypatch.setattr(control, "ball_spectrum", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        build_control_state(apex_framework(), default_params())
+        assert seen == [1] * 5 and blas.threads == 2
+
+    def test_a_failing_ball_waits_for_the_worker(self, monkeypatch):
+        # the caller's error surfaces only once the worker's balls are done
+        done = []
+
+        def failing(S, d, vectors=True):
+            if not threading.current_thread().name.startswith("rigidnet-"):
+                raise np.linalg.LinAlgError("no convergence")
+            done.append(ball_spectrum(S, d, vectors))
+            return done[-1]
+
+        monkeypatch.setattr(control, "ball_spectrum", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        with pytest.raises(np.linalg.LinAlgError):
+            build_control_state(apex_framework(), default_params())
+        assert len(done) == 3
+
+    def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        expected = spectrum_bits(build_control_state(apex_framework(),
+                                                     default_params()))
+        child = multiprocessing.get_context("fork").Process(
+            target=_build_apex_or_fail, args=(expected,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def _build_apex_or_fail(expected):
+    """In a forked child, whose affinity the parent's test set to two
+    cores: exit 0 if the apex state's spectra are the expected ones (an
+    inherited worker, whose thread the child lacks, would hang)."""
+    state = build_control_state(apex_framework(), default_params())
+    os._exit(0 if spectrum_bits(state) == expected else 1)
 
 
 class TestPotentials:

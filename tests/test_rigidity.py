@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 from support import (
+    FakeBlas,
     random_connected_graph,
     random_disk_framework,
     random_framework,
@@ -470,3 +471,83 @@ class TestDiameterBound:
             rep = rigidity_report(fw)
             D = GeodesicTable.compute(g).diameter()
             assert rep.rho <= diameter_eigenvalue_bound(g.m, D) + 1e-9
+
+
+class TestOneBlasThread:
+    def fake(self, monkeypatch, *threads):
+        libs = [FakeBlas(t) for t in threads]
+        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+                            lambda: tuple((b.get, b.set) for b in libs))
+        return libs
+
+    def test_restores_each_library_after_a_normal_exit(self, monkeypatch):
+        libs = self.fake(monkeypatch, 2, 3)
+        with rigidity.one_blas_thread():
+            assert [b.threads for b in libs] == [1, 1]
+        assert [b.threads for b in libs] == [2, 3]
+
+    def test_restores_after_an_exception(self, monkeypatch):
+        libs = self.fake(monkeypatch, 2, 3)
+        with pytest.raises(ZeroDivisionError):
+            with rigidity.one_blas_thread():
+                1 / 0
+        assert [b.threads for b in libs] == [2, 3]
+
+    def test_nested_blocks_restore_in_turn(self, monkeypatch):
+        libs = self.fake(monkeypatch, 2, 3)
+        with rigidity.one_blas_thread():
+            with rigidity.one_blas_thread():
+                assert [b.threads for b in libs] == [1, 1]
+            assert [b.threads for b in libs] == [1, 1]
+        assert [b.threads for b in libs] == [2, 3]
+        # one object entered twice keeps what each entry found
+        block = rigidity.one_blas_thread()
+        with block:
+            with block:
+                pass
+            assert [b.threads for b in libs] == [1, 1]
+        assert [b.threads for b in libs] == [2, 3]
+
+    def test_a_decorated_call_runs_on_one_thread(self, monkeypatch):
+        [lib] = self.fake(monkeypatch, 2)
+        seen = []
+        svdvals = rigidity.sla.svdvals
+
+        def recorded(R):
+            seen.append(lib.threads)
+            return svdvals(R)
+
+        monkeypatch.setattr(rigidity.sla, "svdvals", recorded)
+        assert rigidity_report(triangle()).rigid
+        assert seen == [1] and lib.threads == 2
+
+    def test_no_openblas_is_a_no_op(self, monkeypatch):
+        real = rigidity._openblas_thread_counts()
+        before = [get() for get, _ in real]
+        monkeypatch.setattr(rigidity, "_openblas_thread_counts", lambda: ())
+        try:
+            for _, set_ in real:
+                set_(2)
+            with rigidity.one_blas_thread():
+                assert [get() for get, _ in real] == [2] * len(real)
+            assert rigidity_report(triangle()).rigid
+        finally:
+            for (_, set_), n in zip(real, before):
+                set_(n)
+
+    def test_the_loaded_libraries_get_their_counts_back(self):
+        libs = rigidity._openblas_thread_counts()
+        if not libs:
+            pytest.skip("no OpenBLAS is loaded")
+        before = [get() for get, _ in libs]
+        # distinct counts, so that a swapped restore shows
+        wanted = [2 - k % 2 for k in range(len(libs))]
+        try:
+            for (_, set_), n in zip(libs, wanted):
+                set_(n)
+            with rigidity.one_blas_thread():
+                assert [get() for get, _ in libs] == [1] * len(libs)
+            assert [get() for get, _ in libs] == wanted
+        finally:
+            for (_, set_), n in zip(libs, before):
+                set_(n)
