@@ -44,7 +44,9 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import Graph, proximity
-from .rigidity import CoincidentNodesError, Framework, one_blas_thread
+from .rigidity import (
+    CoincidentNodesError, Framework, one_blas_thread, usable_cores
+)
 from .subframeworks import (
     BallSet, ball_grams, ball_set, ball_spectrum, extent_assignment
 )
@@ -156,13 +158,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
 
 
-def _two_cores():
-    """Whether the process may run on at least two cores; where the
-    platform cannot say, it is taken to have one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return affinity is not None and len(affinity(0)) >= 2
-
-
 @one_blas_thread()
 def _ball_spectra(grams, d, vectors):
     """Each ball's Spectrum, in center order, from its S.
@@ -174,7 +169,7 @@ def _ball_spectra(grams, d, vectors):
     eigvalsh gained nothing from a second core, so a solve without vectors
     stays on the caller, as does every solve on one core.
     """
-    if not (vectors and _two_cores()):
+    if not (vectors and usable_cores() >= 2):
         return [ball_spectrum(S, d, vectors) for S in grams]
     spectra = [None] * len(grams)
 

@@ -5,7 +5,9 @@ fixed communication range: diameter, worst extent, and communication load.
 The control experiment runs the closed loop on one network and logs a time
 series.  Both write CSV with a fixed number format so identical seeds give
 byte-identical files; per-network randomness comes from spawned child seeds,
-so records are reproducible regardless of evaluation order.
+so records are reproducible regardless of evaluation order.  That lets the
+ensemble measure its networks on every core the process may use, each
+share in a forked process of its own, with records equal to a one-core run.
 """
 
 import contextlib
@@ -20,7 +22,13 @@ import numpy as np
 from .control import ControlParams, RigidityLostError
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import CoincidentEstimatesError, NonFiniteRangeError
-from .rigidity import CoincidentNodesError, Framework, is_infinitesimally_rigid
+from .rigidity import (
+    CoincidentNodesError,
+    Framework,
+    is_infinitesimally_rigid,
+    one_blas_thread,
+    usable_cores,
+)
 from .simnet import ProtocolViolation, WorldConfig, make_world, run_simulation
 from .subframeworks import communication_load, extent_assignment
 
@@ -179,14 +187,135 @@ ENSEMBLE_COLUMNS = ("index", "n", "m", "diameter", "eta", "load",
                     "load_ratio", "upper_load", "upper_load_ratio", "rejects")
 
 
-def _measure_ensemble(config):
-    """The records of ensemble_count networks and their summary."""
-    root = np.random.SeedSequence(config.seed)
+def _measure_network(config, seed, index):
+    """The record of the network that one spawned child seed draws."""
+    fw, rejects = sample_framework(np.random.default_rng(seed), config)
+    return network_record(fw, index=index, rejects=rejects)
+
+
+def _measure_share(config, seeds, indices):
+    """The records of the networks at indices, in turn, up to the first
+    error: (records, None), or (records, (index, error)) at an error."""
     records = []
-    for index, child in enumerate(root.spawn(config.ensemble_count)):
-        rng = np.random.default_rng(child)
-        fw, rejects = sample_framework(rng, config)
-        records.append(network_record(fw, index=index, rejects=rejects))
+    for index in indices:
+        try:
+            records.append(_measure_network(config, seeds[index], index))
+        except Exception as exc:
+            return records, (index, exc)
+    return records, None
+
+
+def _send_share(conn, config, seeds, indices):
+    """A forked child's work: send its share's _measure_share result.
+
+    A result that cannot be pickled, or a pipe the parent has closed,
+    sends nothing and prints nothing: the parent then measures the share
+    itself, or has stopped.
+    """
+    try:
+        conn.send(_measure_share(config, seeds, indices))
+    except Exception:
+        pass
+    finally:
+        conn.close()
+
+
+def _start_share(context, config, seeds, indices):
+    """Fork a child that measures indices; returns (process, read end),
+    or (None, None) where the fork fails and the parent measures them."""
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_send_share,
+                            args=(writer, config, seeds, indices))
+    try:
+        child.start()
+    except OSError:
+        reader.close()
+        return None, None
+    finally:
+        # with the parent's write end closed, a child that exits without
+        # sending gives the reader EOFError, not a wait
+        writer.close()
+    return child, reader
+
+
+def _receive_share(reader):
+    """A child's (records, failure), or None if it sent none that reads
+    back: it died, its pipe broke, or its error does not unpickle."""
+    if reader is None:
+        return None
+    try:
+        return reader.recv()
+    except Exception:
+        return None
+
+
+@one_blas_thread()
+def _measure_forked(context, config, seeds, k):
+    """_measure_share of every network over k processes: network i on
+    process i % k, the caller's share 0 measured by the caller itself.
+    Every process holds one BLAS thread, since the processes already
+    share the cores (the children inherit the caller's setting).
+
+    A child's share that does not come back is measured by the caller,
+    so a real error in it comes up here.  The error of the lowest index
+    wins, the one the serial loop meets first.  Every child is joined
+    before this returns or raises, terminated first if still running.
+    """
+    shares = [range(j, len(seeds), k) for j in range(k)]
+    children = []
+    try:
+        for indices in shares[1:]:
+            children.append(_start_share(context, config, seeds, indices))
+        results = [_measure_share(config, seeds, shares[0])]
+        for (_, reader), indices in zip(children, shares[1:]):
+            results.append(_receive_share(reader)
+                           or _measure_share(config, seeds, indices))
+    except BaseException:
+        for child, _ in children:
+            if child is not None and child.is_alive():
+                child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            if child is not None:
+                reader.close()
+                child.join()
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return sorted((r for records, _ in results for r in records),
+                  key=lambda r: r["index"])
+
+
+def _fork_context(k):
+    """The fork context for k processes, or None where the networks are
+    measured in turn: k below two, no fork start method, or a daemonic
+    caller (a Pool worker), which may start no child.  multiprocessing is
+    imported here, not at the top, so that importing rigidnet stays cheap."""
+    if k < 2:
+        return None
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _measure_ensemble(config):
+    """The records of ensemble_count networks and their summary.
+
+    The networks are split over the cores the process may use (see
+    _measure_forked); on one core they are measured in turn.
+    """
+    seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble_count)
+    k = min(usable_cores(), config.ensemble_count)
+    context = _fork_context(k)
+    if context is None:
+        records = [_measure_network(config, seed, index)
+                   for index, seed in enumerate(seeds)]
+    else:
+        records = _measure_forked(context, config, seeds, k)
     diameters = [r["diameter"] for r in records]
     etas = [r["eta"] for r in records]
     values, counts = np.unique(diameters, return_counts=True)
@@ -209,7 +338,11 @@ def run_ensemble_experiment(config, csv_path=None, json_path=None):
     """Measure ensemble_count networks at one range; return their records.
 
     Each network draws from its own spawned child seed, so the ensemble is
-    reproducible under any evaluation order.  Returns (records, summary).
+    reproducible under any evaluation order.  The networks are measured on
+    every core the process may use, each further core's share in a forked
+    child, and the records equal those of a one-core run bit for bit; an
+    error is the one a one-core run raises first.  Returns (records,
+    summary).
     A flexible network has no extents and no load, so the ensemble needs
     require_rigid.  The output files are opened before the first network
     is drawn, so an unwritable path fails at once.

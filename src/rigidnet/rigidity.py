@@ -33,6 +33,7 @@ the SVD too.
 import ctypes
 import functools
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -117,6 +118,13 @@ class one_blas_thread:
             with one_blas_thread():
                 return fn(*args, **kwargs)
         return on_one_thread
+
+
+def usable_cores():
+    """How many cores the process may run on, read at each call; 1 where
+    the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
 
 
 class FrameworkTooSmallError(ValueError):

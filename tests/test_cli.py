@@ -3,6 +3,8 @@
 import dataclasses
 import filecmp
 import json
+import multiprocessing
+import os
 import warnings
 from pathlib import Path
 
@@ -87,6 +89,20 @@ class TestEnsemble:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("configuration error: the input needs more "
                                "memory than the machine has (")
+
+    def test_unallocatable_networks_on_two_cores_exit_three(self, monkeypatch,
+                                                            capfd):
+        # one network in the caller and one in a forked child; capfd reads
+        # file descriptor 2, which the child writes to as well, so this is
+        # still one line and no traceback
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = main(["ensemble", "--seed", "1", "--n", "4000000", "--count",
+                     "2", "--range", "40", "--rejection-budget", "1"])
+        assert code == EXIT_BAD_CONFIG
+        [line] = capfd.readouterr().err.splitlines()
+        assert line.startswith("configuration error: the input needs more "
+                               "memory than the machine has (")
+        assert multiprocessing.active_children() == []
 
 
 class TestControl:

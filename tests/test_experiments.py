@@ -1,13 +1,20 @@
 """Scenario sampling, the two batch experiments, and their file formats."""
 
 import filecmp
+import functools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from support import reject_every_step
+from support import FakeBlas, reject_every_step
 
-from rigidnet import simnet
+from rigidnet import experiments, rigidity, simnet
 from rigidnet.control import ControlParams, RigidityLostError
 from rigidnet.experiments import (
     CONTROL_COLUMNS,
@@ -211,6 +218,229 @@ class TestEnsemble:
         data = json.loads(path.read_text())
         assert data["summary"]["count"] == summary["count"]
         assert len(data["networks"]) == summary["count"]
+
+
+def cores(count):
+    """A stand-in for os.sched_getaffinity: a process with count cores."""
+    return lambda pid: set(range(count))
+
+
+def ensemble_at(kw):
+    """A 100 m square ensemble of 100 robots from seed 11, kw (pairs of
+    field and value) aside."""
+    return ScenarioConfig(**{**dict(seed=11, n=100, width=100.0,
+                                    height=100.0), **dict(kw)})
+
+
+@functools.cache
+def one_core_run(kw):
+    """The repr of ensemble_at(kw)'s records and summary on one core."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", cores(1))
+        return repr(run_ensemble_experiment(ensemble_at(kw)))
+
+
+def forks(monkeypatch):
+    """Count the processes forked from here on, in the returned list."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        started.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return started
+
+
+def fail_at(monkeypatch, errors):
+    """Patch network_record to raise errors[index] for each index it names."""
+    record = experiments.network_record
+
+    def failing(fw, index=0, rejects=0):
+        if index in errors:
+            raise errors[index]
+        return record(fw, index=index, rejects=rejects)
+
+    monkeypatch.setattr(experiments, "network_record", failing)
+
+
+class TestForkedEnsemble:
+    """On k usable cores the networks are split over the caller and k - 1
+    forked children; records, summary and errors are a one-core run's."""
+
+    @pytest.mark.parametrize("kw", [
+        # 17.5 m rejects draws, so the shares differ in their sampler work
+        (("comm_range", 17.5), ("ensemble_count", 7)),
+        (("comm_range", 40.0), ("ensemble_count", 4), ("n", 40), ("dim", 3)),
+    ])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_records_equal_a_one_core_run(self, monkeypatch, kw, count):
+        started = forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(count))
+        forked = run_ensemble_experiment(ensemble_at(kw))
+        assert len(started) == count - 1
+        assert forked[1]["total_rejects"] > 0
+        # repr spells every float to its last bit
+        assert repr(forked) == one_core_run(kw)
+        assert multiprocessing.active_children() == []
+
+    def test_one_network_starts_no_child(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-network ensemble forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        records, _ = run_ensemble_experiment(small_config(ensemble_count=1))
+        assert [r["index"] for r in records] == [0]
+
+    def test_csv_equals_a_one_core_run(self, monkeypatch, tmp_path):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        run_ensemble_experiment(small_config(), csv_path=one)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        run_ensemble_experiment(small_config(), csv_path=two)
+        assert filecmp.cmp(one, two, shallow=False)
+
+    @pytest.mark.parametrize("errors, raised", [
+        # the parent measures 0, 2, 4 and the child 1, 3, 5
+        ({0: LookupError("network 0"), 1: ValueError("network 1")},
+         LookupError("network 0")),
+        ({1: LookupError("network 1"), 2: ValueError("network 2")},
+         LookupError("network 1")),
+        ({3: LookupError("network 3"), 4: ValueError("network 4")},
+         LookupError("network 3")),
+        ({5: LookupError("network 5")}, LookupError("network 5")),
+        ({4: ValueError("network 4")}, ValueError("network 4")),
+    ])
+    def test_the_lowest_index_error_wins(self, monkeypatch, errors, raised):
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        fail_at(monkeypatch, errors)
+        with pytest.raises(type(raised)) as info:
+            run_ensemble_experiment(small_config())
+        assert type(info.value) is type(raised)
+        assert str(info.value) == str(raised)
+        assert multiprocessing.active_children() == []
+
+    def test_a_parent_interrupt_stops_the_child(self, monkeypatch):
+        # the child would take a minute over its share; it is terminated,
+        # not waited for
+        parent = os.getpid()
+        record = experiments.network_record
+
+        def interrupted(fw, index=0, rejects=0):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif index == 2:
+                raise KeyboardInterrupt
+            return record(fw, index=index, rejects=rejects)
+
+        monkeypatch.setattr(experiments, "network_record", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble_experiment(small_config())
+        assert time.perf_counter() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_every_process_measures_on_one_blas_thread(self, monkeypatch):
+        # the processes share the cores; each BLAS at its default thread
+        # count would oversubscribe them
+        blas = FakeBlas(2)
+        record = experiments.network_record
+
+        def recorded(fw, index=0, rejects=0):
+            return {**record(fw, index=index, rejects=rejects),
+                    "blas_threads": blas.threads, "pid": os.getpid()}
+
+        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+                            lambda: ((blas.get, blas.set),))
+        monkeypatch.setattr(experiments, "network_record", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        records, _ = run_ensemble_experiment(small_config())
+        assert [r["blas_threads"] for r in records] == [1] * 6
+        assert len({r["pid"] for r in records}) == 2
+        assert blas.threads == 2
+
+    def test_an_error_that_does_not_unpickle_keeps_its_type(self,
+                                                            monkeypatch):
+        # a local class does not pickle: the child sends nothing, and the
+        # parent measures the child's share and meets the error itself
+        class LocalError(Exception):
+            pass
+
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        fail_at(monkeypatch, {1: LocalError("network 1")})
+        with pytest.raises(LocalError, match="network 1"):
+            run_ensemble_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_child_leaves_its_share_to_the_parent(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial = run_ensemble_experiment(small_config())
+        parent = os.getpid()
+        record = experiments.network_record
+
+        def dying(fw, index=0, rejects=0):
+            if os.getpid() != parent and index == 3:
+                os._exit(1)
+            return record(fw, index=index, rejects=rejects)
+
+        monkeypatch.setattr(experiments, "network_record", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        started = forks(monkeypatch)
+        assert repr(run_ensemble_experiment(small_config())) == repr(serial)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_fork_leaves_its_share_to_the_parent(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial = run_ensemble_experiment(small_config())
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(3))
+        assert repr(run_ensemble_experiment(small_config())) == repr(serial)
+
+    def test_a_daemonic_process_measures_in_turn(self, monkeypatch):
+        # a daemonic process may start no child, so it runs the serial loop
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial = run_ensemble_experiment(small_config())
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_ensemble_into, args=(writer,),
+                                daemon=True)
+        child.start()
+        writer.close()
+        try:
+            got = reader.recv()
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == repr(serial)
+        assert child.exitcode == 0
+
+
+    def test_importing_rigidnet_loads_no_multiprocessing(self):
+        # the split imports it when it first runs; a cold import stays cheap
+        src = Path(experiments.__file__).resolve().parents[1]
+        code = ("import sys; import rigidnet; "
+                "sys.exit('multiprocessing' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                timeout=60)
+        assert result.returncode == 0
+
+
+def _ensemble_into(conn):
+    """In a daemonic child: send the repr of the small ensemble."""
+    conn.send(repr(run_ensemble_experiment(small_config())))
+    conn.close()
 
 
 class TestControlExperiment:
