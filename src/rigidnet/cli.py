@@ -17,7 +17,8 @@ non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
 rank test and the eigenvalue test of a rigidity report disagree, 6 when
 localization fails: two neighbors' position estimates coincide, a range
 between two estimates is not finite in float64, or the believed positions
-have edge lengths that overflow float64.
+have edge lengths that overflow float64, and 130 when the run is
+interrupted (Ctrl-C), with one line and no traceback.
 """
 
 import argparse
@@ -50,6 +51,7 @@ EXIT_BAD_CONFIG = 3
 EXIT_PROTOCOL_VIOLATION = 4
 EXIT_RANK_MISMATCH = 5
 EXIT_COINCIDENT_ESTIMATES = 6
+EXIT_INTERRUPTED = 130
 
 # scenario fields set by a flag of the same name; argparse types them
 _SCENARIO_FLAGS = ("seed", "n", "width", "height", "comm_range", "dim",
@@ -255,6 +257,9 @@ def main(argv=None):
     except (CoincidentEstimatesError, NonFiniteRangeError) as exc:
         sys.stderr.write(f"localization failed: {exc}\n")
         return EXIT_COINCIDENT_ESTIMATES
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ series.  Both write CSV with a fixed number format so identical seeds give
 byte-identical files; per-network randomness comes from spawned child seeds,
 so records are reproducible regardless of evaluation order.  That lets the
 ensemble measure its networks on every core the process may use, each
-share in a forked process of its own, with records equal to a one-core run.
+share in a forked process of its own; if any share fails, the caller
+measures every network in turn, so records and errors are a one-core run's.
 """
 
 import contextlib
@@ -187,104 +188,72 @@ ENSEMBLE_COLUMNS = ("index", "n", "m", "diameter", "eta", "load",
                     "load_ratio", "upper_load", "upper_load_ratio", "rejects")
 
 
-def _measure_network(config, seed, index):
-    """The record of the network that one spawned child seed draws."""
-    fw, rejects = sample_framework(np.random.default_rng(seed), config)
-    return network_record(fw, index=index, rejects=rejects)
-
-
-def _measure_share(config, seeds, indices):
-    """The records of the networks at indices, in turn, up to the first
-    error: (records, None), or (records, (index, error)) at an error."""
+def _measure_networks(config, seeds, indices):
+    """The records of the networks at indices, measured in turn."""
     records = []
     for index in indices:
-        try:
-            records.append(_measure_network(config, seeds[index], index))
-        except Exception as exc:
-            return records, (index, exc)
-    return records, None
+        fw, rejects = sample_framework(np.random.default_rng(seeds[index]),
+                                       config)
+        records.append(network_record(fw, index=index, rejects=rejects))
+    return records
 
 
 def _send_share(conn, config, seeds, indices):
-    """A forked child's work: send its share's _measure_share result.
+    """A forked child's work: send its share's records, or nothing.
 
-    A result that cannot be pickled, or a pipe the parent has closed,
-    sends nothing and prints nothing: the parent then measures the share
-    itself, or has stopped.
+    Any failure sends nothing and prints nothing, so the caller measures
+    every network itself.  An interrupt does the same: Ctrl-C reaches the
+    whole process group, and the caller stops on its own interrupt.
     """
     try:
-        conn.send(_measure_share(config, seeds, indices))
-    except Exception:
+        conn.send(_measure_networks(config, seeds, indices))
+    except BaseException:
         pass
     finally:
         conn.close()
 
 
-def _start_share(context, config, seeds, indices):
-    """Fork a child that measures indices; returns (process, read end),
-    or (None, None) where the fork fails and the parent measures them."""
-    reader, writer = context.Pipe(duplex=False)
-    child = context.Process(target=_send_share,
-                            args=(writer, config, seeds, indices))
-    try:
-        child.start()
-    except OSError:
-        reader.close()
-        return None, None
-    finally:
-        # with the parent's write end closed, a child that exits without
-        # sending gives the reader EOFError, not a wait
-        writer.close()
-    return child, reader
-
-
-def _receive_share(reader):
-    """A child's (records, failure), or None if it sent none that reads
-    back: it died, its pipe broke, or its error does not unpickle."""
-    if reader is None:
-        return None
-    try:
-        return reader.recv()
-    except Exception:
-        return None
-
-
 @one_blas_thread()
 def _measure_forked(context, config, seeds, k):
-    """_measure_share of every network over k processes: network i on
-    process i % k, the caller's share 0 measured by the caller itself.
-    Every process holds one BLAS thread, since the processes already
-    share the cores (the children inherit the caller's setting).
+    """The records of every network over k processes, or None if any share
+    fails to come back clean: an error in the caller's share, a child that
+    sends nothing, a fork or a pipe that fails.
 
-    A child's share that does not come back is measured by the caller,
-    so a real error in it comes up here.  The error of the lowest index
-    wins, the one the serial loop meets first.  Every child is joined
-    before this returns or raises, terminated first if still running.
+    Network i goes to process i % k; the caller measures share 0 itself.
+    Every process holds one BLAS thread, since the processes share the
+    cores.  Every child is joined before this returns or raises, and
+    terminated first if it still runs when the caller fails or is stopped.
     """
     shares = [range(j, len(seeds), k) for j in range(k)]
-    children = []
+    children, readers = [], []
+    merged = None
     try:
         for indices in shares[1:]:
-            children.append(_start_share(context, config, seeds, indices))
-        results = [_measure_share(config, seeds, shares[0])]
-        for (_, reader), indices in zip(children, shares[1:]):
-            results.append(_receive_share(reader)
-                           or _measure_share(config, seeds, indices))
-    except BaseException:
-        for child, _ in children:
-            if child is not None and child.is_alive():
-                child.terminate()
-        raise
+            reader, writer = context.Pipe(duplex=False)
+            readers.append(reader)
+            child = context.Process(target=_send_share,
+                                    args=(writer, config, seeds, indices))
+            try:
+                child.start()
+            finally:
+                # with the caller's write end closed, a child that exits
+                # without sending gives the reader EOFError, not a wait
+                writer.close()
+            children.append(child)
+        records = _measure_networks(config, seeds, shares[0])
+        for reader in readers:
+            records += reader.recv()
+        merged = sorted(records, key=lambda r: r["index"])
+    except Exception:
+        return None
     finally:
-        for child, reader in children:
-            if child is not None:
-                reader.close()
-                child.join()
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return sorted((r for records, _ in results for r in records),
-                  key=lambda r: r["index"])
+        for child in children:
+            if merged is None and child.is_alive():
+                child.terminate()
+            child.join()
+        for reader in readers:
+            reader.close()
+    return merged
 
 
 def _fork_context(k):
@@ -306,16 +275,17 @@ def _measure_ensemble(config):
     """The records of ensemble_count networks and their summary.
 
     The networks are split over the cores the process may use (see
-    _measure_forked); on one core they are measured in turn.
+    _measure_forked).  On one core, or if any share fails, the caller
+    measures every network in turn, as a one-core run does.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble_count)
     k = min(usable_cores(), config.ensemble_count)
     context = _fork_context(k)
-    if context is None:
-        records = [_measure_network(config, seed, index)
-                   for index, seed in enumerate(seeds)]
-    else:
+    records = None
+    if context is not None:
         records = _measure_forked(context, config, seeds, k)
+    if records is None:
+        records = _measure_networks(config, seeds, range(len(seeds)))
     diameters = [r["diameter"] for r in records]
     etas = [r["eta"] for r in records]
     values, counts = np.unique(diameters, return_counts=True)
@@ -340,9 +310,9 @@ def run_ensemble_experiment(config, csv_path=None, json_path=None):
     Each network draws from its own spawned child seed, so the ensemble is
     reproducible under any evaluation order.  The networks are measured on
     every core the process may use, each further core's share in a forked
-    child, and the records equal those of a one-core run bit for bit; an
-    error is the one a one-core run raises first.  Returns (records,
-    summary).
+    child, and the records equal those of a one-core run bit for bit.  If
+    any share fails, the caller measures every network in turn, so an error
+    is the one a one-core run raises first.  Returns (records, summary).
     A flexible network has no extents and no load, so the ensemble needs
     require_rigid.  The output files are opened before the first network
     is drawn, so an unwritable path fails at once.

@@ -5,6 +5,7 @@ import filecmp
 import json
 import multiprocessing
 import os
+import time
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from rigidnet import cli, experiments, rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
     EXIT_COINCIDENT_ESTIMATES,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PROTOCOL_VIOLATION,
     EXIT_RANK_MISMATCH,
@@ -102,6 +104,44 @@ class TestEnsemble:
         [line] = capfd.readouterr().err.splitlines()
         assert line.startswith("configuration error: the input needs more "
                                "memory than the machine has (")
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "sample_framework", interrupted)
+        code = main(["ensemble", *SMALL, "--count", "4"])
+        assert code == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_an_interrupt_in_a_child_is_quiet(self, monkeypatch, capfd,
+                                              tmp_path):
+        # Ctrl-C reaches every process of the group; a child that stops
+        # prints no traceback, and the caller measures every network itself
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["ensemble", *SMALL, "--count", "4",
+                     "--csv", str(one)]) == EXIT_OK
+        parent = os.getpid()
+        record = experiments.network_record
+
+        def interrupted(fw, index=0, rejects=0):
+            if os.getpid() != parent:
+                raise KeyboardInterrupt
+            if index == 0:
+                # a child that would print a traceback has done so before
+                # the caller reads its pipe and stops it
+                time.sleep(0.5)
+            return record(fw, index=index, rejects=rejects)
+
+        monkeypatch.setattr(experiments, "network_record", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        capfd.readouterr()
+        assert main(["ensemble", *SMALL, "--count", "4",
+                     "--csv", str(two)]) == EXIT_OK
+        assert "Traceback" not in capfd.readouterr().err
+        assert filecmp.cmp(one, two, shallow=False)
         assert multiprocessing.active_children() == []
 
 

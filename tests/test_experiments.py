@@ -343,6 +343,24 @@ class TestForkedEnsemble:
         assert time.perf_counter() - t0 < 30
         assert multiprocessing.active_children() == []
 
+    def test_an_interrupt_is_not_retried(self, monkeypatch):
+        # the one-core pass follows a failed share, not an interrupt: one
+        # Ctrl-C stops the run
+        interrupts = []
+        record = experiments.network_record
+
+        def interrupted_once(fw, index=0, rejects=0):
+            if not interrupts:
+                interrupts.append(index)
+                raise KeyboardInterrupt
+            return record(fw, index=index, rejects=rejects)
+
+        monkeypatch.setattr(experiments, "network_record", interrupted_once)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
     def test_every_process_measures_on_one_blas_thread(self, monkeypatch):
         # the processes share the cores; each BLAS at its default thread
         # count would oversubscribe them
@@ -394,6 +412,25 @@ class TestForkedEnsemble:
         assert len(started) == 1
         assert multiprocessing.active_children() == []
 
+    def test_a_failure_only_in_a_child_gives_the_one_core_records(
+            self, monkeypatch):
+        # two processes can exhaust memory where one does not; the child
+        # sends nothing, and the caller measures every network in turn
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial = run_ensemble_experiment(small_config())
+        parent = os.getpid()
+        record = experiments.network_record
+
+        def short_of_memory(fw, index=0, rejects=0):
+            if os.getpid() != parent:
+                raise MemoryError
+            return record(fw, index=index, rejects=rejects)
+
+        monkeypatch.setattr(experiments, "network_record", short_of_memory)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        assert repr(run_ensemble_experiment(small_config())) == repr(serial)
+        assert multiprocessing.active_children() == []
+
     def test_a_failed_fork_leaves_its_share_to_the_parent(self, monkeypatch):
         def no_fork():
             raise BlockingIOError("fork: resource temporarily unavailable")
@@ -425,6 +462,12 @@ class TestForkedEnsemble:
         assert got == repr(serial)
         assert child.exitcode == 0
 
+    def test_a_daemonic_caller_gets_no_fork_context(self, monkeypatch):
+        # the stdlib refuses a daemon's child only by an assert, which
+        # python -O strips, so the split checks for itself
+        assert experiments._fork_context(2) is not None
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert experiments._fork_context(2) is None
 
     def test_importing_rigidnet_loads_no_multiprocessing(self):
         # the split imports it when it first runs; a cold import stays cheap
