@@ -54,7 +54,9 @@ from .control import (
 from .localization import (
     CoincidentEstimatesError,
     Filters,
+    LocalizationError,
     NonFiniteRangeError,
+    SingularInnovationError,
     congruence_error,
     filter_update,
     make_filters,

@@ -15,10 +15,10 @@ machine has, such as an n whose dense pairwise arrays cannot be allocated),
 4 when the message exchange breaks its protocol (a send across a
 non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
 rank test and the eigenvalue test of a rigidity report disagree, 6 when
-localization fails: two neighbors' position estimates coincide, a range
-between two estimates is not finite in float64, or the believed positions
-have edge lengths that overflow float64, and 130 when the run is
-interrupted (Ctrl-C), with one line and no traceback.
+localization fails (a localization.LocalizationError: coincident neighbor
+estimates, a range or a believed edge length that is not finite in
+float64, or an innovation covariance that is singular in float64), and 130
+when the run is interrupted (Ctrl-C), with one line and no traceback.
 """
 
 import argparse
@@ -37,7 +37,7 @@ from .experiments import (
     run_control_experiment,
     run_ensemble_experiment,
 )
-from .localization import CoincidentEstimatesError, NonFiniteRangeError
+from .localization import LocalizationError
 from .rigidity import (
     FrameworkTooSmallError,
     RankMismatchError,
@@ -254,7 +254,7 @@ def main(argv=None):
     except RankMismatchError as exc:
         sys.stderr.write(f"rank mismatch: {exc}\n")
         return EXIT_RANK_MISMATCH
-    except (CoincidentEstimatesError, NonFiniteRangeError) as exc:
+    except LocalizationError as exc:
         sys.stderr.write(f"localization failed: {exc}\n")
         return EXIT_COINCIDENT_ESTIMATES
     except KeyboardInterrupt:

@@ -10,12 +10,15 @@ position-dependent by the gradients, and every analytic gradient is held to a
 finite-difference oracle in the tests.
 
 ball_rigidity_slopes and ball_load_slopes are the one per-ball slope formula,
-shared by the centralized field, the replayed exchange and every center.
-Each cost term is a potential and a gradient of one ControlState
-(rigidity_potential and rigidity_gradient_all, and so on for load and
-collision); total_potential and velocity_field add them up.  A state is
-the one evaluation of a topology at positions, so a cost at other
-positions is read off the state built there.
+shared by the centralized field, the replayed exchange and every center,
+and the weight slope, the collision slope and the signed scatter of edge
+terms to their ends (_edge_sums) each have one home here, which simnet's
+command reads too.  Each cost term is a potential and a gradient of one
+ControlState (rigidity_potential and rigidity_gradient_all, and so on for
+load and collision); total_potential and velocity_field add them up.  A
+state is the one evaluation of a topology at positions, so a cost at other
+positions is read off the state built there.  It measures and never
+judges: it has no clock, and its caller calls require_rigid.
 
 A state build takes everything the topology fixes (the balls' membership
 mask and stack, load coefficients, the layout of the balls' S) from the
@@ -48,7 +51,8 @@ from .rigidity import (
     CoincidentNodesError, Framework, one_blas_thread, usable_cores
 )
 from .subframeworks import (
-    BallSet, ball_grams, ball_set, ball_spectrum, extent_assignment
+    BallSet, ball_grams, ball_set, ball_spectrum, extent_assignment,
+    stack_balls
 )
 
 logger = logging.getLogger(__name__)
@@ -114,7 +118,6 @@ class ControlState:
     framework: Framework
     params: ControlParams
     extents: np.ndarray
-    time: float
     ball_set: BallSet
     weights: np.ndarray
     spectra: list
@@ -128,17 +131,15 @@ class ControlState:
         for j, s in enumerate(self.spectra):
             if not s.rigid:
                 raise RigidityLostError(
-                    f"subframework of node {j} lost rigidity "
-                    f"(rho={s.rho}) at t={self.time:.3f}"
-                )
+                    f"subframework of node {j} lost rigidity (rho={s.rho})")
 
     def rigidity_slopes(self):
         """ball_rigidity_slopes of every ball, one row per stack row; every
         ball must be rigid and the state solved with vectors."""
         if not self.vectors:
             raise EigenvectorsNotSolvedError(
-                f"control state at t={self.time:.3f} was solved for "
-                "eigenvalues only; its rigidity slopes need eigenvectors")
+                "control state was solved for eigenvalues only; its "
+                "rigidity slopes need eigenvectors")
         fw = self.framework
         return ball_rigidity_slopes(
             self.ball_set.stack, [s.rho for s in self.spectra],
@@ -187,16 +188,17 @@ def _ball_spectra(grams, d, vectors):
     return spectra
 
 
-def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
-                        vectors=True):
+def build_control_state(fw, params, extents=None, vectors=True):
     """Snapshot the discrete structure of a framework and solve its eigenproblems.
 
     Extents are decided once, at startup, and carried verbatim across steps
     even as edges come and go: pass an array of one radius per node, or None
-    to measure them here.  With require_rigid the build fails as soon as any
-    ball is too small or has a rigidity eigenvalue at the zero threshold.
-    Without vectors every ball is solved for its eigenvalues only (eigvalsh
-    instead of eigh), and the state gives verdicts and rhos but no slopes.
+    to measure them here (RigidityLostError if a node has no rigid ball at
+    any radius).  The build measures and never judges: a flexible or too
+    small ball still gives a state, whose caller calls require_rigid or
+    reads the verdicts.  Without vectors every ball is solved for its
+    eigenvalues only (eigvalsh instead of eigh), and the state gives
+    verdicts and rhos but no slopes.
     The balls are solved with BLAS on one thread (rigidity.one_blas_thread);
     with vectors, and where the process may run on two cores, the caller
     and one worker thread share them (see _ball_spectra).
@@ -217,14 +219,9 @@ def build_control_state(fw, params, extents=None, time=0.0, require_rigid=True,
     degenerate = sum(s.degenerate for s in spectra)
     if degenerate:
         logger.debug(
-            "%d subframeworks have near-multiple rigidity eigenvalues at t=%.3f; "
-            "their eigenvectors only give descent subgradients", degenerate, time
-        )
-    state = ControlState(fw, params, extents, time, balls, weights, spectra,
-                         vectors)
-    if require_rigid:
-        state.require_rigid()
-    return state
+            "%d subframeworks have near-multiple rigidity eigenvalues; "
+            "their eigenvectors only give descent subgradients", degenerate)
+    return ControlState(fw, params, extents, balls, weights, spectra, vectors)
 
 
 def rigidity_potential(state):
@@ -253,17 +250,26 @@ def collision_potential(state):
     return float((state.framework.lengths ** -p).sum())
 
 
-def _edge_sums(n, ends, g):
-    """Per-row sums of +g[t] at row ends[t, 0] and -g[t] at row ends[t, 1].
+def _edge_sums(out, ends, g):
+    """Add +g[t] to row ends[t, 0], -g[t] to row ends[t, 1] of out; return it.
 
     The endpoints are interleaved, so every row takes its terms in edge
     order, as a loop over the edges would, and the sums match that loop
     bit for bit.
     """
-    out = np.zeros((n, g.shape[1]))
     np.add.at(out, ends.ravel(),
               np.stack([g, -g], axis=1).reshape(-1, g.shape[1]))
     return out
+
+
+def _weight_slopes(w, steepness):
+    """d/d(length) of each logistic link weight w."""
+    return -steepness * w * (1.0 - w)
+
+
+def _collision_slopes(fw, p):
+    """d/dx of each edge's barrier length^(-p) at the edge's first end."""
+    return (-p * fw.lengths ** -(p + 1.0))[:, None] * fw.units
 
 
 def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
@@ -285,11 +291,11 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     sigma = (r * s).sum(axis=1)
     q = p.rigidity_exponent
     coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
-    dw = -p.steepness * w * (1.0 - w)
+    dw = _weight_slopes(w, p.steepness)
     ga = dw[:, None] * sigma[:, None] ** 2 * r
     ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
     ga *= coef[:, None]
-    return _edge_sums(len(stack.nodes), stack.ends, ga)
+    return _edge_sums(np.zeros_like(nus), stack.ends, ga)
 
 
 def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
@@ -302,12 +308,12 @@ def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
     any edge are zero.
     """
     k = stack.edge
-    w = weights[k]
-    dw = -params.steepness * w * (1.0 - w)
+    dw = _weight_slopes(weights[k], params.steepness)
     pair = (cs[stack.ball, edge_endpoints[k, 0]]
             + cs[stack.ball, edge_endpoints[k, 1]])
     gl = (pair * dw)[:, None] * units[k]
-    return _edge_sums(len(stack.nodes), stack.ends, gl)
+    out = np.zeros((len(stack.nodes), units.shape[1]))
+    return _edge_sums(out, stack.ends, gl)
 
 
 def rigidity_gradient_all(state):
@@ -321,28 +327,20 @@ def rigidity_gradient_all(state):
 
 
 def load_gradient_all(state):
-    """d/dx of the load potential with the ball coefficients held frozen."""
-    fw, p = state.framework, state.params
+    """d/dx of the load potential with the ball coefficients held frozen:
+    ball_load_slopes of one ball of every node, with the summed coeff."""
+    fw = state.framework
     e = fw.graph.edge_array()
-    grad = np.zeros((fw.n, fw.dim))
-    pair = state.ball_set.coeff[e[:, 0]] + state.ball_set.coeff[e[:, 1]]
-    dw = -p.steepness * state.weights * (1.0 - state.weights)
-    ga = (pair * dw)[:, None] * fw.units
-    np.add.at(grad, e[:, 0], ga)
-    np.add.at(grad, e[:, 1], -ga)
-    return grad
+    return ball_load_slopes(stack_balls(np.ones((1, fw.n), dtype=bool), e),
+                            state.ball_set.coeff[None, :], e, fw.units,
+                            state.weights, state.params)
 
 
 def collision_gradient_all(state):
     """d/dx of the collision barrier."""
     fw = state.framework
-    p = state.params.collision_exponent
-    e = fw.graph.edge_array()
-    grad = np.zeros((fw.n, fw.dim))
-    ga = (-p * fw.lengths ** -(p + 1.0))[:, None] * fw.units
-    np.add.at(grad, e[:, 0], ga)
-    np.add.at(grad, e[:, 1], -ga)
-    return grad
+    return _edge_sums(np.zeros((fw.n, fw.dim)), fw.graph.edge_array(),
+                      _collision_slopes(fw, state.params.collision_exponent))
 
 
 def velocity_field(state):
@@ -382,18 +380,17 @@ def refresh_topology(graph, positions, params):
     return Graph(graph.n, np.stack([ii, jj], axis=1))
 
 
-def _state_if_rigid(graph, positions, params, extents, time, vectors):
+def _state_if_rigid(graph, positions, params, extents, vectors):
     try:
         state = build_control_state(Framework(graph, positions), params,
-                                    extents=extents, time=time,
-                                    require_rigid=False, vectors=vectors)
+                                    extents=extents, vectors=vectors)
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
     return state if all(s.rigid for s in state.spectra) else None
 
 
-def guarded_refresh(graph, positions, params, extents, time=0.0, vectors=True):
+def guarded_refresh(graph, positions, params, extents, vectors=True):
     """Refresh the topology without letting any frozen ball go flexible.
 
     Link changes move ball memberships by whole nodes, so a single prune or
@@ -409,12 +406,12 @@ def guarded_refresh(graph, positions, params, extents, time=0.0, vectors=True):
     state.
     """
     full = refresh_topology(graph, positions, params)
-    state = _state_if_rigid(full, positions, params, extents, time, vectors)
+    state = _state_if_rigid(full, positions, params, extents, vectors)
     if state is not None:
         return full, state
     if full is graph:
         return None, None
-    state = _state_if_rigid(graph, positions, params, extents, time, vectors)
+    state = _state_if_rigid(graph, positions, params, extents, vectors)
     if state is None:
         return None, None
     admitted = graph
@@ -422,8 +419,7 @@ def guarded_refresh(graph, positions, params, extents, time=0.0, vectors=True):
     for e in sorted(old - new) + sorted(new - old):
         edges = set(admitted.edges)
         trial = Graph(graph.n, sorted(edges ^ {e}))
-        t_state = _state_if_rigid(trial, positions, params, extents, time,
-                                  vectors)
+        t_state = _state_if_rigid(trial, positions, params, extents, vectors)
         if t_state is not None:
             admitted, state = trial, t_state
     return admitted, state

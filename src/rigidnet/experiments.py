@@ -22,7 +22,7 @@ import numpy as np
 
 from .control import ControlParams, RigidityLostError
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
-from .localization import CoincidentEstimatesError, NonFiniteRangeError
+from .localization import LocalizationError
 from .rigidity import (
     CoincidentNodesError,
     Framework,
@@ -346,23 +346,18 @@ def reference_control_config():
                               k_collision=20.0, dt=0.1))
 
 
-CONTROL_COLUMNS = ("t", "rho_min", "rho_mean", "rho_max", "rho_framework",
-                   "load_ratio", "m", "min_distance",
-                   "max_localization_error")
-
-
-def _control_row(metric):
-    return {
-        "t": metric["t"],
-        "rho_min": metric["min_rho"],
-        "rho_mean": metric["mean_rho"],
-        "rho_max": metric["max_rho"],
-        "rho_framework": metric["framework_rho"],
-        "load_ratio": metric["load_ratio"],
-        "m": metric["edge_count"],
-        "min_distance": metric["min_distance"],
-        "max_localization_error": metric["max_estimate_error"],
-    }
+# each control CSV column, in order, and the World metric it holds
+CONTROL_COLUMNS = {
+    "t": "t",
+    "rho_min": "min_rho",
+    "rho_mean": "mean_rho",
+    "rho_max": "max_rho",
+    "rho_framework": "framework_rho",
+    "load_ratio": "load_ratio",
+    "m": "edge_count",
+    "min_distance": "min_distance",
+    "max_localization_error": "max_estimate_error",
+}
 
 
 def run_control_experiment(config, csv_path=None, snapshot_path=None):
@@ -383,10 +378,10 @@ def run_control_experiment(config, csv_path=None, snapshot_path=None):
         error = None
         try:
             run_simulation(world, config.duration)
-        except (RigidityLostError, ProtocolViolation,
-                CoincidentEstimatesError, NonFiniteRangeError) as exc:
+        except (RigidityLostError, ProtocolViolation, LocalizationError) as exc:
             error = exc
-        rows = [_control_row(m) for m in world.metrics]
+        rows = [{column: m[key] for column, key in CONTROL_COLUMNS.items()}
+                for m in world.metrics]
         if config.duration == 0:
             rows = []
         if csv_fp is not None:

@@ -213,11 +213,13 @@ def proximity(positions, range_):
     strictly closer than range_: the one rule by which two nodes gain a link.
 
     Strictness keeps the discrete edge set consistent with logistic link
-    weights above one half; ties at exactly range_ are measure zero.
+    weights above one half; ties at exactly range_ are measure zero.  A
+    distance that overflows float64 is inf, which is never in range.
     """
     x = np.asarray(positions, dtype=float)
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    with np.errstate(over="ignore"):
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
     return dist, np.triu(dist < range_, k=1)
 
 

@@ -26,12 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class CoincidentEstimatesError(ValueError):
+class LocalizationError(ValueError):
+    """The range filter cannot use the estimates or the variances it holds."""
+
+
+class CoincidentEstimatesError(LocalizationError):
     """Two neighbors' estimates sit at one point, so the range model is singular."""
 
 
-class NonFiniteRangeError(ValueError):
+class NonFiniteRangeError(LocalizationError):
     """A range between two estimates overflows float64 or is not a number."""
+
+
+class SingularInnovationError(LocalizationError):
+    """A robot's innovation covariance is singular in float64."""
 
 
 @dataclass
@@ -85,7 +93,8 @@ def filter_update(estimate, covariance, range_variance, measurements,
     product and solve runs per robot on the same BLAS and LAPACK calls as
     the one-robot form, so each row of a stack equals its one-robot update
     bit for bit.  A coincident neighbor estimate in any row raises
-    CoincidentEstimatesError, a non-finite range NonFiniteRangeError.
+    CoincidentEstimatesError, a non-finite range NonFiniteRangeError and a
+    singular innovation covariance SingularInnovationError.
 
     neighbor_covariances, when given, must hold one d x d covariance per
     neighbor; each range's innovation variance then grows by F_k P_k F_k^T so
@@ -115,7 +124,12 @@ def filter_update(estimate, covariance, range_variance, measurements,
             F_k = F[..., k, None, :]
             S[..., k, k] += (F_k @ P_nb[..., k, :, :]
                              @ np.swapaxes(F_k, -1, -2))[..., 0, 0]
-    K = np.swapaxes(np.linalg.solve(S, A), -1, -2)
+    try:
+        K = np.swapaxes(np.linalg.solve(S, A), -1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationError(
+            f"the innovation covariance is singular: range variance "
+            f"{range_variance:g} is lost against the covariances") from exc
     innovation = z - zh
     est = estimate + (K @ innovation[..., None])[..., 0]
     P_new = P - K @ A

@@ -63,6 +63,8 @@ from .control import (
     ControlParams,
     ControlState,
     RigidityLostError,
+    _collision_slopes,
+    _edge_sums,
     _logistic,
     ball_load_slopes,
     ball_rigidity_slopes,
@@ -407,18 +409,13 @@ def _command(fw, params, members, rigidity_slopes, load_slopes):
     load.  The collision part is assembled locally from one-hop neighbor
     positions, which the flood already delivered.
     """
-    n, d = fw.n, fw.dim
-    u = np.zeros((n, d))
-    gains = np.empty((2 * len(members), d))
+    u = np.zeros((fw.n, fw.dim))
+    gains = np.empty((2 * len(members), fw.dim))
     gains[0::2] = params.k_rigidity * rigidity_slopes
     gains[1::2] = params.k_load * load_slopes
     np.subtract.at(u, np.repeat(members, 2), gains)
-    p = params.collision_exponent
-    ga = (-p * fw.lengths ** -(p + 1.0))[:, None] * fw.units
-    push = params.k_collision * ga
-    np.add.at(u, fw.graph.edge_array().ravel(),
-              np.stack([-push, push], axis=1).reshape(-1, d))
-    return u
+    return _edge_sums(u, fw.graph.edge_array(), -params.k_collision
+                      * _collision_slopes(fw, params.collision_exponent))
 
 
 def decentralized_velocity(fw, extents, params):
@@ -474,8 +471,7 @@ def _replay(schedule, world, x):
         except ValueError as exc:
             raise NonFiniteRangeError(
                 f"the believed positions make no framework: {exc}") from exc
-        state = build_control_state(believed, params, world.extents,
-                                    require_rigid=False)
+        state = build_control_state(believed, params, world.extents)
         for j in schedule.fire_order:
             if not state.spectra[j].rigid:
                 raise RigidityLostError(
@@ -557,6 +553,7 @@ def make_world(fw, params, config):
     """Freeze the extents at setup time and seed the filters; anchors start
     at their exact fix."""
     state = build_control_state(fw, params)
+    state.require_rigid()
     extents = state.extents.copy()
     rng = np.random.default_rng(config.seed)
     est = fw.positions
@@ -650,11 +647,10 @@ def step_simulation(world):
     speed = float(np.linalg.norm(u, axis=1).max(initial=0.0))
     if dt * speed > params.comm_range:
         dt = params.comm_range / speed
-    new_state = None
     for _ in range(params.max_step_retries + 1):
         candidate = fw.positions + dt * u
         _, new_state = guarded_refresh(fw.graph, candidate, params,
-                                       world.extents, world.time + dt,
+                                       world.extents,
                                        vectors=not cfg.use_estimates)
         if new_state is not None:
             break

@@ -140,11 +140,11 @@ def central_difference(f, x, eps=1e-6):
 
 def state_at(state, positions):
     """The control state of state's frozen edge set and extents at other
-    positions, solved for eigenvalues only and not required to be rigid:
-    every cost term at those positions reads off this one build."""
+    positions, solved for eigenvalues only: every cost term at those
+    positions reads off this one build."""
     return build_control_state(
         Framework(state.framework.graph, positions), state.params,
-        state.extents, require_rigid=False, vectors=False)
+        state.extents, vectors=False)
 
 
 def engine_schedule(pairs):

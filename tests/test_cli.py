@@ -282,6 +282,24 @@ class TestControl:
         assert line.endswith("overflows float64")
         assert_stopped_run(captured.out, csv, snap, "overflows float64")
 
+    @pytest.mark.parametrize("override", [
+        {"range_variance": 1e-30}, {"initial_variance": 1e30}])
+    def test_singular_innovation_covariance_exit_six(self, override,
+                                                     tmp_path, capsys):
+        # the range variance is lost beside the covariances, so a robot's
+        # innovation covariance is singular in float64
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(override))
+        csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
+        code = main(["control", *SMALL, "--duration", "0.5", "--config",
+                     str(config), "--csv", str(csv), "--snapshot", str(snap)])
+        assert code == EXIT_COINCIDENT_ESTIMATES
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("localization failed: the innovation "
+                               "covariance is singular")
+        assert_stopped_run(captured.out, csv, snap, "singular")
+
 
 def assert_stopped_run(out, csv, snap, error):
     """A run stopped in its first tick still reports its t=0 row."""

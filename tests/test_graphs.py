@@ -1,5 +1,7 @@
 """Graph container, geodesic table, diameter and disk-proximity construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from support import (
@@ -20,6 +22,7 @@ from rigidnet.graphs import (
     is_biconnected,
     is_connected,
     laplacian_matrix,
+    proximity,
 )
 
 
@@ -340,6 +343,16 @@ class TestDiskProximity:
                 if np.linalg.norm(x[i] - x[j]) < r
             ]
             assert g.edges == expected
+
+    def test_overflowing_distance_is_out_of_range_without_a_warning(self):
+        # the squared distance of nodes 0 and 1 overflows float64: it is inf,
+        # which is never in range, and numpy does not warn on the way
+        x = np.array([[0.0, 0.0], [1e300, 0.0], [1e300, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist, linked = proximity(x, 2.0)
+        assert np.isinf(dist[0, 1]) and dist[1, 2] == 1.0
+        assert np.argwhere(linked).tolist() == [[1, 2]]
 
 
 def test_induced_subgraph_keeps_the_edges_inside():

@@ -9,7 +9,9 @@ from rigidnet.control import ControlParams
 from rigidnet.graphs import Graph
 from rigidnet.localization import (
     CoincidentEstimatesError,
+    LocalizationError,
     NonFiniteRangeError,
+    SingularInnovationError,
     _range_model,
     congruence_error,
     filter_update,
@@ -62,6 +64,25 @@ def test_filter_update_coincident_estimates_raise_a_named_error():
     with pytest.raises(CoincidentEstimatesError, match="coincident estimates"):
         filter_update(np.array([1.0, 2.0]), np.eye(2), 0.01,
                       np.array([5.0, 1.0]), np.array([[4.0, 6.0], [1.0, 2.0]]))
+
+
+def test_filter_update_singular_innovation_raises_a_named_error():
+    # two neighbors in one direction give F P F^T = [[1, 1], [1, 1]], beside
+    # which a range variance of 1e-30 is lost: the solve has no gain
+    with pytest.raises(SingularInnovationError, match="singular"):
+        filter_update(np.zeros(2), np.eye(2), 1e-30, np.array([1.0, 2.0]),
+                      np.array([[1.0, 0.0], [2.0, 0.0]]))
+    assert all(issubclass(error, LocalizationError) for error in (
+        CoincidentEstimatesError, NonFiniteRangeError, SingularInnovationError))
+
+
+def test_static_filter_singular_innovation_raises_a_named_error():
+    # robot 0 ranges two anchors (P = 0) that lie in one direction from it
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    fw = Framework(Graph(3, [(0, 1), (0, 2), (1, 2)]), x)
+    filters = make_filters(x, 1.0, 1e-30, anchors=(1, 2))
+    with pytest.raises(SingularInnovationError, match="singular"):
+        run_static_filter(fw, filters, 1, anchor_positions=x)
 
 
 def test_jacobian_rows_are_unit_directions():

@@ -97,4 +97,4 @@ def settable_values():
 
 def test_settable_value_count():
     # a new knob changes this number in the open
-    assert settable_values() == 54
+    assert settable_values() == 51
