@@ -38,6 +38,7 @@ from .subframeworks import (
 from .control import (
     ControlParams,
     ControlState,
+    NonFiniteCommandError,
     RigidityLostError,
     build_control_state,
     collision_gradient_all,

@@ -34,14 +34,19 @@ where nothing reads the eigenvectors; a state without them refuses its
 slopes by name (EigenvectorsNotSolvedError).  The balls' eigh runs on two
 cores where the process may use two, the caller's and one worker thread's,
 with BLAS on one thread.
+
+Each field of ControlParams, simnet.WorldConfig and experiments.ScenarioConfig
+declares its domain once (_domain), and one validator, _check_fields, checks
+every field's type, finiteness and domain, raising a ConfigError that names it.
 """
 
 import functools
 import logging
-import math
+import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -66,39 +71,85 @@ class EigenvectorsNotSolvedError(RuntimeError):
     """Slopes were asked of a control state solved for eigenvalues only."""
 
 
+class ConfigError(ValueError):
+    """An input the library cannot use, such as a configuration field of
+    the wrong type or out of its domain."""
+
+
+class NonFiniteCommandError(ConfigError):
+    """A velocity command is not finite in float64: the gains or exponents
+    ask for more than a step can carry."""
+
+
+# the domains a config field may declare, by the words its errors use
+_DOMAINS = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "at least 1": lambda v: v >= 1,
+    "at least 2": lambda v: v >= 2,
+    "2 or 3": lambda v: v in (2, 3),
+}
+
+
+def _domain(name, default=MISSING):
+    """A config field whose value must be name, one of _DOMAINS."""
+    return field(default=default, metadata={"domain": name})
+
+
+def _is_a(value, kind):
+    """Whether value is of the annotated kind: an int passes as a float, a
+    bool as neither, and a tuple must hold ints."""
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_is_a(v, int) for v in value)
+    abc = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, abc) and (kind is bool
+                                       or not isinstance(value, bool))
+
+
+def _check_fields(config):
+    """Check every field of a config dataclass against its annotated type,
+    a float for finiteness, and a field that declares a domain against it.
+
+    Raises ConfigError naming the first field that fails.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _is_a(value, f.type):
+            label = "list of int" if f.type is tuple else f.type.__name__
+            raise ConfigError(f"field {f.name!r} must be of type {label}, "
+                              f"got {value!r}")
+        # false for NaN, the infinities and ints too large for float64
+        if f.type is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        domain = f.metadata.get("domain")
+        if domain is not None and not _DOMAINS[domain](value):
+            raise ConfigError(f"{f.name} must be {domain}, got {value!r}")
+
+
 @dataclass
 class ControlParams:
     """Knobs of the controller; the gains weigh three incommensurate terms."""
 
-    comm_range: float
-    steepness: float = 0.5
-    rigidity_exponent: float = 1.0
-    collision_exponent: float = 2.0
-    k_rigidity: float = 1.0
-    k_load: float = 1.0
-    k_collision: float = 1.0
-    dt: float = 0.05
-    weight_prune: float = 0.01
-    max_step_retries: int = 8
+    comm_range: float = _domain("positive")
+    steepness: float = _domain("positive", 0.5)
+    rigidity_exponent: float = _domain("positive", 1.0)
+    collision_exponent: float = _domain("positive", 2.0)
+    k_rigidity: float = _domain("non-negative", 1.0)
+    k_load: float = _domain("non-negative", 1.0)
+    k_collision: float = _domain("non-negative", 1.0)
+    dt: float = _domain("positive", 0.05)
+    weight_prune: float = _domain("in (0, 1)", 0.01)
+    max_step_retries: int = _domain("non-negative", 8)
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if min(self.comm_range, self.steepness, self.rigidity_exponent,
-               self.collision_exponent, self.dt) <= 0:
-            raise ValueError("range, steepness, exponents and dt must be positive")
-        if not 0 < self.weight_prune < 1:
-            raise ValueError("weight_prune must lie in (0, 1)")
-        if min(self.k_rigidity, self.k_load, self.k_collision) < 0:
-            raise ValueError("gains must be non-negative")
-        if self.max_step_retries < 0:
-            raise ValueError("max_step_retries must be non-negative")
+    __post_init__ = _check_fields
 
 
 def _logistic(lengths, comm_range, steepness):
     """Logistic link weights: 1/2 at the communication range, ~1 well inside it."""
-    return expit(steepness * (comm_range - lengths))
+    # an argument too large for float64 is +-inf, whose weight is 1 or 0
+    with np.errstate(over="ignore"):
+        return expit(steepness * (comm_range - lengths))
 
 
 @dataclass
@@ -237,10 +288,8 @@ def rigidity_potential(state):
 def load_potential(state):
     """Weighted communication load with the ball coefficients held frozen."""
     fw = state.framework
-    e = fw.graph.edge_array()
-    delta = np.zeros(fw.n)
-    np.add.at(delta, e[:, 0], state.weights)
-    np.add.at(delta, e[:, 1], state.weights)
+    delta = np.bincount(fw.graph.edge_array().ravel(),
+                        np.repeat(state.weights, 2), minlength=fw.n)
     return float(state.ball_set.coeff @ delta)
 
 
@@ -290,7 +339,12 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     s = nus[stack.ends[:, 0]] - nus[stack.ends[:, 1]]
     sigma = (r * s).sum(axis=1)
     q = p.rigidity_exponent
-    coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
+    try:
+        coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
+    except OverflowError as exc:
+        raise NonFiniteCommandError(
+            f"the rigidity barrier's slope overflows float64 at "
+            f"rigidity_exponent {q}") from exc
     dw = _weight_slopes(w, p.steepness)
     ga = dw[:, None] * sigma[:, None] ** 2 * r
     ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)

@@ -14,13 +14,14 @@ measures every network in turn, so records and errors are a one-core run's.
 import contextlib
 import csv
 import json
-import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlParams, RigidityLostError
+from .control import (
+    ConfigError, ControlParams, RigidityLostError, _check_fields, _domain,
+    _is_a
+)
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import LocalizationError
 from .rigidity import (
@@ -35,14 +36,9 @@ from .subframeworks import communication_load, extent_assignment
 
 FLOAT_FORMAT = "%.10g"
 
-
-class ConfigError(ValueError):
-    """A scenario configuration field is out of its valid range."""
-
-
-def _is_integer(value):
-    """An integer of any integral type, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# the most ticks a control run may take: a duration / control.dt above it
+# is a ConfigError, not a run that no machine would finish
+MAX_TICKS = 10**6
 
 
 @dataclass
@@ -53,55 +49,38 @@ class ScenarioConfig(WorldConfig):
     fields (seed, noise, anchors, estimates and the filter variances) are
     its own.  comm_range both draws the network and sets the controller's
     link weights: control defaults to ControlParams at comm_range, and a
-    control whose comm_range differs is a ConfigError.
+    control whose comm_range differs is a ConfigError, as is a duration /
+    control.dt above MAX_TICKS.
     """
 
-    n: int = 60
-    width: float = 100.0
-    height: float = 100.0
-    comm_range: float = 40.0
-    dim: int = 2
-    ensemble_count: int = 250
-    duration: float = 200.0
+    n: int = _domain("at least 2", 60)
+    width: float = _domain("positive", 100.0)
+    height: float = _domain("positive", 100.0)
+    comm_range: float = _domain("positive", 40.0)
+    dim: int = _domain("2 or 3", 2)
+    ensemble_count: int = _domain("at least 1", 250)
+    duration: float = _domain("non-negative", 200.0)
     control: ControlParams = None
     require_rigid: bool = True
-    rejection_budget: int = 2000
+    rejection_budget: int = _domain("at least 1", 2000)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, "
-                              f"got {self.seed!r}")
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if self.n < 2:
-            raise ConfigError("need at least two robots")
-        if self.require_rigid and self.n <= self.dim:
-            raise ConfigError("a rigid scenario needs more robots than dim")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("region sides must be positive")
-        if self.comm_range <= 0:
-            raise ConfigError("communication range must be positive")
-        if self.dim not in (2, 3):
-            raise ConfigError("dimension must be 2 or 3")
-        if self.ensemble_count < 1:
-            raise ConfigError("ensemble count must be positive")
-        if self.duration < 0:
-            raise ConfigError("duration cannot be negative")
-        if self.rejection_budget < 1:
-            raise ConfigError("rejection budget must be positive")
-        if any(a < 0 or a >= self.n for a in self.anchors):
-            raise ConfigError("anchor ids must be node ids")
         if self.control is None:
             self.control = ControlParams(comm_range=self.comm_range)
-        elif self.control.comm_range != self.comm_range:
+        _check_fields(self)
+        if self.require_rigid and self.n <= self.dim:
+            raise ConfigError("a rigid scenario needs more robots than dim")
+        if any(not 0 <= a < self.n for a in self.anchors):
+            raise ConfigError("anchor ids must be node ids")
+        if self.control.comm_range != self.comm_range:
             raise ConfigError(
                 f"control.comm_range {self.control.comm_range} differs "
                 f"from the scenario's comm_range {self.comm_range}")
+        ticks = self.duration / self.control.dt
+        if ticks > MAX_TICKS:
+            raise ConfigError(
+                f"duration / control.dt asks for {ticks:.3g} ticks, more "
+                f"than MAX_TICKS = {MAX_TICKS}")
 
 
 def _region_sides(config):
@@ -149,14 +128,14 @@ def framework_to_json(fw):
 
 
 def framework_from_json(data):
-    if not _is_integer(data["n"]):
+    if not _is_a(data["n"], int):
         raise ValueError(f"n must be an integer, got {data['n']!r}")
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError(f"edges must be a list, got {edges!r}")
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(map(_is_integer, e))):
+                and all(_is_a(v, int) for v in e)):
             raise ValueError(
                 f"an edge must be a pair of integer node ids, got {e!r}")
     return Framework(Graph(int(data["n"]), edges), data["positions"])

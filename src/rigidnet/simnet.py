@@ -62,8 +62,11 @@ import numpy as np
 from .control import (
     ControlParams,
     ControlState,
+    NonFiniteCommandError,
     RigidityLostError,
+    _check_fields,
     _collision_slopes,
+    _domain,
     _edge_sums,
     _logistic,
     ball_load_slopes,
@@ -516,22 +519,15 @@ class WorldConfig:
     with the scenario's own fields.
     """
 
-    noise_std: float = 0.0
+    noise_std: float = _domain("non-negative", 0.0)
     use_estimates: bool = True
     anchors: tuple = ()
-    initial_estimate_error: float = 0.0
-    initial_variance: float = 1.0
-    range_variance: float = 0.01
-    seed: int = 0
+    initial_estimate_error: float = _domain("non-negative", 0.0)
+    initial_variance: float = _domain("non-negative", 1.0)
+    range_variance: float = _domain("positive", 0.01)
+    seed: int = _domain("non-negative", 0)
 
-    def __post_init__(self):
-        # the comparisons are false for NaN
-        for name in ("noise_std", "initial_estimate_error",
-                     "initial_variance"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not 0 < self.range_variance < math.inf:
-            raise ValueError("range_variance must be finite and positive")
+    __post_init__ = _check_fields
 
 
 @dataclass
@@ -636,7 +632,14 @@ def step_simulation(world):
     else:
         believed = fw.positions
 
-    u, log = tick_velocity(world, believed)
+    # a command that overflows anywhere has a speed that is inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, log = tick_velocity(world, believed)
+        speed = float(np.linalg.norm(u, axis=1).max(initial=0.0))
+    if not math.isfinite(speed):
+        raise NonFiniteCommandError(
+            f"the velocity command's speed is {speed} in float64; the gains "
+            "or exponents ask for more than a step can carry")
 
     # a candidate step is judged on the topology it would commit: a link
     # change that zeroes a frozen ball's eigenvalue must wait, not crash
@@ -644,7 +647,6 @@ def step_simulation(world):
     # range in one tick: past that, the guard's edge logic at the candidate
     # no longer describes a motion.
     dt = params.dt
-    speed = float(np.linalg.norm(u, axis=1).max(initial=0.0))
     if dt * speed > params.comm_range:
         dt = params.comm_range / speed
     for _ in range(params.max_step_retries + 1):
@@ -664,7 +666,13 @@ def step_simulation(world):
     # covariance by dt^2 * |u|^2 * I for the actuation uncertainty of that
     # same motion
     est += dt * u
-    cov += (dt**2 * np.vecdot(u, u))[:, None, None] * np.eye(fw.dim)
+    try:
+        growth = dt**2 * np.vecdot(u, u)
+    except OverflowError:
+        # dt**2 overflows past 1e154 s, but the capped motion dt * u is at
+        # most comm_range
+        growth = np.vecdot(dt * u, dt * u)
+    cov += growth[:, None, None] * np.eye(fw.dim)
 
     world.framework = new_state.framework
     world.accepted = new_state

@@ -16,7 +16,7 @@ from support import reject_every_step
 from rigidnet import cli, experiments, rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
-    EXIT_COINCIDENT_ESTIMATES,
+    EXIT_LOCALIZATION_FAILED,
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PROTOCOL_VIOLATION,
@@ -243,7 +243,7 @@ class TestControl:
         csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
         code = main(["control", *SMALL, "--duration", "0.5", "--csv", str(csv),
                      "--snapshot", str(snap)])
-        assert code == EXIT_COINCIDENT_ESTIMATES
+        assert code == EXIT_LOCALIZATION_FAILED
         captured = capsys.readouterr()
         assert captured.err == ("localization failed: coincident estimates "
                                 "make the range model singular\n")
@@ -259,7 +259,7 @@ class TestControl:
             code = main(["control", *SMALL, "--duration", "0.5",
                          "--estimate-error", "1e200", "--csv", str(csv),
                          "--snapshot", str(snap)])
-        assert code == EXIT_COINCIDENT_ESTIMATES
+        assert code == EXIT_LOCALIZATION_FAILED
         captured = capsys.readouterr()
         assert captured.err == ("localization failed: an estimated range is "
                                 "not finite: the estimates overflow float64\n")
@@ -274,7 +274,7 @@ class TestControl:
             code = main(["control", *SMALL, "--duration", "0.5",
                          "--noise", "1e200", "--csv", str(csv),
                          "--snapshot", str(snap)])
-        assert code == EXIT_COINCIDENT_ESTIMATES
+        assert code == EXIT_LOCALIZATION_FAILED
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert line.startswith("localization failed: the believed positions "
@@ -293,7 +293,7 @@ class TestControl:
         csv, snap = tmp_path / "run.csv", tmp_path / "snap.json"
         code = main(["control", *SMALL, "--duration", "0.5", "--config",
                      str(config), "--csv", str(csv), "--snapshot", str(snap)])
-        assert code == EXIT_COINCIDENT_ESTIMATES
+        assert code == EXIT_LOCALIZATION_FAILED
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert line.startswith("localization failed: the innovation "
@@ -541,6 +541,60 @@ class TestConfigHandling:
         [line] = captured.err.splitlines()
         assert line.startswith("configuration error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("ground_truth", [False, True])
+    @pytest.mark.parametrize("control, message", [
+        # rho ** -(q + 1) overflows as a Python float power
+        ({"rigidity_exponent": 1e300}, "rigidity barrier's slope overflows"),
+        # the speed of the command overflows
+        ({"k_rigidity": 1e300}, "velocity command's speed is inf"),
+        ({"k_load": 1e300}, "velocity command's speed is inf"),
+        ({"k_collision": 1e300}, "velocity command's speed is inf"),
+        # 3e299 ticks: a run that would never end
+        ({"dt": 1e-300}, "MAX_TICKS"),
+    ])
+    # a numpy warning would be a second stderr line
+    @pytest.mark.filterwarnings("error")
+    def test_unusable_control_value_exits_three(self, tmp_path, capsys,
+                                                control, message,
+                                                ground_truth):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"control": control}))
+        argv = ["control", "--seed", "3", "--n", "12", "--width", "60",
+                "--height", "60", "--range", "40", "--duration", "0.3",
+                "--config", str(cfg)]
+        if ground_truth:
+            argv.append("--ground-truth")
+        assert main(argv) == EXIT_BAD_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error:") and message in line
+
+    @pytest.mark.parametrize("config", [
+        # one tick of 1e300 s: dt**2 overflows, while the motion dt * u
+        # stays within the communication range
+        {"duration": 1e300, "control": {
+            "dt": 1e300, "k_rigidity": 0, "k_load": 0, "k_collision": 0}},
+        {"duration": 1e300, "control": {
+            "dt": 1e300, "k_rigidity": 1e-300, "k_load": 1e-300,
+            "k_collision": 1e-300}},
+        # steepness * (range - length) overflows; its weight is 1 or 0
+        {"comm_range": 1e300, "control": {"steepness": 1e300}},
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_valid_values_run_clean(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["control", "--seed", "3", "--n", "12", "--width", "60",
+                     "--height", "60", "--range", "40", "--duration", "0.3",
+                     "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_anchors_that_are_not_a_list_exit_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"anchors": 5}))
+        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert "field 'anchors' must be of type list of int, got 5" in line
 
     def test_control_block_takes_the_scenario_range(self, tmp_path):
         cfg = tmp_path / "cfg.json"

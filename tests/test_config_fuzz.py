@@ -1,0 +1,103 @@
+"""Seeded fuzz of the control verb's configuration file.
+
+Every draw writes a config file that sets one to three fields of
+ScenarioConfig, WorldConfig or ControlParams (or the control block
+itself) to a value from a pool of valid and hostile values, and runs
+`rigidnet control` on it in-process.  Whatever the values, the run must
+end with a documented exit code, and a failure must print exactly one
+stderr line and no traceback; a numpy warning is an error here, since it
+would be a second line.
+"""
+
+import dataclasses
+import json
+import random
+
+import pytest
+
+from rigidnet import cli
+from rigidnet.control import ControlParams
+from rigidnet.experiments import ScenarioConfig
+
+DOCUMENTED_EXITS = {
+    cli.EXIT_OK, cli.EXIT_RIGIDITY_LOST, cli.EXIT_BAD_CONFIG,
+    cli.EXIT_PROTOCOL_VIOLATION, cli.EXIT_RANK_MISMATCH,
+    cli.EXIT_LOCALIZATION_FAILED,
+}
+
+BASE = ["control", "--seed", "3", "--n", "12", "--width", "60", "--height",
+        "60", "--range", "40", "--duration", "0.3"]
+
+# values of every type a JSON file can hold, valid or not for any field
+HOSTILE = (0, -1, 1e-300, 1e300, float("nan"), float("inf"),
+           float("-inf"), True, False, 2.5, "x", None, [1], {"a": 1})
+
+# sizes stay small and valid, so that every draw runs in milliseconds
+SIZES = {"n": (5, 12, 20), "rejection_budget": (50, 500),
+         "ensemble_count": (1, 5)}
+
+# valid values where a field's default would not suit a short run on the
+# base flags' scenario
+VALID = {"seed": (0, 7), "width": (60.0,), "height": (60.0,),
+         "comm_range": (40.0,), "duration": (0.1, 0.3), "dim": (2, 3),
+         "anchors": ([0, 1], []), "use_estimates": (True, False),
+         "require_rigid": (True, False)}
+
+
+# (block, field) of every field a config file can set; block is "control"
+# for a field of the control block
+TARGETS = ([(None, f) for f in dataclasses.fields(ScenarioConfig)]
+           + [("control", f) for f in dataclasses.fields(ControlParams)])
+
+# each draw gives one field one hostile value, so that every pair is drawn
+DRAWS = len(TARGETS) * len(HOSTILE)
+
+
+def _valid(rng, f):
+    if f.name in VALID:
+        return rng.choice(VALID[f.name])
+    return {} if f.name == "control" else f.default
+
+
+def _set(rng, config, block, f, value):
+    if f.name in SIZES:
+        value = rng.choice(SIZES[f.name])
+    if block is None:
+        config[f.name] = value
+    elif isinstance(config.setdefault("control", {}), dict):
+        config["control"][f.name] = value
+
+
+def draw_config(index):
+    """The config file object of one draw, and whether it runs on ground
+    truth: field index % len(TARGETS) takes hostile value index //
+    len(TARGETS), after up to two other fields drew valid or hostile
+    values of their own."""
+    rng = random.Random(index)
+    config = {}
+    for block, f in rng.sample(TARGETS, rng.randint(0, 2)):
+        value = (_valid(rng, f) if rng.random() < 0.5
+                 else rng.choice(HOSTILE))
+        _set(rng, config, block, f, value)
+    block, f = TARGETS[index % len(TARGETS)]
+    _set(rng, config, block, f, HOSTILE[index // len(TARGETS)])
+    return config, rng.random() < 0.5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", range(DRAWS))
+def test_fuzzed_config_ends_with_a_documented_exit(tmp_path, capsys, index):
+    config, ground_truth = draw_config(index)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [*BASE, "--config", str(path)]
+    if ground_truth:
+        argv.append("--ground-truth")
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in DOCUMENTED_EXITS, (config, err)
+    assert "Traceback" not in err
+    if code == cli.EXIT_OK:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1, (config, err)

@@ -116,6 +116,40 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ControlParams(**{"comm_range": 1.0, field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("comm_range", True, "field 'comm_range' must be of type float"),
+        ("dt", "0.1", "field 'dt' must be of type float"),
+        ("max_step_retries", 2.0, "field 'max_step_retries' must be of type int"),
+        ("max_step_retries", False, "field 'max_step_retries' must be of type int"),
+        # an int too large for float64 is not a finite float
+        pytest.param("k_load", 10**400, "k_load must be finite",
+                     id="k_load-10**400"),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(control.ConfigError, match=message):
+            ControlParams(**{"comm_range": 1.0, field: value})
+
+    def test_accepts_numpy_scalars_and_ints(self):
+        p = ControlParams(comm_range=np.float64(40.0), dt=1,
+                          max_step_retries=np.int64(3))
+        assert p.dt == 1 and p.max_step_retries == 3
+
+
+class TestOverflow:
+    def test_rigidity_slope_overflow_is_named(self):
+        # rho < 1 makes rho ** -(q + 1) a Python float power past float64
+        state = build_control_state(apex_framework(),
+                                    default_params(rigidity_exponent=1e300))
+        assert min(state.rhos) < 1
+        with pytest.raises(control.NonFiniteCommandError):
+            state.rigidity_slopes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weight_argument_is_a_weight_of_one(self):
+        state = build_control_state(
+            apex_framework(), default_params(comm_range=1e300, steepness=1e300))
+        assert (state.weights == 1.0).all()
+
 
 class TestStateBuild:
     def test_fields_consistent(self):

@@ -88,6 +88,37 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             small_config(**kw)
 
+    def test_tick_count_is_bounded(self):
+        # dt = 1e-300 would ask for 2e300 ticks and never end
+        dt = 0.05
+        small_config(duration=0.999 * experiments.MAX_TICKS * dt)
+        with pytest.raises(ConfigError, match="MAX_TICKS"):
+            small_config(duration=1.001 * experiments.MAX_TICKS * dt)
+        with pytest.raises(ConfigError, match="MAX_TICKS"):
+            small_config(control=ControlParams(comm_range=40.0, dt=1e-300))
+
+    def test_fields_accept_numpy_scalars(self):
+        cfg = small_config(width=150.0 * np.sqrt(2.0), n=np.int64(12),
+                           anchors=(np.int64(0), 1))
+        assert cfg.n == 12 and cfg.width == 150.0 * np.sqrt(2.0)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n=True), "field 'n' must be of type int"),
+        (dict(anchors=[0, 1]), "field 'anchors' must be of type list of int"),
+        (dict(anchors=(0, 1.0)), "field 'anchors' must be of type list of int"),
+        (dict(control={"dt": 0.1}), "field 'control' must be of type ControlParams"),
+        (dict(dim=2.0), "field 'dim' must be of type int"),
+    ])
+    def test_fields_of_the_wrong_type_raise(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**kw)
+
+    def test_config_errors_share_one_class(self):
+        from rigidnet import control
+        assert ConfigError is control.ConfigError
+        assert issubclass(control.NonFiniteCommandError, ConfigError)
+        assert issubclass(ConfigError, ValueError)
+
     def test_pair_allowed_when_rigidity_not_required(self):
         cfg = small_config(n=2, require_rigid=False)
         assert cfg.n == 2
