@@ -10,7 +10,7 @@ file of the wrong shape, a seed that is not a non-negative integer, a node
 count that is not an integer, a framework too small for the rigidity test,
 a generated draw with two adjacent robots at one point, a framework whose
 positions or edge lengths are not finite in float64, a duration /
-control.dt above experiments.MAX_TICKS, a velocity command that is not
+control.dt above simnet.MAX_TICKS, a velocity command that is not
 finite in float64 (NonFiniteCommandError, as gains or exponents of 1e300
 make it), an output path that cannot be written, or an input that needs
 more memory than the machine has, such as an n whose dense pairwise

@@ -12,13 +12,14 @@ finite-difference oracle in the tests.
 ball_rigidity_slopes and ball_load_slopes are the one per-ball slope formula,
 shared by the centralized field, the replayed exchange and every center,
 and the weight slope, the collision slope and the signed scatter of edge
-terms to their ends (_edge_sums) each have one home here, which simnet's
-command reads too.  Each cost term is a potential and a gradient of one
-ControlState (rigidity_potential and rigidity_gradient_all, and so on for
-load and collision); total_potential and velocity_field add them up.  A
-state is the one evaluation of a topology at positions, so a cost at other
-positions is read off the state built there.  It measures and never
-judges: it has no clock, and its caller calls require_rigid.
+terms to their ends (_edge_sums) each have one home here.  Every sum onto
+nodes, simnet's command too, is one _scatter.  Each cost term is a
+potential and a gradient of one ControlState (rigidity_potential and
+rigidity_gradient_all, and so on for load and collision); total_potential
+and velocity_field add them up.  A state is the one evaluation of a
+topology at positions, so a cost at other positions is read off the state
+built there.  It measures and never judges: it has no clock, and its
+caller calls require_rigid.
 
 A state build takes everything the topology fixes (the balls' membership
 mask and stack, load coefficients, the layout of the balls' S) from the
@@ -205,6 +206,13 @@ def _eigh_worker():
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidnet-eigh")
 
 
+def _stop_eigh_worker():
+    """Join the worker thread, as a fork needs (Python 3.12 warns of a live
+    thread); the next two-core solve starts another."""
+    _eigh_worker().shutdown()
+    _eigh_worker.cache_clear()
+
+
 # a forked child has no worker thread, only its parent's record of one
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
@@ -299,16 +307,19 @@ def collision_potential(state):
     return float((state.framework.lengths ** -p).sum())
 
 
-def _edge_sums(out, ends, g):
-    """Add +g[t] to row ends[t, 0], -g[t] to row ends[t, 1] of out; return it.
+def _scatter(rows, terms, n):
+    """The n x d sums of terms, d-vectors shaped as rows, onto their rows:
+    a bincount per column adds each row's terms from zero in row-major
+    order, as a loop would, bit for bit."""
+    terms = terms.reshape(-1, terms.shape[-1])
+    return np.stack([np.bincount(rows.ravel(), t, minlength=n)
+                     for t in terms.T], axis=1)
 
-    The endpoints are interleaved, so every row takes its terms in edge
-    order, as a loop over the edges would, and the sums match that loop
-    bit for bit.
-    """
-    np.add.at(out, ends.ravel(),
-              np.stack([g, -g], axis=1).reshape(-1, g.shape[1]))
-    return out
+
+def _edge_sums(ends, g, n):
+    """The n-row sums of +g[t] at ends[t, 0] and -g[t] at ends[t, 1]; the
+    ends interleave, so every row takes its terms in edge order."""
+    return _scatter(ends, np.stack([g, -g], axis=1), n)
 
 
 def _weight_slopes(w, steepness):
@@ -349,7 +360,7 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     ga = dw[:, None] * sigma[:, None] ** 2 * r
     ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
     ga *= coef[:, None]
-    return _edge_sums(np.zeros_like(nus), stack.ends, ga)
+    return _edge_sums(stack.ends, ga, len(nus))
 
 
 def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
@@ -366,18 +377,15 @@ def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
     pair = (cs[stack.ball, edge_endpoints[k, 0]]
             + cs[stack.ball, edge_endpoints[k, 1]])
     gl = (pair * dw)[:, None] * units[k]
-    out = np.zeros((len(stack.nodes), units.shape[1]))
-    return _edge_sums(out, stack.ends, gl)
+    return _edge_sums(stack.ends, gl, len(stack.nodes))
 
 
 def rigidity_gradient_all(state):
     """d/dx of the rigidity potential: every ball's slopes, summed center
     by center as each center's payloads arrive at its members."""
-    n, d = state.framework.n, state.framework.dim
     state.require_rigid()
-    grad = np.zeros((n, d))
-    np.add.at(grad, state.ball_set.stack.nodes, state.rigidity_slopes())
-    return grad
+    return _scatter(state.ball_set.stack.nodes, state.rigidity_slopes(),
+                    state.framework.n)
 
 
 def load_gradient_all(state):
@@ -393,8 +401,9 @@ def load_gradient_all(state):
 def collision_gradient_all(state):
     """d/dx of the collision barrier."""
     fw = state.framework
-    return _edge_sums(np.zeros((fw.n, fw.dim)), fw.graph.edge_array(),
-                      _collision_slopes(fw, state.params.collision_exponent))
+    return _edge_sums(fw.graph.edge_array(),
+                      _collision_slopes(fw, state.params.collision_exponent),
+                      fw.n)
 
 
 def velocity_field(state):

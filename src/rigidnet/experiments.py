@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import (
     ConfigError, ControlParams, RigidityLostError, _check_fields, _domain,
-    _is_a
+    _is_a, _stop_eigh_worker
 )
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import LocalizationError
@@ -31,14 +31,13 @@ from .rigidity import (
     one_blas_thread,
     usable_cores,
 )
-from .simnet import ProtocolViolation, WorldConfig, make_world, run_simulation
+from .simnet import (
+    MAX_TICKS, ProtocolViolation, WorldConfig, make_world, run_simulation,
+    tick_count
+)
 from .subframeworks import communication_load, extent_assignment
 
 FLOAT_FORMAT = "%.10g"
-
-# the most ticks a control run may take: a duration / control.dt above it
-# is a ConfigError, not a run that no machine would finish
-MAX_TICKS = 10**6
 
 
 @dataclass
@@ -76,11 +75,7 @@ class ScenarioConfig(WorldConfig):
             raise ConfigError(
                 f"control.comm_range {self.control.comm_range} differs "
                 f"from the scenario's comm_range {self.comm_range}")
-        ticks = self.duration / self.control.dt
-        if ticks > MAX_TICKS:
-            raise ConfigError(
-                f"duration / control.dt asks for {ticks:.3g} ticks, more "
-                f"than MAX_TICKS = {MAX_TICKS}")
+        tick_count(self.duration, self.control.dt)
 
 
 def _region_sides(config):
@@ -202,7 +197,9 @@ def _measure_forked(context, config, seeds, k):
     Every process holds one BLAS thread, since the processes share the
     cores.  Every child is joined before this returns or raises, and
     terminated first if it still runs when the caller fails or is stopped.
+    No eigh worker thread is alive at a fork: these solves need none.
     """
+    _stop_eigh_worker()
     shares = [range(j, len(seeds), k) for j in range(k)]
     children, readers = [], []
     merged = None

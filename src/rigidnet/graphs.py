@@ -12,7 +12,8 @@ connected components.  The biconnectivity test (no cut vertex) is one
 depth-first search over the slot layout.  Unreachable node pairs are
 marked with the UNREACHABLE sentinel (float inf) rather than a large
 finite hop count, so accidental arithmetic on them propagates loudly
-instead of producing plausible-looking numbers.
+instead of producing plausible-looking numbers.  Every distance in the
+library comes from one kernel, separations.
 """
 
 import numpy as np
@@ -208,6 +209,15 @@ def is_biconnected(g):
     return found == n
 
 
+def separations(a, b):
+    """a - b and its lengths along the last axis, with the bits of
+    np.linalg.norm(a - b, axis=-1); a length too large for float64 is inf,
+    not a warning, and each caller judges it in its own terms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(a, b)
+        return diff, np.sqrt((diff * diff).sum(axis=-1))
+
+
 def proximity(positions, range_):
     """Dense pairwise distances, and the upper-triangle mask of the pairs
     strictly closer than range_: the one rule by which two nodes gain a link.
@@ -217,9 +227,7 @@ def proximity(positions, range_):
     distance that overflows float64 is inf, which is never in range.
     """
     x = np.asarray(positions, dtype=float)
-    with np.errstate(over="ignore"):
-        diff = x[:, None, :] - x[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+    _, dist = separations(x[:, None, :], x[None, :, :])
     return dist, np.triu(dist < range_, k=1)
 
 

@@ -7,7 +7,8 @@ neighbors, linearizing through the unit direction vectors of the estimated
 geometry; its ranges are its slice of the Graph's slots.  Neighbor
 estimates come from the previous round's broadcasts, so updates across
 robots are independent within a round, and filter_update takes the
-robots of one degree as one stack.  Range data alone
+robots of one degree as one stack.  A true range is the Framework's
+length for its edge, so positions are measured once.  Range data alone
 fixes the formation only up to a rigid displacement; d anchored robots with
 exact absolute fixes remove that freedom in d dimensions.  A fix sets an
 anchor's estimate to its true position and its covariance to zero.
@@ -24,6 +25,8 @@ neighbors' covariances, and a process floor.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graphs import separations
 
 
 class LocalizationError(ValueError):
@@ -66,11 +69,8 @@ def _range_model(estimate, neighbor_estimates):
     """Predicted ranges to the neighbor estimates and their unit-row jacobian,
     for one robot (estimate d, neighbors deg x d) or a stack of robots
     (k x d and k x deg x d)."""
-    x = np.asarray(estimate, dtype=float)
-    # a range that overflows is rejected below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = x[..., None, :] - np.asarray(neighbor_estimates, dtype=float)
-        r = np.linalg.norm(diff, axis=-1)
+    diff, r = separations(np.asarray(estimate, dtype=float)[..., None, :],
+                          neighbor_estimates)
     if not np.isfinite(r).all():
         raise NonFiniteRangeError(
             "an estimated range is not finite: the estimates overflow float64")
@@ -146,8 +146,8 @@ def congruence_error(estimates, truth):
     b = np.asarray(truth, dtype=float)
     if a.shape != b.shape:
         raise ValueError("point sets must have matching shapes")
-    da = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2)
-    db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=2)
+    _, da = separations(a[:, None, :], a[None, :, :])
+    _, db = separations(b[:, None, :], b[None, :, :])
     return float(np.abs(da - db).max())
 
 
@@ -171,17 +171,13 @@ def measure_ranges(fw, rng=None, noise_std=0.0):
     """Every robot's measured ranges to its neighbors, one per graph slot:
     node i's are slots[i]:slots[i + 1], in graph.neighbors order.
 
-    Each edge is ranged once, as the norm of its endpoints' difference, and
-    both of its slots read that one value; with noise_std > 0 every edge's
-    range gets one normal draw from rng, in edge order, in one call.
+    An edge's true range is the length the framework measured, and both of
+    its slots read that one value; with noise_std > 0 every edge's range
+    gets one normal draw from rng, in edge order, in one call.
     """
-    e = fw.graph.edge_array()
-    diff = fw.positions[e[:, 0]] - fw.positions[e[:, 1]]
-    # a scalar norm per edge: the framework's row-wise lengths may differ
-    # in the last bit
-    ranges = np.array([np.linalg.norm(r) for r in diff], dtype=float)
+    ranges = fw.lengths
     if noise_std > 0:
-        ranges += rng.normal(0.0, noise_std, size=len(ranges))
+        ranges = ranges + rng.normal(0.0, noise_std, size=len(ranges))
     return ranges[fw.graph.slot_edge]
 
 

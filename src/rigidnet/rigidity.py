@@ -1,8 +1,9 @@
 """Rigidity matrices, eigenvalue tests and the diameter-based eigenvalue bound.
 
 A framework is a graph together with a d-dimensional realization (d = 2 or 3).
-It measures its edges once, when it is built, and every rigidity matrix, S,
-gradient and metric in the library reads its unit vectors r_ij and lengths.
+It measures its edges once, when it is built (graphs.separations), and
+every rigidity matrix, S, gradient, metric and range reads its r_ij and
+lengths.
 Infinitesimal rigidity is tested two ways: the rank of the rigidity matrix R
 must equal d*n - f, and the (f+1)-th smallest eigenvalue of S = R^T W R must
 be positive, where f = d(d+1)/2 counts the rigid-body degrees of freedom.
@@ -39,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .graphs import geodesics, is_biconnected
+from .graphs import geodesics, is_biconnected, separations
 
 # Zero-eigenvalue tolerance, relative to the largest eigenvalue of S.  Over
 # 20,160 balls of sampled 2-D and 3-D networks, 2,819 of the 2,821 flexible
@@ -168,10 +169,7 @@ class Framework:
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
         e = graph.edge_array()
-        # a length that overflows is rejected below, not warned about
-        with np.errstate(over="ignore"):
-            diff = positions[e[:, 0]] - positions[e[:, 1]]
-            lengths = np.linalg.norm(diff, axis=1)
+        diff, lengths = separations(positions[e[:, 0]], positions[e[:, 1]])
         if not np.isfinite(lengths).all():
             k = int(np.argmax(~np.isfinite(lengths)))
             raise ValueError(

@@ -41,7 +41,9 @@ nothing; on believed positions it builds one control state there, and
 the guard, whose state the replay never reads, solves eigenvalues only.  The
 replay, its collision terms and the per-tick metrics read the edge unit
 vectors and lengths from the Framework at the positions they use, which
-measured them once when it was built.
+measured them once when it was built; the commands are one scatter
+(control._scatter).  A run longer than MAX_TICKS fails before its first
+tick (tick_count).
 
 A World holds the network's filter state as one localization.Filters.
 Each tick corrects every robot's row with one stacked filter_update per
@@ -60,6 +62,7 @@ from operator import itemgetter
 import numpy as np
 
 from .control import (
+    ConfigError,
     ControlParams,
     ControlState,
     NonFiniteCommandError,
@@ -67,14 +70,14 @@ from .control import (
     _check_fields,
     _collision_slopes,
     _domain,
-    _edge_sums,
     _logistic,
+    _scatter,
     ball_load_slopes,
     ball_rigidity_slopes,
     build_control_state,
     guarded_refresh,
 )
-from .graphs import Graph, geodesics
+from .graphs import Graph, geodesics, separations
 from .localization import (
     CoincidentEstimatesError,
     Filters,
@@ -220,18 +223,15 @@ def run_exchange_phase(fw, extents):
     ProtocolViolation.
     """
     h = np.asarray(extents, dtype=int)
-    n = fw.graph.n
     g = geodesics(fw.graph).dist
     balls = ball_set(fw.graph, h, fw.dim)
     limit = 2 * int(h.max())
     # the pairs in (center, member) order, which is the BallSet stack's
     center, member = np.nonzero(balls.inside)
     hops = g[center, member].astype(np.intp)
-    fire = np.zeros(n, dtype=np.intp)
-    np.maximum.at(fire, center, hops)
+    fire = np.where(balls.inside, g, 0).max(axis=1, initial=0).astype(np.intp)
     land = fire[center] + hops
-    deaf = np.zeros(n, dtype=bool)
-    deaf[center[hops > balls.ttl[member]]] = True
+    deaf = (balls.inside & (g > balls.ttl)).any(axis=1)
     stuck = deaf[center] | (land > limit)
     if stuck.any():
         missing = sorted(zip(center[stuck].tolist(), member[stuck].tolist()))
@@ -409,16 +409,18 @@ def _command(fw, params, members, rigidity_slopes, load_slopes):
     fw is the framework at the positions the payloads were computed on.
     members[p] received the payload pair (rigidity_slopes[p], load_slopes[p]);
     each robot subtracts its payloads in delivery order, rigidity before
-    load.  The collision part is assembled locally from one-hop neighbor
-    positions, which the flood already delivered.
+    load, and then its collision terms in edge order, in one scatter.  The
+    collision part is assembled locally from one-hop neighbor positions,
+    which the flood already delivered.
     """
-    u = np.zeros((fw.n, fw.dim))
-    gains = np.empty((2 * len(members), fw.dim))
-    gains[0::2] = params.k_rigidity * rigidity_slopes
-    gains[1::2] = params.k_load * load_slopes
-    np.subtract.at(u, np.repeat(members, 2), gains)
-    return _edge_sums(u, fw.graph.edge_array(), -params.k_collision
-                      * _collision_slopes(fw, params.collision_exponent))
+    payloads = np.stack([params.k_rigidity * rigidity_slopes,
+                         params.k_load * load_slopes], axis=1)
+    g = params.k_collision * _collision_slopes(fw, params.collision_exponent)
+    # x - y is x + (-y) bit for bit
+    return _scatter(np.concatenate([np.stack([members, members], axis=1),
+                                    fw.graph.edge_array()]),
+                    -np.concatenate([payloads, np.stack([g, -g], axis=1)]),
+                    fw.n)
 
 
 def decentralized_velocity(fw, extents, params):
@@ -580,15 +582,12 @@ def _framework_rho_if_rigid(world):
 
 def _append_metrics(world, state, log, framework_rho):
     fw = world.framework
-    x = fw.positions
     rhos = state.rhos
     load = float(communication_load(fw.graph, world.extents).sum())
     m = fw.graph.m
     min_dist = float(fw.lengths.min()) if m else np.inf
     # an error too large for float64 is inf, which the range model rejects
-    with np.errstate(over="ignore"):
-        estimate_error = float(
-            np.linalg.norm(world.filters.estimates - x, axis=1).max())
+    _, errors = separations(world.filters.estimates, fw.positions)
     world.metrics.append({
         "t": world.time,
         "min_rho": float(rhos.min()),
@@ -598,7 +597,7 @@ def _append_metrics(world, state, log, framework_rho):
         "load_ratio": load / (2.0 * m) if m else np.nan,
         "edge_count": m,
         "min_distance": min_dist,
-        "max_estimate_error": estimate_error,
+        "max_estimate_error": float(errors.max()),
         "exchange_rounds": None if log is None else log.completion_round,
     })
 
@@ -681,12 +680,27 @@ def step_simulation(world):
     return world
 
 
+# the most ticks a run may take, so that every run ends
+MAX_TICKS = 10**6
+
+
+def tick_count(duration, dt):
+    """The ticks a run of duration takes at dt; a ConfigError if duration /
+    dt is not a number up to MAX_TICKS."""
+    ticks = duration / dt
+    if not ticks <= MAX_TICKS:
+        raise ConfigError(
+            f"duration / control.dt asks for {ticks:.3g} ticks; the bound "
+            f"is MAX_TICKS = {MAX_TICKS}")
+    return math.ceil(round(ticks, 9))
+
+
 def run_simulation(world, duration):
-    """Run duration / dt ticks; the world carries the metrics.
+    """Run tick_count(duration, dt) ticks; the world carries the metrics.
 
     A capped or halved step counts as one tick, and the clock adds the dt
     it used.
     """
-    for _ in range(math.ceil(round(duration / world.params.dt, 9))):
+    for _ in range(tick_count(duration, world.params.dt)):
         step_simulation(world)
     return world

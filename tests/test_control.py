@@ -365,6 +365,42 @@ def _build_apex_or_fail(expected):
     os._exit(0 if spectrum_bits(state) == expected else 1)
 
 
+class TestScatter:
+    """control._scatter sums terms onto rows as a loop over the terms
+    does, bit for bit."""
+
+    @staticmethod
+    def loop(rows, terms, n):
+        out = np.zeros((n, terms.shape[1]))
+        for r, t in zip(rows, terms):
+            out[r] = out[r] + t
+        return out
+
+    def test_equals_a_loop_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        for n, k, d in [(1, 5, 2), (7, 40, 3), (30, 600, 2)]:
+            # repeated rows, and with k < n or few draws, rows with no term
+            rows = rng.integers(0, n, size=k)
+            terms = rng.normal(size=(k, d)) * 10.0 ** rng.integers(
+                -8, 9, size=(k, 1))
+            terms[rng.random(k) < 0.1] = -0.0
+            got = control._scatter(rows, terms, n)
+            want = self.loop(rows, terms, n)
+            assert got.shape == (n, d)
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_without_terms_are_positive_zero(self):
+        got = control._scatter(np.array([1, 1]), np.array([[-0.0, 1.0],
+                                                           [-0.0, 2.0]]), 3)
+        assert got.tobytes() == np.array(
+            [[0.0, 0.0], [0.0, 3.0], [0.0, 0.0]]).tobytes()
+
+    def test_empty_input_gives_zeros(self):
+        got = control._scatter(np.empty(0, dtype=np.intp), np.empty((0, 3)),
+                               4)
+        assert got.tobytes() == np.zeros((4, 3)).tobytes()
+
+
 class TestPotentials:
     def test_rigidity_potential_is_inverse_power_sum(self):
         state = build_control_state(apex_framework(), default_params())

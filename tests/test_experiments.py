@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,7 +16,9 @@ import pytest
 from support import FakeBlas, reject_every_step
 
 from rigidnet import experiments, rigidity, simnet
-from rigidnet.control import ControlParams, RigidityLostError
+from rigidnet.control import (
+    ControlParams, RigidityLostError, build_control_state
+)
 from rigidnet.experiments import (
     CONTROL_COLUMNS,
     ENSEMBLE_COLUMNS,
@@ -284,6 +287,12 @@ def forks(monkeypatch):
     return started
 
 
+def eigh_workers():
+    """The names of the live eigh worker threads."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("rigidnet-eigh")]
+
+
 def fail_at(monkeypatch, errors):
     """Patch network_record to raise errors[index] for each index it names."""
     record = experiments.network_record
@@ -315,6 +324,25 @@ class TestForkedEnsemble:
         # repr spells every float to its last bit
         assert repr(forked) == one_core_run(kw)
         assert multiprocessing.active_children() == []
+
+    def test_no_eigh_worker_is_alive_at_a_fork(self, monkeypatch):
+        # a state with vectors on two cores starts the worker thread, and
+        # forking beside a live thread is unsafe (Python 3.12 warns of it)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        config = small_config()
+        build_control_state(generate_scenario(config), config.control)
+        assert eigh_workers() != []
+        alive = []
+        process = multiprocessing.get_context("fork").Process
+        start = process.start
+
+        def checked(child):
+            alive.append(eigh_workers())
+            return start(child)
+
+        monkeypatch.setattr(process, "start", checked)
+        run_ensemble_experiment(config)
+        assert alive == [[]]
 
     def test_one_network_starts_no_child(self, monkeypatch):
         def no_fork():

@@ -23,6 +23,7 @@ from rigidnet.graphs import (
     is_connected,
     laplacian_matrix,
     proximity,
+    separations,
 )
 
 
@@ -353,6 +354,32 @@ class TestDiskProximity:
             dist, linked = proximity(x, 2.0)
         assert np.isinf(dist[0, 1]) and dist[1, 2] == 1.0
         assert np.argwhere(linked).tolist() == [[1, 2]]
+
+
+class TestSeparations:
+    def test_lengths_equal_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        for d in (2, 3):
+            a = rng.normal(size=(5000, d)) * 10.0 ** rng.integers(
+                -6, 7, size=(5000, 1))
+            b = rng.uniform(-100, 100, size=(5000, d))
+            diff, lengths = separations(a, b)
+            assert diff.tobytes() == (a - b).tobytes()
+            assert lengths.tobytes() == np.linalg.norm(
+                a - b, axis=-1).tobytes()
+        # a pair table, as proximity measures it
+        x = rng.uniform(0, 150, size=(120, 2))
+        _, table = separations(x[:, None, :], x[None, :, :])
+        assert table.tobytes() == np.linalg.norm(
+            x[:, None, :] - x[None, :, :], axis=2).tobytes()
+
+    def test_an_overflowing_length_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diff, lengths = separations(np.array([[1e200, 0.0], [3.0, 4.0]]),
+                                        np.zeros(2))
+        assert np.isinf(lengths[0]) and lengths[1] == 5.0
+        assert diff[0].tolist() == [1e200, 0.0]
 
 
 def test_induced_subgraph_keeps_the_edges_inside():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rigidnet.control import (
+    ConfigError,
     ControlParams,
     EigenvectorsNotSolvedError,
     RigidityLostError,
@@ -281,6 +282,32 @@ def test_sufficiency_holds_along_a_run():
         assert row["framework_rho"] > 0
 
 
+@pytest.mark.parametrize("duration", [1e300, float("nan"), float("inf")])
+def test_tick_count_is_bounded_before_the_first_tick(monkeypatch, duration):
+    # a library caller pairs a WorldConfig with a duration no ScenarioConfig
+    # has checked; a run that ticked would stop at the third tick here
+    fw = rigid_disk(np.random.default_rng(11), 12, 85.0, 40.0)
+    world = make_world(fw, ControlParams(comm_range=40.0),
+                       WorldConfig(use_estimates=False))
+    ticks = []
+
+    def counted(w):
+        ticks.append(1)
+        if len(ticks) > 2:
+            raise RuntimeError("the run did not stop at the tick bound")
+        return w
+
+    monkeypatch.setattr(simnet, "step_simulation", counted)
+    with pytest.raises(ConfigError, match="MAX_TICKS"):
+        run_simulation(world, duration)
+    assert ticks == []
+    # a duration within the bound runs its ticks
+    run_simulation(world, 2 * world.params.dt)
+    assert len(ticks) == 2
+    assert simnet.tick_count(simnet.MAX_TICKS * world.params.dt,
+                             world.params.dt) == simnet.MAX_TICKS
+
+
 def test_halved_step_counts_as_one_tick(monkeypatch):
     fw = rigid_disk(np.random.default_rng(11), 14, 85.0, 40.0)
     params = ControlParams(comm_range=40.0, steepness=0.5, dt=0.1)
@@ -392,6 +419,31 @@ def hits_and_misses(ticks_seen):
     runs = [n for _, n in ticks_seen]
     assert set(runs) <= {0, 1}
     return runs.count(0), runs.count(1)
+
+
+def test_command_equals_the_two_pass_formula_bit_for_bit():
+    # the command subtracts every payload in delivery order and then adds
+    # the collision terms in edge order: np.subtract.at, then np.add.at
+    rng = np.random.default_rng(27)
+    for n, dim in [(14, 2), (20, 3)]:
+        fw = random_disk_framework(rng, n, side=80.0, range_=40.0, dim=dim)
+        params = ControlParams(comm_range=40.0, k_rigidity=0.5, k_load=1.3,
+                               k_collision=20.0)
+        members = rng.integers(0, n, size=5 * n)
+        rigidity = rng.normal(size=(len(members), dim))
+        load = rng.normal(size=(len(members), dim)) * 1e-3
+        rigidity[::7] = -0.0
+        u = np.zeros((n, dim))
+        gains = np.empty((2 * len(members), dim))
+        gains[0::2] = params.k_rigidity * rigidity
+        gains[1::2] = params.k_load * load
+        np.subtract.at(u, np.repeat(members, 2), gains)
+        g = -params.k_collision * simnet._collision_slopes(
+            fw, params.collision_exponent)
+        np.add.at(u, fw.graph.edge_array().ravel(),
+                  np.stack([g, -g], axis=1).reshape(-1, dim))
+        got = simnet._command(fw, params, members, rigidity, load)
+        assert got.tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("use_estimates", [False, True])
