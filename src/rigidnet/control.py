@@ -32,15 +32,20 @@ bincount per group of balls, and solves each ball once.  The guard solves
 with eigenvectors on ground truth, where the replay reuses its accepted
 state, and for eigenvalues only while the robots steer on estimates,
 where nothing reads the eigenvectors; a state without them refuses its
-slopes by name (EigenvectorsNotSolvedError).  The balls' eigh runs on two
-cores where the process may use two, the caller's and one worker thread's,
-with BLAS on one thread.
+slopes by name (EigenvectorsNotSolvedError).  Each guard trial's build
+also solves its whole framework's S in the same batch as its balls, for
+simnet's per-tick check.  Where the process may use two cores, the caller
+and one worker thread share every solve that releases the GIL, with BLAS
+on one thread: numpy's eigh, and eigenvalue-only solves by the GIL-free
+kernel (rigidity._gil_free_eigvalsh), since numpy's own eigvalsh keeps
+the GIL at these sizes.
 
 Each field of ControlParams, simnet.WorldConfig and experiments.ScenarioConfig
 declares its domain once (_domain), and one validator, _check_fields, checks
 every field's type, finiteness and domain, raising a ConfigError that names it.
 """
 
+import contextvars
 import functools
 import logging
 import numbers
@@ -54,11 +59,12 @@ from scipy.special import expit
 
 from .graphs import Graph, proximity
 from .rigidity import (
-    CoincidentNodesError, Framework, one_blas_thread, usable_cores
+    CoincidentNodesError, Framework, Spectrum, _gil_free_eigvalsh,
+    framework_gram, one_blas_thread, usable_cores
 )
 from .subframeworks import (
-    BallSet, ball_grams, ball_set, ball_spectrum, extent_assignment,
-    stack_balls
+    BallSet, _ball_spectrum, ball_grams, ball_set, ball_spectrum,
+    extent_assignment, stack_balls
 )
 
 logger = logging.getLogger(__name__)
@@ -164,7 +170,9 @@ class ControlState:
     ball's Spectrum, in center order (subframeworks.TOO_SMALL for a ball too
     small to test, whose rho is None and reads NaN in rhos).  A state built
     without vectors holds eigenvalues only: its verdicts and rhos, but no
-    slopes.
+    slopes.  A guard trial's state also holds framework_spectrum, the
+    eigenvalues of the whole framework's unweighted S, which simnet's
+    per-tick check reads; any other state holds None there.
     """
 
     framework: Framework
@@ -174,6 +182,7 @@ class ControlState:
     weights: np.ndarray
     spectra: list
     vectors: bool = True
+    framework_spectrum: Spectrum = None
 
     @property
     def rhos(self):
@@ -218,29 +227,58 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
 
 
-@one_blas_thread()
-def _ball_spectra(grams, d, vectors):
-    """Each ball's Spectrum, in center order, from its S.
+def _deal(costs, caller_only):
+    """Split solves between the worker thread and the caller.  The solves
+    in the set caller_only stay on the caller; each other one, from the
+    costliest, goes to whichever has less work so far, the worker on a
+    tie.  Returns the two shares of indices, the worker's first."""
+    shares = ([], sorted(caller_only))
+    loads = [0, sum(costs[j] for j in caller_only)]
+    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        if j not in caller_only:
+            t = 1 if loads[1] < loads[0] else 0
+            shares[t].append(j)
+            loads[t] += costs[j]
+    return shares
 
-    With vectors and two cores, the balls, sorted by side from the largest,
-    are dealt alternately to the worker thread and to the caller, and each
-    spectrum is put back at its center.  numpy's eigh releases the GIL, and
-    on one BLAS thread a ball's eigh gives the same bits on either thread.
-    eigvalsh gained nothing from a second core, so a solve without vectors
-    stays on the caller, as does every solve on one core.
+
+@one_blas_thread()
+def _spectra(grams, d, vectors):
+    """The Spectrum of each S in grams, in order, by ball_spectrum's test;
+    an S solved without vectors, as vectors[j] says, gets eigenvalues only.
+
+    On one core the caller solves them in turn.  On two, the caller and
+    one worker thread share every solve that releases the GIL: numpy's
+    eigh, and an eigenvalue-only solve where the process has the GIL-free
+    kernel (rigidity._gil_free_eigvalsh).  numpy's eigvalsh keeps the GIL
+    at these sizes, so without the kernel those solves stay on the caller.
+    The solves are dealt by cost, side^3 and twice that for eigh (_deal),
+    and each spectrum is put back at its ball.  The caller starts on its
+    costliest solve and the worker on its cheapest, so that small solves,
+    mostly Python that holds the GIL, run beside large ones, mostly LAPACK
+    that does not.  On one BLAS thread a solve gives the same bits on
+    either thread.
     """
-    if not (vectors and usable_cores() >= 2):
-        return [ball_spectrum(S, d, vectors) for S in grams]
+    if usable_cores() < 2:
+        return [ball_spectrum(S, d, v) for S, v in zip(grams, vectors)]
+    kernel = _gil_free_eigvalsh()
     spectra = [None] * len(grams)
 
-    def solve(centers):
-        for j in centers:
-            spectra[j] = ball_spectrum(grams[j], d, vectors)
+    def solve(share):
+        for j in share:
+            spectra[j] = (_ball_spectrum(grams[j], d, False, kernel)
+                          if kernel is not None and not vectors[j]
+                          else ball_spectrum(grams[j], d, vectors[j]))
 
-    order = sorted(range(len(grams)), key=lambda j: -len(grams[j]))
-    worker = _eigh_worker().submit(solve, order[0::2])
+    costs = [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)]
+    holds_gil = {j for j, v in enumerate(vectors) if not v and kernel is None}
+    on_worker, on_caller = _deal(costs, holds_gil)
+    if not on_worker:
+        solve(on_caller)
+        return spectra
+    worker = _eigh_worker().submit(solve, on_worker[::-1])
     try:
-        solve(order[1::2])
+        solve(on_caller)
     finally:
         # the worker's solves end before the BLAS setting is restored
         worker.result()
@@ -259,8 +297,10 @@ def build_control_state(fw, params, extents=None, vectors=True):
     eigenvalues only (eigvalsh instead of eigh), and the state gives
     verdicts and rhos but no slopes.
     The balls are solved with BLAS on one thread (rigidity.one_blas_thread);
-    with vectors, and where the process may run on two cores, the caller
-    and one worker thread share them (see _ball_spectra).
+    where the process may run on two cores, the caller and one worker
+    thread share them (see _spectra).  A guard trial's build also solves
+    its framework's unweighted S, for eigenvalues only, in the same batch
+    as the balls (_GUARD_TRIAL), and keeps it as framework_spectrum.
     """
     if extents is None:
         extents = extent_assignment(fw)
@@ -273,14 +313,21 @@ def build_control_state(fw, params, extents=None, vectors=True):
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
-    spectra = _ball_spectra(ball_grams(balls.layouts, fw.units, weights),
-                            fw.dim, vectors)
+    grams = ball_grams(balls.layouts, fw.units, weights)
+    with_vectors = [vectors] * len(grams)
+    check = _GUARD_TRIAL.get()
+    if check:
+        grams.append(framework_gram(fw))
+        with_vectors.append(False)
+    spectra = _spectra(grams, fw.dim, with_vectors)
+    framework_spectrum = spectra.pop() if check else None
     degenerate = sum(s.degenerate for s in spectra)
     if degenerate:
         logger.debug(
             "%d subframeworks have near-multiple rigidity eigenvalues; "
             "their eigenvectors only give descent subgradients", degenerate)
-    return ControlState(fw, params, extents, balls, weights, spectra, vectors)
+    return ControlState(fw, params, extents, balls, weights, spectra, vectors,
+                        framework_spectrum)
 
 
 def rigidity_potential(state):
@@ -443,13 +490,25 @@ def refresh_topology(graph, positions, params):
     return Graph(graph.n, np.stack([ii, jj], axis=1))
 
 
+# True while guarded_refresh builds a trial state, which then also solves
+# its framework's S for simnet's per-tick check.  It is a context variable,
+# not a parameter, so that build_control_state's signature stays the one
+# every caller knows; each thread and each guard call sees its own value.
+_GUARD_TRIAL = contextvars.ContextVar("rigidnet_guard_trial", default=False)
+
+
 def _state_if_rigid(graph, positions, params, extents, vectors):
+    """The state of a guard trial, with its framework_spectrum, if every
+    ball is rigid; else None."""
+    token = _GUARD_TRIAL.set(True)
     try:
         state = build_control_state(Framework(graph, positions), params,
                                     extents=extents, vectors=vectors)
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
+    finally:
+        _GUARD_TRIAL.reset(token)
     return state if all(s.rigid for s in state.spectra) else None
 
 

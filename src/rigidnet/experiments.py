@@ -39,6 +39,11 @@ from .subframeworks import communication_load, extent_assignment
 
 FLOAT_FORMAT = "%.10g"
 
+# the most networks one ensemble may measure: every network's child seed is
+# spawned before the first is drawn, at about 0.6 s and 45 MB per 10^5
+# seeds, so a larger count is refused before any work
+MAX_NETWORKS = 10**6
+
 
 @dataclass
 class ScenarioConfig(WorldConfig):
@@ -49,7 +54,7 @@ class ScenarioConfig(WorldConfig):
     its own.  comm_range both draws the network and sets the controller's
     link weights: control defaults to ControlParams at comm_range, and a
     control whose comm_range differs is a ConfigError, as is a duration /
-    control.dt above MAX_TICKS.
+    control.dt above MAX_TICKS or an ensemble_count above MAX_NETWORKS.
     """
 
     n: int = _domain("at least 2", 60)
@@ -71,6 +76,10 @@ class ScenarioConfig(WorldConfig):
             raise ConfigError("a rigid scenario needs more robots than dim")
         if any(not 0 <= a < self.n for a in self.anchors):
             raise ConfigError("anchor ids must be node ids")
+        if self.ensemble_count > MAX_NETWORKS:
+            raise ConfigError(
+                f"ensemble_count {self.ensemble_count} is above the bound "
+                f"MAX_NETWORKS = {MAX_NETWORKS}")
         if self.control.comm_range != self.comm_range:
             raise ConfigError(
                 f"control.comm_range {self.control.comm_range} differs "

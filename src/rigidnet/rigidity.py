@@ -29,6 +29,13 @@ and one thread gives the same bits whatever the process's setting.
 rigidity_spectrum solves under it; the ball solves of a state build or an
 extent search hold it across all their solves, and rigidity_report across
 the SVD too.
+numpy's eigh releases the GIL, but its eigvalsh keeps it unless (stack
+count x side) exceeds 500, so two threads calling it take turns on every S
+the library solves.  Where a second thread solves beside the caller (a
+state build on two cores), an eigenvalue-only solve calls numpy's own
+LAPACK dsyevd through ctypes instead, without the GIL and with numpy's
+bits (_gil_free_eigvalsh); every one-thread path keeps numpy's eigvalsh,
+whose wrapper costs less.
 """
 
 import ctypes
@@ -58,20 +65,25 @@ _COINCIDENT = 1e-12
 
 
 @functools.cache
-def _openblas_thread_counts():
-    """(get, set) of the thread count of every OpenBLAS the process has
-    loaded, found once in its memory map: numpy's libscipy_openblas64_,
-    scipy's libscipy_openblas, or a plain libopenblas.  Empty where the map
-    cannot be read or names none."""
+def _loaded_openblas():
+    """(path, CDLL) of every OpenBLAS the process has loaded, found once in
+    its memory map: numpy's libscipy_openblas64_, scipy's libscipy_openblas,
+    or a plain libopenblas.  Empty where the map cannot be read or names
+    none."""
     try:
         with open("/proc/self/maps") as fp:
             paths = sorted({line.split()[-1] for line in fp
                             if "openblas" in line.split()[-1].lower()})
     except OSError:
         return ()
+    return tuple((path, ctypes.CDLL(path)) for path in paths)
+
+
+@functools.cache
+def _openblas_thread_counts():
+    """(get, set) of the thread count of every loaded OpenBLAS."""
     found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
+    for _, lib in _loaded_openblas():
         for name in ("scipy_openblas_{}_num_threads64_",
                      "scipy_openblas_{}_num_threads",
                      "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
@@ -83,6 +95,72 @@ def _openblas_thread_counts():
                 found.append((get, set_))
                 break
     return tuple(found)
+
+
+@functools.cache
+def _gil_free_eigvalsh():
+    """numpy.linalg.eigvalsh's own solve, called through ctypes so that it
+    releases the GIL, or None where numpy's OpenBLAS is not loaded.
+
+    numpy's eigvalsh keeps the GIL unless (stack count x side) exceeds 500,
+    and every S the loops solve is smaller, so two threads calling it take
+    turns.  This calls the LAPACK that numpy's wrapper calls, dsyevd of
+    numpy's ILP64 OpenBLAS (numpy.libs/libscipy_openblas64_*), in the same
+    way: eigenvalues only (jobz N) from the lower triangle (uplo L) of a
+    Fortran-order copy, with the workspace sizes of LAPACK's own query,
+    since dsytrd's blocking depends on them.  So its bits are numpy's.
+    scipy's OpenBLAS is never used: its dsyevd gives other bits.
+    """
+    for path, lib in _loaded_openblas():
+        dsyevd = getattr(lib, "scipy_dsyevd_64_", None)
+        if dsyevd is not None and os.path.basename(
+                os.path.dirname(path)) == "numpy.libs":
+            return _eigvalsh_by(dsyevd)
+    return None
+
+
+# dsyevd's integer arguments: n, lda, lwork, liwork, info, and the
+# queried liwork, in ILP64 LAPACK's 64-bit integers
+_DsyevdInts = ctypes.c_int64 * 6
+
+
+def _address(a):
+    """The address of a C-contiguous array's first element."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def _eigvalsh_by(dsyevd):
+    """An eigvalsh of S by the ILP64 LAPACK routine dsyevd; a
+    np.linalg.LinAlgError when it does not converge.  Every buffer is an
+    array of the call's own, so threads may call it at once."""
+    dsyevd.restype = None
+    dsyevd.argtypes = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 9
+
+    def eigvalsh(S):
+        a = np.array(S, dtype=float, order="F")
+        n = len(a)
+        # dsyevd reads n x n doubles from a: anything else is out of bounds
+        if a.shape != (n, n):
+            raise ValueError(f"S must be a square matrix, got {a.shape}")
+        ints = _DsyevdInts(n, max(n, 1), -1, -1)
+        i = ctypes.addressof(ints)
+        # the eigenvalues, then the queried lwork
+        w = np.empty(n + 1)
+        pa, pw = _address(a.T), _address(w)
+        dsyevd(b"N", b"L", i, pa, i + 8, pw, pw + 8 * n, i + 16, i + 40,
+               i + 24, i + 32)
+        lwork = int(w[n])
+        ints[2], ints[3] = lwork, ints[5]
+        # the work array, then iwork
+        work = np.empty(lwork + ints[3])
+        pk = _address(work)
+        dsyevd(b"N", b"L", i, pa, i + 8, pw, pk, i + 16, pk + 8 * lwork,
+               i + 24, i + 32)
+        if ints[4]:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return w[:n].copy()
+
+    return eigvalsh
 
 
 class one_blas_thread:
@@ -316,6 +394,12 @@ def rigidity_spectrum(S, d, vectors=True):
     the one it has always used.  Either solves with BLAS on one thread, so
     its bits do not depend on the process's thread count.
     """
+    return _spectrum(S, d, vectors, np.linalg.eigvalsh)
+
+
+def _spectrum(S, d, vectors, eigvalsh):
+    """rigidity_spectrum, solved without vectors by eigvalsh: numpy's, or
+    _gil_free_eigvalsh, which gives the same bits."""
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
@@ -330,7 +414,7 @@ def rigidity_spectrum(S, d, vectors=True):
         if vectors:
             vals, vecs = np.linalg.eigh(S)
         else:
-            vals = np.linalg.eigvalsh(S)
+            vals = eigvalsh(S)
     if vectors:
         nu = vecs[:, f]
         if nu[np.argmax(np.abs(nu))] < 0:

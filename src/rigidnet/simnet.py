@@ -38,7 +38,11 @@ summed in the recorded delivery order, which gives the engine's commands
 bit for bit.  On ground truth the guard's accepted control state already
 holds every ball's eigendata at these positions, so the replay solves
 nothing; on believed positions it builds one control state there, and
-the guard, whose state the replay never reads, solves eigenvalues only.  The
+the guard, whose state the replay never reads, solves eigenvalues only.
+The per-tick check that rigid balls leave the whole framework rigid reads
+the framework's spectrum from the guard's accepted state, which solved it
+in one batch with its balls, on both cores where the process may use two
+(control._spectra); the replay's build solves no framework S.  The
 replay, its collision terms and the per-tick metrics read the edge unit
 vectors and lengths from the Framework at the positions they use, which
 measured them once when it was built; the commands are one scatter
@@ -570,11 +574,17 @@ def make_world(fw, params, config):
     return world
 
 
-def _framework_rho_if_rigid(world):
+def _framework_rho_if_rigid(world, spectrum=None):
     """Rigidity eigenvalue of the whole framework, which rigid balls must
-    leave rigid under their own relative zero test; asserted every tick."""
+    leave rigid under their own relative zero test; asserted every tick.
+
+    spectrum is the framework's, as the guard solved it with its balls
+    (ControlState.framework_spectrum); None solves it here.
+    """
     fw = world.framework
-    spectrum = rigidity_spectrum(framework_gram(fw), fw.dim, vectors=False)
+    if spectrum is None:
+        spectrum = rigidity_spectrum(framework_gram(fw), fw.dim,
+                                     vectors=False)
     if not spectrum.rigid:
         raise RigidityLostError("rigid subframeworks left a flexible framework")
     return spectrum.rho
@@ -676,7 +686,8 @@ def step_simulation(world):
     world.framework = new_state.framework
     world.accepted = new_state
     world.time += dt
-    _append_metrics(world, new_state, log, _framework_rho_if_rigid(world))
+    _append_metrics(world, new_state, log, _framework_rho_if_rigid(
+        world, new_state.framework_spectrum))
     return world
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
-    Framework, GramLayout, Spectrum, one_blas_thread, rigidity_spectrum
+    Framework, GramLayout, Spectrum, _spectrum, one_blas_thread
 )
 
 
@@ -171,9 +171,14 @@ TOO_SMALL.eigenvalues.setflags(write=False)
 
 def ball_spectrum(S, d, vectors=True):
     """Spectrum of a ball's S; TOO_SMALL when the ball is too small to test."""
+    return _ball_spectrum(S, d, vectors, np.linalg.eigvalsh)
+
+
+def _ball_spectrum(S, d, vectors, eigvalsh):
+    """ball_spectrum, solved without vectors by eigvalsh (rigidity._spectrum)."""
     if S.shape[0] <= d * d:
         return TOO_SMALL
-    return rigidity_spectrum(S, d, vectors)
+    return _spectrum(S, d, vectors, eigvalsh)
 
 
 @one_blas_thread()

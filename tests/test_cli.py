@@ -542,6 +542,21 @@ class TestConfigHandling:
         assert line.startswith("configuration error:")
         assert captured.out == ""
 
+    def test_huge_ensemble_count_exits_three(self, monkeypatch, capsys):
+        # every child seed is spawned before the first network: 10^30 of
+        # them would never return, so the count is refused before a spawn
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError(f"asked to spawn {n_children} seeds")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        assert main(["ensemble", *SMALL, "--count",
+                     str(10**30)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:")
+        assert "MAX_NETWORKS" in line and captured.out == ""
+
     @pytest.mark.parametrize("ground_truth", [False, True])
     @pytest.mark.parametrize("control, message", [
         # rho ** -(q + 1) overflows as a Python float power

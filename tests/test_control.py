@@ -41,7 +41,7 @@ from rigidnet.control import (
 )
 from rigidnet.experiments import generate_scenario, reference_control_config
 from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
-from rigidnet.rigidity import Framework
+from rigidnet.rigidity import Framework, framework_gram, rigidity_spectrum
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
 from rigidnet.subframeworks import ball_grams, ball_set, ball_spectrum
 
@@ -224,19 +224,26 @@ STEADY_FIXTURE = (Path(__file__).resolve().parents[1] / "bench" / "data"
                   / "steady_fixture.json")
 
 
-def steady_state():
-    """The reference run's state at its saved tick, with its frozen extents."""
+def steady_framework():
+    """The reference run's framework at its saved tick, and its frozen
+    extents."""
     fixture = json.loads(STEADY_FIXTURE.read_text())
     graph = Graph(len(fixture["positions"]),
                   [tuple(e) for e in fixture["edges"]])
-    fw = Framework(graph, fixture["positions"])
+    return Framework(graph, fixture["positions"]), fixture["extents"]
+
+
+def steady_state(vectors=True):
+    """The reference run's state at its saved tick, with its frozen extents."""
+    fw, extents = steady_framework()
     return build_control_state(fw, reference_control_config().control,
-                               fixture["extents"])
+                               extents, vectors)
 
 
-def estimated_state():
+def estimated_state(vectors=True):
     """The state that a 120-robot run steering on estimates replays at
-    t=0: the believed positions, solved with vectors."""
+    t=0: the believed positions, solved with vectors, or the guard's
+    state there without them."""
     side = 150.0 * np.sqrt(2.0)
     config = dataclasses.replace(
         reference_control_config(), n=120, width=side, height=side,
@@ -245,17 +252,23 @@ def estimated_state():
     fw = generate_scenario(config)
     world = make_world(fw, config.control, config)
     believed = Framework(fw.graph, world.filters.estimates)
-    return build_control_state(believed, config.control, world.extents)
+    return build_control_state(believed, config.control, world.extents,
+                               vectors)
 
 
-def spectrum_bits(state):
-    """Every field a ball's Spectrum holds, as bytes where it is a number."""
-    def bits(v):
+def bits(spectrum):
+    """Every field a Spectrum holds, as bytes where it is a number."""
+    def field_bits(v):
         if v is None or isinstance(v, bool):
             return v
         return np.asarray(v, dtype=float).tobytes()
-    return [tuple(bits(getattr(s, f.name))
-                  for f in dataclasses.fields(s)) for s in state.spectra]
+    return tuple(field_bits(getattr(spectrum, f.name))
+                 for f in dataclasses.fields(spectrum))
+
+
+def spectrum_bits(state):
+    """The bits of every ball's Spectrum."""
+    return [bits(s) for s in state.spectra]
 
 
 def one_core(pid):
@@ -266,13 +279,27 @@ def two_cores(pid):
     return {0, 1}
 
 
-class TestTwoCoreSolve:
-    """With vectors and two usable cores the balls' eigh runs on the caller
-    and one worker thread; the spectra are those of a one-core build."""
+def gil_free_eigvalsh():
+    """The GIL-free kernel, or a skip where the process has none."""
+    kernel = rigidity._gil_free_eigvalsh()
+    if kernel is None:
+        pytest.skip("numpy's OpenBLAS is not loaded, so eigenvalue-only "
+                    "solves have no GIL-free kernel")
+    return kernel
 
-    @pytest.mark.parametrize("build", [steady_state, estimated_state])
+
+class TestTwoCoreSolve:
+    """With two usable cores the solves that release the GIL, eigh and the
+    GIL-free eigenvalue-only kernel, run on the caller and one worker
+    thread; the spectra are those of a one-core build."""
+
+    @pytest.mark.parametrize("build, vectors", [
+        pytest.param(build, vectors, id=build.__name__ + (
+            "" if vectors else "-eigenvalues_only"))
+        for vectors in (True, False)
+        for build in (steady_state, estimated_state)])
     def test_threaded_build_equals_sequential_bit_for_bit(self, monkeypatch,
-                                                          build):
+                                                          build, vectors):
         solvers = set()
 
         def recorded(S, d, vectors=True):
@@ -280,12 +307,21 @@ class TestTwoCoreSolve:
             return ball_spectrum(S, d, vectors)
 
         monkeypatch.setattr(control, "ball_spectrum", recorded)
+        if not vectors:
+            kernel = gil_free_eigvalsh()
+
+            def recorded_kernel(S):
+                solvers.add(threading.get_ident())
+                return kernel(S)
+
+            monkeypatch.setattr(control, "_gil_free_eigvalsh",
+                                lambda: recorded_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         # hand the interpreter lock between the threads as often as it goes
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = build()
+            threaded = build(vectors)
         finally:
             sys.setswitchinterval(interval)
         assert len(solvers) == 2
@@ -296,21 +332,66 @@ class TestTwoCoreSolve:
         solvers.clear()
         monkeypatch.setattr(control, "_eigh_worker", no_worker)
         monkeypatch.setattr(os, "sched_getaffinity", one_core)
-        sequential = build()
+        sequential = build(vectors)
         assert solvers == {threading.get_ident()}
         assert spectrum_bits(threaded) == spectrum_bits(sequential)
         assert threaded.rhos.tobytes() == sequential.rhos.tobytes()
-        assert any(s.nu is not None for s in threaded.spectra)
+        assert any(s.nu is not None for s in threaded.spectra) == vectors
 
-    def test_eigenvalue_only_build_stays_on_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_without_the_kernel_no_eigenvalue_only_solve_reaches_the_worker(
+            self, monkeypatch, vectors):
+        fw, extents = steady_framework()
+        params = reference_control_config().control
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        expected = None
+        if rigidity._gil_free_eigvalsh() is not None:
+            expected = guarded_refresh(fw.graph, fw.positions, params,
+                                       extents, vectors)[1]
+        # the probe finds no OpenBLAS, so there is no kernel
+        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
+        monkeypatch.setattr(control, "_gil_free_eigvalsh",
+                            rigidity._gil_free_eigvalsh.__wrapped__)
+        eigenvalue_only = []
+
+        def recorded(S, d, vectors=True):
+            if not vectors:
+                eigenvalue_only.append(threading.get_ident())
+            return ball_spectrum(S, d, vectors)
+
         def no_worker():
             raise AssertionError("eigvalsh was dealt to a worker thread")
 
-        monkeypatch.setattr(control, "_eigh_worker", no_worker)
-        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
-        state = build_control_state(apex_framework(), default_params(),
-                                    vectors=False)
-        assert all(s.nu is None for s in state.spectra)
+        monkeypatch.setattr(control, "ball_spectrum", recorded)
+        if not vectors:
+            monkeypatch.setattr(control, "_eigh_worker", no_worker)
+        # a guard trial: with vectors its balls' eigh share the cores, and
+        # its framework's S is solved for eigenvalues only
+        _, state = guarded_refresh(fw.graph, fw.positions, params, extents,
+                                   vectors)
+        assert set(eigenvalue_only) == {threading.get_ident()}
+        assert len(eigenvalue_only) == 1 + (0 if vectors else fw.n)
+        if expected is not None:
+            # numpy's eigvalsh gives the kernel's bits
+            assert spectrum_bits(state) == spectrum_bits(expected)
+            assert (bits(state.framework_spectrum)
+                    == bits(expected.framework_spectrum))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("cores", [one_core, two_cores])
+    def test_accepted_state_holds_the_framework_spectrum(self, monkeypatch,
+                                                         cores, vectors):
+        monkeypatch.setattr(os, "sched_getaffinity", cores)
+        fw, extents = steady_framework()
+        _, state = guarded_refresh(fw.graph, fw.positions,
+                                   reference_control_config().control,
+                                   extents, vectors)
+        fw = state.framework
+        fresh = rigidity_spectrum(framework_gram(fw), fw.dim, vectors=False)
+        assert bits(state.framework_spectrum) == bits(fresh)
+        # a build outside the guard solves no framework S
+        assert build_control_state(fw, state.params, extents,
+                                   vectors).framework_spectrum is None
 
     def test_balls_are_solved_on_one_blas_thread(self, monkeypatch):
         blas = FakeBlas(2)
@@ -337,11 +418,20 @@ class TestTwoCoreSolve:
             done.append(ball_spectrum(S, d, vectors))
             return done[-1]
 
+        dealt = []
+        deal = control._deal
+
+        def recorded_deal(costs, caller_only):
+            dealt.append(deal(costs, caller_only))
+            return dealt[-1]
+
         monkeypatch.setattr(control, "ball_spectrum", failing)
+        monkeypatch.setattr(control, "_deal", recorded_deal)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         with pytest.raises(np.linalg.LinAlgError):
             build_control_state(apex_framework(), default_params())
-        assert len(done) == 3
+        [(on_worker, _)] = dealt
+        assert on_worker and len(done) == len(on_worker)
 
     def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)

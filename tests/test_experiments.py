@@ -100,6 +100,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="MAX_TICKS"):
             small_config(control=ControlParams(comm_range=40.0, dt=1e-300))
 
+    def test_ensemble_count_is_bounded(self):
+        small_config(ensemble_count=experiments.MAX_NETWORKS)
+        for count in (experiments.MAX_NETWORKS + 1, 10**30):
+            with pytest.raises(ConfigError, match="MAX_NETWORKS"):
+                small_config(ensemble_count=count)
+
     def test_fields_accept_numpy_scalars(self):
         cfg = small_config(width=150.0 * np.sqrt(2.0), n=np.int64(12),
                            anchors=(np.int64(0), 1))

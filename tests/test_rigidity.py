@@ -1,8 +1,14 @@
 """Rigidity matrix construction, eigenvalue/rank tests and the diameter bound."""
 
+import ctypes
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,3 +557,108 @@ class TestOneBlasThread:
         finally:
             for (_, set_), n in zip(libs, before):
                 set_(n)
+
+
+def gil_free_eigvalsh():
+    """The GIL-free kernel, or a skip where the process has none."""
+    kernel = rigidity._gil_free_eigvalsh()
+    if kernel is None:
+        pytest.skip("numpy's OpenBLAS is not loaded, so there is no "
+                    "GIL-free eigvalsh")
+    return kernel
+
+
+def kernel_matrices():
+    """Symmetric matrices of sides 4 to 640, on both sides of the 500 under
+    which numpy's eigvalsh keeps the GIL: the S of random frameworks in the
+    plane and in space, the weighted S of hop-balls, and random ones."""
+    rng = np.random.default_rng(28)
+    for n, d in [(3, 2), (12, 2), (60, 2), (260, 2), (5, 3), (40, 3),
+                 (170, 3)]:
+        yield framework_gram(random_framework(rng, n, d))
+    fw = random_disk_framework(rng, 60, side=100.0, range_=30.0)
+    e = fw.graph.edge_array()
+    inside = GeodesicTable.compute(fw.graph).dist <= 2
+    weights = expit(0.5 * (30.0 - fw.lengths))
+    yield from ball_grams(stack_layouts(stack_balls(inside, e), 2), fw.units,
+                          weights)
+    for side in (4, 7, 33, 128, 499, 501, 640):
+        a = rng.normal(size=(side, side))
+        yield a + a.T
+
+
+class TestGilFreeEigvalsh:
+    """rigidity._gil_free_eigvalsh calls the LAPACK behind numpy's eigvalsh
+    without the GIL, and gives its bits."""
+
+    def test_equals_numpy_bit_for_bit(self):
+        kernel = gil_free_eigvalsh()
+        sides = set()
+        with rigidity.one_blas_thread():
+            for S in kernel_matrices():
+                sides.add(len(S))
+                assert (kernel(S).tobytes()
+                        == np.linalg.eigvalsh(S).tobytes()), len(S)
+        assert min(sides) == 4 and max(sides) > 500
+
+    def test_two_threads_at_once_give_the_same_bits(self):
+        kernel = gil_free_eigvalsh()
+        matrices = list(kernel_matrices())
+        with rigidity.one_blas_thread():
+            want = [np.linalg.eigvalsh(S).tobytes() for S in matrices]
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda S: kernel(S).tobytes(), matrices))
+        assert got == want
+
+    def test_a_failed_solve_is_a_lin_alg_error(self):
+        def dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork,
+                   info):
+            # the query asks for the smallest workspace; the solve fails
+            if ctypes.c_int64.from_address(lwork).value == -1:
+                ctypes.c_double.from_address(work).value = 9.0
+                ctypes.c_int64.from_address(iwork).value = 1
+            else:
+                ctypes.c_int64.from_address(info).value = 2
+
+        with pytest.raises(np.linalg.LinAlgError):
+            rigidity._eigvalsh_by(dsyevd)(np.eye(4))
+
+    def test_a_matrix_that_is_not_square_is_refused(self):
+        kernel = gil_free_eigvalsh()
+        for bad in (np.ones((4, 3)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                kernel(bad)
+
+    def test_only_numpys_openblas_serves(self, monkeypatch):
+        loaded = rigidity._loaded_openblas()
+        probe = rigidity._gil_free_eigvalsh.__wrapped__
+        # scipy's OpenBLAS gives other bits
+        others = tuple((path, lib) for path, lib in loaded
+                       if "numpy.libs" not in path)
+        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: others)
+        assert probe() is None
+        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
+        assert probe() is None
+
+    def test_importing_rigidnet_runs_no_probe(self):
+        # the memory map is read on the first solve that needs it, so a
+        # cold import stays as cheap as it was
+        src = Path(rigidity.__file__).resolve().parents[1]
+        code = ("import sys; import rigidnet; "
+                "sys.exit(rigidnet.rigidity._loaded_openblas.cache_info()"
+                ".currsize)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                timeout=60)
+        assert result.returncode == 0
+
+    def test_without_the_kernel_numpy_gives_the_same_bits(self, monkeypatch):
+        kernel = gil_free_eigvalsh()
+        fw = random_rigid_framework(np.random.default_rng(3), 30, 2)
+        S = framework_gram(fw)
+        want = rigidity._spectrum(S, 2, False, kernel)
+        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
+        assert rigidity._gil_free_eigvalsh.__wrapped__() is None
+        got = rigidity_spectrum(S, 2, vectors=False)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert (got.rho, got.rigid) == (want.rho, want.rigid)
