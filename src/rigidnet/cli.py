@@ -6,14 +6,16 @@ scenario when it leaves it out.  Exit codes: 0 on success, 2 when a
 control run loses rigidity, 3 for an invalid configuration (an unknown
 field, a value of the wrong type, a value out of range or not finite, a
 control block whose comm_range differs from the scenario's, a framework
-file of the wrong shape, a seed that is not a non-negative integer, a node
+file of the wrong shape or with a coordinate that is not a number (a
+string or a bool), a seed that is not a non-negative integer, a node
 count that is not an integer, a framework too small for the rigidity test,
 a generated draw with two adjacent robots at one point, a framework whose
 positions or edge lengths are not finite in float64, a duration /
-control.dt above simnet.MAX_TICKS, a velocity command that is not
-finite in float64 (NonFiniteCommandError, as gains or exponents of 1e300
-make it), an output path that cannot be written, or an input that needs
-more memory than the machine has, such as an n whose dense pairwise
+control.dt above simnet.MAX_TICKS, an ensemble_count above
+experiments.MAX_NETWORKS, a rejection_budget above experiments.MAX_DRAWS, a velocity command that
+is not finite in float64 (NonFiniteCommandError, as gains or exponents of
+1e300 make it), an output path that cannot be written, or an input that
+needs more memory than the machine has, such as an n whose dense pairwise
 arrays cannot be allocated),
 4 when the message exchange breaks its protocol (a send across a
 non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
@@ -172,7 +174,7 @@ def _cmd_audit(args):
             with open(args.framework) as fp:
                 fw = framework_from_json(json.load(fp))
         except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
+                ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot read framework file: {exc}")
     else:
         fw = generate_scenario(_build_config(args))

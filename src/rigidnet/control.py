@@ -34,11 +34,9 @@ state, and for eigenvalues only while the robots steer on estimates,
 where nothing reads the eigenvectors; a state without them refuses its
 slopes by name (EigenvectorsNotSolvedError).  Each guard trial's build
 also solves its whole framework's S in the same batch as its balls, for
-simnet's per-tick check.  Where the process may use two cores, the caller
-and one worker thread share every solve that releases the GIL, with BLAS
-on one thread: numpy's eigh, and eigenvalue-only solves by the GIL-free
-kernel (rigidity._gil_free_eigvalsh), since numpy's own eigvalsh keeps
-the GIL at these sizes.
+simnet's per-tick check.  This module only assembles the batch of S;
+rigidity._spectra solves it, on one BLAS thread, and on both cores where
+the process may use two and has the GIL-free eigenvalue-only kernel.
 
 Each field of ControlParams, simnet.WorldConfig and experiments.ScenarioConfig
 declares its domain once (_domain), and one validator, _check_fields, checks
@@ -46,12 +44,9 @@ every field's type, finiteness and domain, raising a ConfigError that names it.
 """
 
 import contextvars
-import functools
 import logging
 import numbers
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -59,12 +54,10 @@ from scipy.special import expit
 
 from .graphs import Graph, proximity
 from .rigidity import (
-    CoincidentNodesError, Framework, Spectrum, _gil_free_eigvalsh,
-    framework_gram, one_blas_thread, usable_cores
+    CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram
 )
 from .subframeworks import (
-    BallSet, _ball_spectrum, ball_grams, ball_set, ball_spectrum,
-    extent_assignment, stack_balls
+    BallSet, ball_grams, ball_set, extent_assignment, stack_balls
 )
 
 logger = logging.getLogger(__name__)
@@ -167,7 +160,7 @@ class ControlState:
     and coeff) is the graph's own and shared, read-only, by every state on that
     graph; the edge unit vectors and lengths are the framework's, and the
     link weights and spectra belong to this state.  spectra holds each
-    ball's Spectrum, in center order (subframeworks.TOO_SMALL for a ball too
+    ball's Spectrum, in center order (rigidity.TOO_SMALL for a ball too
     small to test, whose rho is None and reads NaN in rhos).  A state built
     without vectors holds eigenvalues only: its verdicts and rhos, but no
     slopes.  A guard trial's state also holds framework_spectrum, the
@@ -208,83 +201,6 @@ class ControlState:
             fw.units, fw.lengths, self.weights, self.params)
 
 
-@functools.cache
-def _eigh_worker():
-    """The one worker thread that shares the balls' eigh with the caller,
-    started on first use."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidnet-eigh")
-
-
-def _stop_eigh_worker():
-    """Join the worker thread, as a fork needs (Python 3.12 warns of a live
-    thread); the next two-core solve starts another."""
-    _eigh_worker().shutdown()
-    _eigh_worker.cache_clear()
-
-
-# a forked child has no worker thread, only its parent's record of one
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
-
-
-def _deal(costs, caller_only):
-    """Split solves between the worker thread and the caller.  The solves
-    in the set caller_only stay on the caller; each other one, from the
-    costliest, goes to whichever has less work so far, the worker on a
-    tie.  Returns the two shares of indices, the worker's first."""
-    shares = ([], sorted(caller_only))
-    loads = [0, sum(costs[j] for j in caller_only)]
-    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
-        if j not in caller_only:
-            t = 1 if loads[1] < loads[0] else 0
-            shares[t].append(j)
-            loads[t] += costs[j]
-    return shares
-
-
-@one_blas_thread()
-def _spectra(grams, d, vectors):
-    """The Spectrum of each S in grams, in order, by ball_spectrum's test;
-    an S solved without vectors, as vectors[j] says, gets eigenvalues only.
-
-    On one core the caller solves them in turn.  On two, the caller and
-    one worker thread share every solve that releases the GIL: numpy's
-    eigh, and an eigenvalue-only solve where the process has the GIL-free
-    kernel (rigidity._gil_free_eigvalsh).  numpy's eigvalsh keeps the GIL
-    at these sizes, so without the kernel those solves stay on the caller.
-    The solves are dealt by cost, side^3 and twice that for eigh (_deal),
-    and each spectrum is put back at its ball.  The caller starts on its
-    costliest solve and the worker on its cheapest, so that small solves,
-    mostly Python that holds the GIL, run beside large ones, mostly LAPACK
-    that does not.  On one BLAS thread a solve gives the same bits on
-    either thread.
-    """
-    if usable_cores() < 2:
-        return [ball_spectrum(S, d, v) for S, v in zip(grams, vectors)]
-    kernel = _gil_free_eigvalsh()
-    spectra = [None] * len(grams)
-
-    def solve(share):
-        for j in share:
-            spectra[j] = (_ball_spectrum(grams[j], d, False, kernel)
-                          if kernel is not None and not vectors[j]
-                          else ball_spectrum(grams[j], d, vectors[j]))
-
-    costs = [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)]
-    holds_gil = {j for j, v in enumerate(vectors) if not v and kernel is None}
-    on_worker, on_caller = _deal(costs, holds_gil)
-    if not on_worker:
-        solve(on_caller)
-        return spectra
-    worker = _eigh_worker().submit(solve, on_worker[::-1])
-    try:
-        solve(on_caller)
-    finally:
-        # the worker's solves end before the BLAS setting is restored
-        worker.result()
-    return spectra
-
-
 def build_control_state(fw, params, extents=None, vectors=True):
     """Snapshot the discrete structure of a framework and solve its eigenproblems.
 
@@ -296,9 +212,9 @@ def build_control_state(fw, params, extents=None, vectors=True):
     reads the verdicts.  Without vectors every ball is solved for its
     eigenvalues only (eigvalsh instead of eigh), and the state gives
     verdicts and rhos but no slopes.
-    The balls are solved with BLAS on one thread (rigidity.one_blas_thread);
-    where the process may run on two cores, the caller and one worker
-    thread share them (see _spectra).  A guard trial's build also solves
+    The balls are solved as one batch by rigidity._spectra, with BLAS on
+    one thread, shared by the caller and one worker thread where the
+    process may run on two cores.  A guard trial's build also solves
     its framework's unweighted S, for eigenvalues only, in the same batch
     as the balls (_GUARD_TRIAL), and keeps it as framework_spectrum.
     """

@@ -20,13 +20,14 @@ import numpy as np
 
 from .control import (
     ConfigError, ControlParams, RigidityLostError, _check_fields, _domain,
-    _is_a, _stop_eigh_worker
+    _is_a
 )
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import LocalizationError
 from .rigidity import (
     CoincidentNodesError,
     Framework,
+    _stop_eigh_worker,
     is_infinitesimally_rigid,
     one_blas_thread,
     usable_cores,
@@ -44,6 +45,11 @@ FLOAT_FORMAT = "%.10g"
 # seeds, so a larger count is refused before any work
 MAX_NETWORKS = 10**6
 
+# the most draws the sampler may make for one network: 20,000 rejected
+# draws of 10 robots took 1.3-1.7 s on a 2-core x86-64 host, so 10^8 would
+# run for hours; a larger budget is refused before the first draw
+MAX_DRAWS = 10**6
+
 
 @dataclass
 class ScenarioConfig(WorldConfig):
@@ -54,7 +60,8 @@ class ScenarioConfig(WorldConfig):
     its own.  comm_range both draws the network and sets the controller's
     link weights: control defaults to ControlParams at comm_range, and a
     control whose comm_range differs is a ConfigError, as is a duration /
-    control.dt above MAX_TICKS or an ensemble_count above MAX_NETWORKS.
+    control.dt above MAX_TICKS, an ensemble_count above MAX_NETWORKS or a
+    rejection_budget above MAX_DRAWS.
     """
 
     n: int = _domain("at least 2", 60)
@@ -80,6 +87,10 @@ class ScenarioConfig(WorldConfig):
             raise ConfigError(
                 f"ensemble_count {self.ensemble_count} is above the bound "
                 f"MAX_NETWORKS = {MAX_NETWORKS}")
+        if self.rejection_budget > MAX_DRAWS:
+            raise ConfigError(
+                f"rejection_budget {self.rejection_budget} is above the bound "
+                f"MAX_DRAWS = {MAX_DRAWS}")
         if self.control.comm_range != self.comm_range:
             raise ConfigError(
                 f"control.comm_range {self.control.comm_range} differs "
@@ -142,7 +153,14 @@ def framework_from_json(data):
                 and all(_is_a(v, int) for v in e)):
             raise ValueError(
                 f"an edge must be a pair of integer node ids, got {e!r}")
-    return Framework(Graph(int(data["n"]), edges), data["positions"])
+    positions = data["positions"]
+    if not isinstance(positions, list):
+        raise ValueError(f"positions must be a list, got {positions!r}")
+    for row in positions:
+        if not (isinstance(row, list) and all(_is_a(v, float) for v in row)):
+            raise ValueError(
+                f"a position must be a list of numbers, got {row!r}")
+    return Framework(Graph(int(data["n"]), edges), positions)
 
 
 def network_record(fw, index=0, rejects=0):

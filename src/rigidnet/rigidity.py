@@ -14,34 +14,38 @@ a cut vertex forces a non-trivial motion at every realization in 2-D and
 the numeric test on most flexible random draws.  Its verdict on the
 remaining draws solves S for eigenvalues only, since it reads no
 eigenvector; the SVD rank cross-check still runs on every one of them.
-rigidity_spectrum is the one eigensolve behind every eigenvalue verdict, for
-whole frameworks and hop-balls alike, and every verdict holds rho against
-one threshold, REL_TOL relative to the largest eigenvalue; the rank test
-reads it too.  Every S it is given is assembled by d x d blocks, S = sum
-over edges of w r r^T, by a GramLayout: one bincount builds the S of one
-framework or of many stacked balls, with no dense R.
+rigidity_spectrum is the one verdict on an S, for whole frameworks and
+hop-balls alike: the shared read-only TOO_SMALL for an S of at most d
+nodes, whose framework rigidity_report and is_infinitesimally_rigid
+refuse (FrameworkTooSmallError), and otherwise rho against one threshold,
+REL_TOL relative to the largest eigenvalue; the rank test reads it too.
+Every S it is given is assembled by d x d blocks, S = sum over edges of
+w r r^T, by a GramLayout: one bincount builds the S of one framework or of
+many stacked balls, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
 Every dense solve of the library runs under one_blas_thread, which sets
 every loaded OpenBLAS to one thread for its duration: its threads, woken
 for each solve between stretches of Python work, cost more than they give,
 and one thread gives the same bits whatever the process's setting.
-rigidity_spectrum solves under it; the ball solves of a state build or an
-extent search hold it across all their solves, and rigidity_report across
-the SVD too.
+rigidity_spectrum enters it once per call; a batch (_spectra, the extent
+search's _rigid_balls, rigidity_report with its SVD) enters it once and
+solves each S by _spectrum, which does not enter it again.
 numpy's eigh releases the GIL, but its eigvalsh keeps it unless (stack
 count x side) exceeds 500, so two threads calling it take turns on every S
-the library solves.  Where a second thread solves beside the caller (a
-state build on two cores), an eigenvalue-only solve calls numpy's own
-LAPACK dsyevd through ctypes instead, without the GIL and with numpy's
-bits (_gil_free_eigvalsh); every one-thread path keeps numpy's eigvalsh,
-whose wrapper costs less.
+the library solves.  So a state build's batch (_spectra) is split between
+the caller and one worker thread only where the process may use two cores
+and has _gil_free_eigvalsh, numpy's own LAPACK dsyevd called through
+ctypes without the GIL and with numpy's bits: there every eigh is numpy's
+and every eigenvalue-only solve the kernel's.  Elsewhere the caller solves
+the batch in turn with numpy, whose eigvalsh wrapper costs less.
 """
 
 import ctypes
 import functools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -172,8 +176,6 @@ class one_blas_thread:
     The count is the process's.  A block entered where every count is
     already one only reads them, so threads started inside an outer block
     may enter their own; outside one, enter it from one thread at a time.
-    It is a class, not a generator, because rigidity_spectrum enters it
-    once per ball, where a generator's overhead showed in the loop ticks.
     """
 
     def __init__(self):
@@ -387,8 +389,16 @@ class Spectrum:
     degenerate: bool
 
 
+# the verdict on every S of at most d nodes, too small to take the
+# eigenvalue test: no eigenvalues, no rho, not rigid
+TOO_SMALL = Spectrum(_read_only(np.empty(0)), None, None, np.nan, np.nan,
+                     np.nan, False, False)
+
+
+@one_blas_thread()
 def rigidity_spectrum(S, d, vectors=True):
-    """The rigidity eigenvalue test on S, by eigh or, without vectors, eigvalsh.
+    """The rigidity eigenvalue test on S, by eigh or, without vectors,
+    eigvalsh; TOO_SMALL when S has at most d nodes.
 
     The two LAPACK drivers differ in the last bits, so each caller keeps
     the one it has always used.  Either solves with BLAS on one thread, so
@@ -398,27 +408,24 @@ def rigidity_spectrum(S, d, vectors=True):
 
 
 def _spectrum(S, d, vectors, eigvalsh):
-    """rigidity_spectrum, solved without vectors by eigvalsh: numpy's, or
+    """rigidity_spectrum inside a one_blas_thread block that the caller
+    holds, solved without vectors by eigvalsh: numpy's, or
     _gil_free_eigvalsh, which gives the same bits."""
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
         raise ValueError("S must be dn x dn")
     if n <= d:
-        raise FrameworkTooSmallError(
-            f"framework too small for the rigidity eigenvalue test (n={n} <= d={d})"
-        )
+        return TOO_SMALL
     f = rigid_body_dim(d)
     nu = None
-    with one_blas_thread():
-        if vectors:
-            vals, vecs = np.linalg.eigh(S)
-        else:
-            vals = eigvalsh(S)
     if vectors:
+        vals, vecs = np.linalg.eigh(S)
         nu = vecs[:, f]
         if nu[np.argmax(np.abs(nu))] < 0:
             nu = -nu
+    else:
+        vals = eigvalsh(S)
     rho, lam_max = float(vals[f]), float(vals[-1])
     tol_abs = REL_TOL * max(lam_max, 0.0)
     gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
@@ -426,6 +433,75 @@ def _spectrum(S, d, vectors, eigvalsh):
         vals, rho, nu, lam_max, gap, tol_abs, rho > tol_abs,
         bool(gap <= DEGENERATE_GAP_REL * max(lam_max, 1e-300)),
     )
+
+
+@functools.cache
+def _eigh_worker():
+    """The one worker thread that shares a batch's solves with the caller,
+    started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidnet-eigh")
+
+
+def _stop_eigh_worker():
+    """Join the worker thread, as a fork needs (Python 3.12 warns of a live
+    thread); the next two-core batch starts another."""
+    _eigh_worker().shutdown()
+    _eigh_worker.cache_clear()
+
+
+# a forked child has no worker thread, only its parent's record of one
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
+
+
+def _deal(costs):
+    """Split solves between the worker thread and the caller: each, from
+    the costliest, goes to whichever has less work so far, the worker on a
+    tie.  Returns the two shares of indices, the worker's first."""
+    shares, loads = ([], []), [0, 0]
+    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        t = 1 if loads[1] < loads[0] else 0
+        shares[t].append(j)
+        loads[t] += costs[j]
+    return shares
+
+
+@one_blas_thread()
+def _spectra(grams, d, vectors):
+    """The Spectrum of each S in grams, in order, by rigidity_spectrum's
+    test; an S solved without vectors, as vectors[j] says, gets
+    eigenvalues only.
+
+    Where the process may use two cores and has the GIL-free kernel
+    (_gil_free_eigvalsh), the caller and one worker thread share the
+    solves: numpy's eigh, and the kernel for every eigenvalue-only solve.
+    Elsewhere the caller solves them in turn with numpy.  The solves are
+    dealt by cost, side^3 and twice that for eigh (_deal), and each
+    spectrum is put back at its S.  The caller starts on its costliest
+    solve and the worker on its cheapest, so that small solves, mostly
+    Python that holds the GIL, run beside large ones, mostly LAPACK that
+    does not.  On one BLAS thread a solve gives the same bits on either
+    thread.
+    """
+    kernel = _gil_free_eigvalsh() if usable_cores() >= 2 else None
+    if kernel is None:
+        return [_spectrum(S, d, v, np.linalg.eigvalsh)
+                for S, v in zip(grams, vectors)]
+    spectra = [None] * len(grams)
+
+    def solve(share):
+        for j in share:
+            spectra[j] = _spectrum(grams[j], d, vectors[j], kernel)
+
+    on_worker, on_caller = _deal(
+        [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)])
+    worker = _eigh_worker().submit(solve, on_worker[::-1])
+    try:
+        solve(on_caller)
+    finally:
+        # the worker's solves end before the BLAS setting is restored
+        worker.result()
+    return spectra
 
 
 @dataclass(eq=False)
@@ -451,18 +527,29 @@ class RigidityReport:
                            "nu": nu})
 
 
+def _require_testable(fw):
+    """FrameworkTooSmallError unless fw has more than d nodes."""
+    if fw.n <= fw.dim:
+        raise FrameworkTooSmallError(
+            f"framework too small for the rigidity eigenvalue test "
+            f"(n={fw.n} <= d={fw.dim})"
+        )
+
+
 @one_blas_thread()
 def rigidity_report(fw, vectors=True):
     """Full spectrum, rank and rigidity verdict of the unweighted S; rank and
     eigenvalue tests must agree.
 
     Without vectors, S is solved by eigvalsh and nu is None; the rank
-    cross-check runs either way.
+    cross-check runs either way.  A framework of at most d nodes is a
+    FrameworkTooSmallError.
     """
+    _require_testable(fw)
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    spectrum = rigidity_spectrum(framework_gram(fw), d, vectors)
+    spectrum = _spectrum(framework_gram(fw), d, vectors, np.linalg.eigvalsh)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0
@@ -493,11 +580,7 @@ def is_infinitesimally_rigid(fw):
     (the verdict reads no eigenvector), and the rank of R still
     cross-checks the eigenvalue test.
     """
-    if fw.n <= fw.dim:
-        raise FrameworkTooSmallError(
-            f"framework too small for the rigidity eigenvalue test "
-            f"(n={fw.n} <= d={fw.dim})"
-        )
+    _require_testable(fw)
     if not is_biconnected(fw.graph):
         return False
     return rigidity_report(fw, vectors=False).rigid

@@ -41,8 +41,9 @@ nothing; on believed positions it builds one control state there, and
 the guard, whose state the replay never reads, solves eigenvalues only.
 The per-tick check that rigid balls leave the whole framework rigid reads
 the framework's spectrum from the guard's accepted state, which solved it
-in one batch with its balls, on both cores where the process may use two
-(control._spectra); the replay's build solves no framework S.  The
+in one batch with its balls (rigidity._spectra); the replay's build
+solves no framework S.  A center of the engine judges its ball by
+rigidity_spectrum, the one verdict, as every batch does.  The
 replay, its collision terms and the per-tick metrics read the edge unit
 vectors and lengths from the Framework at the positions they use, which
 measured them once when it was built; the commands are one scatter
@@ -99,7 +100,6 @@ from .rigidity import (
 from .subframeworks import (
     ball_grams,
     ball_set,
-    ball_spectrum,
     communication_load,
     stack_balls,
     stack_layouts,
@@ -199,7 +199,7 @@ def _center_payloads(center, h, member_data, params):
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     [S] = ball_grams(stack_layouts(stack, fw.dim), fw.units, weights)
     # a ball that fails the test stops the exchange
-    spectrum = ball_spectrum(S, fw.dim)
+    spectrum = rigidity_spectrum(S, fw.dim)
     if not spectrum.rigid:
         raise RigidityLostError(f"subframework of node {center} is not rigid")
     rigidity = ball_rigidity_slopes(stack, [spectrum.rho],

@@ -14,7 +14,9 @@ engine's centers all read their balls from one.  What a graph and the
 frozen extents fix for every ball (the membership mask, load coefficients,
 flood ttls, the stack and its layouts) is a BallSet, computed once per
 Graph and kept on it (ball_set).  The extent search stacks the balls of
-all centers still searching at one radius the same way.  The load
+all centers still searching at one radius the same way and solves them as
+one batch on one BLAS thread, each ball by rigidity's one verdict
+(rigidity._spectrum; TOO_SMALL for a ball of at most d nodes).  The load
 coefficients max(0, h_j - g_ji) are one table, kept on the Graph under the
 extents, that the BallSet and communication_load both read.
 """
@@ -24,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import geodesics, induced_subgraph
-from .rigidity import (
-    Framework, GramLayout, Spectrum, _spectrum, one_blas_thread
-)
+from .rigidity import Framework, GramLayout, _spectrum, one_blas_thread
 
 
 def extract_subframework(fw, center, extent):
@@ -162,31 +162,13 @@ def ball_set(graph, extents, d):
                         _build_ball_set(extents, d))
 
 
-# the verdict on every ball with at most d nodes, too small to take the
-# eigenvalue test: no eigenvalues, no rho, not rigid
-TOO_SMALL = Spectrum(np.empty(0), None, None, np.nan, np.nan, np.nan,
-                     False, False)
-TOO_SMALL.eigenvalues.setflags(write=False)
-
-
-def ball_spectrum(S, d, vectors=True):
-    """Spectrum of a ball's S; TOO_SMALL when the ball is too small to test."""
-    return _ball_spectrum(S, d, vectors, np.linalg.eigvalsh)
-
-
-def _ball_spectrum(S, d, vectors, eigvalsh):
-    """ball_spectrum, solved without vectors by eigvalsh (rigidity._spectrum)."""
-    if S.shape[0] <= d * d:
-        return TOO_SMALL
-    return _spectrum(S, d, vectors, eigvalsh)
-
-
 @one_blas_thread()
 def _rigid_balls(fw, inside):
     """Whether the unweighted S of each ball, a row of the membership mask
-    inside, passes the eigenvalue test."""
+    inside, passes the eigenvalue test (rigidity.TOO_SMALL for a ball of
+    at most d nodes does not)."""
     layouts = stack_layouts(stack_balls(inside, fw.graph.edge_array()), fw.dim)
-    return np.array([ball_spectrum(S, fw.dim, vectors=False).rigid
+    return np.array([_spectrum(S, fw.dim, False, np.linalg.eigvalsh).rigid
                      for S in ball_grams(layouts, fw.units)], dtype=bool)
 
 

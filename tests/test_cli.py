@@ -25,6 +25,7 @@ from rigidnet.cli import (
     main,
 )
 from rigidnet.experiments import reference_control_config, run_control_experiment
+from rigidnet.graphs import disk_proximity_graph
 
 SMALL = ["--seed", "3", "--n", "16", "--width", "90", "--height", "90",
          "--range", "40"]
@@ -469,6 +470,11 @@ class TestConfigHandling:
         ["audit", "--framework", "{top_level_list}"],
         ["audit", "--framework", "{null_n}"],
         ["audit", "--framework", "{nan_position}"],
+        # a coordinate is a number, not a string or a bool that reads as one
+        ["audit", "--framework", "{string_position}"],
+        ["audit", "--framework", "{bool_position}"],
+        # an integer coordinate too large for float64
+        ["audit", "--framework", "{huge_int_position}"],
         # finite positions whose edge lengths overflow float64: read as
         # they are, the triangle has zero unit vectors and is flexible
         ["audit", "--framework", "{far_positions}"],
@@ -497,7 +503,8 @@ class TestConfigHandling:
          "--height", "1e-20", "--range", "40"],
     ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
             "null-edges", "flat-edges", "top-level-list", "null-n",
-            "nan-position", "far-positions", "fractional-n", "bool-n", "negative-n",
+            "nan-position", "string-position", "bool-position",
+            "huge-int-position", "far-positions", "fractional-n", "bool-n", "negative-n",
             "fractional-edge", "bool-edge", "string-edge", "three-wide-edges",
             "negative-seed", "negative-seed-config", "unwritable-gen-out",
             "unwritable-ensemble-csv", "unwritable-ensemble-json",
@@ -515,6 +522,14 @@ class TestConfigHandling:
             "null_n": {"n": None, "edges": [[0, 1]], "positions": triangle},
             "nan_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
                              "positions": [[0, 0], [1, 0], [0, float("nan")]]},
+            "string_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                                "positions": [["0", "0"], ["1", "0"],
+                                              ["0", "1"]]},
+            "bool_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                              "positions": [[0, 0], [True, 0], [0, 1]]},
+            "huge_int_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                                  "positions": [[0, 0], [10**400, 0],
+                                                [0, 1]]},
             "far_positions": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
                               "positions": [[0, 0], [1e200, 0], [0, 1e200]]},
             "fractional_n": {"n": 3.7, "edges": [[0, 1], [1, 2], [0, 2]],
@@ -556,6 +571,26 @@ class TestConfigHandling:
         [line] = captured.err.splitlines()
         assert line.startswith("configuration error:")
         assert "MAX_NETWORKS" in line and captured.out == ""
+
+    def test_huge_rejection_budget_exits_three(self, monkeypatch, capsys):
+        # 10^8 rejected draws would run for hours, so the budget is refused
+        # before the first draw
+        draws = []
+
+        def no_draw(x, comm_range):
+            draws.append(len(x))
+            if len(draws) > 3:
+                raise AssertionError(f"drew {len(draws)} networks")
+            return disk_proximity_graph(x, comm_range)
+
+        monkeypatch.setattr(experiments, "disk_proximity_graph", no_draw)
+        assert main(["gen", "--n", "10", "--range", "0.001",
+                     "--rejection-budget", str(10**8)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:")
+        assert "MAX_DRAWS" in line and captured.out == ""
+        assert draws == []
 
     @pytest.mark.parametrize("ground_truth", [False, True])
     @pytest.mark.parametrize("control, message", [

@@ -101,3 +101,62 @@ def test_fuzzed_config_ends_with_a_documented_exit(tmp_path, capsys, index):
         assert err == ""
     else:
         assert len(err.splitlines()) == 1, (config, err)
+
+
+# a framework file that audits as rigid, and where a hostile value goes
+# in it: a whole field, one edge's node id, or one coordinate
+FRAMEWORK = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+             "positions": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+PLACES = (("n",), ("edges",), ("positions",), ("edges", 0, 1),
+          ("positions", 1, 0))
+
+# rows of the wrong length, each in place of the field it names
+MISSHAPEN = {
+    "ragged-positions": ("positions", [[0.0, 0.0], [1.0, 0.0, 0.0],
+                                       [0.0, 1.0]]),
+    "one-wide-positions": ("positions", [[0.0], [1.0], [2.0]]),
+    "four-wide-positions": ("positions", [[0.0] * 4, [1.0] * 4,
+                                          [0.0, 1.0, 0.0, 0.0]]),
+    "three-d-positions": ("positions", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                        [0.0, 1.0, 0.0]]),
+    "short-positions": ("positions", [[0.0, 0.0], [1.0, 0.0]]),
+    "ragged-edges": ("edges", [[0, 1], [1], [0, 2]]),
+    "empty-edge": ("edges", [[0, 1], [], [0, 2]]),
+}
+
+
+def framework_draws():
+    """(id, framework file object) of every hostile value at every place,
+    and of every misshapen field."""
+    for place in PLACES:
+        for k, value in enumerate(HOSTILE):
+            data = json.loads(json.dumps(FRAMEWORK))
+            *path, last = place
+            target = data
+            for key in path:
+                target = target[key]
+            target[last] = value
+            yield f"{'-'.join(map(str, place))}-{k}", data
+    for name, (field, value) in MISSHAPEN.items():
+        yield name, {**FRAMEWORK, field: value}
+
+
+FRAMEWORK_DRAWS = dict(framework_draws())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", FRAMEWORK_DRAWS)
+def test_fuzzed_framework_file_ends_with_a_documented_exit(tmp_path, capsys,
+                                                           name):
+    data = FRAMEWORK_DRAWS[name]
+    path = tmp_path / "framework.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["audit", "--framework", str(path)])
+    captured = capsys.readouterr()
+    assert code in DOCUMENTED_EXITS, (data, captured.err)
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_OK:
+        assert captured.err == ""
+    else:
+        assert len(captured.err.splitlines()) == 1, (data, captured.err)
+        assert captured.out == ""

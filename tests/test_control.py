@@ -41,9 +41,11 @@ from rigidnet.control import (
 )
 from rigidnet.experiments import generate_scenario, reference_control_config
 from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
-from rigidnet.rigidity import Framework, framework_gram, rigidity_spectrum
+from rigidnet.rigidity import (
+    Framework, framework_gram, rigidity_report, rigidity_spectrum
+)
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
-from rigidnet.subframeworks import ball_grams, ball_set, ball_spectrum
+from rigidnet.subframeworks import ball_grams, ball_set, extent_assignment
 
 
 def apex_framework():
@@ -198,7 +200,7 @@ class TestStateBuild:
         assert full.vectors and not bare.vectors
         assert all(s.nu is None for s in bare.spectra)
         grams = ball_grams(bare.ball_set.layouts, fw.units, bare.weights)
-        solved = [ball_spectrum(S, fw.dim, vectors=False) for S in grams]
+        solved = [rigidity_spectrum(S, fw.dim, vectors=False) for S in grams]
 
         def verdicts(spectra):
             return [(s.rho, s.rigid, s.eigenvalues.tobytes()) for s in spectra]
@@ -289,9 +291,9 @@ def gil_free_eigvalsh():
 
 
 class TestTwoCoreSolve:
-    """With two usable cores the solves that release the GIL, eigh and the
-    GIL-free eigenvalue-only kernel, run on the caller and one worker
-    thread; the spectra are those of a one-core build."""
+    """With two usable cores and the GIL-free eigenvalue-only kernel, the
+    solves (eigh and the kernel) run on the caller and one worker thread;
+    the spectra are those of a one-core build."""
 
     @pytest.mark.parametrize("build, vectors", [
         pytest.param(build, vectors, id=build.__name__ + (
@@ -301,21 +303,20 @@ class TestTwoCoreSolve:
     def test_threaded_build_equals_sequential_bit_for_bit(self, monkeypatch,
                                                           build, vectors):
         solvers = set()
+        spectrum = rigidity._spectrum
+        kernel = gil_free_eigvalsh()
 
-        def recorded(S, d, vectors=True):
+        def recorded(S, d, vectors, eigvalsh):
             solvers.add(threading.get_ident())
-            return ball_spectrum(S, d, vectors)
+            return spectrum(S, d, vectors, eigvalsh)
 
-        monkeypatch.setattr(control, "ball_spectrum", recorded)
-        if not vectors:
-            kernel = gil_free_eigvalsh()
+        def recorded_kernel(S):
+            solvers.add(threading.get_ident())
+            return kernel(S)
 
-            def recorded_kernel(S):
-                solvers.add(threading.get_ident())
-                return kernel(S)
-
-            monkeypatch.setattr(control, "_gil_free_eigvalsh",
-                                lambda: recorded_kernel)
+        monkeypatch.setattr(rigidity, "_spectrum", recorded)
+        monkeypatch.setattr(rigidity, "_gil_free_eigvalsh",
+                            lambda: recorded_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         # hand the interpreter lock between the threads as often as it goes
         interval = sys.getswitchinterval()
@@ -330,7 +331,7 @@ class TestTwoCoreSolve:
             raise AssertionError("a one-core build asked for a worker thread")
 
         solvers.clear()
-        monkeypatch.setattr(control, "_eigh_worker", no_worker)
+        monkeypatch.setattr(rigidity, "_eigh_worker", no_worker)
         monkeypatch.setattr(os, "sched_getaffinity", one_core)
         sequential = build(vectors)
         assert solvers == {threading.get_ident()}
@@ -350,25 +351,28 @@ class TestTwoCoreSolve:
                                        extents, vectors)[1]
         # the probe finds no OpenBLAS, so there is no kernel
         monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
-        monkeypatch.setattr(control, "_gil_free_eigvalsh",
+        monkeypatch.setattr(rigidity, "_gil_free_eigvalsh",
                             rigidity._gil_free_eigvalsh.__wrapped__)
-        eigenvalue_only = []
+        solved, eigenvalue_only = [], []
+        spectrum = rigidity._spectrum
 
-        def recorded(S, d, vectors=True):
+        def recorded(S, d, vectors, eigvalsh):
+            solved.append(threading.get_ident())
             if not vectors:
                 eigenvalue_only.append(threading.get_ident())
-            return ball_spectrum(S, d, vectors)
+            return spectrum(S, d, vectors, eigvalsh)
 
         def no_worker():
-            raise AssertionError("eigvalsh was dealt to a worker thread")
+            raise AssertionError("a solve was dealt to a worker thread")
 
-        monkeypatch.setattr(control, "ball_spectrum", recorded)
-        if not vectors:
-            monkeypatch.setattr(control, "_eigh_worker", no_worker)
-        # a guard trial: with vectors its balls' eigh share the cores, and
-        # its framework's S is solved for eigenvalues only
+        monkeypatch.setattr(rigidity, "_spectrum", recorded)
+        monkeypatch.setattr(rigidity, "_eigh_worker", no_worker)
+        # a guard trial: its balls are solved with or without vectors, and
+        # its framework's S for eigenvalues only, all of them on the caller
         _, state = guarded_refresh(fw.graph, fw.positions, params, extents,
                                    vectors)
+        assert set(solved) == {threading.get_ident()}
+        assert len(solved) == 1 + fw.n
         assert set(eigenvalue_only) == {threading.get_ident()}
         assert len(eigenvalue_only) == 1 + (0 if vectors else fw.n)
         if expected is not None:
@@ -396,37 +400,40 @@ class TestTwoCoreSolve:
     def test_balls_are_solved_on_one_blas_thread(self, monkeypatch):
         blas = FakeBlas(2)
         seen = []
+        spectrum = rigidity._spectrum
 
-        def recorded(S, d, vectors=True):
+        def recorded(S, d, vectors, eigvalsh):
             seen.append(blas.threads)
-            return ball_spectrum(S, d, vectors)
+            return spectrum(S, d, vectors, eigvalsh)
 
         monkeypatch.setattr(rigidity, "_openblas_thread_counts",
                             lambda: ((blas.get, blas.set),))
-        monkeypatch.setattr(control, "ball_spectrum", recorded)
+        monkeypatch.setattr(rigidity, "_spectrum", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         build_control_state(apex_framework(), default_params())
         assert seen == [1] * 5 and blas.threads == 2
 
     def test_a_failing_ball_waits_for_the_worker(self, monkeypatch):
         # the caller's error surfaces only once the worker's balls are done
+        gil_free_eigvalsh()
         done = []
+        spectrum = rigidity._spectrum
 
-        def failing(S, d, vectors=True):
+        def failing(S, d, vectors, eigvalsh):
             if not threading.current_thread().name.startswith("rigidnet-"):
                 raise np.linalg.LinAlgError("no convergence")
-            done.append(ball_spectrum(S, d, vectors))
+            done.append(spectrum(S, d, vectors, eigvalsh))
             return done[-1]
 
         dealt = []
-        deal = control._deal
+        deal = rigidity._deal
 
-        def recorded_deal(costs, caller_only):
-            dealt.append(deal(costs, caller_only))
+        def recorded_deal(costs):
+            dealt.append(deal(costs))
             return dealt[-1]
 
-        monkeypatch.setattr(control, "ball_spectrum", failing)
-        monkeypatch.setattr(control, "_deal", recorded_deal)
+        monkeypatch.setattr(rigidity, "_spectrum", failing)
+        monkeypatch.setattr(rigidity, "_deal", recorded_deal)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         with pytest.raises(np.linalg.LinAlgError):
             build_control_state(apex_framework(), default_params())
@@ -453,6 +460,61 @@ def _build_apex_or_fail(expected):
     inherited worker, whose thread the child lacks, would hang)."""
     state = build_control_state(apex_framework(), default_params())
     os._exit(0 if spectrum_bits(state) == expected else 1)
+
+
+def _solve_paths():
+    """Every path into a dense solve, each a call on the apex framework."""
+    fw = apex_framework()
+    extents = extent_assignment(fw)
+
+    def builds():
+        for vectors in (True, False):
+            build_control_state(fw, default_params(), vectors=vectors)
+        guarded_refresh(fw.graph, fw.positions, default_params(), extents,
+                        vectors=False)
+
+    return {
+        "build_control_state-one_core": (one_core, builds),
+        "build_control_state-two_cores": (two_cores, builds),
+        "extent_assignment": (two_cores, lambda: extent_assignment(fw)),
+        "rigidity_report": (two_cores, lambda: rigidity_report(fw)),
+        "rigidity_spectrum": (two_cores, lambda: rigidity_spectrum(
+            framework_gram(fw), fw.dim)),
+        "run_message_engine": (two_cores, lambda: simnet.run_message_engine(
+            fw, extents, default_params())),
+        "make_world": (two_cores, lambda: make_world(
+            fw, default_params(), WorldConfig(use_estimates=False))),
+    }
+
+
+@pytest.mark.parametrize("path", _solve_paths())
+def test_every_path_into_a_solve_holds_one_blas_thread(monkeypatch, path):
+    # the pin is entered once per call or batch, not once per solve, so
+    # every solve inside, on either thread, must still see one thread
+    cores, call = _solve_paths()[path]
+    blas = FakeBlas(2)
+    seen = []
+
+    def recorded(solve):
+        def call(*args, **kwargs):
+            seen.append(blas.threads)
+            return solve(*args, **kwargs)
+        return call
+
+    kernel = rigidity._gil_free_eigvalsh()
+    monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+                        lambda: ((blas.get, blas.set),))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg,
+                                                              name)))
+    monkeypatch.setattr(rigidity.sla, "svdvals",
+                        recorded(rigidity.sla.svdvals))
+    monkeypatch.setattr(rigidity, "_gil_free_eigvalsh", lambda: (
+        None if kernel is None else recorded(kernel)))
+    monkeypatch.setattr(os, "sched_getaffinity", cores)
+    call()
+    assert seen and seen == [1] * len(seen)
+    assert blas.threads == 2
 
 
 class TestScatter:

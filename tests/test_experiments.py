@@ -106,6 +106,12 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError, match="MAX_NETWORKS"):
                 small_config(ensemble_count=count)
 
+    def test_rejection_budget_is_bounded(self):
+        small_config(rejection_budget=experiments.MAX_DRAWS)
+        for budget in (experiments.MAX_DRAWS + 1, 10**30):
+            with pytest.raises(ConfigError, match="MAX_DRAWS"):
+                small_config(rejection_budget=budget)
+
     def test_fields_accept_numpy_scalars(self):
         cfg = small_config(width=150.0 * np.sqrt(2.0), n=np.int64(12),
                            anchors=(np.int64(0), 1))

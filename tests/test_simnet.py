@@ -43,7 +43,7 @@ from rigidnet.simnet import (
     run_simulation,
     step_simulation,
 )
-from rigidnet.subframeworks import ball_grams, ball_spectrum
+from rigidnet.subframeworks import ball_grams
 
 from support import random_disk_framework, reject_every_step
 
@@ -546,7 +546,7 @@ def test_first_tick_on_ground_truth_solves_no_ball(monkeypatch):
         return call
 
     with monkeypatch.context() as patch:
-        for name in ("ball_spectrum", "run_exchange_phase"):
+        for name in ("rigidity_spectrum", "run_exchange_phase"):
             patch.setattr(simnet, name, counted(name))
         u, _ = simnet.tick_velocity(world, world.framework.positions)
     # the routing was compiled without payloads, and the replay reused
@@ -583,7 +583,7 @@ def test_guard_on_estimates_solves_eigenvalues_only(monkeypatch):
         assert all(s.nu is None for s in state.spectra)
         grams = ball_grams(state.ball_set.layouts, state.framework.units,
                            state.weights)
-        solved = [ball_spectrum(S, fw.dim, vectors=False) for S in grams]
+        solved = [rigidity_spectrum(S, fw.dim, vectors=False) for S in grams]
         assert [(s.rho, s.rigid) for s in state.spectra] == [
             (s.rho, s.rigid) for s in solved]
         # the replay builds its own state, with vectors, at the estimates
