@@ -1,32 +1,17 @@
 """Command line front end: gen, ensemble, control, and audit verbs.
 
-Flags mirror the scenario fields; a JSON config file passed with --config
-overrides any flag value, and its control block takes comm_range from the
-scenario when it leaves it out.  Exit codes: 0 on success, 2 when a
-control run loses rigidity, 3 for an invalid configuration (an unknown
-field, a value of the wrong type, a value out of range or not finite, a
-control block whose comm_range differs from the scenario's, a framework
-file of the wrong shape or with a coordinate that is not a number (a
-string or a bool), a seed that is not a non-negative integer, a node
-count that is not an integer, a framework too small for the rigidity test,
-a generated draw with two adjacent robots at one point, a framework whose
-positions or edge lengths are not finite in float64, a duration /
-control.dt above simnet.MAX_TICKS, an ensemble_count above
-experiments.MAX_NETWORKS, a rejection_budget above experiments.MAX_DRAWS, a velocity command that
-is not finite in float64 (NonFiniteCommandError, as gains or exponents of
-1e300 make it), an output path that cannot be written, or an input that
-needs more memory than the machine has, such as an n whose dense pairwise
-arrays cannot be allocated),
-4 when the message exchange breaks its protocol (a send across a
-non-edge, or a pair still undelivered after 2 * eta rounds), 5 when the
-rank test and the eigenvalue test of a rigidity report disagree, 6 when
-localization fails (a localization.LocalizationError: coincident neighbor
-estimates, a range or a believed edge length that is not finite in
-float64, or an innovation covariance that is singular in float64), and 130
-when the run is interrupted (Ctrl-C), with one line and no traceback.
+Each scenario flag sets the ScenarioConfig field that _FLAGS names, and its
+value meets that field's own check, as the same value in a config file
+does; a JSON config file passed with --config overrides any flag value,
+and its control block takes comm_range from the scenario when it leaves it
+out.  A run exits 0 on success, and every error it ends on prints one
+stderr line and no traceback: _EXITS maps each error class to its exit
+code and label, an input that needs more memory than the machine has is a
+configuration error (3), and an interrupted run (Ctrl-C) exits 130.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -57,51 +42,57 @@ EXIT_RANK_MISMATCH = 5
 EXIT_LOCALIZATION_FAILED = 6
 EXIT_INTERRUPTED = 130
 
-# scenario fields set by a flag of the same name; argparse types them
-_SCENARIO_FLAGS = ("seed", "n", "width", "height", "comm_range", "dim",
-                   "ensemble_count", "duration", "noise_std",
-                   "initial_estimate_error", "rejection_budget")
+# the error classes a run may end on, each with its exit code and the label
+# of its one stderr line, matched in order
+_EXITS = (
+    ((ConfigError, FrameworkTooSmallError), EXIT_BAD_CONFIG,
+     "configuration error"),
+    ((RigidityLostError,), EXIT_RIGIDITY_LOST, "rigidity lost"),
+    ((ProtocolViolation,), EXIT_PROTOCOL_VIOLATION, "protocol violation"),
+    ((RankMismatchError,), EXIT_RANK_MISMATCH, "rank mismatch"),
+    ((LocalizationError,), EXIT_LOCALIZATION_FAILED, "localization failed"),
+)
+
+# each scenario flag and the ScenarioConfig field it sets; the flag of a
+# bool field switches it off
+_FLAGS = {
+    "--seed": "seed", "--n": "n", "--width": "width", "--height": "height",
+    "--range": "comm_range", "--dim": "dim", "--count": "ensemble_count",
+    "--duration": "duration", "--noise": "noise_std",
+    "--estimate-error": "initial_estimate_error",
+    "--rejection-budget": "rejection_budget", "--anchors": "anchors",
+    "--ground-truth": "use_estimates", "--flexible-ok": "require_rigid",
+}
+_HELP = {"anchors": "comma separated node ids",
+         "use_estimates": "drive control from true positions",
+         "require_rigid": "accept non-rigid generated frameworks"}
+_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _add_scenario_flags(parser):
     parser.add_argument("--config", help="JSON file whose values override flags")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--width", type=float)
-    parser.add_argument("--height", type=float)
-    parser.add_argument("--range", dest="comm_range", type=float)
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--count", dest="ensemble_count", type=int)
-    parser.add_argument("--duration", type=float)
-    parser.add_argument("--noise", dest="noise_std", type=float)
-    parser.add_argument("--estimate-error", dest="initial_estimate_error",
-                        type=float)
-    parser.add_argument("--rejection-budget", dest="rejection_budget",
-                        type=int)
-    parser.add_argument("--anchors", help="comma separated node ids")
-    parser.add_argument("--ground-truth", action="store_true",
-                        help="drive control from true positions")
-    parser.add_argument("--flexible-ok", action="store_true",
-                        help="accept non-rigid generated frameworks")
+    for flag, name in _FLAGS.items():
+        switch = ({"action": "store_const", "const": False}
+                  if _TYPES[name] is bool else {})
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                            help=_HELP.get(name), **switch)
+
+
+def _parse(kind, text):
+    """A flag's text as a value of its field's type; text that does not
+    parse is passed on as it is, for the field's own check to name.  A
+    switch's stored False stays False."""
+    try:
+        if kind is tuple:
+            return tuple(int(a) for a in text.split(",") if a != "")
+        return kind(text)
+    except ValueError:
+        return text
 
 
 def _build_config(args):
-    fields = {}
-    for name in _SCENARIO_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    if getattr(args, "anchors", None):
-        try:
-            fields["anchors"] = tuple(
-                int(a) for a in args.anchors.split(",") if a != "")
-        except ValueError:
-            raise ConfigError("anchors must be comma separated node ids, "
-                              f"got {args.anchors!r}")
-    if getattr(args, "ground_truth", False):
-        fields["use_estimates"] = False
-    if getattr(args, "flexible_ok", False):
-        fields["require_rigid"] = False
+    fields = {name: _parse(_TYPES[name], getattr(args, name))
+              for name in _FLAGS.values() if hasattr(args, name)}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fp:
@@ -183,8 +174,16 @@ def _cmd_audit(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (an unknown flag, a missing verb or value) is a
+    configuration error, not argparse's exit 2 after a usage dump."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidnet",
         description="rigidity analysis and maintenance experiments")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -215,33 +214,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, FrameworkTooSmallError) as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_BAD_CONFIG
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
         sys.stderr.write("configuration error: the input needs more memory "
                          f"than the machine has{detail}\n")
         return EXIT_BAD_CONFIG
-    except RigidityLostError as exc:
-        sys.stderr.write(f"rigidity lost: {exc}\n")
-        return EXIT_RIGIDITY_LOST
-    except ProtocolViolation as exc:
-        sys.stderr.write(f"protocol violation: {exc}\n")
-        return EXIT_PROTOCOL_VIOLATION
-    except RankMismatchError as exc:
-        sys.stderr.write(f"rank mismatch: {exc}\n")
-        return EXIT_RANK_MISMATCH
-    except LocalizationError as exc:
-        sys.stderr.write(f"localization failed: {exc}\n")
-        return EXIT_LOCALIZATION_FAILED
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return EXIT_INTERRUPTED
+    except Exception as exc:
+        for classes, code, label in _EXITS:
+            if isinstance(exc, classes):
+                sys.stderr.write(f"{label}: {exc}\n")
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -50,6 +50,11 @@ MAX_NETWORKS = 10**6
 # run for hours; a larger budget is refused before the first draw
 MAX_DRAWS = 10**6
 
+# the most robots one network may hold: the sampler's dense (n, n) pairwise
+# distances of 10^7 robots would take 800 TB, so a larger n, up to sizes
+# numpy cannot shape at all, is refused before the first draw
+MAX_ROBOTS = 10**7
+
 
 @dataclass
 class ScenarioConfig(WorldConfig):
@@ -60,8 +65,8 @@ class ScenarioConfig(WorldConfig):
     its own.  comm_range both draws the network and sets the controller's
     link weights: control defaults to ControlParams at comm_range, and a
     control whose comm_range differs is a ConfigError, as is a duration /
-    control.dt above MAX_TICKS, an ensemble_count above MAX_NETWORKS or a
-    rejection_budget above MAX_DRAWS.
+    control.dt above MAX_TICKS, an n above MAX_ROBOTS, an ensemble_count
+    above MAX_NETWORKS or a rejection_budget above MAX_DRAWS.
     """
 
     n: int = _domain("at least 2", 60)
@@ -83,6 +88,9 @@ class ScenarioConfig(WorldConfig):
             raise ConfigError("a rigid scenario needs more robots than dim")
         if any(not 0 <= a < self.n for a in self.anchors):
             raise ConfigError("anchor ids must be node ids")
+        if self.n > MAX_ROBOTS:
+            raise ConfigError(
+                f"n {self.n} is above the bound MAX_ROBOTS = {MAX_ROBOTS}")
         if self.ensemble_count > MAX_NETWORKS:
             raise ConfigError(
                 f"ensemble_count {self.ensemble_count} is above the bound "

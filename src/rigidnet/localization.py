@@ -130,8 +130,15 @@ def filter_update(estimate, covariance, range_variance, measurements,
         raise SingularInnovationError(
             f"the innovation covariance is singular: range variance "
             f"{range_variance:g} is lost against the covariances") from exc
-    innovation = z - zh
-    est = estimate + (K @ innovation[..., None])[..., 0]
+    # ranges near the top of float64 overflow the correction: inf and NaN
+    # are judged below as a whole, not warned about one product at a time
+    with np.errstate(over="ignore", invalid="ignore"):
+        innovation = z - zh
+        est = estimate + (K @ innovation[..., None])[..., 0]
+    if not np.isfinite(est).all():
+        raise NonFiniteRangeError(
+            "a corrected estimate is not finite: the range innovations "
+            "overflow float64")
     P_new = P - K @ A
     P_new = 0.5 * (P_new + np.swapaxes(P_new, -1, -2))
     if process_floor > 0:

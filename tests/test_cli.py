@@ -107,6 +107,21 @@ class TestEnsemble:
                                "memory than the machine has (")
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("verb", [["gen"], ["control"],
+                                      ["ensemble", "--count", "2"]])
+    # a numpy warning would be a second stderr line
+    @pytest.mark.filterwarnings("error")
+    def test_n_too_large_for_any_array_exits_three(self, monkeypatch, capsys,
+                                                    verb):
+        # numpy cannot even shape 10^30 rows: the count is refused before
+        # the first draw
+        monkeypatch.setattr(experiments, "sample_framework", never_called)
+        assert main([*verb, "--n", str(10**30)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:")
+        assert "MAX_ROBOTS" in line and captured.out == ""
+
     def test_an_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -283,6 +298,25 @@ class TestControl:
         assert line.endswith("overflows float64")
         assert_stopped_run(captured.out, csv, snap, "overflows float64")
 
+    @pytest.mark.parametrize("by_file", [False, True])
+    @pytest.mark.filterwarnings("error")
+    def test_range_noise_near_float64_max_exits_six(self, tmp_path, capsys,
+                                                    by_file):
+        # ranges of about 1e308 m are finite, but the filter's correction
+        # overflows: one named error, with no numpy warning on the way
+        noise = ["--noise", "1e308"]
+        if by_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"noise_std": 1e308}))
+            noise = ["--config", str(cfg)]
+        code = main(["control", "--seed", "3", "--n", "12", "--width", "60",
+                     "--height", "60", "--range", "40", "--duration", "0.2",
+                     *noise])
+        assert code == EXIT_LOCALIZATION_FAILED
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("localization failed: a corrected estimate is not "
+                        "finite: the range innovations overflow float64")
+
     @pytest.mark.parametrize("override", [
         {"range_variance": 1e-30}, {"initial_variance": 1e30}])
     def test_singular_innovation_covariance_exit_six(self, override,
@@ -370,10 +404,75 @@ class TestReferenceConfig:
         assert through_cli.read_bytes() == direct.read_bytes()
 
 
+FIELD_TYPES = {f.name: f.type
+               for f in dataclasses.fields(experiments.ScenarioConfig)}
+
+# every flag that takes a value, with each text it cannot use: a text that
+# is no number, NaN, and a fraction where the field holds an int
+BAD_FLAG_VALUES = [
+    (flag, text) for flag, name in cli._FLAGS.items()
+    if FIELD_TYPES[name] is not bool for text in ("x", "nan", "2.5")
+    if text != "2.5" or FIELD_TYPES[name] is int]
+
+
 class TestConfigHandling:
     def test_bad_flag_value_exits_three(self, capsys):
         assert main(["gen", "--n", "1"]) == EXIT_BAD_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text", BAD_FLAG_VALUES)
+    def test_bad_flag_value_reads_as_the_same_file_value(self, tmp_path,
+                                                         capsys, flag, text):
+        # the flag's text is the field's value: a float field reads "nan"
+        # as NaN, and any text that does not parse stays a string
+        name = cli._FLAGS[flag]
+        value = float(text) if (FIELD_TYPES[name] is float
+                                and text == "nan") else text
+        assert main(["gen", flag, text]) == EXIT_BAD_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == line + "\n"
+        assert line.startswith("configuration error:")
+
+    def test_every_scenario_flag_sets_its_field(self):
+        args = cli.build_parser().parse_args([
+            "control", "--seed", "5", "--n", "14", "--width", "70",
+            "--height", "80", "--range", "35", "--dim", "3", "--count", "4",
+            "--duration", "1.5", "--noise", "0.1", "--estimate-error", "0.2",
+            "--rejection-budget", "9", "--anchors", "0,2", "--ground-truth",
+            "--flexible-ok"])
+        config = cli._build_config(args)
+        assert dataclasses.asdict(config) == dataclasses.asdict(
+            experiments.ScenarioConfig(
+                seed=5, n=14, width=70.0, height=80.0, comm_range=35.0,
+                dim=3, ensemble_count=4, duration=1.5, noise_std=0.1,
+                initial_estimate_error=0.2, rejection_budget=9,
+                anchors=(0, 2), use_estimates=False, require_rigid=False))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: verb"),
+        (["gen", "--n"], "argument --n: expected one argument"),
+        (["survey"], "argument verb: invalid choice: 'survey'"),
+        (["control", "--ground-truth=x"],
+         "argument --ground-truth: ignored explicit argument 'x'"),
+    ])
+    def test_usage_error_exits_three(self, capsys, argv, message):
+        # not argparse's exit 2, which means a lost rigidity here
+        assert main(argv) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"configuration error: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["gen", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rigidnet")
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

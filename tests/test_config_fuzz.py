@@ -1,8 +1,9 @@
-"""Seeded fuzz of the control verb's configuration file.
+"""Seeded fuzz of the control verb's configuration file and flags.
 
 Every draw writes a config file that sets one to three fields of
 ScenarioConfig, WorldConfig or ControlParams (or the control block
-itself) to a value from a pool of valid and hostile values, and runs
+itself) to a value from a pool of valid and hostile values, or gives one
+scenario flag a hostile text beside up to two valid flags, and runs
 `rigidnet control` on it in-process.  Whatever the values, the run must
 end with a documented exit code, and a failure must print exactly one
 stderr line and no traceback; a numpy warning is an error here, since it
@@ -19,11 +20,7 @@ from rigidnet import cli
 from rigidnet.control import ControlParams
 from rigidnet.experiments import ScenarioConfig
 
-DOCUMENTED_EXITS = {
-    cli.EXIT_OK, cli.EXIT_RIGIDITY_LOST, cli.EXIT_BAD_CONFIG,
-    cli.EXIT_PROTOCOL_VIOLATION, cli.EXIT_RANK_MISMATCH,
-    cli.EXIT_LOCALIZATION_FAILED,
-}
+DOCUMENTED_EXITS = {cli.EXIT_OK, *(code for _, code, _ in cli._EXITS)}
 
 BASE = ["control", "--seed", "3", "--n", "12", "--width", "60", "--height",
         "60", "--range", "40", "--duration", "0.3"]
@@ -93,14 +90,62 @@ def test_fuzzed_config_ends_with_a_documented_exit(tmp_path, capsys, index):
     argv = [*BASE, "--config", str(path)]
     if ground_truth:
         argv.append("--ground-truth")
-    code = cli.main(argv)
-    err = capsys.readouterr().err
-    assert code in DOCUMENTED_EXITS, (config, err)
+    assert_documented_exit(cli.main(argv), capsys.readouterr().err, config)
+
+
+def assert_documented_exit(code, err, draw):
+    assert code in DOCUMENTED_EXITS, (draw, err)
     assert "Traceback" not in err
     if code == cli.EXIT_OK:
         assert err == ""
     else:
-        assert len(err.splitlines()) == 1, (config, err)
+        assert len(err.splitlines()) == 1, (draw, err)
+
+
+# every text a flag may be given, hostile to some field or other; the three
+# size flags take each of them (all refused before a draw) or a small value
+TEXTS = ("0", "-1", "1e-300", "1e300", "1e308", "nan", "inf", "-inf", "2.5",
+         "x", "", "True", "1" * 30)
+
+FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+
+# each draw gives one flag one hostile text, so that every pair is drawn
+FLAG_DRAWS = len(cli._FLAGS) * len(TEXTS)
+
+
+def _text(value):
+    return (",".join(map(str, value)) if isinstance(value, list)
+            else str(value))
+
+
+def _flag(rng, flag, text):
+    """The words that give flag the text: "flag=text" or "flag text", so
+    that a text that looks like an option ("-inf") is tried both ways."""
+    return [f"{flag}={text}"] if rng.random() < 0.5 else [flag, text]
+
+
+def draw_flags(index):
+    """The flags of one draw: flag index % len(cli._FLAGS) takes text
+    index // len(cli._FLAGS), after up to two other flags drew valid
+    values; a switch is valid alone and hostile with a text."""
+    rng = random.Random(index)
+    argv = []
+    for flag in rng.sample(list(cli._FLAGS), rng.randint(0, 2)):
+        f = FIELDS[cli._FLAGS[flag]]
+        if f.type is bool:
+            argv.append(flag)
+        else:
+            values = SIZES.get(f.name) or VALID.get(f.name) or (f.default,)
+            argv += _flag(rng, flag, _text(rng.choice(values)))
+    flag = list(cli._FLAGS)[index % len(cli._FLAGS)]
+    return argv + _flag(rng, flag, TEXTS[index // len(cli._FLAGS)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", range(FLAG_DRAWS))
+def test_fuzzed_flags_end_with_a_documented_exit(capsys, index):
+    argv = [*BASE, *draw_flags(index)]
+    assert_documented_exit(cli.main(argv), capsys.readouterr().err, argv)
 
 
 # a framework file that audits as rigid, and where a hostile value goes
@@ -153,10 +198,6 @@ def test_fuzzed_framework_file_ends_with_a_documented_exit(tmp_path, capsys,
     path.write_text(json.dumps(data))
     code = cli.main(["audit", "--framework", str(path)])
     captured = capsys.readouterr()
-    assert code in DOCUMENTED_EXITS, (data, captured.err)
-    assert "Traceback" not in captured.err
-    if code == cli.EXIT_OK:
-        assert captured.err == ""
-    else:
-        assert len(captured.err.splitlines()) == 1, (data, captured.err)
+    assert_documented_exit(code, captured.err, data)
+    if code != cli.EXIT_OK:
         assert captured.out == ""

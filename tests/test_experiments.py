@@ -100,6 +100,13 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="MAX_TICKS"):
             small_config(control=ControlParams(comm_range=40.0, dt=1e-300))
 
+    def test_robot_count_is_bounded(self):
+        # a config is only checked here: no network of this size is drawn
+        small_config(n=experiments.MAX_ROBOTS)
+        for n in (experiments.MAX_ROBOTS + 1, 10**30):
+            with pytest.raises(ConfigError, match="MAX_ROBOTS"):
+                small_config(n=n)
+
     def test_ensemble_count_is_bounded(self):
         small_config(ensemble_count=experiments.MAX_NETWORKS)
         for count in (experiments.MAX_NETWORKS + 1, 10**30):

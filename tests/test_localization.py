@@ -66,6 +66,17 @@ def test_filter_update_coincident_estimates_raise_a_named_error():
                       np.array([5.0, 1.0]), np.array([[4.0, 6.0], [1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("z", [[1e308, -1e308], [np.inf, 1.0]])
+def test_filter_update_overflowing_correction_raises_a_named_error(z):
+    # finite predicted ranges, but innovations whose correction overflows
+    # float64: a named error, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteRangeError, match="not finite"):
+            filter_update(np.zeros(2), np.eye(2), 0.01, np.array(z),
+                          np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
 def test_filter_update_singular_innovation_raises_a_named_error():
     # two neighbors in one direction give F P F^T = [[1, 1], [1, 1]], beside
     # which a range variance of 1e-30 is lost: the solve has no gain
