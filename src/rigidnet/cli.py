@@ -13,6 +13,7 @@ configuration error (3), and an interrupted run (Ctrl-C) exits 130.
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 from .control import ControlParams, RigidityLostError
@@ -174,9 +175,23 @@ def _cmd_audit(args):
     return EXIT_OK
 
 
+# a negative number in every form float() reads: argparse's own pattern
+# takes only -1 and -.5, so it read -1e-3 and -inf as options
+_NEGATIVE_NUMBER = re.compile(r"""
+    -(?: (?: \d(?:_?\d)* (?: \.(?: \d(?:_?\d)* )? )? | \.\d(?:_?\d)* )
+         (?: e[-+]?\d(?:_?\d)* )?
+       | inf(?:inity)? | nan )$""", re.IGNORECASE | re.VERBOSE)
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error (an unknown flag, a missing verb or value) is a
-    configuration error, not argparse's exit 2 after a usage dump."""
+    configuration error, not argparse's exit 2 after a usage dump.  A word
+    that is a negative number is a flag's value, never an option: no
+    option looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise ConfigError(message)

@@ -5,20 +5,18 @@ topology changes produce a new Graph.  A Graph is built from its edge
 array, validated and sorted in numpy, and the slot layout (one slot per
 node and neighbor, see Graph) is built with it.  Whatever else depends on
 the edge set alone (the edge list, the geodesic table, the controller's
-balls) is computed once per Graph and kept on it (Graph.cached).  The
-geodesic table, all-pairs shortest paths from scipy's csgraph, is the one
-source of hop counts, and the connectivity test counts csgraph's
-connected components.  The biconnectivity test (no cut vertex) is one
-depth-first search over the slot layout.  Unreachable node pairs are
-marked with the UNREACHABLE sentinel (float inf) rather than a large
-finite hop count, so accidental arithmetic on them propagates loudly
-instead of producing plausible-looking numbers.  Every distance in the
-library comes from one kernel, separations.
+balls and layouts) is computed once per Graph and kept on it
+(Graph.cached).  The geodesic table, a breadth-first search from every
+node at once, is the one source of hop counts.  The connectivity test is
+one depth-first search over the slot layout, and the biconnectivity test
+(no cut vertex) another.  Unreachable node pairs are marked with the
+UNREACHABLE sentinel (float inf) rather than a large finite hop count, so
+accidental arithmetic on them propagates loudly instead of producing
+plausible-looking numbers.  Every distance in the library comes from one
+kernel, separations.
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 UNREACHABLE = np.inf
 
@@ -130,9 +128,11 @@ class Graph:
             hit = memo[name] = (key, build(self))
         return hit[1]
 
-    def adjacency_sparse(self):
-        return sp.csr_matrix((np.ones(2 * self.m), self.slot_node, self.slots),
-                             shape=(self.n, self.n))
+    def adjacency(self):
+        """A new dense n x n float adjacency matrix, one 1.0 per slot."""
+        a = np.zeros((self.n, self.n))
+        a[np.repeat(np.arange(self.n), self.degrees()), self.slot_node] = 1.0
+        return a
 
     def __eq__(self, other):
         return (
@@ -161,8 +161,18 @@ def diameter(g):
 
 
 def is_connected(g):
-    return csgraph.connected_components(
-        g.adjacency_sparse(), directed=False, return_labels=False) <= 1
+    """True iff a depth-first search from node 0 over the slot layout
+    reaches every node; a graph of at most one node is connected."""
+    slots, nbr = g.slots.tolist(), g.slot_node.tolist()
+    seen = set(range(min(g.n, 1)))
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for w in nbr[slots[v]:slots[v + 1]]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 def is_biconnected(g):
@@ -256,7 +266,7 @@ def induced_subgraph(g, nodes):
 
 def laplacian_matrix(g):
     """Dense combinatorial Laplacian L = D - A."""
-    return np.diag(g.degrees().astype(float)) - g.adjacency_sparse().toarray()
+    return np.diag(g.degrees().astype(float)) - g.adjacency()
 
 
 class GeodesicTable:
@@ -267,9 +277,30 @@ class GeodesicTable:
 
     @classmethod
     def compute(cls, g):
-        # csgraph marks unreachable pairs inf (UNREACHABLE), edgeless or not
-        return cls(csgraph.shortest_path(g.adjacency_sparse(), method="D",
-                                         unweighted=True))
+        """Breadth-first search from every node at once, level by level:
+        the nodes first reached at hop h are the new nonzeros of the
+        frontier times the adjacency matrix.  The product is float32 and
+        exact, since no count exceeds n < 2^24, and runs with BLAS on one
+        thread, whose threads would otherwise wait on the cores that the
+        eigensolves use."""
+        # rigidity imports this module, so its BLAS pin is imported here
+        from .rigidity import one_blas_thread
+
+        n = g.n
+        dist = np.full((n, n), UNREACHABLE)
+        reached = np.eye(n, dtype=bool)
+        dist[reached] = 0.0
+        adjacency = g.adjacency().astype(np.float32)
+        frontier = reached.astype(np.float32)
+        with one_blas_thread():
+            for hops in range(1, n):
+                new = (frontier @ adjacency > 0) & ~reached
+                if not new.any():
+                    break
+                dist[new] = hops
+                reached |= new
+                frontier = new.astype(np.float32)
+        return cls(dist)
 
     def eccentricities(self):
         return self.dist.max(axis=1)

@@ -20,11 +20,13 @@ nodes, whose framework rigidity_report and is_infinitesimally_rigid
 refuse (FrameworkTooSmallError), and otherwise rho against one threshold,
 REL_TOL relative to the largest eigenvalue; the rank test reads it too.
 Every S it is given is assembled by d x d blocks, S = sum over edges of
-w r r^T, by a GramLayout: one bincount builds the S of one framework or of
-many stacked balls, with no dense R.
+w r r^T, by a GramLayout: each edge's signed blocks are formed once
+(edge_blocks), and one gather and one bincount build the S of one
+framework or of many stacked balls, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
-Every dense solve of the library runs under one_blas_thread, which sets
+Every dense solve of the library, and the hop table's frontier products
+(graphs.GeodesicTable), runs under one_blas_thread, which sets
 every loaded OpenBLAS to one thread for its duration: its threads, woken
 for each solve between stretches of Python work, cost more than they give,
 and one thread gives the same bits whatever the process's setting.
@@ -303,9 +305,24 @@ def symmetric_rigidity_matrix(R, weights):
     return 0.5 * (S + S.T)
 
 
-# the four blocks of an edge {a, b}: (a, a), (b, b), (a, b), (b, a) with signs
+# the four blocks of an edge {a, b}: (a, a), (b, b), (a, b), (b, a), and
+# which of the edge's two signed blocks each one reads (0: +, 1: -)
 _BLOCK_ROWS, _BLOCK_COLS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
-_BLOCK_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_BLOCK_NEGATED = np.array([0, 0, 1, 1])
+
+
+def edge_blocks(units, weights=None):
+    """The signed d x d blocks +w r r^T and -w r r^T of every edge, an
+    (m, 2, d, d) array, from each edge's unit vector and weight (None:
+    unweighted).
+
+    A block entry is w * (r_p * r_q), symmetric bit for bit, and its
+    negation is exact.
+    """
+    blocks = units[:, :, None] * units[:, None, :]
+    if weights is not None:
+        blocks = weights[:, None, None] * blocks
+    return np.stack([blocks, -blocks], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,20 +332,23 @@ class GramLayout:
     Ball t of a BallStack (a whole framework is a stack of one ball)
     has S of side sides[t] = d * n_t, its rows in the order of the ball's
     members, and the balls' S lie end to end in one flat array.
-    Entry k stands for framework edge edge[k]; index holds the flat
-    positions of its four blocks aa, bb, ab, ba, each row-major, entry after
-    entry.  Every S entry therefore sums its terms in edge order, and a
-    ball's S comes out the same bits whatever it is stacked with.
+    Each block entry of an edge of a ball has its flat position in index
+    and, in src, its place in the framework's edge_blocks: the four blocks
+    aa, bb, ab, ba of each of the ball's edges, each row-major, edge after
+    edge.  Every S entry therefore sums its terms in edge order, and a
+    ball's S comes out the same bits whatever it is stacked with.  Both
+    arrays are read-only.
     """
 
     sides: np.ndarray
-    edge: np.ndarray
     index: np.ndarray
+    src: np.ndarray
 
     @classmethod
     def of(cls, d, counts, edge, ends, ball):
-        """Layout of edges edge[k] joining rows ends[k] of ball ball[k];
-        counts[t] is ball t's size."""
+        """Layout of framework edges edge[k] joining rows ends[k] of ball
+        ball[k]; counts[t] is ball t's size."""
+        edge = np.asarray(edge, dtype=np.intp)
         sides = d * np.asarray(counts, dtype=np.intp)
         sizes = sides * sides
         # flat offset of block (p, q) of an edge is start + d * corner + within
@@ -338,37 +358,45 @@ class GramLayout:
         within = (np.arange(d)[:, None] * side[:, :, None]
                   + np.arange(d))[:, None]
         index = start + d * corner[:, :, None, None] + within
-        dtype = np.int32 if sizes.sum() <= np.iinfo(np.int32).max else np.intp
-        return cls(sides, np.asarray(edge, dtype=dtype),
-                   index.astype(dtype).ravel())
+        # entry (p, q) of the signed block s of edge k is edge_blocks's
+        # flat (2k + s) * d * d + p * d + q
+        src = ((2 * edge[:, None] + _BLOCK_NEGATED)[:, :, None, None] * d * d
+               + np.arange(d * d).reshape(d, d))
+        span = max(sizes.sum(), 2 * d * d * (edge.max(initial=-1) + 1))
+        dtype = np.int32 if span <= np.iinfo(np.int32).max else np.intp
+        layout = cls(sides, index.astype(dtype).ravel(),
+                     src.astype(dtype).ravel())
+        for a in (layout.sides, layout.index, layout.src):
+            a.setflags(write=False)
+        return layout
 
-    def grams(self, units, weights=None):
-        """Each ball's S = sum of w r r^T over its edges, from every
-        framework edge's unit vector and weight (None: unweighted).
-
-        A block is w * (r_p * r_q), symmetric bit for bit, with its sign;
-        an off-diagonal block holds one edge's block, so every S is exactly
-        symmetric.
-        """
-        r = units[self.edge]
-        blocks = r[:, None, :, None] * r[:, None, None, :]
-        if weights is not None:
-            blocks = weights[self.edge][:, None, None, None] * blocks
-        signed = blocks * _BLOCK_SIGNS[:, None, None]
+    def grams(self, blocks):
+        """Each ball's S = sum of w r r^T over its edges, gathered from
+        the framework's edge_blocks; an off-diagonal block holds one
+        edge's block, so every S is exactly symmetric."""
         sizes = self.sides * self.sides
-        flat = np.bincount(self.index, signed.ravel(), minlength=sizes.sum())
+        # np.take reads an int32 index faster than blocks.ravel()[src] does
+        flat = np.bincount(self.index, np.take(blocks, self.src),
+                           minlength=sizes.sum())
         starts = np.cumsum(sizes) - sizes
         return [flat[o:o + k * k].reshape(k, k)
                 for o, k in zip(starts.tolist(), self.sides.tolist())]
 
 
+def _framework_layout(d):
+    def build(graph):
+        m = graph.m
+        return GramLayout.of(d, [graph.n], np.arange(m), graph.edge_array(),
+                             np.zeros(m, dtype=np.intp))
+    return build
+
+
 def framework_gram(fw):
-    """Block-assembled unweighted S of a whole framework."""
-    e = fw.graph.edge_array()
-    m = len(e)
-    layout = GramLayout.of(fw.dim, [fw.n], np.arange(m), e,
-                           np.zeros(m, dtype=np.intp))
-    return layout.grams(fw.units)[0]
+    """Block-assembled unweighted S of a whole framework, by the layout
+    kept on its graph."""
+    layout = fw.graph.cached("framework_layout", fw.dim,
+                             _framework_layout(fw.dim))
+    return layout.grams(edge_blocks(fw.units))[0]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import geodesics, induced_subgraph
-from .rigidity import Framework, GramLayout, _spectrum, one_blas_thread
+from .rigidity import (
+    Framework, GramLayout, _spectrum, edge_blocks, one_blas_thread
+)
 
 
 def extract_subframework(fw, center, extent):
@@ -100,8 +102,11 @@ def stack_layouts(stack, d):
 
 
 def ball_grams(layouts, units, weights=None):
-    """Every ball's S, in layout order, from every edge's units and weights."""
-    return [S for layout in layouts for S in layout.grams(units, weights)]
+    """Every ball's S, in layout order, from every edge's units and weights:
+    the edges' signed blocks are formed once, and each layout gathers its
+    own."""
+    blocks = edge_blocks(units, weights)
+    return [S for layout in layouts for S in layout.grams(blocks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +150,7 @@ def _build_ball_set(extents, d):
         c = _load_table(graph, extents)
         coeff = c.sum(axis=0)
         ttl = np.where(inside, extents[:, None], 0).max(axis=0)
-        arrays = [inside, c, coeff, ttl, *vars(stack).values()]
-        for layout in layouts:
-            arrays += [layout.sides, layout.edge, layout.index]
-        for a in arrays:
+        for a in (inside, c, coeff, ttl, *vars(stack).values()):
             a.setflags(write=False)
         return BallSet(inside, c, coeff, ttl, stack, layouts)
     return build

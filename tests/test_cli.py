@@ -408,10 +408,12 @@ FIELD_TYPES = {f.name: f.type
                for f in dataclasses.fields(experiments.ScenarioConfig)}
 
 # every flag that takes a value, with each text it cannot use: a text that
-# is no number, NaN, and a fraction where the field holds an int
+# is no number, NaN, negative numbers in exponent form and infinite, given
+# as their own word, and a fraction where the field holds an int
 BAD_FLAG_VALUES = [
     (flag, text) for flag, name in cli._FLAGS.items()
-    if FIELD_TYPES[name] is not bool for text in ("x", "nan", "2.5")
+    if FIELD_TYPES[name] is not bool
+    for text in ("x", "nan", "-1e-3", "-inf", "2.5")
     if text != "2.5" or FIELD_TYPES[name] is int]
 
 
@@ -423,11 +425,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flag, text", BAD_FLAG_VALUES)
     def test_bad_flag_value_reads_as_the_same_file_value(self, tmp_path,
                                                          capsys, flag, text):
-        # the flag's text is the field's value: a float field reads "nan"
-        # as NaN, and any text that does not parse stays a string
+        # the flag's text is the field's value: a float field reads a
+        # number as float() does ("nan", "-1e-3", "-inf"), and any text
+        # that does not parse stays a string
         name = cli._FLAGS[flag]
         value = float(text) if (FIELD_TYPES[name] is float
-                                and text == "nan") else text
+                                and text != "x") else text
         assert main(["gen", flag, text]) == EXIT_BAD_CONFIG
         [line] = capsys.readouterr().err.splitlines()
         cfg = tmp_path / "cfg.json"

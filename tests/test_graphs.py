@@ -1,16 +1,19 @@
 """Graph container, geodesic table, diameter and disk-proximity construction."""
 
+import collections
 import warnings
 
 import numpy as np
 import pytest
 from support import (
+    FakeBlas,
     biconnected_by_deletion,
     floyd_warshall,
     random_graph,
     reference_graph_layout,
 )
 
+from rigidnet import rigidity
 from rigidnet.graphs import (
     UNREACHABLE,
     GeodesicTable,
@@ -96,7 +99,7 @@ class TestGraph:
             dense = np.zeros((g.n, g.n))
             for i, j in g.edges:
                 dense[i, j] = dense[j, i] = 1.0
-            assert np.array_equal(g.adjacency_sparse().toarray(), dense)
+            assert np.array_equal(g.adjacency(), dense)
             for a in (g.slots, g.slot_node, g.slot_edge):
                 assert a.dtype == np.intp and not a.flags.writeable
             # the degree groups hold every node once, by ascending degree,
@@ -257,6 +260,86 @@ class TestGeodesicTable:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(GraphDisconnectedError):
             GeodesicTable.compute(g).diameter()
+
+
+def adjacency_lists(g):
+    """Each node's neighbors, by a loop over the edge list."""
+    nbrs = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return nbrs
+
+
+def bfs_table(g):
+    """All-pairs hop counts by one plain breadth-first search per node,
+    UNREACHABLE where the search never arrives."""
+    nbrs = adjacency_lists(g)
+    dist = np.full((g.n, g.n), UNREACHABLE)
+    for s in range(g.n):
+        dist[s, s] = 0.0
+        queue = collections.deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in nbrs[v]:
+                if dist[s, w] == UNREACHABLE:
+                    dist[s, w] = dist[s, v] + 1.0
+                    queue.append(w)
+    return dist
+
+
+def drawn_graphs(dim):
+    """Disk graphs in the unit square or cube: none to many nodes, and
+    ranges from edgeless through disconnected to well connected."""
+    rng = np.random.default_rng(40 + dim)
+    for n in (0, 1, 2, 3, 7, 20, 45, 130):
+        for range_ in (0.01, 0.2, 0.35, 0.6):
+            yield disk_proximity_graph(rng.uniform(size=(n, dim)), range_)
+
+
+class TestHopTableByBreadthFirstSearch:
+    """GeodesicTable.compute, the frontier products, against a plain
+    breadth-first search from each node, and the slot-layout connectivity
+    test and Laplacian against their definitions."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_a_plain_search_on_drawn_graphs(self, dim):
+        kinds = set()
+        for g in drawn_graphs(dim):
+            want = bfs_table(g)
+            got = GeodesicTable.compute(g).dist
+            assert got.dtype == np.float64 and got.shape == (g.n, g.n)
+            assert got.tobytes() == want.tobytes()
+            kinds.add((g.n <= 1, g.m == 0, bool(np.isinf(want).any())))
+        # one node or none, edgeless graphs, disconnected and connected ones
+        assert {(True, True, False), (False, True, True),
+                (False, False, True), (False, False, False)} <= kinds
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_connectivity_and_laplacian_by_definition(self, dim):
+        for g in drawn_graphs(dim):
+            assert is_connected(g) == bool(np.isfinite(bfs_table(g)).all())
+            L = np.zeros((g.n, g.n))
+            for i, nbrs in enumerate(adjacency_lists(g)):
+                L[i, i] = len(nbrs)
+                L[i, nbrs] = -1.0
+            assert laplacian_matrix(g).tobytes() == L.tobytes()
+
+    def test_products_run_on_one_blas_thread(self, monkeypatch):
+        # the frontier products enter the BLAS pin and give the count back
+        blas = FakeBlas(2)
+        seen = []
+
+        def set_(n):
+            seen.append(n)
+            blas.set(n)
+
+        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+                            lambda: ((blas.get, set_),))
+        g = cycle(9)
+        assert GeodesicTable.compute(g).dist.tobytes() == bfs_table(
+            g).tobytes()
+        assert seen == [1, 2] and blas.threads == 2
 
 
 class TestConnectivity:

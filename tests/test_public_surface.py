@@ -1,6 +1,9 @@
 """The package root exports only what the library, the demos or the benchmark use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +101,15 @@ def settable_values():
 def test_settable_value_count():
     # a new knob changes this number in the open
     assert settable_values() == 50
+
+
+def test_importing_rigidnet_loads_no_sparse_matrices():
+    # the hop table and the connectivity test read the slot layout, and
+    # scipy is used only for linalg.svdvals and special.expit
+    code = ("import sys; import rigidnet; "
+            "sys.exit(any(m == 'scipy.sparse' or m.startswith('scipy.sparse.')"
+            " for m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                            timeout=60)
+    assert result.returncode == 0

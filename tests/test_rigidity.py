@@ -40,6 +40,7 @@ from rigidnet.rigidity import (
     RankMismatchError,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
+    edge_blocks,
     framework_gram,
     is_infinitesimally_rigid,
     rigid_body_dim,
@@ -240,7 +241,7 @@ class TestBlockAssembly:
                 e = fw.graph.edge_array()
                 layout = GramLayout.of(d, [fw.n], np.arange(len(e)), e,
                                        np.zeros(len(e), dtype=np.intp))
-                [S] = layout.grams(fw.units, w)
+                [S] = layout.grams(edge_blocks(fw.units, w))
                 assert_matches_dense(S, dense_gram(R, w))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -266,6 +267,74 @@ class TestBlockAssembly:
                 assert len(R) == len(edge_idx)
                 bw = np.ones(len(R)) if weights is None else w[edge_idx]
                 assert_matches_dense(S, dense_gram(R, bw))
+
+
+def per_entry_grams(layout, edge, units, weights):
+    """Each ball's S by the per-entry formula that the gather replaced:
+    every block entry forms its edge's outer product, weight product and
+    sign product on its own, and one bincount sums them at the layout's
+    index; edge[k] is the framework edge of the layout's k-th edge."""
+    r = units[edge]
+    blocks = r[:, None, :, None] * r[:, None, None, :]
+    if weights is not None:
+        blocks = weights[edge][:, None, None, None] * blocks
+    signed = blocks * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    sizes = layout.sides * layout.sides
+    flat = np.bincount(layout.index, signed.ravel(), minlength=sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    return [flat[o:o + k * k].reshape(k, k)
+            for o, k in zip(starts, layout.sides)]
+
+
+class TestGatheredAssembly:
+    """Every S gathered from the per-edge blocks has the bits of the
+    per-entry formula."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for S, ref in zip(got, want):
+            assert S.shape == ref.shape and S.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_balls_equal_the_per_entry_formula(self, d):
+        rng = np.random.default_rng(110 + d)
+        for n, range_ in ((14, 0.5), (30, 0.35), (6, 0.05)):
+            x = rng.uniform(size=(n, d))
+            fw = Framework(disk_proximity_graph(x, range_), x)
+            e = fw.graph.edge_array()
+            dist = GeodesicTable.compute(fw.graph).dist
+            # radius-0 balls are one node with no edge; a range of 0.05
+            # leaves most balls of every radius edgeless
+            inside = np.concatenate([dist <= h for h in (0, 1, 2)]
+                                    + [dist <= rng.integers(0, 4, size=(n, 1))])
+            stack = stack_balls(inside, e)
+            ends = stack.ends - stack.offsets[stack.ball][:, None]
+            layout = GramLayout.of(d, np.diff(stack.offsets), stack.edge,
+                                   ends, stack.ball)
+            assert layout.src.dtype == np.int32
+            assert not (layout.src.flags.writeable
+                        or layout.index.flags.writeable)
+            w = (underflowing_weights(fw.lengths, rng) if fw.graph.m > 1
+                 else rng.uniform(0.5, 1.0, fw.graph.m))
+            for weights in (None, w):
+                want = per_entry_grams(layout, stack.edge, fw.units, weights)
+                got = layout.grams(edge_blocks(fw.units, weights))
+                self.assert_same_bits(got, want)
+                # the groups of a stack's layouts keep those bits
+                self.assert_same_bits(stacked_grams(inside, e, d, fw.units,
+                                                    weights), want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_whole_framework_equals_the_per_entry_formula(self, d):
+        rng = np.random.default_rng(120 + d)
+        for n, p in ((d + 2, 0.0), (9, 0.6), (25, 0.3)):
+            fw = random_framework(rng, n, d, p)
+            m = fw.graph.m
+            layout = GramLayout.of(d, [n], np.arange(m), fw.graph.edge_array(),
+                                   np.zeros(m, dtype=np.intp))
+            [want] = per_entry_grams(layout, np.arange(m), fw.units, None)
+            assert framework_gram(fw).tobytes() == want.tobytes()
 
 
 class TestOneUnweightedProduct:

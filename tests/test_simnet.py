@@ -26,6 +26,7 @@ from rigidnet.graphs import Graph
 from rigidnet.rigidity import (
     REL_TOL,
     Framework,
+    GramLayout,
     framework_gram,
     is_infinitesimally_rigid,
     rigidity_spectrum,
@@ -513,6 +514,34 @@ def test_each_new_graph_runs_the_engine_once(monkeypatch):
         if new:
             graphs.append(graph)
     assert 2 <= len(graphs) < len(ticks_seen)
+
+
+def test_layouts_are_built_on_a_topology_s_first_tick_only(monkeypatch):
+    """Over 20 ticks on one topology, the GramLayouts of its balls and of
+    its whole framework are built on the first tick and kept on the graph."""
+    fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
+    # steps short enough that no link comes or goes in 20 ticks
+    params = ControlParams(comm_range=40.0, steepness=0.5, dt=1e-4)
+    world = make_world(fw, params, WorldConfig(use_estimates=False))
+    # the same topology on a new Graph, which keeps nothing yet
+    graph = Graph(fw.n, fw.graph.edge_array())
+    world.framework, world.accepted = Framework(graph, fw.positions), None
+    build = GramLayout.of
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(GramLayout, "of", counted)
+    per_tick = []
+    for _ in range(20):
+        before = len(calls)
+        step_simulation(world)
+        assert world.framework.graph is graph
+        per_tick.append(len(calls) - before)
+    # the balls' layouts, and the whole framework's
+    assert per_tick[0] >= 2 and per_tick[1:] == [0] * 19
 
 
 def test_worlds_sharing_a_graph_share_its_schedule(monkeypatch):
