@@ -35,14 +35,16 @@ search's _rigid_balls, rigidity_report with its SVD) enters it once and
 solves each S by _spectrum, which does not enter it again.
 numpy's eigh releases the GIL, but its eigvalsh keeps it unless (stack
 count x side) exceeds 500, so two threads calling it take turns on every S
-the library solves.  So a state build's batch (_spectra) is split between
-the caller and one worker thread only where the process may use two cores
-and has _gil_free_eigvalsh, numpy's own LAPACK dsyevd called through
-ctypes without the GIL and with numpy's bits: there every eigh is numpy's
-and every eigenvalue-only solve the kernel's.  Elsewhere the caller solves
-the batch in turn with numpy, whose eigvalsh wrapper costs less.
+the library solves.  So the caller and one worker thread take a state
+build's batch (_spectra) from one queue, the free thread the next S, only
+where the process may use two cores and has _gil_free_eigvalsh, numpy's
+own LAPACK dsyevd called through ctypes without the GIL and with numpy's
+bits: there every eigh is numpy's and every eigenvalue-only solve the
+kernel's.  Elsewhere the caller solves the batch in turn with numpy,
+whose eigvalsh wrapper costs less.
 """
 
+import collections
 import ctypes
 import functools
 import json
@@ -482,50 +484,48 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
 
 
-def _deal(costs):
-    """Split solves between the worker thread and the caller: each, from
-    the costliest, goes to whichever has less work so far, the worker on a
-    tie.  Returns the two shares of indices, the worker's first."""
-    shares, loads = ([], []), [0, 0]
-    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
-        t = 1 if loads[1] < loads[0] else 0
-        shares[t].append(j)
-        loads[t] += costs[j]
-    return shares
-
-
 @one_blas_thread()
 def _spectra(grams, d, vectors):
     """The Spectrum of each S in grams, in order, by rigidity_spectrum's
     test; an S solved without vectors, as vectors[j] says, gets
     eigenvalues only.
 
-    Where the process may use two cores and has the GIL-free kernel
-    (_gil_free_eigvalsh), the caller and one worker thread share the
-    solves: numpy's eigh, and the kernel for every eigenvalue-only solve.
-    Elsewhere the caller solves them in turn with numpy.  The solves are
-    dealt by cost, side^3 and twice that for eigh (_deal), and each
-    spectrum is put back at its S.  The caller starts on its costliest
-    solve and the worker on its cheapest, so that small solves, mostly
-    Python that holds the GIL, run beside large ones, mostly LAPACK that
-    does not.  On one BLAS thread a solve gives the same bits on either
-    thread.
+    Where the process may use two cores, has the GIL-free kernel
+    (_gil_free_eigvalsh) and is given two S or more, the caller and one
+    worker thread share the solves: numpy's eigh, and the kernel for every
+    eigenvalue-only solve.  Elsewhere the caller solves them in turn with
+    numpy.  The threads pop the S from one queue ordered by cost, side^3
+    and twice that for eigh: the caller from the costly end, the worker
+    from the cheap end, its first S handed over before it starts.  So the
+    free thread takes the next S, and small solves, mostly Python that
+    holds the GIL, run beside large ones, mostly LAPACK that does not.  A
+    failure empties the queue; the caller's error surfaces once the worker
+    has returned, and an S gives the same bits on either thread.
     """
-    kernel = _gil_free_eigvalsh() if usable_cores() >= 2 else None
-    if kernel is None:
+    kernel = len(grams) > 1 and usable_cores() > 1 and _gil_free_eigvalsh()
+    if not kernel:
         return [_spectrum(S, d, v, np.linalg.eigvalsh)
                 for S, v in zip(grams, vectors)]
     spectra = [None] * len(grams)
+    queue = collections.deque(sorted(range(len(grams)), key=lambda j: (
+        -len(grams[j]) ** 3 * (2 if vectors[j] else 1))))
 
-    def solve(share):
-        for j in share:
-            spectra[j] = _spectrum(grams[j], d, vectors[j], kernel)
+    def solve(j, take):
+        try:
+            while True:
+                spectra[j] = _spectrum(grams[j], d, vectors[j], kernel)
+                try:
+                    j = take()
+                except IndexError:
+                    return
+        except BaseException:
+            queue.clear()
+            raise
 
-    on_worker, on_caller = _deal(
-        [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)])
-    worker = _eigh_worker().submit(solve, on_worker[::-1])
+    first = queue.popleft()
+    worker = _eigh_worker().submit(solve, queue.pop(), queue.pop)
     try:
-        solve(on_caller)
+        solve(first, queue.popleft)
     finally:
         # the worker's solves end before the BLAS setting is restored
         worker.result()

@@ -1,11 +1,13 @@
 """Controller math: weights, potentials, analytic gradients, stepping, refresh."""
 
+import collections
 import dataclasses
 import json
 import multiprocessing
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -413,32 +415,90 @@ class TestTwoCoreSolve:
         build_control_state(apex_framework(), default_params())
         assert seen == [1] * 5 and blas.threads == 2
 
-    def test_a_failing_ball_waits_for_the_worker(self, monkeypatch):
-        # the caller's error surfaces only once the worker's balls are done
+    def test_the_free_thread_takes_the_next_solve(self, monkeypatch):
+        # a batch shaped like estimated_loop's guard: the framework's S of
+        # side 240 and 120 balls of sides 8 to 42, all eigenvalue-only.
+        # Every S sleeps 0.5 ms, which releases the GIL, so both threads
+        # solve at one rate and each takes about half of the 121 S, where
+        # shares fixed in advance by side^3 leave the worker only the
+        # framework's S
         gil_free_eigvalsh()
-        done = []
+        solvers = []
+
+        def sleeping(S, d, vectors, eigvalsh):
+            time.sleep(5e-4)
+            solvers.append(threading.get_ident())
+            return rigidity.TOO_SMALL
+
+        grams = [np.zeros((240, 240))] + [np.zeros((8 + 2 * (k % 18),) * 2)
+                                          for k in range(120)]
+        monkeypatch.setattr(rigidity, "_spectrum", sleeping)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        spectra = rigidity._spectra(grams, 2, [False] * len(grams))
+        # every S solved once, none lost or taken twice
+        assert spectra == [rigidity.TOO_SMALL] * len(grams)
+        assert len(solvers) == len(grams)
+        counts = collections.Counter(solvers)
+        assert len(counts) == 2 and min(counts.values()) >= 40
+
+    @staticmethod
+    def failing_build(monkeypatch, worker_fails):
+        """Build the apex state, five S, where every S on one thread fails
+        once the other thread has started an S, which takes 50 ms.
+        Returns the events ("start", "fail" or "done", on the worker) in
+        order, ending with ("raised", None) when the error surfaced."""
+        gil_free_eigvalsh()
+        events, busy = [], threading.Event()
         spectrum = rigidity._spectrum
 
         def failing(S, d, vectors, eigvalsh):
-            if not threading.current_thread().name.startswith("rigidnet-"):
+            on_worker = threading.current_thread().name.startswith(
+                "rigidnet-")
+            if on_worker == worker_fails:
+                busy.wait(10)
+                events.append(("fail", on_worker))
                 raise np.linalg.LinAlgError("no convergence")
-            done.append(spectrum(S, d, vectors, eigvalsh))
-            return done[-1]
-
-        dealt = []
-        deal = rigidity._deal
-
-        def recorded_deal(costs):
-            dealt.append(deal(costs))
-            return dealt[-1]
+            events.append(("start", on_worker))
+            busy.set()
+            time.sleep(0.05)
+            events.append(("done", on_worker))
+            return spectrum(S, d, vectors, eigvalsh)
 
         monkeypatch.setattr(rigidity, "_spectrum", failing)
-        monkeypatch.setattr(rigidity, "_deal", recorded_deal)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         with pytest.raises(np.linalg.LinAlgError):
             build_control_state(apex_framework(), default_params())
-        [(on_worker, _)] = dealt
-        assert on_worker and len(done) == len(on_worker)
+        events.append(("raised", None))
+        return events
+
+    def test_a_failing_ball_waits_for_the_worker(self, monkeypatch):
+        # the worker took an S, the caller's error surfaces only once that
+        # S is done, and after the failure neither thread starts another
+        assert self.failing_build(monkeypatch, worker_fails=False) == [
+            ("start", True), ("fail", False), ("done", True),
+            ("raised", None)]
+
+    def test_a_failing_worker_stops_the_caller(self, monkeypatch):
+        # the caller ends the S it is on and starts no other, and then the
+        # worker's error surfaces
+        assert self.failing_build(monkeypatch, worker_fails=True) == [
+            ("start", False), ("fail", True), ("done", False),
+            ("raised", None)]
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_batch_of_one_solve_asks_for_no_worker(self, monkeypatch,
+                                                     vectors):
+        gil_free_eigvalsh()
+
+        def no_worker():
+            raise AssertionError("a batch of one S asked for a worker thread")
+
+        monkeypatch.setattr(rigidity, "_eigh_worker", no_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cores)
+        S = framework_gram(apex_framework())
+        assert rigidity._spectra([], 2, []) == []
+        [spectrum] = rigidity._spectra([S], 2, [vectors])
+        assert bits(spectrum) == bits(rigidity_spectrum(S, 2, vectors))
 
     def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
