@@ -6,14 +6,17 @@ The control experiment runs the closed loop on one network and logs a time
 series.  Both write CSV with a fixed number format so identical seeds give
 byte-identical files; per-network randomness comes from spawned child seeds,
 so records are reproducible regardless of evaluation order.  That lets the
-ensemble measure its networks on every core the process may use, each
-share in a forked process of its own; if any share fails, the caller
-measures every network in turn, so records and errors are a one-core run's.
+ensemble measure its networks on every core the process may use, one
+forked process per further core: each process measures a first network of
+its own and then claims the next unmeasured one whenever it is free, so no
+process waits on a fixed share.  If any process fails, the caller measures
+every network in turn, so records and errors are a one-core run's.
 """
 
 import contextlib
 import csv
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +210,30 @@ def _measure_networks(config, seeds, indices):
     return records
 
 
+def _claims(counter, first, count):
+    """The indices one process measures: first, then, each time the last
+    is measured, the next unclaimed index below count.
+
+    counter is a file that the forked processes share, its first 8 bytes
+    the next unclaimed index.  A claim reads and advances it under a lockf
+    lock, which the kernel frees when its holder exits, so a process that
+    dies while it holds the counter blocks no other: its share fails like
+    any other.
+    """
+    import fcntl
+
+    fd = counter.fileno()
+    index = first
+    while index < count:
+        yield index
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            index = int.from_bytes(os.pread(fd, 8, 0), "little")
+            os.pwrite(fd, (index + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+
+
 def _send_share(conn, config, seeds, indices):
     """A forked child's work: send its share's records, or nothing.
 
@@ -226,24 +253,32 @@ def _send_share(conn, config, seeds, indices):
 def _measure_forked(context, config, seeds, k):
     """The records of every network over k processes, or None if any share
     fails to come back clean: an error in the caller's share, a child that
-    sends nothing, a fork or a pipe that fails.
+    sends nothing (a child that dies while it holds the counter among
+    them), a fork, a pipe or the counter's file that fails.
 
-    Network i goes to process i % k; the caller measures share 0 itself.
-    Every process holds one BLAS thread, since the processes share the
-    cores.  Every child is joined before this returns or raises, and
-    terminated first if it still runs when the caller fails or is stopped.
-    No eigh worker thread is alive at a fork: these solves need none.
+    Process j measures network j first, the caller being process 0; then
+    each process claims the next unclaimed network (see _claims) until
+    none is left, so the share of each depends on timing, but the records,
+    merged by index, do not.  Every process holds one BLAS thread, since
+    the processes share the cores.  Every child is joined before this
+    returns or raises, and terminated first if it still runs when the
+    caller fails or is stopped.  No eigh worker thread is alive at a fork:
+    these solves need none.
     """
+    import tempfile
+
     _stop_eigh_worker()
-    shares = [range(j, len(seeds), k) for j in range(k)]
     children, readers = [], []
-    merged = None
+    merged = counter = None
     try:
-        for indices in shares[1:]:
+        counter = tempfile.TemporaryFile()
+        os.pwrite(counter.fileno(), k.to_bytes(8, "little"), 0)
+        for j in range(1, k):
             reader, writer = context.Pipe(duplex=False)
             readers.append(reader)
-            child = context.Process(target=_send_share,
-                                    args=(writer, config, seeds, indices))
+            child = context.Process(
+                target=_send_share,
+                args=(writer, config, seeds, _claims(counter, j, len(seeds))))
             try:
                 child.start()
             finally:
@@ -251,7 +286,8 @@ def _measure_forked(context, config, seeds, k):
                 # without sending gives the reader EOFError, not a wait
                 writer.close()
             children.append(child)
-        records = _measure_networks(config, seeds, shares[0])
+        records = _measure_networks(config, seeds,
+                                    _claims(counter, 0, len(seeds)))
         for reader in readers:
             records += reader.recv()
         merged = sorted(records, key=lambda r: r["index"])
@@ -264,6 +300,8 @@ def _measure_forked(context, config, seeds, k):
             child.join()
         for reader in readers:
             reader.close()
+        if counter is not None:
+            counter.close()
     return merged
 
 
@@ -285,9 +323,10 @@ def _fork_context(k):
 def _measure_ensemble(config):
     """The records of ensemble_count networks and their summary.
 
-    The networks are split over the cores the process may use (see
-    _measure_forked).  On one core, or if any share fails, the caller
-    measures every network in turn, as a one-core run does.
+    The networks are measured on every core the process may use, each
+    free process claiming the next one (see _measure_forked).  On one
+    core, or if any share fails, the caller measures every network in
+    turn, as a one-core run does.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble_count)
     k = min(usable_cores(), config.ensemble_count)
@@ -320,8 +359,9 @@ def run_ensemble_experiment(config, csv_path=None, json_path=None):
 
     Each network draws from its own spawned child seed, so the ensemble is
     reproducible under any evaluation order.  The networks are measured on
-    every core the process may use, each further core's share in a forked
-    child, and the records equal those of a one-core run bit for bit.  If
+    every core the process may use, one forked child per further core,
+    each process claiming the next network when it is free, and the
+    records equal those of a one-core run bit for bit.  If
     any share fails, the caller measures every network in turn, so an error
     is the one a one-core run raises first.  Returns (records, summary).
     A flexible network has no extents and no load, so the ensemble needs

@@ -353,21 +353,28 @@ class GramLayout:
         edge = np.asarray(edge, dtype=np.intp)
         sides = d * np.asarray(counts, dtype=np.intp)
         sizes = sides * sides
-        # flat offset of block (p, q) of an edge is start + d * corner + within
-        side = sides[ball][:, None]
-        start = (np.cumsum(sizes) - sizes)[ball][:, None, None, None]
-        corner = ends[:, _BLOCK_ROWS] * side + ends[:, _BLOCK_COLS]
-        within = (np.arange(d)[:, None] * side[:, :, None]
-                  + np.arange(d))[:, None]
-        index = start + d * corner[:, :, None, None] + within
-        # entry (p, q) of the signed block s of edge k is edge_blocks's
-        # flat (2k + s) * d * d + p * d + q
-        src = ((2 * edge[:, None] + _BLOCK_NEGATED)[:, :, None, None] * d * d
-               + np.arange(d * d).reshape(d, d))
         span = max(sizes.sum(), 2 * d * d * (edge.max(initial=-1) + 1))
         dtype = np.int32 if span <= np.iinfo(np.int32).max else np.intp
-        layout = cls(sides, index.astype(dtype).ravel(),
-                     src.astype(dtype).ravel())
+        # entry (p, q) of block (r, c) of an edge of ball t lies at flat
+        # start[t] + (d * r + p) * side[t] + d * c + q.  Each block's corner
+        # (p = q = 0) and each row's offset are formed once, in dtype and
+        # edge-last, so that one broadcast adds them up along the edges (a
+        # broadcast along the d entries of a row runs 3-4 times slower);
+        # one transposing copy then lays them out edge after edge.  No
+        # partial sum exceeds span.
+        side = sides[ball]
+        corner = ((np.cumsum(sizes) - sizes)[ball]
+                  + d * (ends.T[_BLOCK_ROWS] * side + ends.T[_BLOCK_COLS])
+                  ).astype(dtype)
+        rows = (np.arange(d)[:, None] * side).astype(dtype)
+        index = (corner[:, None, None] + rows[:, None]
+                 + np.arange(d, dtype=dtype)[:, None])
+        # entry (p, q) of the signed block s of edge k is edge_blocks's
+        # flat (2k + s) * d * d + p * d + q
+        src = (((2 * edge + _BLOCK_NEGATED[:, None]) * d * d).astype(dtype)
+               [:, None] + np.arange(d * d, dtype=dtype)[:, None])
+        layout = cls(sides, index.transpose(3, 0, 1, 2).ravel(),
+                     src.transpose(2, 0, 1).ravel())
         for a in (layout.sides, layout.index, layout.src):
             a.setflags(write=False)
         return layout

@@ -1,10 +1,13 @@
 """Scenario sampling, the two batch experiments, and their file formats."""
 
+import contextlib
+import fcntl
 import filecmp
 import functools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -324,9 +327,60 @@ def fail_at(monkeypatch, errors):
     monkeypatch.setattr(experiments, "network_record", failing)
 
 
+def logged(monkeypatch, log, held=None, until=0):
+    """Patch network_record to tag each record with its process's pid and
+    log each measured network's index as one line of the file log.  The
+    process whose first network is index held (0: the caller) holds it
+    until log has until lines, all of them the other processes', or for
+    30 s at most."""
+    record = experiments.network_record
+    parent = os.getpid()
+
+    def logging(fw, index=0, rejects=0):
+        if index == held and (os.getpid() == parent) == (held == 0):
+            deadline = time.monotonic() + 30
+            while (time.monotonic() < deadline and
+                   (not log.exists() or
+                    len(log.read_text().splitlines()) < until)):
+                time.sleep(0.005)
+        got = {**record(fw, index=index, rejects=rejects),
+               "pid": os.getpid()}
+        with open(log, "a") as fp:
+            fp.write(f"{index}\n")
+        return got
+
+    monkeypatch.setattr(experiments, "network_record", logging)
+
+
+def untagged(records):
+    """records without the pid that logged() tags them with."""
+    return [{k: v for k, v in r.items() if k != "pid"} for r in records]
+
+
+class Hung(BaseException):
+    """Raised by bounded() when its time is up; no except Exception in the
+    library catches it, so a hang fails the test instead of passing."""
+
+
+@contextlib.contextmanager
+def bounded(seconds):
+    """Raise Hung in the block if it runs longer than seconds."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestForkedEnsemble:
-    """On k usable cores the networks are split over the caller and k - 1
-    forked children; records, summary and errors are a one-core run's."""
+    """On k usable cores the caller and k - 1 forked children each measure
+    a first network and then claim the next unclaimed one when free;
+    records, summary and errors are a one-core run's."""
 
     @pytest.mark.parametrize("kw", [
         # 17.5 m rejects draws, so the shares differ in their sampler work
@@ -381,7 +435,9 @@ class TestForkedEnsemble:
         assert filecmp.cmp(one, two, shallow=False)
 
     @pytest.mark.parametrize("errors, raised", [
-        # the parent measures 0, 2, 4 and the child 1, 3, 5
+        # the parent measures 0 first and the child 1; the rest go to
+        # whichever process is free, and any failure sends the caller
+        # into the one-core pass
         ({0: LookupError("network 0"), 1: ValueError("network 1")},
          LookupError("network 0")),
         ({1: LookupError("network 1"), 2: ValueError("network 2")},
@@ -479,7 +535,8 @@ class TestForkedEnsemble:
         record = experiments.network_record
 
         def dying(fw, index=0, rejects=0):
-            if os.getpid() != parent and index == 3:
+            # the child's first network is 1, so it surely dies
+            if os.getpid() != parent and index == 1:
                 os._exit(1)
             return record(fw, index=index, rejects=rejects)
 
@@ -488,6 +545,64 @@ class TestForkedEnsemble:
         started = forks(monkeypatch)
         assert repr(run_ensemble_experiment(small_config())) == repr(serial)
         assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("held", [0, 1])
+    def test_a_held_process_leaves_the_rest_to_the_other(
+            self, monkeypatch, tmp_path, held):
+        # the caller (held 0) or the child (held 1) holds its first network
+        # until the other process has measured all 16 others; a fixed share
+        # would leave each 8 or 9 of the 17
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial, _ = run_ensemble_experiment(small_config(ensemble_count=17))
+        logged(monkeypatch, tmp_path / "log", held=held, until=16)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        records, _ = run_ensemble_experiment(small_config(ensemble_count=17))
+        assert untagged(records) == serial
+        pids = [r["pid"] for r in records]
+        assert (pids[held] == os.getpid()) == (held == 0)
+        assert pids.count(pids[held]) == 1 and len(set(pids)) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_more_processes_than_cores_claim_each_network_once(
+            self, monkeypatch, tmp_path):
+        # four processes on two cores contend for the counter; a lost
+        # update would have two of them measure one network
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial, _ = run_ensemble_experiment(small_config(ensemble_count=40))
+        log = tmp_path / "log"
+        logged(monkeypatch, log)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(4))
+        with bounded(60):
+            records, _ = run_ensemble_experiment(
+                small_config(ensemble_count=40))
+        assert untagged(records) == serial
+        assert sorted(map(int, log.read_text().split())) == list(range(40))
+        assert len({r["pid"] for r in records}) == 4
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_holding_the_counter_blocks_no_one(
+            self, monkeypatch, tmp_path):
+        # the kernel frees a lockf lock when its holder exits; a lock that
+        # stayed held would stop the caller at its next claim for good
+        monkeypatch.setattr(os, "sched_getaffinity", cores(1))
+        serial = run_ensemble_experiment(small_config())
+        parent = os.getpid()
+        died = tmp_path / "died"
+        lockf = fcntl.lockf
+
+        def dying(fd, cmd, *args):
+            lockf(fd, cmd, *args)
+            if cmd == fcntl.LOCK_EX and os.getpid() != parent:
+                died.touch()
+                os._exit(1)
+
+        monkeypatch.setattr(fcntl, "lockf", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", cores(2))
+        with bounded(60):
+            got = run_ensemble_experiment(small_config())
+        assert died.exists()
+        assert repr(got) == repr(serial)
         assert multiprocessing.active_children() == []
 
     def test_a_failure_only_in_a_child_gives_the_one_core_records(

@@ -336,6 +336,45 @@ class TestGatheredAssembly:
             [want] = per_entry_grams(layout, np.arange(m), fw.units, None)
             assert framework_gram(fw).tobytes() == want.tobytes()
 
+    @staticmethod
+    def layout_by_loop(d, counts, edge, ends, ball):
+        """GramLayout.of's index and src, one edge's entries at a time."""
+        sides = [d * int(c) for c in counts]
+        starts = np.cumsum([0] + [s * s for s in sides]).tolist()
+        index, src = [], []
+        for k, (a, b) in enumerate(ends.tolist()):
+            t = int(ball[k])
+            blocks = ((a, a, 0), (b, b, 0), (a, b, 1), (b, a, 1))
+            for r, c, negated in blocks:
+                for p in range(d):
+                    for q in range(d):
+                        index.append(starts[t] + (d * r + p) * sides[t]
+                                     + d * c + q)
+                        src.append(((2 * int(edge[k]) + negated) * d + p) * d
+                                   + q)
+        return index, src
+
+    @pytest.mark.parametrize("d", [2, 3])
+    # an edge index above 2^28 puts src beyond int32 in 2-D and 3-D, so
+    # both arrays fall back to intp
+    @pytest.mark.parametrize("shift, dtype", [(0, np.int32),
+                                              (2**28 + 5, np.intp)])
+    def test_layout_equals_a_per_edge_loop(self, d, shift, dtype):
+        rng = np.random.default_rng(130 + d)
+        x = rng.uniform(size=(14, d))
+        fw = Framework(disk_proximity_graph(x, 0.5), x)
+        dist = GeodesicTable.compute(fw.graph).dist
+        inside = np.concatenate([dist <= h for h in (0, 1, 2)])
+        stack = stack_balls(inside, fw.graph.edge_array())
+        ends = stack.ends - stack.offsets[stack.ball][:, None]
+        args = (d, np.diff(stack.offsets), stack.edge + shift, ends,
+                stack.ball)
+        layout = GramLayout.of(*args)
+        index, src = self.layout_by_loop(*args)
+        assert layout.index.dtype == layout.src.dtype == dtype
+        assert layout.index.tolist() == index
+        assert layout.src.tolist() == src
+
 
 class TestOneUnweightedProduct:
     """rigidity_report and the simulator's whole-framework check solve the
