@@ -4,16 +4,17 @@ Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
 topology changes produce a new Graph.  A Graph is built from its edge
 array, validated and sorted in numpy, and the slot layout (one slot per
 node and neighbor, see Graph) is built with it.  Whatever else depends on
-the edge set alone (the edge list, the geodesic table, the controller's
-balls and layouts) is computed once per Graph and kept on it
-(Graph.cached).  The geodesic table, a breadth-first search from every
-node at once, is the one source of hop counts.  The connectivity test is
-one depth-first search over the slot layout, and the biconnectivity test
-(no cut vertex) another.  Unreachable node pairs are marked with the
-UNREACHABLE sentinel (float inf) rather than a large finite hop count, so
-accidental arithmetic on them propagates loudly instead of producing
-plausible-looking numbers.  Every distance in the library comes from one
-kernel, separations.
+the edge set alone (the edge list, the dense float32 adjacency, the
+geodesic table, the controller's balls and layouts) is computed once per
+Graph and kept on it (Graph.cached).  The geodesic table, a breadth-first
+search from every node at once, is the one source of hop counts.  The
+connectivity test is one depth-first search over the slot layout, and the
+biconnectivity test (no cut vertex) another, after a degree check.
+Unreachable node pairs are marked with the UNREACHABLE sentinel (float
+inf) rather than a large finite hop count, so accidental arithmetic on
+them propagates loudly instead of producing plausible-looking numbers.
+Every distance in the library comes from one kernel, separations, which
+adds the squares one coordinate at a time.
 """
 
 import numpy as np
@@ -129,10 +130,10 @@ class Graph:
         return hit[1]
 
     def adjacency(self):
-        """A new dense n x n float adjacency matrix, one 1.0 per slot."""
-        a = np.zeros((self.n, self.n))
-        a[np.repeat(np.arange(self.n), self.degrees()), self.slot_node] = 1.0
-        return a
+        """The dense n x n float32 adjacency matrix, one 1.0 per slot; built
+        on first call, kept and read-only.  Products with it count exactly
+        below 2^24."""
+        return self.cached("adjacency", None, _adjacency)
 
     def __eq__(self, other):
         return (
@@ -147,6 +148,13 @@ class Graph:
 
 def _edge_list(g):
     return list(zip(*g.edge_array().T.tolist()))
+
+
+def _adjacency(g):
+    a = np.zeros((g.n, g.n), dtype=np.float32)
+    a[np.repeat(np.arange(g.n), g.degrees()), g.slot_node] = 1.0
+    a.setflags(write=False)
+    return a
 
 
 def _degree_groups(g):
@@ -178,14 +186,18 @@ def is_connected(g):
 def is_biconnected(g):
     """True iff g is connected and no single node's removal disconnects it.
 
-    One iterative depth-first search from node 0 over the slot layout
-    (Tarjan's low-link): low[v] is the earliest discovery time reachable
-    from v's subtree by one back edge.  A non-root node p is a cut vertex
-    when a child c has low[c] >= disc[p], the root when it has two children.
+    A graph of three nodes or more with a node of degree below 2 is not,
+    and needs no search.  Otherwise one iterative depth-first search from
+    node 0 over the slot layout (Tarjan's low-link): low[v] is the earliest
+    discovery time reachable from v's subtree by one back edge.  A non-root
+    node p is a cut vertex when a child c has low[c] >= disc[p], the root
+    when it has two children.
     """
     n = g.n
     if n == 0:
         return True
+    if n >= 3 and g.degrees().min() < 2:
+        return False
     slots, nbr = g.slots.tolist(), g.slot_node.tolist()
     disc, low, parent = [-1] * n, [0] * n, [-1] * n
     nxt = slots[:n]
@@ -219,25 +231,40 @@ def is_biconnected(g):
     return found == n
 
 
+def _lengths(coordinates):
+    """The square root of the sum of the squares of the given per-coordinate
+    differences, added left to right as np.linalg.norm(axis=-1) adds a
+    row's squares, so with its bits.  Call under an errstate that ignores
+    overflow and invalid values."""
+    squares = (c * c for c in coordinates)
+    total = next(squares)
+    for square in squares:
+        total += square
+    return np.sqrt(total)
+
+
 def separations(a, b):
     """a - b and its lengths along the last axis, with the bits of
     np.linalg.norm(a - b, axis=-1); a length too large for float64 is inf,
     not a warning, and each caller judges it in its own terms."""
     with np.errstate(over="ignore", invalid="ignore"):
         diff = np.subtract(a, b)
-        return diff, np.sqrt((diff * diff).sum(axis=-1))
+        return diff, _lengths(diff[..., k] for k in range(diff.shape[-1]))
 
 
 def proximity(positions, range_):
     """Dense pairwise distances, and the upper-triangle mask of the pairs
     strictly closer than range_: the one rule by which two nodes gain a link.
 
+    The distances are separations' lengths, with its bits, formed one
+    coordinate at a time, so no (n, n, d) difference array is built.
     Strictness keeps the discrete edge set consistent with logistic link
     weights above one half; ties at exactly range_ are measure zero.  A
     distance that overflows float64 is inf, which is never in range.
     """
     x = np.asarray(positions, dtype=float)
-    _, dist = separations(x[:, None, :], x[None, :, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = _lengths(np.subtract.outer(c, c) for c in x.T)
     return dist, np.triu(dist < range_, k=1)
 
 
@@ -290,7 +317,7 @@ class GeodesicTable:
         dist = np.full((n, n), UNREACHABLE)
         reached = np.eye(n, dtype=bool)
         dist[reached] = 0.0
-        adjacency = g.adjacency().astype(np.float32)
+        adjacency = g.adjacency()
         frontier = reached.astype(np.float32)
         with one_blas_thread():
             for hops in range(1, n):

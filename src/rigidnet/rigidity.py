@@ -11,9 +11,13 @@ The two verdicts always agree; a mismatch raises, it is never papered over.
 is_infinitesimally_rigid first rejects a graph that is not biconnected:
 a cut vertex forces a non-trivial motion at every realization in 2-D and
 3-D, so this structural rejection is exact, never a heuristic, and spares
-the numeric test on most flexible random draws.  Its verdict on the
-remaining draws solves S for eigenvalues only, since it reads no
-eigenvector; the SVD rank cross-check still runs on every one of them.
+the numeric test on most flexible random draws.  In 2-D it then applies
+the one counting rule, flexible_by_count, which the extent search applies
+to every ball: fewer induced edges touch one or two members than their
+degrees of freedom, so the rank falls short at every realization.  Its
+verdict on the remaining draws solves S for eigenvalues only, since it
+reads no eigenvector; the SVD rank cross-check still runs on every one
+of them.
 rigidity_spectrum is the one verdict on an S, for whole frameworks and
 hop-balls alike: the shared read-only TOO_SMALL for an S of at most d
 nodes, whose framework rigidity_report and is_infinitesimally_rigid
@@ -25,11 +29,12 @@ w r r^T, by a GramLayout: each edge's signed blocks are formed once
 framework or of many stacked balls, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
-Every dense solve of the library, and the hop table's frontier products
-(graphs.GeodesicTable), runs under one_blas_thread, which sets
-every loaded OpenBLAS to one thread for its duration: its threads, woken
-for each solve between stretches of Python work, cost more than they give,
-and one thread gives the same bits whatever the process's setting.
+Every dense solve of the library, the hop table's frontier products
+(graphs.GeodesicTable) and the counting rule's, runs under
+one_blas_thread, which sets every loaded OpenBLAS to one thread for its
+duration: its threads, woken for each solve between stretches of Python
+work, cost more than they give, and one thread gives the same bits
+whatever the process's setting.
 rigidity_spectrum enters it once per call; a batch (_spectra, the extent
 search's _rigid_balls, rigidity_report with its SVD) enters it once and
 solves each S by _spectrum, which does not enter it again.
@@ -598,25 +603,58 @@ def rigidity_report(fw, vectors=True):
                           spectrum.tol_abs)
 
 
+@one_blas_thread()
+def flexible_by_count(graph, inside, d):
+    """Whether each ball, a row of the (balls x n) boolean membership mask
+    inside, is flexible at every realization by counting its induced edges
+    alone, in 2-D; in 3-D no ball is.
+
+    A ball of k nodes is rigid only if R, one row per induced edge, has
+    rank 2k - 3.  Split R's rows into the edges that touch a set X of
+    members and the rest: the rest is the rigidity matrix of the other
+    k - |X| members, of rank at most 2(k - |X|) - 3 when they are two or
+    more.  So when fewer than 2|X| edges touch X, R's rank is at most
+    2k - 4 wherever the nodes are.  Two such sets are counted: a member
+    with at most one induced edge (k > 2), and two adjacent members with
+    two induced edges each, three edges in all (k > 3).  The induced
+    degrees are float32 products with the graph's kept adjacency, exact
+    below 2^24.
+    """
+    inside = np.asarray(inside, dtype=bool)
+    if d != 2:
+        return np.zeros(len(inside), dtype=bool)
+    adjacency = graph.adjacency()
+    degree = inside.astype(np.float32) @ adjacency
+    size = inside.sum(axis=1)
+    loose = (inside & (degree <= 1)).any(axis=1)
+    two = inside & (degree == 2)
+    paired = (two & (two.astype(np.float32) @ adjacency > 0)).any(axis=1)
+    return (loose & (size > 2)) | (paired & (size > 3))
+
+
 def is_infinitesimally_rigid(fw):
     """True iff every zero-strain velocity field is a rigid-body motion.
 
     Frameworks with n <= d are rejected because the trivial-motion
     dimension assumption behind the lambda_{f+1} test breaks down there.
-    A graph that is not biconnected (disconnected, or with a cut vertex)
-    is reported as not rigid without a numeric test, and exactly so.  If
-    a cut vertex v splits the graph into two sides of n_A and n_B nodes,
-    each counting v (n_A + n_B = n + 1), R's rank is at most the sum of
-    the sides' ranks, and a side of k >= 2 nodes has rank at most
-    d*k - f (one more for k = 2 in 3-D).  The sum stays below d*n - f in
-    2-D and 3-D at every realization: one side can turn about v.  So the
-    numeric test could never accept such a framework.  Every other
-    framework gets rigidity_report's verdict, solved for eigenvalues only
-    (the verdict reads no eigenvector), and the rank of R still
-    cross-checks the eigenvalue test.
+    Two structural rules report a framework as not rigid without a
+    numeric test, and exactly so.  First, a graph that is not biconnected
+    (disconnected, or with a cut vertex).  If a cut vertex v splits the
+    graph into two sides of n_A and n_B nodes, each counting v (n_A + n_B
+    = n + 1), R's rank is at most the sum of the sides' ranks, and a side
+    of k >= 2 nodes has rank at most d*k - f (one more for k = 2 in 3-D).
+    The sum stays below d*n - f in 2-D and 3-D at every realization: one
+    side can turn about v.  Second, in 2-D, a framework that
+    flexible_by_count finds flexible as a ball of all its nodes: after
+    the first rule, two adjacent nodes of degree 2 in more than 3 nodes.
+    So the numeric test could never accept either.  Every other framework
+    gets rigidity_report's verdict, solved for eigenvalues only (the
+    verdict reads no eigenvector), and the rank of R still cross-checks
+    the eigenvalue test.
     """
     _require_testable(fw)
-    if not is_biconnected(fw.graph):
+    if not is_biconnected(fw.graph) or flexible_by_count(
+            fw.graph, np.ones((1, fw.n), dtype=bool), fw.dim)[0]:
         return False
     return rigidity_report(fw, vectors=False).rigid
 

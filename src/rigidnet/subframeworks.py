@@ -16,7 +16,9 @@ flood ttls, the stack and its layouts) is a BallSet, computed once per
 Graph and kept on it (ball_set).  The extent search stacks the balls of
 all centers still searching at one radius the same way and solves them as
 one batch on one BLAS thread, each ball by rigidity's one verdict
-(rigidity._spectrum; TOO_SMALL for a ball of at most d nodes).  The load
+(rigidity._spectrum; TOO_SMALL for a ball of at most d nodes), apart from
+the balls that rigidity's counting rule (flexible_by_count) already
+proves flexible, which it never stacks.  The load
 coefficients max(0, h_j - g_ji) are one table, kept on the Graph under the
 extents, that the BallSet and communication_load both read.
 """
@@ -27,7 +29,8 @@ import numpy as np
 
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
-    Framework, GramLayout, _spectrum, edge_blocks, one_blas_thread
+    Framework, GramLayout, _spectrum, edge_blocks, flexible_by_count,
+    one_blas_thread
 )
 
 
@@ -168,10 +171,18 @@ def ball_set(graph, extents, d):
 def _rigid_balls(fw, inside):
     """Whether the unweighted S of each ball, a row of the membership mask
     inside, passes the eigenvalue test (rigidity.TOO_SMALL for a ball of
-    at most d nodes does not)."""
-    layouts = stack_layouts(stack_balls(inside, fw.graph.edge_array()), fw.dim)
-    return np.array([_spectrum(S, fw.dim, False, np.linalg.eigvalsh).rigid
-                     for S in ball_grams(layouts, fw.units)], dtype=bool)
+    at most d nodes does not).
+
+    A ball that rigidity.flexible_by_count finds flexible is not rigid at
+    any realization, so only the others are stacked, assembled and
+    solved."""
+    rigid = np.zeros(len(inside), dtype=bool)
+    solve = np.flatnonzero(~flexible_by_count(fw.graph, inside, fw.dim))
+    layouts = stack_layouts(
+        stack_balls(inside[solve], fw.graph.edge_array()), fw.dim)
+    rigid[solve] = [_spectrum(S, fw.dim, False, np.linalg.eigvalsh).rigid
+                    for S in ball_grams(layouts, fw.units)]
+    return rigid
 
 
 def extent_assignment(fw):
@@ -182,7 +193,9 @@ def extent_assignment(fw):
     Rigidity of growing balls is not monotone (a pendant node entering the
     ball with a single induced edge breaks it), so every radius is tested
     in turn, and the balls of all nodes still searching at one radius are
-    assembled together.  A node searches at radius h only while some node
+    tested together: those that rigidity.flexible_by_count finds flexible
+    by their edge counts are not solved, and the rest are assembled and
+    solved as one batch.  A node searches at radius h only while some node
     lies exactly h hops away, that is while its ball still grows: from
     there on its subframework never changes again.
     """

@@ -83,10 +83,10 @@ class TestEnsemble:
         assert line.startswith("configuration error: cannot write output")
 
     def test_unallocatable_network_exits_three(self, capsys):
-        # four million robots fit in 64 MB, but their (n, n, 2) pairwise
-        # differences (256 TiB) exceed the address space, so numpy refuses
-        # them before anything is allocated
-        code = main(["ensemble", "--seed", "1", "--n", "4000000", "--count",
+        # five million robots fit in 80 MB, but their (n, n) pairwise
+        # distances (182 TiB) exceed the 128 TiB address space, so numpy
+        # refuses them before anything is allocated
+        code = main(["ensemble", "--seed", "1", "--n", "5000000", "--count",
                      "1", "--range", "40", "--rejection-budget", "1"])
         assert code == EXIT_BAD_CONFIG
         [line] = capsys.readouterr().err.splitlines()
@@ -99,7 +99,7 @@ class TestEnsemble:
         # file descriptor 2, which the child writes to as well, so this is
         # still one line and no traceback
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        code = main(["ensemble", "--seed", "1", "--n", "4000000", "--count",
+        code = main(["ensemble", "--seed", "1", "--n", "5000000", "--count",
                      "2", "--range", "40", "--rejection-budget", "1"])
         assert code == EXIT_BAD_CONFIG
         [line] = capfd.readouterr().err.splitlines()

@@ -99,7 +99,12 @@ class TestGraph:
             dense = np.zeros((g.n, g.n))
             for i, j in g.edges:
                 dense[i, j] = dense[j, i] = 1.0
-            assert np.array_equal(g.adjacency(), dense)
+            adjacency = g.adjacency()
+            assert np.array_equal(adjacency, dense)
+            # one float32 matrix, kept on the graph and read-only
+            assert adjacency.dtype == np.float32
+            assert not adjacency.flags.writeable
+            assert g.adjacency() is adjacency
             for a in (g.slots, g.slot_node, g.slot_edge):
                 assert a.dtype == np.intp and not a.flags.writeable
             # the degree groups hold every node once, by ascending degree,
@@ -377,8 +382,10 @@ class TestBiconnectivity:
         (Graph(1, []), True),
         (Graph(2, [(0, 1)]), True),
         (Graph(2, []), False),
+        (Graph(4, [(0, 1), (0, 2), (1, 2)]), False),
     ], ids=["triangle", "path", "cycle", "star", "two-triangles-one-node",
-            "disconnected", "n1", "n2-edge", "n2-no-edge"])
+            "disconnected", "n1", "n2-edge", "n2-no-edge",
+            "triangle-and-isolated-node"])
     def test_named_cases(self, g, expected):
         assert is_biconnected(g) == expected
         assert biconnected_by_deletion(g) == expected
@@ -455,6 +462,72 @@ class TestSeparations:
         _, table = separations(x[:, None, :], x[None, :, :])
         assert table.tobytes() == np.linalg.norm(
             x[:, None, :] - x[None, :, :], axis=2).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bits_hold_from_1e_minus_300_to_1e300(self, d):
+        # squares underflow to 0 and overflow to inf at the ends of the
+        # range; the lengths must still be norm's, bit for bit
+        rng = np.random.default_rng(40 + d)
+        scale = 10.0 ** rng.integers(-300, 301, size=(20000, 1))
+        a = rng.normal(size=(20000, d)) * scale
+        b = rng.normal(size=(20000, d)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diff, lengths = separations(a, b)
+        with np.errstate(over="ignore"):
+            expected = np.linalg.norm(a - b, axis=-1)
+        assert lengths.tobytes() == expected.tobytes()
+        assert diff.tobytes() == (a - b).tobytes()
+        assert np.isinf(lengths).any() and (lengths == 0).any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_proximity_table_keeps_norms_bits(self, d):
+        # a 150-node table at several scales, as proximity builds it one
+        # coordinate at a time, against norm over the (n, n, d) differences
+        rng = np.random.default_rng(44 + d)
+        for scale in (1e-150, 1e-3, 1.0, 150.0, 1e5, 1e150, 1e154):
+            x = rng.uniform(0, 1, size=(150, d)) * scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dist, linked = proximity(x, 0.3 * scale)
+            with np.errstate(over="ignore"):
+                expected = np.linalg.norm(x[:, None, :] - x[None, :, :],
+                                          axis=2)
+            assert dist.tobytes() == expected.tobytes()
+            assert np.array_equal(linked, np.triu(expected < 0.3 * scale, 1))
+            _, table = separations(x[:, None, :], x[None, :, :])
+            assert table.tobytes() == expected.tobytes()
+
+    def test_nan_and_inf_inputs_keep_norms_bits(self):
+        values = [0.0, -1.5, 2.0, np.nan, np.inf, -np.inf]
+        a = np.array([[p, q] for p in values for q in values])
+        b = a[::-1].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, lengths = separations(a, b)
+            dist, linked = proximity(a, 3.0)
+        with np.errstate(invalid="ignore"):
+            expected = np.linalg.norm(a - b, axis=-1)
+            table = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2)
+        assert lengths.tobytes() == expected.tobytes()
+        assert dist.tobytes() == table.tobytes()
+        # a NaN or infinite distance is never in range
+        assert not linked[~np.isfinite(table)].any()
+
+    def test_overflow_to_inf_near_sqrt_of_the_largest_double(self):
+        # a length whose square overflows float64 is inf, as norm gives it,
+        # although the length itself is representable: 1.3e154 squared is
+        # finite, 1.35e154 squared and the sum of two 1e154 squares are not
+        a = np.array([[1.3e154, 0.0], [1.35e154, 0.0], [1e154, 1e154],
+                      [0.0, 1.3e154]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, lengths = separations(a, np.zeros(2))
+            dist, _ = proximity(np.vstack([np.zeros(2), a]), 1.0)
+        assert lengths.tolist() == [1.3e154, np.inf, np.inf, 1.3e154]
+        with np.errstate(over="ignore"):
+            assert lengths.tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+        assert dist[0, 1:].tobytes() == lengths.tobytes()
 
     def test_an_overflowing_length_is_inf_without_a_warning(self):
         with warnings.catch_warnings():

@@ -41,6 +41,7 @@ from rigidnet.rigidity import (
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
     edge_blocks,
+    flexible_by_count,
     framework_gram,
     is_infinitesimally_rigid,
     rigid_body_dim,
@@ -466,6 +467,101 @@ class TestRigidityVerdicts:
                 assert not rigidity_report(fw).rigid
                 assert not is_infinitesimally_rigid(fw)
         assert cut >= 5
+
+
+def whole(g):
+    """The mask of one ball holding every node of g."""
+    return np.ones((1, g.n), dtype=bool)
+
+
+class TestCountingRule:
+    LEAF = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    SQUARE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    # two triangles sharing the edge (1, 2): its degree-2 nodes 0 and 3
+    # are not adjacent
+    KITE = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+    def test_hand_built_balls(self):
+        for g, flexible in ((self.LEAF, True), (self.SQUARE, True),
+                            (self.TRIANGLE, False), (self.KITE, False),
+                            (Graph(3, [(0, 1), (1, 2)]), True),
+                            (Graph(2, [(0, 1)]), False)):
+            assert flexible_by_count(g, whole(g), 2).tolist() == [flexible]
+        # several balls of one graph at once, among them an empty and a
+        # one-node ball; {0, 1, 3} holds node 0 with one induced edge
+        inside = np.array([[1, 1, 1, 0], [1, 1, 1, 1], [0, 1, 1, 1],
+                           [1, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 1]], bool)
+        assert flexible_by_count(self.KITE, inside, 2).tolist() == [
+            False, False, False, True, False, False]
+
+    def test_no_ball_is_flagged_in_3d(self):
+        rng = np.random.default_rng(51)
+        for g in (self.LEAF, self.SQUARE, self.TRIANGLE, self.KITE,
+                  Graph(5, [(i, i + 1) for i in range(4)])):
+            assert flexible_by_count(g, whole(g), 3).tolist() == [False]
+        g = random_graph(rng, 12, 0.3)
+        inside = rng.random((40, 12)) < 0.6
+        assert not flexible_by_count(g, inside, 3).any()
+
+    def test_every_flagged_graph_on_five_nodes_is_flexible(self):
+        # every labelled graph on 3, 4 and 5 nodes, each at generic
+        # positions: the rule flags only graphs that the eigenvalue test
+        # finds flexible
+        rng = np.random.default_rng(52)
+        flagged = 0
+        for n in (3, 4, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            x = rng.uniform(-1, 1, size=(n, 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+                if flexible_by_count(g, whole(g), 2)[0]:
+                    flagged += 1
+                    S = framework_gram(Framework(g, x))
+                    assert not rigidity_spectrum(S, 2, vectors=False).rigid
+        assert flagged > 500
+
+    def test_flagged_balls_of_random_graphs_are_flexible(self):
+        # every hop-ball of random graphs, at every radius, through
+        # extract_subframework: a flagged ball never passes the
+        # rank-checked report, and the rule leaves rigid balls alone
+        rng = np.random.default_rng(53)
+        flagged = rigid = 0
+        for _ in range(60):
+            fw = random_framework(rng, int(rng.integers(4, 11)), 2,
+                                  p=rng.uniform(0.2, 0.7))
+            dist = GeodesicTable.compute(fw.graph).dist
+            for h in range(1, fw.n):
+                inside = dist <= h
+                flags = flexible_by_count(fw.graph, inside, 2)
+                for center, flag in enumerate(flags.tolist()):
+                    sub, _ = extract_subframework(fw, center, h)
+                    if sub.n <= 2:
+                        assert not flag
+                        continue
+                    verdict = rigidity_report(sub, vectors=False).rigid
+                    assert not (flag and verdict)
+                    flagged += flag
+                    rigid += verdict
+        assert flagged > 100 and rigid > 100
+
+    def test_flagged_frameworks_skip_the_report(self, monkeypatch):
+        # a cycle of four nodes or more is biconnected, and its adjacent
+        # degree-2 nodes make it flexible: no SVD-checked report runs for
+        # it, while a triangle and the kite still take one each
+        rng = np.random.default_rng(54)
+        cycles = [Framework(Graph(n, [(i, (i + 1) % n) for i in range(n)]),
+                            rng.uniform(-1, 1, size=(n, 2))) for n in (4, 5, 9)]
+        assert not any(rigidity_report(fw).rigid for fw in cycles)
+        calls = []
+        monkeypatch.setattr(rigidity, "rigidity_report", lambda fw, **kw:
+                            calls.append(fw) or rigidity_report(fw, **kw))
+        assert not any(is_infinitesimally_rigid(fw) for fw in cycles)
+        assert calls == []
+        kite = Framework(self.KITE, [[0, 0], [1, 0], [0, 1], [1, 1]])
+        assert is_infinitesimally_rigid(triangle())
+        assert is_infinitesimally_rigid(kite)
+        assert len(calls) == 2
 
 
 class TestReport:

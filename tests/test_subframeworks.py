@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from support import floyd_warshall, hop_ball, random_disk_framework, random_graph
 
-from rigidnet.graphs import GeodesicTable, Graph
-from rigidnet.rigidity import Framework, is_infinitesimally_rigid
+from rigidnet.experiments import ScenarioConfig, sample_framework
+from rigidnet.graphs import GeodesicTable, Graph, disk_proximity_graph
+from rigidnet.rigidity import (
+    Framework,
+    flexible_by_count,
+    framework_gram,
+    is_infinitesimally_rigid,
+    rigidity_report,
+    rigidity_spectrum,
+)
 from rigidnet.subframeworks import (
     ball_set,
     communication_load,
@@ -219,6 +227,52 @@ class TestExtent:
             assert extent_assignment(fw).tolist() == expected
             if all(h != 0 for h in expected):
                 assert verify_extents(fw, expected)
+
+
+class TestCountingRuleOnEnsembleDraws:
+    """The extent search leaves unsolved every ball that the counting rule
+    flags; on the ensemble's own draws each must be flexible."""
+
+    @pytest.mark.parametrize("range_", [17.5, 20.0])
+    def test_every_flagged_ball_is_flexible(self, range_):
+        # raw sampler draws, rejected ones among them: 100 robots in the
+        # 100 m square, every ball at every radius where it still grows
+        rng = np.random.default_rng(int(10 * range_))
+        flagged = 0
+        for _ in range(4):
+            x = rng.uniform(0.0, 100.0, size=(100, 2))
+            fw = Framework(disk_proximity_graph(x, range_), x)
+            dist = GeodesicTable.compute(fw.graph).dist
+            for h in range(1, int(dist[np.isfinite(dist)].max()) + 1):
+                grows = np.flatnonzero((dist == h).any(axis=1))
+                flags = flexible_by_count(fw.graph, dist[grows] <= h, 2)
+                for center in grows[flags].tolist():
+                    sub, _ = extract_subframework(fw, center, h)
+                    S = framework_gram(sub)
+                    assert not rigidity_spectrum(S, 2, vectors=False).rigid
+                    flagged += 1
+        assert flagged > 40
+
+    @pytest.mark.parametrize("range_", [17.5, 20.0])
+    def test_extents_equal_a_per_node_report_scan(self, range_):
+        # the first radius whose extracted ball passes the rank-checked
+        # report, node by node, stopping once the ball stops growing
+        config = ScenarioConfig(n=100, comm_range=range_, ensemble_count=1)
+        fw, _ = sample_framework(np.random.default_rng(int(range_)), config)
+        expected = []
+        for j in range(fw.n):
+            prev, found = None, 0
+            for h in range(1, fw.n + 1):
+                sub, nodes = extract_subframework(fw, j, h)
+                if nodes == prev:
+                    break
+                prev = nodes
+                if sub.n > 2 and rigidity_report(sub, vectors=False).rigid:
+                    found = h
+                    break
+            expected.append(found)
+        assert extent_assignment(fw).tolist() == expected
+        assert all(expected)
 
 
 class TestVerify:
