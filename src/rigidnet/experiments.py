@@ -5,36 +5,26 @@ fixed communication range: diameter, worst extent, and communication load.
 The control experiment runs the closed loop on one network and logs a time
 series.  Both write CSV with a fixed number format so identical seeds give
 byte-identical files; per-network randomness comes from spawned child seeds,
-so records are reproducible regardless of evaluation order.  That lets the
-ensemble measure its networks on every core the process may use, one
-forked process per further core: each process measures a first network of
-its own and then claims the next unmeasured one whenever it is free, so no
-process waits on a fixed share.  If any process fails, the caller measures
-every network in turn, so records and errors are a one-core run's.
+so records are reproducible regardless of evaluation order, and the
+ensemble measures them on every core the process may use
+(_cores.forked_map).
 """
 
 import contextlib
 import csv
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cores
 from .control import (
     ConfigError, ControlParams, RigidityLostError, _check_fields, _domain,
     _is_a
 )
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import LocalizationError
-from .rigidity import (
-    CoincidentNodesError,
-    Framework,
-    _stop_eigh_worker,
-    is_infinitesimally_rigid,
-    one_blas_thread,
-    usable_cores,
-)
+from .rigidity import CoincidentNodesError, Framework, is_infinitesimally_rigid
 from .simnet import (
     MAX_TICKS, ProtocolViolation, WorldConfig, make_world, run_simulation,
     tick_count
@@ -200,142 +190,20 @@ ENSEMBLE_COLUMNS = ("index", "n", "m", "diameter", "eta", "load",
                     "load_ratio", "upper_load", "upper_load_ratio", "rejects")
 
 
-def _measure_networks(config, seeds, indices):
-    """The records of the networks at indices, measured in turn."""
-    records = []
-    for index in indices:
+def _measure_ensemble(config):
+    """The records of ensemble_count networks and their summary, measured
+    on every core the process may use (_cores.forked_map) or else in turn,
+    as a one-core run does."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble_count)
+
+    def measure(index):
         fw, rejects = sample_framework(np.random.default_rng(seeds[index]),
                                        config)
-        records.append(network_record(fw, index=index, rejects=rejects))
-    return records
+        return network_record(fw, index=index, rejects=rejects)
 
-
-def _claims(counter, first, count):
-    """The indices one process measures: first, then, each time the last
-    is measured, the next unclaimed index below count.
-
-    counter is a file that the forked processes share, its first 8 bytes
-    the next unclaimed index.  A claim reads and advances it under a lockf
-    lock, which the kernel frees when its holder exits, so a process that
-    dies while it holds the counter blocks no other: its share fails like
-    any other.
-    """
-    import fcntl
-
-    fd = counter.fileno()
-    index = first
-    while index < count:
-        yield index
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        try:
-            index = int.from_bytes(os.pread(fd, 8, 0), "little")
-            os.pwrite(fd, (index + 1).to_bytes(8, "little"), 0)
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
-
-
-def _send_share(conn, config, seeds, indices):
-    """A forked child's work: send its share's records, or nothing.
-
-    Any failure sends nothing and prints nothing, so the caller measures
-    every network itself.  An interrupt does the same: Ctrl-C reaches the
-    whole process group, and the caller stops on its own interrupt.
-    """
-    try:
-        conn.send(_measure_networks(config, seeds, indices))
-    except BaseException:
-        pass
-    finally:
-        conn.close()
-
-
-@one_blas_thread()
-def _measure_forked(context, config, seeds, k):
-    """The records of every network over k processes, or None if any share
-    fails to come back clean: an error in the caller's share, a child that
-    sends nothing (a child that dies while it holds the counter among
-    them), a fork, a pipe or the counter's file that fails.
-
-    Process j measures network j first, the caller being process 0; then
-    each process claims the next unclaimed network (see _claims) until
-    none is left, so the share of each depends on timing, but the records,
-    merged by index, do not.  Every process holds one BLAS thread, since
-    the processes share the cores.  Every child is joined before this
-    returns or raises, and terminated first if it still runs when the
-    caller fails or is stopped.  No eigh worker thread is alive at a fork:
-    these solves need none.
-    """
-    import tempfile
-
-    _stop_eigh_worker()
-    children, readers = [], []
-    merged = counter = None
-    try:
-        counter = tempfile.TemporaryFile()
-        os.pwrite(counter.fileno(), k.to_bytes(8, "little"), 0)
-        for j in range(1, k):
-            reader, writer = context.Pipe(duplex=False)
-            readers.append(reader)
-            child = context.Process(
-                target=_send_share,
-                args=(writer, config, seeds, _claims(counter, j, len(seeds))))
-            try:
-                child.start()
-            finally:
-                # with the caller's write end closed, a child that exits
-                # without sending gives the reader EOFError, not a wait
-                writer.close()
-            children.append(child)
-        records = _measure_networks(config, seeds,
-                                    _claims(counter, 0, len(seeds)))
-        for reader in readers:
-            records += reader.recv()
-        merged = sorted(records, key=lambda r: r["index"])
-    except Exception:
-        return None
-    finally:
-        for child in children:
-            if merged is None and child.is_alive():
-                child.terminate()
-            child.join()
-        for reader in readers:
-            reader.close()
-        if counter is not None:
-            counter.close()
-    return merged
-
-
-def _fork_context(k):
-    """The fork context for k processes, or None where the networks are
-    measured in turn: k below two, no fork start method, or a daemonic
-    caller (a Pool worker), which may start no child.  multiprocessing is
-    imported here, not at the top, so that importing rigidnet stays cheap."""
-    if k < 2:
-        return None
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _measure_ensemble(config):
-    """The records of ensemble_count networks and their summary.
-
-    The networks are measured on every core the process may use, each
-    free process claiming the next one (see _measure_forked).  On one
-    core, or if any share fails, the caller measures every network in
-    turn, as a one-core run does.
-    """
-    seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble_count)
-    k = min(usable_cores(), config.ensemble_count)
-    context = _fork_context(k)
-    records = None
-    if context is not None:
-        records = _measure_forked(context, config, seeds, k)
+    records = _cores.forked_map(measure, len(seeds))
     if records is None:
-        records = _measure_networks(config, seeds, range(len(seeds)))
+        records = [measure(i) for i in range(len(seeds))]
     diameters = [r["diameter"] for r in records]
     etas = [r["eta"] for r in records]
     values, counts = np.unique(diameters, return_counts=True)

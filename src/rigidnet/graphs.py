@@ -19,6 +19,8 @@ adds the squares one coordinate at a time.
 
 import numpy as np
 
+from . import _cores
+
 UNREACHABLE = np.inf
 
 
@@ -310,16 +312,13 @@ class GeodesicTable:
         exact, since no count exceeds n < 2^24, and runs with BLAS on one
         thread, whose threads would otherwise wait on the cores that the
         eigensolves use."""
-        # rigidity imports this module, so its BLAS pin is imported here
-        from .rigidity import one_blas_thread
-
         n = g.n
         dist = np.full((n, n), UNREACHABLE)
         reached = np.eye(n, dtype=bool)
         dist[reached] = 0.0
         adjacency = g.adjacency()
         frontier = reached.astype(np.float32)
-        with one_blas_thread():
+        with _cores.one_blas_thread():
             for hops in range(1, n):
                 new = (frontier @ adjacency > 0) & ~reached
                 if not new.any():

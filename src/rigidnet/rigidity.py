@@ -29,37 +29,17 @@ w r r^T, by a GramLayout: each edge's signed blocks are formed once
 framework or of many stacked balls, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
-Every dense solve of the library, the hop table's frontier products
-(graphs.GeodesicTable) and the counting rule's, runs under
-one_blas_thread, which sets every loaded OpenBLAS to one thread for its
-duration: its threads, woken for each solve between stretches of Python
-work, cost more than they give, and one thread gives the same bits
-whatever the process's setting.
-rigidity_spectrum enters it once per call; a batch (_spectra, the extent
-search's _rigid_balls, rigidity_report with its SVD) enters it once and
-solves each S by _spectrum, which does not enter it again.
-numpy's eigh releases the GIL, but its eigvalsh keeps it unless (stack
-count x side) exceeds 500, so two threads calling it take turns on every S
-the library solves.  So the caller and one worker thread take a state
-build's batch (_spectra) from one queue, the free thread the next S, only
-where the process may use two cores and has _gil_free_eigvalsh, numpy's
-own LAPACK dsyevd called through ctypes without the GIL and with numpy's
-bits: there every eigh is numpy's and every eigenvalue-only solve the
-kernel's.  Elsewhere the caller solves the batch in turn with numpy,
-whose eigvalsh wrapper costs less.
+Every dense solve runs with BLAS on one thread, and a state build's batch
+may share its solves with a worker thread: see _cores.
 """
 
-import collections
-import ctypes
-import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
+from . import _cores
 from .graphs import geodesics, is_biconnected, separations
 
 # Zero-eigenvalue tolerance, relative to the largest eigenvalue of S.  Over
@@ -75,146 +55,6 @@ REL_TOL = 1e-8
 DEGENERATE_GAP_REL = 1e-6
 
 _COINCIDENT = 1e-12
-
-
-@functools.cache
-def _loaded_openblas():
-    """(path, CDLL) of every OpenBLAS the process has loaded, found once in
-    its memory map: numpy's libscipy_openblas64_, scipy's libscipy_openblas,
-    or a plain libopenblas.  Empty where the map cannot be read or names
-    none."""
-    try:
-        with open("/proc/self/maps") as fp:
-            paths = sorted({line.split()[-1] for line in fp
-                            if "openblas" in line.split()[-1].lower()})
-    except OSError:
-        return ()
-    return tuple((path, ctypes.CDLL(path)) for path in paths)
-
-
-@functools.cache
-def _openblas_thread_counts():
-    """(get, set) of the thread count of every loaded OpenBLAS."""
-    found = []
-    for _, lib in _loaded_openblas():
-        for name in ("scipy_openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                found.append((get, set_))
-                break
-    return tuple(found)
-
-
-@functools.cache
-def _gil_free_eigvalsh():
-    """numpy.linalg.eigvalsh's own solve, called through ctypes so that it
-    releases the GIL, or None where numpy's OpenBLAS is not loaded.
-
-    numpy's eigvalsh keeps the GIL unless (stack count x side) exceeds 500,
-    and every S the loops solve is smaller, so two threads calling it take
-    turns.  This calls the LAPACK that numpy's wrapper calls, dsyevd of
-    numpy's ILP64 OpenBLAS (numpy.libs/libscipy_openblas64_*), in the same
-    way: eigenvalues only (jobz N) from the lower triangle (uplo L) of a
-    Fortran-order copy, with the workspace sizes of LAPACK's own query,
-    since dsytrd's blocking depends on them.  So its bits are numpy's.
-    scipy's OpenBLAS is never used: its dsyevd gives other bits.
-    """
-    for path, lib in _loaded_openblas():
-        dsyevd = getattr(lib, "scipy_dsyevd_64_", None)
-        if dsyevd is not None and os.path.basename(
-                os.path.dirname(path)) == "numpy.libs":
-            return _eigvalsh_by(dsyevd)
-    return None
-
-
-# dsyevd's integer arguments: n, lda, lwork, liwork, info, and the
-# queried liwork, in ILP64 LAPACK's 64-bit integers
-_DsyevdInts = ctypes.c_int64 * 6
-
-
-def _address(a):
-    """The address of a C-contiguous array's first element."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
-
-
-def _eigvalsh_by(dsyevd):
-    """An eigvalsh of S by the ILP64 LAPACK routine dsyevd; a
-    np.linalg.LinAlgError when it does not converge.  Every buffer is an
-    array of the call's own, so threads may call it at once."""
-    dsyevd.restype = None
-    dsyevd.argtypes = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 9
-
-    def eigvalsh(S):
-        a = np.array(S, dtype=float, order="F")
-        n = len(a)
-        # dsyevd reads n x n doubles from a: anything else is out of bounds
-        if a.shape != (n, n):
-            raise ValueError(f"S must be a square matrix, got {a.shape}")
-        ints = _DsyevdInts(n, max(n, 1), -1, -1)
-        i = ctypes.addressof(ints)
-        # the eigenvalues, then the queried lwork
-        w = np.empty(n + 1)
-        pa, pw = _address(a.T), _address(w)
-        dsyevd(b"N", b"L", i, pa, i + 8, pw, pw + 8 * n, i + 16, i + 40,
-               i + 24, i + 32)
-        lwork = int(w[n])
-        ints[2], ints[3] = lwork, ints[5]
-        # the work array, then iwork
-        work = np.empty(lwork + ints[3])
-        pk = _address(work)
-        dsyevd(b"N", b"L", i, pa, i + 8, pw, pk, i + 16, pk + 8 * lwork,
-               i + 24, i + 32)
-        if ints[4]:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return w[:n].copy()
-
-    return eigvalsh
-
-
-class one_blas_thread:
-    """Run a with block, or each call of a function it decorates, with
-    every loaded OpenBLAS on one thread, and give each back its previous
-    thread count on exit, also when the block raises; nested blocks
-    restore in turn.  Where no OpenBLAS is found this does nothing.
-
-    The count is the process's.  A block entered where every count is
-    already one only reads them, so threads started inside an outer block
-    may enter their own; outside one, enter it from one thread at a time.
-    """
-
-    def __init__(self):
-        self._saved = []
-
-    def __enter__(self):
-        changed = [(set_, n) for get, set_ in _openblas_thread_counts()
-                   if (n := get()) != 1]
-        for set_, _ in changed:
-            set_(1)
-        self._saved.append(changed)
-        return self
-
-    def __exit__(self, *exc):
-        for set_, n in self._saved.pop():
-            set_(n)
-
-    def __call__(self, fn):
-        @functools.wraps(fn)
-        def on_one_thread(*args, **kwargs):
-            with one_blas_thread():
-                return fn(*args, **kwargs)
-        return on_one_thread
-
-
-def usable_cores():
-    """How many cores the process may run on, read at each call; 1 where
-    the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return 1 if affinity is None else len(affinity(0))
 
 
 class FrameworkTooSmallError(ValueError):
@@ -437,7 +277,7 @@ TOO_SMALL = Spectrum(_read_only(np.empty(0)), None, None, np.nan, np.nan,
                      np.nan, False, False)
 
 
-@one_blas_thread()
+@_cores.one_blas_thread()
 def rigidity_spectrum(S, d, vectors=True):
     """The rigidity eigenvalue test on S, by eigh or, without vectors,
     eigvalsh; TOO_SMALL when S has at most d nodes.
@@ -452,7 +292,7 @@ def rigidity_spectrum(S, d, vectors=True):
 def _spectrum(S, d, vectors, eigvalsh):
     """rigidity_spectrum inside a one_blas_thread block that the caller
     holds, solved without vectors by eigvalsh: numpy's, or
-    _gil_free_eigvalsh, which gives the same bits."""
+    _cores._gil_free_eigvalsh, which gives the same bits."""
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
@@ -477,71 +317,26 @@ def _spectrum(S, d, vectors, eigvalsh):
     )
 
 
-@functools.cache
-def _eigh_worker():
-    """The one worker thread that shares a batch's solves with the caller,
-    started on first use."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidnet-eigh")
-
-
-def _stop_eigh_worker():
-    """Join the worker thread, as a fork needs (Python 3.12 warns of a live
-    thread); the next two-core batch starts another."""
-    _eigh_worker().shutdown()
-    _eigh_worker.cache_clear()
-
-
-# a forked child has no worker thread, only its parent's record of one
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_eigh_worker.cache_clear)
-
-
-@one_blas_thread()
+@_cores.one_blas_thread()
 def _spectra(grams, d, vectors):
     """The Spectrum of each S in grams, in order, by rigidity_spectrum's
     test; an S solved without vectors, as vectors[j] says, gets
     eigenvalues only.
 
-    Where the process may use two cores, has the GIL-free kernel
-    (_gil_free_eigvalsh) and is given two S or more, the caller and one
-    worker thread share the solves: numpy's eigh, and the kernel for every
-    eigenvalue-only solve.  Elsewhere the caller solves them in turn with
-    numpy.  The threads pop the S from one queue ordered by cost, side^3
-    and twice that for eigh: the caller from the costly end, the worker
-    from the cheap end, its first S handed over before it starts.  So the
-    free thread takes the next S, and small solves, mostly Python that
-    holds the GIL, run beside large ones, mostly LAPACK that does not.  A
-    failure empties the queue; the caller's error surfaces once the worker
-    has returned, and an S gives the same bits on either thread.
+    Two S or more go to the caller and the worker thread
+    (_cores.threaded_map) at a cost of side^3, twice that for eigh, where
+    the process may use two cores and has the GIL-free kernel, which then
+    solves every eigenvalue-only S; elsewhere the caller solves them in
+    turn with numpy.  An S gives the same bits either way.
     """
-    kernel = len(grams) > 1 and usable_cores() > 1 and _gil_free_eigvalsh()
+    kernel = (len(grams) > 1 and _cores.usable_cores() > 1
+              and _cores._gil_free_eigvalsh())
     if not kernel:
         return [_spectrum(S, d, v, np.linalg.eigvalsh)
                 for S, v in zip(grams, vectors)]
-    spectra = [None] * len(grams)
-    queue = collections.deque(sorted(range(len(grams)), key=lambda j: (
-        -len(grams[j]) ** 3 * (2 if vectors[j] else 1))))
-
-    def solve(j, take):
-        try:
-            while True:
-                spectra[j] = _spectrum(grams[j], d, vectors[j], kernel)
-                try:
-                    j = take()
-                except IndexError:
-                    return
-        except BaseException:
-            queue.clear()
-            raise
-
-    first = queue.popleft()
-    worker = _eigh_worker().submit(solve, queue.pop(), queue.pop)
-    try:
-        solve(first, queue.popleft)
-    finally:
-        # the worker's solves end before the BLAS setting is restored
-        worker.result()
-    return spectra
+    return _cores.threaded_map(
+        lambda j: _spectrum(grams[j], d, vectors[j], kernel),
+        [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)])
 
 
 @dataclass(eq=False)
@@ -576,7 +371,7 @@ def _require_testable(fw):
         )
 
 
-@one_blas_thread()
+@_cores.one_blas_thread()
 def rigidity_report(fw, vectors=True):
     """Full spectrum, rank and rigidity verdict of the unweighted S; rank and
     eigenvalue tests must agree.
@@ -603,7 +398,7 @@ def rigidity_report(fw, vectors=True):
                           spectrum.tol_abs)
 
 
-@one_blas_thread()
+@_cores.one_blas_thread()
 def flexible_by_count(graph, inside, d):
     """Whether each ball, a row of the (balls x n) boolean membership mask
     inside, is flexible at every realization by counting its induced edges

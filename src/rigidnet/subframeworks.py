@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cores
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
-    Framework, GramLayout, _spectrum, edge_blocks, flexible_by_count,
-    one_blas_thread
+    Framework, GramLayout, _spectrum, edge_blocks, flexible_by_count
 )
 
 
@@ -167,7 +167,7 @@ def ball_set(graph, extents, d):
                         _build_ball_set(extents, d))
 
 
-@one_blas_thread()
+@_cores.one_blas_thread()
 def _rigid_balls(fw, inside):
     """Whether the unweighted S of each ball, a row of the membership mask
     inside, passes the eigenvalue test (rigidity.TOO_SMALL for a ball of

@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles used across the test suite."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -170,7 +171,7 @@ def schedule_arrays(schedule):
 
 class FakeBlas:
     """A library's thread count behind the (get, set) pair that
-    rigidity._openblas_thread_counts gives for each OpenBLAS."""
+    _cores._openblas_thread_counts gives for each OpenBLAS."""
 
     def __init__(self, threads):
         self.threads = threads
@@ -180,3 +181,13 @@ class FakeBlas:
 
     def set(self, n):
         self.threads = n
+
+
+def bits(spectrum):
+    """Every field a Spectrum holds, as bytes where it is a number."""
+    def field_bits(v):
+        if v is None or isinstance(v, bool):
+            return v
+        return np.asarray(v, dtype=float).tobytes()
+    return tuple(field_bits(getattr(spectrum, f.name))
+                 for f in dataclasses.fields(spectrum))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from support import (
     FakeBlas,
+    bits,
     central_difference,
     floyd_warshall,
     hop_ball,
@@ -22,7 +23,7 @@ from support import (
     state_at,
 )
 
-from rigidnet import control, rigidity, simnet
+from rigidnet import _cores, control, rigidity, simnet
 from rigidnet.control import (
     ControlParams,
     EigenvectorsNotSolvedError,
@@ -260,16 +261,6 @@ def estimated_state(vectors=True):
                                vectors)
 
 
-def bits(spectrum):
-    """Every field a Spectrum holds, as bytes where it is a number."""
-    def field_bits(v):
-        if v is None or isinstance(v, bool):
-            return v
-        return np.asarray(v, dtype=float).tobytes()
-    return tuple(field_bits(getattr(spectrum, f.name))
-                 for f in dataclasses.fields(spectrum))
-
-
 def spectrum_bits(state):
     """The bits of every ball's Spectrum."""
     return [bits(s) for s in state.spectra]
@@ -285,7 +276,7 @@ def two_cores(pid):
 
 def gil_free_eigvalsh():
     """The GIL-free kernel, or a skip where the process has none."""
-    kernel = rigidity._gil_free_eigvalsh()
+    kernel = _cores._gil_free_eigvalsh()
     if kernel is None:
         pytest.skip("numpy's OpenBLAS is not loaded, so eigenvalue-only "
                     "solves have no GIL-free kernel")
@@ -317,7 +308,7 @@ class TestTwoCoreSolve:
             return kernel(S)
 
         monkeypatch.setattr(rigidity, "_spectrum", recorded)
-        monkeypatch.setattr(rigidity, "_gil_free_eigvalsh",
+        monkeypatch.setattr(_cores, "_gil_free_eigvalsh",
                             lambda: recorded_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         # hand the interpreter lock between the threads as often as it goes
@@ -333,7 +324,7 @@ class TestTwoCoreSolve:
             raise AssertionError("a one-core build asked for a worker thread")
 
         solvers.clear()
-        monkeypatch.setattr(rigidity, "_eigh_worker", no_worker)
+        monkeypatch.setattr(_cores, "_eigh_worker", no_worker)
         monkeypatch.setattr(os, "sched_getaffinity", one_core)
         sequential = build(vectors)
         assert solvers == {threading.get_ident()}
@@ -348,13 +339,13 @@ class TestTwoCoreSolve:
         params = reference_control_config().control
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         expected = None
-        if rigidity._gil_free_eigvalsh() is not None:
+        if _cores._gil_free_eigvalsh() is not None:
             expected = guarded_refresh(fw.graph, fw.positions, params,
                                        extents, vectors)[1]
         # the probe finds no OpenBLAS, so there is no kernel
-        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
-        monkeypatch.setattr(rigidity, "_gil_free_eigvalsh",
-                            rigidity._gil_free_eigvalsh.__wrapped__)
+        monkeypatch.setattr(_cores, "_loaded_openblas", lambda: ())
+        monkeypatch.setattr(_cores, "_gil_free_eigvalsh",
+                            _cores._gil_free_eigvalsh.__wrapped__)
         solved, eigenvalue_only = [], []
         spectrum = rigidity._spectrum
 
@@ -368,7 +359,7 @@ class TestTwoCoreSolve:
             raise AssertionError("a solve was dealt to a worker thread")
 
         monkeypatch.setattr(rigidity, "_spectrum", recorded)
-        monkeypatch.setattr(rigidity, "_eigh_worker", no_worker)
+        monkeypatch.setattr(_cores, "_eigh_worker", no_worker)
         # a guard trial: its balls are solved with or without vectors, and
         # its framework's S for eigenvalues only, all of them on the caller
         _, state = guarded_refresh(fw.graph, fw.positions, params, extents,
@@ -408,7 +399,7 @@ class TestTwoCoreSolve:
             seen.append(blas.threads)
             return spectrum(S, d, vectors, eigvalsh)
 
-        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+        monkeypatch.setattr(_cores, "_openblas_thread_counts",
                             lambda: ((blas.get, blas.set),))
         monkeypatch.setattr(rigidity, "_spectrum", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
@@ -493,7 +484,7 @@ class TestTwoCoreSolve:
         def no_worker():
             raise AssertionError("a batch of one S asked for a worker thread")
 
-        monkeypatch.setattr(rigidity, "_eigh_worker", no_worker)
+        monkeypatch.setattr(_cores, "_eigh_worker", no_worker)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         S = framework_gram(apex_framework())
         assert rigidity._spectra([], 2, []) == []
@@ -561,15 +552,15 @@ def test_every_path_into_a_solve_holds_one_blas_thread(monkeypatch, path):
             return solve(*args, **kwargs)
         return call
 
-    kernel = rigidity._gil_free_eigvalsh()
-    monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+    kernel = _cores._gil_free_eigvalsh()
+    monkeypatch.setattr(_cores, "_openblas_thread_counts",
                         lambda: ((blas.get, blas.set),))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg,
                                                               name)))
     monkeypatch.setattr(rigidity.sla, "svdvals",
                         recorded(rigidity.sla.svdvals))
-    monkeypatch.setattr(rigidity, "_gil_free_eigvalsh", lambda: (
+    monkeypatch.setattr(_cores, "_gil_free_eigvalsh", lambda: (
         None if kernel is None else recorded(kernel)))
     monkeypatch.setattr(os, "sched_getaffinity", cores)
     call()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from support import FakeBlas, reject_every_step
 
-from rigidnet import experiments, rigidity, simnet
+from rigidnet import _cores, experiments, simnet
 from rigidnet.control import (
     ControlParams, RigidityLostError, build_control_state
 )
@@ -505,7 +505,7 @@ class TestForkedEnsemble:
             return {**record(fw, index=index, rejects=rejects),
                     "blas_threads": blas.threads, "pid": os.getpid()}
 
-        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+        monkeypatch.setattr(_cores, "_openblas_thread_counts",
                             lambda: ((blas.get, blas.set),))
         monkeypatch.setattr(experiments, "network_record", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", cores(2))
@@ -658,9 +658,9 @@ class TestForkedEnsemble:
     def test_a_daemonic_caller_gets_no_fork_context(self, monkeypatch):
         # the stdlib refuses a daemon's child only by an assert, which
         # python -O strips, so the split checks for itself
-        assert experiments._fork_context(2) is not None
+        assert _cores._fork_context(2) is not None
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert experiments._fork_context(2) is None
+        assert _cores._fork_context(2) is None
 
     def test_importing_rigidnet_loads_no_multiprocessing(self):
         # the split imports it when it first runs; a cold import stays cheap

@@ -13,7 +13,7 @@ from support import (
     reference_graph_layout,
 )
 
-from rigidnet import rigidity
+from rigidnet import _cores
 from rigidnet.graphs import (
     UNREACHABLE,
     GeodesicTable,
@@ -339,7 +339,7 @@ class TestHopTableByBreadthFirstSearch:
             seen.append(n)
             blas.set(n)
 
-        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+        monkeypatch.setattr(_cores, "_openblas_thread_counts",
                             lambda: ((blas.get, set_),))
         g = cycle(9)
         assert GeodesicTable.compute(g).dist.tobytes() == bfs_table(

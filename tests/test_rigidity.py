@@ -22,7 +22,7 @@ from support import (
     random_rigid_framework,
 )
 
-from rigidnet import rigidity
+from rigidnet import _cores, rigidity
 from rigidnet.experiments import ScenarioConfig, generate_scenario
 from rigidnet.graphs import (
     Graph,
@@ -686,32 +686,32 @@ class TestDiameterBound:
 class TestOneBlasThread:
     def fake(self, monkeypatch, *threads):
         libs = [FakeBlas(t) for t in threads]
-        monkeypatch.setattr(rigidity, "_openblas_thread_counts",
+        monkeypatch.setattr(_cores, "_openblas_thread_counts",
                             lambda: tuple((b.get, b.set) for b in libs))
         return libs
 
     def test_restores_each_library_after_a_normal_exit(self, monkeypatch):
         libs = self.fake(monkeypatch, 2, 3)
-        with rigidity.one_blas_thread():
+        with _cores.one_blas_thread():
             assert [b.threads for b in libs] == [1, 1]
         assert [b.threads for b in libs] == [2, 3]
 
     def test_restores_after_an_exception(self, monkeypatch):
         libs = self.fake(monkeypatch, 2, 3)
         with pytest.raises(ZeroDivisionError):
-            with rigidity.one_blas_thread():
+            with _cores.one_blas_thread():
                 1 / 0
         assert [b.threads for b in libs] == [2, 3]
 
     def test_nested_blocks_restore_in_turn(self, monkeypatch):
         libs = self.fake(monkeypatch, 2, 3)
-        with rigidity.one_blas_thread():
-            with rigidity.one_blas_thread():
+        with _cores.one_blas_thread():
+            with _cores.one_blas_thread():
                 assert [b.threads for b in libs] == [1, 1]
             assert [b.threads for b in libs] == [1, 1]
         assert [b.threads for b in libs] == [2, 3]
         # one object entered twice keeps what each entry found
-        block = rigidity.one_blas_thread()
+        block = _cores.one_blas_thread()
         with block:
             with block:
                 pass
@@ -732,13 +732,13 @@ class TestOneBlasThread:
         assert seen == [1] and lib.threads == 2
 
     def test_no_openblas_is_a_no_op(self, monkeypatch):
-        real = rigidity._openblas_thread_counts()
+        real = _cores._openblas_thread_counts()
         before = [get() for get, _ in real]
-        monkeypatch.setattr(rigidity, "_openblas_thread_counts", lambda: ())
+        monkeypatch.setattr(_cores, "_openblas_thread_counts", lambda: ())
         try:
             for _, set_ in real:
                 set_(2)
-            with rigidity.one_blas_thread():
+            with _cores.one_blas_thread():
                 assert [get() for get, _ in real] == [2] * len(real)
             assert rigidity_report(triangle()).rigid
         finally:
@@ -746,7 +746,7 @@ class TestOneBlasThread:
                 set_(n)
 
     def test_the_loaded_libraries_get_their_counts_back(self):
-        libs = rigidity._openblas_thread_counts()
+        libs = _cores._openblas_thread_counts()
         if not libs:
             pytest.skip("no OpenBLAS is loaded")
         before = [get() for get, _ in libs]
@@ -755,7 +755,7 @@ class TestOneBlasThread:
         try:
             for (_, set_), n in zip(libs, wanted):
                 set_(n)
-            with rigidity.one_blas_thread():
+            with _cores.one_blas_thread():
                 assert [get() for get, _ in libs] == [1] * len(libs)
             assert [get() for get, _ in libs] == wanted
         finally:
@@ -765,7 +765,7 @@ class TestOneBlasThread:
 
 def gil_free_eigvalsh():
     """The GIL-free kernel, or a skip where the process has none."""
-    kernel = rigidity._gil_free_eigvalsh()
+    kernel = _cores._gil_free_eigvalsh()
     if kernel is None:
         pytest.skip("numpy's OpenBLAS is not loaded, so there is no "
                     "GIL-free eigvalsh")
@@ -792,13 +792,13 @@ def kernel_matrices():
 
 
 class TestGilFreeEigvalsh:
-    """rigidity._gil_free_eigvalsh calls the LAPACK behind numpy's eigvalsh
+    """_cores._gil_free_eigvalsh calls the LAPACK behind numpy's eigvalsh
     without the GIL, and gives its bits."""
 
     def test_equals_numpy_bit_for_bit(self):
         kernel = gil_free_eigvalsh()
         sides = set()
-        with rigidity.one_blas_thread():
+        with _cores.one_blas_thread():
             for S in kernel_matrices():
                 sides.add(len(S))
                 assert (kernel(S).tobytes()
@@ -808,7 +808,7 @@ class TestGilFreeEigvalsh:
     def test_two_threads_at_once_give_the_same_bits(self):
         kernel = gil_free_eigvalsh()
         matrices = list(kernel_matrices())
-        with rigidity.one_blas_thread():
+        with _cores.one_blas_thread():
             want = [np.linalg.eigvalsh(S).tobytes() for S in matrices]
             with ThreadPoolExecutor(max_workers=2) as pool:
                 got = list(pool.map(lambda S: kernel(S).tobytes(), matrices))
@@ -825,7 +825,7 @@ class TestGilFreeEigvalsh:
                 ctypes.c_int64.from_address(info).value = 2
 
         with pytest.raises(np.linalg.LinAlgError):
-            rigidity._eigvalsh_by(dsyevd)(np.eye(4))
+            _cores._eigvalsh_by(dsyevd)(np.eye(4))
 
     def test_a_matrix_that_is_not_square_is_refused(self):
         kernel = gil_free_eigvalsh()
@@ -834,14 +834,14 @@ class TestGilFreeEigvalsh:
                 kernel(bad)
 
     def test_only_numpys_openblas_serves(self, monkeypatch):
-        loaded = rigidity._loaded_openblas()
-        probe = rigidity._gil_free_eigvalsh.__wrapped__
+        loaded = _cores._loaded_openblas()
+        probe = _cores._gil_free_eigvalsh.__wrapped__
         # scipy's OpenBLAS gives other bits
         others = tuple((path, lib) for path, lib in loaded
                        if "numpy.libs" not in path)
-        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: others)
+        monkeypatch.setattr(_cores, "_loaded_openblas", lambda: others)
         assert probe() is None
-        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
+        monkeypatch.setattr(_cores, "_loaded_openblas", lambda: ())
         assert probe() is None
 
     def test_importing_rigidnet_runs_no_probe(self):
@@ -849,7 +849,7 @@ class TestGilFreeEigvalsh:
         # cold import stays as cheap as it was
         src = Path(rigidity.__file__).resolve().parents[1]
         code = ("import sys; import rigidnet; "
-                "sys.exit(rigidnet.rigidity._loaded_openblas.cache_info()"
+                "sys.exit(rigidnet._cores._loaded_openblas.cache_info()"
                 ".currsize)")
         result = subprocess.run([sys.executable, "-c", code],
                                 env={**os.environ, "PYTHONPATH": str(src)},
@@ -861,8 +861,8 @@ class TestGilFreeEigvalsh:
         fw = random_rigid_framework(np.random.default_rng(3), 30, 2)
         S = framework_gram(fw)
         want = rigidity._spectrum(S, 2, False, kernel)
-        monkeypatch.setattr(rigidity, "_loaded_openblas", lambda: ())
-        assert rigidity._gil_free_eigvalsh.__wrapped__() is None
+        monkeypatch.setattr(_cores, "_loaded_openblas", lambda: ())
+        assert _cores._gil_free_eigvalsh.__wrapped__() is None
         got = rigidity_spectrum(S, 2, vectors=False)
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert (got.rho, got.rigid) == (want.rho, want.rigid)
