@@ -26,7 +26,7 @@ core the process may use, one forked process per further core
 (forked_map): each process computes a first index of its own and then
 claims the next uncomputed one whenever it is free, so no process waits on
 a fixed share.  If any process fails, the caller computes every index in
-turn, so results and errors are a one-core run's.
+turn once every child is joined, so results and errors are a one-core run's.
 """
 
 import collections
@@ -307,11 +307,11 @@ def _fork_context(k):
 def forked_map(fn, count):
     """[fn(i) for i in range(count)] over one process per core the process
     may use, up to count, each on one BLAS thread since they share the
-    cores; or None where the caller is to compute them in turn: no fork
-    context (see _fork_context), or a share that fails to come back clean
-    (an error in the caller's share, a child that sends nothing, among
-    them one that dies while it holds the counter, a failed fork, pipe or
-    counter file).
+    cores.  The caller computes every index in turn instead where there is
+    no fork context (see _fork_context), and once every child is joined
+    where a share fails to come back clean (an error in the caller's
+    share, a child that sends nothing, among them one that dies while it
+    holds the counter, a failed fork, pipe or counter file).
 
     Process j computes index j first, the caller being process 0, and then
     claims (_claims); the results are merged by index.  Every child is
@@ -321,7 +321,7 @@ def forked_map(fn, count):
     k = min(usable_cores(), count)
     context = _fork_context(k)
     if context is None:
-        return None
+        return [fn(i) for i in range(count)]
     # join the worker thread, as a fork needs (Python 3.12 warns of a live
     # thread); the next two-thread batch starts another
     _eigh_worker().shutdown()
@@ -349,7 +349,8 @@ def forked_map(fn, count):
             done.update(reader.recv())
         merged = [done[i] for i in range(count)]
     except Exception:
-        return None
+        # a share failed: every index is computed in turn below
+        pass
     finally:
         for child in children:
             if merged is None and child.is_alive():
@@ -359,4 +360,4 @@ def forked_map(fn, count):
             reader.close()
         if counter is not None:
             counter.close()
-    return merged
+    return [fn(i) for i in range(count)] if merged is None else merged

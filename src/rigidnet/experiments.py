@@ -202,8 +202,6 @@ def _measure_ensemble(config):
         return network_record(fw, index=index, rejects=rejects)
 
     records = _cores.forked_map(measure, len(seeds))
-    if records is None:
-        records = [measure(i) for i in range(len(seeds))]
     diameters = [r["diameter"] for r in records]
     etas = [r["eta"] for r in records]
     values, counts = np.unique(diameters, return_counts=True)

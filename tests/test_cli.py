@@ -2,17 +2,21 @@
 
 import dataclasses
 import filecmp
+import importlib
 import json
 import multiprocessing
 import os
+import pkgutil
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from failure_cases import CASES, ERRORS, UNREACHABLE, judge
 from support import reject_every_step
 
+import rigidnet
 from rigidnet import cli, experiments, rigidity, simnet
 from rigidnet.cli import (
     EXIT_BAD_CONFIG,
@@ -82,22 +86,12 @@ class TestEnsemble:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("configuration error: cannot write output")
 
-    def test_unallocatable_network_exits_three(self, capsys):
-        # five million robots fit in 80 MB, but their (n, n) pairwise
-        # distances (182 TiB) exceed the 128 TiB address space, so numpy
-        # refuses them before anything is allocated
-        code = main(["ensemble", "--seed", "1", "--n", "5000000", "--count",
-                     "1", "--range", "40", "--rejection-budget", "1"])
-        assert code == EXIT_BAD_CONFIG
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("configuration error: the input needs more "
-                               "memory than the machine has (")
-
     def test_unallocatable_networks_on_two_cores_exit_three(self, monkeypatch,
                                                             capfd):
-        # one network in the caller and one in a forked child; capfd reads
-        # file descriptor 2, which the child writes to as well, so this is
-        # still one line and no traceback
+        # the row unallocatable-networks-2 on two cores, whatever the
+        # machine has: one network in the caller and one in a forked child;
+        # capfd reads file descriptor 2, which the child writes to as well,
+        # so this is still one line and no traceback
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         code = main(["ensemble", "--seed", "1", "--n", "5000000", "--count",
                      "2", "--range", "40", "--rejection-budget", "1"])
@@ -298,25 +292,6 @@ class TestControl:
         assert line.endswith("overflows float64")
         assert_stopped_run(captured.out, csv, snap, "overflows float64")
 
-    @pytest.mark.parametrize("by_file", [False, True])
-    @pytest.mark.filterwarnings("error")
-    def test_range_noise_near_float64_max_exits_six(self, tmp_path, capsys,
-                                                    by_file):
-        # ranges of about 1e308 m are finite, but the filter's correction
-        # overflows: one named error, with no numpy warning on the way
-        noise = ["--noise", "1e308"]
-        if by_file:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"noise_std": 1e308}))
-            noise = ["--config", str(cfg)]
-        code = main(["control", "--seed", "3", "--n", "12", "--width", "60",
-                     "--height", "60", "--range", "40", "--duration", "0.2",
-                     *noise])
-        assert code == EXIT_LOCALIZATION_FAILED
-        [line] = capsys.readouterr().err.splitlines()
-        assert line == ("localization failed: a corrected estimate is not "
-                        "finite: the range innovations overflow float64")
-
     @pytest.mark.parametrize("override", [
         {"range_variance": 1e-30}, {"initial_variance": 1e30}])
     def test_singular_innovation_covariance_exit_six(self, override,
@@ -334,6 +309,25 @@ class TestControl:
         assert line.startswith("localization failed: the innovation "
                                "covariance is singular")
         assert_stopped_run(captured.out, csv, snap, "singular")
+
+    @pytest.mark.parametrize("case", [
+        c for c in CASES if c.exit != EXIT_BAD_CONFIG], ids=lambda c: c.id)
+    # a numpy warning would be a second stderr line
+    @pytest.mark.filterwarnings("error")
+    def test_failed_run_matches_its_row(self, tmp_path, capfd, case):
+        assert_case(case, tmp_path, capfd)
+
+
+def assert_case(case, tmp_path, capfd):
+    """Run a row of tests/failure_cases.py through main and judge the run
+    by its row.  capfd reads file descriptor 2, which a forked child
+    writes to as well."""
+    argv = case.fill(tmp_path)
+    start = time.monotonic()
+    code = main(argv)
+    seconds = time.monotonic() - start
+    out, err = capfd.readouterr()
+    assert judge(case, code, out, err, seconds) == []
 
 
 def assert_stopped_run(out, csv, snap, error):
@@ -377,6 +371,34 @@ class TestAudit:
         missing = tmp_path / "nope.json"
         assert main(["audit", "--framework", str(missing)]) == EXIT_BAD_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+def exit_of(cls):
+    """The exit code cli._EXITS gives an error class, or None."""
+    return next((code for classes, code, _ in cli._EXITS
+                 if issubclass(cls, classes)), None)
+
+
+def test_every_error_class_has_an_entry():
+    # every Exception subclass any module of the package defines
+    defined = {
+        obj.__name__: obj
+        for info in pkgutil.iter_modules(rigidnet.__path__)
+        if info.name != "__main__"
+        for obj in vars(importlib.import_module(
+            f"rigidnet.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__.startswith("rigidnet")}
+    assert sorted(defined) == sorted([*ERRORS, *UNREACHABLE])
+    rows = {case.id: case for case in CASES}
+    for name, (code, shown_by) in ERRORS.items():
+        assert exit_of(defined[name]) == code, name
+        if shown_by in rows:
+            assert rows[shown_by].exit == code, name
+        else:
+            assert any(shown_by in vars(t) for t in (TestControl, TestAudit))
+    for name in UNREACHABLE:
+        assert exit_of(defined[name]) is None, name
 
 
 REFERENCE_CONFIG = (Path(__file__).parents[1] / "configs"
@@ -558,106 +580,12 @@ class TestConfigHandling:
         assert line.startswith("configuration error:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        # a flexible network has no extents and no load to measure
-        ["ensemble", "--seed", "11", "--n", "30", "--range", "22",
-         "--count", "10", "--flexible-ok"],
-        # n <= d: too small for the rigidity test, read or generated
-        ["audit", "--framework", "{two_nodes}"],
-        ["audit", "--n", "3", "--dim", "3", "--flexible-ok"],
-        ["control", *SMALL, "--duration", "1", "--anchors", "0,x"],
-        # framework files of the wrong shape
-        ["audit", "--framework", "{null_edges}"],
-        ["audit", "--framework", "{flat_edges}"],
-        ["audit", "--framework", "{top_level_list}"],
-        ["audit", "--framework", "{null_n}"],
-        ["audit", "--framework", "{nan_position}"],
-        # a coordinate is a number, not a string or a bool that reads as one
-        ["audit", "--framework", "{string_position}"],
-        ["audit", "--framework", "{bool_position}"],
-        # an integer coordinate too large for float64
-        ["audit", "--framework", "{huge_int_position}"],
-        # finite positions whose edge lengths overflow float64: read as
-        # they are, the triangle has zero unit vectors and is flexible
-        ["audit", "--framework", "{far_positions}"],
-        # n must be an integer, not a number that rounds to one
-        ["audit", "--framework", "{fractional_n}"],
-        ["audit", "--framework", "{bool_n}"],
-        ["audit", "--framework", "{negative_n}"],
-        # an edge is a pair of integer node ids, not numbers or strings
-        # that read as one, and not a longer row
-        ["audit", "--framework", "{fractional_edge}"],
-        ["audit", "--framework", "{bool_edge}"],
-        ["audit", "--framework", "{string_edge}"],
-        ["audit", "--framework", "{three_wide_edges}"],
-        # a seed numpy cannot take, by flag or by config file
-        ["gen", "--seed", "-1", "--n", "10"],
-        ["gen", "--n", "10", "--config", "{negative_seed}"],
-        # an output path in a directory that does not exist
-        ["gen", *SMALL, "--out", "{unwritable}"],
-        ["ensemble", *SMALL, "--count", "2", "--csv", "{unwritable}"],
-        ["ensemble", *SMALL, "--count", "2", "--json", "{unwritable}"],
-        ["control", *SMALL, "--duration", "0.2", "--csv", "{unwritable}"],
-        # a region so small that a draw puts adjacent robots at one point
-        ["gen", "--seed", "1", "--n", "10", "--width", "1e-20",
-         "--height", "1e-20", "--range", "40"],
-        ["control", "--seed", "1", "--n", "10", "--width", "1e-20",
-         "--height", "1e-20", "--range", "40"],
-    ], ids=["flexible-ensemble", "two-node-file", "n-at-dim", "bad-anchor",
-            "null-edges", "flat-edges", "top-level-list", "null-n",
-            "nan-position", "string-position", "bool-position",
-            "huge-int-position", "far-positions", "fractional-n", "bool-n", "negative-n",
-            "fractional-edge", "bool-edge", "string-edge", "three-wide-edges",
-            "negative-seed", "negative-seed-config", "unwritable-gen-out",
-            "unwritable-ensemble-csv", "unwritable-ensemble-json",
-            "unwritable-control-csv", "coincident-gen", "coincident-control"])
+    @pytest.mark.parametrize("case", [
+        c for c in CASES if c.exit == EXIT_BAD_CONFIG], ids=lambda c: c.id)
     # a numpy warning would be a second stderr line
     @pytest.mark.filterwarnings("error")
-    def test_unusable_input_exits_three(self, tmp_path, capsys, argv):
-        triangle = [[0, 0], [1, 0], [0, 1]]
-        files = {
-            "two_nodes": {"n": 2, "edges": [[0, 1]],
-                          "positions": [[0, 0], [1, 0]]},
-            "null_edges": {"n": 3, "edges": None, "positions": triangle},
-            "flat_edges": {"n": 3, "edges": [1, 2], "positions": triangle},
-            "top_level_list": [[0, 1], [1, 2]],
-            "null_n": {"n": None, "edges": [[0, 1]], "positions": triangle},
-            "nan_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
-                             "positions": [[0, 0], [1, 0], [0, float("nan")]]},
-            "string_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
-                                "positions": [["0", "0"], ["1", "0"],
-                                              ["0", "1"]]},
-            "bool_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
-                              "positions": [[0, 0], [True, 0], [0, 1]]},
-            "huge_int_position": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
-                                  "positions": [[0, 0], [10**400, 0],
-                                                [0, 1]]},
-            "far_positions": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
-                              "positions": [[0, 0], [1e200, 0], [0, 1e200]]},
-            "fractional_n": {"n": 3.7, "edges": [[0, 1], [1, 2], [0, 2]],
-                             "positions": triangle},
-            "bool_n": {"n": True, "edges": [], "positions": [[0, 0]]},
-            "negative_n": {"n": -1, "edges": [], "positions": []},
-            "fractional_edge": {"n": 3, "edges": [[0, 1.5], [1, 2], [0, 2]],
-                                "positions": triangle},
-            "bool_edge": {"n": 3, "edges": [[0, True], [1, 2], [0, 2]],
-                          "positions": triangle},
-            "string_edge": {"n": 3, "edges": [[0, "1"], [1, 2], [0, 2]],
-                            "positions": triangle},
-            "three_wide_edges": {"n": 3, "edges": [[0, 1, 2], [1, 2, 0]],
-                                 "positions": triangle},
-            "negative_seed": {"seed": -1},
-        }
-        paths = {"unwritable": tmp_path / "missing" / "out"}
-        for name, data in files.items():
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(data))
-        argv = [a.format(**paths) for a in argv]
-        assert main(argv) == EXIT_BAD_CONFIG
-        captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith("configuration error:")
-        assert captured.out == ""
+    def test_unusable_input_exits_three(self, tmp_path, capfd, case):
+        assert_case(case, tmp_path, capfd)
 
     def test_huge_ensemble_count_exits_three(self, monkeypatch, capsys):
         # every child seed is spawned before the first network: 10^30 of
