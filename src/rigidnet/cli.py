@@ -103,6 +103,7 @@ def _build_config(args):
         if not isinstance(overrides, dict):
             raise ConfigError("config file must hold a JSON object")
         control = overrides.pop("control", None)
+        _known("configuration", overrides, ScenarioConfig)
         for key, value in overrides.items():
             # a value of the wrong type meets the field's own check as is
             fields[key] = (tuple(value) if key == "anchors"
@@ -110,17 +111,21 @@ def _build_config(args):
         if control is not None:
             if not isinstance(control, dict):
                 raise ConfigError("the control block must be a JSON object")
+            _known("control", control, ControlParams)
             # the scenario's range also sets the controller's link weights
             control.setdefault("comm_range", fields.get(
                 "comm_range", ScenarioConfig.comm_range))
-            try:
-                fields["control"] = ControlParams(**control)
-            except TypeError as exc:
-                raise ConfigError(f"bad control parameters: {exc}")
-    try:
-        return ScenarioConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"unknown configuration field: {exc}")
+            fields["control"] = ControlParams(**control)
+    return ScenarioConfig(**fields)
+
+
+def _known(block, given, config):
+    """Raise a ConfigError naming the first key of given, in file order,
+    that is no field of the config dataclass."""
+    names = {f.name for f in dataclasses.fields(config)}
+    unknown = [key for key in given if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown {block} field {unknown[0]!r}")
 
 
 def _cmd_gen(args):

@@ -24,7 +24,10 @@ caller calls require_rigid.
 A state build takes everything the topology fixes (the balls' membership
 mask and stack, load coefficients, the layout of the balls' S) from the
 BallSet kept on its Graph, and refresh_topology hands back the very Graph
-it was given while the edge set holds.  The edge unit vectors and
+it was given while the edge set holds.  A new edge set, the wholesale
+refresh's or a guard trial's, makes a Graph that inherits its parent's
+hop table and dense adjacency (graphs.edited), so its ball set is built
+from its edit's table, not from a new search.  The edge unit vectors and
 lengths are the Framework's, measured once when it was built.  So on an
 unchanged topology a build reads the edge geometry from its framework,
 evaluates the link weights, assembles the balls' S by d x d blocks, a
@@ -52,7 +55,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .graphs import Graph, proximity
+from .graphs import _edit, edited, proximity
 from .rigidity import (
     CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram
 )
@@ -394,16 +397,17 @@ def refresh_topology(graph, positions, params):
     New edges follow the generator's rule, graphs.proximity, while old
     ones survive until the logistic weight reaches weight_prune; the slack
     between the two keeps the edge set from flapping.  An unchanged edge set
-    returns graph itself, with everything already kept on it.
+    returns graph itself, with everything already kept on it; a changed one
+    a Graph that inherits graph's hop table and adjacency (graphs.edited).
     """
     dist, keep = proximity(positions, params.comm_range)
     e = graph.edge_array()
     w = _logistic(dist[e[:, 0], e[:, 1]], params.comm_range, params.steepness)
     keep[e[:, 0], e[:, 1]] |= w >= params.weight_prune
-    ii, jj = np.nonzero(keep)
+    ii, jj = np.divmod(np.flatnonzero(keep), graph.n)
     if len(ii) == len(e) and (ii == e[:, 0]).all() and (jj == e[:, 1]).all():
         return graph
-    return Graph(graph.n, np.stack([ii, jj], axis=1))
+    return edited(graph, np.stack([ii, jj], axis=1))
 
 
 # True while guarded_refresh builds a trial state, which then also solves
@@ -437,6 +441,8 @@ def guarded_refresh(graph, positions, params, extents, vectors=True):
     otherwise changes are admitted one edge at a time and the harmful ones
     wait: an overstretched edge some ball still needs stays in the graph, a
     new link that would pull an unbraced node into a ball stays pending.
+    Each trial's Graph is the admitted one's edge array with one edge
+    removed or added, and inherits the admitted one's hop table.
     Returns the admitted graph with its control state, or (None, None) when
     even the unchanged edge set fails at these positions.  Without vectors
     every state is solved for eigenvalues only, which decides every
@@ -453,10 +459,11 @@ def guarded_refresh(graph, positions, params, extents, vectors=True):
     if state is None:
         return None, None
     admitted = graph
-    old, new = set(graph.edges), set(full.edges)
-    for e in sorted(old - new) + sorted(new - old):
-        edges = set(admitted.edges)
-        trial = Graph(graph.n, sorted(edges ^ {e}))
+    for e in np.concatenate(_edit(graph, full)):
+        edges = admitted.edge_array()
+        held = (edges == e).all(axis=1)
+        trial = edited(admitted, edges[~held] if held.any()
+                       else np.vstack([edges, e]))
         t_state = _state_if_rigid(trial, positions, params, extents, vectors)
         if t_state is not None:
             admitted, state = trial, t_state

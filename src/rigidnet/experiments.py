@@ -144,6 +144,12 @@ def framework_to_json(fw):
 
 
 def framework_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError("a framework is a JSON object with n, edges and "
+                         f"positions, got a {type(data).__name__}")
+    for key in ("n", "edges", "positions"):
+        if key not in data:
+            raise ValueError(f"the framework object has no {key}")
     if not _is_a(data["n"], int):
         raise ValueError(f"n must be an integer, got {data['n']!r}")
     edges = data["edges"]

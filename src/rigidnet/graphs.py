@@ -7,9 +7,13 @@ node and neighbor, see Graph) is built with it.  Whatever else depends on
 the edge set alone (the edge list, the dense float32 adjacency, the
 geodesic table, the controller's balls and layouts) is computed once per
 Graph and kept on it (Graph.cached).  The geodesic table, a breadth-first
-search from every node at once, is the one source of hop counts.  The
-connectivity test is one depth-first search over the slot layout, and the
-biconnectivity test (no cut vertex) another, after a degree check.
+search from every node at once, is the one source of hop counts.  A
+topology change costs its edit: the Graph that edited builds inherits its
+parent's hop table and dense adjacency, derived by the edit between the
+two edge sets with the same search, and equal to the computed ones bit
+for bit.  The connectivity test is one depth-first search over the slot
+layout, and the biconnectivity test (no cut vertex) another, after a
+degree check.
 Unreachable node pairs are marked with the UNREACHABLE sentinel (float
 inf) rather than a large finite hop count, so accidental arithmetic on
 them propagates loudly instead of producing plausible-looking numbers.
@@ -267,7 +271,8 @@ def proximity(positions, range_):
     x = np.asarray(positions, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         dist = _lengths(np.subtract.outer(c, c) for c in x.T)
-    return dist, np.triu(dist < range_, k=1)
+    i = np.arange(len(x))
+    return dist, (dist < range_) & (i[:, None] < i)
 
 
 def disk_proximity_graph(positions, range_):
@@ -275,7 +280,8 @@ def disk_proximity_graph(positions, range_):
     if range_ <= 0:
         raise ValueError("range must be positive")
     dist, linked = proximity(positions, range_)
-    return Graph(len(dist), np.argwhere(linked))
+    return Graph(len(dist), np.stack(np.divmod(np.flatnonzero(linked),
+                                               len(dist)), axis=1))
 
 
 def induced_subgraph(g, nodes):
@@ -306,27 +312,8 @@ class GeodesicTable:
 
     @classmethod
     def compute(cls, g):
-        """Breadth-first search from every node at once, level by level:
-        the nodes first reached at hop h are the new nonzeros of the
-        frontier times the adjacency matrix.  The product is float32 and
-        exact, since no count exceeds n < 2^24, and runs with BLAS on one
-        thread, whose threads would otherwise wait on the cores that the
-        eigensolves use."""
-        n = g.n
-        dist = np.full((n, n), UNREACHABLE)
-        reached = np.eye(n, dtype=bool)
-        dist[reached] = 0.0
-        adjacency = g.adjacency()
-        frontier = reached.astype(np.float32)
-        with _cores.one_blas_thread():
-            for hops in range(1, n):
-                new = (frontier @ adjacency > 0) & ~reached
-                if not new.any():
-                    break
-                dist[new] = hops
-                reached |= new
-                frontier = new.astype(np.float32)
-        return cls(dist)
+        """A breadth-first search from every node at once (_search)."""
+        return cls(_search(g.adjacency(), np.arange(g.n)))
 
     def eccentricities(self):
         return self.dist.max(axis=1)
@@ -338,6 +325,30 @@ class GeodesicTable:
         return int(ecc.max())
 
 
+def _search(adjacency, sources):
+    """Hop counts from each of sources to every node, one row per source:
+    a breadth-first search from all of them at once, level by level, where
+    the nodes first reached at hop h are the new nonzeros of the frontier
+    times the dense adjacency.  The product is float32 and exact, since no
+    count exceeds n < 2^24, and runs with BLAS on one thread, whose threads
+    would otherwise wait on the cores that the eigensolves use."""
+    n, k = len(adjacency), len(sources)
+    dist = np.full((k, n), UNREACHABLE)
+    reached = np.zeros((k, n), dtype=bool)
+    reached[np.arange(k), sources] = True
+    dist[reached] = 0.0
+    frontier = reached.astype(np.float32)
+    with _cores.one_blas_thread():
+        for hops in range(1, n):
+            new = (frontier @ adjacency > 0) & ~reached
+            if not new.any():
+                break
+            dist[new] = hops
+            reached |= new
+            frontier = new.astype(np.float32)
+    return dist
+
+
 def _frozen_table(g):
     table = GeodesicTable.compute(g)
     table.dist.setflags(write=False)
@@ -347,3 +358,73 @@ def _frozen_table(g):
 def geodesics(g):
     """The graph's geodesic table, computed on first use and kept read-only."""
     return g.cached("geodesics", None, _frozen_table)
+
+
+def _edit(parent, child):
+    """The edges of parent that child lacks and those child adds, each an
+    (k, 2) array in edge order."""
+    edges = (parent.edge_array(), child.edge_array())
+    keys = [e[:, 0] * parent.n + e[:, 1] for e in edges]
+    return tuple(e[~_found(a, b)]
+                 for e, a, b in zip(edges, keys, keys[::-1]))
+
+
+def _found(a, b):
+    """Which entries of the ascending array a the ascending array b holds,
+    by one binary search each (no sort)."""
+    if not len(b):
+        return np.zeros(len(a), dtype=bool)
+    return b[np.minimum(np.searchsorted(b, a), len(b) - 1)] == a
+
+
+def _edited_table(dist, adjacency, removed, added):
+    """Edit in place the hop table dist and the dense adjacency of a graph
+    into those of the graph without the edges removed and with added.
+
+    Removing edge (u, v) leaves source s's row as it was when its farther
+    endpoint f (if one is farther) still has a neighbour one hop nearer
+    to s: by induction on the hop count, every node then keeps a neighbour
+    one hop nearer.  The rows where some farther endpoint has none are
+    searched again on the graph without the removed edges.  Adding edge
+    (a, b) then shortens a path only through it, and only from a source
+    more than one hop nearer to one end than to the other: from those
+    rows, dist becomes min(dist, dist[:, a] + 1 + dist[b]), or with a and
+    b swapped, exact in float64, an edge at a time.
+    """
+    if len(removed):
+        u, v = removed.T
+        adjacency[u, v] = adjacency[v, u] = 0.0
+        # nearer_u[s, k]: node u[k] has a neighbour one hop nearer to s
+        nearer_u, nearer_v = (np.stack([
+            (dist[:, adjacency[x] > 0] == dist[:, x, None] - 1.0).any(axis=1)
+            for x in ends.tolist()], axis=1) for ends in (u, v))
+        du, dv = dist[:, u], dist[:, v]
+        lost = (du != dv) & ~np.where(du > dv, nearer_u, nearer_v)
+        stale = np.flatnonzero(lost.any(axis=1))
+        if len(stale):
+            dist[stale] = _search(adjacency, stale)
+    for a, b in added.tolist():
+        adjacency[a, b] = adjacency[b, a] = 1.0
+        for near, far in ((a, b), (b, a)):
+            rows = np.flatnonzero(dist[:, near] + 1.0 < dist[:, far])
+            dist[rows] = np.minimum(dist[rows],
+                                    dist[rows, near, None] + (dist[far] + 1.0))
+
+
+def edited(parent, edges):
+    """Graph(parent.n, edges), which inherits parent's hop table and dense
+    adjacency where parent holds its table: they are derived by the edit
+    from parent's edge set to edges (_edited_table), equal the computed
+    ones bit for bit, and are kept on the new graph.  The new graph holds
+    no reference to parent.
+    """
+    g = Graph(parent.n, edges)
+    kept = parent.__dict__.get("_memo", {}).get("geodesics")
+    if kept is not None:
+        dist, adjacency = kept[1].dist.copy(), parent.adjacency().copy()
+        _edited_table(dist, adjacency, *_edit(parent, g))
+        for a in (dist, adjacency):
+            a.setflags(write=False)
+        g.cached("adjacency", None, lambda _: adjacency)
+        g.cached("geodesics", None, lambda _: GeodesicTable(dist))
+    return g

@@ -152,9 +152,8 @@ def symmetric_rigidity_matrix(R, weights):
     return 0.5 * (S + S.T)
 
 
-# the four blocks of an edge {a, b}: (a, a), (b, b), (a, b), (b, a), and
-# which of the edge's two signed blocks each one reads (0: +, 1: -)
-_BLOCK_ROWS, _BLOCK_COLS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
+# which of an edge's two signed blocks each of its four blocks (a, a),
+# (b, b), (a, b), (b, a) reads (0: +, 1: -)
 _BLOCK_NEGATED = np.array([0, 0, 1, 1])
 
 
@@ -207,19 +206,21 @@ class GramLayout:
         # broadcast along the d entries of a row runs 3-4 times slower);
         # one transposing copy then lays them out edge after edge.  No
         # partial sum exceeds span.
-        side = sides[ball]
-        corner = ((np.cumsum(sizes) - sizes)[ball]
-                  + d * (ends.T[_BLOCK_ROWS] * side + ends.T[_BLOCK_COLS])
-                  ).astype(dtype)
-        rows = (np.arange(d)[:, None] * side).astype(dtype)
+        side = sides.astype(dtype)[ball]
+        a, b = (d * ends.T).astype(dtype)
+        # the flat starts of the rows of a and of b
+        ra = (np.cumsum(sizes) - sizes).astype(dtype)[ball]
+        rb = b * side + ra
+        ra += a * side
+        corner = np.stack([ra + a, rb + b, ra + b, rb + a])
+        rows = np.arange(d, dtype=dtype)[:, None] * side
         index = (corner[:, None, None] + rows[:, None]
                  + np.arange(d, dtype=dtype)[:, None])
         # entry (p, q) of the signed block s of edge k is edge_blocks's
-        # flat (2k + s) * d * d + p * d + q
-        src = (((2 * edge + _BLOCK_NEGATED[:, None]) * d * d).astype(dtype)
-               [:, None] + np.arange(d * d, dtype=dtype)[:, None])
-        layout = cls(sides, index.transpose(3, 0, 1, 2).ravel(),
-                     src.transpose(2, 0, 1).ravel())
+        # flat (2k + s) * d * d + p * d + q, laid out edge after edge
+        block = (_BLOCK_NEGATED[:, None] * d * d + np.arange(d * d)).ravel()
+        src = ((2 * d * d) * edge).astype(dtype)[:, None] + block.astype(dtype)
+        layout = cls(sides, index.transpose(3, 0, 1, 2).ravel(), src.ravel())
         for a in (layout.sides, layout.index, layout.src):
             a.setflags(write=False)
         return layout

@@ -27,7 +27,11 @@ message with real payloads; it is the proof that the exchange ends within
 run_exchange_phase, the routing formula, which derives the engine's
 delivery order and round log from the geodesic table and the BallSet
 without building a message (the non-edge check needs messages, so it runs
-only in the engine).  The closed loop compiles each topology once with the
+only in the engine).  The formula builds no per-pair Python object: the
+round log's pair_round and expected_pairs are built from its arrays when
+first read, which the closed loop never does.  A refreshed Graph inherits
+its parent's hop table (graphs.edited), which the formula and the BallSet
+read.  The closed loop compiles each topology once with the
 formula and keeps its (ExchangeSchedule, RoundLog) pair on the Graph
 (Graph.cached, keyed on the extents), beside the topology's BallSet: where
 each delivered (center, member) pair sits in the BallSet's stack, and the
@@ -143,13 +147,39 @@ class RoundLog:
     """Audit trail of one exchange: traffic per round and delivery rounds.
 
     Every message sent in a round arrives in that round, so outbox_sizes
-    counts each round's deliveries as well as its sends.
+    counts each round's deliveries as well as its sends.  The engine fills
+    pair_round as it delivers; the routing formula's log holds its
+    deliveries as arrays and builds pair_round and expected_pairs from them
+    on first read.
     """
 
     outbox_sizes: list = field(default_factory=list)
     pair_round: dict = field(default_factory=dict)
     expected_pairs: frozenset = frozenset()
     completion_round: int = None
+
+    @classmethod
+    def _of_deliveries(cls, outbox_sizes, center, member, land):
+        """The log of deliveries of (center[k], member[k]) in round land[k],
+        in delivery order; pair_round and expected_pairs are built from
+        these arrays on first read."""
+        log = cls.__new__(cls)
+        log.outbox_sizes = outbox_sizes
+        log.completion_round = int(land.max())
+        log._deliveries = (center, member, land)
+        return log
+
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: pair_round and
+        # expected_pairs of a log made by _of_deliveries
+        deliveries = self.__dict__.get("_deliveries")
+        if deliveries is None or name not in ("pair_round", "expected_pairs"):
+            raise AttributeError(name)
+        center, member, land = deliveries
+        pairs = list(zip(center.tolist(), member.tolist()))
+        self.pair_round = dict(zip(pairs, land.tolist()))
+        self.expected_pairs = frozenset(pairs)
+        return self.__dict__[name]
 
     @property
     def rounds(self):
@@ -231,7 +261,8 @@ def run_exchange_phase(fw, extents):
     balls = ball_set(fw.graph, h, fw.dim)
     limit = 2 * int(h.max())
     # the pairs in (center, member) order, which is the BallSet stack's
-    center, member = np.nonzero(balls.inside)
+    member = balls.stack.nodes
+    center = np.repeat(np.arange(len(h)), np.diff(balls.stack.offsets))
     hops = g[center, member].astype(np.intp)
     fire = np.where(balls.inside, g, 0).max(axis=1, initial=0).astype(np.intp)
     land = fire[center] + hops
@@ -243,11 +274,12 @@ def run_exchange_phase(fw, extents):
             f"exchange incomplete after {limit} rounds, e.g. pairs "
             f"{missing[:5]}")
     order = np.lexsort((center, member, center == member, land))
-    pairs = list(zip(center[order].tolist(), member[order].tolist()))
     completion = int(land.max())
 
-    origin, node = np.nonzero((g >= 1) & (g < balls.ttl[:, None]))
-    forward_round = g[origin, node].astype(np.intp) + 1
+    # every (origin, node) with 1 <= g < the origin's ttl, flat
+    forwards = np.flatnonzero((g >= 1) & (g < balls.ttl[:, None]))
+    node = forwards % len(h)
+    forward_round = g.ravel()[forwards].astype(np.intp) + 1
     # the engine stops once nothing is in flight, after one round at least
     rounds = int(max(completion, forward_round.max(initial=1))) if limit else 0
     floods = np.bincount(forward_round, weights=fw.graph.degrees()[node] - 1,
@@ -261,10 +293,8 @@ def run_exchange_phase(fw, extents):
         - np.bincount(land[ret] + 1, minlength=rounds + 2))
     sizes = (floods + returns)[1:rounds + 1].astype(np.intp)
 
-    log = RoundLog(outbox_sizes=sizes.tolist(),
-                   pair_round=dict(zip(pairs, land[order].tolist())),
-                   expected_pairs=frozenset(pairs),
-                   completion_round=completion)
+    log = RoundLog._of_deliveries(sizes.tolist(), center[order],
+                                  member[order], land[order])
     # a center keeps its own pair the round it fires, so centers fire in
     # (round, id) order
     schedule = ExchangeSchedule(members=member[order], rows=order,

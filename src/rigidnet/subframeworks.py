@@ -64,15 +64,20 @@ class BallStack:
 def stack_balls(inside, edge_endpoints):
     """The BallStack of the balls whose members are the true entries of the
     rows of the (balls x n) boolean mask inside, in row order."""
-    nodes = np.nonzero(inside)[1]
-    offsets = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
-    # a member's row within its ball: how many members precede it
-    local = np.cumsum(inside, axis=1) - 1
-    ball, edge = np.nonzero(inside[:, edge_endpoints[:, 0]]
-                            & inside[:, edge_endpoints[:, 1]])
-    ends = local[ball[:, None], edge_endpoints[edge]]
-    return BallStack(nodes=nodes, offsets=offsets, edge=edge,
-                     ends=ends + offsets[ball][:, None], ball=ball)
+    balls, n = inside.shape
+    a, b = edge_endpoints.T
+    member = np.flatnonzero(inside)
+    offsets = np.zeros(balls + 1, dtype=np.intp)
+    np.cumsum(np.bincount(member // n, minlength=balls), out=offsets[1:])
+    # row[t * n + j]: the stack row of node j in ball t, where j is a member
+    row = np.empty(balls * n, dtype=np.intp)
+    row[member] = np.arange(len(member))
+    ball, edge = np.divmod(np.flatnonzero(inside[:, a] & inside[:, b]),
+                           len(a))
+    at = ball * n
+    ends = np.stack([row[at + a[edge]], row[at + b[edge]]], axis=1)
+    return BallStack(nodes=member % n, offsets=offsets, edge=edge, ends=ends,
+                     ball=ball)
 
 
 # Block entries assembled per bincount.  One pass over all the balls of a
@@ -85,22 +90,20 @@ def stack_layouts(stack, d):
     """GramLayouts of runs of consecutive balls of a stack, each run holding
     at most GROUP_ENTRIES block entries (or one ball alone when it has more)."""
     counts = np.diff(stack.offsets)
-    edges = np.bincount(stack.ball, minlength=len(counts))
-    first = np.concatenate([[0], np.cumsum(edges)])
-    cuts, entries = [0], 0
-    for t, k in enumerate((4 * d * d * edges).tolist()):
-        if t and entries + k > GROUP_ENTRIES:
-            cuts.append(t)
-            entries = 0
-        entries += k
-    cuts.append(len(counts))
-    layouts = []
-    for t0, t1 in zip(cuts, cuts[1:]):
+    # the block entries through ball t, and each ball's first stack edge
+    total = np.cumsum(4 * d * d * np.bincount(stack.ball,
+                                                minlength=len(counts)))
+    first = np.searchsorted(stack.ball, np.arange(len(counts) + 1))
+    ends = stack.ends - stack.offsets[stack.ball][:, None]
+    layouts, t0 = [], 0
+    while t0 < len(counts):
+        # the longest run from t0 within GROUP_ENTRIES, one ball at least
+        held = total[t0 - 1] + GROUP_ENTRIES if t0 else GROUP_ENTRIES
+        t1 = max(t0 + 1, int(np.searchsorted(total, held, side="right")))
         rows = slice(first[t0], first[t1])
-        ball = stack.ball[rows]
-        layouts.append(GramLayout.of(
-            d, counts[t0:t1], stack.edge[rows],
-            stack.ends[rows] - stack.offsets[ball][:, None], ball - t0))
+        layouts.append(GramLayout.of(d, counts[t0:t1], stack.edge[rows],
+                                     ends[rows], stack.ball[rows] - t0))
+        t0 = t1
     return tuple(layouts)
 
 

@@ -1,13 +1,15 @@
 """The `rigidnet` script's failure cases, one row each, and one judge of a run.
 
 A row (Case) is one run: its argv, the JSON of any input file the argv
-names through a {name} placeholder, its exit code, a pattern of its one
-stderr line and its stdout.  Two more placeholders need no file:
+names through a {name} placeholder (or the file's text, where it is a
+string), its exit code, a pattern of its one stderr line and its stdout.  Two more placeholders need no file:
 {missing} is a path in a directory that does not exist, and {configs} is
 the repository's configs directory.  tests/test_cli.py runs every row
 in-process through cli.main, with warnings as errors: the rows that exit
 3 as TestConfigHandling.test_unusable_input_exits_three, the others as
-TestControl.test_failed_run_matches_its_row.  Run as a script, this file
+TestControl.test_failed_run_matches_its_row, apart from the rows that a
+test of their own runs under the test id the case had before a row held
+it (test_cli.NAMED_ROWS).  Run as a script, this file
 runs every row through the installed `rigidnet` script, one process each,
 with PYTHONWARNINGS=error, and exits 1 if any run differs from its row:
 
@@ -58,7 +60,8 @@ class Case:
         paths = {"missing": directory / "missing" / "out", "configs": CONFIGS}
         for name, data in self.files.items():
             paths[name] = directory / f"{name}.json"
-            paths[name].write_text(json.dumps(data))
+            paths[name].write_text(data if isinstance(data, str)
+                                   else json.dumps(data))
         return [a.format(**paths) for a in self.argv]
 
 
@@ -119,6 +122,46 @@ CASES = [
     # means a lost rigidity here
     config("unknown-flag", "unrecognized arguments: --bogus",
            "gen", "--bogus"),
+    config("no-verb", "the following arguments are required: verb"),
+    config("missing-flag-value", "argument --n: expected one argument",
+           "gen", "--n"),
+    config("unknown-verb", r"argument verb: invalid choice: 'survey' "
+           r"\(choose from 'gen', 'ensemble', 'control', 'audit'\)",
+           "survey"),
+    config("switch-with-value",
+           "argument --ground-truth: ignored explicit argument 'x'",
+           "control", "--ground-truth=x"),
+    config("n-one", "n must be at least 2, got 1", "gen", "--n", "1"),
+    # a config file that is no JSON, or names a field no config has
+    config("malformed-config", r"cannot read config file: Expecting value: "
+           r"line 1 column 1 \(char 0\)", "gen", "--config", "{cfg}",
+           cfg="not json {"),
+    config("unknown-config-key", "unknown configuration field 'robots'",
+           "gen", "--config", "{cfg}", cfg={"robots": 20}),
+    # knobs the control block no longer has
+    config("weighted-matrix-config", "unknown control field "
+           "'weighted_matrix'", "gen", "--config", "{cfg}",
+           cfg={"control": {"comm_range": 40.0, "weighted_matrix": False}}),
+    config("eig-tol-config", "unknown control field 'eig_tol'", "control",
+           *SMALL, "--duration", "1", "--config", "{cfg}",
+           cfg={"control": {"comm_range": 40.0, "eig_tol": 1e-6}}),
+    # a config value of the wrong JSON type meets its field's own check
+    *(config(id, rf"field '{field}' must be of type {kind}, got {got}",
+             "gen", "--config", "{cfg}", cfg=data)
+      for id, field, kind, got, data in (
+          ("string-n-config", "n", "int", "'60'", {"n": "60"}),
+          ("float-n-config", "n", "int", r"60\.0", {"n": 60.0}),
+          ("bool-width-config", "width", "float", "True", {"width": True}),
+          ("int-use-estimates-config", "use_estimates", "bool", "1",
+           {"use_estimates": 1}),
+          ("string-anchor-config", "anchors", "list of int", r"\('0',\)",
+           {"anchors": ["0"]}),
+          ("anchors-not-a-list-config", "anchors", "list of int", "5",
+           {"anchors": 5}),
+          ("fractional-retries-config", "max_step_retries", "int", r"2\.5",
+           {"control": {"comm_range": 40.0, "max_step_retries": 2.5}}))),
+    config("negative-range-config", r"comm_range must be positive, got -1\.0",
+           "gen", "--config", "{cfg}", cfg={"control": {"comm_range": -1.0}}),
     # a flag's text meets its field's own check, in the words the same
     # value in a config file gets
     config("n-not-a-number", "field 'n' must be of type int, got 'x'",
@@ -136,6 +179,28 @@ CASES = [
            "gen", "--seed", "-1", "--n", "10"),
     config("negative-seed-config", "seed must be non-negative, got -1",
            "gen", "--n", "10", "--config", "{cfg}", cfg={"seed": -1}),
+    # a value that is not finite, or out of its field's domain, by flag or
+    # by config file: NaN passes every range comparison, and Python's json
+    # reads NaN and Infinity
+    *(config(id, message, "control", *SMALL, "--duration", "1", *argv,
+             **files)
+      for id, message, argv, files in (
+          ("infinite-duration", "duration must be finite, got inf",
+           ("--duration", "inf"), {}),
+          ("nan-duration", "duration must be finite, got nan",
+           ("--duration", "nan"), {}),
+          ("nan-noise", "noise_std must be finite, got nan",
+           ("--noise", "nan"), {}),
+          ("nan-duration-config", "duration must be finite, got nan",
+           ("--config", "{cfg}"), {"cfg": {"duration": float("nan")}}),
+          ("infinite-width-config", "width must be finite, got inf",
+           ("--config", "{cfg}"), {"cfg": {"width": float("inf")}}),
+          ("nan-dt-config", "dt must be finite, got nan",
+           ("--config", "{cfg}"),
+           {"cfg": {"control": {"comm_range": 40.0, "dt": float("nan")}}}),
+          ("zero-range-variance-config",
+           "range_variance must be positive, got 0", ("--config", "{cfg}"),
+           {"cfg": {"range_variance": 0}}))),
     # negative retries would otherwise run as a rigidity loss at t=0
     config("negative-retries", "max_step_retries must be non-negative, got -1",
            "control", "--seed", "8", "--n", "30", "--range", "40",
@@ -154,15 +219,22 @@ CASES = [
     config("huge-rejection-budget", "rejection_budget 1000000000 is above "
            "the bound MAX_DRAWS = 1000000", "gen", "--n", "10", "--range",
            "0.001", "--rejection-budget", str(10**9)),
-    config("tiny-dt", r"duration / control.dt asks for 3e\+299 ticks; the "
-           "bound is MAX_TICKS = 1000000", "control", *TWELVE, "--duration",
-           "0.3", "--config", "{cfg}", cfg={"control": {"dt": 1e-300}}),
-    # a rigidity exponent of 1e300 overflows the barrier's slope: the
-    # velocity command is not finite
-    config("huge-rigidity-exponent", "the rigidity barrier's slope overflows "
-           r"float64 at rigidity_exponent 1e\+300", "control", *TWELVE,
-           "--duration", "0.3", "--config", "{cfg}",
-           cfg={"control": {"rigidity_exponent": 1e300}}),
+    # a rigidity exponent of 1e300 overflows the barrier's slope, and gains
+    # of 1e300 the velocity command's speed: the command is not finite.
+    # Each runs on the robots' estimates and on ground truth.
+    *(config(id + suffix, message, "control", *TWELVE, "--duration", "0.3",
+             "--config", "{cfg}", *truth, cfg={"control": control})
+      for id, message, control in (
+          ("tiny-dt", r"duration / control.dt asks for 3e\+299 ticks; the "
+           "bound is MAX_TICKS = 1000000", {"dt": 1e-300}),
+          ("huge-rigidity-exponent", "the rigidity barrier's slope "
+           r"overflows float64 at rigidity_exponent 1e\+300",
+           {"rigidity_exponent": 1e300}),
+          *((f"huge-{gain.replace('_', '-')}", "the velocity command's "
+             "speed is inf in float64; the gains or exponents ask for more "
+             "than a step can carry", {gain: 1e300})
+            for gain in ("k_rigidity", "k_load", "k_collision")))
+      for suffix, truth in (("", ()), ("-ground-truth", ("--ground-truth",)))),
     # an ensemble of flexible networks, and a framework with n <= d, read
     # or generated
     config("flexible-ensemble", "the ensemble measures rigid networks only",
@@ -175,9 +247,10 @@ CASES = [
            r"test \(n=3 <= d=3\)", "audit", "--n", "3", "--dim", "3",
            "--flexible-ok"),
     # framework files of the wrong shape
-    framework_file("top-level-list",
-                   "list indices must be integers or slices, not str",
-                   [[0, 1], [1, 2]]),
+    framework_file("top-level-list", "a framework is a JSON object with n, "
+                   "edges and positions, got a list", [[0, 1], [1, 2]]),
+    framework_file("missing-positions", "the framework object has no "
+                   "positions", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}),
     triangle_file("null-edges", "edges must be a list, got None", edges=None),
     # an edge is a pair of integer node ids, not numbers or strings that
     # read as one, and not a longer row

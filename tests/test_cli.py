@@ -34,6 +34,64 @@ from rigidnet.graphs import disk_proximity_graph
 SMALL = ["--seed", "3", "--n", "16", "--width", "90", "--height", "90",
          "--range", "40"]
 
+ROWS = {case.id: case for case in CASES}
+
+# the rows of tests/failure_cases.py that a test of their own runs, by
+# test name: each under the test id its case had before a row held it
+NAMED_ROWS = {
+    "test_bad_flag_value_exits_three": {None: "n-one"},
+    "test_usage_error_exits_three": {
+        "argv1-the following arguments are required: verb": "no-verb",
+        "argv2-argument --n: expected one argument": "missing-flag-value",
+        "argv3-argument verb: invalid choice: 'survey'": "unknown-verb",
+        "argv4-argument --ground-truth: ignored explicit argument 'x'":
+            "switch-with-value"},
+    "test_unknown_config_field_exits_three": {None: "unknown-config-key"},
+    "test_wrongly_typed_config_value_exits_three": {
+        "config0-n-int": "string-n-config",
+        "config1-n-int": "float-n-config",
+        "config2-width-float": "bool-width-config",
+        "config3-use_estimates-bool": "int-use-estimates-config",
+        "config4-anchors-list of int": "string-anchor-config",
+        "config5-max_step_retries-int": "fractional-retries-config"},
+    "test_removed_weighted_matrix_knob_exits_three": {
+        None: "weighted-matrix-config"},
+    "test_removed_eigenvalue_tolerance_exits_three": {None: "eig-tol-config"},
+    "test_out_of_range_value_exits_three": {
+        "flags2-None": "infinite-duration",
+        "flags3-None": "nan-duration",
+        "flags4-None": "nan-noise",
+        "flags5-config5": "nan-duration-config",
+        "flags6-config6": "infinite-width-config",
+        "flags7-config7": "nan-dt-config",
+        "flags9-config9": "zero-range-variance-config"},
+    "test_unusable_control_value_exits_three": {
+        f"control{k}-{message}-{truth}": row + ("-ground-truth" if truth
+                                                 else "")
+        for k, message, row in (
+            (0, "rigidity barrier's slope overflows",
+             "huge-rigidity-exponent"),
+            (1, "velocity command's speed is inf", "huge-k-rigidity"),
+            (2, "velocity command's speed is inf", "huge-k-load"),
+            (3, "velocity command's speed is inf", "huge-k-collision"),
+            (4, "MAX_TICKS", "tiny-dt"))
+        for truth in (False, True)
+        # two of them are rows of test_unusable_input_exits_three
+        if truth or k in (1, 2, 3)},
+    "test_anchors_that_are_not_a_list_exit_three": {
+        None: "anchors-not-a-list-config"},
+    "test_malformed_config_file_exits_three": {None: "malformed-config"},
+    "test_bad_control_block_exits_three": {None: "negative-range-config"},
+}
+NAMED = {row for rows in NAMED_ROWS.values() for row in rows.values()}
+
+
+def named_rows(test):
+    """The parametrize arguments of a test that runs several named rows."""
+    rows = NAMED_ROWS[test]
+    return {"argvalues": [ROWS[row] for row in rows.values()],
+            "ids": list(rows)}
+
 
 class TestGen:
     def test_writes_framework_json(self, tmp_path):
@@ -440,9 +498,9 @@ BAD_FLAG_VALUES = [
 
 
 class TestConfigHandling:
-    def test_bad_flag_value_exits_three(self, capsys):
-        assert main(["gen", "--n", "1"]) == EXIT_BAD_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.filterwarnings("error")
+    def test_bad_flag_value_exits_three(self, tmp_path, capfd):
+        assert_case(ROWS["n-one"], tmp_path, capfd)
 
     @pytest.mark.parametrize("flag, text", BAD_FLAG_VALUES)
     def test_bad_flag_value_reads_as_the_same_file_value(self, tmp_path,
@@ -476,21 +534,12 @@ class TestConfigHandling:
                 initial_estimate_error=0.2, rejection_budget=9,
                 anchors=(0, 2), use_estimates=False, require_rigid=False))
 
-    @pytest.mark.parametrize("argv, message", [
-        (["gen", "--bogus"], "unrecognized arguments: --bogus"),
-        ([], "the following arguments are required: verb"),
-        (["gen", "--n"], "argument --n: expected one argument"),
-        (["survey"], "argument verb: invalid choice: 'survey'"),
-        (["control", "--ground-truth=x"],
-         "argument --ground-truth: ignored explicit argument 'x'"),
-    ])
-    def test_usage_error_exits_three(self, capsys, argv, message):
+    @pytest.mark.parametrize("case", **named_rows(
+        "test_usage_error_exits_three"))
+    @pytest.mark.filterwarnings("error")
+    def test_usage_error_exits_three(self, tmp_path, capfd, case):
         # not argparse's exit 2, which means a lost rigidity here
-        assert main(argv) == EXIT_BAD_CONFIG
-        captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith(f"configuration error: {message}")
-        assert captured.out == ""
+        assert_case(case, tmp_path, capfd)
 
     @pytest.mark.parametrize("argv", [["-h"], ["gen", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
@@ -506,82 +555,39 @@ class TestConfigHandling:
         main(["gen", "--n", "10", "--config", str(cfg)])
         assert json.loads(capsys.readouterr().out)["n"] == 20
 
-    def test_unknown_config_field_exits_three(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"robots": 20}))
-        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.filterwarnings("error")
+    def test_unknown_config_field_exits_three(self, tmp_path, capfd):
+        assert_case(ROWS["unknown-config-key"], tmp_path, capfd)
 
-    @pytest.mark.parametrize("config, field, expected", [
-        ({"n": "60"}, "n", "int"),
-        ({"n": 60.0}, "n", "int"),
-        ({"width": True}, "width", "float"),
-        ({"use_estimates": 1}, "use_estimates", "bool"),
-        ({"anchors": ["0"]}, "anchors", "list of int"),
-        ({"control": {"comm_range": 40.0, "max_step_retries": 2.5}},
-         "max_step_retries", "int"),
-    ])
-    def test_wrongly_typed_config_value_exits_three(self, tmp_path, capsys,
-                                                    config, field, expected):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
-        err = capsys.readouterr().err
-        assert f"field {field!r} must be of type {expected}," in err
+    @pytest.mark.parametrize("case", **named_rows(
+        "test_wrongly_typed_config_value_exits_three"))
+    @pytest.mark.filterwarnings("error")
+    def test_wrongly_typed_config_value_exits_three(self, tmp_path, capfd,
+                                                    case):
+        assert_case(case, tmp_path, capfd)
 
-    def test_removed_weighted_matrix_knob_exits_three(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"control": {"comm_range": 40.0, "weighted_matrix": False}}))
-        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
-        assert "weighted_matrix" in capsys.readouterr().err
+    @pytest.mark.filterwarnings("error")
+    def test_removed_weighted_matrix_knob_exits_three(self, tmp_path, capfd):
+        assert_case(ROWS["weighted-matrix-config"], tmp_path, capfd)
 
-    def test_removed_eigenvalue_tolerance_exits_three(self, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error")
+    def test_removed_eigenvalue_tolerance_exits_three(self, tmp_path, capfd):
         # every verdict reads rigidity.REL_TOL; the control block has no
         # tolerance of its own
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"control": {"comm_range": 40.0, "eig_tol": 1e-6}}))
-        assert main(["control", *SMALL, "--duration", "1",
-                     "--config", str(cfg)]) == EXIT_BAD_CONFIG
-        captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith("configuration error:") and "eig_tol" in line
-        assert captured.out == ""
+        assert_case(ROWS["eig-tol-config"], tmp_path, capfd)
 
-    @pytest.mark.parametrize("flags, config", [
-        (["--estimate-error", "-1"], None),
-        ([], {"control": {"comm_range": 40.0, "max_step_retries": -1}}),
-        # non-finite values: NaN passes every range comparison, and Python's
-        # json reads NaN and Infinity
-        (["--duration", "inf"], None),
-        (["--duration", "nan"], None),
-        (["--noise", "nan"], None),
-        ([], {"duration": float("nan")}),
-        ([], {"width": float("inf")}),
-        ([], {"control": {"comm_range": 40.0, "dt": float("nan")}}),
-        # one range draws the network and weighs its links
-        ([], {"control": {"comm_range": 15.0}}),
-        ([], {"range_variance": 0}),
-    ])
-    def test_out_of_range_value_exits_three(self, tmp_path, capsys, flags,
-                                            config):
+    @pytest.mark.parametrize("case", **named_rows(
+        "test_out_of_range_value_exits_three"))
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_value_exits_three(self, tmp_path, capfd, case):
         # caught when the configuration is built, not reported as a failed
         # run: a negative estimate error would otherwise run as 0, and
         # negative retries as a rigidity loss at t=0
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            flags = ["--config", str(cfg)]
-        assert main(["control", *SMALL, "--duration", "1",
-                     *flags]) == EXIT_BAD_CONFIG
-        captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith("configuration error:")
-        assert captured.out == ""
+        assert_case(case, tmp_path, capfd)
 
     @pytest.mark.parametrize("case", [
-        c for c in CASES if c.exit == EXIT_BAD_CONFIG], ids=lambda c: c.id)
+        c for c in CASES if c.exit == EXIT_BAD_CONFIG
+        and c.id not in NAMED], ids=lambda c: c.id)
     # a numpy warning would be a second stderr line
     @pytest.mark.filterwarnings("error")
     def test_unusable_input_exits_three(self, tmp_path, capfd, case):
@@ -622,32 +628,11 @@ class TestConfigHandling:
         assert "MAX_DRAWS" in line and captured.out == ""
         assert draws == []
 
-    @pytest.mark.parametrize("ground_truth", [False, True])
-    @pytest.mark.parametrize("control, message", [
-        # rho ** -(q + 1) overflows as a Python float power
-        ({"rigidity_exponent": 1e300}, "rigidity barrier's slope overflows"),
-        # the speed of the command overflows
-        ({"k_rigidity": 1e300}, "velocity command's speed is inf"),
-        ({"k_load": 1e300}, "velocity command's speed is inf"),
-        ({"k_collision": 1e300}, "velocity command's speed is inf"),
-        # 3e299 ticks: a run that would never end
-        ({"dt": 1e-300}, "MAX_TICKS"),
-    ])
-    # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("case", **named_rows(
+        "test_unusable_control_value_exits_three"))
     @pytest.mark.filterwarnings("error")
-    def test_unusable_control_value_exits_three(self, tmp_path, capsys,
-                                                control, message,
-                                                ground_truth):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"control": control}))
-        argv = ["control", "--seed", "3", "--n", "12", "--width", "60",
-                "--height", "60", "--range", "40", "--duration", "0.3",
-                "--config", str(cfg)]
-        if ground_truth:
-            argv.append("--ground-truth")
-        assert main(argv) == EXIT_BAD_CONFIG
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("configuration error:") and message in line
+    def test_unusable_control_value_exits_three(self, tmp_path, capfd, case):
+        assert_case(case, tmp_path, capfd)
 
     @pytest.mark.parametrize("config", [
         # one tick of 1e300 s: dt**2 overflows, while the motion dt * u
@@ -669,12 +654,9 @@ class TestConfigHandling:
                      "--config", str(cfg)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_anchors_that_are_not_a_list_exit_three(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"anchors": 5}))
-        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
-        [line] = capsys.readouterr().err.splitlines()
-        assert "field 'anchors' must be of type list of int, got 5" in line
+    @pytest.mark.filterwarnings("error")
+    def test_anchors_that_are_not_a_list_exit_three(self, tmp_path, capfd):
+        assert_case(ROWS["anchors-not-a-list-config"], tmp_path, capfd)
 
     def test_control_block_takes_the_scenario_range(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -698,12 +680,10 @@ class TestConfigHandling:
         assert world.filters.range_variance == 0.05
         assert np.all(world.filters.covariances[0] == 2.0 * np.eye(2))
 
-    def test_malformed_config_file_exits_three(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json {")
-        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_config_file_exits_three(self, tmp_path, capfd):
+        assert_case(ROWS["malformed-config"], tmp_path, capfd)
 
-    def test_bad_control_block_exits_three(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"control": {"comm_range": -1.0}}))
-        assert main(["gen", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    @pytest.mark.filterwarnings("error")
+    def test_bad_control_block_exits_three(self, tmp_path, capfd):
+        assert_case(ROWS["negative-range-config"], tmp_path, capfd)

@@ -43,7 +43,9 @@ from rigidnet.control import (
     velocity_field,
 )
 from rigidnet.experiments import generate_scenario, reference_control_config
-from rigidnet.graphs import Graph, disk_proximity_graph, geodesics
+from rigidnet.graphs import (
+    GeodesicTable, Graph, disk_proximity_graph, geodesics
+)
 from rigidnet.rigidity import (
     Framework, framework_gram, rigidity_report, rigidity_spectrum
 )
@@ -884,12 +886,26 @@ class TestGuard:
                           [0.0, 0.0]])
     PARAMS = ControlParams(comm_range=5.0)
 
+    @staticmethod
+    def assert_table_as_computed(graph):
+        """The admitted graph's hop table, inherited through the guard's
+        trials, equals one computed on its edges."""
+        cold = GeodesicTable.compute(Graph(graph.n, graph.edge_array()))
+        assert geodesics(graph).dist.tobytes() == cold.dist.tobytes()
+
     def test_coincident_link_is_deferred(self):
-        graph, state = guarded_refresh(self.GRAPH, self.CANDIDATE,
-                                       self.PARAMS, [2] * 5)
-        assert state is not None
-        assert (0, 4) not in graph.edges
-        assert {(0, 3), (2, 4)} <= set(graph.edges)
+        # the wholesale refresh and the trials inherit the hop table of a
+        # graph that holds one, and compute it on a graph that does not
+        for warm in (False, True):
+            given = Graph(5, self.GRAPH.edge_array())
+            if warm:
+                geodesics(given)
+            graph, state = guarded_refresh(given, self.CANDIDATE,
+                                           self.PARAMS, [2] * 5)
+            assert state is not None
+            assert (0, 4) not in graph.edges
+            assert {(0, 3), (2, 4)} <= set(graph.edges)
+            self.assert_table_as_computed(graph)
 
     def test_coincident_edge_rejects_the_candidate(self):
         x = self.CANDIDATE.copy()

@@ -1,7 +1,11 @@
 """Graph container, geodesic table, diameter and disk-proximity construction."""
 
 import collections
+import dataclasses
+import gc
 import warnings
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from support import (
     reference_graph_layout,
 )
 
-from rigidnet import _cores
+from rigidnet import _cores, control, graphs
+from rigidnet.experiments import reference_control_config, sample_framework
 from rigidnet.graphs import (
     UNREACHABLE,
     GeodesicTable,
@@ -21,6 +26,8 @@ from rigidnet.graphs import (
     GraphDisconnectedError,
     diameter,
     disk_proximity_graph,
+    edited,
+    geodesics,
     induced_subgraph,
     is_biconnected,
     is_connected,
@@ -28,6 +35,8 @@ from rigidnet.graphs import (
     proximity,
     separations,
 )
+from rigidnet.simnet import make_world, run_exchange_phase, step_simulation
+from rigidnet.subframeworks import ball_set
 
 
 def cycle(n):
@@ -345,6 +354,142 @@ class TestHopTableByBreadthFirstSearch:
         assert GeodesicTable.compute(g).dist.tobytes() == bfs_table(
             g).tobytes()
         assert seen == [1, 2] and blas.threads == 2
+
+
+def edit_sequence(rng, n, kind):
+    """Edge arrays of n nodes, each a few edits from the one before it:
+    additions, deletions, both, or deletions down to an edgeless graph."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    on = rng.random(len(pairs)) < min(1.0, 4.0 / n)
+    if kind == "disconnect":
+        on = rng.random(len(pairs)) < min(1.0, 3.0 / n)
+    for _ in range(12):
+        k = int(rng.integers(1, 5))
+        if kind == "add":
+            flip = rng.choice(np.flatnonzero(~on), min(k, (~on).sum()),
+                              replace=False)
+        elif kind in ("delete", "disconnect"):
+            flip = rng.choice(np.flatnonzero(on), min(k, on.sum()),
+                              replace=False)
+        else:
+            flip = rng.choice(len(pairs), k, replace=False)
+        on[flip] = ~on[flip]
+        yield pairs[on]
+
+
+class TestInheritedHopTable:
+    """A Graph made by graphs.edited inherits its parent's hop table and
+    adjacency, derived by the edit between them; both must equal those of
+    a Graph built cold on the same edges, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["add", "delete", "mixed", "disconnect"])
+    def test_equals_a_cold_table_along_seeded_edits(self, kind):
+        rng = np.random.default_rng(["add", "delete", "mixed",
+                                     "disconnect"].index(kind))
+        unreachable = False
+        for n in (8, 13, 30, 60, 120):
+            parent = Graph(n, np.empty((0, 2), dtype=np.intp))
+            geodesics(parent)
+            for edges in edit_sequence(rng, n, kind):
+                child = edited(parent, edges)
+                cold = Graph(n, edges)
+                dist = geodesics(child).dist
+                assert dist.tobytes() == GeodesicTable.compute(
+                    cold).dist.tobytes()
+                assert np.array_equal(child.adjacency(),
+                                      graphs._adjacency(cold))
+                assert child.adjacency().dtype == np.float32
+                for a in (dist, child.adjacency()):
+                    assert not a.flags.writeable
+                unreachable |= bool(np.isinf(dist).any())
+                parent = child
+        assert unreachable
+
+    def test_a_child_holds_no_reference_to_its_parent(self):
+        rng = np.random.default_rng(3)
+        parent = disk_proximity_graph(rng.uniform(0, 10, (40, 2)), 3.0)
+        geodesics(parent)
+        child = edited(parent, parent.edge_array()[1:])
+        gone = weakref.ref(parent)
+        del parent
+        gc.collect()
+        assert gone() is None
+        assert geodesics(child).dist.tobytes() == GeodesicTable.compute(
+            Graph(40, child.edge_array())).dist.tobytes()
+
+    def test_a_parent_without_a_table_gives_a_cold_child(self, monkeypatch):
+        parent = cycle(7)
+        child = edited(parent, parent.edge_array()[1:])
+        computed = []
+        compute = GeodesicTable.compute.__func__
+        monkeypatch.setattr(GeodesicTable, "compute", classmethod(
+            lambda cls, g: computed.append(g) or compute(cls, g)))
+        assert geodesics(child).dist.tobytes() == bfs_table(child).tobytes()
+        assert computed == [child]
+
+
+def _cold_twin(graph):
+    return Graph(graph.n, graph.edge_array())
+
+
+def _estimated_scenario():
+    """120 robots at the reference density, steering on their estimates."""
+    side = 150.0 * np.sqrt(2.0)
+    return dataclasses.replace(
+        reference_control_config(), n=120, width=side, height=side,
+        noise_std=0.05, anchors=(0, 1), use_estimates=True,
+        initial_estimate_error=0.5)
+
+
+@pytest.mark.parametrize("scenario", [reference_control_config,
+                                      _estimated_scenario],
+                         ids=["opening", "estimated"])
+def test_refreshed_graphs_build_as_cold_ones(monkeypatch, scenario):
+    # every Graph the loop's refreshes and guard trials derive over 40
+    # ticks: its balls, their layouts and its exchange compile equal a
+    # cold Graph's on the same edges
+    config = scenario()
+    fw, _ = sample_framework(np.random.default_rng(config.seed), config)
+    world = make_world(fw, config.control, config)
+    derived, computed = [], []
+
+    def recorded(parent, edges):
+        derived.append(edited(parent, edges))
+        return derived[-1]
+
+    compute = GeodesicTable.compute.__func__
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "edited", recorded)
+        patch.setattr(GeodesicTable, "compute", classmethod(
+            lambda cls, g: computed.append(g) or compute(cls, g)))
+        for _ in range(40):
+            step_simulation(world)
+    # every table of the run is derived from the first one
+    assert len(derived) >= 5 and computed == []
+    h, d = world.extents, fw.dim
+    for graph in derived:
+        twin = _cold_twin(graph)
+        assert geodesics(graph).dist.tobytes() == geodesics(
+            twin).dist.tobytes()
+        got, want = ball_set(graph, h, d), ball_set(twin, h, d)
+        for name in ("inside", "c", "coeff", "ttl"):
+            assert getattr(got, name).tobytes() == getattr(
+                want, name).tobytes()
+        for name in ("nodes", "offsets", "edge", "ends", "ball"):
+            a, b = getattr(got.stack, name), getattr(want.stack, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(got.layouts) == len(want.layouts)
+        for a, b in zip(got.layouts, want.layouts):
+            for name in ("sides", "index", "src"):
+                assert getattr(a, name).tobytes() == getattr(
+                    b, name).tobytes()
+        (schedule, log), (cold_schedule, cold_log) = (
+            run_exchange_phase(SimpleNamespace(graph=g, dim=d), h)
+            for g in (graph, twin))
+        for name in ("members", "rows", "fire_order"):
+            assert np.array_equal(getattr(schedule, name),
+                                  getattr(cold_schedule, name))
+        assert log == cold_log
 
 
 class TestConnectivity:
