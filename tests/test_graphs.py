@@ -428,10 +428,6 @@ class TestInheritedHopTable:
         assert computed == [child]
 
 
-def _cold_twin(graph):
-    return Graph(graph.n, graph.edge_array())
-
-
 def _estimated_scenario():
     """120 robots at the reference density, steering on their estimates."""
     side = 150.0 * np.sqrt(2.0)
@@ -468,7 +464,7 @@ def test_refreshed_graphs_build_as_cold_ones(monkeypatch, scenario):
     assert len(derived) >= 5 and computed == []
     h, d = world.extents, fw.dim
     for graph in derived:
-        twin = _cold_twin(graph)
+        twin = Graph(graph.n, graph.edge_array())
         assert geodesics(graph).dist.tobytes() == geodesics(
             twin).dist.tobytes()
         got, want = ball_set(graph, h, d), ball_set(twin, h, d)
