@@ -441,8 +441,9 @@ def guarded_refresh(graph, positions, params, extents, vectors=True):
     otherwise changes are admitted one edge at a time and the harmful ones
     wait: an overstretched edge some ball still needs stays in the graph, a
     new link that would pull an unbraced node into a ball stays pending.
-    Each trial's Graph is the admitted one's edge array with one edge
-    removed or added, and inherits the admitted one's hop table.
+    Each trial's Graph is the admitted one's edge array with one row
+    removed or inserted in order, and inherits the admitted one's hop
+    table.
     Returns the admitted graph with its control state, or (None, None) when
     even the unchanged edge set fails at these positions.  Without vectors
     every state is solved for eigenvalues only, which decides every
@@ -460,10 +461,13 @@ def guarded_refresh(graph, positions, params, extents, vectors=True):
         return None, None
     admitted = graph
     for e in np.concatenate(_edit(graph, full)):
+        # the edge's row in the admitted edge order, or where it would go
         edges = admitted.edge_array()
-        held = (edges == e).all(axis=1)
-        trial = edited(admitted, edges[~held] if held.any()
-                       else np.vstack([edges, e]))
+        k = int(np.searchsorted(edges[:, 0] * graph.n + edges[:, 1],
+                                e[0] * graph.n + e[1]))
+        held = k < len(edges) and (edges[k] == e).all()
+        trial = edited(admitted, np.delete(edges, k, axis=0) if held
+                       else np.insert(edges, k, e, axis=0))
         t_state = _state_if_rigid(trial, positions, params, extents, vectors)
         if t_state is not None:
             admitted, state = trial, t_state

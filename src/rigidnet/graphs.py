@@ -2,8 +2,9 @@
 
 Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
 topology changes produce a new Graph.  A Graph is built from its edge
-array, validated and sorted in numpy, and the slot layout (one slot per
-node and neighbor, see Graph) is built with it.  Whatever else depends on
+array, validated and sorted in numpy (an array already sorted is only
+checked), and the slot layout (one slot per node and neighbor, see
+Graph) is built with it.  Whatever else depends on
 the edge set alone (the edge list, the dense float32 adjacency, the
 geodesic table, the controller's balls and layouts) is computed once per
 Graph and kept on it (Graph.cached).  The geodesic table, a breadth-first
@@ -38,8 +39,10 @@ class Graph:
     A graph is built from its edge array: any (m, 2) array or sequence of
     integer id pairs, checked and put in canonical form in numpy, one row
     (i, j) with i < j per edge, rows sorted lexicographically.  That order
-    fixes row order in rigidity matrices and serialized output.  The list
-    of tuples in edges is derived from the array on first read.
+    fixes row order in rigidity matrices and serialized output; an array
+    already in that form, as a topology refresh builds it, is only checked
+    and needs no sort.  The list of tuples in edges is derived from the
+    array on first read.
 
     Every per-neighbor array reads one read-only slot layout: node i owns
     slots slots[i]:slots[i + 1], one per neighbor in ascending order, and
@@ -61,10 +64,17 @@ class Graph:
             raise ValueError(
                 f"node ids must be integers, got dtype {given.dtype}")
         given = given.astype(np.intp, copy=False)
-        lo, hi = given.min(axis=1), given.max(axis=1)
-        order = np.lexsort((hi, lo))
-        e = np.stack([lo[order], hi[order]], axis=1)
-        self._reject_invalid(given, e, order)
+        lo, hi = given.T
+        key = lo * self.n + hi
+        if ((lo < hi) & (lo >= 0) & (hi < self.n)).all() and (
+                key[1:] > key[:-1]).all():
+            # in canonical form already: in range, i < j, rows ascending
+            e = given.copy()
+        else:
+            lo, hi = given.min(axis=1), given.max(axis=1)
+            order = np.lexsort((hi, lo))
+            e = np.stack([lo[order], hi[order]], axis=1)
+            self._reject_invalid(given, e, order)
         self.m = len(e)
         # a stable sort by owner puts node i's lower neighbors j (edges
         # (j, i), ascending j) before its higher ones (edges (i, j))
@@ -129,11 +139,16 @@ class Graph:
         computed once.  Each name keeps one value: a call with another key
         computes and keeps that key's value instead.
         """
-        memo = self.__dict__.setdefault("_memo", {})
-        hit = memo.get(name)
-        if hit is None or hit[0] != key:
-            hit = memo[name] = (key, build(self))
-        return hit[1]
+        value = self.kept(name, key)
+        if value is None:
+            value = build(self)
+            self.__dict__.setdefault("_memo", {})[name] = (key, value)
+        return value
+
+    def kept(self, name, key):
+        """The value cached under name for key, or None if there is none."""
+        hit = self.__dict__.get("_memo", {}).get(name)
+        return hit[1] if hit is not None and hit[0] == key else None
 
     def adjacency(self):
         """The dense n x n float32 adjacency matrix, one 1.0 per slot; built
@@ -419,9 +434,9 @@ def edited(parent, edges):
     no reference to parent.
     """
     g = Graph(parent.n, edges)
-    kept = parent.__dict__.get("_memo", {}).get("geodesics")
+    kept = parent.kept("geodesics", None)
     if kept is not None:
-        dist, adjacency = kept[1].dist.copy(), parent.adjacency().copy()
+        dist, adjacency = kept.dist.copy(), parent.adjacency().copy()
         _edited_table(dist, adjacency, *_edit(parent, g))
         for a in (dist, adjacency):
             a.setflags(write=False)

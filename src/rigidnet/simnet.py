@@ -155,7 +155,7 @@ class RoundLog:
 
     outbox_sizes: list = field(default_factory=list)
     pair_round: dict = field(default_factory=dict)
-    expected_pairs: frozenset = frozenset()
+    expected_pairs: frozenset = field(default_factory=frozenset)
     completion_round: int = None
 
     @classmethod

@@ -149,8 +149,9 @@ def _assert_layout_as_reference(g, n, edges):
 
 
 class TestEdgeArrayConstruction:
-    """The constructor validates and sorts its edge array in numpy; a loop
-    over the edges (support.reference_graph_layout) is the reference."""
+    """The constructor validates and sorts its edge array in numpy, or
+    only checks one already in canonical form; a loop over the edges
+    (support.reference_graph_layout) is the reference."""
 
     @pytest.mark.parametrize("form", [
         lambda e: [tuple(p) for p in e],
@@ -167,6 +168,20 @@ class TestEdgeArrayConstruction:
                      for i, j in g.edges]
             edges = [edges[k] for k in rng.permutation(len(edges))]
             _assert_layout_as_reference(Graph(n, form(edges)), n, edges)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp])
+    def test_canonical_arrays_match_a_loop_and_stay_the_callers(self, dtype):
+        # an array already in canonical form skips the sort; the graph
+        # keeps a read-only copy and leaves the given array as it was
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n = int(rng.integers(0, 25))
+            g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
+            given = g.edge_array().astype(dtype)
+            built = Graph(n, given)
+            _assert_layout_as_reference(built, n, g.edges)
+            assert given.flags.writeable
+            assert not np.shares_memory(built.edge_array(), given)
 
     @pytest.mark.parametrize("edges", [
         [], (), np.empty((0, 2), dtype=np.intp), np.empty((0, 2), dtype=int)])
@@ -191,9 +206,12 @@ class TestEdgeArrayConstruction:
         (4, [(0, 9), (1, 1)]),
         (4, [(0, 1), (2, 3), (3, 2), (1, 0)]),
         (3, np.array([[2, 2], [0, 1]])),
+        # ascending rows, but not canonical
+        (3, np.array([[0, 1], [0, 1]])),
+        (3, np.array([[0, 1], [1, 3]])),
     ], ids=["self-loop", "too-high", "negative", "reversed-duplicate",
             "duplicate", "duplicate-first", "self-loop-first", "range-first",
-            "earliest-repeat", "array"])
+            "earliest-repeat", "array", "sorted-duplicate", "sorted-too-high"])
     def test_errors_name_the_first_bad_edge_as_the_loop_does(self, n, edges):
         with pytest.raises(ValueError) as want:
             reference_graph_layout(n, edges)

@@ -126,6 +126,23 @@ def test_every_expected_pair_is_delivered():
     assert log.completion_round == 2 * int(state.extents.max())
 
 
+def test_compiled_log_reads_as_the_engine_log_in_any_order():
+    # the compiled log builds expected_pairs and pair_round on first read,
+    # whichever of them, or complete, is read first
+    fw = apex_framework()
+    params = ControlParams(comm_range=2.0, steepness=2.0)
+    state = build_control_state(fw, params)
+    _, engine = run_message_engine(fw, state.extents, params)
+    assert engine.complete
+    assert run_exchange_phase(fw, state.extents)[1].complete
+    log = run_exchange_phase(fw, state.extents)[1]
+    assert log.expected_pairs == engine.expected_pairs
+    assert log.pair_round == engine.pair_round
+    log = run_exchange_phase(fw, state.extents)[1]
+    assert log.pair_round == engine.pair_round
+    assert log.expected_pairs == engine.expected_pairs
+
+
 def test_floods_one_hop_short_leave_the_exchange_incomplete(monkeypatch):
     fw = apex_framework()
     params = ControlParams(comm_range=2.0, steepness=2.0)
