@@ -67,7 +67,6 @@ from .simnet import (
     Message,
     ProtocolViolation,
     RoundLog,
-    ExchangeSchedule,
     World,
     WorldConfig,
     broadcast_estimates,

@@ -163,10 +163,14 @@ def framework_from_json(data):
     positions = data["positions"]
     if not isinstance(positions, list):
         raise ValueError(f"positions must be a list, got {positions!r}")
-    for row in positions:
+    for k, row in enumerate(positions):
         if not (isinstance(row, list) and all(_is_a(v, float) for v in row)):
             raise ValueError(
                 f"a position must be a list of numbers, got {row!r}")
+        if len(row) != len(positions[0]):
+            raise ValueError(
+                f"position {k} has {len(row)} coordinates and position 0 "
+                f"has {len(positions[0])}")
     return Framework(Graph(int(data["n"]), edges), positions)
 
 

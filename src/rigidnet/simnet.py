@@ -27,18 +27,18 @@ message with real payloads; it is the proof that the exchange ends within
 run_exchange_phase, the routing formula, which derives the engine's
 delivery order and round log from the geodesic table and the BallSet
 without building a message (the non-edge check needs messages, so it runs
-only in the engine).  The formula builds no per-pair Python object: the
-round log's pair_round and expected_pairs are built from its arrays when
-first read, which the closed loop never does.  A refreshed Graph inherits
-its parent's hop table (graphs.edited), which the formula and the BallSet
-read.  The closed loop compiles each topology once with the
-formula and keeps its (ExchangeSchedule, RoundLog) pair on the Graph
-(Graph.cached, keyed on the extents), beside the topology's BallSet: where
-each delivered (center, member) pair sits in the BallSet's stack, and the
-centers' firing order.  No tick runs the engine.
-Every tick on that Graph, the first included, replays the schedule: every
+only in the engine).  Both give one RoundLog: the traffic per round and
+the center, member and round of every delivery, as arrays in delivery
+order, and the formula builds no per-pair Python object.  A refreshed
+Graph inherits its parent's hop table (graphs.edited), which the formula
+and the BallSet read.  The closed loop compiles each topology once with
+the formula and keeps its (rows, RoundLog) pair on the Graph
+(Graph.cached, keyed on the extents), beside the topology's BallSet: rows
+says where each delivered (center, member) pair sits in the BallSet's
+stack.  No tick runs the engine.
+Every tick on that Graph, the first included, replays the log: every
 center's payloads are computed from its ball members' positions only and
-summed in the recorded delivery order, which gives the engine's commands
+summed in the logged delivery order, which gives the engine's commands
 bit for bit.  On ground truth the guard's accepted control state already
 holds every ball's eigendata at these positions, so the replay solves
 nothing; on believed positions it builds one control state there, and
@@ -142,52 +142,29 @@ class Message(namedtuple("Message", "origin kind ttl path payload target route",
                                    route))
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundLog:
-    """Audit trail of one exchange: traffic per round and delivery rounds.
+    """Audit trail of one exchange: traffic per round and every delivery.
 
     Every message sent in a round arrives in that round, so outbox_sizes
-    counts each round's deliveries as well as its sends.  The engine fills
-    pair_round as it delivers; the routing formula's log holds its
-    deliveries as arrays and builds pair_round and expected_pairs from them
-    on first read.
+    counts each round's deliveries as well as its sends.  The k-th
+    delivered payload is center[k]'s for member[k], in round round[k], in
+    delivery order; a log holds every pair of the exchange, since an
+    incomplete exchange raises instead.
     """
 
-    outbox_sizes: list = field(default_factory=list)
-    pair_round: dict = field(default_factory=dict)
-    expected_pairs: frozenset = field(default_factory=frozenset)
-    completion_round: int = None
-
-    @classmethod
-    def _of_deliveries(cls, outbox_sizes, center, member, land):
-        """The log of deliveries of (center[k], member[k]) in round land[k],
-        in delivery order; pair_round and expected_pairs are built from
-        these arrays on first read."""
-        log = cls.__new__(cls)
-        log.outbox_sizes = outbox_sizes
-        log.completion_round = int(land.max())
-        log._deliveries = (center, member, land)
-        return log
-
-    def __getattr__(self, name):
-        # reached only for an attribute not yet set: pair_round and
-        # expected_pairs of a log made by _of_deliveries
-        deliveries = self.__dict__.get("_deliveries")
-        if deliveries is None or name not in ("pair_round", "expected_pairs"):
-            raise AttributeError(name)
-        center, member, land = deliveries
-        pairs = list(zip(center.tolist(), member.tolist()))
-        self.pair_round = dict(zip(pairs, land.tolist()))
-        self.expected_pairs = frozenset(pairs)
-        return self.__dict__[name]
+    outbox_sizes: list
+    center: np.ndarray
+    member: np.ndarray
+    round: np.ndarray
 
     @property
     def rounds(self):
         return len(self.outbox_sizes)
 
     @property
-    def complete(self):
-        return self.expected_pairs == set(self.pair_round)
+    def completion_round(self):
+        return int(self.round.max())
 
 
 def _check_edge(adj, sender, receiver):
@@ -240,8 +217,9 @@ def _center_payloads(center, h, member_data, params):
 
 
 def run_exchange_phase(fw, extents):
-    """The engine's delivery order and round log on a topology, in closed
-    form: (ExchangeSchedule, RoundLog), with no message built.
+    """The engine's round log on a topology, in closed form, with no message
+    built: (rows, log), where rows[k] is the row of the log's k-th delivery
+    in the topology's BallSet stack, whose balls follow center order.
 
     Synchronous flooding reaches every node at its hop count g, first from
     the lowest-numbered sender one hop nearer.  So center j has heard its
@@ -293,13 +271,8 @@ def run_exchange_phase(fw, extents):
         - np.bincount(land[ret] + 1, minlength=rounds + 2))
     sizes = (floods + returns)[1:rounds + 1].astype(np.intp)
 
-    log = RoundLog._of_deliveries(sizes.tolist(), center[order],
-                                  member[order], land[order])
-    # a center keeps its own pair the round it fires, so centers fire in
-    # (round, id) order
-    schedule = ExchangeSchedule(members=member[order], rows=order,
-                                fire_order=np.argsort(fire, kind="stable"))
-    return schedule, log
+    return order, RoundLog(sizes.tolist(), center[order], member[order],
+                           land[order])
 
 
 def run_message_engine(fw, extents, params, trace=None):
@@ -325,11 +298,9 @@ def run_message_engine(fw, extents, params, trace=None):
     balls = ball_set(fw.graph, h, fw.dim)
     members = [np.flatnonzero(row).tolist() for row in balls.inside]
     member_sets = [frozenset(m) for m in members]
+    expected = sum(map(len, members))
     ttl = balls.ttl.tolist()
     limit = 2 * int(h.max())
-
-    log = RoundLog(expected_pairs=frozenset(
-        (j, i) for j in range(n) for i in members[j]))
 
     # per node: origin -> the first flood heard from it, whose payload is
     # (position, neighbor ids) and whose path is the way it came; each node
@@ -339,7 +310,8 @@ def run_message_engine(fw, extents, params, trace=None):
                          (x[i].copy(), nbrs[i]))} for i in range(n)]
     missing = [len(m) - 1 for m in members]
     ready = [j for j in range(n) if not missing[j]]
-    contributions = {}
+    # each delivered payload, and the round it landed in, in delivery order
+    contributions, landed, outbox_sizes = {}, [], []
     outbox = [[] for _ in range(n)]
 
     def fire(centers, round_index):
@@ -349,7 +321,7 @@ def run_message_engine(fw, extents, params, trace=None):
             for i in members[j]:
                 if i == j:
                     contributions[(j, j)] = computed[j]
-                    log.pair_round[(j, j)] = round_index
+                    landed.append(round_index)
                     continue
                 route = (j,) + heard[j][i].path[::-1]
                 outbox[j].append(Message(
@@ -388,7 +360,7 @@ def run_message_engine(fw, extents, params, trace=None):
                             inbox[nxt].append(msg)
                 if trace is not None:
                     _trace_line(trace, round_index, msg)
-        log.outbox_sizes.append(sent)
+        outbox_sizes.append(sent)
         outbox = [[] for _ in range(n)]
 
         ready = []
@@ -410,20 +382,22 @@ def run_message_engine(fw, extents, params, trace=None):
                                            ttl_left - 1, path + (i,), payload))
                 elif i == target:
                     contributions[(origin, i)] = payload
-                    log.pair_round[(origin, i)] = round_index
+                    landed.append(round_index)
                 else:
                     out.append(Message(origin, GRADIENT_RETURN, ttl_left - 1,
                                        path + (i,), payload, target, route))
         fire(ready, round_index)
-        if len(log.pair_round) == len(log.expected_pairs) and not any(outbox):
+        if len(contributions) == expected and not any(outbox):
             break
 
-    if not log.complete:
-        missing = sorted(log.expected_pairs - set(log.pair_round))[:5]
+    if len(contributions) < expected:
+        missing = [(j, i) for j in range(n) for i in members[j]
+                   if (j, i) not in contributions][:5]
         raise ProtocolViolation(
             f"exchange incomplete after {limit} rounds, e.g. pairs {missing}")
-    log.completion_round = max(log.pair_round.values())
-    return contributions, log
+    pairs = np.array(list(contributions), dtype=np.intp).reshape(-1, 2)
+    return contributions, RoundLog(outbox_sizes, pairs[:, 0], pairs[:, 1],
+                                   np.array(landed, dtype=np.intp))
 
 
 def broadcast_estimates(fw, estimates):
@@ -461,43 +435,28 @@ def decentralized_velocity(fw, extents, params):
     """Sum every robot's received slope payloads into its velocity command.
 
     Always runs the message engine; the closed loop replays the routing
-    formula's schedule instead (see tick_velocity), and this is the oracle
+    formula's round log instead (see tick_velocity), and this is the oracle
     the replay is checked against.  Matches the centralized field on the
     same positions.
     """
     contributions, log = run_message_engine(fw, extents, params)
-    members = np.array([i for _, i in contributions], dtype=np.intp)
     payloads = np.array(list(contributions.values()))
-    return _command(fw, params, members, payloads[:, 0], payloads[:, 1]), log
+    return (_command(fw, params, log.member, payloads[:, 0], payloads[:, 1]),
+            log)
 
 
-@dataclass
-class ExchangeSchedule:
-    """What a topology's exchange routing fixes for every tick on it.
-
-    members lists who received each (center, member) payload, in the order
-    the engine delivers them, and rows says where that payload sits in
-    the topology's BallSet stack, whose balls follow center order.
-    fire_order lists the centers in the order they fire, so a replay
-    meets a flexible ball where the engine would.  run_exchange_phase
-    builds it beside the topology's round log.
-    """
-
-    members: np.ndarray
-    rows: np.ndarray
-    fire_order: np.ndarray
-
-
-def _replay(schedule, world, x):
+def _replay(rows, log, world, x):
     """The exchange's velocity commands, from a control state's eigendata.
 
-    Used on every tick, the first on a topology included.  The world's
+    Used on every tick, the first on a topology included: log.member[k]
+    receives the payload in row rows[k] of the BallSet stack.  The world's
     accepted control state holds every ball's eigendata at its own
     positions, and is used as is when x are those positions; otherwise
     one control state is built at x and its balls are checked in firing
     order, so the first flexible ball raises the error the engine would
-    raise for it.  Believed positions that make no framework are a
-    localization failure: coincident neighbors raise
+    raise for it: a center keeps its own pair the round it fires, so the
+    self deliveries give that order.  Believed positions that make no
+    framework are a localization failure: coincident neighbors raise
     CoincidentEstimatesError, and positions or edge lengths that are not
     finite in float64 raise NonFiniteRangeError.
     """
@@ -511,7 +470,7 @@ def _replay(schedule, world, x):
             raise NonFiniteRangeError(
                 f"the believed positions make no framework: {exc}") from exc
         state = build_control_state(believed, params, world.extents)
-        for j in schedule.fire_order:
+        for j in log.center[log.center == log.member]:
             if not state.spectra[j].rigid:
                 raise RigidityLostError(
                     f"subframework of node {j} is not rigid")
@@ -519,27 +478,26 @@ def _replay(schedule, world, x):
     rigidity = state.rigidity_slopes()
     load = ball_load_slopes(balls.stack, balls.c, fw.graph.edge_array(),
                             fw.units, state.weights, params)
-    rows = schedule.rows
-    return _command(fw, params, schedule.members, rigidity[rows], load[rows])
+    return _command(fw, params, log.member, rigidity[rows], load[rows])
 
 
 def tick_velocity(world, positions):
     """One tick's velocity commands from believed positions, and its round log.
 
     The first tick on a topology (a Graph with the frozen extents) compiles
-    its exchange with run_exchange_phase: the engine's delivery order and
-    round log in closed form, with the 2 * eta check.  The (schedule, log)
-    pair is kept on the Graph beside the topology's BallSet.  Every tick,
-    the first included, replays that schedule: each ball's payloads come
-    from its members' positions alone and are summed in the recorded
-    delivery order, so the commands equal the engine's bit for bit, and
-    the recorded round log is returned.
+    its exchange with run_exchange_phase: the engine's round log in closed
+    form, with the 2 * eta check, and each delivery's row in the BallSet
+    stack.  The (rows, log) pair is kept on the Graph beside the topology's
+    BallSet.  Every tick, the first included, replays that log: each ball's
+    payloads come from its members' positions alone and are summed in the
+    logged delivery order, so the commands equal the engine's bit for bit,
+    and the log is returned.
     """
     fw = world.framework
-    schedule, log = fw.graph.cached(
-        "exchange_schedule", world.extents.tobytes(),
+    rows, log = fw.graph.cached(
+        "exchange", world.extents.tobytes(),
         lambda graph: run_exchange_phase(fw, world.extents))
-    return _replay(schedule, world, positions), log
+    return _replay(rows, log, world, positions), log
 
 
 @dataclass

@@ -279,6 +279,8 @@ CASES = [
                   r"got \[True, 0\]", positions=[[0, 0], [True, 0], [0, 1]]),
     triangle_file("huge-int-position", "int too large to convert to float",
                   positions=[[0, 0], [10**400, 0], [0, 1]]),
+    triangle_file("ragged-positions", "position 1 has 3 coordinates and "
+                  "position 0 has 2", positions=[[0, 0], [1, 0, 5], [0, 1]]),
     # finite positions whose edge lengths overflow float64: read as they
     # are, the triangle would have zero unit vectors and be flexible
     triangle_file("far-positions",

@@ -14,7 +14,6 @@ from rigidnet.graphs import (
     is_connected,
 )
 from rigidnet.rigidity import Framework
-from rigidnet.simnet import ExchangeSchedule
 
 
 def random_graph(rng, n, p):
@@ -149,24 +148,28 @@ def state_at(state, positions):
 
 
 def engine_schedule(pairs):
-    """The ExchangeSchedule of an engine run, from its (center, member)
-    pairs in delivery order (the keys of its contributions).
-
-    A center keeps its own pair the round it fires, so the self pairs give
-    the firing order; a pair's row is its place in (center, member) order,
-    which is the BallSet stack's.
-    """
+    """The BallSet stack row of each pair an engine run delivered, from its
+    (center, member) pairs in delivery order (the keys of its
+    contributions): a pair's row is its place in (center, member) order,
+    which is the BallSet stack's."""
     pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
     rows = np.empty(len(pairs), dtype=np.intp)
     rows[np.lexsort((pairs[:, 1], pairs[:, 0]))] = np.arange(len(pairs))
-    return ExchangeSchedule(members=pairs[:, 1], rows=rows,
-                            fire_order=pairs[pairs[:, 0] == pairs[:, 1], 0])
+    return rows
 
 
-def schedule_arrays(schedule):
-    """An ExchangeSchedule's arrays as lists, to compare with ==."""
-    return {name: getattr(schedule, name).tolist()
-            for name in ("members", "rows", "fire_order")}
+def log_arrays(log):
+    """A RoundLog's traffic and deliveries as lists, in delivery order, to
+    compare with ==."""
+    return {"outbox_sizes": log.outbox_sizes,
+            **{name: getattr(log, name).tolist()
+               for name in ("center", "member", "round")}}
+
+
+def pair_rounds(log):
+    """The delivery round of every (center, member) pair of a RoundLog."""
+    return dict(zip(zip(log.center.tolist(), log.member.tolist()),
+                    log.round.tolist()))
 
 
 class FakeBlas:

@@ -12,6 +12,7 @@ import numpy as np
 from support import (
     central_difference,
     floyd_warshall,
+    log_arrays,
     random_connected_graph,
     random_disk_framework,
     random_framework,
@@ -46,6 +47,7 @@ from rigidnet import (
     rigidity_spectrum,
     run_control_experiment,
     run_ensemble_experiment,
+    run_exchange_phase,
     run_message_engine,
     run_static_filter,
     verify_extents,
@@ -229,7 +231,11 @@ def test_exchange_completes_within_round_bound():
         eta = int(h.max())
         expected = {(j, i) for j in range(n) for i, d in
                     enumerate(floyd_warshall(fw.graph)[j]) if d <= h[j]}
-        if (log.complete and log.completion_round <= 2 * eta
+        # the routing formula the closed loop compiles logs the same
+        # deliveries in the same order
+        _, compiled = run_exchange_phase(fw, h)
+        if (log_arrays(log) == log_arrays(compiled)
+                and log.completion_round <= 2 * eta
                 and set(contributions) == expected):
             in_bound += 1
 

@@ -11,8 +11,10 @@ The apex case also holds the engine's per-message trace lines.  Six cases
 cover eta 1 to 4 in the plane and eta 1 and 2 in space.  Every case runs
 twice: through the engine with the slope payloads ("slopes"), and through
 run_exchange_phase, the routing formula the closed loop compiles with,
-which computes no payload ("placeholders").  Both give an ExchangeSchedule
-and a round log, and both are held to the recorded fields.
+which computes no payload ("placeholders").  Both give each delivery's
+BallSet stack row and a round log, and both are held to the recorded
+fields: the log's (center, member) pairs in delivery order are the
+recorded contribution order, and its self deliveries the firing order.
 """
 
 import io
@@ -33,7 +35,7 @@ from rigidnet.graphs import Graph
 from rigidnet.rigidity import Framework
 from rigidnet.subframeworks import extent_assignment
 
-from support import engine_schedule, schedule_arrays
+from support import engine_schedule, log_arrays
 
 DATA = json.loads(
     (Path(__file__).parent / "data" / "exchange_routing.json").read_text())
@@ -71,18 +73,20 @@ def test_engine_routes_as_recorded(monkeypatch, case, path):
         contributions, log, fired = engine_run(monkeypatch, case)
         assert [[c, m] for c, m in contributions] == case["contributions"]
         assert fired == case["fire_order"]
-        schedule = engine_schedule(contributions)
+        rows = engine_schedule(contributions)
     else:
-        schedule, log = simnet.run_exchange_phase(
+        rows, log = simnet.run_exchange_phase(
             case_framework(case), np.array(case["extents"]))
-    assert (schedule_arrays(schedule)
-            == schedule_arrays(engine_schedule(case["contributions"])))
-    assert schedule.fire_order.tolist() == case["fire_order"]
+    assert rows.tolist() == engine_schedule(case["contributions"]).tolist()
+    assert (np.column_stack([log.center, log.member]).tolist()
+            == case["contributions"])
+    self_pairs = log.center == log.member
+    assert log.center[self_pairs].tolist() == case["fire_order"]
     # every message sent in a round arrives in it: both recorded sizes are
     # the engine's one per-round count
     assert log.outbox_sizes == case["inbox_sizes"] == case["outbox_sizes"]
-    assert (sorted([c, m, r] for (c, m), r in log.pair_round.items())
-            == case["pair_round"])
+    assert (sorted(np.column_stack([log.center, log.member, log.round])
+                   .tolist()) == case["pair_round"])
     assert log.completion_round == case["completion_round"]
 
 
@@ -112,11 +116,10 @@ EXCHANGE = simnet.run_exchange_phase
 
 def assert_routes_as_engine(fw, extents, params):
     """The routing formula against one engine run on the same topology."""
-    schedule, log = EXCHANGE(fw, extents)
+    rows, log = EXCHANGE(fw, extents)
     contributions, want_log = simnet.run_message_engine(fw, extents, params)
-    assert (schedule_arrays(schedule)
-            == schedule_arrays(engine_schedule(contributions)))
-    assert log == want_log
+    assert rows.tolist() == engine_schedule(contributions).tolist()
+    assert log_arrays(log) == log_arrays(want_log)
 
 
 LIVE_RUNS = {

@@ -22,7 +22,7 @@ from rigidnet.experiments import (
     run_control_experiment,
     sample_framework,
 )
-from rigidnet.graphs import Graph
+from rigidnet.graphs import Graph, geodesics
 from rigidnet.rigidity import (
     REL_TOL,
     Framework,
@@ -46,7 +46,12 @@ from rigidnet.simnet import (
 )
 from rigidnet.subframeworks import ball_grams
 
-from support import random_disk_framework, reject_every_step
+from support import (
+    log_arrays,
+    pair_rounds,
+    random_disk_framework,
+    reject_every_step,
+)
 
 
 def apex_framework():
@@ -92,7 +97,12 @@ def test_all_unit_extents_complete_in_two_rounds():
     assert state.extents.max() == 1
     contributions, log = run_message_engine(fw, state.extents, params)
     assert log.completion_round == 2
-    assert log.complete
+    # every node's ball is itself and its neighbors, and every pair of it
+    # is delivered once
+    expected = {(j, i) for j in range(fw.n)
+                for i in [j, *fw.graph.neighbors(j).tolist()]}
+    assert len(log.center) == len(expected)
+    assert set(pair_rounds(log)) == expected
 
 
 def test_hub_contribution_reaches_rim_in_round_two():
@@ -100,9 +110,10 @@ def test_hub_contribution_reaches_rim_in_round_two():
     params = ControlParams(comm_range=3.0)
     state = build_control_state(fw, params)
     _, log = run_message_engine(fw, state.extents, params)
+    landed = pair_rounds(log)
     for rim in range(1, 6):
-        assert log.pair_round[(0, rim)] == 2
-    assert log.pair_round[(0, 0)] <= 1
+        assert landed[(0, rim)] == 2
+    assert landed[(0, 0)] <= 1
 
 
 def test_exchange_meets_round_bound_on_disk_frameworks():
@@ -120,27 +131,28 @@ def test_every_expected_pair_is_delivered():
     params = ControlParams(comm_range=2.0, steepness=2.0)
     state = build_control_state(fw, params)
     contributions, log = run_message_engine(fw, state.extents, params)
-    assert set(contributions) == set(log.expected_pairs)
+    hops = geodesics(fw.graph).dist
+    assert set(contributions) == {
+        (j, i) for j in range(fw.n) for i in range(fw.n)
+        if hops[j, i] <= state.extents[j]}
+    # the log holds the contributions' pairs, in delivery order
+    assert list(contributions) == list(pair_rounds(log))
     # completion round equals the latest delivery and respects the bound
-    assert log.completion_round == max(log.pair_round.values())
+    assert log.completion_round == max(pair_rounds(log).values())
     assert log.completion_round == 2 * int(state.extents.max())
 
 
 def test_compiled_log_reads_as_the_engine_log_in_any_order():
-    # the compiled log builds expected_pairs and pair_round on first read,
-    # whichever of them, or complete, is read first
+    # the compiled log holds the engine's deliveries in the engine's order,
+    # and its counts read off them
     fw = apex_framework()
     params = ControlParams(comm_range=2.0, steepness=2.0)
     state = build_control_state(fw, params)
     _, engine = run_message_engine(fw, state.extents, params)
-    assert engine.complete
-    assert run_exchange_phase(fw, state.extents)[1].complete
     log = run_exchange_phase(fw, state.extents)[1]
-    assert log.expected_pairs == engine.expected_pairs
-    assert log.pair_round == engine.pair_round
-    log = run_exchange_phase(fw, state.extents)[1]
-    assert log.pair_round == engine.pair_round
-    assert log.expected_pairs == engine.expected_pairs
+    assert log_arrays(log) == log_arrays(engine)
+    assert log.rounds == engine.rounds
+    assert log.completion_round == engine.completion_round
 
 
 def test_floods_one_hop_short_leave_the_exchange_incomplete(monkeypatch):
@@ -420,8 +432,7 @@ def engine_checked_run(monkeypatch, world, ticks):
             Framework(w.framework.graph, positions), w.extents, w.params)
         assert u.tobytes() == u_engine.tobytes()
         # every log handed out came from an engine run on this topology
-        assert log.pair_round == log_engine.pair_round
-        assert log.outbox_sizes == log_engine.outbox_sizes
+        assert log_arrays(log) == log_arrays(log_engine)
         assert log.completion_round == log_engine.completion_round
         return u, log
 
