@@ -22,22 +22,22 @@ built there.  It measures and never judges: it has no clock, and its
 caller calls require_rigid.
 
 A state build takes everything the topology fixes (the balls' membership
-mask and stack, load coefficients, the layout of the balls' S) from the
-BallSet kept on its Graph, and refresh_topology hands back the very Graph
-it was given while the edge set holds.  A new edge set, the wholesale
-refresh's or a guard trial's, makes a Graph that inherits its parent's
-hop table and dense adjacency (graphs.edited), so its ball set is built
-from its edit's table, not from a new search.  The edge unit vectors and
-lengths are the Framework's, measured once when it was built.  So on an
-unchanged topology a build reads the edge geometry from its framework,
+mask, load coefficients, and the stack with the layout of the balls' S)
+from the BallSet kept on its Graph, and refresh_topology hands back the
+very Graph it was given while the edge set holds.  A new edge set, the
+wholesale refresh's or a guard trial's, makes a Graph that inherits its
+parent's hop table and dense adjacency (graphs.edited), so its ball set is
+built from its edit's table, not from a new search.  The edge unit vectors
+and lengths are the Framework's, measured once when it was built.  So on
+an unchanged topology a build reads the edge geometry from its framework,
 evaluates the link weights, assembles the balls' S by d x d blocks, a
 bincount per group of balls, and solves each ball once.  The guard solves
 with eigenvectors on ground truth, where the replay reuses its accepted
-state, and for eigenvalues only while the robots steer on estimates,
-where nothing reads the eigenvectors; a state without them refuses its
-slopes by name (EigenvectorsNotSolvedError).  Each guard trial's build
-also solves its whole framework's S in the same batch as its balls, for
-simnet's per-tick check.  This module only assembles the batch of S;
+state, and for eigenvalues only while the robots steer on estimates, where
+nothing reads the eigenvectors; a state without them refuses its slopes by
+name (EigenvectorsNotSolvedError).  Each guard trial's build also solves
+its whole framework's S in the same batch as its balls, for simnet's
+per-tick check.  This module only assembles the batch of S;
 rigidity._spectra solves it, on one BLAS thread, and on both cores where
 the process may use two and has the GIL-free eigenvalue-only kernel.
 
@@ -57,11 +57,10 @@ from scipy.special import expit
 
 from .graphs import _edit, edited, proximity
 from .rigidity import (
-    CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram
+    CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram,
+    framework_stack
 )
-from .subframeworks import (
-    BallSet, ball_grams, ball_set, extent_assignment, stack_balls
-)
+from .subframeworks import BallSet, ball_set, extent_assignment
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +231,7 @@ def build_control_state(fw, params, extents=None, vectors=True):
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)
 
-    grams = ball_grams(balls.layouts, fw.units, weights)
+    grams = balls.stack.grams(fw.units, weights)
     with_vectors = [vectors] * len(grams)
     check = _GUARD_TRIAL.get()
     if check:
@@ -301,7 +300,7 @@ def _collision_slopes(fw, p):
 def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     """Per-member d/dx of rho^(-q) for every ball of a stack, one row each.
 
-    stack is a subframeworks.BallStack; rhos holds each ball's rigidity
+    stack is a rigidity.BallStack; rhos holds each ball's rigidity
     eigenvalue and nus its eigenvector, one d-vector per stack row; units,
     lengths and weights describe every edge of the framework.  Both the
     unit-vector rows and the logistic weights of S_j move with the
@@ -329,7 +328,7 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     return _edge_sums(stack.ends, ga, len(nus))
 
 
-def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
+def ball_load_slopes(stack, cs, units, weights, params):
     """Per-member d/dx of every stacked ball's frozen-coefficient load.
 
     cs[t] holds the load coefficient of every node for the center of ball
@@ -340,8 +339,8 @@ def ball_load_slopes(stack, cs, edge_endpoints, units, weights, params):
     """
     k = stack.edge
     dw = _weight_slopes(weights[k], params.steepness)
-    pair = (cs[stack.ball, edge_endpoints[k, 0]]
-            + cs[stack.ball, edge_endpoints[k, 1]])
+    a, b = stack.nodes[stack.ends.T]
+    pair = cs[stack.ball, a] + cs[stack.ball, b]
     gl = (pair * dw)[:, None] * units[k]
     return _edge_sums(stack.ends, gl, len(stack.nodes))
 
@@ -358,10 +357,8 @@ def load_gradient_all(state):
     """d/dx of the load potential with the ball coefficients held frozen:
     ball_load_slopes of one ball of every node, with the summed coeff."""
     fw = state.framework
-    e = fw.graph.edge_array()
-    return ball_load_slopes(stack_balls(np.ones((1, fw.n), dtype=bool), e),
-                            state.ball_set.coeff[None, :], e, fw.units,
-                            state.weights, state.params)
+    return ball_load_slopes(framework_stack(fw), state.ball_set.coeff[None, :],
+                            fw.units, state.weights, state.params)
 
 
 def collision_gradient_all(state):

@@ -6,7 +6,7 @@ array, validated and sorted in numpy (an array already sorted is only
 checked), and the slot layout (one slot per node and neighbor, see
 Graph) is built with it.  Whatever else depends on
 the edge set alone (the edge list, the dense float32 adjacency, the
-geodesic table, the controller's balls and layouts) is computed once per
+geodesic table, the controller's ball stacks) is computed once per
 Graph and kept on it (Graph.cached).  The geodesic table, a breadth-first
 search from every node at once, is the one source of hop counts.  A
 topology change costs its edit: the Graph that edited builds inherits its
@@ -185,7 +185,8 @@ def _degree_groups(g):
 
 
 def diameter(g):
-    """Maximum eccentricity over all nodes.  Errors out on disconnected graphs."""
+    """Maximum eccentricity over all nodes.  Errors out on disconnected
+    graphs and on a graph with no node."""
     return geodesics(g).diameter()
 
 
@@ -334,6 +335,8 @@ class GeodesicTable:
         return self.dist.max(axis=1)
 
     def diameter(self):
+        if not len(self.dist):
+            raise ValueError("diameter undefined for a graph with no node")
         ecc = self.eccentricities()
         if np.isinf(ecc).any():
             raise GraphDisconnectedError("diameter undefined for disconnected graph")

@@ -24,9 +24,9 @@ nodes, whose framework rigidity_report and is_infinitesimally_rigid
 refuse (FrameworkTooSmallError), and otherwise rho against one threshold,
 REL_TOL relative to the largest eigenvalue; the rank test reads it too.
 Every S it is given is assembled by d x d blocks, S = sum over edges of
-w r r^T, by a GramLayout: each edge's signed blocks are formed once
-(edge_blocks), and one gather and one bincount build the S of one
-framework or of many stacked balls, with no dense R.
+w r r^T, by a BallStack (a whole framework is the stack of one ball):
+each edge's signed blocks are formed once (edge_blocks), and one gather
+and one bincount per group of balls build every S, with no dense R.
 The dense R (rigidity_matrix) and R^T W R (symmetric_rigidity_matrix) stay
 as the reference the blocks are tested against and for the SVD rank test.
 Every dense solve runs with BLAS on one thread, and a state build's batch
@@ -145,7 +145,7 @@ def _checked_weights(weights, m):
 def symmetric_rigidity_matrix(R, weights):
     """Dense S = R^T W R, symmetrized, for positive weights (all-ones: normalized case).
 
-    The reference that the block assembly of GramLayout is checked against.
+    The reference that the block assembly of BallStack is checked against.
     """
     w = _checked_weights(weights, R.shape[0])
     S = R.T @ (w[:, None] * R)
@@ -171,87 +171,137 @@ def edge_blocks(units, weights=None):
     return np.stack([blocks, -blocks], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class GramLayout:
-    """Where the d x d blocks of every edge land in one or more stacked S.
+# Block entries assembled per bincount.  One pass over all the balls of a
+# 120-robot network would hold a few MB of temporaries; passes of this size
+# keep each temporary near 128 kB at the same speed.
+GROUP_ENTRIES = 1 << 14
 
-    Ball t of a BallStack (a whole framework is a stack of one ball)
-    has S of side sides[t] = d * n_t, its rows in the order of the ball's
-    members, and the balls' S lie end to end in one flat array.
-    Each block entry of an edge of a ball has its flat position in index
-    and, in src, its place in the framework's edge_blocks: the four blocks
-    aa, bb, ab, ba of each of the ball's edges, each row-major, edge after
-    edge.  Every S entry therefore sums its terms in edge order, and a
-    ball's S comes out the same bits whatever it is stacked with.  Both
-    arrays are read-only.
+
+@dataclass(frozen=True, eq=False)
+class BallStack:
+    """Balls laid end to end, and where every block entry of their S lands.
+
+    Rows offsets[t]:offsets[t + 1] are ball t's members nodes[...], in
+    ascending order.  For every induced edge of every ball, balls in
+    order and each ball's edges in edge order, edge is its index in the
+    framework, ends the stack rows of its two endpoints and ball its ball.
+    Ball t's S has side sides[t] = d * n_t.  Runs of balls of at most
+    GROUP_ENTRIES block entries (or one ball alone) form groups, each with
+    its S end to end in one flat array; row g of cuts is group g's first
+    ball and block entry.  A block entry's flat position in its group is
+    in index, and in src its place in the framework's edge_blocks: blocks
+    aa, bb, ab, ba of each edge, row-major, edge after edge.  So every S
+    entry sums its terms in edge order, the same bits however the balls
+    are stacked or grouped.  Every array is read-only.
     """
 
+    nodes: np.ndarray
+    offsets: np.ndarray
+    edge: np.ndarray
+    ends: np.ndarray
+    ball: np.ndarray
     sides: np.ndarray
     index: np.ndarray
     src: np.ndarray
+    cuts: np.ndarray
 
-    @classmethod
-    def of(cls, d, counts, edge, ends, ball):
-        """Layout of framework edges edge[k] joining rows ends[k] of ball
-        ball[k]; counts[t] is ball t's size."""
-        edge = np.asarray(edge, dtype=np.intp)
-        sides = d * np.asarray(counts, dtype=np.intp)
-        sizes = sides * sides
-        span = max(sizes.sum(), 2 * d * d * (edge.max(initial=-1) + 1))
-        dtype = np.int32 if span <= np.iinfo(np.int32).max else np.intp
-        # entry (p, q) of block (r, c) of an edge of ball t lies at flat
-        # start[t] + (d * r + p) * side[t] + d * c + q.  Each block's corner
-        # (p = q = 0) and each row's offset are formed once, in dtype and
-        # edge-last, so that one broadcast adds them up along the edges (a
-        # broadcast along the d entries of a row runs 3-4 times slower);
-        # one transposing copy then lays them out edge after edge.  No
-        # partial sum exceeds span.
-        side = sides.astype(dtype)[ball]
-        a, b = (d * ends.T).astype(dtype)
-        # the flat starts of the rows of a and of b
-        ra = (np.cumsum(sizes) - sizes).astype(dtype)[ball]
-        rb = b * side + ra
-        ra += a * side
-        corner = np.stack([ra + a, rb + b, ra + b, rb + a])
-        rows = np.arange(d, dtype=dtype)[:, None] * side
-        index = (corner[:, None, None] + rows[:, None]
-                 + np.arange(d, dtype=dtype)[:, None])
-        # entry (p, q) of the signed block s of edge k is edge_blocks's
-        # flat (2k + s) * d * d + p * d + q, laid out edge after edge
-        block = (_BLOCK_NEGATED[:, None] * d * d + np.arange(d * d)).ravel()
-        src = ((2 * d * d) * edge).astype(dtype)[:, None] + block.astype(dtype)
-        layout = cls(sides, index.transpose(3, 0, 1, 2).ravel(), src.ravel())
-        for a in (layout.sides, layout.index, layout.src):
-            a.setflags(write=False)
-        return layout
-
-    def grams(self, blocks):
-        """Each ball's S = sum of w r r^T over its edges, gathered from
-        the framework's edge_blocks; an off-diagonal block holds one
-        edge's block, so every S is exactly symmetric."""
-        sizes = self.sides * self.sides
-        # np.take reads an int32 index faster than blocks.ravel()[src] does
-        flat = np.bincount(self.index, np.take(blocks, self.src),
-                           minlength=sizes.sum())
-        starts = np.cumsum(sizes) - sizes
-        return [flat[o:o + k * k].reshape(k, k)
-                for o, k in zip(starts.tolist(), self.sides.tolist())]
+    def grams(self, units, weights=None):
+        """Each ball's S = sum of w r r^T over its edges, from every edge's
+        units and weights (None: unweighted): the edges' signed blocks are
+        formed once, and each group takes its own and sums them with one
+        bincount.  An off-diagonal block holds one edge's block, so every
+        S is exactly symmetric."""
+        blocks = edge_blocks(units, weights)
+        sides, cuts, grams = self.sides.tolist(), self.cuts.tolist(), []
+        for (t0, i0), (t1, i1) in zip(cuts, cuts[1:]):
+            # np.take reads an int32 index faster than blocks.ravel()[src]
+            flat = np.bincount(self.index[i0:i1],
+                               np.take(blocks, self.src[i0:i1]),
+                               minlength=sum(k * k for k in sides[t0:t1]))
+            o = 0
+            for k in sides[t0:t1]:
+                grams.append(flat[o:o + k * k].reshape(k, k))
+                o += k * k
+        return grams
 
 
-def _framework_layout(d):
-    def build(graph):
-        m = graph.m
-        return GramLayout.of(d, [graph.n], np.arange(m), graph.edge_array(),
-                             np.zeros(m, dtype=np.intp))
-    return build
+def _stack(d, nodes, offsets, edge, ends, ball):
+    """The BallStack of ball t's members nodes[offsets[t]:offsets[t + 1]]
+    and of edges edge[k] joining stack rows ends[k] of ball ball[k]."""
+    sides = d * np.diff(offsets)
+    sizes = sides * sides
+    # first[t]: ball t's first block entry.  A group is the longest run of
+    # balls from its first within GROUP_ENTRIES, one ball at least.
+    first = 4 * d * d * np.searchsorted(ball, np.arange(len(sides) + 1))
+    cuts = [0]
+    while cuts[-1] < len(sides):
+        t1 = np.searchsorted(first, first[cuts[-1]] + GROUP_ENTRIES, "right")
+        cuts.append(max(cuts[-1] + 1, int(t1) - 1))
+    # each ball's flat start within its group
+    start = np.cumsum(sizes) - sizes
+    start -= np.repeat(start[cuts[:-1]], np.diff(cuts))
+    span = max((start + sizes).max(initial=0),
+               2 * d * d * (edge.max(initial=-1) + 1))
+    dtype = np.int32 if span <= np.iinfo(np.int32).max else np.intp
+    # entry (p, q) of block (r, c) of an edge of ball t lies at flat
+    # start[t] + (d * r + p) * side[t] + d * c + q, r and c counted from
+    # the ball's first row.  Block corners (p = q = 0) and row offsets are
+    # formed once, in dtype and edge-last, so one broadcast adds them up
+    # along the edges (along a row's d entries it runs 3-4 times slower);
+    # one transposing copy lays them out edge after edge.  No partial sum
+    # exceeds span.
+    side = sides.astype(dtype)[ball]
+    a, b = (d * (ends - offsets[ball][:, None]).T).astype(dtype)
+    # the flat starts of the rows of a and of b
+    ra = start.astype(dtype)[ball]
+    rb = b * side + ra
+    ra += a * side
+    corner = np.stack([ra + a, rb + b, ra + b, rb + a])
+    rows = np.arange(d, dtype=dtype)[:, None] * side
+    index = (corner[:, None, None] + rows[:, None]
+             + np.arange(d, dtype=dtype)[:, None])
+    # entry (p, q) of the signed block s of edge k is edge_blocks's flat
+    # (2k + s) * d * d + p * d + q, laid out edge after edge
+    block = (_BLOCK_NEGATED[:, None] * d * d + np.arange(d * d)).ravel()
+    src = ((2 * d * d) * edge).astype(dtype)[:, None] + block.astype(dtype)
+    stack = BallStack(nodes, offsets, edge, ends, ball, sides,
+                      index.transpose(3, 0, 1, 2).ravel(), src.ravel(),
+                      np.stack([cuts, first[cuts]], axis=1))
+    for a in vars(stack).values():
+        a.setflags(write=False)
+    return stack
+
+
+def stack_balls(inside, edge_endpoints, d):
+    """The BallStack in d dimensions of the balls whose members are the
+    true entries of the rows of the (balls x n) boolean mask inside, in
+    row order."""
+    balls, n = inside.shape
+    a, b = edge_endpoints.T
+    member = np.flatnonzero(inside)
+    offsets = np.searchsorted(member, n * np.arange(balls + 1))
+    # row[t * n + j]: the stack row of node j in ball t, where j is a member
+    row = np.empty(balls * n, dtype=np.intp)
+    row[member] = np.arange(len(member))
+    ball, edge = np.divmod(np.flatnonzero(inside[:, a] & inside[:, b]),
+                           len(a))
+    ends = row[ball[:, None] * n + edge_endpoints[edge]]
+    return _stack(d, member % n, offsets, edge, ends, ball)
+
+
+def framework_stack(fw):
+    """The BallStack of a whole framework, one ball of members 0..n-1
+    holding every edge, built once and kept on its graph."""
+    n, m = fw.n, fw.graph.m
+    return fw.graph.cached("framework_stack", fw.dim, lambda graph: _stack(
+        fw.dim, np.arange(n), np.array([0, n]), np.arange(m),
+        graph.edge_array(), np.zeros(m, dtype=np.intp)))
 
 
 def framework_gram(fw):
-    """Block-assembled unweighted S of a whole framework, by the layout
-    kept on its graph."""
-    layout = fw.graph.cached("framework_layout", fw.dim,
-                             _framework_layout(fw.dim))
-    return layout.grams(edge_blocks(fw.units))[0]
+    """Block-assembled unweighted S of a whole framework, by the stack kept
+    on its graph."""
+    return framework_stack(fw).grams(fw.units)[0]
 
 
 @dataclass(frozen=True)
@@ -467,10 +517,13 @@ def diameter_bound_certificate(g):
 
     Picks a pair (p, q) realizing the diameter D, sets u_i = g_pi / D and
     mean-centers it.  The returned quotient sits between lambda_2(L) and
-    2m/D^2, certifying the diameter bound without any eigensolve.
+    2m/D^2, certifying the diameter bound without any eigensolve.  A graph
+    of one node (D = 0) is a ValueError, as in diameter_eigenvalue_bound.
     """
     table = geodesics(g)
     D = table.diameter()
+    if D < 1:
+        raise ValueError("diameter must be at least 1")
     p = int(np.argmax(table.eccentricities()))
     u = table.dist[p] / D
     ut = u - u.mean()

@@ -99,15 +99,10 @@ from .rigidity import (
     CoincidentNodesError,
     Framework,
     framework_gram,
+    framework_stack,
     rigidity_spectrum,
 )
-from .subframeworks import (
-    ball_grams,
-    ball_set,
-    communication_load,
-    stack_balls,
-    stack_layouts,
-)
+from .subframeworks import ball_set, communication_load
 
 POSITION_FLOOD = "position_flood"
 GRADIENT_RETURN = "gradient_return"
@@ -199,12 +194,11 @@ def _center_payloads(center, h, member_data, params):
              for v in nodes for u in member_data[v][1] if u in local and u != v}
     fw = Framework(Graph(len(nodes), edges),
                    np.array([member_data[v][0] for v in nodes], dtype=float))
-    e = fw.graph.edge_array()
-    stack = stack_balls(np.ones((1, fw.n), dtype=bool), e)
+    stack = framework_stack(fw)
     c = np.maximum(0.0, h - geodesics(fw.graph).dist[local[center]])
 
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
-    [S] = ball_grams(stack_layouts(stack, fw.dim), fw.units, weights)
+    [S] = stack.grams(fw.units, weights)
     # a ball that fails the test stops the exchange
     spectrum = rigidity_spectrum(S, fw.dim)
     if not spectrum.rigid:
@@ -212,7 +206,7 @@ def _center_payloads(center, h, member_data, params):
     rigidity = ball_rigidity_slopes(stack, [spectrum.rho],
                                     spectrum.nu.reshape(-1, fw.dim), fw.units,
                                     fw.lengths, weights, params)
-    load = ball_load_slopes(stack, c[None, :], e, fw.units, weights, params)
+    load = ball_load_slopes(stack, c[None, :], fw.units, weights, params)
     return {v: (rigidity[t], load[t]) for t, v in enumerate(nodes)}
 
 
@@ -476,8 +470,8 @@ def _replay(rows, log, world, x):
                     f"subframework of node {j} is not rigid")
     fw, balls = state.framework, state.ball_set
     rigidity = state.rigidity_slopes()
-    load = ball_load_slopes(balls.stack, balls.c, fw.graph.edge_array(),
-                            fw.units, state.weights, params)
+    load = ball_load_slopes(balls.stack, balls.c, fw.units, state.weights,
+                            params)
     return _command(fw, params, log.member, rigidity[rows], load[rows])
 
 

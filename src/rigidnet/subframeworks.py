@@ -6,21 +6,21 @@ i; when every node has one, local rigidity everywhere certifies rigidity of
 the whole framework, so maintenance can run on subframeworks alone.
 
 Hop-balls are rows of one boolean membership mask, inside[t, j] = g_tj <=
-h_t, read off the graph's geodesic table, and stack_balls is the one place
-that turns such a mask into balls laid end to end (a BallStack): the
-per-ball slopes, the GramLayouts that assemble every ball's S by d x d
-blocks, a group of balls per bincount, the extent search and the message
-engine's centers all read their balls from one.  What a graph and the
-frozen extents fix for every ball (the membership mask, load coefficients,
-flood ttls, the stack and its layouts) is a BallSet, computed once per
-Graph and kept on it (ball_set).  The extent search stacks the balls of
-all centers still searching at one radius the same way and solves them as
-one batch on one BLAS thread, each ball by rigidity's one verdict
+h_t, read off the graph's geodesic table, and rigidity.stack_balls is the
+one place that turns such a mask into balls laid end to end, with the
+layout of their S (a BallStack): the per-ball slopes, the assembly of
+every ball's S by d x d blocks, a group of balls per bincount, the extent
+search and the message engine's centers all read their balls from one.
+What a graph and the frozen extents fix for every ball (the membership
+mask, load coefficients, flood ttls and the stack) is a BallSet, computed
+once per Graph and kept on it (ball_set).  The extent search stacks the
+balls of all centers still searching at one radius the same way and solves
+them as one batch on one BLAS thread, each ball by rigidity's one verdict
 (rigidity._spectrum; TOO_SMALL for a ball of at most d nodes), apart from
-the balls that rigidity's counting rule (flexible_by_count) already
-proves flexible, which it never stacks.  The load
-coefficients max(0, h_j - g_ji) are one table, kept on the Graph under the
-extents, that the BallSet and communication_load both read.
+the balls that rigidity's counting rule (flexible_by_count) already proves
+flexible, which it never stacks.  The load coefficients max(0, h_j - g_ji)
+are one table, kept on the Graph under the extents, that the BallSet and
+communication_load both read.
 """
 
 from dataclasses import dataclass
@@ -30,89 +30,20 @@ import numpy as np
 from . import _cores
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
-    Framework, GramLayout, _spectrum, edge_blocks, flexible_by_count
+    BallStack, Framework, _spectrum, flexible_by_count, stack_balls
 )
 
 
 def extract_subframework(fw, center, extent):
     """Framework induced by the ball of the given hop radius around center,
     with local node ids, and the sorted global ids of its nodes."""
-    if extent < 0:
+    if not 0 <= center < fw.n:
+        raise ValueError(f"node {center} out of range for n={fw.n}")
+    if not extent >= 0:
         raise ValueError("extent must be nonnegative")
     nodes = np.flatnonzero(geodesics(fw.graph).dist[center] <= extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
     return Framework(sub, fw.positions[nodes]), nodes
-
-
-@dataclass(frozen=True, eq=False)
-class BallStack:
-    """Balls laid end to end, one row per member of each ball.
-
-    Rows offsets[t]:offsets[t + 1] are ball t's members nodes[...], in
-    ascending order.  For every induced edge of every ball, balls in
-    order and each ball's edges in edge order, edge is its index in the
-    framework, ends the rows of its two endpoints and ball its ball.
-    """
-
-    nodes: np.ndarray
-    offsets: np.ndarray
-    edge: np.ndarray
-    ends: np.ndarray
-    ball: np.ndarray
-
-
-def stack_balls(inside, edge_endpoints):
-    """The BallStack of the balls whose members are the true entries of the
-    rows of the (balls x n) boolean mask inside, in row order."""
-    balls, n = inside.shape
-    a, b = edge_endpoints.T
-    member = np.flatnonzero(inside)
-    offsets = np.zeros(balls + 1, dtype=np.intp)
-    np.cumsum(np.bincount(member // n, minlength=balls), out=offsets[1:])
-    # row[t * n + j]: the stack row of node j in ball t, where j is a member
-    row = np.empty(balls * n, dtype=np.intp)
-    row[member] = np.arange(len(member))
-    ball, edge = np.divmod(np.flatnonzero(inside[:, a] & inside[:, b]),
-                           len(a))
-    at = ball * n
-    ends = np.stack([row[at + a[edge]], row[at + b[edge]]], axis=1)
-    return BallStack(nodes=member % n, offsets=offsets, edge=edge, ends=ends,
-                     ball=ball)
-
-
-# Block entries assembled per bincount.  One pass over all the balls of a
-# 120-robot network would hold a few MB of temporaries; passes of this size
-# keep each temporary near 128 kB at the same speed.
-GROUP_ENTRIES = 1 << 14
-
-
-def stack_layouts(stack, d):
-    """GramLayouts of runs of consecutive balls of a stack, each run holding
-    at most GROUP_ENTRIES block entries (or one ball alone when it has more)."""
-    counts = np.diff(stack.offsets)
-    # the block entries through ball t, and each ball's first stack edge
-    total = np.cumsum(4 * d * d * np.bincount(stack.ball,
-                                                minlength=len(counts)))
-    first = np.searchsorted(stack.ball, np.arange(len(counts) + 1))
-    ends = stack.ends - stack.offsets[stack.ball][:, None]
-    layouts, t0 = [], 0
-    while t0 < len(counts):
-        # the longest run from t0 within GROUP_ENTRIES, one ball at least
-        held = total[t0 - 1] + GROUP_ENTRIES if t0 else GROUP_ENTRIES
-        t1 = max(t0 + 1, int(np.searchsorted(total, held, side="right")))
-        rows = slice(first[t0], first[t1])
-        layouts.append(GramLayout.of(d, counts[t0:t1], stack.edge[rows],
-                                     ends[rows], stack.ball[rows] - t0))
-        t0 = t1
-    return tuple(layouts)
-
-
-def ball_grams(layouts, units, weights=None):
-    """Every ball's S, in layout order, from every edge's units and weights:
-    the edges' signed blocks are formed once, and each layout gathers its
-    own."""
-    blocks = edge_blocks(units, weights)
-    return [S for layout in layouts for S in layout.grams(blocks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +55,8 @@ class BallSet:
     and coeff its column sums; ttl[i] is the widest extent among the
     centers whose balls hold node i, so a flood from i that many hops deep
     reaches all of them.  stack lays the balls end to end in center order,
-    and layouts assemble their S group by group of consecutive balls.
-    Nothing here depends on positions, and every array is read-only.
+    with the layout of their S.  Nothing here depends on positions, and
+    every array is read-only.
     """
 
     inside: np.ndarray
@@ -133,7 +64,6 @@ class BallSet:
     coeff: np.ndarray
     ttl: np.ndarray
     stack: BallStack
-    layouts: tuple
 
 
 def _load_table(graph, extents):
@@ -151,14 +81,13 @@ def _load_table(graph, extents):
 def _build_ball_set(extents, d):
     def build(graph):
         inside = geodesics(graph).dist <= extents[:, None]
-        stack = stack_balls(inside, graph.edge_array())
-        layouts = stack_layouts(stack, d)
+        stack = stack_balls(inside, graph.edge_array(), d)
         c = _load_table(graph, extents)
         coeff = c.sum(axis=0)
         ttl = np.where(inside, extents[:, None], 0).max(axis=0)
-        for a in (inside, c, coeff, ttl, *vars(stack).values()):
+        for a in (inside, c, coeff, ttl):
             a.setflags(write=False)
-        return BallSet(inside, c, coeff, ttl, stack, layouts)
+        return BallSet(inside, c, coeff, ttl, stack)
     return build
 
 
@@ -181,10 +110,9 @@ def _rigid_balls(fw, inside):
     solved."""
     rigid = np.zeros(len(inside), dtype=bool)
     solve = np.flatnonzero(~flexible_by_count(fw.graph, inside, fw.dim))
-    layouts = stack_layouts(
-        stack_balls(inside[solve], fw.graph.edge_array()), fw.dim)
+    stack = stack_balls(inside[solve], fw.graph.edge_array(), fw.dim)
     rigid[solve] = [_spectrum(S, fw.dim, False, np.linalg.eigvalsh).rigid
-                    for S in ball_grams(layouts, fw.units)]
+                    for S in stack.grams(fw.units)]
     return rigid
 
 
@@ -226,6 +154,8 @@ def verify_extents(fw, extents):
 
 def inclusion_group(graph, extents, i):
     """Sorted centers whose subframework contains node i: {j : g_ij <= h_j}."""
+    if not 0 <= i < graph.n:
+        raise ValueError(f"node {i} out of range for n={graph.n}")
     h = np.asarray(extents, dtype=float)
     return [int(j) for j in np.flatnonzero(geodesics(graph).dist[i] <= h)]
 
@@ -241,6 +171,6 @@ def communication_load(g, extents):
     h = np.asarray(extents, dtype=float)
     if h.shape != (g.n,):
         raise ValueError(f"expected {g.n} extents, got shape {h.shape}")
-    if (h < 1).any():
+    if not (h >= 1).all():
         raise ValueError("extents must be at least 1")
     return _load_table(g, h) @ g.degrees().astype(float)

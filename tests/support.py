@@ -1,9 +1,12 @@
 """Shared generators and brute-force oracles used across the test suite."""
 
 import dataclasses
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from rigidnet.control import build_control_state
 from rigidnet.graphs import (
@@ -14,6 +17,20 @@ from rigidnet.graphs import (
     is_connected,
 )
 from rigidnet.rigidity import Framework
+
+
+def skip_unless_recorded_build():
+    """Skip a check of recorded bits unless this is the numpy version and
+    BLAS build that data/final_state_digests.json was recorded with."""
+    digests = json.loads(
+        (Path(__file__).parent / "data" / "final_state_digests.json")
+        .read_text())
+    recorded = (digests["numpy"], digests["blas"])
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    here = (np.__version__, f"{blas['name']} {blas['version']}")
+    if here != recorded:
+        pytest.skip(f"digests were recorded on numpy {recorded[0]} with "
+                    f"{recorded[1]}; this is numpy {here[0]} with {here[1]}")
 
 
 def random_graph(rng, n, p):

@@ -6,9 +6,11 @@ themselves; randomized checks draw from fixed seeds so reruns see the
 same instances.
 """
 
+import hashlib
 import time
 
 import numpy as np
+import pytest
 from support import (
     central_difference,
     floyd_warshall,
@@ -17,6 +19,7 @@ from support import (
     random_disk_framework,
     random_framework,
     random_rigid_framework,
+    skip_unless_recorded_build,
     state_at,
 )
 
@@ -278,8 +281,22 @@ def test_ensemble_statistics():
     )
 
 
-def test_control_run_stays_rigid_and_sheds_load():
-    world, rows, error = run_control_experiment(reference_control_config())
+# md5 of the 200 s reference run's CSV, as `rigidnet control --config
+# configs/reference_control.json --csv` writes it
+REFERENCE_CSV_MD5 = "2515bcc2cf712ceb1a5f17bf4cee11d8"
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """The 200 s reference run, once: its rows, its error and its CSV bytes."""
+    csv = tmp_path_factory.mktemp("reference") / "series.csv"
+    _, rows, error = run_control_experiment(reference_control_config(),
+                                            csv_path=csv)
+    return rows, error, csv.read_bytes()
+
+
+def test_control_run_stays_rigid_and_sheds_load(reference_run):
+    rows, error, _ = reference_run
     ts = np.array([r["t"] for r in rows])
     rho_min = np.array([r["rho_min"] for r in rows])
     ratio = np.array([r["load_ratio"] for r in rows])
@@ -301,6 +318,11 @@ def test_control_run_stays_rigid_and_sheds_load():
         f"{drop:.1%} from its peak of {peak:.2f}, framework eigenvalue "
         f"min {framework_rho.min():.2e}",
     )
+
+
+def test_reference_run_csv_as_recorded(reference_run):
+    skip_unless_recorded_build()
+    assert hashlib.md5(reference_run[2]).hexdigest() == REFERENCE_CSV_MD5
 
 
 def test_localization_converges():

@@ -50,7 +50,7 @@ from rigidnet.rigidity import (
     Framework, framework_gram, rigidity_report, rigidity_spectrum
 )
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
-from rigidnet.subframeworks import ball_grams, ball_set, extent_assignment
+from rigidnet.subframeworks import ball_set, extent_assignment
 
 
 def apex_framework():
@@ -204,7 +204,7 @@ class TestStateBuild:
         bare = build_control_state(fw, default_params(), vectors=False)
         assert full.vectors and not bare.vectors
         assert all(s.nu is None for s in bare.spectra)
-        grams = ball_grams(bare.ball_set.layouts, fw.units, bare.weights)
+        grams = bare.ball_set.stack.grams(fw.units, bare.weights)
         solved = [rigidity_spectrum(S, fw.dim, vectors=False) for S in grams]
 
         def verdicts(spectra):
@@ -708,7 +708,6 @@ class TestGradients:
         while state is None:
             state = fd_state(rng)
         n, d = state.framework.positions.shape
-        e = state.framework.graph.edge_array()
         stack = state.ball_set.stack
         nus = np.concatenate([s.nu for s in state.spectra]).reshape(-1, d)
         rigidity = ball_rigidity_slopes(
@@ -719,7 +718,7 @@ class TestGradients:
         assert np.allclose(acc, rigidity_gradient_all(state), atol=1e-12)
         # the load total sums whole-node coefficients over all edges, not
         # ball by ball, so the two sums meet only to rounding
-        load = ball_load_slopes(stack, state.ball_set.c, e,
+        load = ball_load_slopes(stack, state.ball_set.c,
                                 state.framework.units, state.weights,
                                 state.params)
         acc = np.zeros((n, d))

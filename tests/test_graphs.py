@@ -294,6 +294,11 @@ class TestGeodesicTable:
         with pytest.raises(GraphDisconnectedError):
             GeodesicTable.compute(g).diameter()
 
+    def test_diameter_raises_on_a_graph_with_no_node(self):
+        with pytest.raises(ValueError, match="graph with no node"):
+            diameter(Graph(0, []))
+        assert diameter(Graph(1, [])) == 0
+
 
 def adjacency_lists(g):
     """Each node's neighbors, by a loop over the edge list."""
@@ -490,14 +495,11 @@ def test_refreshed_graphs_build_as_cold_ones(monkeypatch, scenario):
         for name in ("inside", "c", "coeff", "ttl"):
             assert getattr(got, name).tobytes() == getattr(
                 want, name).tobytes()
-        for name in ("nodes", "offsets", "edge", "ends", "ball"):
+        # the members, induced edges and the layout of their S
+        for name in ("nodes", "offsets", "edge", "ends", "ball", "sides",
+                     "index", "src", "cuts"):
             a, b = getattr(got.stack, name), getattr(want.stack, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert len(got.layouts) == len(want.layouts)
-        for a, b in zip(got.layouts, want.layouts):
-            for name in ("sides", "index", "src"):
-                assert getattr(a, name).tobytes() == getattr(
-                    b, name).tobytes()
         (rows, log), (cold_rows, cold_log) = (
             run_exchange_phase(SimpleNamespace(graph=g, dim=d), h)
             for g in (graph, twin))

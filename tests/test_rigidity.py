@@ -36,26 +36,21 @@ from rigidnet.rigidity import (
     CoincidentNodesError,
     Framework,
     FrameworkTooSmallError,
-    GramLayout,
     RankMismatchError,
     diameter_bound_certificate,
     diameter_eigenvalue_bound,
-    edge_blocks,
     flexible_by_count,
     framework_gram,
+    framework_stack,
     is_infinitesimally_rigid,
     rigid_body_dim,
     rigidity_matrix,
     rigidity_report,
     rigidity_spectrum,
+    stack_balls,
     symmetric_rigidity_matrix,
 )
-from rigidnet.subframeworks import (
-    ball_grams,
-    extract_subframework,
-    stack_balls,
-    stack_layouts,
-)
+from rigidnet.subframeworks import extract_subframework
 
 
 def triangle():
@@ -224,7 +219,7 @@ def underflowing_weights(lengths, rng):
 
 
 def stacked_grams(inside, e, d, units, weights):
-    return ball_grams(stack_layouts(stack_balls(inside, e), d), units, weights)
+    return stack_balls(inside, e, d).grams(units, weights)
 
 
 class TestBlockAssembly:
@@ -239,10 +234,7 @@ class TestBlockAssembly:
             assert_matches_dense(framework_gram(fw), dense_gram(R, np.ones(len(R))))
             if len(R) > 1:
                 w = underflowing_weights(fw.lengths, rng)
-                e = fw.graph.edge_array()
-                layout = GramLayout.of(d, [fw.n], np.arange(len(e)), e,
-                                       np.zeros(len(e), dtype=np.intp))
-                [S] = layout.grams(edge_blocks(fw.units, w))
+                [S] = framework_stack(fw).grams(fw.units, w)
                 assert_matches_dense(S, dense_gram(R, w))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -270,26 +262,41 @@ class TestBlockAssembly:
                 assert_matches_dense(S, dense_gram(R, bw))
 
 
-def per_entry_grams(layout, edge, units, weights):
+def per_entry_grams(stack, units, weights):
     """Each ball's S by the per-entry formula that the gather replaced:
     every block entry forms its edge's outer product, weight product and
-    sign product on its own, and one bincount sums them at the layout's
-    index; edge[k] is the framework edge of the layout's k-th edge."""
-    r = units[edge]
+    sign product on its own, and one bincount over the whole stack sums
+    them at the stack's index, moved from its group's flat array to the
+    whole stack's."""
+    r = units[stack.edge]
     blocks = r[:, None, :, None] * r[:, None, None, :]
     if weights is not None:
-        blocks = weights[edge][:, None, None, None] * blocks
+        blocks = weights[stack.edge][:, None, None, None] * blocks
     signed = blocks * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
-    sizes = layout.sides * layout.sides
-    flat = np.bincount(layout.index, signed.ravel(), minlength=sizes.sum())
+    sizes = stack.sides * stack.sides
     starts = np.cumsum(sizes) - sizes
+    first, entry = stack.cuts.T
+    base = np.repeat(starts[first[:-1]], np.diff(entry))
+    flat = np.bincount(stack.index + base, signed.ravel(),
+                       minlength=sizes.sum())
     return [flat[o:o + k * k].reshape(k, k)
-            for o, k in zip(starts, layout.sides)]
+            for o, k in zip(starts, stack.sides)]
+
+
+# one ball's entries per group, the default groups, and one group
+GROUPINGS = (1, rigidity.GROUP_ENTRIES, 2**62)
+
+
+def groupings(monkeypatch):
+    """Each of GROUPINGS in turn, set as rigidity.GROUP_ENTRIES."""
+    for entries in GROUPINGS:
+        monkeypatch.setattr(rigidity, "GROUP_ENTRIES", entries)
+        yield entries
 
 
 class TestGatheredAssembly:
     """Every S gathered from the per-edge blocks has the bits of the
-    per-entry formula."""
+    per-entry formula, however the stack's balls are grouped."""
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -298,7 +305,7 @@ class TestGatheredAssembly:
             assert S.shape == ref.shape and S.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_balls_equal_the_per_entry_formula(self, d):
+    def test_balls_equal_the_per_entry_formula(self, d, monkeypatch):
         rng = np.random.default_rng(110 + d)
         for n, range_ in ((14, 0.5), (30, 0.35), (6, 0.05)):
             x = rng.uniform(size=(n, d))
@@ -309,39 +316,63 @@ class TestGatheredAssembly:
             # leaves most balls of every radius edgeless
             inside = np.concatenate([dist <= h for h in (0, 1, 2)]
                                     + [dist <= rng.integers(0, 4, size=(n, 1))])
-            stack = stack_balls(inside, e)
-            ends = stack.ends - stack.offsets[stack.ball][:, None]
-            layout = GramLayout.of(d, np.diff(stack.offsets), stack.edge,
-                                   ends, stack.ball)
-            assert layout.src.dtype == np.int32
-            assert not (layout.src.flags.writeable
-                        or layout.index.flags.writeable)
             w = (underflowing_weights(fw.lengths, rng) if fw.graph.m > 1
                  else rng.uniform(0.5, 1.0, fw.graph.m))
-            for weights in (None, w):
-                want = per_entry_grams(layout, stack.edge, fw.units, weights)
-                got = layout.grams(edge_blocks(fw.units, weights))
-                self.assert_same_bits(got, want)
-                # the groups of a stack's layouts keep those bits
-                self.assert_same_bits(stacked_grams(inside, e, d, fw.units,
-                                                    weights), want)
+            want = {}
+            for entries in groupings(monkeypatch):
+                stack = stack_balls(inside, e, d)
+                assert stack.src.dtype == stack.index.dtype == np.int32
+                assert not any(a.flags.writeable
+                               for a in vars(stack).values())
+                groups = len(stack.cuts) - 1
+                if entries == 1:
+                    assert groups >= len(np.unique(stack.ball))
+                elif entries == 2**62:
+                    assert groups == 1
+                for weights in (None, w):
+                    got = stack.grams(fw.units, weights)
+                    self.assert_same_bits(
+                        got, per_entry_grams(stack, fw.units, weights))
+                    # every grouping gives the same bits
+                    self.assert_same_bits(
+                        got, want.setdefault(weights is None, got))
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_whole_framework_equals_the_per_entry_formula(self, d):
+    def test_whole_framework_equals_the_per_entry_formula(self, d,
+                                                          monkeypatch):
         rng = np.random.default_rng(120 + d)
         for n, p in ((d + 2, 0.0), (9, 0.6), (25, 0.3)):
             fw = random_framework(rng, n, d, p)
-            m = fw.graph.m
-            layout = GramLayout.of(d, [n], np.arange(m), fw.graph.edge_array(),
-                                   np.zeros(m, dtype=np.intp))
-            [want] = per_entry_grams(layout, np.arange(m), fw.units, None)
-            assert framework_gram(fw).tobytes() == want.tobytes()
+            e = fw.graph.edge_array()
+            for _ in groupings(monkeypatch):
+                # a new graph keeps no stack yet
+                fresh = Framework(Graph(n, e), fw.positions)
+                stack = framework_stack(fresh)
+                # the one ball of every node and every edge
+                assert stack.nodes.tolist() == list(range(n))
+                assert stack.offsets.tolist() == [0, n]
+                assert stack.edge.tolist() == list(range(len(e)))
+                assert np.array_equal(stack.ends, e)
+                assert not stack.ball.any() and len(stack.cuts) == 2
+                [want] = per_entry_grams(stack, fw.units, None)
+                assert framework_gram(fresh).tobytes() == want.tobytes()
 
     @staticmethod
     def layout_by_loop(d, counts, edge, ends, ball):
-        """GramLayout.of's index and src, one edge's entries at a time."""
+        """rigidity._stack's sides, index, src and cuts, one ball and one
+        edge's entries at a time: a ball opens a new group when its block
+        entries would take the open group past rigidity.GROUP_ENTRIES."""
         sides = [d * int(c) for c in counts]
-        starts = np.cumsum([0] + [s * s for s in sides]).tolist()
+        held = [4 * d * d * int((ball == t).sum()) for t in range(len(sides))]
+        cuts, group, starts, start = [0], 0, [], 0
+        for t, k in enumerate(held):
+            if t > cuts[-1] and group + k > rigidity.GROUP_ENTRIES:
+                cuts.append(t)
+                group = start = 0
+            group += k
+            starts.append(start)
+            start += sides[t] * sides[t]
+        cuts.append(len(sides))
         index, src = [], []
         for k, (a, b) in enumerate(ends.tolist()):
             t = int(ball[k])
@@ -353,28 +384,32 @@ class TestGatheredAssembly:
                                      + d * c + q)
                         src.append(((2 * int(edge[k]) + negated) * d + p) * d
                                    + q)
-        return index, src
+        entries = [4 * d * d * int((ball < t).sum()) for t in cuts]
+        return sides, index, src, [list(c) for c in zip(cuts, entries)]
 
     @pytest.mark.parametrize("d", [2, 3])
     # an edge index above 2^28 puts src beyond int32 in 2-D and 3-D, so
     # both arrays fall back to intp
     @pytest.mark.parametrize("shift, dtype", [(0, np.int32),
                                               (2**28 + 5, np.intp)])
-    def test_layout_equals_a_per_edge_loop(self, d, shift, dtype):
+    def test_layout_equals_a_per_edge_loop(self, d, shift, dtype,
+                                           monkeypatch):
         rng = np.random.default_rng(130 + d)
         x = rng.uniform(size=(14, d))
         fw = Framework(disk_proximity_graph(x, 0.5), x)
         dist = GeodesicTable.compute(fw.graph).dist
         inside = np.concatenate([dist <= h for h in (0, 1, 2)])
-        stack = stack_balls(inside, fw.graph.edge_array())
+        stack = stack_balls(inside, fw.graph.edge_array(), d)
+        edge = stack.edge + shift
         ends = stack.ends - stack.offsets[stack.ball][:, None]
-        args = (d, np.diff(stack.offsets), stack.edge + shift, ends,
-                stack.ball)
-        layout = GramLayout.of(*args)
-        index, src = self.layout_by_loop(*args)
-        assert layout.index.dtype == layout.src.dtype == dtype
-        assert layout.index.tolist() == index
-        assert layout.src.tolist() == src
+        for _ in groupings(monkeypatch):
+            got = rigidity._stack(d, stack.nodes, stack.offsets, edge,
+                                  stack.ends, stack.ball)
+            want = self.layout_by_loop(d, np.diff(stack.offsets), edge,
+                                       ends, stack.ball)
+            assert got.index.dtype == got.src.dtype == dtype
+            assert [got.sides.tolist(), got.index.tolist(), got.src.tolist(),
+                    got.cuts.tolist()] == list(want)
 
 
 class TestOneUnweightedProduct:
@@ -673,6 +708,15 @@ class TestDiameterBound:
             assert lam2 <= quotient + 1e-9
             assert quotient <= bound + 1e-9
 
+    def test_certificate_rejects_a_single_node(self):
+        # D = 0 would divide 0 by 0
+        with pytest.raises(ValueError, match="diameter must be at least 1"):
+            diameter_bound_certificate(Graph(1, []))
+
+    def test_certificate_rejects_a_graph_with_no_node(self):
+        with pytest.raises(ValueError, match="graph with no node"):
+            diameter_bound_certificate(Graph(0, []))
+
     def test_rho_below_bound_random_planar_frameworks(self):
         rng = np.random.default_rng(16)
         for _ in range(25):
@@ -784,8 +828,7 @@ def kernel_matrices():
     e = fw.graph.edge_array()
     inside = GeodesicTable.compute(fw.graph).dist <= 2
     weights = expit(0.5 * (30.0 - fw.lengths))
-    yield from ball_grams(stack_layouts(stack_balls(inside, e), 2), fw.units,
-                          weights)
+    yield from stack_balls(inside, e, 2).grams(fw.units, weights)
     for side in (4, 7, 33, 128, 499, 501, 640):
         a = rng.normal(size=(side, side))
         yield a + a.T

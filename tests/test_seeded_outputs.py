@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import skip_unless_recorded_build
 
 from rigidnet import cli
 from rigidnet.cli import EXIT_OK, main
@@ -65,11 +66,6 @@ CONTROL = {
 
 
 DIGESTS = json.loads((DATA / "final_state_digests.json").read_text())
-
-
-def _blas_build():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas['name']} {blas['version']}"
 
 
 def _sha256(array):
@@ -105,17 +101,9 @@ def test_control_csv_as_recorded(name, control_runs, capsys):
     assert csv == (DATA / name).read_bytes()
 
 
-def _skip_unless_recorded_build():
-    recorded = (DIGESTS["numpy"], DIGESTS["blas"])
-    here = (np.__version__, _blas_build())
-    if here != recorded:
-        pytest.skip(f"digests were recorded on numpy {recorded[0]} with "
-                    f"{recorded[1]}; this is numpy {here[0]} with {here[1]}")
-
-
 @pytest.mark.parametrize("name", CONTROL)
 def test_control_final_state_as_recorded(name, control_runs):
-    _skip_unless_recorded_build()
+    skip_unless_recorded_build()
     world = control_runs[name][2]
     digests = {"positions": _sha256(world.framework.positions)}
     if world.config.use_estimates:
@@ -124,7 +112,7 @@ def test_control_final_state_as_recorded(name, control_runs):
 
 
 def test_control_final_covariances_as_recorded(control_runs):
-    _skip_unless_recorded_build()
+    skip_unless_recorded_build()
     world = control_runs["control_seed3_est.csv"][2]
     assert _sha256(world.filters.covariances) == DIGESTS["covariances"]["control_seed3_est.csv"]
 
@@ -142,7 +130,7 @@ def static_filter_run():
 
 
 def test_static_filter_final_state_as_recorded():
-    _skip_unless_recorded_build()
+    skip_unless_recorded_build()
     estimates, covariances = static_filter_run()
     assert {"estimates": _sha256(estimates),
             "covariances": _sha256(covariances)} == DIGESTS["static_filter"]

@@ -16,7 +16,7 @@ from rigidnet.control import (
     build_control_state,
     velocity_field,
 )
-from rigidnet import simnet
+from rigidnet import rigidity, simnet
 from rigidnet.experiments import (
     ScenarioConfig,
     run_control_experiment,
@@ -26,7 +26,6 @@ from rigidnet.graphs import Graph, geodesics
 from rigidnet.rigidity import (
     REL_TOL,
     Framework,
-    GramLayout,
     framework_gram,
     is_infinitesimally_rigid,
     rigidity_spectrum,
@@ -44,7 +43,6 @@ from rigidnet.simnet import (
     run_simulation,
     step_simulation,
 )
-from rigidnet.subframeworks import ball_grams
 
 from support import (
     log_arrays,
@@ -545,8 +543,9 @@ def test_each_new_graph_runs_the_engine_once(monkeypatch):
 
 
 def test_layouts_are_built_on_a_topology_s_first_tick_only(monkeypatch):
-    """Over 20 ticks on one topology, the GramLayouts of its balls and of
-    its whole framework are built on the first tick and kept on the graph."""
+    """Over 20 ticks on one topology, the stacks of its balls and of its
+    whole framework, with the layouts of their S, are built on the first
+    tick and kept on the graph."""
     fw = rigid_disk(np.random.default_rng(6), 14, 85.0, 40.0)
     # steps short enough that no link comes or goes in 20 ticks
     params = ControlParams(comm_range=40.0, steepness=0.5, dt=1e-4)
@@ -554,14 +553,14 @@ def test_layouts_are_built_on_a_topology_s_first_tick_only(monkeypatch):
     # the same topology on a new Graph, which keeps nothing yet
     graph = Graph(fw.n, fw.graph.edge_array())
     world.framework, world.accepted = Framework(graph, fw.positions), None
-    build = GramLayout.of
+    build = rigidity._stack
     calls = []
 
     def counted(*args):
         calls.append(1)
         return build(*args)
 
-    monkeypatch.setattr(GramLayout, "of", counted)
+    monkeypatch.setattr(rigidity, "_stack", counted)
     per_tick = []
     for _ in range(20):
         before = len(calls)
@@ -638,8 +637,8 @@ def test_guard_on_estimates_solves_eigenvalues_only(monkeypatch):
         state = world.accepted
         assert not state.vectors
         assert all(s.nu is None for s in state.spectra)
-        grams = ball_grams(state.ball_set.layouts, state.framework.units,
-                           state.weights)
+        grams = state.ball_set.stack.grams(state.framework.units,
+                                           state.weights)
         solved = [rigidity_spectrum(S, fw.dim, vectors=False) for S in grams]
         assert [(s.rho, s.rigid) for s in state.spectra] == [
             (s.rho, s.rigid) for s in solved]

@@ -15,6 +15,7 @@ from rigidnet.rigidity import (
     is_infinitesimally_rigid,
     rigidity_report,
     rigidity_spectrum,
+    stack_balls,
 )
 from rigidnet.subframeworks import (
     ball_set,
@@ -22,7 +23,6 @@ from rigidnet.subframeworks import (
     extent_assignment,
     extract_subframework,
     inclusion_group,
-    stack_balls,
     verify_extents,
 )
 
@@ -64,11 +64,11 @@ def reference_stack(balls, edge_endpoints):
     }
 
 
-def assert_stacks_equal(g, inside):
+def assert_stacks_equal(g, inside, d=2):
     e = g.edge_array()
     balls = [Ball.of(e, g.n, np.flatnonzero(row)) for row in inside]
     expected = reference_stack(balls, e)
-    stack = stack_balls(inside, e)
+    stack = stack_balls(inside, e, d)
     for name, want in expected.items():
         got = getattr(stack, name)
         assert got.dtype == want.dtype, name
@@ -87,12 +87,12 @@ class TestStackBalls:
                                        range_=(0.4, 0.6)[d - 2], dim=d)
             dist = GeodesicTable.compute(fw.graph).dist
             for h in range(4):
-                assert_stacks_equal(fw.graph, dist <= h)
+                assert_stacks_equal(fw.graph, dist <= h, d)
             mixed = rng.integers(0, 4, size=fw.n)
-            assert_stacks_equal(fw.graph, dist <= mixed[:, None])
+            assert_stacks_equal(fw.graph, dist <= mixed[:, None], d)
             # a subset of the centers, out of order, one of them twice
             rows = rng.permutation(fw.n)[:4].tolist() + [0]
-            assert_stacks_equal(fw.graph, dist[rows] <= 2)
+            assert_stacks_equal(fw.graph, dist[rows] <= 2, d)
 
     def test_disconnected_graph(self):
         g = random_graph(np.random.default_rng(94), 12, 0.15)
@@ -105,7 +105,7 @@ class TestStackBalls:
         g = Graph(5, [])
         dist = GeodesicTable.compute(g).dist
         assert_stacks_equal(g, dist <= 3)
-        stack = stack_balls(dist <= 3, g.edge_array())
+        stack = stack_balls(dist <= 3, g.edge_array(), 2)
         assert stack.nodes.tolist() == list(range(5))
         assert stack.ends.shape == (0, 2)
 
@@ -114,7 +114,7 @@ class TestStackBalls:
         inside = np.zeros((1, 4), dtype=bool)
         inside[0, 2] = True
         assert_stacks_equal(g, inside)
-        stack = stack_balls(inside, g.edge_array())
+        stack = stack_balls(inside, g.edge_array(), 2)
         assert stack.nodes.tolist() == [2] and stack.offsets.tolist() == [0, 1]
         assert len(stack.edge) == 0
         assert_stacks_equal(Graph(1, []), np.ones((1, 1), dtype=bool))
@@ -161,6 +161,18 @@ class TestExtract:
         sub, nodes = extract_subframework(fw, 0, 2)
         assert nodes == list(range(5))
         assert sub.graph == fw.graph
+
+    def test_rejects_a_center_out_of_range(self):
+        # numpy would read -1 as node 4 and return its ball
+        fw = braced_square_with_apex()
+        for center in (-1, 5):
+            with pytest.raises(ValueError,
+                               match=f"node {center} out of range for n=5"):
+                extract_subframework(fw, center, 1)
+
+    def test_rejects_a_nan_extent(self):
+        with pytest.raises(ValueError, match="extent must be nonnegative"):
+            extract_subframework(braced_square_with_apex(), 0, float("nan"))
 
 
 class TestExtent:
@@ -322,6 +334,14 @@ class TestInclusionGroup:
             for j in fw.graph.neighbors(i):
                 assert j in group
 
+    def test_rejects_a_node_out_of_range(self):
+        # numpy would read -1 as node 3 and return its group [2, 3]
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        for i in (-1, 4):
+            with pytest.raises(ValueError,
+                               match=f"node {i} out of range for n=4"):
+                inclusion_group(g, [1] * 4, i)
+
 
 class TestLoad:
     def test_path_frozen_example(self):
@@ -380,3 +400,9 @@ class TestLoad:
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             communication_load(g, [0, 1, 1])
+
+    def test_rejects_a_nan_extent(self):
+        # NaN < 1 is false, so a NaN extent once gave a NaN load
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="extents must be at least 1"):
+            communication_load(g, [1, 1, 1, float("nan")])
