@@ -60,7 +60,7 @@ from .rigidity import (
     CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram,
     framework_stack
 )
-from .subframeworks import BallSet, ball_set, extent_assignment
+from .subframeworks import BallSet, _extents, ball_set, extent_assignment
 
 logger = logging.getLogger(__name__)
 
@@ -224,9 +224,7 @@ def build_control_state(fw, params, extents=None, vectors=True):
         extents = extent_assignment(fw)
         if not extents.all():
             raise RigidityLostError("some node has no rigid ball at any radius")
-    extents = np.asarray(extents, dtype=np.intp)
-    if extents.shape != (fw.n,) or (extents < 1).any():
-        raise ValueError("extents must be one positive radius per node")
+    extents = _extents(extents, fw.n)
 
     weights = _logistic(fw.lengths, params.comm_range, params.steepness)
     balls = ball_set(fw.graph, extents, fw.dim)

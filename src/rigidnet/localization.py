@@ -163,8 +163,14 @@ def make_filters(estimates, initial_variance, range_variance, anchors=()):
     initial_variance * I, anchors flagged by node id."""
     estimates = np.array(estimates, dtype=float)
     n, d = estimates.shape
-    if range_variance <= 0:
-        raise ValueError("range variance must be positive")
+    for name, value, domain, ok in (
+            ("initial variance", initial_variance, "non-negative",
+             initial_variance >= 0),
+            ("range variance", range_variance, "positive", range_variance > 0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not ok:
+            raise ValueError(f"{name} must be {domain}, got {value!r}")
     mask = np.zeros(n, dtype=bool)
     for a in anchors:
         if not 0 <= a < n:

@@ -102,7 +102,7 @@ from .rigidity import (
     framework_stack,
     rigidity_spectrum,
 )
-from .subframeworks import ball_set, communication_load
+from .subframeworks import _extents, ball_set, communication_load
 
 POSITION_FLOOD = "position_flood"
 GRADIENT_RETURN = "gradient_return"
@@ -228,10 +228,10 @@ def run_exchange_phase(fw, extents):
     never fires, and a pair undelivered after round 2 * max extent is a
     ProtocolViolation.
     """
-    h = np.asarray(extents, dtype=int)
+    h = _extents(extents, fw.graph.n)
     g = geodesics(fw.graph).dist
     balls = ball_set(fw.graph, h, fw.dim)
-    limit = 2 * int(h.max())
+    limit = 2 * h.max()
     # the pairs in (center, member) order, which is the BallSet stack's
     member = balls.stack.nodes
     center = np.repeat(np.arange(len(h)), np.diff(balls.stack.offsets))
@@ -282,7 +282,7 @@ def run_message_engine(fw, extents, params, trace=None):
     ProtocolViolation, and so is a send across a non-edge.  With a text
     stream as trace, every message sent adds one JSON line to it.
     """
-    h = np.asarray(extents, dtype=int)
+    h = _extents(extents, fw.graph.n)
     n = fw.graph.n
     x = fw.positions
     nbrs = [tuple(fw.graph.neighbors(i).tolist()) for i in range(n)]
@@ -294,7 +294,7 @@ def run_message_engine(fw, extents, params, trace=None):
     member_sets = [frozenset(m) for m in members]
     expected = sum(map(len, members))
     ttl = balls.ttl.tolist()
-    limit = 2 * int(h.max())
+    limit = 2 * h.max()
 
     # per node: origin -> the first flood heard from it, whose payload is
     # (position, neighbor ids) and whose path is the way it came; each node
@@ -311,7 +311,7 @@ def run_message_engine(fw, extents, params, trace=None):
     def fire(centers, round_index):
         for j in sorted(centers):
             member_data = {v: heard[j][v].payload for v in members[j]}
-            computed = _center_payloads(j, int(h[j]), member_data, params)
+            computed = _center_payloads(j, h[j], member_data, params)
             for i in members[j]:
                 if i == j:
                     contributions[(j, j)] = computed[j]
@@ -532,13 +532,15 @@ class World:
     metrics: list = field(default_factory=list)
     accepted: ControlState = None
 
+    def __post_init__(self):
+        self.extents = _extents(self.extents, self.framework.n)
+
 
 def make_world(fw, params, config):
     """Freeze the extents at setup time and seed the filters; anchors start
     at their exact fix."""
     state = build_control_state(fw, params)
     state.require_rigid()
-    extents = state.extents.copy()
     rng = np.random.default_rng(config.seed)
     est = fw.positions
     if config.initial_estimate_error > 0:
@@ -550,8 +552,8 @@ def make_world(fw, params, config):
     filters = make_filters(est, config.initial_variance,
                            config.range_variance, anchors=config.anchors)
     filters.fix_anchors(fw.positions)
-    world = World(framework=fw, params=params, config=config,
-                  extents=extents, filters=filters, rng=rng, accepted=state)
+    world = World(framework=fw, params=params, config=config, filters=filters,
+                  extents=state.extents, rng=rng, accepted=state)
     _append_metrics(world, state, None, _framework_rho_if_rigid(world))
     return world
 
@@ -678,8 +680,10 @@ MAX_TICKS = 10**6
 
 
 def tick_count(duration, dt):
-    """The ticks a run of duration takes at dt; a ConfigError if duration /
-    dt is not a number up to MAX_TICKS."""
+    """The ticks a run of duration takes at dt; a ConfigError if duration
+    is negative or duration / dt is not a number up to MAX_TICKS."""
+    if duration < 0:
+        raise ConfigError(f"duration must be non-negative, got {duration!r}")
     ticks = duration / dt
     if not ticks <= MAX_TICKS:
         raise ConfigError(

@@ -66,10 +66,31 @@ class BallSet:
     stack: BallStack
 
 
-def _load_table(graph, extents):
+def _extents(extents, n, least=1):
+    """The extents as one read-only intp array of n whole hop counts of at
+    least least.  A read-only intp array, as every tick passes, is kept;
+    any other input is copied, so a caller's own array stays writable."""
+    h = np.asarray(extents)
+    if h.dtype.kind not in "biuf":
+        raise TypeError(f"extents must be numbers, got dtype {h.dtype}")
+    if h.shape != (n,):
+        raise ValueError(f"expected {n} extents, got shape {h.shape}")
+    if not (h >= least).all():  # false for NaN too
+        raise ValueError(f"extents must be at least {least}")
+    if h.dtype != np.intp or h.flags.writeable:
+        with np.errstate(invalid="ignore"):
+            whole = h.astype(np.intp)
+        # inf, a fraction or a float past intp's range casts to another value
+        if not (whole == h).all():
+            raise ValueError("extents must be whole hop counts")
+        h = whole
+        h.setflags(write=False)
+    return h
+
+
+def _load_table(graph, h):
     """c[j, i] = max(0, h_j - g_ji), node i's load coefficient for center j,
     read-only, computed once and kept on the graph for the latest extents."""
-    h = np.asarray(extents, dtype=float)
 
     def build(graph):
         c = np.maximum(0.0, h[:, None] - geodesics(graph).dist)
@@ -94,7 +115,7 @@ def _build_ball_set(extents, d):
 def ball_set(graph, extents, d):
     """The BallSet of a graph at these extents in d dimensions, computed
     once and kept on the graph for the latest extents."""
-    extents = np.asarray(extents, dtype=np.intp)
+    extents = _extents(extents, graph.n)
     return graph.cached("ball_set", (d, extents.tobytes()),
                         _build_ball_set(extents, d))
 
@@ -145,10 +166,7 @@ def extent_assignment(fw):
 
 def verify_extents(fw, extents):
     """True iff the ball of every node at its assigned radius is rigid."""
-    if len(extents) != fw.n:
-        raise ValueError(f"expected {fw.n} extents, got {len(extents)}")
-    # int() rejects a None or NaN extent instead of masking its ball empty
-    h = np.array([int(v) for v in extents], dtype=np.intp)
+    h = _extents(extents, fw.n, least=0)
     return bool(_rigid_balls(fw, geodesics(fw.graph).dist <= h[:, None]).all())
 
 
@@ -156,7 +174,7 @@ def inclusion_group(graph, extents, i):
     """Sorted centers whose subframework contains node i: {j : g_ij <= h_j}."""
     if not 0 <= i < graph.n:
         raise ValueError(f"node {i} out of range for n={graph.n}")
-    h = np.asarray(extents, dtype=float)
+    h = _extents(extents, graph.n)
     return [int(j) for j in np.flatnonzero(geodesics(graph).dist[i] <= h)]
 
 
@@ -168,9 +186,4 @@ def communication_load(g, extents):
     hops, once per incident edge, so nodes deep inside large balls dominate.
     With every extent 1 the network's load is 2m.
     """
-    h = np.asarray(extents, dtype=float)
-    if h.shape != (g.n,):
-        raise ValueError(f"expected {g.n} extents, got shape {h.shape}")
-    if not (h >= 1).all():
-        raise ValueError("extents must be at least 1")
-    return _load_table(g, h) @ g.degrees().astype(float)
+    return _load_table(g, _extents(extents, g.n)) @ g.degrees().astype(float)

@@ -1,6 +1,5 @@
 """Controller math: weights, potentials, analytic gradients, stepping, refresh."""
 
-import collections
 import dataclasses
 import json
 import multiprocessing
@@ -411,28 +410,51 @@ class TestTwoCoreSolve:
     def test_the_free_thread_takes_the_next_solve(self, monkeypatch):
         # a batch shaped like estimated_loop's guard: the framework's S of
         # side 240 and 120 balls of sides 8 to 42, all eigenvalue-only.
-        # Every S sleeps 0.5 ms, which releases the GIL, so both threads
-        # solve at one rate and each takes about half of the 121 S, where
-        # shares fixed in advance by side^3 leave the worker only the
-        # framework's S
+        # Events, not the clock, decide who is free: the caller's first S
+        # waits until the worker has solved HELD of the others, and the
+        # worker's next one until the caller has solved HELD more, so each
+        # thread must take the next S while the other is busy.  Shares fixed
+        # in advance by side^3 (the worker gets only the framework's S) or
+        # a caller that solves every S leave a wait to time out.  Under any
+        # schedule the caller pops from the costly end of the queue and the
+        # worker from the cheap end.
+        HELD, TIMEOUT = 40, 30.0
         gil_free_eigvalsh()
-        solvers = []
-
-        def sleeping(S, d, vectors, eigvalsh):
-            time.sleep(5e-4)
-            solvers.append(threading.get_ident())
-            return rigidity.TOO_SMALL
-
+        caller = threading.get_ident()
         grams = [np.zeros((240, 240))] + [np.zeros((8 + 2 * (k % 18),) * 2)
                                           for k in range(120)]
-        monkeypatch.setattr(rigidity, "_spectrum", sleeping)
+        index = {id(S): j for j, S in enumerate(grams)}
+        taken = {"caller": [], "worker": []}
+        worker_held, caller_held = threading.Event(), threading.Event()
+
+        def held(S, d, vectors, eigvalsh):
+            on_caller = threading.get_ident() == caller
+            mine = taken["caller" if on_caller else "worker"]
+            if on_caller and not mine:
+                assert worker_held.wait(TIMEOUT), (
+                    f"the worker solved {len(taken['worker'])} S while the "
+                    "caller was busy")
+            if not on_caller and len(mine) == HELD:
+                worker_held.set()
+                assert caller_held.wait(TIMEOUT), (
+                    f"the caller solved {len(taken['caller'])} S while the "
+                    "worker was busy")
+            mine.append(index[id(S)])
+            if on_caller and len(mine) == HELD + 1:
+                caller_held.set()
+            return rigidity.TOO_SMALL
+
+        monkeypatch.setattr(rigidity, "_spectrum", held)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         spectra = rigidity._spectra(grams, 2, [False] * len(grams))
         # every S solved once, none lost or taken twice
         assert spectra == [rigidity.TOO_SMALL] * len(grams)
-        assert len(solvers) == len(grams)
-        counts = collections.Counter(solvers)
-        assert len(counts) == 2 and min(counts.values()) >= 40
+        mine, worker = taken["caller"], taken["worker"]
+        assert sorted(mine + worker) == list(range(len(grams)))
+        assert len(mine) > HELD and len(worker) > HELD
+        # the caller from the costly end, the worker from the cheap end
+        cost = [len(grams[j]) ** 3 for j in mine + worker[::-1]]
+        assert cost == sorted(cost, reverse=True)
 
     @staticmethod
     def failing_build(monkeypatch, worker_fails):

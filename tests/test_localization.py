@@ -1,5 +1,6 @@
 """Range-only filter: update algebra, anchors, and static-network runs."""
 
+import re
 import warnings
 
 import numpy as np
@@ -289,6 +290,31 @@ def test_make_filters_flags_anchors():
 def test_make_filters_rejects_anchor_ids_outside_the_network(bad):
     with pytest.raises(ValueError, match=f"anchor id {bad} is not a node id"):
         make_filters(np.zeros((4, 2)), 1.0, 0.01, anchors=(0, bad))
+
+
+@pytest.mark.parametrize("initial_variance, range_variance, message", [
+    pytest.param(1.0, -1.0, "range variance must be positive, got -1.0",
+                 id="negative-range-variance"),
+    pytest.param(1.0, float("nan"), "range variance must be finite, got nan",
+                 id="nan-range-variance"),
+    pytest.param(1.0, float("inf"), "range variance must be finite, got inf",
+                 id="inf-range-variance"),
+    pytest.param(float("nan"), 0.01, "initial variance must be finite, got nan",
+                 id="nan-initial-variance"),
+    pytest.param(-1.0, 0.01, "initial variance must be non-negative, got -1.0",
+                 id="negative-initial-variance"),
+])
+def test_make_filters_rejects_a_variance_outside_its_domain(
+        initial_variance, range_variance, message):
+    # the words of the matching WorldConfig field check; a negative range
+    # variance once gave covariances of -I, and NaN passed every test
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_filters(np.zeros((3, 2)), initial_variance, range_variance)
+
+
+def test_make_filters_takes_a_tiny_range_variance_and_no_initial_one():
+    filters = make_filters(np.zeros((3, 2)), 0.0, 1e-30)
+    assert filters.range_variance == 1e-30 and not filters.covariances.any()
 
 
 def test_make_filters_copies_the_estimates():

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,7 +311,8 @@ def test_sufficiency_holds_along_a_run():
         assert row["framework_rho"] > 0
 
 
-@pytest.mark.parametrize("duration", [1e300, float("nan"), float("inf")])
+@pytest.mark.parametrize("duration",
+                         [1e300, float("nan"), float("inf"), -5.0])
 def test_tick_count_is_bounded_before_the_first_tick(monkeypatch, duration):
     # a library caller pairs a WorldConfig with a duration no ScenarioConfig
     # has checked; a run that ticked would stop at the third tick here
@@ -326,7 +328,10 @@ def test_tick_count_is_bounded_before_the_first_tick(monkeypatch, duration):
         return w
 
     monkeypatch.setattr(simnet, "step_simulation", counted)
-    with pytest.raises(ConfigError, match="MAX_TICKS"):
+    # a negative duration once asked for -50 ticks and ran none, silently
+    message = ("duration must be non-negative, got -5.0" if duration < 0
+               else "MAX_TICKS")
+    with pytest.raises(ConfigError, match=re.escape(message)):
         run_simulation(world, duration)
     assert ticks == []
     # a duration within the bound runs its ticks

@@ -1,11 +1,13 @@
 """Ball stacks, extent search, inclusion groups and the communication-load accounting."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from support import floyd_warshall, hop_ball, random_disk_framework, random_graph
 
+from rigidnet.control import ControlParams, build_control_state
 from rigidnet.experiments import ScenarioConfig, sample_framework
 from rigidnet.graphs import GeodesicTable, Graph, disk_proximity_graph
 from rigidnet.rigidity import (
@@ -16,6 +18,9 @@ from rigidnet.rigidity import (
     rigidity_report,
     rigidity_spectrum,
     stack_balls,
+)
+from rigidnet.simnet import (
+    World, WorldConfig, make_world, run_exchange_phase, run_message_engine
 )
 from rigidnet.subframeworks import (
     ball_set,
@@ -406,3 +411,92 @@ class TestLoad:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="extents must be at least 1"):
             communication_load(g, [1, 1, 1, float("nan")])
+
+
+PARAMS = ControlParams(comm_range=3.0)
+
+# every function that reads extents, on a framework and its extents
+EXTENT_READERS = {
+    "build_control_state": lambda fw, h: build_control_state(fw, PARAMS, h),
+    "ball_set": lambda fw, h: ball_set(fw.graph, h, fw.dim),
+    "communication_load": lambda fw, h: communication_load(fw.graph, h),
+    "inclusion_group": lambda fw, h: inclusion_group(fw.graph, h, 0),
+    "verify_extents": verify_extents,
+    "run_exchange_phase": run_exchange_phase,
+    "run_message_engine": lambda fw, h: run_message_engine(fw, h, PARAMS),
+}
+
+# extents for the five nodes of braced_square_with_apex, with the error
+# and the whole message each reader raises for them
+BAD_EXTENTS = {
+    "short": ([2, 2, 2, 2], ValueError, "expected 5 extents, got shape (4,)"),
+    "nan": ([2, 2, float("nan"), 2, 2], ValueError,
+            "extents must be at least 1"),
+    "inf": ([2, 2, float("inf"), 2, 2], ValueError,
+            "extents must be whole hop counts"),
+    "-inf": ([2, 2, -float("inf"), 2, 2], ValueError,
+             "extents must be at least 1"),
+    "none": ([2, 2, None, 2, 2], TypeError,
+             "extents must be numbers, got dtype object"),
+    "zero": ([2, 2, 0, 2, 2], ValueError, "extents must be at least 1"),
+    "fraction": ([2, 2, 1.5, 2, 2], ValueError,
+                 "extents must be whole hop counts"),
+}
+
+
+class TestExtentsReader:
+    """Every function that takes extents reads them one way: n whole hop
+    counts of at least 1 (verify_extents alone also takes 0), frozen as
+    one read-only intp array."""
+
+    @pytest.mark.parametrize("case", BAD_EXTENTS)
+    @pytest.mark.parametrize("reader", EXTENT_READERS)
+    def test_every_reader_names_the_fault(self, reader, case):
+        fw = braced_square_with_apex()
+        extents, error, message = BAD_EXTENTS[case]
+        if reader == "verify_extents":
+            # a radius-0 ball is one node, which is never rigid
+            if case == "zero":
+                assert verify_extents(fw, extents) is False
+                return
+            message = message.replace("at least 1", "at least 0")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            EXTENT_READERS[reader](fw, extents)
+
+    def test_a_fraction_is_no_load_coefficient(self):
+        # the load table once read float extents as they stood: on this
+        # network h + 0.5 gave center 0 a load of 69.5, where a state built
+        # on the same extents truncated them and its table gave 11.0
+        config = ScenarioConfig(seed=11, n=30, comm_range=40.0)
+        fw, _ = sample_framework(np.random.default_rng(config.seed), config)
+        h = build_control_state(fw, config.control).extents
+        with pytest.raises(ValueError, match="whole hop counts"):
+            communication_load(fw.graph, h + 0.5)
+        # whole floats read as the intp array they hold, so the ball set,
+        # the load table and the load are kept under the same bytes
+        floats = h.astype(float)
+        assert ball_set(fw.graph, floats, fw.dim) is ball_set(
+            fw.graph, h, fw.dim)
+        assert (communication_load(fw.graph, floats).tobytes()
+                == communication_load(fw.graph, h).tobytes())
+
+    def test_frozen_extents_are_read_only_and_the_callers_stay_writable(self):
+        fw = braced_square_with_apex()
+        mine = np.array([1, 2, 1, 2, 2], dtype=np.intp)
+        state = build_control_state(fw, PARAMS, mine)
+        world = make_world(fw, PARAMS, WorldConfig(use_estimates=False))
+        # make_world shares its state's array, and a build on frozen
+        # extents keeps them as they are
+        assert world.extents is world.accepted.extents
+        assert build_control_state(fw, PARAMS,
+                                   state.extents).extents is state.extents
+        own = World(framework=fw, params=PARAMS, config=world.config,
+                    extents=mine, filters=world.filters, rng=world.rng)
+        for frozen in (state.extents, world.extents, own.extents):
+            assert frozen.dtype == np.intp and frozen.tolist() == [1, 2, 1,
+                                                                   2, 2]
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 3
+        assert mine.flags.writeable
+        mine[0] = 3
+        assert own.extents[0] == state.extents[0] == 1
