@@ -279,10 +279,13 @@ def _scatter(rows, terms, n):
                      for t in terms.T], axis=1)
 
 
-def _edge_sums(ends, g, n):
-    """The n-row sums of +g[t] at ends[t, 0] and -g[t] at ends[t, 1]; the
-    ends interleave, so every row takes its terms in edge order."""
-    return _scatter(ends, np.stack([g, -g], axis=1), n)
+def _edge_sums(ends, columns, n):
+    """The n x d sums of +g[t] at ends[t, 0] and -g[t] at ends[t, 1], from
+    the d coordinate columns g of the edge terms; the ends interleave, so
+    every row takes its terms in edge order."""
+    g = np.array(columns)
+    # the terms as rows, a transposed view whose columns are contiguous
+    return _scatter(ends, np.stack([g, -g], axis=2).reshape(len(g), -1).T, n)
 
 
 def _weight_slopes(w, steepness):
@@ -303,15 +306,20 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
     lengths and weights describe every edge of the framework.  Both the
     unit-vector rows and the logistic weights of S_j move with the
     positions; the derivative follows the eigenvalue of a symmetric matrix
-    through its (sub)eigenvector.
+    through its (sub)eigenvector.  Each edge's terms are formed on the d
+    coordinate columns, each taken contiguous.
     """
     p = params
     k = stack.edge
-    r = units[k]
-    ell = lengths[k]
-    w = weights[k]
-    s = nus[stack.ends[:, 0]] - nus[stack.ends[:, 1]]
-    sigma = (r * s).sum(axis=1)
+    a, b = stack.ends.T
+    r = [np.take(units[:, c], k) for c in range(units.shape[1])]
+    s = [np.take(nus[:, c], a) - np.take(nus[:, c], b)
+         for c in range(units.shape[1])]
+    sigma = r[0] * s[0]
+    for r_c, s_c in zip(r[1:], s[1:]):
+        sigma += r_c * s_c
+    ell = np.take(lengths, k)
+    w = np.take(weights, k)
     q = p.rigidity_exponent
     try:
         coef = np.array([-q * rho ** -(q + 1.0) for rho in rhos])[stack.ball]
@@ -319,10 +327,14 @@ def ball_rigidity_slopes(stack, rhos, nus, units, lengths, weights, params):
         raise NonFiniteCommandError(
             f"the rigidity barrier's slope overflows float64 at "
             f"rigidity_exponent {q}") from exc
-    dw = _weight_slopes(w, p.steepness)
-    ga = dw[:, None] * sigma[:, None] ** 2 * r
-    ga += 2.0 * (w * sigma / ell)[:, None] * (s - sigma[:, None] * r)
-    ga *= coef[:, None]
+    along = _weight_slopes(w, p.steepness) * sigma ** 2
+    across = 2.0 * (w * sigma / ell)
+    ga = []
+    for r_c, s_c in zip(r, s):
+        g = along * r_c
+        g += across * (s_c - sigma * r_c)
+        g *= coef
+        ga.append(g)
     return _edge_sums(stack.ends, ga, len(nus))
 
 
@@ -333,14 +345,16 @@ def ball_load_slopes(stack, cs, units, weights, params):
     t.  The sum runs over each ball's induced edges: every load term rides
     on an edge with an endpoint strictly inside the ball, and such an edge
     has both endpoints in it.  Just outside the ball both coefficients on
-    any edge are zero.
+    any edge are zero.  Each edge's terms are formed on the d coordinate
+    columns, as in ball_rigidity_slopes.
     """
     k = stack.edge
-    dw = _weight_slopes(weights[k], params.steepness)
+    dw = _weight_slopes(np.take(weights, k), params.steepness)
     a, b = stack.nodes[stack.ends.T]
-    pair = cs[stack.ball, a] + cs[stack.ball, b]
-    gl = (pair * dw)[:, None] * units[k]
-    return _edge_sums(stack.ends, gl, len(stack.nodes))
+    pair = (cs[stack.ball, a] + cs[stack.ball, b]) * dw
+    return _edge_sums(stack.ends, [pair * np.take(units[:, c], k)
+                                   for c in range(units.shape[1])],
+                      len(stack.nodes))
 
 
 def rigidity_gradient_all(state):
@@ -363,7 +377,7 @@ def collision_gradient_all(state):
     """d/dx of the collision barrier."""
     fw = state.framework
     return _edge_sums(fw.graph.edge_array(),
-                      _collision_slopes(fw, state.params.collision_exponent),
+                      _collision_slopes(fw, state.params.collision_exponent).T,
                       fw.n)
 
 

@@ -23,6 +23,9 @@ hop-balls alike: the shared read-only TOO_SMALL for an S of at most d
 nodes, whose framework rigidity_report and is_infinitesimally_rigid
 refuse (FrameworkTooSmallError), and otherwise rho against one threshold,
 REL_TOL relative to the largest eigenvalue; the rank test reads it too.
+It is a batch of one: every batch (_spectra, the extent search's) makes
+one LAPACK call per S (_solve) and judges them all in one vectorized
+pass over their eigenvalues (_verdicts), the verdict's one formula.
 Every S it is given is assembled by d x d blocks, S = sum over edges of
 w r r^T, by a BallStack (a whole framework is the stack of one ball):
 each edge's signed blocks are formed once (edge_blocks), and one gather
@@ -152,14 +155,10 @@ def symmetric_rigidity_matrix(R, weights):
     return 0.5 * (S + S.T)
 
 
-# which of an edge's two signed blocks each of its four blocks (a, a),
-# (b, b), (a, b), (b, a) reads (0: +, 1: -)
-_BLOCK_NEGATED = np.array([0, 0, 1, 1])
-
-
 def edge_blocks(units, weights=None):
-    """The signed d x d blocks +w r r^T and -w r r^T of every edge, an
-    (m, 2, d, d) array, from each edge's unit vector and weight (None:
+    """The d x d blocks of every edge's S at its endpoints a and b, an
+    (m, 4, d, d) array: +w r r^T at (a, a) and (b, b), -w r r^T at (a, b)
+    and (b, a), from each edge's unit vector and weight (None:
     unweighted).
 
     A block entry is w * (r_p * r_q), symmetric bit for bit, and its
@@ -168,7 +167,7 @@ def edge_blocks(units, weights=None):
     blocks = units[:, :, None] * units[:, None, :]
     if weights is not None:
         blocks = weights[:, None, None] * blocks
-    return np.stack([blocks, -blocks], axis=1)
+    return np.stack([blocks, blocks, -blocks, -blocks], axis=1)
 
 
 # Block entries assembled per bincount.  One pass over all the balls of a
@@ -188,11 +187,12 @@ class BallStack:
     Ball t's S has side sides[t] = d * n_t.  Runs of balls of at most
     GROUP_ENTRIES block entries (or one ball alone) form groups, each with
     its S end to end in one flat array; row g of cuts is group g's first
-    ball and block entry.  A block entry's flat position in its group is
-    in index, and in src its place in the framework's edge_blocks: blocks
-    aa, bb, ab, ba of each edge, row-major, edge after edge.  So every S
-    entry sums its terms in edge order, the same bits however the balls
-    are stacked or grouped.  Every array is read-only.
+    ball and block entry.  Each induced edge gives its ball's S the 4d^2
+    entries of its row of the framework's edge_blocks, blocks aa, bb, ab,
+    ba, row-major, and index holds their flat positions in the group, edge
+    after edge.  So every S entry sums its terms in edge order, the same
+    bits however the balls are stacked or grouped.  Every array is
+    read-only.
     """
 
     nodes: np.ndarray
@@ -202,21 +202,21 @@ class BallStack:
     ball: np.ndarray
     sides: np.ndarray
     index: np.ndarray
-    src: np.ndarray
     cuts: np.ndarray
 
     def grams(self, units, weights=None):
         """Each ball's S = sum of w r r^T over its edges, from every edge's
-        units and weights (None: unweighted): the edges' signed blocks are
-        formed once, and each group takes its own and sums them with one
-        bincount.  An off-diagonal block holds one edge's block, so every
-        S is exactly symmetric."""
+        units and weights (None: unweighted): the edges' blocks are formed
+        once, and each group takes the rows of its edges and sums them
+        with one bincount.  An off-diagonal block holds one edge's block,
+        so every S is exactly symmetric."""
         blocks = edge_blocks(units, weights)
+        per_edge = int(np.prod(blocks.shape[1:]))
         sides, cuts, grams = self.sides.tolist(), self.cuts.tolist(), []
         for (t0, i0), (t1, i1) in zip(cuts, cuts[1:]):
-            # np.take reads an int32 index faster than blocks.ravel()[src]
+            edges = self.edge[i0 // per_edge:i1 // per_edge]
             flat = np.bincount(self.index[i0:i1],
-                               np.take(blocks, self.src[i0:i1]),
+                               np.take(blocks, edges, axis=0).ravel(),
                                minlength=sum(k * k for k in sides[t0:t1]))
             o = 0
             for k in sides[t0:t1]:
@@ -240,8 +240,7 @@ def _stack(d, nodes, offsets, edge, ends, ball):
     # each ball's flat start within its group
     start = np.cumsum(sizes) - sizes
     start -= np.repeat(start[cuts[:-1]], np.diff(cuts))
-    span = max((start + sizes).max(initial=0),
-               2 * d * d * (edge.max(initial=-1) + 1))
+    span = (start + sizes).max(initial=0)
     dtype = np.int32 if span <= np.iinfo(np.int32).max else np.intp
     # entry (p, q) of block (r, c) of an edge of ball t lies at flat
     # start[t] + (d * r + p) * side[t] + d * c + q, r and c counted from
@@ -260,12 +259,8 @@ def _stack(d, nodes, offsets, edge, ends, ball):
     rows = np.arange(d, dtype=dtype)[:, None] * side
     index = (corner[:, None, None] + rows[:, None]
              + np.arange(d, dtype=dtype)[:, None])
-    # entry (p, q) of the signed block s of edge k is edge_blocks's flat
-    # (2k + s) * d * d + p * d + q, laid out edge after edge
-    block = (_BLOCK_NEGATED[:, None] * d * d + np.arange(d * d)).ravel()
-    src = ((2 * d * d) * edge).astype(dtype)[:, None] + block.astype(dtype)
     stack = BallStack(nodes, offsets, edge, ends, ball, sides,
-                      index.transpose(3, 0, 1, 2).ravel(), src.ravel(),
+                      index.transpose(3, 0, 1, 2).ravel(),
                       np.stack([cuts, first[cuts]], axis=1))
     for a in vars(stack).values():
         a.setflags(write=False)
@@ -328,44 +323,95 @@ TOO_SMALL = Spectrum(_read_only(np.empty(0)), None, None, np.nan, np.nan,
                      np.nan, False, False)
 
 
-@_cores.one_blas_thread()
 def rigidity_spectrum(S, d, vectors=True):
     """The rigidity eigenvalue test on S, by eigh or, without vectors,
     eigvalsh; TOO_SMALL when S has at most d nodes.
 
     The two LAPACK drivers differ in the last bits, so each caller keeps
     the one it has always used.  Either solves with BLAS on one thread, so
-    its bits do not depend on the process's thread count.
+    its bits do not depend on the process's thread count.  S is a batch
+    of one (_spectra), so its verdict is every batch's.
     """
-    return _spectrum(S, d, vectors, np.linalg.eigvalsh)
-
-
-def _spectrum(S, d, vectors, eigvalsh):
-    """rigidity_spectrum inside a one_blas_thread block that the caller
-    holds, solved without vectors by eigvalsh: numpy's, or
-    _cores._gil_free_eigvalsh, which gives the same bits."""
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
         raise ValueError("S must be dn x dn")
-    if n <= d:
-        return TOO_SMALL
-    f = rigid_body_dim(d)
-    nu = None
+    return _spectra([S], d, [vectors])[0]
+
+
+def _solve(S, d, vectors, eigvalsh):
+    """One S's LAPACK call and nothing more: with vectors, eigh's
+    eigenvalues and its rigidity eigenvector (column f, a view), else
+    (eigenvalues, None) by eigvalsh (numpy's, or
+    _cores._gil_free_eigvalsh, which gives the same bits), inside a
+    one_blas_thread block that the caller holds.  An S of at most d nodes
+    is not solved: None."""
+    if len(S) <= d * d:
+        return None
     if vectors:
         vals, vecs = np.linalg.eigh(S)
-        nu = vecs[:, f]
-        if nu[np.argmax(np.abs(nu))] < 0:
-            nu = -nu
-    else:
-        vals = eigvalsh(S)
-    rho, lam_max = float(vals[f]), float(vals[-1])
-    tol_abs = REL_TOL * max(lam_max, 0.0)
-    gap = float(vals[f + 1] - vals[f]) if len(vals) > f + 1 else np.inf
-    return Spectrum(
-        vals, rho, nu, lam_max, gap, tol_abs, rho > tol_abs,
-        bool(gap <= DEGENERATE_GAP_REL * max(lam_max, 1e-300)),
-    )
+        return vals, vecs[:, rigid_body_dim(d)]
+    return eigvalsh(S), None
+
+
+def _verdicts(solved, d):
+    """The Spectrum of each _solve result in solved, in order, by one pass
+    over their eigenvalues laid end to end; TOO_SMALL for None.
+
+    rho is the (f+1)-th eigenvalue and lam_max the last; gap is the next
+    one's distance from rho, inf without one; rigid is rho > tol_abs =
+    REL_TOL * max(lam_max, 0); degenerate is gap <= DEGENERATE_GAP_REL *
+    max(lam_max, 1e-300).  Every number is the one a scalar formula gives,
+    bit for bit (np.where takes max's place: np.maximum would turn -0.0
+    into 0.0).  nu is the eigenvector, signed by _signed.
+    """
+    f = rigid_body_dim(d)
+    out = [TOO_SMALL] * len(solved)
+    at = [j for j, s in enumerate(solved) if s is not None]
+    if not at:
+        return out
+    vals, nus = (list(a) for a in zip(*(solved[j] for j in at)))
+    sizes = np.array([len(v) for v in vals])
+    start = np.cumsum(sizes) - sizes
+    flat = np.concatenate(vals)
+    rho = flat[start + f]
+    lam_max = flat[start + sizes - 1]
+    gap = np.full(len(at), np.inf)
+    more = sizes > f + 1
+    gap[more] = flat[start[more] + f + 1] - rho[more]
+    tol_abs = REL_TOL * np.where(0.0 > lam_max, 0.0, lam_max)
+    rigid = rho > tol_abs
+    degenerate = gap <= DEGENERATE_GAP_REL * np.where(
+        1e-300 > lam_max, 1e-300, lam_max)
+    with_vectors = [t for t, nu in enumerate(nus) if nu is not None]
+    if with_vectors:
+        signed = _signed([nus[t] for t in with_vectors])
+        for t, nu in zip(with_vectors, signed):
+            nus[t] = nu
+    for j, spectrum in zip(at, zip(
+            vals, rho.tolist(), nus, lam_max.tolist(), gap.tolist(),
+            tol_abs.tolist(), rigid.tolist(), degenerate.tolist())):
+        out[j] = Spectrum(*spectrum)
+    return out
+
+
+def _signed(columns):
+    """Each column negated where its first entry of largest magnitude, as
+    np.argmax finds it, is negative, so never one holding a NaN: views of
+    one array, from one pass over the columns laid end to end."""
+    lengths = [len(c) for c in columns]
+    nu = np.concatenate(columns)
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    size = np.abs(nu)
+    nan = np.isnan(size)
+    size[nan] = -1.0
+    tops = np.flatnonzero(
+        size == np.repeat(np.maximum.reduceat(size, starts), lengths))
+    flip = ((nu[tops[np.searchsorted(tops, starts)]] < 0)
+            & ~np.logical_or.reduceat(nan, starts))
+    nu = np.where(np.repeat(flip, lengths), -nu, nu)
+    return [nu[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 @_cores.one_blas_thread()
@@ -374,20 +420,23 @@ def _spectra(grams, d, vectors):
     test; an S solved without vectors, as vectors[j] says, gets
     eigenvalues only.
 
-    Two S or more go to the caller and the worker thread
-    (_cores.threaded_map) at a cost of side^3, twice that for eigh, where
-    the process may use two cores and has the GIL-free kernel, which then
-    solves every eigenvalue-only S; elsewhere the caller solves them in
-    turn with numpy.  An S gives the same bits either way.
+    Each S is one LAPACK call (_solve), and one pass over the batch's
+    eigenvalues gives every verdict (_verdicts), so the threads run
+    nothing but the solves.  Two S or more go to the caller and the
+    worker thread (_cores.threaded_map) at a cost of side^3, twice that
+    for eigh, where the process may use two cores and has the GIL-free
+    kernel, which then solves every eigenvalue-only S; elsewhere the
+    caller solves them in turn with numpy.  An S gives the same bits
+    either way.
     """
     kernel = (len(grams) > 1 and _cores.usable_cores() > 1
               and _cores._gil_free_eigvalsh())
     if not kernel:
-        return [_spectrum(S, d, v, np.linalg.eigvalsh)
-                for S, v in zip(grams, vectors)]
-    return _cores.threaded_map(
-        lambda j: _spectrum(grams[j], d, vectors[j], kernel),
-        [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)])
+        return _verdicts([_solve(S, d, v, np.linalg.eigvalsh)
+                          for S, v in zip(grams, vectors)], d)
+    return _verdicts(_cores.threaded_map(
+        lambda j: _solve(grams[j], d, vectors[j], kernel),
+        [len(S) ** 3 * (2 if v else 1) for S, v in zip(grams, vectors)]), d)
 
 
 @dataclass(eq=False)
@@ -435,7 +484,7 @@ def rigidity_report(fw, vectors=True):
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    spectrum = _spectrum(framework_gram(fw), d, vectors, np.linalg.eigvalsh)
+    [spectrum] = _spectra([framework_gram(fw)], d, [vectors])
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0

@@ -15,8 +15,9 @@ What a graph and the frozen extents fix for every ball (the membership
 mask, load coefficients, flood ttls and the stack) is a BallSet, computed
 once per Graph and kept on it (ball_set).  The extent search stacks the
 balls of all centers still searching at one radius the same way and solves
-them as one batch on one BLAS thread, each ball by rigidity's one verdict
-(rigidity._spectrum; TOO_SMALL for a ball of at most d nodes), apart from
+them as one batch on one BLAS thread, each ball by one eigvalsh and all
+of them by rigidity's one verdict pass (rigidity._verdicts; TOO_SMALL for
+a ball of at most d nodes), apart from
 the balls that rigidity's counting rule (flexible_by_count) already proves
 flexible, which it never stacks.  The load coefficients max(0, h_j - g_ji)
 are one table, kept on the Graph under the extents, that the BallSet and
@@ -30,17 +31,28 @@ import numpy as np
 from . import _cores
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
-    BallStack, Framework, _spectrum, flexible_by_count, stack_balls
+    BallStack, Framework, _solve, _verdicts, flexible_by_count, stack_balls
 )
 
 
+def _node(i, n):
+    """Node id i of a graph of n nodes as an int; a ValueError unless it
+    is a whole number from 0 to n - 1."""
+    if not 0 <= i < n:
+        raise ValueError(f"node {i} out of range for n={n}")
+    if i != int(i):
+        raise ValueError(f"node ids must be whole numbers, got {i}")
+    return int(i)
+
+
 def extract_subframework(fw, center, extent):
-    """Framework induced by the ball of the given hop radius around center,
-    with local node ids, and the sorted global ids of its nodes."""
-    if not 0 <= center < fw.n:
-        raise ValueError(f"node {center} out of range for n={fw.n}")
+    """Framework induced by the ball of the given hop radius, a whole hop
+    count of at least 0, around center, with local node ids, and the
+    sorted global ids of its nodes."""
+    center = _node(center, fw.n)
     if not extent >= 0:
         raise ValueError("extent must be nonnegative")
+    [extent] = _extents([extent], 1, least=0)
     nodes = np.flatnonzero(geodesics(fw.graph).dist[center] <= extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
     return Framework(sub, fw.positions[nodes]), nodes
@@ -132,8 +144,9 @@ def _rigid_balls(fw, inside):
     rigid = np.zeros(len(inside), dtype=bool)
     solve = np.flatnonzero(~flexible_by_count(fw.graph, inside, fw.dim))
     stack = stack_balls(inside[solve], fw.graph.edge_array(), fw.dim)
-    rigid[solve] = [_spectrum(S, fw.dim, False, np.linalg.eigvalsh).rigid
-                    for S in stack.grams(fw.units)]
+    rigid[solve] = [s.rigid for s in _verdicts(
+        [_solve(S, fw.dim, False, np.linalg.eigvalsh)
+         for S in stack.grams(fw.units)], fw.dim)]
     return rigid
 
 
@@ -172,8 +185,7 @@ def verify_extents(fw, extents):
 
 def inclusion_group(graph, extents, i):
     """Sorted centers whose subframework contains node i: {j : g_ij <= h_j}."""
-    if not 0 <= i < graph.n:
-        raise ValueError(f"node {i} out of range for n={graph.n}")
+    i = _node(i, graph.n)
     h = _extents(extents, graph.n)
     return [int(j) for j in np.flatnonzero(geodesics(graph).dist[i] <= h)]
 

@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -297,18 +296,18 @@ class TestTwoCoreSolve:
     def test_threaded_build_equals_sequential_bit_for_bit(self, monkeypatch,
                                                           build, vectors):
         solvers = set()
-        spectrum = rigidity._spectrum
+        solve = rigidity._solve
         kernel = gil_free_eigvalsh()
 
         def recorded(S, d, vectors, eigvalsh):
             solvers.add(threading.get_ident())
-            return spectrum(S, d, vectors, eigvalsh)
+            return solve(S, d, vectors, eigvalsh)
 
         def recorded_kernel(S):
             solvers.add(threading.get_ident())
             return kernel(S)
 
-        monkeypatch.setattr(rigidity, "_spectrum", recorded)
+        monkeypatch.setattr(rigidity, "_solve", recorded)
         monkeypatch.setattr(_cores, "_gil_free_eigvalsh",
                             lambda: recorded_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
@@ -348,18 +347,18 @@ class TestTwoCoreSolve:
         monkeypatch.setattr(_cores, "_gil_free_eigvalsh",
                             _cores._gil_free_eigvalsh.__wrapped__)
         solved, eigenvalue_only = [], []
-        spectrum = rigidity._spectrum
+        solve = rigidity._solve
 
         def recorded(S, d, vectors, eigvalsh):
             solved.append(threading.get_ident())
             if not vectors:
                 eigenvalue_only.append(threading.get_ident())
-            return spectrum(S, d, vectors, eigvalsh)
+            return solve(S, d, vectors, eigvalsh)
 
         def no_worker():
             raise AssertionError("a solve was dealt to a worker thread")
 
-        monkeypatch.setattr(rigidity, "_spectrum", recorded)
+        monkeypatch.setattr(rigidity, "_solve", recorded)
         monkeypatch.setattr(_cores, "_eigh_worker", no_worker)
         # a guard trial: its balls are solved with or without vectors, and
         # its framework's S for eigenvalues only, all of them on the caller
@@ -394,15 +393,15 @@ class TestTwoCoreSolve:
     def test_balls_are_solved_on_one_blas_thread(self, monkeypatch):
         blas = FakeBlas(2)
         seen = []
-        spectrum = rigidity._spectrum
+        solve = rigidity._solve
 
         def recorded(S, d, vectors, eigvalsh):
             seen.append(blas.threads)
-            return spectrum(S, d, vectors, eigvalsh)
+            return solve(S, d, vectors, eigvalsh)
 
         monkeypatch.setattr(_cores, "_openblas_thread_counts",
                             lambda: ((blas.get, blas.set),))
-        monkeypatch.setattr(rigidity, "_spectrum", recorded)
+        monkeypatch.setattr(rigidity, "_solve", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         build_control_state(apex_framework(), default_params())
         assert seen == [1] * 5 and blas.threads == 2
@@ -442,9 +441,10 @@ class TestTwoCoreSolve:
             mine.append(index[id(S)])
             if on_caller and len(mine) == HELD + 1:
                 caller_held.set()
-            return rigidity.TOO_SMALL
+            # no solve: the verdict pass reads every S as too small
+            return None
 
-        monkeypatch.setattr(rigidity, "_spectrum", held)
+        monkeypatch.setattr(rigidity, "_solve", held)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         spectra = rigidity._spectra(grams, 2, [False] * len(grams))
         # every S solved once, none lost or taken twice
@@ -458,28 +458,31 @@ class TestTwoCoreSolve:
 
     @staticmethod
     def failing_build(monkeypatch, worker_fails):
-        """Build the apex state, five S, where every S on one thread fails
-        once the other thread has started an S, which takes 50 ms.
+        """Build the apex state, five S, where the first S on one thread
+        fails once the other thread has started an S, and that S ends only
+        once the failure is recorded; every wait is bounded at 30 s.
         Returns the events ("start", "fail" or "done", on the worker) in
         order, ending with ("raised", None) when the error surfaced."""
+        TIMEOUT = 30.0
         gil_free_eigvalsh()
-        events, busy = [], threading.Event()
-        spectrum = rigidity._spectrum
+        events, started, failed = [], threading.Event(), threading.Event()
+        solve = rigidity._solve
 
         def failing(S, d, vectors, eigvalsh):
             on_worker = threading.current_thread().name.startswith(
                 "rigidnet-")
             if on_worker == worker_fails:
-                busy.wait(10)
+                assert started.wait(TIMEOUT), "the other thread started no S"
                 events.append(("fail", on_worker))
+                failed.set()
                 raise np.linalg.LinAlgError("no convergence")
             events.append(("start", on_worker))
-            busy.set()
-            time.sleep(0.05)
+            started.set()
+            assert failed.wait(TIMEOUT), "the other thread did not fail"
             events.append(("done", on_worker))
-            return spectrum(S, d, vectors, eigvalsh)
+            return solve(S, d, vectors, eigvalsh)
 
-        monkeypatch.setattr(rigidity, "_spectrum", failing)
+        monkeypatch.setattr(rigidity, "_solve", failing)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         with pytest.raises(np.linalg.LinAlgError):
             build_control_state(apex_framework(), default_params())

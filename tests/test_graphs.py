@@ -497,7 +497,7 @@ def test_refreshed_graphs_build_as_cold_ones(monkeypatch, scenario):
                 want, name).tobytes()
         # the members, induced edges and the layout of their S
         for name in ("nodes", "offsets", "edge", "ends", "ball", "sides",
-                     "index", "src", "cuts"):
+                     "index", "cuts"):
             a, b = getattr(got.stack, name), getattr(want.stack, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         (rows, log), (cold_rows, cold_log) = (

@@ -321,7 +321,7 @@ class TestGatheredAssembly:
             want = {}
             for entries in groupings(monkeypatch):
                 stack = stack_balls(inside, e, d)
-                assert stack.src.dtype == stack.index.dtype == np.int32
+                assert stack.index.dtype == np.int32
                 assert not any(a.flags.writeable
                                for a in vars(stack).values())
                 groups = len(stack.cuts) - 1
@@ -358,8 +358,8 @@ class TestGatheredAssembly:
                 assert framework_gram(fresh).tobytes() == want.tobytes()
 
     @staticmethod
-    def layout_by_loop(d, counts, edge, ends, ball):
-        """rigidity._stack's sides, index, src and cuts, one ball and one
+    def layout_by_loop(d, counts, ends, ball):
+        """rigidity._stack's sides, index and cuts, one ball and one
         edge's entries at a time: a ball opens a new group when its block
         entries would take the open group past rigidity.GROUP_ENTRIES."""
         sides = [d * int(c) for c in counts]
@@ -373,25 +373,22 @@ class TestGatheredAssembly:
             starts.append(start)
             start += sides[t] * sides[t]
         cuts.append(len(sides))
-        index, src = [], []
+        index = []
         for k, (a, b) in enumerate(ends.tolist()):
             t = int(ball[k])
-            blocks = ((a, a, 0), (b, b, 0), (a, b, 1), (b, a, 1))
-            for r, c, negated in blocks:
+            for r, c in ((a, a), (b, b), (a, b), (b, a)):
                 for p in range(d):
                     for q in range(d):
                         index.append(starts[t] + (d * r + p) * sides[t]
                                      + d * c + q)
-                        src.append(((2 * int(edge[k]) + negated) * d + p) * d
-                                   + q)
         entries = [4 * d * d * int((ball < t).sum()) for t in cuts]
-        return sides, index, src, [list(c) for c in zip(cuts, entries)]
+        return sides, index, [list(c) for c in zip(cuts, entries)]
 
     @pytest.mark.parametrize("d", [2, 3])
-    # an edge index above 2^28 puts src beyond int32 in 2-D and 3-D, so
-    # both arrays fall back to intp
+    # the layout holds positions within a group only, so an edge index
+    # above 2^28 leaves it in int32
     @pytest.mark.parametrize("shift, dtype", [(0, np.int32),
-                                              (2**28 + 5, np.intp)])
+                                              (2**28 + 5, np.int32)])
     def test_layout_equals_a_per_edge_loop(self, d, shift, dtype,
                                            monkeypatch):
         rng = np.random.default_rng(130 + d)
@@ -405,11 +402,25 @@ class TestGatheredAssembly:
         for _ in groupings(monkeypatch):
             got = rigidity._stack(d, stack.nodes, stack.offsets, edge,
                                   stack.ends, stack.ball)
-            want = self.layout_by_loop(d, np.diff(stack.offsets), edge,
-                                       ends, stack.ball)
-            assert got.index.dtype == got.src.dtype == dtype
-            assert [got.sides.tolist(), got.index.tolist(), got.src.tolist(),
+            want = self.layout_by_loop(d, np.diff(stack.offsets), ends,
+                                       stack.ball)
+            assert got.index.dtype == dtype
+            assert [got.sides.tolist(), got.index.tolist(),
                     got.cuts.tolist()] == list(want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_group_past_int32_lays_out_in_intp(self, d):
+        # one ball of 23,171 nodes and one edge: its S alone spans more
+        # than 2^31 - 1 flat entries, so the layout falls back to intp
+        n = 23171
+        ends = np.array([[0, n - 1]])
+        ball = np.zeros(1, dtype=np.intp)
+        got = rigidity._stack(d, np.arange(n), np.array([0, n]),
+                              np.zeros(1, dtype=np.intp), ends, ball)
+        assert got.index.dtype == np.intp
+        assert [got.sides.tolist(), got.index.tolist(),
+                got.cuts.tolist()] == list(self.layout_by_loop(
+                    d, [n], ends, ball))
 
 
 class TestOneUnweightedProduct:
@@ -903,7 +914,7 @@ class TestGilFreeEigvalsh:
         kernel = gil_free_eigvalsh()
         fw = random_rigid_framework(np.random.default_rng(3), 30, 2)
         S = framework_gram(fw)
-        want = rigidity._spectrum(S, 2, False, kernel)
+        [want] = rigidity._verdicts([rigidity._solve(S, 2, False, kernel)], 2)
         monkeypatch.setattr(_cores, "_loaded_openblas", lambda: ())
         assert _cores._gil_free_eigvalsh.__wrapped__() is None
         got = rigidity_spectrum(S, 2, vectors=False)

@@ -179,6 +179,20 @@ class TestExtract:
         with pytest.raises(ValueError, match="extent must be nonnegative"):
             extract_subframework(braced_square_with_apex(), 0, float("nan"))
 
+    @pytest.mark.parametrize("extent", [1.5, float("inf")])
+    def test_rejects_an_extent_that_is_not_a_whole_hop_count(self, extent):
+        # read as a float, 1.5 gave the radius-1 ball and inf the whole
+        # component
+        with pytest.raises(ValueError,
+                           match="extents must be whole hop counts"):
+            extract_subframework(braced_square_with_apex(), 0, extent)
+
+    def test_rejects_a_fractional_center(self):
+        # numpy raised its own IndexError for a fractional index
+        with pytest.raises(ValueError,
+                           match="node ids must be whole numbers, got 1.5"):
+            extract_subframework(braced_square_with_apex(), 1.5, 1)
+
 
 class TestExtent:
     def test_mixed_extents_frozen_example(self):
@@ -346,6 +360,13 @@ class TestInclusionGroup:
             with pytest.raises(ValueError,
                                match=f"node {i} out of range for n=4"):
                 inclusion_group(g, [1] * 4, i)
+
+    def test_rejects_a_fractional_node(self):
+        # numpy raised its own IndexError for a fractional index
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError,
+                           match="node ids must be whole numbers, got 1.5"):
+            inclusion_group(g, [1] * 4, 1.5)
 
 
 class TestLoad:
