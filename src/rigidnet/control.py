@@ -35,26 +35,25 @@ bincount per group of balls, and solves each ball once.  The guard solves
 with eigenvectors on ground truth, where the replay reuses its accepted
 state, and for eigenvalues only while the robots steer on estimates, where
 nothing reads the eigenvectors; a state without them refuses its slopes by
-name (EigenvectorsNotSolvedError).  Each guard trial's build also solves
-its whole framework's S in the same batch as its balls, for simnet's
-per-tick check.  This module only assembles the batch of S;
+name (EigenvectorsNotSolvedError).  A guard trial's build and a world's
+first also solve the whole framework's S in the same batch as the balls
+(_state_with_framework), for simnet's per-tick check.  This module only
+assembles the batch of S;
 rigidity._spectra solves it, on one BLAS thread, and on both cores where
 the process may use two and has the GIL-free eigenvalue-only kernel.
 
-Each field of ControlParams, simnet.WorldConfig and experiments.ScenarioConfig
-declares its domain once (_domain), and one validator, _check_fields, checks
-every field's type, finiteness and domain, raising a ConfigError that names it.
+Each field of ControlParams declares its domain once (_domain), and
+_checks._check_fields reads every field.
 """
 
 import contextvars
 import logging
-import numbers
-import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from ._checks import ConfigError, _check_fields, _domain
 from .graphs import _edit, edited, proximity
 from .rigidity import (
     CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram,
@@ -73,60 +72,9 @@ class EigenvectorsNotSolvedError(RuntimeError):
     """Slopes were asked of a control state solved for eigenvalues only."""
 
 
-class ConfigError(ValueError):
-    """An input the library cannot use, such as a configuration field of
-    the wrong type or out of its domain."""
-
-
 class NonFiniteCommandError(ConfigError):
     """A velocity command is not finite in float64: the gains or exponents
     ask for more than a step can carry."""
-
-
-# the domains a config field may declare, by the words its errors use
-_DOMAINS = {
-    "positive": lambda v: v > 0,
-    "non-negative": lambda v: v >= 0,
-    "in (0, 1)": lambda v: 0 < v < 1,
-    "at least 1": lambda v: v >= 1,
-    "at least 2": lambda v: v >= 2,
-    "2 or 3": lambda v: v in (2, 3),
-}
-
-
-def _domain(name, default=MISSING):
-    """A config field whose value must be name, one of _DOMAINS."""
-    return field(default=default, metadata={"domain": name})
-
-
-def _is_a(value, kind):
-    """Whether value is of the annotated kind: an int passes as a float, a
-    bool as neither, and a tuple must hold ints."""
-    if kind is tuple:
-        return isinstance(value, tuple) and all(_is_a(v, int) for v in value)
-    abc = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    return isinstance(value, abc) and (kind is bool
-                                       or not isinstance(value, bool))
-
-
-def _check_fields(config):
-    """Check every field of a config dataclass against its annotated type,
-    a float for finiteness, and a field that declares a domain against it.
-
-    Raises ConfigError naming the first field that fails.
-    """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if not _is_a(value, f.type):
-            label = "list of int" if f.type is tuple else f.type.__name__
-            raise ConfigError(f"field {f.name!r} must be of type {label}, "
-                              f"got {value!r}")
-        # false for NaN, the infinities and ints too large for float64
-        if f.type is float and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        domain = f.metadata.get("domain")
-        if domain is not None and not _DOMAINS[domain](value):
-            raise ConfigError(f"{f.name} must be {domain}, got {value!r}")
 
 
 @dataclass
@@ -165,9 +113,9 @@ class ControlState:
     ball's Spectrum, in center order (rigidity.TOO_SMALL for a ball too
     small to test, whose rho is None and reads NaN in rhos).  A state built
     without vectors holds eigenvalues only: its verdicts and rhos, but no
-    slopes.  A guard trial's state also holds framework_spectrum, the
-    eigenvalues of the whole framework's unweighted S, which simnet's
-    per-tick check reads; any other state holds None there.
+    slopes.  A guard trial's state, or a world's first, also holds
+    framework_spectrum, the eigenvalues of the framework's unweighted S,
+    which simnet's per-tick check reads; any other state holds None there.
     """
 
     framework: Framework
@@ -216,9 +164,9 @@ def build_control_state(fw, params, extents=None, vectors=True):
     verdicts and rhos but no slopes.
     The balls are solved as one batch by rigidity._spectra, with BLAS on
     one thread, shared by the caller and one worker thread where the
-    process may run on two cores.  A guard trial's build also solves
-    its framework's unweighted S, for eigenvalues only, in the same batch
-    as the balls (_GUARD_TRIAL), and keeps it as framework_spectrum.
+    process may run on two cores.  Under _state_with_framework the build
+    also solves its framework's unweighted S, for eigenvalues only, in the
+    same batch (_GUARD_TRIAL), and keeps it as framework_spectrum.
     """
     if extents is None:
         extents = extent_assignment(fw)
@@ -419,25 +367,32 @@ def refresh_topology(graph, positions, params):
     return edited(graph, np.stack([ii, jj], axis=1))
 
 
-# True while guarded_refresh builds a trial state, which then also solves
-# its framework's S for simnet's per-tick check.  It is a context variable,
+# True while _state_with_framework builds, which then also solves the
+# framework's S for simnet's per-tick check.  It is a context variable,
 # not a parameter, so that build_control_state's signature stays the one
-# every caller knows; each thread and each guard call sees its own value.
+# every caller knows; each thread and each build sees its own value.
 _GUARD_TRIAL = contextvars.ContextVar("rigidnet_guard_trial", default=False)
+
+
+def _state_with_framework(fw, params, extents, vectors):
+    """build_control_state, with fw's own S solved in the same batch as
+    its balls and kept as the state's framework_spectrum."""
+    token = _GUARD_TRIAL.set(True)
+    try:
+        return build_control_state(fw, params, extents, vectors)
+    finally:
+        _GUARD_TRIAL.reset(token)
 
 
 def _state_if_rigid(graph, positions, params, extents, vectors):
     """The state of a guard trial, with its framework_spectrum, if every
     ball is rigid; else None."""
-    token = _GUARD_TRIAL.set(True)
     try:
-        state = build_control_state(Framework(graph, positions), params,
-                                    extents=extents, vectors=vectors)
+        state = _state_with_framework(Framework(graph, positions), params,
+                                      extents, vectors)
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
-    finally:
-        _GUARD_TRIAL.reset(token)
     return state if all(s.rigid for s in state.spectra) else None
 
 

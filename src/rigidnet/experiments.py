@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cores
-from .control import (
-    ConfigError, ControlParams, RigidityLostError, _check_fields, _domain,
-    _is_a
-)
+from ._checks import ConfigError, _check_fields, _domain, _is_a, _node_ids
+from .control import ControlParams, RigidityLostError
 from .graphs import Graph, disk_proximity_graph, geodesics, is_connected
 from .localization import LocalizationError
 from .rigidity import CoincidentNodesError, Framework, is_infinitesimally_rigid
@@ -79,8 +77,7 @@ class ScenarioConfig(WorldConfig):
         _check_fields(self)
         if self.require_rigid and self.n <= self.dim:
             raise ConfigError("a rigid scenario needs more robots than dim")
-        if any(not 0 <= a < self.n for a in self.anchors):
-            raise ConfigError("anchor ids must be node ids")
+        _node_ids(self.anchors, self.n, "anchors")
         if self.n > MAX_ROBOTS:
             raise ConfigError(
                 f"n {self.n} is above the bound MAX_ROBOTS = {MAX_ROBOTS}")
@@ -171,7 +168,7 @@ def framework_from_json(data):
             raise ValueError(
                 f"position {k} has {len(row)} coordinates and position 0 "
                 f"has {len(positions[0])}")
-    return Framework(Graph(int(data["n"]), edges), positions)
+    return Framework(Graph(data["n"], edges), positions)
 
 
 def network_record(fw, index=0, rejects=0):

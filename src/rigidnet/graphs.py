@@ -25,6 +25,7 @@ adds the squares one coordinate at a time.
 import numpy as np
 
 from . import _cores
+from ._checks import _node_ids, _number
 
 UNREACHABLE = np.inf
 
@@ -50,9 +51,7 @@ class Graph:
     """
 
     def __init__(self, n, edges):
-        self.n = int(n)
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
+        self.n = _number("n", n, int, "non-negative")
         given = np.asarray(
             edges if isinstance(edges, np.ndarray) else list(edges))
         if given.shape == (0,):
@@ -293,9 +292,8 @@ def proximity(positions, range_):
 
 def disk_proximity_graph(positions, range_):
     """Graph with an edge wherever two points are in range (see proximity)."""
-    if range_ <= 0:
-        raise ValueError("range must be positive")
-    dist, linked = proximity(positions, range_)
+    dist, linked = proximity(positions,
+                             _number("range", range_, float, "positive"))
     return Graph(len(dist), np.stack(np.divmod(np.flatnonzero(linked),
                                                len(dist)), axis=1))
 
@@ -306,9 +304,7 @@ def induced_subgraph(g, nodes):
     Returns the local graph and the sorted global ids, so local node k
     corresponds to global node nodes[k].
     """
-    nodes = sorted(set(int(v) for v in nodes))
-    if nodes and not (0 <= nodes[0] and nodes[-1] < g.n):
-        raise ValueError("node ids out of range")
+    nodes = sorted(set(_node_ids(nodes, g.n, "nodes")))
     local = np.full(g.n, -1, dtype=np.intp)
     local[nodes] = np.arange(len(nodes))
     e = local[g.edge_array()]

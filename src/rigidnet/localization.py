@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _node_ids, _number
 from .graphs import separations
 
 
@@ -163,19 +164,10 @@ def make_filters(estimates, initial_variance, range_variance, anchors=()):
     initial_variance * I, anchors flagged by node id."""
     estimates = np.array(estimates, dtype=float)
     n, d = estimates.shape
-    for name, value, domain, ok in (
-            ("initial variance", initial_variance, "non-negative",
-             initial_variance >= 0),
-            ("range variance", range_variance, "positive", range_variance > 0)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        if not ok:
-            raise ValueError(f"{name} must be {domain}, got {value!r}")
+    _number("initial variance", initial_variance, float, "non-negative")
+    _number("range variance", range_variance, float, "positive")
     mask = np.zeros(n, dtype=bool)
-    for a in anchors:
-        if not 0 <= a < n:
-            raise ValueError(f"anchor id {a} is not a node id in 0..{n - 1}")
-        mask[a] = True
+    mask[_node_ids(anchors, n, "anchors")] = True
     covariances = np.repeat(initial_variance * np.eye(d)[None], n, axis=0)
     return Filters(estimates, covariances, mask, range_variance)
 
@@ -189,7 +181,7 @@ def measure_ranges(fw, rng=None, noise_std=0.0):
     gets one normal draw from rng, in edge order, in one call.
     """
     ranges = fw.lengths
-    if noise_std > 0:
+    if _number("noise_std", noise_std, float, "non-negative") > 0:
         ranges = ranges + rng.normal(0.0, noise_std, size=len(ranges))
     return ranges[fw.graph.slot_edge]
 
@@ -209,6 +201,8 @@ def run_static_filter(fw, filters, rounds, anchor_positions=None,
     place.  Returns the final estimate array, or the whole per-round
     history when record is set.
     """
+    rounds = _number("rounds", rounds, int, "non-negative")
+    _number("measurement_std", measurement_std, float, "non-negative")
     true_ranges = measure_ranges(fw)
     slot_node = fw.graph.slot_node
     est, cov = filters.estimates, filters.covariances

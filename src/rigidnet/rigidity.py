@@ -43,6 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _cores
+from ._checks import _number
 from .graphs import geodesics, is_biconnected, separations
 
 # Zero-eigenvalue tolerance, relative to the largest eigenvalue of S.  Over
@@ -92,9 +93,7 @@ class Framework:
         positions = np.array(positions, dtype=float)
         if positions.ndim != 2:
             raise ValueError("positions must be an n x d array")
-        dim = positions.shape[1]
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
+        dim = _number("dim", positions.shape[1], int, "2 or 3")
         if len(positions) != graph.n:
             raise ValueError(
                 f"{len(positions)} positions for a graph of {graph.n} nodes")
@@ -556,9 +555,8 @@ def is_infinitesimally_rigid(fw):
 
 def diameter_eigenvalue_bound(m, D):
     """Upper bound 2m/D^2 on the normalized rigidity eigenvalue of a connected framework."""
-    if D < 1:
-        raise ValueError("diameter must be at least 1")
-    return 2.0 * m / D**2
+    m = _number("m", m, int, "non-negative")
+    return 2.0 * m / _number("D", D, int, "at least 1") ** 2
 
 
 def diameter_bound_certificate(g):
@@ -570,9 +568,7 @@ def diameter_bound_certificate(g):
     of one node (D = 0) is a ValueError, as in diameter_eigenvalue_bound.
     """
     table = geodesics(g)
-    D = table.diameter()
-    if D < 1:
-        raise ValueError("diameter must be at least 1")
+    D = _number("diameter", table.diameter(), int, "at least 1")
     p = int(np.argmax(table.eccentricities()))
     u = table.dist[p] / D
     ut = u - u.mean()

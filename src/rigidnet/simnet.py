@@ -70,17 +70,16 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._checks import ConfigError, _check_fields, _domain, _number
 from .control import (
-    ConfigError,
     ControlParams,
     ControlState,
     NonFiniteCommandError,
     RigidityLostError,
-    _check_fields,
     _collision_slopes,
-    _domain,
     _logistic,
     _scatter,
+    _state_with_framework,
     ball_load_slopes,
     ball_rigidity_slopes,
     build_control_state,
@@ -98,7 +97,6 @@ from .localization import (
 from .rigidity import (
     CoincidentNodesError,
     Framework,
-    framework_gram,
     framework_stack,
     rigidity_spectrum,
 )
@@ -538,8 +536,9 @@ class World:
 
 def make_world(fw, params, config):
     """Freeze the extents at setup time and seed the filters; anchors start
-    at their exact fix."""
-    state = build_control_state(fw, params)
+    at their exact fix.  The first state also solves the framework's S, in
+    the batch of its balls, for the first row's check."""
+    state = _state_with_framework(fw, params, None, True)
     state.require_rigid()
     rng = np.random.default_rng(config.seed)
     est = fw.positions
@@ -554,27 +553,22 @@ def make_world(fw, params, config):
     filters.fix_anchors(fw.positions)
     world = World(framework=fw, params=params, config=config, filters=filters,
                   extents=state.extents, rng=rng, accepted=state)
-    _append_metrics(world, state, None, _framework_rho_if_rigid(world))
+    _append_metrics(world, state, None)
     return world
 
 
-def _framework_rho_if_rigid(world, spectrum=None):
+def _framework_rho_if_rigid(spectrum):
     """Rigidity eigenvalue of the whole framework, which rigid balls must
     leave rigid under their own relative zero test; asserted every tick.
-
-    spectrum is the framework's, as the guard solved it with its balls
-    (ControlState.framework_spectrum); None solves it here.
-    """
-    fw = world.framework
-    if spectrum is None:
-        spectrum = rigidity_spectrum(framework_gram(fw), fw.dim,
-                                     vectors=False)
+    spectrum is the framework's, as its state solved it with its balls
+    (ControlState.framework_spectrum)."""
     if not spectrum.rigid:
         raise RigidityLostError("rigid subframeworks left a flexible framework")
     return spectrum.rho
 
 
-def _append_metrics(world, state, log, framework_rho):
+def _append_metrics(world, state, log):
+    framework_rho = _framework_rho_if_rigid(state.framework_spectrum)
     fw = world.framework
     rhos = state.rhos
     load = float(communication_load(fw.graph, world.extents).sum())
@@ -670,8 +664,7 @@ def step_simulation(world):
     world.framework = new_state.framework
     world.accepted = new_state
     world.time += dt
-    _append_metrics(world, new_state, log, _framework_rho_if_rigid(
-        world, new_state.framework_spectrum))
+    _append_metrics(world, new_state, log)
     return world
 
 
@@ -681,10 +674,8 @@ MAX_TICKS = 10**6
 
 def tick_count(duration, dt):
     """The ticks a run of duration takes at dt; a ConfigError if duration
-    is negative or duration / dt is not a number up to MAX_TICKS."""
-    if duration < 0:
-        raise ConfigError(f"duration must be non-negative, got {duration!r}")
-    ticks = duration / dt
+    is not a finite non-negative number or duration / dt is above MAX_TICKS."""
+    ticks = _number("duration", duration, float, "non-negative") / dt
     if not ticks <= MAX_TICKS:
         raise ConfigError(
             f"duration / control.dt asks for {ticks:.3g} ticks; the bound "

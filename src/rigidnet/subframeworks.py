@@ -29,29 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cores
+from ._checks import _node_ids
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
     BallStack, Framework, _solve, _verdicts, flexible_by_count, stack_balls
 )
 
 
-def _node(i, n):
-    """Node id i of a graph of n nodes as an int; a ValueError unless it
-    is a whole number from 0 to n - 1."""
-    if not 0 <= i < n:
-        raise ValueError(f"node {i} out of range for n={n}")
-    if i != int(i):
-        raise ValueError(f"node ids must be whole numbers, got {i}")
-    return int(i)
-
-
 def extract_subframework(fw, center, extent):
     """Framework induced by the ball of the given hop radius, a whole hop
     count of at least 0, around center, with local node ids, and the
     sorted global ids of its nodes."""
-    center = _node(center, fw.n)
-    if not extent >= 0:
-        raise ValueError("extent must be nonnegative")
+    center = _node_ids(center, fw.n, "center")
     [extent] = _extents([extent], 1, least=0)
     nodes = np.flatnonzero(geodesics(fw.graph).dist[center] <= extent)
     sub, nodes = induced_subgraph(fw.graph, nodes)
@@ -185,7 +174,7 @@ def verify_extents(fw, extents):
 
 def inclusion_group(graph, extents, i):
     """Sorted centers whose subframework contains node i: {j : g_ij <= h_j}."""
-    i = _node(i, graph.n)
+    i = _node_ids(i, graph.n, "i")
     h = _extents(extents, graph.n)
     return [int(j) for j in np.flatnonzero(geodesics(graph).dist[i] <= h)]
 

@@ -194,13 +194,11 @@ class TestEnsemble:
         parent = os.getpid()
         record = experiments.network_record
 
+        # forked_map joins every child before it returns, so a traceback
+        # that a child printed on its way out is on fd 2 by then
         def interrupted(fw, index=0, rejects=0):
             if os.getpid() != parent:
                 raise KeyboardInterrupt
-            if index == 0:
-                # a child that would print a traceback has done so before
-                # the caller reads its pipe and stops it
-                time.sleep(0.5)
             return record(fw, index=index, rejects=rejects)
 
         monkeypatch.setattr(experiments, "network_record", interrupted)

@@ -21,6 +21,7 @@ from rigidnet.localization import (
     run_static_filter,
 )
 from rigidnet.rigidity import Framework, is_infinitesimally_rigid
+from rigidnet.experiments import ConfigError
 from rigidnet.simnet import WorldConfig, make_world, step_simulation
 
 from support import random_disk_framework
@@ -288,7 +289,8 @@ def test_make_filters_flags_anchors():
 
 @pytest.mark.parametrize("bad", [4, -1])
 def test_make_filters_rejects_anchor_ids_outside_the_network(bad):
-    with pytest.raises(ValueError, match=f"anchor id {bad} is not a node id"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"anchors must be node ids in 0..3, got {bad}")):
         make_filters(np.zeros((4, 2)), 1.0, 0.01, anchors=(0, bad))
 
 

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,7 +329,8 @@ def test_tick_count_is_bounded_before_the_first_tick(monkeypatch, duration):
     monkeypatch.setattr(simnet, "step_simulation", counted)
     # a negative duration once asked for -50 ticks and ran none, silently
     message = ("duration must be non-negative, got -5.0" if duration < 0
-               else "MAX_TICKS")
+               else "MAX_TICKS" if np.isfinite(duration)
+               else f"duration must be finite, got {duration!r}")
     with pytest.raises(ConfigError, match=re.escape(message)):
         run_simulation(world, duration)
     assert ticks == []
@@ -365,9 +365,8 @@ def test_framework_check_is_relative_to_lam_max():
                    [[0.0, 0.0], [1.0, 0.0], [0.5, 5e-5]])
     spectrum = rigidity_spectrum(framework_gram(fw), fw.dim, vectors=False)
     assert REL_TOL < spectrum.rho < REL_TOL * spectrum.lam_max
-    world = SimpleNamespace(framework=fw, params=params)
     with pytest.raises(RigidityLostError, match="flexible framework"):
-        simnet._framework_rho_if_rigid(world)
+        simnet._framework_rho_if_rigid(spectrum)
 
 
 def test_untenable_step_raises_rigidity_lost(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from support import floyd_warshall, hop_ball, random_disk_framework, random_graph
 
 from rigidnet.control import ControlParams, build_control_state
-from rigidnet.experiments import ScenarioConfig, sample_framework
+from rigidnet.experiments import ConfigError, ScenarioConfig, sample_framework
 from rigidnet.graphs import GeodesicTable, Graph, disk_proximity_graph
 from rigidnet.rigidity import (
     Framework,
@@ -171,12 +171,12 @@ class TestExtract:
         # numpy would read -1 as node 4 and return its ball
         fw = braced_square_with_apex()
         for center in (-1, 5):
-            with pytest.raises(ValueError,
-                               match=f"node {center} out of range for n=5"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"center must be a node id in 0..4, got {center}")):
                 extract_subframework(fw, center, 1)
 
     def test_rejects_a_nan_extent(self):
-        with pytest.raises(ValueError, match="extent must be nonnegative"):
+        with pytest.raises(ValueError, match="extents must be at least 0"):
             extract_subframework(braced_square_with_apex(), 0, float("nan"))
 
     @pytest.mark.parametrize("extent", [1.5, float("inf")])
@@ -189,8 +189,8 @@ class TestExtract:
 
     def test_rejects_a_fractional_center(self):
         # numpy raised its own IndexError for a fractional index
-        with pytest.raises(ValueError,
-                           match="node ids must be whole numbers, got 1.5"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "center must be a node id in 0..4, got 1.5")):
             extract_subframework(braced_square_with_apex(), 1.5, 1)
 
 
@@ -357,15 +357,15 @@ class TestInclusionGroup:
         # numpy would read -1 as node 3 and return its group [2, 3]
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for i in (-1, 4):
-            with pytest.raises(ValueError,
-                               match=f"node {i} out of range for n=4"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"i must be a node id in 0..3, got {i}")):
                 inclusion_group(g, [1] * 4, i)
 
     def test_rejects_a_fractional_node(self):
         # numpy raised its own IndexError for a fractional index
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(ValueError,
-                           match="node ids must be whole numbers, got 1.5"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "i must be a node id in 0..3, got 1.5")):
             inclusion_group(g, [1] * 4, 1.5)
 
 
