@@ -38,9 +38,9 @@ nothing reads the eigenvectors; a state without them refuses its slopes by
 name (EigenvectorsNotSolvedError).  A guard trial's build and a world's
 first also solve the whole framework's S in the same batch as the balls
 (_state_with_framework), for simnet's per-tick check.  This module only
-assembles the batch of S;
-rigidity._spectra solves it, on one BLAS thread, and on both cores where
-the process may use two and has the GIL-free eigenvalue-only kernel.
+assembles the batch of S; rigidity._spectra solves it, on one BLAS
+thread, and on both cores where the process may use two and has the
+GIL-free eigenvalue-only kernel, into one record of verdicts.
 
 Each field of ControlParams declares its domain once (_domain), and
 _checks._check_fields reads every field.
@@ -56,8 +56,8 @@ from scipy.special import expit
 from ._checks import ConfigError, _check_fields, _domain
 from .graphs import _edit, edited, proximity
 from .rigidity import (
-    CoincidentNodesError, Framework, Spectrum, _spectra, framework_gram,
-    framework_stack
+    CoincidentNodesError, Framework, Spectrum, Verdicts, _spectra, _spectrum,
+    framework_gram, framework_stack
 )
 from .subframeworks import BallSet, _extents, ball_set, extent_assignment
 
@@ -109,11 +109,11 @@ class ControlState:
     ball_set (with the ball membership mask and the load coefficients c
     and coeff) is the graph's own and shared, read-only, by every state on that
     graph; the edge unit vectors and lengths are the framework's, and the
-    link weights and spectra belong to this state.  spectra holds each
-    ball's Spectrum, in center order (rigidity.TOO_SMALL for a ball too
-    small to test, whose rho is None and reads NaN in rhos).  A state built
-    without vectors holds eigenvalues only: its verdicts and rhos, but no
-    slopes.  A guard trial's state, or a world's first, also holds
+    link weights and verdicts belong to this state.  verdicts is the
+    balls' rigidity.Verdicts, in center order (a ball too small to test
+    reads NaN in rhos), each eigenvector unsigned.  A state built without
+    vectors holds eigenvalues only: its verdicts and rhos, but no slopes.
+    A guard trial's state, or a world's first, also holds
     framework_spectrum, the eigenvalues of the framework's unweighted S,
     which simnet's per-tick check reads; any other state holds None there.
     """
@@ -123,19 +123,20 @@ class ControlState:
     extents: np.ndarray
     ball_set: BallSet
     weights: np.ndarray
-    spectra: list
+    verdicts: Verdicts
     vectors: bool = True
     framework_spectrum: Spectrum = None
 
     @property
     def rhos(self):
-        return np.array([s.rho for s in self.spectra], dtype=float)
+        return self.verdicts.rho
 
     def require_rigid(self):
-        for j, s in enumerate(self.spectra):
-            if not s.rigid:
-                raise RigidityLostError(
-                    f"subframework of node {j} lost rigidity (rho={s.rho})")
+        if not self.verdicts.rigid.all():
+            j = int(np.argmin(self.verdicts.rigid))
+            raise RigidityLostError(
+                f"subframework of node {j} lost rigidity "
+                f"(rho={_spectrum(self.verdicts, j).rho})")
 
     def rigidity_slopes(self):
         """ball_rigidity_slopes of every ball, one row per stack row; every
@@ -146,8 +147,8 @@ class ControlState:
                 "rigidity slopes need eigenvectors")
         fw = self.framework
         return ball_rigidity_slopes(
-            self.ball_set.stack, [s.rho for s in self.spectra],
-            np.concatenate([s.nu for s in self.spectra]).reshape(-1, fw.dim),
+            self.ball_set.stack, self.rhos.tolist(),
+            np.concatenate(self.verdicts.nu).reshape(-1, fw.dim),
             fw.units, fw.lengths, self.weights, self.params)
 
 
@@ -161,12 +162,10 @@ def build_control_state(fw, params, extents=None, vectors=True):
     small ball still gives a state, whose caller calls require_rigid or
     reads the verdicts.  Without vectors every ball is solved for its
     eigenvalues only (eigvalsh instead of eigh), and the state gives
-    verdicts and rhos but no slopes.
-    The balls are solved as one batch by rigidity._spectra, with BLAS on
-    one thread, shared by the caller and one worker thread where the
-    process may run on two cores.  Under _state_with_framework the build
-    also solves its framework's unweighted S, for eigenvalues only, in the
-    same batch (_GUARD_TRIAL), and keeps it as framework_spectrum.
+    verdicts and rhos but no slopes.  The balls are solved as one batch by
+    rigidity._spectra, and under _state_with_framework (_GUARD_TRIAL) the
+    framework's unweighted S too, for eigenvalues only, kept as
+    framework_spectrum.
     """
     if extents is None:
         extents = extent_assignment(fw)
@@ -178,19 +177,19 @@ def build_control_state(fw, params, extents=None, vectors=True):
     balls = ball_set(fw.graph, extents, fw.dim)
 
     grams = balls.stack.grams(fw.units, weights)
-    with_vectors = [vectors] * len(grams)
     check = _GUARD_TRIAL.get()
     if check:
         grams.append(framework_gram(fw))
-        with_vectors.append(False)
-    spectra = _spectra(grams, fw.dim, with_vectors)
-    framework_spectrum = spectra.pop() if check else None
-    degenerate = sum(s.degenerate for s in spectra)
+    verdicts = _spectra(grams, fw.dim,
+                        [vectors] * fw.n + [False] * (len(grams) - fw.n))
+    framework_spectrum = _spectrum(verdicts, -1) if check else None
+    verdicts = verdicts[:fw.n]
+    degenerate = int(verdicts.degenerate.sum())
     if degenerate:
         logger.debug(
             "%d subframeworks have near-multiple rigidity eigenvalues; "
             "their eigenvectors only give descent subgradients", degenerate)
-    return ControlState(fw, params, extents, balls, weights, spectra, vectors,
+    return ControlState(fw, params, extents, balls, weights, verdicts, vectors,
                         framework_spectrum)
 
 
@@ -393,7 +392,7 @@ def _state_if_rigid(graph, positions, params, extents, vectors):
     except CoincidentNodesError:
         # a collapsing edge makes unit vectors meaningless
         return None
-    return state if all(s.rigid for s in state.spectra) else None
+    return state if state.verdicts.rigid.all() else None
 
 
 def guarded_refresh(graph, positions, params, extents, vectors=True):

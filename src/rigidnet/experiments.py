@@ -147,8 +147,6 @@ def framework_from_json(data):
     for key in ("n", "edges", "positions"):
         if key not in data:
             raise ValueError(f"the framework object has no {key}")
-    if not _is_a(data["n"], int):
-        raise ValueError(f"n must be an integer, got {data['n']!r}")
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError(f"edges must be a list, got {edges!r}")

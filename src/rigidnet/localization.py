@@ -108,6 +108,8 @@ def filter_update(estimate, covariance, range_variance, measurements,
     remain; scaling the floor by the innovation power keeps the filter awake
     exactly as long as its own residuals say the fit is not done.
     """
+    _number("range variance", range_variance, float, "positive")
+    _number("process_floor", process_floor, float, "non-negative")
     z = np.asarray(measurements, dtype=float)
     if z.shape[-1] == 0:
         return estimate.copy(), covariance.copy()

@@ -25,7 +25,7 @@ refuse (FrameworkTooSmallError), and otherwise rho against one threshold,
 REL_TOL relative to the largest eigenvalue; the rank test reads it too.
 It is a batch of one: every batch (_spectra, the extent search's) makes
 one LAPACK call per S (_solve) and judges them all in one vectorized
-pass over their eigenvalues (_verdicts), the verdict's one formula.
+pass (_verdicts), the verdict's one formula, into one record (Verdicts).
 Every S it is given is assembled by d x d blocks, S = sum over edges of
 w r r^T, by a BallStack (a whole framework is the stack of one ball):
 each edge's signed blocks are formed once (edge_blocks), and one gather
@@ -135,21 +135,16 @@ def rigidity_matrix(fw):
     return R
 
 
-def _checked_weights(weights, m):
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    if (w <= 0).any():
-        raise ValueError("weights must be positive")
-    return w
-
-
 def symmetric_rigidity_matrix(R, weights):
     """Dense S = R^T W R, symmetrized, for positive weights (all-ones: normalized case).
 
     The reference that the block assembly of BallStack is checked against.
     """
-    w = _checked_weights(weights, R.shape[0])
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (R.shape[0],):
+        raise ValueError(f"expected {R.shape[0]} weights, got shape {w.shape}")
+    if (w <= 0).any():
+        raise ValueError("weights must be positive")
     S = R.T @ (w[:, None] * R)
     return 0.5 * (S + S.T)
 
@@ -322,6 +317,36 @@ TOO_SMALL = Spectrum(_read_only(np.empty(0)), None, None, np.nan, np.nan,
                      np.nan, False, False)
 
 
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Each Spectrum field of every S of a batch, in batch order, sliced as
+    one: read-only arrays, and tuples of each S's eigenvalues (None for an
+    S of at most d nodes, whose numbers read NaN) and of its eigenvector
+    nu as LAPACK returned it, unsigned (None without vectors).  The slopes,
+    nu^T (dS) nu, are even in nu; only a Spectrum signs it (_spectrum)."""
+
+    eigenvalues: tuple
+    rho: np.ndarray
+    nu: tuple
+    lam_max: np.ndarray
+    gap: np.ndarray
+    tol_abs: np.ndarray
+    rigid: np.ndarray
+    degenerate: np.ndarray
+
+    def __getitem__(self, rows):
+        return Verdicts(*(a[rows] for a in vars(self).values()))
+
+
+def _spectrum(v, j):
+    """Row j of the Verdicts v as a Spectrum, nu signed, or TOO_SMALL."""
+    if v.eigenvalues[j] is None:
+        return TOO_SMALL
+    return Spectrum(v.eigenvalues[j], float(v.rho[j]), _signed(v.nu[j]),
+                    float(v.lam_max[j]), float(v.gap[j]), float(v.tol_abs[j]),
+                    bool(v.rigid[j]), bool(v.degenerate[j]))
+
+
 def rigidity_spectrum(S, d, vectors=True):
     """The rigidity eigenvalue test on S, by eigh or, without vectors,
     eigvalsh; TOO_SMALL when S has at most d nodes.
@@ -335,89 +360,67 @@ def rigidity_spectrum(S, d, vectors=True):
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
         raise ValueError("S must be dn x dn")
-    return _spectra([S], d, [vectors])[0]
+    return _spectrum(_spectra([S], d, [vectors]), 0)
 
 
 def _solve(S, d, vectors, eigvalsh):
     """One S's LAPACK call and nothing more: with vectors, eigh's
-    eigenvalues and its rigidity eigenvector (column f, a view), else
-    (eigenvalues, None) by eigvalsh (numpy's, or
-    _cores._gil_free_eigvalsh, which gives the same bits), inside a
-    one_blas_thread block that the caller holds.  An S of at most d nodes
-    is not solved: None."""
+    eigenvalues and its rigidity eigenvector (column f, copied so that
+    no record keeps the whole matrix), else (eigenvalues, None) by
+    eigvalsh (numpy's, or _cores._gil_free_eigvalsh, which gives the
+    same bits), inside a one_blas_thread block that the caller holds.
+    An S of at most d nodes is not solved: None."""
     if len(S) <= d * d:
         return None
     if vectors:
         vals, vecs = np.linalg.eigh(S)
-        return vals, vecs[:, rigid_body_dim(d)]
+        return vals, vecs[:, rigid_body_dim(d)].copy()
     return eigvalsh(S), None
 
 
 def _verdicts(solved, d):
-    """The Spectrum of each _solve result in solved, in order, by one pass
-    over their eigenvalues laid end to end; TOO_SMALL for None.
+    """The Verdicts of the _solve results in solved, by one pass over
+    their eigenvalues laid end to end; a None (too small) is f + 2 NaNs.
 
     rho is the (f+1)-th eigenvalue and lam_max the last; gap is the next
     one's distance from rho, inf without one; rigid is rho > tol_abs =
     REL_TOL * max(lam_max, 0); degenerate is gap <= DEGENERATE_GAP_REL *
     max(lam_max, 1e-300).  Every number is the one a scalar formula gives,
     bit for bit (np.where takes max's place: np.maximum would turn -0.0
-    into 0.0).  nu is the eigenvector, signed by _signed.
+    into 0.0).
     """
     f = rigid_body_dim(d)
-    out = [TOO_SMALL] * len(solved)
-    at = [j for j, s in enumerate(solved) if s is not None]
-    if not at:
-        return out
-    vals, nus = (list(a) for a in zip(*(solved[j] for j in at)))
-    sizes = np.array([len(v) for v in vals])
+    vals, nus = (tuple(s and s[k] for s in solved) for k in (0, 1))
+    blocks = [np.full(f + 2, np.nan) if v is None else v for v in vals]
+    sizes = np.array([len(v) for v in blocks], dtype=np.intp)
     start = np.cumsum(sizes) - sizes
-    flat = np.concatenate(vals)
+    flat = np.concatenate([np.empty(0), *blocks])
     rho = flat[start + f]
     lam_max = flat[start + sizes - 1]
-    gap = np.full(len(at), np.inf)
+    gap = np.full(len(solved), np.inf)
     more = sizes > f + 1
     gap[more] = flat[start[more] + f + 1] - rho[more]
     tol_abs = REL_TOL * np.where(0.0 > lam_max, 0.0, lam_max)
     rigid = rho > tol_abs
     degenerate = gap <= DEGENERATE_GAP_REL * np.where(
         1e-300 > lam_max, 1e-300, lam_max)
-    with_vectors = [t for t, nu in enumerate(nus) if nu is not None]
-    if with_vectors:
-        signed = _signed([nus[t] for t in with_vectors])
-        for t, nu in zip(with_vectors, signed):
-            nus[t] = nu
-    for j, spectrum in zip(at, zip(
-            vals, rho.tolist(), nus, lam_max.tolist(), gap.tolist(),
-            tol_abs.tolist(), rigid.tolist(), degenerate.tolist())):
-        out[j] = Spectrum(*spectrum)
-    return out
+    for a in (rho, lam_max, gap, tol_abs, rigid, degenerate):
+        a.setflags(write=False)
+    return Verdicts(vals, rho, nus, lam_max, gap, tol_abs, rigid, degenerate)
 
 
-def _signed(columns):
-    """Each column negated where its first entry of largest magnitude, as
-    np.argmax finds it, is negative, so never one holding a NaN: views of
-    one array, from one pass over the columns laid end to end."""
-    lengths = [len(c) for c in columns]
-    nu = np.concatenate(columns)
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
-    size = np.abs(nu)
-    nan = np.isnan(size)
-    size[nan] = -1.0
-    tops = np.flatnonzero(
-        size == np.repeat(np.maximum.reduceat(size, starts), lengths))
-    flip = ((nu[tops[np.searchsorted(tops, starts)]] < 0)
-            & ~np.logical_or.reduceat(nan, starts))
-    nu = np.where(np.repeat(flip, lengths), -nu, nu)
-    return [nu[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+def _signed(nu):
+    """nu negated where its first entry of largest magnitude, as np.argmax
+    finds it, is negative, so never a column that holds a NaN; None stays."""
+    if nu is None or np.isnan(nu).any() or nu[np.argmax(np.abs(nu))] >= 0:
+        return nu
+    return -nu
 
 
 @_cores.one_blas_thread()
 def _spectra(grams, d, vectors):
-    """The Spectrum of each S in grams, in order, by rigidity_spectrum's
-    test; an S solved without vectors, as vectors[j] says, gets
-    eigenvalues only.
+    """The Verdicts of the S in grams, in order; S j is solved for its
+    eigenvalues only unless vectors[j].
 
     Each S is one LAPACK call (_solve), and one pass over the batch's
     eigenvalues gives every verdict (_verdicts), so the threads run
@@ -483,7 +486,7 @@ def rigidity_report(fw, vectors=True):
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    [spectrum] = _spectra([framework_gram(fw)], d, [vectors])
+    spectrum = _spectrum(_spectra([framework_gram(fw)], d, [vectors]), 0)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0
@@ -568,7 +571,7 @@ def diameter_bound_certificate(g):
     of one node (D = 0) is a ValueError, as in diameter_eigenvalue_bound.
     """
     table = geodesics(g)
-    D = _number("diameter", table.diameter(), int, "at least 1")
+    D = _number("D", table.diameter(), int, "at least 1")
     p = int(np.argmax(table.eccentricities()))
     u = table.dist[p] / D
     ut = u - u.mean()

@@ -462,10 +462,10 @@ def _replay(rows, log, world, x):
             raise NonFiniteRangeError(
                 f"the believed positions make no framework: {exc}") from exc
         state = build_control_state(believed, params, world.extents)
-        for j in log.center[log.center == log.member]:
-            if not state.spectra[j].rigid:
-                raise RigidityLostError(
-                    f"subframework of node {j} is not rigid")
+        firing = log.center[log.center == log.member]
+        if not state.verdicts.rigid[firing].all():
+            j = firing[np.argmin(state.verdicts.rigid[firing])]
+            raise RigidityLostError(f"subframework of node {j} is not rigid")
     fw, balls = state.framework, state.ball_set
     rigidity = state.rigidity_slopes()
     load = ball_load_slopes(balls.stack, balls.c, fw.units, state.weights,

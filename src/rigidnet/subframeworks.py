@@ -16,12 +16,11 @@ mask, load coefficients, flood ttls and the stack) is a BallSet, computed
 once per Graph and kept on it (ball_set).  The extent search stacks the
 balls of all centers still searching at one radius the same way and solves
 them as one batch on one BLAS thread, each ball by one eigvalsh and all
-of them by rigidity's one verdict pass (rigidity._verdicts; TOO_SMALL for
-a ball of at most d nodes), apart from
-the balls that rigidity's counting rule (flexible_by_count) already proves
-flexible, which it never stacks.  The load coefficients max(0, h_j - g_ji)
-are one table, kept on the Graph under the extents, that the BallSet and
-communication_load both read.
+of them by rigidity's one verdict pass (rigidity._verdicts; not rigid for
+a ball of at most d nodes), apart from the balls that rigidity's counting
+rule (flexible_by_count) already proves flexible, which it never stacks.
+The load coefficients max(0, h_j - g_ji) are one table, kept on the Graph
+under the extents, that the BallSet and communication_load both read.
 """
 
 from dataclasses import dataclass
@@ -124,8 +123,8 @@ def ball_set(graph, extents, d):
 @_cores.one_blas_thread()
 def _rigid_balls(fw, inside):
     """Whether the unweighted S of each ball, a row of the membership mask
-    inside, passes the eigenvalue test (rigidity.TOO_SMALL for a ball of
-    at most d nodes does not).
+    inside, passes the eigenvalue test (a ball of at most d nodes does
+    not).
 
     A ball that rigidity.flexible_by_count finds flexible is not rigid at
     any realization, so only the others are stacked, assembled and
@@ -133,9 +132,8 @@ def _rigid_balls(fw, inside):
     rigid = np.zeros(len(inside), dtype=bool)
     solve = np.flatnonzero(~flexible_by_count(fw.graph, inside, fw.dim))
     stack = stack_balls(inside[solve], fw.graph.edge_array(), fw.dim)
-    rigid[solve] = [s.rigid for s in _verdicts(
-        [_solve(S, fw.dim, False, np.linalg.eigvalsh)
-         for S in stack.grams(fw.units)], fw.dim)]
+    rigid[solve] = _verdicts([_solve(S, fw.dim, False, np.linalg.eigvalsh)
+                              for S in stack.grams(fw.units)], fw.dim).rigid
     return rigid
 
 

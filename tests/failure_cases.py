@@ -262,9 +262,9 @@ CASES = [
                         ("string-edge", [[0, "1"], [1, 2], [0, 2]]),
                         ("three-wide-edges", [[0, 1, 2], [1, 2, 0]]))),
     # n must be an integer, not a number that rounds to one
-    triangle_file("null-n", "n must be an integer, got None", n=None),
-    triangle_file("fractional-n", r"n must be an integer, got 3\.7", n=3.7),
-    framework_file("bool-n", "n must be an integer, got True",
+    triangle_file("null-n", "n must be of type int, got None", n=None),
+    triangle_file("fractional-n", r"n must be of type int, got 3\.7", n=3.7),
+    framework_file("bool-n", "n must be of type int, got True",
                    {"n": True, "edges": [], "positions": [[0, 0]]}),
     framework_file("negative-n", "n must be non-negative, got -1",
                    {"n": -1, "edges": [], "positions": []}),

@@ -204,10 +204,13 @@ class FakeBlas:
 
 
 def bits(spectrum):
-    """Every field a Spectrum holds, as bytes where it is a number."""
+    """Every field a Spectrum or a rigidity.Verdicts record holds, as bytes
+    where it is a number, and a record's per-S arrays one by one."""
     def field_bits(v):
         if v is None or isinstance(v, bool):
             return v
+        if isinstance(v, tuple):
+            return tuple(map(field_bits, v))
         return np.asarray(v, dtype=float).tobytes()
     return tuple(field_bits(getattr(spectrum, f.name))
                  for f in dataclasses.fields(spectrum))

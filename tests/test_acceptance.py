@@ -183,7 +183,8 @@ def _gap_filtered_state(rng, n=8):
         state = build_control_state(fw, params)
     except RigidityLostError:
         return None
-    if any(s.gap < 1e-4 * max(s.lam_max, 1e-12) for s in state.spectra):
+    v = state.verdicts
+    if (v.gap < 1e-4 * np.maximum(v.lam_max, 1e-12)).any():
         return None
     return state
 

@@ -15,6 +15,7 @@ from rigidnet import (
     diameter_eigenvalue_bound,
     disk_proximity_graph,
     extract_subframework,
+    filter_update,
     inclusion_group,
     make_filters,
     run_static_filter,
@@ -30,6 +31,12 @@ FW = Framework(Graph(5, EDGES), X)
 
 def filters():
     return make_filters(X, 1.0, 0.01)
+
+
+def one_update(range_variance=0.01, process_floor=0.0):
+    """One robot's range correction against two neighbors."""
+    return filter_update(np.zeros(2), np.eye(2), range_variance, [1.0, 1.0],
+                         [[2, 0], [0, 2]], process_floor=process_floor)
 
 
 # the hostile values, each one a case wherever it applies
@@ -48,6 +55,11 @@ ENTRIES = {
                                       "non-negative"),
     "make_filters.range_variance": (lambda v: make_filters(X, 1.0, v),
                                     "range variance", float, "positive"),
+    "filter_update.range_variance": (lambda v: one_update(v),
+                                     "range variance", float, "positive"),
+    "filter_update.process_floor": (
+        lambda v: one_update(process_floor=v), "process_floor", float,
+        "non-negative"),
     "measure_ranges.noise_std": (
         lambda v: measure_ranges(FW, np.random.default_rng(0), v),
         "noise_std", float, "non-negative"),
@@ -117,6 +129,22 @@ def test_every_entry_point_meets_the_cases_that_apply():
         else 8 if kind in ("id", "ids") else 7 if kind is int else 6
         for entry, (_, _, kind, _) in ENTRIES.items()}
     assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("keyword, name", [
+    ("range_variance", "range variance"), ("process_floor", "process_floor")])
+@pytest.mark.parametrize("value, message", [
+    (-0.5, "must be {}, got -0.5"), (float("nan"), "must be finite, got nan"),
+    (float("inf"), "must be finite, got inf"),
+    (True, "must be of type float, got True"),
+    ("0.01", "must be of type float, got '0.01'")])
+def test_filter_update_reads_both_scalars(keyword, name, value, message):
+    # a bad one once ended in a covariance of -I, or in a
+    # NonFiniteRangeError that named the wrong fault
+    rule = "positive" if keyword == "range_variance" else "non-negative"
+    want = f"{name} {message.format(rule)}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        one_update(**{keyword: value})
 
 
 def test_a_diameter_of_zero_bounds_nothing():

@@ -76,7 +76,8 @@ def fd_state(rng, n=8, dim=2, **exponents):
         state = build_control_state(fw, params)
     except RigidityLostError:
         return None
-    if any(s.gap < 1e-4 * max(s.lam_max, 1e-12) for s in state.spectra):
+    v = state.verdicts
+    if (v.gap < 1e-4 * np.maximum(v.lam_max, 1e-12)).any():
         return None
     return state
 
@@ -162,7 +163,7 @@ class TestStateBuild:
         assert state.extents.tolist() == [1, 2, 1, 2, 2]
         assert ((0 < state.weights) & (state.weights < 1)).all()
         assert np.isfinite(state.rhos).all() and (state.rhos > 0).all()
-        assert len(state.spectra) == 5
+        assert len(state.verdicts.rho) == 5
         balls, g = state.ball_set, state.framework.graph
         assert len(balls.inside) == 5
         for j, row in enumerate(balls.inside):
@@ -177,7 +178,7 @@ class TestStateBuild:
         rng = np.random.default_rng(30)
         fw = Framework(g, rng.uniform(0, 1, size=(4, 2)))
         state = build_control_state(fw, default_params(), extents=[1, 1, 1, 1])
-        assert not all(s.rigid for s in state.spectra)
+        assert not state.verdicts.rigid.all()
         with pytest.raises(RigidityLostError):
             state.require_rigid()
 
@@ -188,9 +189,10 @@ class TestStateBuild:
         x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 1.0]])
         state = build_control_state(Framework(g, x), default_params(),
                                     extents=[1, 1, 1, 1])
-        too_small = state.spectra[0]
-        assert not too_small.rigid and len(too_small.eigenvalues) == 0
-        assert not state.spectra[1].rigid
+        v = state.verdicts
+        assert not v.rigid[0] and v.eigenvalues[0] is None
+        assert rigidity._spectrum(v, 0) is rigidity.TOO_SMALL
+        assert not v.rigid[1]
         assert np.isnan(state.rhos[0])
         with pytest.raises(RigidityLostError,
                            match=r"node 0 lost rigidity \(rho=None\)"):
@@ -201,26 +203,41 @@ class TestStateBuild:
         full = build_control_state(fw, default_params())
         bare = build_control_state(fw, default_params(), vectors=False)
         assert full.vectors and not bare.vectors
-        assert all(s.nu is None for s in bare.spectra)
+        assert all(nu is None for nu in bare.verdicts.nu)
         grams = bare.ball_set.stack.grams(fw.units, bare.weights)
         solved = [rigidity_spectrum(S, fw.dim, vectors=False) for S in grams]
-
-        def verdicts(spectra):
-            return [(s.rho, s.rigid, s.eigenvalues.tobytes()) for s in spectra]
-        assert verdicts(bare.spectra) == verdicts(solved)
-        assert [s.rigid for s in bare.spectra] == [
-            s.rigid for s in full.spectra]
+        assert list(zip(bare.rhos.tolist(), bare.verdicts.rigid.tolist(),
+                        [e.tobytes() for e in bare.verdicts.eigenvalues])) == [
+            (s.rho, s.rigid, s.eigenvalues.tobytes()) for s in solved]
+        assert (bare.verdicts.rigid.tolist()
+                == full.verdicts.rigid.tolist())
         assert np.allclose(bare.rhos, full.rhos, rtol=1e-12)
         with pytest.raises(EigenvectorsNotSolvedError, match="eigenvalues only"):
             bare.rigidity_slopes()
         with pytest.raises(EigenvectorsNotSolvedError, match="eigenvalues only"):
             rigidity_gradient_all(bare)
 
+    def test_a_build_makes_no_spectrum_per_ball(self, monkeypatch):
+        # the balls' verdicts are one record, each eigenvector unsigned; a
+        # build with its framework's S makes that S's Spectrum and no other
+        made, signed = [], []
+        spectrum, sign = rigidity.Spectrum, rigidity._signed
+        monkeypatch.setattr(rigidity, "Spectrum",
+                            lambda *a: made.append(a) or spectrum(*a))
+        monkeypatch.setattr(rigidity, "_signed",
+                            lambda nu: signed.append(nu) or sign(nu))
+        fw = apex_framework()
+        state = build_control_state(fw, default_params())
+        assert made == [] and signed == []
+        control._state_with_framework(fw, default_params(), state.extents,
+                                      True)
+        assert len(made) == 1 and signed == [None]
+
     def test_degenerate_balls_flagged(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         state = build_control_state(Framework(g, x), default_params())
-        assert all(s.degenerate for s in state.spectra)
+        assert state.verdicts.degenerate.all()
         assert np.isfinite(rigidity_gradient_all(state)).all()
 
 
@@ -262,8 +279,8 @@ def estimated_state(vectors=True):
 
 
 def spectrum_bits(state):
-    """The bits of every ball's Spectrum."""
-    return [bits(s) for s in state.spectra]
+    """The bits of every field of the balls' verdicts."""
+    return bits(state.verdicts)
 
 
 def one_core(pid):
@@ -330,7 +347,7 @@ class TestTwoCoreSolve:
         assert solvers == {threading.get_ident()}
         assert spectrum_bits(threaded) == spectrum_bits(sequential)
         assert threaded.rhos.tobytes() == sequential.rhos.tobytes()
-        assert any(s.nu is not None for s in threaded.spectra) == vectors
+        assert any(nu is not None for nu in threaded.verdicts.nu) == vectors
 
     @pytest.mark.parametrize("vectors", [True, False])
     def test_without_the_kernel_no_eigenvalue_only_solve_reaches_the_worker(
@@ -446,9 +463,12 @@ class TestTwoCoreSolve:
 
         monkeypatch.setattr(rigidity, "_solve", held)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
-        spectra = rigidity._spectra(grams, 2, [False] * len(grams))
+        verdicts = rigidity._spectra(grams, 2, [False] * len(grams))
         # every S solved once, none lost or taken twice
-        assert spectra == [rigidity.TOO_SMALL] * len(grams)
+        v = verdicts
+        assert v.eigenvalues == v.nu == (None,) * len(grams)
+        assert np.isnan([v.rho, v.lam_max, v.gap, v.tol_abs]).all()
+        assert not (v.rigid.any() or v.degenerate.any())
         mine, worker = taken["caller"], taken["worker"]
         assert sorted(mine + worker) == list(range(len(grams)))
         assert len(mine) > HELD and len(worker) > HELD
@@ -514,8 +534,8 @@ class TestTwoCoreSolve:
         monkeypatch.setattr(_cores, "_eigh_worker", no_worker)
         monkeypatch.setattr(os, "sched_getaffinity", two_cores)
         S = framework_gram(apex_framework())
-        assert rigidity._spectra([], 2, []) == []
-        [spectrum] = rigidity._spectra([S], 2, [vectors])
+        assert len(rigidity._spectra([], 2, []).rho) == 0
+        spectrum = rigidity._spectrum(rigidity._spectra([S], 2, [vectors]), 0)
         assert bits(spectrum) == bits(rigidity_spectrum(S, 2, vectors))
 
     def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
@@ -631,6 +651,55 @@ class TestScatter:
         assert got.tobytes() == np.zeros((4, 3)).tobytes()
 
 
+def sign_test_state(case):
+    """A state with vectors: a random 2-D or 3-D one, or the equilateral
+    triangle or regular tetrahedron, whose every ball is degenerate."""
+    if case in ("random_2d", "random_3d"):
+        rng = np.random.default_rng(46)
+        state = None
+        while state is None:
+            state = fd_state(rng, dim=int(case[-2]))
+        return state
+    if case == "triangle":
+        x = [[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]
+    else:
+        x = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+             [-1.0, -1.0, 1.0]]
+    g = Graph(len(x), [(i, j) for i in range(len(x))
+                       for j in range(i + 1, len(x))])
+    return build_control_state(Framework(g, x), default_params())
+
+
+class TestSignInvariance:
+    """Every slope is even in its ball's eigenvector: negating nu negates s
+    and sigma exactly, along reads sigma ** 2 and across * (s_c - sigma *
+    r_c) is a product of two negated factors.  So a state reads nu as
+    LAPACK returned it, unsigned, and its slopes keep their bits."""
+
+    @pytest.mark.parametrize("case", ["random_2d", "random_3d", "triangle",
+                                      "tetrahedron"])
+    def test_negating_eigenvectors_keeps_every_slope_bit(self, case):
+        state = sign_test_state(case)
+        v, fw = state.verdicts, state.framework
+        if case in ("triangle", "tetrahedron"):
+            assert v.degenerate.all()
+
+        def slopes(nus):
+            return ball_rigidity_slopes(
+                state.ball_set.stack, v.rho.tolist(),
+                np.concatenate(nus).reshape(-1, fw.dim), fw.units,
+                fw.lengths, state.weights, state.params)
+
+        want = slopes(v.nu)
+        assert want.tobytes() == state.rigidity_slopes().tobytes()
+        assert np.abs(want).max() > 0
+        rng = np.random.default_rng(len(v.nu))
+        for flip in [rng.permutation(len(v.nu)) < (len(v.nu) + 1) // 2,
+                     np.ones(len(v.nu), dtype=bool)]:
+            negated = [-nu if f else nu for nu, f in zip(v.nu, flip)]
+            assert slopes(negated).tobytes() == want.tobytes()
+
+
 class TestPotentials:
     def test_rigidity_potential_is_inverse_power_sum(self):
         state = build_control_state(apex_framework(), default_params())
@@ -734,7 +803,7 @@ class TestGradients:
             state = fd_state(rng)
         n, d = state.framework.positions.shape
         stack = state.ball_set.stack
-        nus = np.concatenate([s.nu for s in state.spectra]).reshape(-1, d)
+        nus = np.concatenate(state.verdicts.nu).reshape(-1, d)
         rigidity = ball_rigidity_slopes(
             stack, state.rhos, nus, state.framework.units,
             state.framework.lengths, state.weights, state.params)
@@ -959,9 +1028,10 @@ class TestTopologyCache:
     @staticmethod
     def eigendata(state):
         """Every ball's eigendata, copied, with nu as a tuple of floats."""
-        return [None if s is None else (s.rho, tuple(s.nu), s.lam_max, s.gap,
-                                        s.rigid, s.degenerate)
-                for s in state.spectra]
+        v = state.verdicts
+        return list(zip(v.rho.tolist(), map(tuple, v.nu), v.lam_max.tolist(),
+                        v.gap.tolist(), v.rigid.tolist(),
+                        v.degenerate.tolist()))
 
     def test_refresh_keeps_the_graph_while_edges_hold(self):
         fw = self.fw
@@ -1002,8 +1072,9 @@ class TestTopologyCache:
         assert cached.inside.dtype == bool and cached.inside.shape == (fw.n, fw.n)
         assert not cached.inside.flags.writeable
         assert not cached.stack.nodes.flags.writeable
-        for a, b in zip(first.spectra, second.spectra):
-            assert a is not b
+        assert first.verdicts is not second.verdicts
+        for a, b in zip(first.verdicts.nu, second.verdicts.nu):
+            assert not np.shares_memory(a, b)
         assert not geodesics(fw.graph).dist.flags.writeable
 
     def test_cached_state_equals_a_fresh_build(self):

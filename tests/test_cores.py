@@ -1,5 +1,6 @@
 """The thread boundary on random small worlds, and the kernel's self-check."""
 
+import dataclasses
 import functools
 import threading
 
@@ -24,11 +25,12 @@ def kernel_or_skip():
 
 
 def state_bits(state):
-    """The bits of every Spectrum of a state, or None for no state."""
+    """The bits of a state's verdicts and framework Spectrum, or None for
+    no state."""
     if state is None:
         return None
     framework = state.framework_spectrum
-    return ([bits(s) for s in state.spectra],
+    return (bits(state.verdicts),
             None if framework is None else bits(framework))
 
 
@@ -136,14 +138,15 @@ def test_the_self_check_refuses_a_kernel_one_bit_off(monkeypatch):
     assert got == want
 
 
-def reference_spectrum(vals, vecs, d):
+def reference_spectrum(vals, vecs, d, signed=True):
     """The verdict on one S's eigenvalues (and eigenvectors, or None) by
-    scalar formulas, one S at a time: the reference for the verdict pass."""
+    scalar formulas, one S at a time: the reference for the verdict pass.
+    nu is signed, its largest entry positive, unless signed is false."""
     f = rigidity.rigid_body_dim(d)
     nu = None
     if vecs is not None:
         nu = vecs[:, f]
-        if nu[np.argmax(np.abs(nu))] < 0:
+        if signed and nu[np.argmax(np.abs(nu))] < 0:
             nu = -nu
     rho, lam_max = float(vals[f]), float(vals[-1])
     tol_abs = rigidity.REL_TOL * max(lam_max, 0.0)
@@ -151,6 +154,18 @@ def reference_spectrum(vals, vecs, d):
     degenerate = gap <= rigidity.DEGENERATE_GAP_REL * max(lam_max, 1e-300)
     return rigidity.Spectrum(vals, rho, nu, lam_max, gap, tol_abs,
                              rho > tol_abs, bool(degenerate))
+
+
+def reference_record(spectra):
+    """The rigidity.Verdicts record of reference spectra, one per S: TOO_SMALL
+    reads no eigenvalues, NaN and neither rigid nor degenerate."""
+    rows = [(None, np.nan, None, np.nan, np.nan, np.nan, False, False)
+            if s is rigidity.TOO_SMALL
+            else [getattr(s, f.name) for f in dataclasses.fields(s)]
+            for s in spectra]
+    columns = list(zip(*rows))
+    return rigidity.Verdicts(columns[0], np.array(columns[1]), columns[2],
+                             *map(np.array, columns[3:]))
 
 
 def symmetric(rng, side, eigenvalues=None):
@@ -229,18 +244,20 @@ def test_the_verdict_pass_equals_a_per_s_reference(monkeypatch, case, cores):
             return solved[0][:f + 1], solved[1]
         return solved
 
-    want = []
+    want, raw = [], []
     try:
         with _cores.one_blas_thread():
             for S, v in zip(grams, vectors):
                 if len(S) <= d * d:
                     want.append(rigidity.TOO_SMALL)
+                    raw.append(rigidity.TOO_SMALL)
                     continue
                 vals, vecs = (np.linalg.eigh(S) if v
                               else (np.linalg.eigvalsh(S), None))
                 if id(S) in short:
                     vals = vals[:f + 1]
                 want.append(reference_spectrum(vals, vecs, d))
+                raw.append(reference_spectrum(vals, vecs, d, signed=False))
     except np.linalg.LinAlgError:
         want = None
     monkeypatch.setattr(rigidity, "_solve", recorded)
@@ -251,9 +268,16 @@ def test_the_verdict_pass_equals_a_per_s_reference(monkeypatch, case, cores):
         return
     got = rigidity._spectra(grams, d, vectors)
     assert len(solvers) == cores
-    assert ([s is rigidity.TOO_SMALL for s in got]
+    # the record holds every verdict, and each eigenvector as LAPACK
+    # returned it
+    assert bits(got) == bits(reference_record(raw))
+    # a Spectrum, a row of the record or a batch of one, signs it
+    rows = [rigidity._spectrum(got, j) for j in range(len(grams))]
+    assert ([s is rigidity.TOO_SMALL for s in rows]
             == [s is rigidity.TOO_SMALL for s in want])
-    assert [bits(s) for s in got] == [bits(s) for s in want]
+    assert [bits(s) for s in rows] == [bits(s) for s in want]
+    assert [bits(rigidity.rigidity_spectrum(S, d, v))
+            for S, v in zip(grams, vectors)] == [bits(s) for s in want]
     # each case holds what it is named for
     solved = [s for s in want if s is not rigidity.TOO_SMALL]
     if case == "exactly_f_plus_one_eigenvalues":

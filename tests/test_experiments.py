@@ -211,7 +211,8 @@ class TestFrameworkJson:
     @pytest.mark.parametrize("n", [3.7, 3.0, True, "3"])
     def test_n_must_be_an_integer(self, n):
         data = framework_to_json(generate_scenario(small_config()))
-        with pytest.raises(ValueError, match="n must be an integer"):
+        with pytest.raises(ConfigError,
+                           match=f"^n must be of type int, got {n!r}$"):
             framework_from_json({**data, "n": n})
 
     def test_round_trip(self):

@@ -23,7 +23,7 @@ from support import (
 )
 
 from rigidnet import _cores, rigidity
-from rigidnet.experiments import ScenarioConfig, generate_scenario
+from rigidnet.experiments import ConfigError, ScenarioConfig, generate_scenario
 from rigidnet.graphs import (
     Graph,
     GeodesicTable,
@@ -721,7 +721,8 @@ class TestDiameterBound:
 
     def test_certificate_rejects_a_single_node(self):
         # D = 0 would divide 0 by 0
-        with pytest.raises(ValueError, match="diameter must be at least 1"):
+        with pytest.raises(ConfigError,
+                           match=r"^D must be at least 1, got 0$"):
             diameter_bound_certificate(Graph(1, []))
 
     def test_certificate_rejects_a_graph_with_no_node(self):
@@ -914,7 +915,8 @@ class TestGilFreeEigvalsh:
         kernel = gil_free_eigvalsh()
         fw = random_rigid_framework(np.random.default_rng(3), 30, 2)
         S = framework_gram(fw)
-        [want] = rigidity._verdicts([rigidity._solve(S, 2, False, kernel)], 2)
+        want = rigidity._spectrum(rigidity._verdicts(
+            [rigidity._solve(S, 2, False, kernel)], 2), 0)
         monkeypatch.setattr(_cores, "_loaded_openblas", lambda: ())
         assert _cores._gil_free_eigvalsh.__wrapped__() is None
         got = rigidity_spectrum(S, 2, vectors=False)

@@ -640,11 +640,12 @@ def test_guard_on_estimates_solves_eigenvalues_only(monkeypatch):
         step_simulation(world)
         state = world.accepted
         assert not state.vectors
-        assert all(s.nu is None for s in state.spectra)
+        assert all(nu is None for nu in state.verdicts.nu)
         grams = state.ball_set.stack.grams(state.framework.units,
                                            state.weights)
         solved = [rigidity_spectrum(S, fw.dim, vectors=False) for S in grams]
-        assert [(s.rho, s.rigid) for s in state.spectra] == [
+        assert list(zip(state.rhos.tolist(),
+                        state.verdicts.rigid.tolist())) == [
             (s.rho, s.rigid) for s in solved]
         # the replay builds its own state, with vectors, at the estimates
         assert len(built) == tick
@@ -661,7 +662,7 @@ def test_guard_on_ground_truth_keeps_eigenvectors_for_the_replay(monkeypatch):
         step_simulation(world)
         state = world.accepted
         assert state.vectors
-        assert all(s.nu is not None for s in state.spectra)
+        assert all(nu is not None for nu in state.verdicts.nu)
     # every replay reused the accepted state's eigendata
     assert built == []
 
