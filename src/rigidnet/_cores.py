@@ -7,9 +7,10 @@ duration: its threads, woken for each solve between stretches of Python
 work, cost more than they give, and one thread gives the same bits
 whatever the process's setting.
 A batch (rigidity._spectra, which rigidity_spectrum calls with one S, the
-extent search's _rigid_balls, rigidity_report with its SVD) enters it once
-and solves each S by rigidity._solve, its one LAPACK call, which does not
-enter it again; one pass over the batch's eigenvalues then judges them all.
+extent search's _rigid_balls with its Cholesky certificates,
+rigidity_report with its SVD) enters it once and solves each S by
+rigidity._solve, its one LAPACK call, which does not enter it again; one
+pass over the batch's eigenvalues then judges them all.
 numpy's eigh releases the GIL, but its eigvalsh keeps it unless (stack
 count x side) exceeds 500, so two threads calling it take turns on every S
 the library solves.  So the caller and one worker thread take a state

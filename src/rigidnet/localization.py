@@ -108,7 +108,7 @@ def filter_update(estimate, covariance, range_variance, measurements,
     remain; scaling the floor by the innovation power keeps the filter awake
     exactly as long as its own residuals say the fit is not done.
     """
-    _number("range variance", range_variance, float, "positive")
+    _number("range_variance", range_variance, float, "positive")
     _number("process_floor", process_floor, float, "non-negative")
     z = np.asarray(measurements, dtype=float)
     if z.shape[-1] == 0:
@@ -166,8 +166,8 @@ def make_filters(estimates, initial_variance, range_variance, anchors=()):
     initial_variance * I, anchors flagged by node id."""
     estimates = np.array(estimates, dtype=float)
     n, d = estimates.shape
-    _number("initial variance", initial_variance, float, "non-negative")
-    _number("range variance", range_variance, float, "positive")
+    _number("initial_variance", initial_variance, float, "non-negative")
+    _number("range_variance", range_variance, float, "positive")
     mask = np.zeros(n, dtype=bool)
     mask[_node_ids(anchors, n, "anchors")] = True
     covariances = np.repeat(initial_variance * np.eye(d)[None], n, axis=0)

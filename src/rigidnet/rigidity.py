@@ -17,15 +17,19 @@ to every ball: fewer induced edges touch one or two members than their
 degrees of freedom, so the rank falls short at every realization.  Its
 verdict on the remaining draws solves S for eigenvalues only, since it
 reads no eigenvector; the SVD rank cross-check still runs on every one
-of them.
+of them.  The extent search also applies the converse test,
+rigid_by_cholesky: a ball whose S, less a few pinned coordinates and less
+REL_TOL times a bound on lam_max, has a Cholesky factor is rigid by the
+eigenvalue test, so only the balls that neither test decides are solved.
 rigidity_spectrum is the one verdict on an S, for whole frameworks and
 hop-balls alike: the shared read-only TOO_SMALL for an S of at most d
 nodes, whose framework rigidity_report and is_infinitesimally_rigid
 refuse (FrameworkTooSmallError), and otherwise rho against one threshold,
 REL_TOL relative to the largest eigenvalue; the rank test reads it too.
-It is a batch of one: every batch (_spectra, the extent search's) makes
-one LAPACK call per S (_solve) and judges them all in one vectorized
-pass (_verdicts), the verdict's one formula, into one record (Verdicts).
+It is a batch of one: every batch (_spectra, the undecided balls of the
+extent search) makes one LAPACK call per S (_solve) and judges them all
+in one vectorized pass (_verdicts), the verdict's one formula, into one
+record (Verdicts).
 Every S it is given is assembled by d x d blocks, S = sum over edges of
 w r r^T, by a BallStack (a whole framework is the stack of one ball):
 each edge's signed blocks are formed once (edge_blocks), and one gather
@@ -36,6 +40,7 @@ Every dense solve runs with BLAS on one thread, and a state build's batch
 may share its solves with a worker thread: see _cores.
 """
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -527,6 +532,59 @@ def flexible_by_count(graph, inside, d):
     two = inside & (degree == 2)
     paired = (two & (two.astype(np.float32) @ adjacency > 0)).any(axis=1)
     return (loose & (size > 2)) | (paired & (size > 3))
+
+
+@functools.cache
+def _pin_keep(k, d):
+    """The coordinates of an S of k > d nodes that the pin keeps: all but
+    its f coordinates, the last d of node k - 1, the last d - 1 of node
+    k - 2, ..., the last one of node k - d.  In 2-D they are S's leading
+    2k - 3.  Kept per (k, d), read-only, since building them costs about
+    what the Cholesky that follows does."""
+    pinned = [(k - 1 - j) * d + c for j in range(d) for c in range(j, d)]
+    keep = np.delete(np.arange(k * d), pinned)
+    keep.setflags(write=False)
+    return keep
+
+
+@_cores.one_blas_thread()
+def rigid_by_cholesky(grams, d):
+    """Whether each unweighted S in grams, the sum of r r^T over edges of
+    unit r, is proven rigid by one Cholesky factorization; False proves
+    nothing.
+
+    Drop the f coordinates of a pin from an S of k > d nodes
+    (_pin_keep).  By Cauchy interlacing, the smallest eigenvalue of
+    the block B that is left is at most rho = lambda_{f+1}(S).  S <= L (x)
+    I_d, with L the ball's Laplacian, and lambda_max(L) <= 2 max_i deg_i,
+    so U = 2 max_i (trace of node i's diagonal block of S), twice the
+    largest induced degree, bounds lam_max.  If B less (REL_TOL + margin)
+    U on its diagonal factors, rho > REL_TOL lam_max, the eigenvalue
+    test's verdict: the margin, 8 side^2 eps, covers the factorization's
+    backward error and eigvalsh's (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so eigvalsh calls every proven S
+    rigid.  A flexible or weak S does not factor, nor does a rigid one
+    whose pinned nodes leave a rigid motion free (in 2-D, the last two on
+    one vertical line), nor one with a NaN or an inf.
+    """
+    eps = np.finfo(float).eps
+    proven = np.zeros(len(grams), dtype=bool)
+    for t, S in enumerate(grams):
+        k = len(S) // d
+        if k <= d:
+            continue
+        U = 2.0 * S.diagonal().reshape(k, d).sum(axis=1).max()
+        if not U < np.inf:  # false for NaN too
+            continue
+        keep = _pin_keep(k, d)
+        B = S.take(keep, 0).take(keep, 1)
+        B.ravel()[::len(B) + 1] -= (REL_TOL + 8 * len(S) ** 2 * eps) * U
+        try:
+            L = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            continue
+        proven[t] = np.isfinite(L.diagonal()).all()
+    return proven
 
 
 def is_infinitesimally_rigid(fw):

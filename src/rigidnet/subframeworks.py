@@ -14,11 +14,14 @@ search and the message engine's centers all read their balls from one.
 What a graph and the frozen extents fix for every ball (the membership
 mask, load coefficients, flood ttls and the stack) is a BallSet, computed
 once per Graph and kept on it (ball_set).  The extent search stacks the
-balls of all centers still searching at one radius the same way and solves
-them as one batch on one BLAS thread, each ball by one eigvalsh and all
-of them by rigidity's one verdict pass (rigidity._verdicts; not rigid for
-a ball of at most d nodes), apart from the balls that rigidity's counting
-rule (flexible_by_count) already proves flexible, which it never stacks.
+balls of all centers still searching at one radius the same way and tests
+them as one batch on one BLAS thread: rigidity's counting rule
+(flexible_by_count) proves some flexible, and they are never stacked;
+its Cholesky certificate (rigid_by_cholesky) proves most of the rest
+rigid; and only the balls that neither decides are solved, each by one
+eigvalsh and all of them by rigidity's one verdict pass
+(rigidity._verdicts; not rigid for a ball of at most d nodes).  A proven
+ball is rigid by that verdict too, so the extents are the same.
 The load coefficients max(0, h_j - g_ji) are one table, kept on the Graph
 under the extents, that the BallSet and communication_load both read.
 """
@@ -31,7 +34,8 @@ from . import _cores
 from ._checks import _node_ids
 from .graphs import geodesics, induced_subgraph
 from .rigidity import (
-    BallStack, Framework, _solve, _verdicts, flexible_by_count, stack_balls
+    BallStack, Framework, _solve, _verdicts, flexible_by_count,
+    rigid_by_cholesky, stack_balls
 )
 
 
@@ -127,13 +131,19 @@ def _rigid_balls(fw, inside):
     not).
 
     A ball that rigidity.flexible_by_count finds flexible is not rigid at
-    any realization, so only the others are stacked, assembled and
-    solved."""
+    any realization, so only the others are stacked and assembled; those
+    that rigidity.rigid_by_cholesky proves rigid are rigid by the
+    eigenvalue test too, so only the rest are solved."""
     rigid = np.zeros(len(inside), dtype=bool)
-    solve = np.flatnonzero(~flexible_by_count(fw.graph, inside, fw.dim))
-    stack = stack_balls(inside[solve], fw.graph.edge_array(), fw.dim)
-    rigid[solve] = _verdicts([_solve(S, fw.dim, False, np.linalg.eigvalsh)
-                              for S in stack.grams(fw.units)], fw.dim).rigid
+    test = np.flatnonzero(~flexible_by_count(fw.graph, inside, fw.dim))
+    grams = stack_balls(inside[test], fw.graph.edge_array(),
+                        fw.dim).grams(fw.units)
+    proven = rigid_by_cholesky(grams, fw.dim)
+    rigid[test] = proven
+    solve = np.flatnonzero(~proven)
+    rigid[test[solve]] = _verdicts(
+        [_solve(grams[j], fw.dim, False, np.linalg.eigvalsh) for j in solve],
+        fw.dim).rigid
     return rigid
 
 
@@ -146,10 +156,11 @@ def extent_assignment(fw):
     ball with a single induced edge breaks it), so every radius is tested
     in turn, and the balls of all nodes still searching at one radius are
     tested together: those that rigidity.flexible_by_count finds flexible
-    by their edge counts are not solved, and the rest are assembled and
-    solved as one batch.  A node searches at radius h only while some node
-    lies exactly h hops away, that is while its ball still grows: from
-    there on its subframework never changes again.
+    by their edge counts are not solved, the rest are assembled, and those
+    that rigidity.rigid_by_cholesky does not prove rigid are solved as one
+    batch.  A node searches at radius h only while some node lies exactly
+    h hops away, that is while its ball still grows: from there on its
+    subframework never changes again.
     """
     dist = geodesics(fw.graph).dist
     found = np.zeros(fw.n, dtype=np.intp)

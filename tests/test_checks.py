@@ -51,12 +51,12 @@ ENTRIES = {
     "disk_proximity_graph.range": (lambda v: disk_proximity_graph(X, v),
                                    "range", float, "positive"),
     "make_filters.initial_variance": (lambda v: make_filters(X, v, 0.01),
-                                      "initial variance", float,
+                                      "initial_variance", float,
                                       "non-negative"),
     "make_filters.range_variance": (lambda v: make_filters(X, 1.0, v),
-                                    "range variance", float, "positive"),
+                                    "range_variance", float, "positive"),
     "filter_update.range_variance": (lambda v: one_update(v),
-                                     "range variance", float, "positive"),
+                                     "range_variance", float, "positive"),
     "filter_update.process_floor": (
         lambda v: one_update(process_floor=v), "process_floor", float,
         "non-negative"),
@@ -132,7 +132,7 @@ def test_every_entry_point_meets_the_cases_that_apply():
 
 
 @pytest.mark.parametrize("keyword, name", [
-    ("range_variance", "range variance"), ("process_floor", "process_floor")])
+    ("range_variance", "range_variance"), ("process_floor", "process_floor")])
 @pytest.mark.parametrize("value, message", [
     (-0.5, "must be {}, got -0.5"), (float("nan"), "must be finite, got nan"),
     (float("inf"), "must be finite, got inf"),

@@ -295,15 +295,15 @@ def test_make_filters_rejects_anchor_ids_outside_the_network(bad):
 
 
 @pytest.mark.parametrize("initial_variance, range_variance, message", [
-    pytest.param(1.0, -1.0, "range variance must be positive, got -1.0",
+    pytest.param(1.0, -1.0, "range_variance must be positive, got -1.0",
                  id="negative-range-variance"),
-    pytest.param(1.0, float("nan"), "range variance must be finite, got nan",
+    pytest.param(1.0, float("nan"), "range_variance must be finite, got nan",
                  id="nan-range-variance"),
-    pytest.param(1.0, float("inf"), "range variance must be finite, got inf",
+    pytest.param(1.0, float("inf"), "range_variance must be finite, got inf",
                  id="inf-range-variance"),
-    pytest.param(float("nan"), 0.01, "initial variance must be finite, got nan",
+    pytest.param(float("nan"), 0.01, "initial_variance must be finite, got nan",
                  id="nan-initial-variance"),
-    pytest.param(-1.0, 0.01, "initial variance must be non-negative, got -1.0",
+    pytest.param(-1.0, 0.01, "initial_variance must be non-negative, got -1.0",
                  id="negative-initial-variance"),
 ])
 def test_make_filters_rejects_a_variance_outside_its_domain(
