@@ -4,7 +4,7 @@ Every config field (each declares its domain once, _domain) and every
 scalar argument is read by _number, every node id by _node_ids, and each
 fault is a ConfigError in the words "{name} must be {domain}, got
 {value!r}".  Arrays keep their own readers: subframeworks._extents,
-Framework's positions and symmetric_rigidity_matrix's weights.
+Framework's positions and symmetric_rigidity_matrix's finite weights.
 """
 
 import numbers

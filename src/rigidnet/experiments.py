@@ -173,7 +173,7 @@ def network_record(fw, index=0, rejects=0):
     """Structure measurements of one network, as one flat record."""
     table = geodesics(fw.graph)
     h = extent_assignment(fw)
-    eccent = table.dist.max(axis=1).astype(int)
+    eccent = table.eccentricities().astype(int)
     m = fw.graph.m
     load = float(communication_load(fw.graph, h).sum())
     upper = float(communication_load(fw.graph, eccent).sum())
@@ -181,7 +181,7 @@ def network_record(fw, index=0, rejects=0):
         "index": index,
         "n": fw.graph.n,
         "m": m,
-        "diameter": int(table.dist.max()),
+        "diameter": table.diameter(),
         "eta": int(h.max()),
         "load": load,
         "load_ratio": load / (2.0 * m),

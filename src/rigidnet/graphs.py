@@ -4,16 +4,16 @@ Nodes are dense integers 0..n-1.  Graphs are immutable after construction;
 topology changes produce a new Graph.  A Graph is built from its edge
 array, validated and sorted in numpy (an array already sorted is only
 checked), and the slot layout (one slot per node and neighbor, see
-Graph) is built with it.  Whatever else depends on
-the edge set alone (the edge list, the dense float32 adjacency, the
-geodesic table, the controller's ball stacks) is computed once per
-Graph and kept on it (Graph.cached).  The geodesic table, a breadth-first
+Graph) is built with it.  Whatever else depends on the edge set alone,
+or on it and a key such as the frozen extents, is computed once per Graph
+and kept as one of its records (Graph.record, their one reader and the
+one place a key is compared).  The geodesic table, a breadth-first
 search from every node at once, is the one source of hop counts.  A
 topology change costs its edit: the Graph that edited builds inherits its
 parent's hop table and dense adjacency, derived by the edit between the
-two edge sets with the same search, and equal to the computed ones bit
-for bit.  The connectivity test is one depth-first search over the slot
-layout, and the biconnectivity test (no cut vertex) another, after a
+two edge sets with the same search, equal to the computed ones bit for
+bit, and written into its records.  The connectivity test is one
+depth-first search over the slot layout, and the biconnectivity test (no cut vertex) another, after a
 degree check.
 Unreachable node pairs are marked with the UNREACHABLE sentinel (float
 inf) rather than a large finite hop count, so accidental arithmetic on
@@ -86,6 +86,7 @@ class Graph:
         self.slot_edge = np.tile(np.arange(self.m), 2)[by_owner]
         for a in (self._edges, self.slots, self.slot_node, self.slot_edge):
             a.setflags(write=False)
+        self._records = {}
 
     def _reject_invalid(self, given, e, order):
         """Raise for the first given edge, in input order, that is a
@@ -114,7 +115,7 @@ class Graph:
 
         Built from the edge array on first read and kept; do not modify it.
         """
-        return self.cached("edges", None, _edge_list)
+        return self.record("edges", _edge_list)
 
     def neighbors(self, i):
         return self.slot_node[self.slots[i]:self.slots[i + 1]]
@@ -125,35 +126,32 @@ class Graph:
     def degree_groups(self):
         """(nodes, own) per distinct degree k, ascending, where own[t] are
         node nodes[t]'s k slots; built on first call and kept."""
-        return self.cached("degree_groups", None, _degree_groups)
+        return self.record("degree_groups", _degree_groups)
 
     def edge_array(self):
         """Read-only m x 2 integer array of edges in lexicographic order."""
         return self._edges
 
-    def cached(self, name, key, build):
-        """build(self), kept on this graph under name for as long as key holds.
+    def record(self, name, build, *key):
+        """build(self, *key), kept under name for as long as key holds.
 
         A graph never changes, so what depends only on it and on key is
         computed once.  Each name keeps one value: a call with another key
-        computes and keeps that key's value instead.
+        computes and keeps that key's value instead.  Here alone is a key
+        compared: an array in it by its bytes, anything else by ==.
         """
-        value = self.kept(name, key)
-        if value is None:
-            value = build(self)
-            self.__dict__.setdefault("_memo", {})[name] = (key, value)
-        return value
-
-    def kept(self, name, key):
-        """The value cached under name for key, or None if there is none."""
-        hit = self.__dict__.get("_memo", {}).get(name)
-        return hit[1] if hit is not None and hit[0] == key else None
+        code = tuple(k.tobytes() if isinstance(k, np.ndarray) else k
+                     for k in key)
+        hit = self._records.get(name)
+        if hit is None or hit[0] != code:
+            hit = self._records[name] = (code, build(self, *key))
+        return hit[1]
 
     def adjacency(self):
         """The dense n x n float32 adjacency matrix, one 1.0 per slot; built
         on first call, kept and read-only.  Products with it count exactly
         below 2^24."""
-        return self.cached("adjacency", None, _adjacency)
+        return self.record("adjacency", _adjacency)
 
     def __eq__(self, other):
         return (
@@ -371,7 +369,7 @@ def _frozen_table(g):
 
 def geodesics(g):
     """The graph's geodesic table, computed on first use and kept read-only."""
-    return g.cached("geodesics", None, _frozen_table)
+    return g.record("geodesics", _frozen_table)
 
 
 def _edit(parent, child):
@@ -429,16 +427,16 @@ def edited(parent, edges):
     """Graph(parent.n, edges), which inherits parent's hop table and dense
     adjacency where parent holds its table: they are derived by the edit
     from parent's edge set to edges (_edited_table), equal the computed
-    ones bit for bit, and are kept on the new graph.  The new graph holds
-    no reference to parent.
+    ones bit for bit, and are written into the new graph's records.  The
+    new graph holds no reference to parent.
     """
     g = Graph(parent.n, edges)
-    kept = parent.kept("geodesics", None)
-    if kept is not None:
-        dist, adjacency = kept.dist.copy(), parent.adjacency().copy()
+    hit = parent._records.get("geodesics")
+    if hit is not None:
+        dist, adjacency = hit[1].dist.copy(), parent.adjacency().copy()
         _edited_table(dist, adjacency, *_edit(parent, g))
         for a in (dist, adjacency):
             a.setflags(write=False)
-        g.cached("adjacency", None, lambda _: adjacency)
-        g.cached("geodesics", None, lambda _: GeodesicTable(dist))
+        g._records.update(adjacency=((), adjacency),
+                          geodesics=((), GeodesicTable(dist)))
     return g

@@ -141,15 +141,15 @@ def rigidity_matrix(fw):
 
 
 def symmetric_rigidity_matrix(R, weights):
-    """Dense S = R^T W R, symmetrized, for positive weights (all-ones: normalized case).
+    """Dense S = R^T W R, symmetrized, for positive finite weights (all-ones: normalized).
 
     The reference that the block assembly of BallStack is checked against.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (R.shape[0],):
         raise ValueError(f"expected {R.shape[0]} weights, got shape {w.shape}")
-    if (w <= 0).any():
-        raise ValueError("weights must be positive")
+    if not ((w > 0) & (w < np.inf)).all():  # false for NaN too
+        raise ValueError("weights must be positive and finite")
     S = R.T @ (w[:, None] * R)
     return 0.5 * (S + S.T)
 
@@ -283,13 +283,16 @@ def stack_balls(inside, edge_endpoints, d):
     return _stack(d, member % n, offsets, edge, ends, ball)
 
 
+def _framework_stack(graph, d):
+    """The BallStack of one ball of all n nodes, holding every edge."""
+    n, m = graph.n, graph.m
+    return _stack(d, np.arange(n), np.array([0, n]), np.arange(m),
+                  graph.edge_array(), np.zeros(m, dtype=np.intp))
+
+
 def framework_stack(fw):
-    """The BallStack of a whole framework, one ball of members 0..n-1
-    holding every edge, built once and kept on its graph."""
-    n, m = fw.n, fw.graph.m
-    return fw.graph.cached("framework_stack", fw.dim, lambda graph: _stack(
-        fw.dim, np.arange(n), np.array([0, n]), np.arange(m),
-        graph.edge_array(), np.zeros(m, dtype=np.intp)))
+    """The BallStack of a whole framework, kept on its graph."""
+    return fw.graph.record("framework_stack", _framework_stack, fw.dim)
 
 
 def framework_gram(fw):
@@ -353,14 +356,15 @@ def _spectrum(v, j):
 
 
 def rigidity_spectrum(S, d, vectors=True):
-    """The rigidity eigenvalue test on S, by eigh or, without vectors,
-    eigvalsh; TOO_SMALL when S has at most d nodes.
+    """The rigidity eigenvalue test on S in d = 2 or 3 dimensions, by eigh
+    or, without vectors, eigvalsh; TOO_SMALL when S has at most d nodes.
 
     The two LAPACK drivers differ in the last bits, so each caller keeps
     the one it has always used.  Either solves with BLAS on one thread, so
     its bits do not depend on the process's thread count.  S is a batch
     of one (_spectra), so its verdict is every batch's.
     """
+    d = _number("d", d, int, "2 or 3")
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
@@ -491,7 +495,7 @@ def rigidity_report(fw, vectors=True):
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
     R = rigidity_matrix(fw)
-    spectrum = _spectrum(_spectra([framework_gram(fw)], d, [vectors]), 0)
+    spectrum = rigidity_spectrum(framework_gram(fw), d, vectors)
     sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0

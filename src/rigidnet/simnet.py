@@ -32,10 +32,10 @@ the center, member and round of every delivery, as arrays in delivery
 order, and the formula builds no per-pair Python object.  A refreshed
 Graph inherits its parent's hop table (graphs.edited), which the formula
 and the BallSet read.  The closed loop compiles each topology once with
-the formula and keeps its (rows, RoundLog) pair on the Graph
-(Graph.cached, keyed on the extents), beside the topology's BallSet: rows
-says where each delivered (center, member) pair sits in the BallSet's
-stack.  No tick runs the engine.
+the formula and keeps its (rows, RoundLog) pair as the Graph's exchange
+record (Graph.record, keyed on the extents), beside the topology's
+BallSet: rows says where each delivered (center, member) pair sits in the
+BallSet's stack.  No tick runs the engine.
 Every tick on that Graph, the first included, replays the log: every
 center's payloads are computed from its ball members' positions only and
 summed in the logged delivery order, which gives the engine's commands
@@ -479,16 +479,17 @@ def tick_velocity(world, positions):
     The first tick on a topology (a Graph with the frozen extents) compiles
     its exchange with run_exchange_phase: the engine's round log in closed
     form, with the 2 * eta check, and each delivery's row in the BallSet
-    stack.  The (rows, log) pair is kept on the Graph beside the topology's
-    BallSet.  Every tick, the first included, replays that log: each ball's
-    payloads come from its members' positions alone and are summed in the
-    logged delivery order, so the commands equal the engine's bit for bit,
-    and the log is returned.
+    stack.  The (rows, log) pair is the Graph's exchange record, beside
+    the topology's BallSet.  Every tick, the first included, replays that
+    log: each ball's payloads come from its members' positions alone and
+    are summed in the logged delivery order, so the commands equal the
+    engine's bit for bit, and the log is returned.
     """
     fw = world.framework
-    rows, log = fw.graph.cached(
-        "exchange", world.extents.tobytes(),
-        lambda graph: run_exchange_phase(fw, world.extents))
+    # compiled from this tick's framework, so a wrapper of
+    # run_exchange_phase sees its positions; the value needs only the key
+    rows, log = fw.graph.record(
+        "exchange", lambda graph, h: run_exchange_phase(fw, h), world.extents)
     return _replay(rows, log, world, positions), log
 
 

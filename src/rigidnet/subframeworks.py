@@ -13,17 +13,19 @@ every ball's S by d x d blocks, a group of balls per bincount, the extent
 search and the message engine's centers all read their balls from one.
 What a graph and the frozen extents fix for every ball (the membership
 mask, load coefficients, flood ttls and the stack) is a BallSet, computed
-once per Graph and kept on it (ball_set).  The extent search stacks the
-balls of all centers still searching at one radius the same way and tests
-them as one batch on one BLAS thread: rigidity's counting rule
+once per Graph and kept as its ball_set record (Graph.record).  The
+extent search stacks the balls of all centers still searching at one
+radius the same way and tests them as one batch on one BLAS thread:
+rigidity's counting rule
 (flexible_by_count) proves some flexible, and they are never stacked;
 its Cholesky certificate (rigid_by_cholesky) proves most of the rest
 rigid; and only the balls that neither decides are solved, each by one
 eigvalsh and all of them by rigidity's one verdict pass
 (rigidity._verdicts; not rigid for a ball of at most d nodes).  A proven
 ball is rigid by that verdict too, so the extents are the same.
-The load coefficients max(0, h_j - g_ji) are one table, kept on the Graph
-under the extents, that the BallSet and communication_load both read.
+The load coefficients max(0, h_j - g_ji) are one table, the Graph's
+load_table record under the extents as _extents reads them, that the
+BallSet and communication_load both read.
 """
 
 from dataclasses import dataclass
@@ -94,34 +96,28 @@ def _extents(extents, n, least=1):
 
 def _load_table(graph, h):
     """c[j, i] = max(0, h_j - g_ji), node i's load coefficient for center j,
-    read-only, computed once and kept on the graph for the latest extents."""
-
-    def build(graph):
-        c = np.maximum(0.0, h[:, None] - geodesics(graph).dist)
-        c.setflags(write=False)
-        return c
-    return graph.cached("load_table", h.tobytes(), build)
+    read-only: the builder of the graph's load_table record."""
+    c = np.maximum(0.0, h[:, None] - geodesics(graph).dist)
+    c.setflags(write=False)
+    return c
 
 
-def _build_ball_set(extents, d):
-    def build(graph):
-        inside = geodesics(graph).dist <= extents[:, None]
-        stack = stack_balls(inside, graph.edge_array(), d)
-        c = _load_table(graph, extents)
-        coeff = c.sum(axis=0)
-        ttl = np.where(inside, extents[:, None], 0).max(axis=0)
-        for a in (inside, c, coeff, ttl):
-            a.setflags(write=False)
-        return BallSet(inside, c, coeff, ttl, stack)
-    return build
+def _ball_set(graph, extents, d):
+    """The builder of the graph's ball_set record (ball_set)."""
+    inside = geodesics(graph).dist <= extents[:, None]
+    stack = stack_balls(inside, graph.edge_array(), d)
+    c = graph.record("load_table", _load_table, extents)
+    coeff = c.sum(axis=0)
+    ttl = np.where(inside, extents[:, None], 0).max(axis=0)
+    for a in (inside, c, coeff, ttl):
+        a.setflags(write=False)
+    return BallSet(inside, c, coeff, ttl, stack)
 
 
 def ball_set(graph, extents, d):
     """The BallSet of a graph at these extents in d dimensions, computed
     once and kept on the graph for the latest extents."""
-    extents = _extents(extents, graph.n)
-    return graph.cached("ball_set", (d, extents.tobytes()),
-                        _build_ball_set(extents, d))
+    return graph.record("ball_set", _ball_set, _extents(extents, graph.n), d)
 
 
 @_cores.one_blas_thread()
@@ -196,4 +192,5 @@ def communication_load(g, extents):
     hops, once per incident edge, so nodes deep inside large balls dominate.
     With every extent 1 the network's load is 2m.
     """
-    return _load_table(g, _extents(extents, g.n)) @ g.degrees().astype(float)
+    c = g.record("load_table", _load_table, _extents(extents, g.n))
+    return c @ g.degrees().astype(float)

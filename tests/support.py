@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rigidnet import rigidity
 from rigidnet.control import build_control_state
 from rigidnet.graphs import (
     UNREACHABLE,
@@ -31,6 +32,17 @@ def skip_unless_recorded_build():
     if here != recorded:
         pytest.skip(f"digests were recorded on numpy {recorded[0]} with "
                     f"{recorded[1]}; this is numpy {here[0]} with {here[1]}")
+
+
+# one ball's entries per group, the default groups, and one group
+GROUPINGS = (1, rigidity.GROUP_ENTRIES, 2**62)
+
+
+def groupings(monkeypatch):
+    """Each of GROUPINGS in turn, set as rigidity.GROUP_ENTRIES."""
+    for entries in GROUPINGS:
+        monkeypatch.setattr(rigidity, "GROUP_ENTRIES", entries)
+        yield entries
 
 
 def random_graph(rng, n, p):

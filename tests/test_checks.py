@@ -18,6 +18,7 @@ from rigidnet import (
     filter_update,
     inclusion_group,
     make_filters,
+    rigidity_spectrum,
     run_static_filter,
 )
 from rigidnet.graphs import induced_subgraph
@@ -70,6 +71,8 @@ ENTRIES = {
         "measurement_std", float, "non-negative"),
     "tick_count.duration": (lambda v: tick_count(v, 0.05), "duration", float,
                             "non-negative"),
+    "rigidity_spectrum.d": (lambda v: rigidity_spectrum(np.eye(6), v), "d",
+                            int, "2 or 3"),
     "diameter_eigenvalue_bound.m": (lambda v: diameter_eigenvalue_bound(v, 2),
                                     "m", int, "non-negative"),
     "diameter_eigenvalue_bound.D": (

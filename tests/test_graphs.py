@@ -13,12 +13,13 @@ from support import (
     FakeBlas,
     biconnected_by_deletion,
     floyd_warshall,
+    groupings,
     log_arrays,
     random_graph,
     reference_graph_layout,
 )
 
-from rigidnet import _cores, control, graphs
+from rigidnet import _cores, control, graphs, rigidity, subframeworks
 from rigidnet.experiments import reference_control_config, sample_framework
 from rigidnet.graphs import (
     UNREACHABLE,
@@ -36,6 +37,7 @@ from rigidnet.graphs import (
     proximity,
     separations,
 )
+from rigidnet.rigidity import framework_stack
 from rigidnet.simnet import make_world, run_exchange_phase, step_simulation
 from rigidnet.subframeworks import ball_set
 
@@ -461,6 +463,65 @@ def _estimated_scenario():
         initial_estimate_error=0.5)
 
 
+def record_arrays(value):
+    """Every array a record holds, in a fixed order: the value itself, the
+    items of a list or tuple, or the fields of a dataclass (a GeodesicTable
+    holds dist; a list of ints is one array)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, GeodesicTable):
+        return [value.dist]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif all(isinstance(v, int) for v in value):
+        return [np.array(value, dtype=np.intp)]
+    return [a for v in value for a in record_arrays(v)]
+
+
+# every record a Graph may hold, by name: its arrays at the extents h in d
+# dimensions, read as the library reads the record
+RECORDS = {
+    "edges": lambda g, h, d: record_arrays(g.edges),
+    "degree_groups": lambda g, h, d: record_arrays(g.degree_groups()),
+    "adjacency": lambda g, h, d: [g.adjacency()],
+    "geodesics": lambda g, h, d: record_arrays(geodesics(g)),
+    "framework_stack": lambda g, h, d: record_arrays(
+        framework_stack(SimpleNamespace(graph=g, dim=d))),
+    "ball_set": lambda g, h, d: record_arrays(ball_set(g, h, d)),
+    "load_table": lambda g, h, d: [
+        g.record("load_table", subframeworks._load_table, h)],
+    "exchange": lambda g, h, d: record_arrays(g.record(
+        "exchange", lambda graph, h: run_exchange_phase(
+            SimpleNamespace(graph=graph, dim=d), h), h)),
+}
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        assert a.flags.writeable == b.flags.writeable
+
+
+def test_a_record_is_kept_for_one_key_read_any_way():
+    # the extents as the read-only intp array every tick passes, as whole
+    # floats and as a list are one key; other extents or another d rebuild,
+    # and the record keeps the latest key alone
+    g = cycle(6)
+    h = np.array([1, 2, 1, 2, 1, 2], dtype=np.intp)
+    h.setflags(write=False)
+    first = ball_set(g, h, 2)
+    for same in (h, h.astype(float), h.tolist(), h.copy()):
+        assert ball_set(g, same, 2) is first
+    other = ball_set(g, [2] * 6, 2)
+    assert other is not first
+    assert ball_set(g, h, 3) is not first
+    again = ball_set(g, h, 2)
+    assert again is not first and again is not other
+    assert_same_arrays(record_arrays(again), record_arrays(first))
+
+
 @pytest.mark.parametrize("scenario", [reference_control_config,
                                       _estimated_scenario],
                          ids=["opening", "estimated"])
@@ -505,6 +566,19 @@ def test_refreshed_graphs_build_as_cold_ones(monkeypatch, scenario):
             for g in (graph, twin))
         assert np.array_equal(rows, cold_rows)
         assert log_arrays(log) == log_arrays(cold_log)
+        # every record, as the run kept it on the derived graph and as the
+        # twin builds it cold
+        for arrays in RECORDS.values():
+            assert_same_arrays(arrays(graph, h, d), arrays(twin, h, d))
+        for g in (graph, twin):
+            assert set(g._records) == set(RECORDS)
+        # both stacks rebuilt at every grouping
+        with monkeypatch.context() as patch:
+            for _ in groupings(patch):
+                for build, key in ((rigidity._framework_stack, (d,)),
+                                   (subframeworks._ball_set, (h, d))):
+                    assert_same_arrays(*(record_arrays(build(g, *key))
+                                         for g in (graph, twin)))
 
 
 class TestConnectivity:

@@ -15,6 +15,7 @@ import pytest
 from scipy.special import expit
 from support import (
     FakeBlas,
+    groupings,
     random_connected_graph,
     random_disk_framework,
     random_framework,
@@ -197,6 +198,15 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             symmetric_rigidity_matrix(R, np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        R = rigidity_matrix(triangle())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^weights must be positive and finite$"):
+                symmetric_rigidity_matrix(R, np.array([bad, 1.0, 1.0]))
+
 
 def assert_matches_dense(S, reference):
     scale = np.abs(reference).max(initial=0.0)
@@ -281,17 +291,6 @@ def per_entry_grams(stack, units, weights):
                        minlength=sizes.sum())
     return [flat[o:o + k * k].reshape(k, k)
             for o, k in zip(starts, stack.sides)]
-
-
-# one ball's entries per group, the default groups, and one group
-GROUPINGS = (1, rigidity.GROUP_ENTRIES, 2**62)
-
-
-def groupings(monkeypatch):
-    """Each of GROUPINGS in turn, set as rigidity.GROUP_ENTRIES."""
-    for entries in GROUPINGS:
-        monkeypatch.setattr(rigidity, "GROUP_ENTRIES", entries)
-        yield entries
 
 
 class TestGatheredAssembly:
