@@ -47,11 +47,11 @@ _checks._check_fields reads every field.
 """
 
 import contextvars
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._checks import ConfigError, _check_fields, _domain
 from .graphs import _edit, edited, proximity
@@ -95,11 +95,22 @@ class ControlParams:
     __post_init__ = _check_fields
 
 
+@functools.cache
+def _expit():
+    """scipy.special.expit, imported on first use: only the link weights
+    read it, so a process that computes none (the ensemble, gen, audit)
+    never loads scipy.special.  Making a World loads it, so no tick pays
+    the import."""
+    from scipy.special import expit
+
+    return expit
+
+
 def _logistic(lengths, comm_range, steepness):
     """Logistic link weights: 1/2 at the communication range, ~1 well inside it."""
     # an argument too large for float64 is +-inf, whose weight is 1 or 0
     with np.errstate(over="ignore"):
-        return expit(steepness * (comm_range - lengths))
+        return _expit()(steepness * (comm_range - lengths))
 
 
 @dataclass

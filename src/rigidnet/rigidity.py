@@ -131,9 +131,13 @@ def _read_only(a):
 
 
 def rigidity_matrix(fw):
-    """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j."""
+    """m x dn matrix whose row for edge {i,j} holds r_ij in block i and -r_ij in block j.
+
+    Laid out in column (Fortran) order, as LAPACK reads it, so the rank
+    test's SVD factors it in place.
+    """
     d, n, e = fw.dim, fw.n, fw.graph.edge_array()
-    R = np.zeros((len(e), d * n))
+    R = np.zeros((len(e), d * n), order="F")
     rows = np.arange(len(e))[:, None]
     R[rows, e[:, 0, None] * d + np.arange(d)] = fw.units
     R[rows, e[:, 1, None] * d + np.arange(d)] = -fw.units
@@ -362,13 +366,16 @@ def rigidity_spectrum(S, d, vectors=True):
     The two LAPACK drivers differ in the last bits, so each caller keeps
     the one it has always used.  Either solves with BLAS on one thread, so
     its bits do not depend on the process's thread count.  S is a batch
-    of one (_spectra), so its verdict is every batch's.
+    of one (_spectra), so its verdict is every batch's.  An S with a NaN
+    or an inf is a ValueError; no batch is handed one.
     """
     d = _number("d", d, int, "2 or 3")
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // d
     if S.shape != (n * d, n * d):
         raise ValueError("S must be dn x dn")
+    if not np.isfinite(S).all():
+        raise ValueError("S must be finite")
     return _spectrum(_spectra([S], d, [vectors]), 0)
 
 
@@ -488,15 +495,16 @@ def rigidity_report(fw, vectors=True):
     eigenvalue tests must agree.
 
     Without vectors, S is solved by eigvalsh and nu is None; the rank
-    cross-check runs either way.  A framework of at most d nodes is a
-    FrameworkTooSmallError.
+    cross-check runs either way.  S is solved before R is built, and the
+    SVD overwrites R, which nothing else reads, so LAPACK works on it with
+    no copy.  A framework of at most d nodes is a FrameworkTooSmallError.
     """
     _require_testable(fw)
     d, n = fw.dim, fw.n
     f = rigid_body_dim(d)
-    R = rigidity_matrix(fw)
     spectrum = rigidity_spectrum(framework_gram(fw), d, vectors)
-    sv = sla.svdvals(R) if R.shape[0] else np.zeros(0)
+    R = rigidity_matrix(fw)
+    sv = sla.svdvals(R, overwrite_a=True) if R.shape[0] else np.zeros(0)
     sv_max = float(sv[0]) if len(sv) else 0.0
     rank_R = int((sv > np.sqrt(REL_TOL) * sv_max).sum()) if sv_max > 0 else 0
     if spectrum.rigid != (rank_R == d * n - f):
@@ -569,7 +577,9 @@ def rigid_by_cholesky(grams, d):
     Numerical Algorithms, ch. 10), so eigvalsh calls every proven S
     rigid.  A flexible or weak S does not factor, nor does a rigid one
     whose pinned nodes leave a rigid motion free (in 2-D, the last two on
-    one vertical line), nor one with a NaN or an inf.
+    one vertical line), nor one with a NaN or an inf.  B is factored by
+    LAPACK's dpotrf, in place, and proven only where it reports success
+    and the factor's diagonal is finite.
     """
     eps = np.finfo(float).eps
     proven = np.zeros(len(grams), dtype=bool)
@@ -583,11 +593,10 @@ def rigid_by_cholesky(grams, d):
         keep = _pin_keep(k, d)
         B = S.take(keep, 0).take(keep, 1)
         B.ravel()[::len(B) + 1] -= (REL_TOL + 8 * len(S) ** 2 * eps) * U
-        try:
-            L = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            continue
-        proven[t] = np.isfinite(L.diagonal()).all()
+        # B is symmetric, so its transpose is B in column order, which
+        # LAPACK factors in place; looked up per call, not bound at import
+        factor, info = sla.lapack.dpotrf(B.T, lower=0, clean=0, overwrite_a=1)
+        proven[t] = info == 0 and np.isfinite(factor.diagonal()).all()
     return proven
 
 

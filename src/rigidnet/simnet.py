@@ -77,6 +77,7 @@ from .control import (
     NonFiniteCommandError,
     RigidityLostError,
     _collision_slopes,
+    _expit,
     _logistic,
     _scatter,
     _state_with_framework,
@@ -533,6 +534,7 @@ class World:
 
     def __post_init__(self):
         self.extents = _extents(self.extents, self.framework.n)
+        _expit()  # the link weights' import, paid here and not in a tick
 
 
 def make_world(fw, params, config):

@@ -417,7 +417,7 @@ class TestAudit:
     def test_rank_mismatch_exits_five(self, monkeypatch, capsys):
         # an SVD that finds no rank contradicts the positive eigenvalue
         monkeypatch.setattr(rigidity.sla, "svdvals",
-                            lambda R: np.zeros(min(R.shape)))
+                            lambda R, **kwargs: np.zeros(min(R.shape)))
         assert main(["audit", *SMALL]) == EXIT_RANK_MISMATCH
         captured = capsys.readouterr()
         assert captured.out == ""

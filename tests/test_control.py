@@ -602,13 +602,16 @@ def test_every_path_into_a_solve_holds_one_blas_thread(monkeypatch, path):
     kernel = _cores._gil_free_eigvalsh()
     monkeypatch.setattr(_cores, "_openblas_thread_counts",
                         lambda: ((blas.get, blas.set),))
-    # the extent search proves most balls rigid by a Cholesky factorization
-    # and solves only the rest, so on the apex every ball may be a cholesky
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    # the extent search proves most balls rigid by LAPACK's Cholesky
+    # factorization (dpotrf) and solves only the rest, so on the apex every
+    # ball may be a dpotrf
+    for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg,
                                                               name)))
     monkeypatch.setattr(rigidity.sla, "svdvals",
                         recorded(rigidity.sla.svdvals))
+    monkeypatch.setattr(rigidity.sla.lapack, "dpotrf",
+                        recorded(rigidity.sla.lapack.dpotrf))
     monkeypatch.setattr(_cores, "_gil_free_eigvalsh", lambda: (
         None if kernel is None else recorded(kernel)))
     monkeypatch.setattr(os, "sched_getaffinity", cores)

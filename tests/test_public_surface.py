@@ -103,13 +103,63 @@ def test_settable_value_count():
     assert settable_values() == 50
 
 
+def fresh_interpreter(code):
+    """The exit status of code run in a new interpreter on src/."""
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=60).returncode
+
+
 def test_importing_rigidnet_loads_no_sparse_matrices():
     # the hop table and the connectivity test read the slot layout, and
-    # scipy is used only for linalg.svdvals and special.expit
+    # scipy is used only for linalg.svdvals, linalg.lapack.dpotrf (the
+    # rigidity certificate) and special.expit (the link weights, loaded
+    # with the controller)
     code = ("import sys; import rigidnet; "
             "sys.exit(any(m == 'scipy.sparse' or m.startswith('scipy.sparse.')"
             " for m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", code],
-                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                            timeout=60)
-    assert result.returncode == 0
+    assert fresh_interpreter(code) == 0
+
+
+# status k: scipy.special was loaded by step k
+SPECIAL_LOADED = ("def check(k):\n"
+                  "    if 'scipy.special' in sys.modules:\n"
+                  "        sys.exit(k)\n")
+
+
+def test_runs_that_compute_no_link_weight_load_no_scipy_special():
+    # only the controller's link weights read scipy.special: the import,
+    # a rigidity report and an ensemble of one network never load it
+    code = ("import sys\n" + SPECIAL_LOADED
+            + "import numpy as np\n"
+            "import rigidnet\n"
+            "from rigidnet.experiments import ScenarioConfig, "
+            "run_ensemble_experiment, sample_framework\n"
+            "check(1)\n"
+            "config = ScenarioConfig(seed=3, n=16, width=90.0, height=90.0, "
+            "comm_range=40.0, ensemble_count=1)\n"
+            "fw, _ = sample_framework(np.random.default_rng(3), config)\n"
+            "assert rigidnet.rigidity_report(fw).rigid\n"
+            "check(2)\n"
+            "assert len(run_ensemble_experiment(config)[0]) == 1\n"
+            "check(3)\n")
+    assert fresh_interpreter(code) == 0
+
+
+def test_making_a_world_loads_scipy_special():
+    # a World built directly, with no state build, still pays the import,
+    # so its first tick does not
+    code = ("import sys\n" + SPECIAL_LOADED
+            + "import numpy as np\n"
+            "from rigidnet import ControlParams, Framework, Graph, "
+            "World, WorldConfig\n"
+            "from rigidnet.localization import make_filters\n"
+            "x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])\n"
+            "fw = Framework(Graph(3, [(0, 1), (1, 2), (0, 2)]), x)\n"
+            "filters = make_filters(x, 1.0, 0.01)\n"
+            "check(1)\n"
+            "World(framework=fw, params=ControlParams(comm_range=2.0), "
+            "config=WorldConfig(), extents=np.ones(3, dtype=np.intp), "
+            "filters=filters, rng=np.random.default_rng(0))\n"
+            "check(2)\n")
+    assert fresh_interpreter(code) == 2

@@ -496,6 +496,15 @@ class TestRigidityVerdicts:
                                           vectors=False).rigid)
             assert is_infinitesimally_rigid(fw) == fast
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_non_finite_s_is_named(self, bad, vectors):
+        # LAPACK would report no convergence, which names the wrong fault
+        S = framework_gram(triangle()).copy()
+        S[1, 4] = S[4, 1] = bad
+        with pytest.raises(ValueError, match="^S must be finite$"):
+            rigidity_spectrum(S, 2, vectors=vectors)
+
     @pytest.mark.parametrize("dim, n, range_", [
         (2, 100, 17.5), (2, 100, 20.0), (3, 40, 40.0)])
     def test_cut_vertex_draws_are_flexible(self, dim, n, range_):
@@ -690,7 +699,7 @@ class TestReport:
     def test_sampler_verdict_is_still_rank_checked(self, monkeypatch):
         # an SVD that finds no rank contradicts the positive eigenvalue
         monkeypatch.setattr(rigidity.sla, "svdvals",
-                            lambda R: np.zeros(min(R.shape)))
+                            lambda R, **kwargs: np.zeros(min(R.shape)))
         with pytest.raises(RankMismatchError):
             is_infinitesimally_rigid(triangle())
 
@@ -778,9 +787,9 @@ class TestOneBlasThread:
         seen = []
         svdvals = rigidity.sla.svdvals
 
-        def recorded(R):
+        def recorded(R, **kwargs):
             seen.append(lib.threads)
-            return svdvals(R)
+            return svdvals(R, **kwargs)
 
         monkeypatch.setattr(rigidity.sla, "svdvals", recorded)
         assert rigidity_report(triangle()).rigid
